@@ -15,25 +15,29 @@ entries is at least the quantized-observation covariance determinant
 divided by a product of per-block decoding factors, taken over partitions
 of S and receiver assignments. The `forall` quantifier requires the
 inequality against every (partition, assignment); `exists` requires one
-witness per subset. Since the decoding factors do not depend on Q, their
-extremes are cached per subset and reused across feasibility queries.
+witness per subset. The decoding factors do not depend on Q, so one
+analysis builds one constraint table: per subset, the extreme denominator
+and its attaining instance, plus a 0/1 subset-membership matrix. Every
+feasibility query is then one vectorized margin evaluation on that table.
 
 Rate is strictly decreasing in every Q_j and feasibility margins are
 strictly increasing, so the best admissible Q sits on the feasibility
-frontier and monotone bisection finds it: uniformly (all Q_j equal) or
-per-coordinate (cyclic descent from the uniform solution). A sweep over
-the relay power multiplier shows the gap between the two sides collapsing
-as relay power grows.
+frontier and one monotone search (double up, halve down, bisect) finds
+it: uniformly (all Q_j equal) or per-coordinate (cyclic descent from the
+uniform solution). Margins rise toward the subset's denominator as Q
+grows, so a network is infeasible exactly when some denominator is not
+positive. A sweep over the relay power multiplier shows the gap between
+the two sides collapsing as relay power grows.
 
 All rates are bits per channel use. Everything here is pure given an
-immutable NetworkSpec; subset rows and sweep rows are independent work
-units, and diagnostics are emitted in canonical enumeration order so
-output is deterministic.
+immutable NetworkSpec, and diagnostics are emitted in canonical
+enumeration order so output is deterministic.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,10 +72,6 @@ BISECT_REL_TOL = 1e-9
 
 #: Bit-domain tolerance for rate comparisons (achievability vs bound).
 RATE_TOL_BITS = 1e-9
-
-#: Uniform quantization noise is searched up to this multiple of the
-#: largest receiver noise; no feasible point below it means infeasible.
-Q_SEARCH_CAP_FACTOR = 1e18
 
 _QUANTIFIERS = ("forall", "exists")
 _OPT_MODES = ("uniform_bisection", "coordinate_descent")
@@ -517,25 +517,18 @@ def _log2_quantized_covariance_det(
     return log2_det(m)
 
 
-@dataclass(frozen=True)
-class _SubsetRow:
-    """Q-independent data for one relay subset's constraint."""
-
-    s: tuple[int, ...]
-    q_slots: tuple[int, ...]  # positions of s in the sorted relay list
-    lam: np.ndarray  # source power gains lambda_1i over s
-    noise: np.ndarray  # thermal noise variances over s
-    denom_log2: float  # extreme sum of log2(1 + block snr) over the family
-    instance: ConstraintInstance  # the attaining (partition, assignment)
-
-
 class _ConstraintTable:
-    """Cached extreme decoding denominators for every nonempty relay subset.
+    """The whole constraint family of one analysis, reduced to arrays.
 
-    The per-block factors 1 + snr do not involve Q, so the binding
-    (partition, assignment) per subset is computed once; a feasibility
-    query for a concrete Q then costs one small log-det per subset. In
-    forall mode the binding family member minimizes the denominator
+    Row k stands for the k-th nonempty relay subset S in canonical order
+    and holds three things: ``denom_log2[k]``, the extreme over the family
+    of sum log2(1 + block snr); ``instances[k]``, the (partition,
+    assignment) attaining it; and row k of ``membership``, the 0/1
+    indicator of S over the sorted relays. The per-block factors do not
+    involve Q, so they are computed once; a feasibility query for a
+    concrete Q is then two matrix-vector products (``margins_log2``).
+
+    In forall mode the binding family member minimizes the denominator
     product (hardest constraint); in exists mode it maximizes it (easiest
     witness). The extreme over assignments factorizes across blocks, so
     only partitions are enumerated.
@@ -545,7 +538,6 @@ class _ConstraintTable:
         _require_quantifier(quantifier)
         _check_guard(net, override_guard)
         self.net = net
-        self.quantifier = quantifier
         relays = net.relay_ids
         self.relays = relays
         candidates = tuple(sorted(set(relays) | {net.destination_id}))
@@ -567,8 +559,8 @@ class _ConstraintTable:
                 block_best[block] = got = val_r
             return got
 
-        rows: list[_SubsetRow] = []
-        slot = {rid: k for k, rid in enumerate(relays)}
+        denoms: list[float] = []
+        instances: list[ConstraintInstance] = []
         for s in subsets(relays):
             if not s:
                 continue
@@ -586,20 +578,20 @@ class _ConstraintTable:
                         ConstraintInstance(s=s, partition=part, assignment=tuple(recv)),
                     )
             assert best is not None
-            rows.append(
-                _SubsetRow(
-                    s=s,
-                    q_slots=tuple(slot[i] for i in s),
-                    lam=np.array([net.gain(1, i) for i in s]),
-                    noise=np.array([net.noise_variance(i) for i in s]),
-                    denom_log2=best[0],
-                    instance=best[1],
-                )
-            )
-        self.rows = tuple(rows)
+            denoms.append(best[0])
+            instances.append(best[1])
+        self.denom_log2 = np.array(denoms)
+        self.instances = tuple(instances)
+        self.membership = np.array(
+            [[float(i in inst.s) for i in relays] for inst in instances]
+        ).reshape(len(instances), len(relays))
+        self.lam = np.array([net.gain(1, i) for i in relays])
+        self.noise = np.array([net.noise_variance(i) for i in relays])
         self.p1 = net.transmit_power(1)
 
-    def _margin(self, row: _SubsetRow, q_values: np.ndarray) -> float:
+    def margins_log2(self, q_values: np.ndarray) -> np.ndarray:
+        """Per-subset tightest margins for Q given as values aligned with
+        the sorted relay list."""
         # log2(prod Q) - log2(det) + denom, rewritten through the rank-one
         # determinant identity as -sum log1p(N/Q) - log1p(P1 sum lam/(N+Q))
         # + denom. Differencing the raw log-dets loses the N/Q term once Q
@@ -607,30 +599,35 @@ class _ConstraintTable:
         # powerless-relay constraint Q >= Q + c as satisfiable; the log1p
         # form is exact there. The factorized determinant itself is checked
         # against this identity by the determinant-lemma suite.
-        qs = q_values[list(row.q_slots)]
-        shrink = float(np.sum(np.log1p(row.noise / qs)))
-        source_term = math.log1p(self.p1 * float(np.sum(row.lam / (row.noise + qs))))
-        return row.denom_log2 - (shrink + source_term) / _LN2
+        shrink = self._subset_sums(np.log1p(self.noise / q_values))
+        source_term = np.log1p(self.p1 * self._subset_sums(self.lam / (self.noise + q_values)))
+        return self.denom_log2 - (shrink + source_term) / _LN2
 
-    def margins(self, q_values: np.ndarray) -> list[ConstraintMargin]:
-        """Per-subset tightest margins for Q given as values aligned with
-        the sorted relay list."""
-        return [
-            ConstraintMargin(instance=row.instance, margin_log2=self._margin(row, q_values))
-            for row in self.rows
-        ]
+    def _subset_sums(self, per_relay: np.ndarray) -> np.ndarray:
+        """``membership @ per_relay``, accumulated one relay at a time so
+        every row is the left-to-right sum over its subset. Subsets with
+        tied terms then get bit-identical sums, and the binding-constraint
+        order keeps its canonical tie-break; a BLAS product may reassociate."""
+        total = np.zeros(len(self.instances))
+        for column, value in zip(self.membership.T, per_relay):
+            total += column * value
+        return total
 
-    def min_margin(self, q_values: np.ndarray) -> float:
-        return min(
-            (self._margin(row, q_values) for row in self.rows), default=math.inf
-        )
+    def feasible(self, q_values: np.ndarray) -> bool:
+        return bool(np.all(self.margins_log2(q_values) >= 0.0))
 
-    def q_array(self, q: QuantizationVector) -> np.ndarray:
+    def constraint_margins(self, q: QuantizationVector) -> tuple[ConstraintMargin, ...]:
+        """Every subset's binding instance with its margin at Q, in
+        canonical subset order."""
         if q.ids != self.relays:
             raise ValueError(
                 f"quantization vector covers relays {q.ids}, network has {self.relays}"
             )
-        return np.array(q.values)
+        margins = self.margins_log2(np.array(q.values))
+        return tuple(
+            ConstraintMargin(instance=inst, margin_log2=float(m))
+            for inst, m in zip(self.instances, margins)
+        )
 
 
 def cf_feasible(
@@ -645,11 +642,8 @@ def cf_feasible(
     binding (partition, assignment) and its log2 margin; feasibility is
     all margins >= 0. A network with no relays is trivially feasible.
     """
-    table = _ConstraintTable(net, quantifier, override_guard)
-    if not table.relays:
-        return True, ()
-    margins = table.margins(table.q_array(q))
-    return all(m.margin_log2 >= 0.0 for m in margins), tuple(margins)
+    margins = _ConstraintTable(net, quantifier, override_guard).constraint_margins(q)
+    return all(m.margin_log2 >= 0.0 for m in margins), margins
 
 
 def cf_rate(net: NetworkSpec, q: QuantizationVector) -> float:
@@ -675,11 +669,26 @@ def cf_rate(net: NetworkSpec, q: QuantizationVector) -> float:
     return conditional_mi_bits(gains, powers, noises)
 
 
-def _bisect_frontier(
-    feasible_at: "callable", lo: float, hi: float, rel_tol: float
-) -> float:
-    """Shrink [lo, hi] with feasible_at(lo) False, feasible_at(hi) True,
-    geometrically, and return the feasible end."""
+def _frontier(feasible_at: Callable[[float], bool], start: float, rel_tol: float) -> float:
+    """Smallest x (to rel_tol) with feasible_at(x), for a predicate that is
+    monotone in x.
+
+    Double up from ``start`` until feasible, halve down from there until
+    infeasible, then bisect geometrically between the two. Raises
+    Infeasible if doubling overflows: no finite x is feasible. Returns the
+    doubling end when halving underflows to 0 (the frontier lies below
+    the representable range).
+    """
+    hi = start
+    while not feasible_at(hi):
+        hi *= 2.0
+        if math.isinf(hi):
+            raise Infeasible("no finite quantization noise satisfies every constraint")
+    lo = hi
+    while feasible_at(lo):
+        lo *= 0.5
+        if lo == 0.0:
+            return hi
     while hi - lo > rel_tol * hi:
         mid = math.sqrt(lo) * math.sqrt(hi)  # geometric, overflow-safe
         if mid <= lo or mid >= hi:  # no representable point left between
@@ -691,41 +700,8 @@ def _bisect_frontier(
     return hi
 
 
-def _min_feasible_uniform(table: _ConstraintTable, net: NetworkSpec, rel_tol: float) -> float:
-    """Smallest uniform q (to rel_tol) whose margins are all nonnegative.
-
-    Margins increase strictly in q, vanish to -inf as q -> 0, so a
-    doubling search up from the noise floor brackets the frontier; if even
-    the cap is infeasible nothing below it can be.
-    """
-    noise_cap = max(net.noise_variance(j) for j in table.relays + (net.destination_id,))
-    cap = Q_SEARCH_CAP_FACTOR * noise_cap
-
-    def ok(qv: float) -> bool:
-        return table.min_margin(np.full(len(table.relays), qv)) >= 0.0
-
-    if not ok(cap):
-        raise Infeasible(
-            f"no feasible quantization up to q = {cap:.3e}; "
-            "relay transmit powers are too small to forward anything"
-        )
-    hi = noise_cap
-    while not ok(hi):
-        hi *= 2.0
-    lo = hi
-    while ok(lo):
-        lo *= 0.5
-        if lo == 0.0:  # underflow: frontier below representable range
-            return hi
-    return _bisect_frontier(ok, lo, hi, rel_tol)
-
-
 def _coordinate_descent(
-    table: _ConstraintTable,
-    net: NetworkSpec,
-    start: QuantizationVector,
-    rel_tol: float,
-    max_cycles: int = 64,
+    table: _ConstraintTable, start: QuantizationVector, rel_tol: float, max_cycles: int = 64
 ) -> QuantizationVector:
     """Cyclically shrink each Q_j to its per-coordinate frontier.
 
@@ -733,40 +709,57 @@ def _coordinate_descent(
     the rate is nondecreasing; stop when a full cycle improves it by no
     more than rel_tol bits.
     """
-    q_values = table.q_array(start).copy()
-    rate = cf_rate(net, QuantizationVector(entries=tuple(zip(table.relays, q_values))))
+
+    def as_vector(values: np.ndarray) -> QuantizationVector:
+        return QuantizationVector(entries=tuple(zip(table.relays, values)))
+
+    q_values = np.array(start.values)
+    rate = cf_rate(table.net, as_vector(q_values))
     for _ in range(max_cycles):
         for k in range(len(table.relays)):
-            def ok(x: float) -> bool:
+            def feasible_at(x: float) -> bool:
                 trial = q_values.copy()
                 trial[k] = x
-                return table.min_margin(trial) >= 0.0
+                return table.feasible(trial)
 
-            hi = q_values[k]
-            while not ok(hi):  # numerical slack pushed us off the frontier
-                hi *= 2.0
-                if hi > 1e300:
-                    raise Infeasible(
-                        f"coordinate search for relay {table.relays[k]} found no "
-                        "feasible quantization"
-                    )
-            lo = hi
-            while ok(lo):
-                lo *= 0.5
-                if lo == 0.0:
-                    break
-            if lo == 0.0:
-                q_values[k] = hi
-                continue
-            q_values[k] = _bisect_frontier(ok, lo, hi, rel_tol)
-        new_rate = cf_rate(
-            net, QuantizationVector(entries=tuple(zip(table.relays, q_values)))
-        )
+            # Starts on the frontier; doubling only undoes numerical slack.
+            q_values[k] = _frontier(feasible_at, q_values[k], rel_tol)
+        new_rate = cf_rate(table.net, as_vector(q_values))
         improved = new_rate - rate
         rate = new_rate
         if improved <= rel_tol:
             break
-    return QuantizationVector(entries=tuple(zip(table.relays, q_values)))
+    return as_vector(q_values)
+
+
+def _require_mode(mode: str) -> None:
+    if mode not in _OPT_MODES:
+        raise ValueError(f"mode must be one of {_OPT_MODES}, got {mode!r}")
+
+
+def _optimize(table: _ConstraintTable, mode: str, tol: float) -> tuple[QuantizationVector, float]:
+    """Best feasible quantization vector on one constraint table.
+
+    Every margin rises strictly toward its denominator as Q grows, so a
+    feasible Q exists exactly when every denom_log2 is positive. The
+    uniform search starts at the largest receiver noise.
+    """
+    net, relays = table.net, table.relays
+    if not relays:
+        empty = QuantizationVector(entries=())
+        return empty, cf_rate(net, empty)
+    blocked = [inst.s for inst, d in zip(table.instances, table.denom_log2) if not d > 0.0]
+    if blocked:
+        raise Infeasible(
+            f"relay subset {blocked[0]} cannot forward at any finite quantization "
+            "noise: its relays deliver no power to the receivers that must decode them"
+        )
+    start = max(net.noise_variance(j) for j in relays + (net.destination_id,))
+    q_uni = _frontier(lambda x: table.feasible(np.full(len(relays), x)), start, tol)
+    q_star = QuantizationVector.uniform(q_uni, relays)
+    if mode == "coordinate_descent":
+        q_star = _coordinate_descent(table, q_star, tol)
+    return q_star, cf_rate(net, q_star)
 
 
 def optimize_quantization(
@@ -784,17 +777,8 @@ def optimize_quantization(
     helps asymmetric networks and provably never hurts. Raises Infeasible
     when no quantization works (e.g. powerless relays).
     """
-    if mode not in _OPT_MODES:
-        raise ValueError(f"mode must be one of {_OPT_MODES}, got {mode!r}")
-    table = _ConstraintTable(net, quantifier, override_guard)
-    if not table.relays:
-        empty = QuantizationVector(entries=())
-        return empty, cf_rate(net, empty)
-    q_uni = _min_feasible_uniform(table, net, tol)
-    q_star = QuantizationVector.uniform(q_uni, table.relays)
-    if mode == "coordinate_descent":
-        q_star = _coordinate_descent(table, net, q_star, tol)
-    return q_star, cf_rate(net, q_star)
+    _require_mode(mode)
+    return _optimize(_ConstraintTable(net, quantifier, override_guard), mode, tol)
 
 
 def build_rate_report(
@@ -805,10 +789,13 @@ def build_rate_report(
     top_k: int = 5,
     override_guard: bool = False,
 ) -> RateReport:
-    """Full analysis: bound, optimized rate, and the tightest constraints."""
-    q_star, rate = optimize_quantization(net, mode, quantifier, tol, override_guard)
+    """Full analysis: bound, optimized rate, and the tightest constraints,
+    all from one constraint table."""
+    _require_mode(mode)
+    table = _ConstraintTable(net, quantifier, override_guard)
+    q_star, rate = _optimize(table, mode, tol)
     bound = source_cut_bound(net)
-    _, margins = cf_feasible(net, q_star, quantifier, override_guard)
+    margins = table.constraint_margins(q_star)
     binding = tuple(sorted(margins, key=lambda m: m.margin_log2)[: max(top_k, 0)])
     mc_bits, mc = min_cut_bound(net, override_guard)
     return RateReport(

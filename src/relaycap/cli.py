@@ -84,41 +84,33 @@ def _linear_field(entry: dict, base: str, node_id: object) -> float | None:
     lin, db = entry.get(base), entry.get(f"{base}_db")
     if lin is not None and db is not None:
         raise ConfigError(f"node {node_id}: give {base} or {base}_db, not both")
-    if db is not None:
-        return 10.0 ** (float(db) / 10.0)
-    return None if lin is None else float(lin)
+    try:
+        if db is not None:
+            return 10.0 ** (float(db) / 10.0)
+        return None if lin is None else float(lin)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ConfigError(f"node {node_id}: bad {base}: {exc}") from exc
 
 
 def _node_from_entry(entry: object, index: int) -> NodeSpec:
+    """One node from its config entry. Roles, ids, and which of power and
+    noise a role needs are checked by NodeSpec and ``validate``."""
     if not isinstance(entry, dict):
         raise ConfigError(f"nodes[{index}] must be an object")
     unknown = set(entry) - _NODE_KEYS
     if unknown:
         raise ConfigError(f"nodes[{index}] has unknown keys {sorted(unknown)}")
     node_id = entry.get("id")
-    role = entry.get("role")
-    if not isinstance(node_id, int):
-        raise ConfigError(f"nodes[{index}] needs an integer id, got {node_id!r}")
-    if role not in ("source", "relay", "destination"):
-        raise ConfigError(f"node {node_id}: role must be source|relay|destination, got {role!r}")
     position = entry.get("position")
-    if position is not None:
-        if not (isinstance(position, (list, tuple)) and len(position) == 2):
-            raise ConfigError(f"node {node_id}: position must be [x, y]")
-        position = (float(position[0]), float(position[1]))
+    if position is not None and not (isinstance(position, (list, tuple)) and len(position) == 2):
+        raise ConfigError(f"node {node_id}: position must be [x, y]")
     power = _linear_field(entry, "power", node_id)
     noise = _linear_field(entry, "noise", node_id)
-    if role in ("source", "relay") and power is None:
-        raise ConfigError(f"node {node_id} ({role}) needs power or power_db")
-    if role == "destination" and power is not None:
-        raise ConfigError(f"node {node_id} (destination) must not have a power")
-    if role in ("relay", "destination") and noise is None:
-        raise ConfigError(f"node {node_id} ({role}) needs noise or noise_db")
-    if role == "source" and noise is not None:
-        raise ConfigError(f"node {node_id} (source) must not have a noise")
     try:
-        return NodeSpec(id=node_id, role=role, position=position, power=power, noise=noise)
-    except ValueError as exc:
+        return NodeSpec(
+            id=node_id, role=entry.get("role"), position=position, power=power, noise=noise
+        )
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"node {node_id}: {exc}") from exc
 
 
@@ -336,7 +328,7 @@ def _grid(value: object, where: str) -> tuple[float, ...]:
 
 
 def _count(value: object, where: str, minimum: int = 1) -> int:
-    if not isinstance(value, int) or value < minimum:
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ConfigError(f"{where} must be an integer >= {minimum}, got {value!r}")
     return value
 

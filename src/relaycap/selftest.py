@@ -6,17 +6,11 @@ the quantized-observation covariance determinant, feasibility monotonicity
 under scaling, and achievable-rate-below-bound sampling. Grids and seeds
 are fixed so a run is deterministic; the random samplers use an explicit
 Generator seeded per suite.
-
-Environment hook: setting RELAYCAP_FAULT=flip-sign corrupts the expected
-values of the single-relay suite on purpose, which must turn the run red.
-It exists so the exit-code contract of the front end (1 on verification
-failure) can be exercised end to end without touching library code.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass
 
@@ -34,8 +28,6 @@ from .bounds import (
 )
 from .errors import RelaycapError
 from .topology import NetworkSpec, destination, from_gains, relay, source
-
-FAULT_ENV = "RELAYCAP_FAULT"
 
 #: 21 symmetric grid offsets in [-1, 1] with an exact 0.0 at the center.
 DEFAULT_OFFSETS = tuple((i - 10) / 10.0 for i in range(21))
@@ -64,12 +56,11 @@ def alpha_suite(offsets: tuple[float, ...] | None = None) -> CheckResult:
 
     The verification op itself asserts route agreement and the argmax
     location; on top of that the suite recomputes every closed-form value
-    here and compares, which is the hook the fault injector corrupts.
+    here and compares it with the reported one.
     """
     t0 = time.perf_counter()
     name = "single-relay-correlation"
     offsets = DEFAULT_OFFSETS if offsets is None else tuple(float(o) for o in offsets)
-    sign = -1.0 if os.environ.get(FAULT_ENV) == "flip-sign" else 1.0
     sets = 0
     worst_route = 0.0
     worst_expect = 0.0
@@ -91,7 +82,7 @@ def alpha_suite(offsets: tuple[float, ...] | None = None) -> CheckResult:
                     worst_route = max(worst_route, rep.max_abs_diff_bits)
                     for a, got in zip(rep.alphas, rep.closed_form_bits):
                         pw = max(p1 - a * a * p2, 0.0)
-                        want = sign * 0.5 * math.log2(1.0 + pw / n2 + pw / n3)
+                        want = 0.5 * math.log2(1.0 + pw / n2 + pw / n3)
                         worst_expect = max(worst_expect, abs(got - want))
                     if worst_expect > 1e-9:
                         return CheckResult(

@@ -53,7 +53,7 @@ class NodeSpec:
     def __post_init__(self) -> None:
         if self.role not in _ROLES:
             raise ValueError(f"unknown role {self.role!r}; expected one of {_ROLES}")
-        if not isinstance(self.id, int) or self.id < 1:
+        if isinstance(self.id, bool) or not isinstance(self.id, int) or self.id < 1:
             raise ValueError(f"node id must be a positive integer, got {self.id!r}")
         if self.position is not None:
             pos = tuple(float(c) for c in self.position)
@@ -253,14 +253,18 @@ def validate(net: NetworkSpec) -> list[str]:
 
     for n in net.nodes:
         if n.role in (ROLE_SOURCE, ROLE_RELAY):
-            if n.power is None or not n.power >= 0.0:
-                problems.append(f"node {n.id} ({n.role}) needs power >= 0, got {n.power!r}")
+            if n.power is None or not 0.0 <= n.power < math.inf:
+                problems.append(
+                    f"node {n.id} ({n.role}) needs a finite power >= 0, got {n.power!r}"
+                )
         else:
             if n.power is not None:
                 problems.append(f"node {n.id} (destination) must not have a power, got {n.power!r}")
         if n.role in (ROLE_RELAY, ROLE_DESTINATION):
-            if n.noise is None or not n.noise > 0.0:
-                problems.append(f"node {n.id} ({n.role}) needs noise > 0, got {n.noise!r}")
+            if n.noise is None or not 0.0 < n.noise < math.inf:
+                problems.append(
+                    f"node {n.id} ({n.role}) needs a finite noise > 0, got {n.noise!r}"
+                )
         else:
             if n.noise is not None:
                 problems.append(f"node {n.id} (source) must not have a noise, got {n.noise!r}")

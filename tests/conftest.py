@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import relaycap as rc
+from relaycap import selftest
 
 
 def _full_gains(t: int) -> np.ndarray:
@@ -36,3 +39,18 @@ def powerless_relay_network() -> rc.NetworkSpec:
     """Relay with zero transmit power: no quantization is ever feasible."""
     nodes = [rc.source(1, 1.0), rc.relay(2, 0.0, 1.0), rc.destination(3, 1.0)]
     return rc.from_gains(nodes, _full_gains(3))
+
+
+@pytest.fixture
+def injected_fault(monkeypatch):
+    """Make the single-relay verification report negated closed-form
+    values; the alpha suite's own closed-form comparison must catch it."""
+    real = selftest.verify_single_relay_independence
+
+    def flipped(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        return dataclasses.replace(
+            rep, closed_form_bits=tuple(-v for v in rep.closed_form_bits)
+        )
+
+    monkeypatch.setattr(selftest, "verify_single_relay_independence", flipped)

@@ -184,7 +184,7 @@ def test_criterion_09_sweep_csv_is_deterministic(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_criterion_10_exit_codes(tmp_path, capsys, monkeypatch):
+def test_criterion_10_exit_codes(tmp_path, capsys, injected_fault):
     # 0: a well-formed run; 1: verification failure; 2: config error;
     # 3: size guard; 4: no feasible quantization.
     ref = tmp_path / "ref.json"
@@ -205,9 +205,7 @@ def test_criterion_10_exit_codes(tmp_path, capsys, monkeypatch):
         ),
         encoding="utf-8",
     )
-    monkeypatch.setenv(selftest.FAULT_ENV, "flip-sign")
     assert cli.main(["verify", "--config", str(small_verify)]) == 1
-    monkeypatch.delenv(selftest.FAULT_ENV)
 
     broken = tmp_path / "broken.json"
     broken.write_text("{", encoding="utf-8")

@@ -409,8 +409,21 @@ class TestOptimizeQuantization:
         assert ok
 
     def test_infeasible_raises(self, powerless_relay_network):
-        with pytest.raises(Infeasible):
-            rc.optimize_quantization(powerless_relay_network)
+        for quantifier in ("forall", "exists"):
+            with pytest.raises(Infeasible):
+                rc.optimize_quantization(powerless_relay_network, quantifier=quantifier)
+
+    @pytest.mark.parametrize("t", [3, 4])
+    def test_tiny_noise_is_feasible(self, t):
+        # Received source power, not noise, sets the frontier here: Q* is
+        # near 1 while every noise is 1e-300.
+        nodes = [rc.source(1, 1.0)] + [rc.relay(j, 1.0, 1e-300) for j in range(2, t)]
+        net = _net(nodes + [rc.destination(t, 1e-300)])
+        for quantifier in ("forall", "exists"):
+            for mode in ("uniform_bisection", "coordinate_descent"):
+                q, _ = rc.optimize_quantization(net, mode, quantifier)
+                ok, _ = rc.cf_feasible(net, q, quantifier)
+                assert ok
 
     def test_mode_validated(self, reference_network):
         with pytest.raises(ValueError, match="mode"):
@@ -423,40 +436,68 @@ class TestOptimizeQuantization:
         assert rate == pytest.approx(0.5, abs=1e-12)
 
 
+def _asymmetric_network(rng, t):
+    """Random valid network with an asymmetric gain matrix and relay
+    powers spread over three decades."""
+    nodes = [rc.source(1, float(10.0 ** rng.uniform(-0.5, 0.5)))]
+    nodes += [
+        rc.relay(j, float(10.0 ** rng.uniform(0.0, 3.0)), float(10.0 ** rng.uniform(-0.5, 0.5)))
+        for j in range(2, t)
+    ]
+    nodes.append(rc.destination(t, float(10.0 ** rng.uniform(-0.5, 0.5))))
+    gains = 10.0 ** rng.uniform(-1.0, 1.0, size=(t, t))
+    np.fill_diagonal(gains, 0.0)
+    return rc.from_gains(nodes, gains)
+
+
+def _table_cases():
+    rng = np.random.default_rng(20250901)
+    for t in range(3, 8):
+        for _ in range(2):
+            net = _asymmetric_network(rng, t)
+            for quantifier in ("forall", "exists"):
+                yield net, quantifier, _ConstraintTable(net, quantifier)
+
+
 class TestConstraintTableInternals:
-    def test_blockwise_extreme_matches_bruteforce(self, reference_network):
-        # The cached denominator must equal an explicit scan of the family.
-        from relaycap.enumeration import assignments, partitions, subsets
+    def test_blockwise_extreme_matches_bruteforce(self):
+        # Each cached denominator must equal an explicit scan of the whole
+        # family for its subset, and its reported instance must attain it.
+        from relaycap.enumeration import constraint_instances
 
-        net = rc.scaled(reference_network, 7.0)
-        for quantifier in ("forall", "exists"):
-            table = _ConstraintTable(net, quantifier)
-            cand = (2, 3, 4)
-            for row in table.rows:
-                vals = []
-                for part in partitions(row.s):
-                    for recv in assignments(part, cand):
-                        total = sum(
-                            2.0 * rc.block_decode_rate(net, b, r)
-                            for b, r in zip(part, recv)
-                        )
-                        vals.append(total)
-                want = min(vals) if quantifier == "forall" else max(vals)
-                assert row.denom_log2 == pytest.approx(want, abs=1e-12)
+        for net, quantifier, table in _table_cases():
+            relays = net.relay_ids
+            rates: dict = {}
 
-    def test_margin_matches_direct_log_det_evaluation(self, reference_network):
-        table = _ConstraintTable(reference_network, "forall")
-        qvals = np.array([0.7, 1.3])
-        for row, margin in zip(table.rows, table.margins(qvals)):
-            q = rc.QuantizationVector(
-                entries=tuple(
-                    (i, float(qvals[k])) for i, k in zip(table.relays, range(2)) if i in row.s
-                )
-            )
-            qs = np.array([q.get(i) for i in row.s])
-            lam_det = rc.quantized_covariance_det(reference_network, row.s, q)
-            direct = float(np.sum(np.log2(qs))) - math.log2(lam_det) + row.denom_log2
-            assert margin.margin_log2 == pytest.approx(direct, abs=1e-9)
+            def value(inst):
+                total = 0.0
+                for b, r in zip(inst.partition, inst.assignment):
+                    if (b, r) not in rates:
+                        rates[b, r] = 2.0 * rc.block_decode_rate(net, b, r)
+                    total += rates[b, r]
+                return total
+
+            by_subset: dict = {}
+            for inst in constraint_instances(relays, relays + (net.destination_id,)):
+                by_subset.setdefault(inst.s, []).append(value(inst))
+            pick = min if quantifier == "forall" else max
+            assert [inst.s for inst in table.instances] == list(by_subset)
+            for denom, inst in zip(table.denom_log2, table.instances):
+                assert denom == pytest.approx(pick(by_subset[inst.s]), abs=1e-12)
+                assert value(inst) == pytest.approx(denom, abs=1e-12)
+
+    def test_margin_matches_direct_log_det_evaluation(self):
+        rng = np.random.default_rng(20250902)
+        for net, _, table in _table_cases():
+            qvals = 10.0 ** rng.uniform(-1.0, 1.0, size=len(table.relays))
+            q = rc.QuantizationVector(entries=tuple(zip(table.relays, qvals.tolist())))
+            margins = table.margins_log2(qvals)
+            assert margins.shape == (len(table.instances),)
+            for inst, denom, margin in zip(table.instances, table.denom_log2, margins):
+                qs = np.array([q.get(i) for i in inst.s])
+                lam_det = rc.quantized_covariance_det(net, inst.s, q)
+                direct = float(np.sum(np.log2(qs))) - math.log2(lam_det) + denom
+                assert margin == pytest.approx(direct, abs=1e-9)
 
 
 class TestRateReport:

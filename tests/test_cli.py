@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from relaycap import cli, selftest
+from relaycap import cli
 
 
 def _write(tmp_path, name, doc):
@@ -164,6 +164,53 @@ class TestExitCodes:
         assert cli.main(["bound", "--config", cfg]) == 2
         assert "unknown keys" in capsys.readouterr().err
 
+    def test_bool_count_rejected(self, tmp_path):
+        cfg = _write(tmp_path, "v.json", {"verify": {"det_samples": True}})
+        assert cli.main(["verify", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize(
+        "field", [{"power": "abc"}, {"power": [1.0]}, {"power_db": 1e5}, {"noise_db": "x"}]
+    )
+    def test_unreadable_power_or_noise_rejected(self, tmp_path, capsys, field):
+        doc = _single_relay_doc()
+        for key, value in field.items():
+            del doc["nodes"][1][key.removesuffix("_db")]
+            doc["nodes"][1][key] = value
+        cfg = _write(tmp_path, "p.json", doc)
+        assert cli.main(["cfrate", "--config", cfg]) == 2
+        assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "node, key", [(0, "power"), (1, "power"), (1, "noise"), (2, "noise")]
+    )
+    def test_non_finite_power_or_noise_rejected(self, tmp_path, capsys, node, key):
+        doc = _single_relay_doc()
+        doc["nodes"][node][key] = "HUGE"
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(doc).replace('"HUGE"', "1e400"), encoding="utf-8")
+        assert cli.main(["cfrate", "--config", str(path)]) == 2
+        assert "invalid network" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "index, node",
+        [
+            (0, {"id": True, "role": "source", "power": 1.0}),
+            (0, {"id": 1, "role": "source", "power": 1.0, "noise": 1.0}),
+            (1, {"id": 2, "power": 1.0, "noise": 1.0}),
+            (1, {"id": 2, "role": "router", "power": 1.0, "noise": 1.0}),
+            (1, {"id": "2", "role": "relay", "power": 1.0, "noise": 1.0}),
+            (1, {"id": 2, "role": "relay", "noise": 1.0}),
+            (1, {"id": 2, "role": "relay", "power": 1.0}),
+            (2, {"id": 3, "role": "destination", "power": 1.0, "noise": 1.0}),
+        ],
+    )
+    def test_node_contract_checked_once(self, tmp_path, capsys, index, node):
+        doc = _single_relay_doc()
+        doc["nodes"][index] = node
+        cfg = _write(tmp_path, "n.json", doc)
+        assert cli.main(["bound", "--config", cfg]) == 2
+        assert "config error:" in capsys.readouterr().err
+
     def test_size_guard(self, tmp_path, capsys):
         cfg = _write(tmp_path, "big.json", _big_doc())
         assert cli.main(["bound", "--config", cfg]) == 3
@@ -183,8 +230,7 @@ class TestExitCodes:
         assert cli.main(["cfrate", "--config", cfg]) == 4
         assert "infeasible:" in capsys.readouterr().err
 
-    def test_verify_detects_injected_fault(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv(selftest.FAULT_ENV, "flip-sign")
+    def test_verify_detects_injected_fault(self, tmp_path, capsys, injected_fault):
         cfg = _write(tmp_path, "v.json", _SMALL_VERIFY)
         assert cli.main(["verify", "--config", cfg]) == 1
         out = capsys.readouterr().out
