@@ -17,8 +17,11 @@ of S and receiver assignments. The `forall` quantifier requires the
 inequality against every (partition, assignment); `exists` requires one
 witness per subset. The decoding factors do not depend on Q, so one
 analysis builds one constraint table: per subset, the extreme denominator
-and its attaining instance, plus a 0/1 subset-membership matrix. Every
-feasibility query is then one vectorized margin evaluation on that table.
+and its attaining instance, plus a 0/1 subset-membership matrix. A
+block's factor does not depend on the other blocks, so each extreme comes
+from an O(3^R) subset DP over the R relays (``_ConstraintTable`` states
+the recurrence and its tie-break). Every feasibility query is then one
+vectorized margin evaluation on that table.
 
 Rate is strictly decreasing in every Q_j and feasibility margins are
 strictly increasing, so the best admissible Q sits on the feasibility
@@ -42,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .enumeration import Block, ConstraintInstance, partitions, subsets
+from .enumeration import Block, ConstraintInstance, subsets
 from .errors import (
     GuardExceeded,
     Infeasible,
@@ -63,8 +66,10 @@ from .topology import NetworkSpec, scaled
 
 _LN2 = math.log(2.0)
 
-#: Full constraint/cut enumeration refuses networks larger than this
-#: (Bell-number blowup) unless the caller overrides.
+#: Networks with more nodes than this are refused (GuardExceeded, CLI exit
+#: code 3) unless the caller overrides. The limit is part of the CLI
+#: contract, not a cost ceiling: the O(3^R) constraint table and the
+#: 2^(T-2)-row cut table both stay cheap past it.
 GUARD_MAX_NODES = 10
 
 #: Default relative tolerance for bisection on the feasibility frontier.
@@ -470,9 +475,15 @@ def verify_relay_correlation_invariance(
 
 def _block_snr_sum(net: NetworkSpec, block: Block, r: int) -> float:
     """Sum over block members of lambda_ir P_i, divided by the receiver's
-    source-interference-plus-noise floor lambda_1r P1 + N_r."""
+    source-interference-plus-noise floor lambda_1r P1 + N_r. The sum runs
+    left to right (builtin sum compensates from Python 3.12 on), as the
+    constraint table's block sums do."""
     floor = net.gain(1, r) * net.transmit_power(1) + net.noise_variance(r)
-    return sum(net.gain(i, r) * net.transmit_power(i) for i in block if i != r) / floor
+    total = 0.0
+    for i in block:
+        if i != r:
+            total += net.gain(i, r) * net.transmit_power(i)
+    return total / floor
 
 
 def block_decode_rate(net: NetworkSpec, block: Block | tuple[int, ...], r: int) -> float:
@@ -521,17 +532,26 @@ class _ConstraintTable:
     """The whole constraint family of one analysis, reduced to arrays.
 
     Row k stands for the k-th nonempty relay subset S in canonical order
-    and holds three things: ``denom_log2[k]``, the extreme over the family
-    of sum log2(1 + block snr); ``instances[k]``, the (partition,
-    assignment) attaining it; and row k of ``membership``, the 0/1
-    indicator of S over the sorted relays. The per-block factors do not
-    involve Q, so they are computed once; a feasibility query for a
+    (relay mask k + 1) and holds three things: ``denom_log2[k]``, the
+    extreme over the family of sum log2(1 + block snr); ``instances[k]``,
+    the (partition, assignment) attaining it; and row k of ``membership``,
+    the 0/1 indicator of S over the sorted relays. The per-block factors do
+    not involve Q, so they are computed once; a feasibility query for a
     concrete Q is then two matrix-vector products (``margins_log2``).
 
     In forall mode the binding family member minimizes the denominator
     product (hardest constraint); in exists mode it maximizes it (easiest
-    witness). The extreme over assignments factorizes across blocks, so
-    only partitions are enumerated.
+    witness). A block's value v(B), the extreme over the receivers outside
+    it, does not depend on the other blocks, so the extreme over partitions
+    is an exact subset DP in O(3^R) steps for R relays:
+
+        f(S) = ext over B subset of S holding the smallest relay of S
+               of v(B) + f(S minus B),    f(empty) = 0.
+
+    Equal totals go to the first block in restricted-growth order: at the
+    smallest relay where two candidate blocks differ, the block containing
+    it wins. Equal receivers go to the smallest id. ``denom_log2`` is the
+    left-to-right sum of the chosen blocks' values.
     """
 
     def __init__(self, net: NetworkSpec, quantifier: str, override_guard: bool = False):
@@ -540,51 +560,71 @@ class _ConstraintTable:
         self.net = net
         relays = net.relay_ids
         self.relays = relays
-        candidates = tuple(sorted(set(relays) | {net.destination_id}))
-        want_min = quantifier == "forall"
+        n = len(relays)
+        full = (1 << n) - 1
+        # exists maximizes; negating its scores (exact) lets both minimize.
+        sign = 1.0 if quantifier == "forall" else -1.0
+        # DP masks give the smallest relay the highest bit, so a descending
+        # submask walk meets candidate blocks in restricted-growth order.
+        bit = [1 << (n - 1 - i) for i in range(n)]
+        members = [tuple(r for r, b in zip(relays, bit) if m & b) for m in range(full + 1)]
 
-        block_best: dict[Block, tuple[float, int]] = {}
+        # v(B) and its receiver, in _block_snr_sum's arithmetic: a block's
+        # sum extends the sum without its largest relay (the lowest bit).
+        candidates = relays + (net.destination_id,)
+        floors = [
+            net.gain(1, r) * net.transmit_power(1) + net.noise_variance(r) for r in candidates
+        ]
+        terms = [[net.gain(i, r) * net.transmit_power(i) for r in candidates] for i in relays]
+        sums = [[0.0] * len(candidates)]
+        value, receiver = [0.0], [0]
+        for m in range(1, full + 1):
+            low = m & -m
+            sums.append([a + t for a, t in zip(sums[m ^ low], terms[n - low.bit_length()])])
+            best_v: float | None = None
+            for j, r in enumerate(candidates):
+                if j < n and m & bit[j]:
+                    continue
+                v = math.log1p(sums[m][j] / floors[j]) / _LN2
+                if best_v is None or sign * v < sign * best_v:
+                    best_v, best_r = v, r
+            assert best_v is not None  # the destination is always eligible
+            value.append(best_v)
+            receiver.append(best_r)
+        score = [sign * v for v in value]
 
-        def best_for_block(block: Block) -> tuple[float, int]:
-            got = block_best.get(block)
-            if got is None:
-                val_r: tuple[float, int] | None = None
-                for r in candidates:
-                    if r in block:
-                        continue
-                    v = math.log1p(_block_snr_sum(net, block, r)) / _LN2
-                    if val_r is None or (v < val_r[0] if want_min else v > val_r[0]):
-                        val_r = (v, r)
-                assert val_r is not None  # destination is always eligible
-                block_best[block] = got = val_r
-            return got
+        f = [0.0] * (full + 1)  # signed extreme totals
+        first_block = [0] * (full + 1)
+        for s in range(1, full + 1):
+            top = 1 << (s.bit_length() - 1)  # the smallest relay of S
+            rest = s ^ top
+            best, pick = score[s], s  # B = S comes first
+            sub = rest
+            while sub:
+                sub = (sub - 1) & rest
+                total = score[top | sub] + f[rest ^ sub]
+                if total < best:
+                    best, pick = total, top | sub
+            f[s], first_block[s] = best, pick
 
         denoms: list[float] = []
         instances: list[ConstraintInstance] = []
-        for s in subsets(relays):
-            if not s:
-                continue
-            best: tuple[float, ConstraintInstance] | None = None
-            for part in partitions(s):
-                total = 0.0
-                recv = []
-                for block in part:
-                    v, r = best_for_block(block)
-                    total += v
-                    recv.append(r)
-                if best is None or (total < best[0] if want_min else total > best[0]):
-                    best = (
-                        total,
-                        ConstraintInstance(s=s, partition=part, assignment=tuple(recv)),
-                    )
-            assert best is not None
-            denoms.append(best[0])
-            instances.append(best[1])
+        for c in range(1, full + 1):  # canonical order: bit i of c selects relays[i]
+            s = m = sum(b for i, b in enumerate(bit) if c >> i & 1)
+            blocks, recv, total = [], [], 0.0
+            while m:
+                b = first_block[m]
+                blocks.append(members[b])
+                recv.append(receiver[b])
+                total += value[b]
+                m ^= b
+            denoms.append(total)
+            instances.append(
+                ConstraintInstance(s=members[s], partition=tuple(blocks), assignment=tuple(recv))
+            )
         self.denom_log2 = np.array(denoms)
         self.instances = tuple(instances)
-        self.membership = np.array(
-            [[float(i in inst.s) for i in relays] for inst in instances]
-        ).reshape(len(instances), len(relays))
+        self.membership = (np.arange(1, full + 1)[:, None] >> np.arange(n) & 1).astype(float)
         self.lam = np.array([net.gain(1, i) for i in relays])
         self.noise = np.array([net.noise_variance(i) for i in relays])
         self.p1 = net.transmit_power(1)

@@ -352,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--tol", type=float, default=None, help="bisection relative tolerance")
         sp.add_argument("--out", default=None, help="write output to this file instead of stdout")
         sp.add_argument("--override-guard", action="store_true",
-                        help="allow exhaustive enumeration beyond the size guard")
+                        help="allow networks larger than the size guard")
 
     sp = sub.add_parser("bound", help="cut rates and the min-cut upper bound")
     common(sp)

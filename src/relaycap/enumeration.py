@@ -3,8 +3,10 @@
 Each constraint is a triple: a nonempty relay subset S, a set partition
 {B_1..B_M} of S, and a receiver assignment r(1)..r(M) with every r(m) a
 relay or the destination outside its own block. The family is finite but
-grows fast (Bell numbers times assignment products), so callers guard on
-network size before enumerating.
+grows fast (Bell numbers times assignment products). These generators
+list it member by member and are the tests' oracle: the library's
+constraint table reaches the same extremes by a subset DP without walking
+the family, and uses ``subsets`` only for its canonical order.
 
 Canonical orders, fixed so diagnostics are reproducible run to run:
 

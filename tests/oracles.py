@@ -2,12 +2,18 @@
 
 These exist to cross-check the library's production paths through
 completely different algorithms: a Laplace-expansion determinant against
-the Cholesky log-det, and the binomial Bell recurrence against the
-restricted-growth-string partition generator. Nothing here is performance
-sensitive; clarity wins.
+the Cholesky log-det, the binomial Bell recurrence against the
+restricted-growth-string partition generator, and a scan of every
+partition against the constraint table's subset DP. Nothing here is
+performance sensitive; clarity wins.
 """
 
 import math
+
+import numpy as np
+
+from relaycap.bounds import _LN2, _block_snr_sum
+from relaycap.enumeration import ConstraintInstance, partitions, subsets
 
 
 def det_cofactor(matrix) -> float:
@@ -43,3 +49,48 @@ def count_assignments_brute(partition, candidates) -> int:
         eligible = [c for c in sorted(set(candidates)) if c not in block]
         vectors = [v + (r,) for v in vectors for r in eligible]
     return len(vectors)
+
+
+def table_by_partition_scan(net, quantifier):
+    """Constraint-table rows by scanning every partition of every nonempty
+    relay subset, Bell(R+1) - 1 of them: ``(denom_log2, instances)``.
+
+    Each block takes its extreme receiver (the first one on ties); each
+    partition's total is the left-to-right sum of its block values; each
+    subset keeps the first partition in restricted-growth order that
+    attains the extreme total. forall minimizes, exists maximizes.
+    """
+    relays = net.relay_ids
+    candidates = relays + (net.destination_id,)
+    better = (lambda a, b: a < b) if quantifier == "forall" else (lambda a, b: a > b)
+    block_best = {}
+
+    def best_for_block(block):
+        if block not in block_best:
+            val_r = None
+            for r in candidates:
+                if r in block:
+                    continue
+                v = math.log1p(_block_snr_sum(net, block, r)) / _LN2
+                if val_r is None or better(v, val_r[0]):
+                    val_r = (v, r)
+            block_best[block] = val_r
+        return block_best[block]
+
+    denoms, instances = [], []
+    for s in subsets(relays):
+        if not s:
+            continue
+        best = None
+        for part in partitions(s):
+            total = 0.0
+            recv = []
+            for block in part:
+                v, r = best_for_block(block)
+                total += v
+                recv.append(r)
+            if best is None or better(total, best[0]):
+                best = (total, ConstraintInstance(s=s, partition=part, assignment=tuple(recv)))
+        denoms.append(best[0])
+        instances.append(best[1])
+    return np.array(denoms), tuple(instances)

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relaycap as rc
-from oracles import det_cofactor
+from oracles import det_cofactor, table_by_partition_scan
+from relaycap import bounds, enumeration
 from relaycap.bounds import _ConstraintTable
 from relaycap.errors import (
     GuardExceeded,
@@ -498,6 +499,107 @@ class TestConstraintTableInternals:
                 lam_det = rc.quantized_covariance_det(net, inst.s, q)
                 direct = float(np.sum(np.log2(qs))) - math.log2(lam_det) + denom
                 assert margin == pytest.approx(direct, abs=1e-9)
+
+
+def _equal_gain_network(t, relay_power):
+    """Unit gains and unit noises; relay j transmits relay_power(j)."""
+    nodes = [rc.source(1, 1.0)]
+    nodes += [rc.relay(j, relay_power(j), 1.0) for j in range(2, t)]
+    return _net(nodes + [rc.destination(t, 1.0)])
+
+
+def _dp_cases():
+    rng = np.random.default_rng(20261017)
+    for t in range(3, 10):
+        yield pytest.param(_asymmetric_network(rng, t), id=f"asymmetric-T{t}")
+        yield pytest.param(_equal_gain_network(t, lambda j: 10.0), id=f"equal-power-T{t}")
+        yield pytest.param(
+            _equal_gain_network(t, lambda j: 10.0 ** (j % 3)), id=f"tied-powers-T{t}"
+        )
+        # A powerless relay adds exactly 0 bits to any block it joins, so
+        # many partitions tie exactly and only the tie-break separates them.
+        yield pytest.param(
+            _equal_gain_network(t, lambda j: float(j % 2)), id=f"powerless-relays-T{t}"
+        )
+
+
+def _relabel(net, new_id):
+    """The same network with relay j renamed new_id[j]; its gains, power
+    and noise travel with it."""
+    t = net.num_nodes
+    old_of = {1: 1, t: t, **{new: old for old, new in new_id.items()}}
+    nodes = [rc.source(1, net.node(1).power)]
+    nodes += [
+        rc.relay(j, net.node(old_of[j]).power, net.node(old_of[j]).noise) for j in range(2, t)
+    ]
+    nodes.append(rc.destination(t, net.node(t).noise))
+    order = [old_of[j] - 1 for j in range(1, t + 1)]
+    return rc.from_gains(nodes, net.gains[np.ix_(order, order)])
+
+
+def _scale_powers_and_noises(net, c):
+    t = net.num_nodes
+    nodes = [rc.source(1, c * net.node(1).power)]
+    nodes += [rc.relay(j, c * net.node(j).power, c * net.node(j).noise) for j in range(2, t)]
+    nodes.append(rc.destination(t, c * net.node(t).noise))
+    return rc.from_gains(nodes, net.gains)
+
+
+class TestConstraintTableDP:
+    @pytest.mark.parametrize("net", _dp_cases())
+    def test_matches_partition_scan_exactly(self, net):
+        for quantifier in ("forall", "exists"):
+            table = _ConstraintTable(net, quantifier)
+            denoms, instances = table_by_partition_scan(net, quantifier)
+            assert np.array_equal(table.denom_log2, denoms)
+            assert table.instances == instances
+
+    def test_no_partition_scan_past_the_guard(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the constraint table must not enumerate partitions")
+
+        monkeypatch.setattr(enumeration, "partitions", refuse)
+        assert "partitions" not in vars(bounds)
+        net = random_network(np.random.default_rng(12), 12)
+        for quantifier in ("forall", "exists"):
+            table = _ConstraintTable(net, quantifier, override_guard=True)
+            assert [inst.s for inst in table.instances] == list(rc.subsets(net.relay_ids))[1:]
+            assert table.membership.shape == (2**10 - 1, 10)
+            assert np.all(table.denom_log2 > 0.0)
+
+    @given(seed=st.integers(0, 10_000), data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_relabelling_relays_changes_nothing(self, seed, data):
+        net = _asymmetric_network(np.random.default_rng(seed), data.draw(st.integers(3, 7)))
+        perm = data.draw(st.permutations(net.relay_ids))
+        other = _relabel(net, dict(zip(net.relay_ids, perm)))
+        assert rc.source_cut_bound(other) == pytest.approx(rc.source_cut_bound(net), abs=1e-9)
+        assert rc.min_cut_bound(other)[0] == pytest.approx(rc.min_cut_bound(net)[0], abs=1e-9)
+        for quantifier in ("forall", "exists"):
+            _, rate = rc.optimize_quantization(net, quantifier=quantifier)
+            _, other_rate = rc.optimize_quantization(other, quantifier=quantifier)
+            assert other_rate == pytest.approx(rate, abs=1e-9)
+            np.testing.assert_allclose(
+                np.sort(_ConstraintTable(other, quantifier).denom_log2),
+                np.sort(_ConstraintTable(net, quantifier).denom_log2),
+                rtol=0.0,
+                atol=1e-12,
+            )
+
+    @given(
+        seed=st.integers(0, 10_000),
+        t=st.integers(3, 7),
+        c=st.floats(1e-3, 1e3),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_scaling_powers_and_noises_scales_q_only(self, seed, t, c):
+        net = _asymmetric_network(np.random.default_rng(seed), t)
+        scaled_net = _scale_powers_and_noises(net, c)
+        for quantifier in ("forall", "exists"):
+            q, rate = rc.optimize_quantization(net, quantifier=quantifier)
+            q_c, rate_c = rc.optimize_quantization(scaled_net, quantifier=quantifier)
+            assert rate_c == pytest.approx(rate, abs=1e-9)
+            np.testing.assert_allclose(q_c.values, np.multiply(c, q.values), rtol=1e-8)
 
 
 class TestRateReport:

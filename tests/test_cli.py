@@ -1,5 +1,6 @@
 import json
 import math
+import random
 
 import pytest
 
@@ -48,6 +49,19 @@ def _big_doc(t=12):
     nodes += [{"id": j, "role": "relay", "power": 1.0, "noise": 1.0} for j in range(2, t)]
     nodes.append({"id": t, "role": "destination", "noise": 1.0})
     return {"nodes": nodes, "gains": _full_gains(t)}
+
+
+def _seeded_doc(t, seed):
+    """Random asymmetric gains in [0.1, 10], relay powers in [10, 10^4]."""
+    rng = random.Random(seed)
+    nodes = [{"id": 1, "role": "source", "power": 1.0}]
+    nodes += [
+        {"id": j, "role": "relay", "power": 10.0 ** rng.uniform(1, 4), "noise": 1.0}
+        for j in range(2, t)
+    ]
+    nodes.append({"id": t, "role": "destination", "noise": 1.0})
+    gains = [[0.0 if i == j else 10.0 ** rng.uniform(-1, 1) for j in range(t)] for i in range(t)]
+    return {"nodes": nodes, "gains": gains}
 
 
 _SMALL_VERIFY = {
@@ -220,6 +234,14 @@ class TestExitCodes:
         cfg = _write(tmp_path, "big.json", _big_doc())
         assert cli.main(["bound", "--config", cfg, "--override-guard"]) == 0
         assert "min cut:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("quantifier", ["forall", "exists"])
+    def test_cfrate_override_guard_at_t12(self, tmp_path, capsys, quantifier):
+        cfg = _write(tmp_path, "t12.json", _seeded_doc(12, seed=12))
+        argv = ["cfrate", "--config", cfg, "--override-guard", "--quantifier", quantifier]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert _value_after(out, "cf rate:") <= _value_after(out, "upper bound:")
 
     def test_cfrate_guard(self, tmp_path):
         cfg = _write(tmp_path, "big.json", _big_doc())
