@@ -15,8 +15,6 @@ from .bounds import (
     CutSpec,
     QuantizationVector,
     RateReport,
-    RelayCorrelationInvarianceReport,
-    SingleRelayIndependenceReport,
     SweepRow,
     block_decode_rate,
     build_rate_report,
@@ -29,8 +27,6 @@ from .bounds import (
     optimize_quantization,
     quantized_covariance_det,
     source_cut_bound,
-    verify_relay_correlation_invariance,
-    verify_single_relay_independence,
 )
 from .enumeration import (
     ConstraintInstance,
@@ -57,11 +53,16 @@ from .errors import (
     VerificationFailure,
 )
 from .gaussian import (
-    SymMatrix,
     conditional_covariance,
     conditional_mi_bits,
     joint_covariance,
     log2_det,
+)
+from .selftest import (
+    RelayCorrelationInvarianceReport,
+    SingleRelayIndependenceReport,
+    verify_relay_correlation_invariance,
+    verify_single_relay_independence,
 )
 from .topology import (
     NetworkSpec,

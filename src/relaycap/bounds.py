@@ -3,10 +3,7 @@
 Upper bounds come from cut rates evaluated under independent Gaussian
 inputs; the source (broadcast) cut is the capacity upper bound for this
 network class, and non-source cuts are reported as estimates under that
-particular input law. Two verification routines cross-check the
-independent-input claim on small networks by computing the same mutual
-information through two unrelated routes (closed form vs joint-covariance
-Schur complements).
+particular input law.
 
 The achievable side is compress-forward: each relay forwards a quantized
 observation with additive quantization noise Q_j. A quantization vector is
@@ -49,19 +46,12 @@ from .enumeration import Block, ConstraintInstance, subsets
 from .errors import (
     GuardExceeded,
     Infeasible,
-    InvalidAlpha,
     InvalidReceiver,
-    NegativePower,
-    NonPositiveNoise,
+    InvalidScale,
     NonPositiveQ,
     VerificationFailure,
 )
-from .gaussian import (
-    conditional_mi_bits,
-    conditional_covariance,
-    joint_covariance,
-    log2_det,
-)
+from .gaussian import _cholesky_log2_det, conditional_mi_bits
 from .topology import NetworkSpec, scaled
 
 _LN2 = math.log(2.0)
@@ -153,9 +143,6 @@ class QuantizationVector:
                 return v
         raise KeyError(f"no quantization entry for relay {relay_id}")
 
-    def as_dict(self) -> dict[int, float]:
-        return dict(self.entries)
-
     def is_uniform(self, rel_tol: float = 1e-12) -> bool:
         vals = self.values
         if len(vals) <= 1:
@@ -186,44 +173,6 @@ class ConstraintMargin:
 
     instance: ConstraintInstance
     margin_log2: float
-
-
-@dataclass(frozen=True)
-class SingleRelayIndependenceReport:
-    """Dual-route check that source-relay input correlation only hurts.
-
-    For each correlation coefficient alpha, the closed form
-    1/2 log2(1 + (P1 - a^2 P2)/N2 + (P1 - a^2 P2)/N3) is compared against
-    the same mutual information computed from the joint covariance of the
-    received signals by Schur-complement conditioning. The best grid point
-    must be alpha = 0.
-    """
-
-    p1: float
-    p2: float
-    n2: float
-    n3: float
-    alphas: tuple[float, ...]
-    closed_form_bits: tuple[float, ...]
-    covariance_bits: tuple[float, ...]
-    max_abs_diff_bits: float
-    argmax_alpha: float
-
-
-@dataclass(frozen=True)
-class RelayCorrelationInvarianceReport:
-    """Check that relay-relay input correlation leaves the source-cut MI
-    unchanged: the covariance-route value must match
-    1/2 log2(1 + P1 (1/N2 + 1/N3 + 1/N4)) for every coefficient beta."""
-
-    p1: float
-    n2: float
-    n3: float
-    n4: float
-    betas: tuple[float, ...]
-    mi_bits: tuple[float, ...]
-    expected_bits: float
-    max_abs_dev_bits: float
 
 
 @dataclass(frozen=True)
@@ -327,152 +276,6 @@ def min_cut_bound(
     return best_val, best_cut
 
 
-def verify_single_relay_independence(
-    p1: float,
-    p2: float,
-    n2: float,
-    n3: float,
-    alpha_grid: tuple[float, ...],
-    tol_bits: float = RATE_TOL_BITS,
-) -> SingleRelayIndependenceReport:
-    """Dual-route sweep of source-relay correlation on the 3-node network.
-
-    The source input is written X1 = alpha * X2 + W with fresh power
-    P_W = P1 - alpha^2 P2 >= 0, so the grid must stay inside
-    |alpha| <= sqrt(P1/P2). For each grid point the broadcast-cut MI is
-    computed both from the closed form and from the joint covariance of
-    (Y2, Y3, X2); the two routes must agree to tol_bits and the maximum
-    must sit at alpha = 0 (the grid should contain 0).
-
-    Raises VerificationFailure if the routes disagree or the argmax moves.
-    """
-    if not (n2 > 0.0 and n3 > 0.0):
-        raise NonPositiveNoise(f"noise variances must be > 0, got n2={n2!r}, n3={n3!r}")
-    if not (p1 > 0.0 and p2 > 0.0):
-        raise NegativePower(f"powers must be > 0 here, got p1={p1!r}, p2={p2!r}")
-    alphas = tuple(float(a) for a in alpha_grid)
-    if not alphas:
-        raise ValueError("alpha grid is empty")
-    limit = math.sqrt(p1 / p2)
-    for a in alphas:
-        if abs(a) > limit * (1.0 + 1e-12):
-            raise InvalidAlpha(
-                f"alpha={a!r} outside the power-feasible interval [-{limit:g}, {limit:g}]"
-            )
-
-    closed: list[float] = []
-    cov: list[float] = []
-    log2_thermal = math.log2(n2) + math.log2(n3)
-    for a in alphas:
-        pw = max(p1 - a * a * p2, 0.0)  # exact-extreme rounding guard
-        closed.append(0.5 * math.log2(1.0 + pw / n2 + pw / n3))
-        # Joint covariance of (Y2, Y3, X2) over independent factors
-        # (X2, W, Z2, Z3); the relay transmission enters Y3 and is then
-        # conditioned back out, exercising the full Schur-complement path.
-        rows = np.array(
-            [
-                [a, 1.0, 1.0, 0.0],  # Y2 = X1 + Z2
-                [a + 1.0, 1.0, 0.0, 1.0],  # Y3 = X1 + X2 + Z3
-                [1.0, 0.0, 0.0, 0.0],  # X2
-            ]
-        )
-        sigma = joint_covariance(rows, np.array([p2, pw, n2, n3]))
-        given_x2 = conditional_covariance(sigma, keep=[0, 1], given=[2])
-        # Given X1 and X2 the residual is exactly the thermal pair (Z2, Z3).
-        cov.append(0.5 * (log2_det(given_x2) - log2_thermal))
-
-    diffs = [abs(c - v) for c, v in zip(closed, cov)]
-    max_diff = max(diffs)
-    if max_diff > tol_bits:
-        worst = diffs.index(max_diff)
-        raise VerificationFailure(
-            f"covariance route disagrees with closed form by {max_diff:.3e} bits "
-            f"at alpha={alphas[worst]!r} (p1={p1}, p2={p2}, n2={n2}, n3={n3})"
-        )
-    argmax = max(range(len(alphas)), key=lambda i: cov[i])
-    if abs(alphas[argmax]) > 1e-12:
-        raise VerificationFailure(
-            f"MI maximum sits at alpha={alphas[argmax]!r}, expected 0 "
-            f"(p1={p1}, p2={p2}, n2={n2}, n3={n3})"
-        )
-    return SingleRelayIndependenceReport(
-        p1=p1,
-        p2=p2,
-        n2=n2,
-        n3=n3,
-        alphas=alphas,
-        closed_form_bits=tuple(closed),
-        covariance_bits=tuple(cov),
-        max_abs_diff_bits=max_diff,
-        argmax_alpha=alphas[argmax],
-    )
-
-
-def verify_relay_correlation_invariance(
-    p1: float,
-    n2: float,
-    n3: float,
-    n4: float,
-    beta_grid: tuple[float, ...],
-    tol_bits: float = RATE_TOL_BITS,
-) -> RelayCorrelationInvarianceReport:
-    """Sweep relay-relay correlation on the 4-node network and check the
-    broadcast-cut MI never moves.
-
-    Relay inputs are coupled as X2 = beta * X3 + W' (unit X3 and W'
-    variances; the MI conditions both out, so their scale is irrelevant).
-    Every grid point must match 1/2 log2(1 + P1 (1/N2 + 1/N3 + 1/N4)) to
-    tol_bits. Raises VerificationFailure otherwise.
-    """
-    if not (n2 > 0.0 and n3 > 0.0 and n4 > 0.0):
-        raise NonPositiveNoise(
-            f"noise variances must be > 0, got n2={n2!r}, n3={n3!r}, n4={n4!r}"
-        )
-    if not p1 > 0.0:
-        raise NegativePower(f"source power must be > 0 here, got {p1!r}")
-    betas = tuple(float(b) for b in beta_grid)
-    if not betas:
-        raise ValueError("beta grid is empty")
-    expected = 0.5 * math.log2(1.0 + p1 * (1.0 / n2 + 1.0 / n3 + 1.0 / n4))
-    log2_thermal = math.log2(n2) + math.log2(n3) + math.log2(n4)
-
-    mis: list[float] = []
-    for b in betas:
-        # Factors (X1, X3, W', Z2, Z3, Z4); unit-gain channel rows for
-        # (Y2, Y3, Y4, X2, X3) with X2 = b*X3 + W'.
-        rows = np.array(
-            [
-                [1.0, 1.0, 0.0, 1.0, 0.0, 0.0],  # Y2 = X1 + X3 + Z2
-                [1.0, b, 1.0, 0.0, 1.0, 0.0],  # Y3 = X1 + X2 + Z3
-                [1.0, 1.0 + b, 1.0, 0.0, 0.0, 1.0],  # Y4 = X1 + X2 + X3 + Z4
-                [0.0, b, 1.0, 0.0, 0.0, 0.0],  # X2
-                [0.0, 1.0, 0.0, 0.0, 0.0, 0.0],  # X3
-            ]
-        )
-        sigma = joint_covariance(rows, np.array([p1, 1.0, 1.0, n2, n3, n4]))
-        given_inputs = conditional_covariance(sigma, keep=[0, 1, 2], given=[3, 4])
-        mis.append(0.5 * (log2_det(given_inputs) - log2_thermal))
-
-    devs = [abs(v - expected) for v in mis]
-    max_dev = max(devs)
-    if max_dev > tol_bits:
-        worst = devs.index(max_dev)
-        raise VerificationFailure(
-            f"MI moved by {max_dev:.3e} bits at beta={betas[worst]!r} "
-            f"(p1={p1}, n2={n2}, n3={n3}, n4={n4}): relay correlation must not matter"
-        )
-    return RelayCorrelationInvarianceReport(
-        p1=p1,
-        n2=n2,
-        n3=n3,
-        n4=n4,
-        betas=betas,
-        mi_bits=tuple(mis),
-        expected_bits=expected,
-        max_abs_dev_bits=max_dev,
-    )
-
-
 def _block_snr_sum(net: NetworkSpec, block: Block, r: int) -> float:
     """Sum over block members of lambda_ir P_i, divided by the receiver's
     source-interference-plus-noise floor lambda_1r P1 + N_r. The sum runs
@@ -524,8 +327,8 @@ def _log2_quantized_covariance_det(
     p1 = net.transmit_power(1)
     u = np.array([math.sqrt(net.gain(1, i)) for i in s])
     noise = np.array([net.noise_variance(i) for i in s])
-    m = np.diag(noise + q_values) + p1 * np.outer(u, u)
-    return log2_det(m)
+    m = np.diag(noise + q_values) + p1 * np.outer(u, u)  # exactly symmetric
+    return _cholesky_log2_det(m)
 
 
 class _ConstraintTable:
@@ -866,11 +669,11 @@ def convergence_sweep(
     """
     gammas = [float(g) for g in gammas]
     if not gammas:
-        raise ValueError("gamma list is empty")
+        raise InvalidScale("gamma list is empty")
     if any(b < a for a, b in zip(gammas, gammas[1:])):
-        raise ValueError(f"gammas must be sorted ascending, got {gammas}")
+        raise InvalidScale(f"gammas must be sorted ascending, got {gammas}")
     if any(not g >= 1.0 for g in gammas):
-        raise ValueError(f"every gamma must be >= 1, got {gammas}")
+        raise InvalidScale(f"every gamma must be >= 1, got {gammas}")
 
     bound = source_cut_bound(net)
     rows: list[SweepRow] = []

@@ -29,8 +29,9 @@ class CoincidentNodes(RelaycapError):
     """Two nodes share a position; the path-loss model is singular at d=0."""
 
 
-class InvalidScale(RelaycapError):
-    """Relay power scaling factor below 1."""
+class InvalidScale(RelaycapError, ValueError):
+    """Relay power scaling factor below 1, or a gamma list that is empty or
+    not sorted ascending."""
 
 
 class EmptyChoice(RelaycapError):

@@ -1,12 +1,15 @@
 """Covariance algebra for jointly Gaussian variables.
 
 Everything here reduces to log-determinants of small symmetric
-positive-definite matrices. Determinants are computed by a Cholesky
-factorization with an explicit pivot check: det(M) equals the product of
-the pivots, so log2 det(M) is the sum of their base-2 logs, and a pivot at
-or below ``epsilon`` rejects the matrix as not positive definite. This is
-the single production path; cofactor expansion exists only inside the test
-suite as an independent oracle.
+positive-definite matrices, computed by one Cholesky kernel with an
+explicit pivot check: det(M) equals the product of the pivots, so log2
+det(M) is the sum of their base-2 logs, and a pivot at or below
+``PD_EPSILON`` rejects the matrix as not positive definite. ``log2_det``
+is the one checked entry point: it also rejects a matrix that is not
+square, is empty, or is asymmetric beyond ``SYMMETRY_ATOL``. The
+library's own builders make their matrices exactly symmetric and call the
+kernel directly. Cofactor expansion exists only inside the test suite as an
+independent oracle.
 
 Mutual information for independent Gaussian inputs over a linear channel
 Y = H x + Z, with P = diag(tx powers) and Sigma_N = diag(rx noises), is
@@ -23,7 +26,6 @@ pure; nothing here holds mutable state, so concurrent callers are safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,92 +36,67 @@ from .errors import (
     NotPositiveDefinite,
 )
 
-#: Absolute tolerance for the symmetry invariant of SymMatrix.
+#: Absolute tolerance for the symmetry check in ``log2_det``.
 SYMMETRY_ATOL = 1e-12
 
-#: Default pivot threshold for positive-definiteness rejection. Callers
-#: sweeping quantization noise toward zero may need to tighten or loosen it.
+#: Pivot threshold for positive-definiteness rejection.
 PD_EPSILON = 1e-12
 
 
-@dataclass(frozen=True)
-class SymMatrix:
-    """Dense symmetric matrix of variances, linear scale.
-
-    The entries are copied and frozen on construction. Asymmetry beyond
-    ``SYMMETRY_ATOL`` (absolute) is rejected immediately; positive
-    definiteness is checked only by the operations that require it.
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = np.array(self.entries, dtype=float, copy=True)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-        if a.shape[0] == 0:
-            raise DimensionMismatch("matrix dimension must be positive")
-        # equal_nan so that NaN entries fall through to the positive-
-        # definiteness check, which names the actual problem.
-        if not np.allclose(a, a.T, rtol=0.0, atol=SYMMETRY_ATOL, equal_nan=True):
-            worst = float(np.max(np.abs(a - a.T)))
-            raise ValueError(
-                f"matrix is not symmetric within atol={SYMMETRY_ATOL:g} "
-                f"(max |a - a.T| = {worst:.3e})"
-            )
-        a.setflags(write=False)
-        object.__setattr__(self, "entries", a)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-
-def _cholesky_log2_pivots(a: np.ndarray, epsilon: float) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor and sum of base-2 log pivots of ``a``.
+def _cholesky_log2_det(a: np.ndarray) -> float:
+    """Sum of the base-2 logs of the Cholesky pivots of ``a``, which must
+    be exactly symmetric; the internal builders construct it so.
 
     Pivot k is a[k,k] minus the accumulated squared row of the factor; a
-    pivot <= epsilon (or NaN) raises NotPositiveDefinite.
+    pivot <= PD_EPSILON (or NaN) raises NotPositiveDefinite.
     """
     n = a.shape[0]
     lower = np.zeros((n, n))
     log2_sum = 0.0
     for k in range(n):
         pivot = a[k, k] - lower[k, :k] @ lower[k, :k]
-        if not pivot > epsilon:
+        if not pivot > PD_EPSILON:
             raise NotPositiveDefinite(
-                f"pivot {pivot:.6e} at index {k} is <= epsilon {epsilon:g}"
+                f"pivot {pivot:.6e} at index {k} is <= epsilon {PD_EPSILON:g}"
             )
         log2_sum += math.log2(pivot)
         root = math.sqrt(pivot)
         lower[k, k] = root
         if k + 1 < n:
             lower[k + 1 :, k] = (a[k + 1 :, k] - lower[k + 1 :, :k] @ lower[k, :k]) / root
-    return lower, log2_sum
+    return log2_sum
 
 
-def _as_symmetric_array(m: SymMatrix | np.ndarray) -> np.ndarray:
-    if isinstance(m, SymMatrix):
-        return m.entries
-    return SymMatrix(np.asarray(m)).entries
-
-
-def log2_det(m: SymMatrix | np.ndarray, epsilon: float = PD_EPSILON) -> float:
+def log2_det(m: np.ndarray) -> float:
     """log2 of the determinant of a symmetric positive definite matrix.
 
     Computed as the sum of base-2 logs of the Cholesky pivots, which is
     numerically stable and O(n^3). A 3x3 identity gives exactly 0.0.
 
-    Raises NotPositiveDefinite if any pivot is <= epsilon.
+    Raises DimensionMismatch for a matrix that is not square or is empty,
+    ValueError for asymmetry beyond ``SYMMETRY_ATOL`` (absolute), and
+    NotPositiveDefinite if any pivot is <= ``PD_EPSILON``.
     """
-    return _cholesky_log2_pivots(_as_symmetric_array(m), epsilon)[1]
+    a = np.asarray(m, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    if a.shape[0] == 0:
+        raise DimensionMismatch("matrix dimension must be positive")
+    # equal_nan so that NaN entries fall through to the positive-
+    # definiteness check, which names the actual problem.
+    if not np.allclose(a, a.T, rtol=0.0, atol=SYMMETRY_ATOL, equal_nan=True):
+        worst = float(np.max(np.abs(a - a.T)))
+        raise ValueError(
+            f"matrix is not symmetric within atol={SYMMETRY_ATOL:g} "
+            f"(max |a - a.T| = {worst:.3e})"
+        )
+    return _cholesky_log2_det(a)
 
 
 def conditional_mi_bits(
     gains_tx_to_rx: np.ndarray,
     tx_powers: np.ndarray,
     rx_total_noise: np.ndarray,
-    epsilon: float = PD_EPSILON,
 ) -> float:
     """I(X_tx ; Y_rx | X_others) in bits for independent Gaussian inputs.
 
@@ -150,7 +127,7 @@ def conditional_mi_bits(
     signal = (gains * powers) @ gains.T
     sigma = np.diag(noise) + 0.5 * (signal + signal.T)  # exact symmetrization
     log2_noise = float(np.sum(np.log2(noise)))
-    return 0.5 * (log2_det(sigma, epsilon) - log2_noise)
+    return 0.5 * (_cholesky_log2_det(sigma) - log2_noise)
 
 
 def joint_covariance(coefficients: np.ndarray, factor_variances: np.ndarray) -> np.ndarray:
@@ -172,7 +149,6 @@ def conditional_covariance(
     sigma: np.ndarray,
     keep: list[int],
     given: list[int],
-    epsilon: float = PD_EPSILON,
 ) -> np.ndarray:
     """Schur complement: covariance of the ``keep`` block given the ``given``
     block, Sigma_kk - Sigma_kg Sigma_gg^{-1} Sigma_gk."""
@@ -181,7 +157,7 @@ def conditional_covariance(
         return s[np.ix_(keep, keep)].copy()
     s_gg = s[np.ix_(given, given)]
     s_gg = 0.5 * (s_gg + s_gg.T)
-    _cholesky_log2_pivots(s_gg, epsilon)  # PD gate before the solve
+    _cholesky_log2_det(s_gg)  # PD gate before the solve
     solved = np.linalg.solve(s_gg, s[np.ix_(given, keep)])
     cond = s[np.ix_(keep, keep)] - s[np.ix_(keep, given)] @ solved
     return 0.5 * (cond + cond.T)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import relaycap as rc
 from oracles import det_cofactor, table_by_partition_scan
-from relaycap import bounds, enumeration
+from relaycap import bounds, enumeration, selftest
 from relaycap.bounds import _ConstraintTable
 from relaycap.errors import (
     GuardExceeded,
@@ -151,6 +151,17 @@ class TestSingleRelayIndependence:
             3.0, 0.5, 0.7, 2.0, tuple(0.9 * math.sqrt(6.0) * o for o in OFFSETS)
         )
         assert rep.max_abs_diff_bits < 1e-9
+
+
+def test_dual_route_checks_are_reexported_from_selftest():
+    for name in (
+        "verify_single_relay_independence",
+        "verify_relay_correlation_invariance",
+        "SingleRelayIndependenceReport",
+        "RelayCorrelationInvarianceReport",
+    ):
+        assert getattr(rc, name) is getattr(selftest, name)
+        assert not hasattr(bounds, name)
 
 
 class TestRelayCorrelationInvariance:
@@ -661,6 +672,11 @@ class TestConvergenceSweep:
             rc.convergence_sweep(reference_network, [10.0, 1.0])
         with pytest.raises(ValueError, match=">= 1"):
             rc.convergence_sweep(reference_network, [0.5, 1.0])
+
+    @pytest.mark.parametrize("gammas", [[], [10.0, 1.0], [0.5, 1.0]])
+    def test_gamma_errors_are_invalid_scale(self, reference_network, gammas):
+        with pytest.raises(rc.InvalidScale):
+            rc.convergence_sweep(reference_network, gammas)
 
 
 class TestAchievabilityNeverExceedsBound:

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -263,6 +264,29 @@ class TestExitCodes:
         cfg = _write(tmp_path, "v.json", {"verify": {"det_samples": 0}})
         assert cli.main(["verify", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "--mode", "coordinate"],
+            ["bound", "--quantifier", "exists"],
+            ["sweep", "--mode", "uniform"],
+            ["verify", "--override-guard"],
+            ["verify", "--tol", "1e-6"],
+        ],
+    )
+    def test_flag_the_command_ignores_is_rejected(self, tmp_path, argv):
+        cfg = _write(tmp_path, "ref.json", _ref_doc(sweep={"gammas": [1, 10]}))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv[:1] + ["--config", cfg] + argv[1:])
+        assert exc.value.code == 2
+
+    def test_gamma_errors_name_the_problem(self, tmp_path, capsys):
+        for gammas, words in (([10, 1], "sorted ascending"), ([0.5, 1], "must be >= 1")):
+            cfg = _write(tmp_path, "s.json", _ref_doc(sweep={"gammas": gammas}))
+            assert cli.main(["sweep", "--config", cfg]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and words in err
+
 
 class TestOutputDiscipline:
     def test_sweep_runs_are_byte_identical(self, tmp_path):
@@ -274,6 +298,17 @@ class TestOutputDiscipline:
         assert cli.main(["sweep", "--config", cfg, "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
         assert a.read_text(encoding="utf-8").splitlines()[0] == _CSV_HEADER
+
+    def test_verify_runs_are_byte_identical_and_untimed(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "v.json", _SMALL_VERIFY)
+        outs = []
+        for _ in range(2):
+            assert cli.main(["verify", "--config", cfg]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        lines = outs[0].splitlines()
+        assert lines[-1] == "5/5 suites passed"
+        assert not any(re.search(r"\(.*s\)$", line) for line in lines)
 
     def test_out_file_matches_stdout(self, tmp_path, capsys):
         cfg = _write(tmp_path, "ref.json", _ref_doc(sweep={"gammas": [1, 10]}))

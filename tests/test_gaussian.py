@@ -13,7 +13,7 @@ from relaycap.errors import (
     NotPositiveDefinite,
 )
 from relaycap.gaussian import (
-    SymMatrix,
+    PD_EPSILON,
     conditional_covariance,
     conditional_mi_bits,
     joint_covariance,
@@ -27,32 +27,26 @@ def random_spd(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 class TestSymMatrix:
-    def test_copies_and_freezes(self):
-        a = np.eye(2)
-        m = SymMatrix(a)
-        a[0, 1] = 5.0  # mutating the source must not leak in
-        assert m.entries[0, 1] == 0.0
-        with pytest.raises(ValueError):
-            m.entries[0, 0] = 2.0
+    """The symmetric-matrix input checks of the public ``log2_det``."""
 
     def test_rejects_nonsquare(self):
         with pytest.raises(DimensionMismatch):
-            SymMatrix(np.ones((2, 3)))
+            log2_det(np.ones((2, 3)))
 
     def test_rejects_empty(self):
         with pytest.raises(DimensionMismatch):
-            SymMatrix(np.zeros((0, 0)))
+            log2_det(np.zeros((0, 0)))
 
     def test_rejects_asymmetry_beyond_tolerance(self):
         m = np.eye(2)
         m[0, 1] = 1e-9
         with pytest.raises(ValueError, match="not symmetric"):
-            SymMatrix(m)
+            log2_det(m)
 
     def test_accepts_asymmetry_within_tolerance(self):
         m = np.eye(2)
         m[0, 1] = 5e-13
-        assert SymMatrix(m).dim == 2
+        assert log2_det(m) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestLog2Det:
@@ -78,11 +72,12 @@ class TestLog2Det:
         with pytest.raises(NotPositiveDefinite):
             log2_det(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
-    def test_epsilon_is_configurable(self):
-        m = np.diag([1.0, 1e-10])
+    def test_pivot_threshold_is_pd_epsilon(self):
+        assert log2_det(np.diag([1.0, 10.0 * PD_EPSILON])) == pytest.approx(
+            math.log2(10.0 * PD_EPSILON), rel=1e-12
+        )
         with pytest.raises(NotPositiveDefinite):
-            log2_det(m, epsilon=1e-9)
-        assert log2_det(m, epsilon=1e-12) == pytest.approx(math.log2(1e-10), rel=1e-12)
+            log2_det(np.diag([1.0, PD_EPSILON]))
 
     def test_nan_rejected_not_propagated(self):
         m = np.full((2, 2), math.nan)
