@@ -14,11 +14,10 @@ of S and receiver assignments. The `forall` quantifier requires the
 inequality against every (partition, assignment); `exists` requires one
 witness per subset. The decoding factors do not depend on Q, so one
 analysis builds one constraint table: per subset, the extreme denominator
-and its attaining instance, plus a 0/1 subset-membership matrix. A
-block's factor does not depend on the other blocks, so each extreme comes
-from an O(3^R) subset DP over the R relays (``_ConstraintTable`` states
-the recurrence and its tie-break). Every feasibility query is then one
-vectorized margin evaluation on that table.
+and its attaining instance. A block's factor does not depend on the other
+blocks, so each extreme comes from an O(3^R) subset DP over the R relays
+(``_ConstraintTable`` states the recurrence and its tie-break). Every
+feasibility query is then one vectorized margin evaluation on that table.
 
 Rate is strictly decreasing in every Q_j and feasibility margins are
 strictly increasing, so the best admissible Q sits on the feasibility
@@ -26,8 +25,10 @@ frontier and one monotone search (double up, halve down, bisect) finds
 it: uniformly (all Q_j equal) or per-coordinate (cyclic descent from the
 uniform solution). Margins rise toward the subset's denominator as Q
 grows, so a network is infeasible exactly when some denominator is not
-positive. A sweep over the relay power multiplier shows the gap between
-the two sides collapsing as relay power grows.
+positive. A rate report evaluates every cut once: the bound is the
+source cut, the first row of that table. A sweep over the relay power
+multiplier shows the gap between the two sides collapsing as relay power
+grows.
 
 All rates are bits per channel use. Everything here is pure given an
 immutable NetworkSpec, and diagnostics are emitted in canonical
@@ -68,6 +69,10 @@ BISECT_REL_TOL = 1e-9
 #: Bit-domain tolerance for rate comparisons (achievability vs bound).
 RATE_TOL_BITS = 1e-9
 
+#: Coordinate descent stops after this many full cycles even if the rate
+#: still improves by more than the tolerance.
+DESCENT_MAX_CYCLES = 64
+
 _QUANTIFIERS = ("forall", "exists")
 _OPT_MODES = ("uniform_bisection", "coordinate_descent")
 
@@ -80,8 +85,9 @@ def _require_quantifier(quantifier: str) -> None:
 def _check_guard(net: NetworkSpec, override_guard: bool) -> None:
     if net.num_nodes > GUARD_MAX_NODES and not override_guard:
         raise GuardExceeded(
-            f"network has {net.num_nodes} nodes; exhaustive enumeration is "
-            f"guarded above {GUARD_MAX_NODES} (set override_guard to force)"
+            f"network has {net.num_nodes} nodes, above the size guard of "
+            f"{GUARD_MAX_NODES}; set override_guard (--override-guard on the "
+            "command line) to run it anyway"
         )
 
 
@@ -143,24 +149,10 @@ class QuantizationVector:
                 return v
         raise KeyError(f"no quantization entry for relay {relay_id}")
 
-    def is_uniform(self, rel_tol: float = 1e-12) -> bool:
-        vals = self.values
-        if len(vals) <= 1:
-            return True
-        lo, hi = min(vals), max(vals)
-        return hi - lo <= rel_tol * hi
-
     def scaled_by(self, c: float) -> "QuantizationVector":
         if not c > 0.0:
             raise ValueError(f"scale must be > 0, got {c!r}")
         return QuantizationVector(entries=tuple((i, v * c) for i, v in self.entries))
-
-    def with_value(self, relay_id: int, value: float) -> "QuantizationVector":
-        if relay_id not in self.ids:
-            raise KeyError(f"no quantization entry for relay {relay_id}")
-        return QuantizationVector(
-            entries=tuple((i, value if i == relay_id else v) for i, v in self.entries)
-        )
 
 
 @dataclass(frozen=True)
@@ -267,13 +259,8 @@ def min_cut_bound(
     an estimate for the others; ties resolve to the earliest cut in
     canonical order.
     """
-    best_val: float | None = None
-    best_cut: CutSpec | None = None
-    for cut, val in cut_rate_table(net, override_guard):
-        if best_val is None or val < best_val:
-            best_val, best_cut = val, cut
-    assert best_val is not None and best_cut is not None
-    return best_val, best_cut
+    cut, val = min(cut_rate_table(net, override_guard), key=lambda row: row[1])
+    return val, cut
 
 
 def _block_snr_sum(net: NetworkSpec, block: Block, r: int) -> float:
@@ -335,12 +322,12 @@ class _ConstraintTable:
     """The whole constraint family of one analysis, reduced to arrays.
 
     Row k stands for the k-th nonempty relay subset S in canonical order
-    (relay mask k + 1) and holds three things: ``denom_log2[k]``, the
-    extreme over the family of sum log2(1 + block snr); ``instances[k]``,
-    the (partition, assignment) attaining it; and row k of ``membership``,
-    the 0/1 indicator of S over the sorted relays. The per-block factors do
-    not involve Q, so they are computed once; a feasibility query for a
-    concrete Q is then two matrix-vector products (``margins_log2``).
+    (relay mask k + 1, bit i selecting the i-th sorted relay) and holds two
+    things: ``denom_log2[k]``, the extreme over the family of
+    sum log2(1 + block snr), and ``instances[k]``, the (partition,
+    assignment) attaining it. The per-block factors do not involve Q, so
+    they are computed once; a feasibility query for a concrete Q then sums
+    two per-relay terms over every subset (``margins_log2``).
 
     In forall mode the binding family member minimizes the denominator
     product (hardest constraint); in exists mode it maximizes it (easiest
@@ -427,7 +414,6 @@ class _ConstraintTable:
             )
         self.denom_log2 = np.array(denoms)
         self.instances = tuple(instances)
-        self.membership = (np.arange(1, full + 1)[:, None] >> np.arange(n) & 1).astype(float)
         self.lam = np.array([net.gain(1, i) for i in relays])
         self.noise = np.array([net.noise_variance(i) for i in relays])
         self.p1 = net.transmit_power(1)
@@ -446,15 +432,19 @@ class _ConstraintTable:
         source_term = np.log1p(self.p1 * self._subset_sums(self.lam / (self.noise + q_values)))
         return self.denom_log2 - (shrink + source_term) / _LN2
 
-    def _subset_sums(self, per_relay: np.ndarray) -> np.ndarray:
-        """``membership @ per_relay``, accumulated one relay at a time so
-        every row is the left-to-right sum over its subset. Subsets with
-        tied terms then get bit-identical sums, and the binding-constraint
-        order keeps its canonical tie-break; a BLAS product may reassociate."""
-        total = np.zeros(len(self.instances))
-        for column, value in zip(self.membership.T, per_relay):
-            total += column * value
-        return total
+    @staticmethod
+    def _subset_sums(per_relay: np.ndarray) -> np.ndarray:
+        """Per nonempty subset in canonical order, the sum of its relays'
+        terms. Built by doubling: the subsets holding relay i are those
+        without it, each plus relay i's term, so row 2^i + k is row k plus
+        that term. Every row is the left-to-right sum over its subset, so
+        subsets with tied terms get bit-identical sums and the
+        binding-constraint order keeps its canonical tie-break."""
+        sums = np.zeros(1 << len(per_relay))
+        for i, value in enumerate(per_relay):
+            half = 1 << i
+            sums[half : 2 * half] = sums[:half] + value
+        return sums[1:]
 
     def feasible(self, q_values: np.ndarray) -> bool:
         return bool(np.all(self.margins_log2(q_values) >= 0.0))
@@ -544,13 +534,13 @@ def _frontier(feasible_at: Callable[[float], bool], start: float, rel_tol: float
 
 
 def _coordinate_descent(
-    table: _ConstraintTable, start: QuantizationVector, rel_tol: float, max_cycles: int = 64
+    table: _ConstraintTable, start: QuantizationVector, rel_tol: float
 ) -> QuantizationVector:
     """Cyclically shrink each Q_j to its per-coordinate frontier.
 
     Each move keeps every margin nonnegative and never raises any Q, so
     the rate is nondecreasing; stop when a full cycle improves it by no
-    more than rel_tol bits.
+    more than rel_tol bits, or after DESCENT_MAX_CYCLES cycles.
     """
 
     def as_vector(values: np.ndarray) -> QuantizationVector:
@@ -558,7 +548,7 @@ def _coordinate_descent(
 
     q_values = np.array(start.values)
     rate = cf_rate(table.net, as_vector(q_values))
-    for _ in range(max_cycles):
+    for _ in range(DESCENT_MAX_CYCLES):
         for k in range(len(table.relays)):
             def feasible_at(x: float) -> bool:
                 trial = q_values.copy()
@@ -633,14 +623,15 @@ def build_rate_report(
     override_guard: bool = False,
 ) -> RateReport:
     """Full analysis: bound, optimized rate, and the tightest constraints,
-    all from one constraint table."""
+    from one constraint table and one cut table."""
     _require_mode(mode)
     table = _ConstraintTable(net, quantifier, override_guard)
     q_star, rate = _optimize(table, mode, tol)
-    bound = source_cut_bound(net)
+    cuts = cut_rate_table(net, override_guard)
+    bound = cuts[0][1]  # the source cut
+    mc, mc_bits = min(cuts, key=lambda row: row[1])
     margins = table.constraint_margins(q_star)
     binding = tuple(sorted(margins, key=lambda m: m.margin_log2)[: max(top_k, 0)])
-    mc_bits, mc = min_cut_bound(net, override_guard)
     return RateReport(
         upper_bound_bits=bound,
         cf_rate_bits=rate,

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -160,7 +161,7 @@ def _cf_settings(doc: dict, args: argparse.Namespace) -> tuple[str, str, float, 
         raise ConfigError(f"quantifier must be forall or exists, got {quantifier!r}")
     # sweep has no --mode flag; it still validates the config's cf.mode.
     mode_word = getattr(args, "mode", None) or cf.get("mode", "uniform")
-    if mode_word not in _MODE_WORDS:
+    if not isinstance(mode_word, str) or mode_word not in _MODE_WORDS:
         raise ConfigError(f"mode must be uniform or coordinate, got {mode_word!r}")
     tol = args.tol if args.tol is not None else cf.get("tol", 1e-9)
     try:
@@ -174,7 +175,7 @@ def _cf_settings(doc: dict, args: argparse.Namespace) -> tuple[str, str, float, 
         top_k = cf.get("top_k", 5)
     try:
         top_k = int(top_k)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad top_k: {top_k!r}") from exc
     return quantifier, _MODE_WORDS[mode_word], tol, top_k
 
@@ -298,7 +299,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if not isinstance(vdoc, dict):
             raise ConfigError("'verify' must be an object")
         if "alpha_offsets" in vdoc:
-            overrides["alpha_offsets"] = _grid(vdoc["alpha_offsets"], "verify.alpha_offsets")
+            offsets = _grid(vdoc["alpha_offsets"], "verify.alpha_offsets")
+            # Offsets scale the power-feasible alpha interval, and the suite
+            # checks that the best alpha is 0, so 0 must be on the grid.
+            if 0.0 not in offsets or any(abs(o) > 1.0 for o in offsets):
+                raise ConfigError(
+                    f"verify.alpha_offsets must lie in [-1, 1] and include 0, got {offsets}"
+                )
+            overrides["alpha_offsets"] = offsets
         if "beta_grid" in vdoc:
             overrides["beta_grid"] = _grid(vdoc["beta_grid"], "verify.beta_grid")
         if "det_samples" in vdoc:
@@ -323,9 +331,12 @@ def _grid(value: object, where: str) -> tuple[float, ...]:
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{where} must be a nonempty array of numbers")
     try:
-        return tuple(float(v) for v in value)
+        grid = tuple(float(v) for v in value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where} must be numeric: {exc}") from exc
+    if not all(math.isfinite(v) for v in grid):
+        raise ConfigError(f"{where} must be finite, got {grid}")
+    return grid
 
 
 def _count(value: object, where: str, minimum: int = 1) -> int:

@@ -47,7 +47,8 @@ class InvalidAlpha(RelaycapError):
 
 
 class GuardExceeded(RelaycapError):
-    """Network too large for exhaustive enumeration without an explicit override."""
+    """Network has more nodes than the size guard allows, and the caller did
+    not override the guard."""
 
 
 class NonPositiveQ(RelaycapError):

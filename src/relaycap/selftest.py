@@ -105,7 +105,6 @@ def verify_single_relay_independence(
     n2: float,
     n3: float,
     alpha_grid: tuple[float, ...],
-    tol_bits: float = RATE_TOL_BITS,
 ) -> SingleRelayIndependenceReport:
     """Dual-route sweep of source-relay correlation on the 3-node network.
 
@@ -113,7 +112,7 @@ def verify_single_relay_independence(
     P_W = P1 - alpha^2 P2 >= 0, so the grid must stay inside
     |alpha| <= sqrt(P1/P2). For each grid point the broadcast-cut MI is
     computed both from the closed form and from the joint covariance of
-    (Y2, Y3, X2); the two routes must agree to tol_bits and the maximum
+    (Y2, Y3, X2); the two routes must agree to RATE_TOL_BITS and the maximum
     must sit at alpha = 0 (the grid should contain 0).
 
     Raises VerificationFailure if the routes disagree or the argmax moves.
@@ -155,7 +154,7 @@ def verify_single_relay_independence(
 
     diffs = [abs(c - v) for c, v in zip(closed, cov)]
     max_diff = max(diffs)
-    if max_diff > tol_bits:
+    if max_diff > RATE_TOL_BITS:
         worst = diffs.index(max_diff)
         raise VerificationFailure(
             f"covariance route disagrees with closed form by {max_diff:.3e} bits "
@@ -186,7 +185,6 @@ def verify_relay_correlation_invariance(
     n3: float,
     n4: float,
     beta_grid: tuple[float, ...],
-    tol_bits: float = RATE_TOL_BITS,
 ) -> RelayCorrelationInvarianceReport:
     """Sweep relay-relay correlation on the 4-node network and check the
     broadcast-cut MI never moves.
@@ -194,7 +192,7 @@ def verify_relay_correlation_invariance(
     Relay inputs are coupled as X2 = beta * X3 + W' (unit X3 and W'
     variances; the MI conditions both out, so their scale is irrelevant).
     Every grid point must match 1/2 log2(1 + P1 (1/N2 + 1/N3 + 1/N4)) to
-    tol_bits. Raises VerificationFailure otherwise.
+    RATE_TOL_BITS. Raises VerificationFailure otherwise.
     """
     if not (n2 > 0.0 and n3 > 0.0 and n4 > 0.0):
         raise NonPositiveNoise(
@@ -227,7 +225,7 @@ def verify_relay_correlation_invariance(
 
     devs = [abs(v - expected) for v in mis]
     max_dev = max(devs)
-    if max_dev > tol_bits:
+    if max_dev > RATE_TOL_BITS:
         worst = devs.index(max_dev)
         raise VerificationFailure(
             f"MI moved by {max_dev:.3e} bits at beta={betas[worst]!r} "

@@ -8,10 +8,10 @@ law kappa * d^(-eta) or from an explicitly supplied matrix; geometry-derived
 matrices are symmetric by construction, explicit ones may be asymmetric and
 carry a flag saying so.
 
-All powers, noises, and gains are linear-scale. ``relay_power_scale`` is a
-multiplier applied uniformly to every relay's base power; sweeping it large
-realizes the regime where relay power grows without bound while the source
-stays fixed.
+All powers, noises, and gains are linear-scale. Each node carries its own
+power; ``scaled`` returns a copy with every relay power multiplied by a
+factor gamma >= 1, and sweeping gamma large realizes the regime where relay
+power grows without bound while the source stays fixed.
 
 NetworkSpec is immutable after construction and safe to share across
 concurrent computations.
@@ -110,19 +110,17 @@ def gain_from_geometry(
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Immutable network: ordered nodes, T x T gain matrix, relay power scale.
+    """Immutable network: ordered nodes and a T x T gain matrix.
 
     ``gains[i-1, j-1]`` is the power gain from node i to node j; the
     diagonal is unused. ``geometry_derived`` records whether the matrix came
     from positions (symmetric by construction) or was supplied directly
-    (asymmetry permitted). ``relay_power_scale`` multiplies every relay's
-    base power; use ``scaled`` to grow it.
+    (asymmetry permitted).
     """
 
     nodes: tuple[NodeSpec, ...]
     gains: np.ndarray
     geometry_derived: bool = False
-    relay_power_scale: float = 1.0
 
     def __post_init__(self) -> None:
         nodes = tuple(self.nodes)
@@ -133,14 +131,9 @@ class NetworkSpec:
             raise DimensionMismatch(
                 f"gain matrix shape {g.shape} does not match {len(nodes)} nodes"
             )
-        if not self.relay_power_scale >= 1.0:
-            raise InvalidScale(
-                f"relay_power_scale must be >= 1, got {self.relay_power_scale!r}"
-            )
         g.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "gains", g)
-        object.__setattr__(self, "relay_power_scale", float(self.relay_power_scale))
 
     @property
     def num_nodes(self) -> int:
@@ -168,13 +161,9 @@ class NetworkSpec:
         return float(self.gains[tx_id - 1, rx_id - 1])
 
     def transmit_power(self, node_id: int) -> float:
-        """Effective power of a transmitting node; relay base powers are
-        multiplied by relay_power_scale."""
         n = self.node(node_id)
         if n.power is None:
             raise ValueError(f"node {node_id} ({n.role}) has no transmit power")
-        if n.role == ROLE_RELAY:
-            return n.power * self.relay_power_scale
         return n.power
 
     def noise_variance(self, node_id: int) -> float:
@@ -184,24 +173,13 @@ class NetworkSpec:
         return n.noise
 
 
-def from_gains(
-    nodes: list[NodeSpec] | tuple[NodeSpec, ...],
-    gains: np.ndarray,
-    relay_power_scale: float = 1.0,
-) -> NetworkSpec:
+def from_gains(nodes: list[NodeSpec] | tuple[NodeSpec, ...], gains: np.ndarray) -> NetworkSpec:
     """Network from an explicit gain matrix (asymmetry permitted)."""
-    return NetworkSpec(
-        nodes=tuple(nodes),
-        gains=np.asarray(gains, dtype=float),
-        geometry_derived=False,
-        relay_power_scale=relay_power_scale,
-    )
+    return NetworkSpec(nodes=tuple(nodes), gains=np.asarray(gains, dtype=float))
 
 
 def from_geometry(
-    nodes: list[NodeSpec] | tuple[NodeSpec, ...],
-    path_loss: PathLossParams,
-    relay_power_scale: float = 1.0,
+    nodes: list[NodeSpec] | tuple[NodeSpec, ...], path_loss: PathLossParams
 ) -> NetworkSpec:
     """Network with gains computed from node positions via the path-loss law.
 
@@ -222,7 +200,7 @@ def from_geometry(
             except CoincidentNodes:
                 val = math.inf
             g[a, b] = g[b, a] = val
-    return NetworkSpec(nodes=nodes, gains=g, geometry_derived=True, relay_power_scale=relay_power_scale)
+    return NetworkSpec(nodes=nodes, gains=g, geometry_derived=True)
 
 
 def validate(net: NetworkSpec) -> list[str]:
@@ -298,9 +276,19 @@ def validate(net: NetworkSpec) -> list[str]:
 def scaled(net: NetworkSpec, gamma: float) -> NetworkSpec:
     """Copy of the network with every relay power multiplied by gamma.
 
-    Source power, noises, and gains are untouched; the multiplier folds
-    into relay_power_scale so repeated scaling composes.
+    Source power, noises, and gains are untouched; a relay with no power
+    keeps none. Like ``validate``, this refuses a relay power that is not
+    finite, so a gamma that overflows one raises InvalidScale.
     """
     if not gamma >= 1.0:
         raise InvalidScale(f"gamma must be >= 1, got {gamma!r}")
-    return dataclasses.replace(net, relay_power_scale=net.relay_power_scale * float(gamma))
+    nodes = []
+    for n in net.nodes:
+        if n.role == ROLE_RELAY and n.power is not None:
+            n = dataclasses.replace(n, power=n.power * float(gamma))
+            if not math.isfinite(n.power):
+                raise InvalidScale(
+                    f"gamma={gamma!r} gives relay {n.id} a power that is not finite"
+                )
+        nodes.append(n)
+    return dataclasses.replace(net, nodes=tuple(nodes))

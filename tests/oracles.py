@@ -3,9 +3,10 @@
 These exist to cross-check the library's production paths through
 completely different algorithms: a Laplace-expansion determinant against
 the Cholesky log-det, the binomial Bell recurrence against the
-restricted-growth-string partition generator, and a scan of every
-partition against the constraint table's subset DP. Nothing here is
-performance sensitive; clarity wins.
+restricted-growth-string partition generator, a scan of every
+partition against the constraint table's subset DP, and a column-by-column
+sum over a 0/1 membership matrix against the table's doubling subset sums.
+Nothing here is performance sensitive; clarity wins.
 """
 
 import math
@@ -94,3 +95,16 @@ def table_by_partition_scan(net, quantifier):
         denoms.append(best[0])
         instances.append(best[1])
     return np.array(denoms), tuple(instances)
+
+
+def subset_sums_by_columns(per_relay) -> np.ndarray:
+    """Per nonempty relay subset in canonical order (mask k + 1, bit i
+    selecting relay i), the sum of its relays' terms: a 0/1 membership
+    matrix times the term vector, accumulated one relay column at a time
+    so every row is the left-to-right sum over its subset."""
+    n = len(per_relay)
+    membership = (np.arange(1, 1 << n)[:, None] >> np.arange(n) & 1).astype(float)
+    total = np.zeros(len(membership))
+    for column, value in zip(membership.T, per_relay):
+        total += column * value
+    return total

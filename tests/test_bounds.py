@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relaycap as rc
-from oracles import det_cofactor, table_by_partition_scan
+from oracles import det_cofactor, subset_sums_by_columns, table_by_partition_scan
 from relaycap import bounds, enumeration, selftest
 from relaycap.bounds import _ConstraintTable
 from relaycap.errors import (
@@ -253,8 +253,6 @@ class TestQuantizationVector:
     def test_sorted_and_uniform(self):
         q = rc.QuantizationVector(entries=((3, 1.0), (2, 1.0)))
         assert q.ids == (2, 3)
-        assert q.is_uniform()
-        assert not q.with_value(3, 2.0).is_uniform()
 
     def test_scaled_by(self):
         q = rc.QuantizationVector.per_relay({2: 1.0, 3: 2.0}).scaled_by(10.0)
@@ -364,7 +362,7 @@ class TestCfRate:
         q = rc.QuantizationVector.per_relay({2: 1.0, 3: 2.0})
         base = rc.cf_rate(reference_network, q)
         for rid in (2, 3):
-            bumped = q.with_value(rid, q.get(rid) * 1.01)
+            bumped = rc.QuantizationVector.per_relay({**dict(q.entries), rid: q.get(rid) * 1.01})
             assert rc.cf_rate(reference_network, bumped) < base
 
     def test_ids_must_match(self, reference_network):
@@ -498,6 +496,22 @@ class TestConstraintTableInternals:
                 assert denom == pytest.approx(pick(by_subset[inst.s]), abs=1e-12)
                 assert value(inst) == pytest.approx(denom, abs=1e-12)
 
+    @pytest.mark.parametrize("r", range(1, 11))
+    def test_subset_sums_match_the_column_loop_bitwise(self, r):
+        rng = np.random.default_rng(r)
+        vectors = [10.0 ** rng.uniform(-12.0, 12.0, size=r) for _ in range(120)]
+        vectors += [np.full(r, 0.1), np.full(r, 1.0 / 3.0), np.ones(r)]
+        vectors += [rng.choice([0.1, 0.7, 3.0], size=r) for _ in range(7)]
+        for v in vectors:
+            got = _ConstraintTable._subset_sums(v)
+            assert got.tobytes() == subset_sums_by_columns(v).tobytes()
+
+    def test_infinite_term_reaches_only_its_own_subsets(self):
+        sums = _ConstraintTable._subset_sums(np.array([1.0, math.inf, 2.0]))
+        masks = np.arange(1, 8)
+        assert np.all(np.isinf(sums[masks & 2 != 0]))
+        assert np.array_equal(sums[masks & 2 == 0], [1.0, 2.0, 3.0])
+
     def test_margin_matches_direct_log_det_evaluation(self):
         rng = np.random.default_rng(20250902)
         for net, _, table in _table_cases():
@@ -575,7 +589,7 @@ class TestConstraintTableDP:
         for quantifier in ("forall", "exists"):
             table = _ConstraintTable(net, quantifier, override_guard=True)
             assert [inst.s for inst in table.instances] == list(rc.subsets(net.relay_ids))[1:]
-            assert table.membership.shape == (2**10 - 1, 10)
+            assert table.denom_log2.shape == (2**10 - 1,)
             assert np.all(table.denom_log2 > 0.0)
 
     @given(seed=st.integers(0, 10_000), data=st.data())
@@ -641,6 +655,24 @@ class TestRateReport:
             <= rep.binding_constraints[1].margin_log2
         )
         assert rep.min_cut.sorted_ids() == (1,)
+
+    @pytest.mark.parametrize("t", [3, 5, 8])
+    def test_report_evaluates_each_cut_once(self, monkeypatch, t):
+        net = random_network(np.random.default_rng(t), t)
+        calls = []
+        real = bounds.cut_rate
+
+        def counting(net, cut):
+            calls.append(cut.sorted_ids())
+            return real(net, cut)
+
+        monkeypatch.setattr(bounds, "cut_rate", counting)
+        rep = rc.build_rate_report(net)
+        assert len(calls) == 2 ** (t - 2)
+        assert len(set(calls)) == len(calls)
+        monkeypatch.undo()
+        assert rep.upper_bound_bits == rc.source_cut_bound(net)
+        assert (rep.min_cut_bits, rep.min_cut) == rc.min_cut_bound(net)
 
 
 class TestConvergenceSweep:

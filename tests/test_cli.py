@@ -280,6 +280,47 @@ class TestExitCodes:
             cli.main(argv[:1] + ["--config", cfg] + argv[1:])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["cfrate", "sweep"])
+    @pytest.mark.parametrize(
+        "cf", [{"top_k": math.inf}, {"top_k": -math.inf}, {"mode": []}, {"mode": {}}]
+    )
+    def test_unusable_cf_value_is_a_config_error(self, tmp_path, capsys, command, cf):
+        cfg = _write(tmp_path, "cf.json", _ref_doc(cf=cf, sweep={"gammas": [1, 10]}))
+        assert cli.main([command, "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("gammas, power", [([1, math.inf], 1.0), ([1, 1e308], 10.0)])
+    def test_gamma_that_overflows_a_relay_power(self, tmp_path, capsys, gammas, power):
+        doc = _single_relay_doc(power=power)
+        doc["sweep"] = {"gammas": gammas}
+        cfg = _write(tmp_path, "s.json", doc)
+        assert cli.main(["sweep", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error:") and "not finite" in captured.err
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            {"alpha_offsets": [0.5]},
+            {"alpha_offsets": [1]},
+            {"alpha_offsets": [True]},
+            {"alpha_offsets": [0.0, 2.0]},
+            {"alpha_offsets": [0.0, math.inf]},
+            {"alpha_offsets": [0.0, -math.inf]},
+            {"alpha_offsets": [0.0, math.nan]},
+            {"beta_grid": [math.inf]},
+            {"beta_grid": [0.0, -math.inf]},
+            {"beta_grid": [math.nan]},
+        ],
+    )
+    def test_verify_grid_that_cannot_pass(self, tmp_path, capsys, grid):
+        cfg = _write(tmp_path, "v.json", {"verify": {**_SMALL_VERIFY["verify"], **grid}})
+        assert cli.main(["verify", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: verify.")
+
     def test_gamma_errors_name_the_problem(self, tmp_path, capsys):
         for gammas, words in (([10, 1], "sorted ascending"), ([0.5, 1], "must be >= 1")):
             cfg = _write(tmp_path, "s.json", _ref_doc(sweep={"gammas": gammas}))

@@ -169,6 +169,19 @@ class TestScaled:
         with pytest.raises(InvalidScale):
             rc.scaled(reference_network, 0.5)
 
+    @pytest.mark.parametrize("gamma", [math.inf, 1e308])
+    def test_rejects_gamma_that_overflows_a_relay_power(self, gamma):
+        with pytest.raises(InvalidScale, match="relay 2"):
+            rc.scaled(_unit_net(4), gamma)  # relay powers 2 and 3
+
+    def test_relay_without_power_keeps_none(self):
+        net = rc.NetworkSpec(
+            nodes=(rc.source(1, 1.0), rc.NodeSpec(id=2, role="relay", noise=1.0),
+                   rc.destination(3, 1.0)),
+            gains=np.ones((3, 3)),
+        )
+        assert rc.scaled(net, 10.0).node(2).power is None
+
     @given(gamma=st.floats(min_value=1.0, max_value=1e6))
     @settings(max_examples=40, deadline=None)
     def test_validation_invariant_under_scaling(self, gamma):
@@ -177,7 +190,7 @@ class TestScaled:
 
     def test_networkspec_is_frozen(self, reference_network):
         with pytest.raises(dataclasses.FrozenInstanceError):
-            reference_network.relay_power_scale = 5.0
+            reference_network.geometry_derived = True
 
 
 class TestNodeSpec:
