@@ -222,7 +222,8 @@ def cut_rate(net: NetworkSpec, cut: CutSpec) -> float:
         raise ValueError("cut transmitter side must exclude the destination")
     tx = cut.sorted_ids()
     rx = tuple(sorted(all_ids - cut.tx_side))
-    gains = np.array([[math.sqrt(net.gain(i, j)) for i in tx] for j in rx])
+    # gains[i-1, j-1] runs from i to j; the routine wants receiver rows.
+    gains = np.sqrt(net.gains[np.ix_(np.subtract(tx, 1), np.subtract(rx, 1))].T)
     powers = np.array([net.transmit_power(i) for i in tx])
     noises = np.array([net.noise_variance(j) for j in rx])
     return conditional_mi_bits(gains, powers, noises)

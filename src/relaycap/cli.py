@@ -164,15 +164,19 @@ def _cf_settings(doc: dict, args: argparse.Namespace) -> tuple[str, str, float, 
     if not isinstance(mode_word, str) or mode_word not in _MODE_WORDS:
         raise ConfigError(f"mode must be uniform or coordinate, got {mode_word!r}")
     tol = args.tol if args.tol is not None else cf.get("tol", 1e-9)
+    if isinstance(tol, bool):
+        raise ConfigError(f"bad tol: {tol!r}")
     try:
         tol = float(tol)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad tol: {tol!r}") from exc
-    if not tol > 0.0:
-        raise ConfigError(f"tol must be > 0, got {tol!r}")
+    if not 0.0 < tol < math.inf:
+        raise ConfigError(f"tol must be finite and > 0, got {tol!r}")
     top_k = getattr(args, "top_k", None)
     if top_k is None:
         top_k = cf.get("top_k", 5)
+    if isinstance(top_k, bool):
+        raise ConfigError(f"bad top_k: {top_k!r}")
     try:
         top_k = int(top_k)
     except (TypeError, ValueError, OverflowError) as exc:

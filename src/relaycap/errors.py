@@ -22,7 +22,7 @@ class NonPositiveNoise(RelaycapError):
 
 
 class NegativePower(RelaycapError):
-    """A transmit power is negative."""
+    """A transmit power is negative or not finite."""
 
 
 class CoincidentNodes(RelaycapError):

@@ -13,11 +13,15 @@ independent oracle.
 
 Mutual information for independent Gaussian inputs over a linear channel
 Y = H x + Z, with P = diag(tx powers) and Sigma_N = diag(rx noises), is
+computed from the whitened channel W = Sigma_N^(-1/2) H P^(1/2):
 
-    I(X; Y) = 1/2 log2 det(Sigma_N + H P H^T) - 1/2 log2 det(Sigma_N).
+    I(X; Y) = 1/2 log2 det(I + W W^T) = 1/2 log2 det(I + W^T W),
 
-Conditioning on other independent transmitters subtracts their known
-signals exactly, which is why only the transmitter set of interest enters.
+the second form by Sylvester's identity. Every pivot of I + W W^T is at
+least 1 in exact arithmetic, so the result does not depend on the absolute
+scale of powers and noises, only on their ratios. Conditioning on other
+independent transmitters subtracts their known signals exactly, which is
+why only the transmitter set of interest enters.
 
 All public rates are bits per channel use (log base 2). Every function is
 pure; nothing here holds mutable state, so concurrent callers are safe.
@@ -105,9 +109,14 @@ def conditional_mi_bits(
     receiver j. ``rx_total_noise`` is the per-receiver total noise variance
     (thermal plus any quantization noise folded in by the caller).
 
-    Returns 1/2 log2 det(Sigma_N + H P H^T) - 1/2 log2 det(Sigma_N). With
-    all powers zero the two determinants coincide and the result is exactly
-    0.0.
+    Returns 1/2 log2 det(I + W W^T) with W = Sigma_N^(-1/2) H P^(1/2),
+    factored on the smaller side: W^T W when there are no more transmitters
+    than receivers, W W^T otherwise. Both have the same determinant, and the
+    smaller one needs fewer pivots; on a rank-one cut it is the 1 x 1 matrix
+    1 + sum of SNRs. With all powers zero the result is exactly 0.0.
+
+    Raises NonPositiveNoise for a noise that is not finite and > 0, and
+    NegativePower for a power that is not finite and >= 0.
     """
     gains = np.atleast_2d(np.asarray(gains_tx_to_rx, dtype=float))
     powers = np.atleast_1d(np.asarray(tx_powers, dtype=float))
@@ -121,13 +130,12 @@ def conditional_mi_bits(
         )
     if np.any(noise <= 0.0) or not np.all(np.isfinite(noise)):
         raise NonPositiveNoise(f"receiver noise variances must be > 0, got {noise}")
-    if np.any(powers < 0.0):
-        raise NegativePower(f"transmit powers must be >= 0, got {powers}")
+    if np.any(powers < 0.0) or not np.all(np.isfinite(powers)):
+        raise NegativePower(f"transmit powers must be finite and >= 0, got {powers}")
 
-    signal = (gains * powers) @ gains.T
-    sigma = np.diag(noise) + 0.5 * (signal + signal.T)  # exact symmetrization
-    log2_noise = float(np.sum(np.log2(noise)))
-    return 0.5 * (_cholesky_log2_det(sigma) - log2_noise)
+    w = gains * np.sqrt(powers) / np.sqrt(noise)[:, None]
+    gram = w.T @ w if powers.size <= noise.size else w @ w.T
+    return 0.5 * _cholesky_log2_det(np.eye(len(gram)) + gram)
 
 
 def joint_covariance(coefficients: np.ndarray, factor_variances: np.ndarray) -> np.ndarray:

@@ -4,8 +4,10 @@ These exist to cross-check the library's production paths through
 completely different algorithms: a Laplace-expansion determinant against
 the Cholesky log-det, the binomial Bell recurrence against the
 restricted-growth-string partition generator, a scan of every
-partition against the constraint table's subset DP, and a column-by-column
-sum over a 0/1 membership matrix against the table's doubling subset sums.
+partition against the constraint table's subset DP, a column-by-column
+sum over a 0/1 membership matrix against the table's doubling subset sums,
+and the receiver-side covariance formula for a cut rate against the
+whitened-channel form.
 Nothing here is performance sensitive; clarity wins.
 """
 
@@ -15,6 +17,7 @@ import numpy as np
 
 from relaycap.bounds import _LN2, _block_snr_sum
 from relaycap.enumeration import ConstraintInstance, partitions, subsets
+from relaycap.gaussian import log2_det
 
 
 def det_cofactor(matrix) -> float:
@@ -108,3 +111,17 @@ def subset_sums_by_columns(per_relay) -> np.ndarray:
     for column, value in zip(membership.T, per_relay):
         total += column * value
     return total
+
+
+def cut_rate_by_covariance(net, cut) -> float:
+    """Rate across one cut as 1/2 log2 det(Sigma_N + H P H^T) minus
+    1/2 log2 det(Sigma_N): the receivers' covariance built from per-entry
+    amplitude gains and factored by the checked ``log2_det``."""
+    tx = cut.sorted_ids()
+    rx = [j for j in range(1, net.num_nodes + 1) if j not in cut.tx_side]
+    gains = np.array([[math.sqrt(net.gain(i, j)) for i in tx] for j in rx])
+    powers = np.array([net.transmit_power(i) for i in tx])
+    noises = np.array([net.noise_variance(j) for j in rx])
+    signal = (gains * powers) @ gains.T
+    sigma = np.diag(noises) + 0.5 * (signal + signal.T)
+    return 0.5 * (log2_det(sigma) - float(np.sum(np.log2(noises))))

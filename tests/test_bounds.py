@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relaycap as rc
-from oracles import det_cofactor, subset_sums_by_columns, table_by_partition_scan
+from oracles import (
+    cut_rate_by_covariance,
+    det_cofactor,
+    subset_sums_by_columns,
+    table_by_partition_scan,
+)
 from relaycap import bounds, enumeration, selftest
 from relaycap.bounds import _ConstraintTable
 from relaycap.errors import (
@@ -460,6 +465,38 @@ def _asymmetric_network(rng, t):
     return rc.from_gains(nodes, gains)
 
 
+def _cut_cases():
+    rng = np.random.default_rng(20261018)
+    for t in range(3, 10):
+        yield pytest.param(_asymmetric_network(rng, t), id=f"asymmetric-T{t}")
+    net = _asymmetric_network(rng, 6)
+    nodes = list(net.nodes)
+    nodes[2] = rc.relay(3, 0.0, nodes[2].noise)
+    yield pytest.param(rc.from_gains(nodes, net.gains), id="powerless-relay-T6")
+
+
+class TestWhitenedCutRates:
+    @pytest.mark.parametrize("net", _cut_cases())
+    def test_cut_table_matches_covariance_formula(self, net):
+        table = rc.cut_rate_table(net)
+        want = [cut_rate_by_covariance(net, cut) for cut, _ in table]
+        assert [rate for _, rate in table] == pytest.approx(want, rel=0.0, abs=1e-9)
+        want_cut = table[min(range(len(want)), key=want.__getitem__)][0]
+        assert rc.min_cut_bound(net)[1] == want_cut
+
+    @pytest.mark.parametrize("t", range(3, 13))
+    def test_rank_one_cuts_are_exact(self, t):
+        # The source cut and the all-relay cut each have one node on one
+        # side; factored on that side, each is log2 of 1 + (sum of SNRs)
+        # with no pivot rounding, so on unit gains they tie exactly and the
+        # first (source) cut is the min cut.
+        nodes = [rc.source(1, 1.0)] + [rc.relay(j, 1.0, 1.0) for j in range(2, t)]
+        net = _net(nodes + [rc.destination(t, 1.0)])
+        table = rc.cut_rate_table(net, override_guard=True)
+        assert table[0][1] == table[-1][1] == 0.5 * math.log2(t)
+        assert rc.min_cut_bound(net, override_guard=True)[1].sorted_ids() == (1,)
+
+
 def _table_cases():
     rng = np.random.default_rng(20250901)
     for t in range(3, 8):
@@ -704,6 +741,19 @@ class TestConvergenceSweep:
             rc.convergence_sweep(reference_network, [10.0, 1.0])
         with pytest.raises(ValueError, match=">= 1"):
             rc.convergence_sweep(reference_network, [0.5, 1.0])
+
+    @given(seed=st.integers(0, 10_000), quantifier=st.sampled_from(["forall", "exists"]))
+    @settings(max_examples=30, deadline=None)
+    def test_rate_never_falls_as_gamma_grows(self, seed, quantifier):
+        # Scaling relay powers raises every block value, so the feasible
+        # region only grows.
+        rng = np.random.default_rng(seed)
+        net = random_network(rng, int(rng.integers(3, 7)))
+        rows = rc.convergence_sweep(net, [10.0**k for k in range(7)], quantifier)
+        feasible = [r.feasible for r in rows]
+        assert feasible == sorted(feasible)
+        rates = [r.cf_rate_bits for r in rows if r.feasible]
+        assert all(b >= a - 1e-9 for a, b in zip(rates, rates[1:]))
 
     @pytest.mark.parametrize("gammas", [[], [10.0, 1.0], [0.5, 1.0]])
     def test_gamma_errors_are_invalid_scale(self, reference_network, gammas):

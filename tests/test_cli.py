@@ -117,6 +117,42 @@ class TestCommandsSucceed:
         assert all(line.endswith(",true") for line in lines[1:])
         assert lines[1].startswith("1,")
 
+    @pytest.mark.parametrize(
+        "source_power, relay_power, noise, bound",
+        [(1.0, 1.0, 1e-13, 0.5 * math.log2(1.0 + 3e13)), (1e-200, 1e-200, 1e-200, 1.0)],
+        ids=["tiny-noise", "tiny-power-and-noise"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound"],
+            ["cfrate"],
+            ["cfrate", "--quantifier", "exists"],
+            ["cfrate", "--mode", "coordinate"],
+            ["cfrate", "--mode", "coordinate", "--quantifier", "exists"],
+            ["sweep"],
+        ],
+        ids=" ".join,
+    )
+    def test_tiny_scales(self, tmp_path, capsys, argv, source_power, relay_power, noise, bound):
+        # Rates depend on powers and noises only through their ratios.
+        doc = _ref_doc(sweep={"gammas": [1, 10, 100]})
+        src, relay_2, relay_3, dst = doc["nodes"]
+        src["power"] = source_power
+        relay_2.update(power=relay_power, noise=noise)
+        relay_3.update(power=relay_power, noise=noise)
+        dst["noise"] = noise
+        cfg = _write(tmp_path, "tiny.json", doc)
+        assert cli.main(argv + ["--config", cfg]) == 0
+        out = capsys.readouterr().out
+        if argv[0] == "sweep":
+            printed = [float(line.split(",")[1]) for line in out.splitlines()[1:]]
+        elif argv[0] == "bound":
+            printed = [_value_after(out, "source-cut bound:")]
+        else:
+            printed = [_value_after(out, "upper bound:")]
+        assert printed == pytest.approx([bound] * len(printed), rel=0.0, abs=1e-9)
+
     def test_verify_small_config(self, tmp_path, capsys):
         cfg = _write(tmp_path, "v.json", _SMALL_VERIFY)
         assert cli.main(["verify", "--config", cfg]) == 0
@@ -282,11 +318,26 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["cfrate", "sweep"])
     @pytest.mark.parametrize(
-        "cf", [{"top_k": math.inf}, {"top_k": -math.inf}, {"mode": []}, {"mode": {}}]
+        "cf",
+        [
+            {"top_k": math.inf},
+            {"top_k": -math.inf},
+            {"mode": []},
+            {"mode": {}},
+            {"tol": math.inf},
+            {"tol": True},
+            {"top_k": True},
+        ],
     )
     def test_unusable_cf_value_is_a_config_error(self, tmp_path, capsys, command, cf):
         cfg = _write(tmp_path, "cf.json", _ref_doc(cf=cf, sweep={"gammas": [1, 10]}))
         assert cli.main([command, "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("command", ["cfrate", "sweep"])
+    def test_infinite_tol_flag_is_a_config_error(self, tmp_path, capsys, command):
+        cfg = _write(tmp_path, "ref.json", _ref_doc(sweep={"gammas": [1, 10]}))
+        assert cli.main([command, "--config", cfg, "--tol", "inf"]) == 2
         assert capsys.readouterr().err.startswith("config error:")
 
     @pytest.mark.parametrize("gammas, power", [([1, math.inf], 1.0), ([1, 1e308], 10.0)])

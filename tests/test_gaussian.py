@@ -134,13 +134,33 @@ class TestConditionalMiBits:
             bumped[i] += 0.5
             assert conditional_mi_bits(gains, bumped, noise) >= base - 1e-12
 
+    @given(
+        seed=st.integers(0, 10_000),
+        log10_c=st.floats(min_value=-200.0, max_value=200.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_scaling_powers_and_noises_changes_nothing(self, seed, log10_c):
+        # Only the ratios P/N enter, at any absolute scale of the inputs.
+        rng = np.random.default_rng(seed)
+        n_rx, n_tx = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        gains = rng.uniform(0.1, 3.0, size=(n_rx, n_tx))
+        noise = 10.0 ** rng.uniform(-1.0, 1.0, size=n_rx)
+        p = 10.0 ** rng.uniform(-1.0, 1.0, size=n_tx)
+        c = 10.0**log10_c
+        want = conditional_mi_bits(gains, p, noise)
+        got = conditional_mi_bits(gains, c * p, c * noise)
+        assert got == pytest.approx(want, rel=0.0, abs=1e-12)
+
     def test_rejects_nonpositive_noise(self):
         with pytest.raises(NonPositiveNoise):
             conditional_mi_bits([[1.0]], [1.0], [0.0])
 
-    def test_rejects_negative_power(self):
+    @pytest.mark.parametrize(
+        "gain, power", [(1.0, -1.0), (1.0, math.inf), (0.0, math.inf), (1.0, math.nan)]
+    )
+    def test_rejects_negative_power(self, gain, power):
         with pytest.raises(NegativePower):
-            conditional_mi_bits([[1.0]], [-1.0], [1.0])
+            conditional_mi_bits([[gain]], [power], [1.0])
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):

@@ -1,0 +1,299 @@
+"""Compare the command-line output of two relaycap source trees.
+
+Usage: python3 tools/compare_cli.py PARENT_DIR CHANGE_DIR
+
+Each directory is the root of a relaycap checkout. The script builds one
+fixed, seeded corpus of configs, runs every command line of it through
+``relaycap.cli.main`` in one subprocess per tree (``PYTHONPATH=<dir>/src``),
+and compares stdout, stderr and exit code run by run. It prints:
+
+- how many runs are identical;
+- how many output lines moved, where a moved line is one whose text is
+  unchanged once every number in it is masked;
+- the largest |delta| of each command and column over the moved lines;
+- every change of exit code (an uncaught exception counts as an exit code);
+- every other difference, with the first line that differs.
+
+Corpus: the README example, the 4-node reference network, five seeded
+families at T = 3..10 (random, asymmetric, tied-power, unit-gain,
+powerless-relay), random T = 11 and 12 networks under ``--override-guard``,
+one geometry config, and two tiny-scale configs (every noise 1e-13; every
+power and noise 1e-200). Each network runs ``bound``, ``cfrate`` (uniform
+and coordinate, forall and exists, and ``--top-k 1000`` under both
+quantifiers) and ``sweep`` (forall and exists); ``verify`` runs with its
+defaults and with two seeds. Only the standard library and numpy are used.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from collections import defaultdict
+
+import numpy as np
+
+GAMMAS = [1, 10, 100, 1000, 1e4, 1e5, 1e6]
+
+NETWORK_COMMANDS = (
+    ["bound"],
+    ["cfrate", "--mode", "uniform", "--quantifier", "forall"],
+    ["cfrate", "--mode", "uniform", "--quantifier", "exists"],
+    ["cfrate", "--mode", "coordinate", "--quantifier", "forall"],
+    ["cfrate", "--mode", "coordinate", "--quantifier", "exists"],
+    ["cfrate", "--top-k", "1000", "--quantifier", "forall"],
+    ["cfrate", "--top-k", "1000", "--quantifier", "exists"],
+    ["sweep", "--quantifier", "forall"],
+    ["sweep", "--quantifier", "exists"],
+)
+
+# Runs inside each tree's interpreter: reads a JSON list of argv lists on
+# stdin and writes [exit code, stdout, stderr] per run as JSON on stdout.
+WORKER = """
+import contextlib, io, json, sys
+from relaycap import cli
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:
+            code = f"uncaught {type(exc).__name__}"
+    results.append([code, out.getvalue(), err.getvalue()])
+json.dump(results, sys.stdout)
+"""
+
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\bnan\b|\binf\b")
+LABEL_NOISE = re.compile(r"\{[^}]*\}|\([^)]*\)|\+|->")
+
+
+def _doc(source_power, relays, dest_noise, gains):
+    """Config for T = len(relays) + 2 nodes; relays is [(power, noise)]."""
+    t = len(relays) + 2
+    nodes = [{"id": 1, "role": "source", "power": float(source_power)}]
+    nodes += [
+        {"id": j, "role": "relay", "power": float(p), "noise": float(n)}
+        for j, (p, n) in enumerate(relays, start=2)
+    ]
+    nodes.append({"id": t, "role": "destination", "noise": float(dest_noise)})
+    g = np.array(gains, dtype=float)
+    np.fill_diagonal(g, 0.0)
+    return {"nodes": nodes, "gains": g.tolist(), "sweep": {"gammas": GAMMAS}}
+
+
+def _near_unity(rng, size=None):
+    return 10.0 ** rng.uniform(-0.5, 0.5, size=size)
+
+
+def _symmetric_gains(rng, t):
+    g = 10.0 ** rng.uniform(-1.0, 1.0, size=(t, t))
+    return 0.5 * (g + g.T)
+
+
+def _random_doc(rng, t):
+    """The library's random-network law: symmetric gains, relay powers in
+    [10, 10^4], source power and noises near unity."""
+    r = t - 2
+    return _doc(
+        _near_unity(rng),
+        list(zip(10.0 ** rng.uniform(1.0, 4.0, r), _near_unity(rng, r))),
+        _near_unity(rng),
+        _symmetric_gains(rng, t),
+    )
+
+
+def corpus() -> list[tuple[str, dict]]:
+    """The fixed list of (name, config) pairs; the same on every call."""
+    rng = np.random.default_rng(20261018)
+    docs = [
+        (
+            "readme",
+            {
+                "nodes": [
+                    {"id": 1, "role": "source", "power": 1.0},
+                    {"id": 2, "role": "relay", "power_db": 30, "noise": 1.0},
+                    {"id": 3, "role": "relay", "power": 1000, "noise": 1.0},
+                    {"id": 4, "role": "destination", "noise": 1.0},
+                ],
+                "gains": [[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]],
+                "sweep": {"gammas": [1, 10, 100, 1000]},
+            },
+        ),
+        ("reference", _doc(1.0, [(1.0, 1.0)] * 2, 1.0, np.ones((4, 4)))),
+    ]
+    for t in range(3, 11):
+        r = t - 2
+        docs.append((f"random-T{t}", _random_doc(rng, t)))
+        docs.append((
+            f"asymmetric-T{t}",
+            _doc(
+                _near_unity(rng),
+                list(zip(10.0 ** rng.uniform(0.0, 3.0, r), _near_unity(rng, r))),
+                _near_unity(rng),
+                10.0 ** rng.uniform(-1.0, 1.0, size=(t, t)),
+            ),
+        ))
+        docs.append((
+            f"tied-power-T{t}",
+            _doc(
+                1.0, [(10.0 ** (j % 3), 1.0) for j in range(2, t)], 1.0, _symmetric_gains(rng, t)
+            ),
+        ))
+        docs.append((
+            f"unit-gain-T{t}",
+            _doc(1.0, [(p, 1.0) for p in 10.0 ** rng.uniform(0.0, 3.0, r)], 1.0, np.ones((t, t))),
+        ))
+        docs.append((
+            f"powerless-relay-T{t}",
+            _doc(
+                1.0,
+                [(float(j % 2) * 100.0, n) for j, n in zip(range(2, t), _near_unity(rng, r))],
+                1.0,
+                10.0 ** rng.uniform(-1.0, 1.0, size=(t, t)),
+            ),
+        ))
+    for t in (11, 12):
+        docs.append((f"override-T{t}", _random_doc(rng, t)))
+    docs.append((
+        "geometry",
+        {
+            "nodes": [
+                {"id": 1, "role": "source", "power": 1.0, "position": [0.0, 0.0]},
+                {"id": 2, "role": "relay", "power": 100.0, "noise": 1.0, "position": [1.0, 0.5]},
+                {"id": 3, "role": "relay", "power_db": 25, "noise": 0.5, "position": [1.5, -0.5]},
+                {"id": 4, "role": "destination", "noise": 1.0, "position": [3.0, 0.0]},
+            ],
+            "path_loss": {"kappa": 1.0, "eta": 2.0},
+            "sweep": {"gammas": GAMMAS},
+        },
+    ))
+    docs.append(("tiny-noise", _doc(1.0, [(1.0, 1e-13)] * 2, 1e-13, np.ones((4, 4)))))
+    docs.append(("tiny-scale", _doc(1e-200, [(1e-200, 1e-200)] * 2, 1e-200, np.ones((4, 4)))))
+    return docs
+
+
+def runs(config_dir: str) -> list[tuple[str, list[str]]]:
+    """Write the corpus into config_dir; return (run name, argv) pairs."""
+    out = []
+    for name, doc in corpus():
+        path = os.path.join(config_dir, f"{name}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        big = len(doc["nodes"]) > 10
+        for command in NETWORK_COMMANDS:
+            argv = command + ["--config", path] + (["--override-guard"] if big else [])
+            out.append((f"{name}: {' '.join(command)}", argv))
+    out.append(("verify", ["verify"]))
+    for seed in (1, 2):
+        path = os.path.join(config_dir, f"verify-{seed}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"verify": {"seed": seed}}, fh)
+        out.append((f"verify seed {seed}", ["verify", "--config", path]))
+    return out
+
+
+def run_tree(tree: str, argvs: list[list[str]], cwd: str) -> list[list]:
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-c", WORKER],
+        input=json.dumps(argvs),
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=cwd,
+        check=False,
+    )
+    if proc.returncode != 0:
+        sys.exit(f"worker for {tree} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def _column(line: str, start: int, previous: list[str]) -> str:
+    """Name of the number starting at ``start``: the text before it with
+    numbers and node sets removed, or, in a table row, its header."""
+    label = " ".join(NUMBER.sub("", LABEL_NOISE.sub("", line[:start])).split()).strip(" ,")
+    if label:
+        return label
+    header = next((p for p in reversed(previous) if not re.search(r"\d", p)), "")
+    if "," in line and "," in header:
+        return header.split(",")[line[:start].count(",")]
+    return header.split()[-1] if header.split() else "(unlabelled)"
+
+
+def compare_lines(name, command, old_text, new_text, deltas):
+    """Record moved numbers into ``deltas``; return (moved line count,
+    first line pair that differs other than in its numbers, or None)."""
+    old_lines, new_lines = old_text.splitlines(), new_text.splitlines()
+    if len(old_lines) != len(new_lines):
+        return 0, (f"{len(old_lines)} lines", f"{len(new_lines)} lines")
+    moved = 0
+    for k, (a, b) in enumerate(zip(old_lines, new_lines)):
+        if a == b:
+            continue
+        if NUMBER.sub("#", a) != NUMBER.sub("#", b):
+            return moved, (a, b)
+        moved += 1
+        for ma, mb in zip(NUMBER.finditer(a), NUMBER.finditer(b)):
+            if ma.group() != mb.group():
+                x, y = float(ma.group()), float(mb.group())
+                delta = abs(x - y)
+                entry = deltas[(command, _column(a, ma.start(), old_lines[:k]))]
+                if delta > entry[0]:
+                    entry[0], entry[3] = delta, name
+                if delta > 0.0:
+                    entry[1] = max(entry[1], delta / max(abs(x), abs(y)))
+                entry[2] += 1
+    return moved, None
+
+
+def main() -> int:
+    if len(sys.argv) != 3:
+        sys.exit(__doc__.split("\n\n")[1])
+    parent, change = sys.argv[1:]
+    with tempfile.TemporaryDirectory() as config_dir:
+        plan = runs(config_dir)
+        argvs = [argv for _, argv in plan]
+        old = run_tree(parent, argvs, config_dir)
+        new = run_tree(change, argvs, config_dir)
+
+    identical = moved_lines = moved_runs = 0
+    total_lines = sum(len((out + err).splitlines()) for _, out, err in old)
+    deltas = defaultdict(lambda: [0.0, 0.0, 0, ""])
+    code_changes, other = [], []
+    for (name, argv), (c0, out0, err0), (c1, out1, err1) in zip(plan, old, new):
+        if (c0, out0, err0) == (c1, out1, err1):
+            identical += 1
+            continue
+        if c0 != c1:
+            code_changes.append(f"  {name}: {c0} -> {c1}")
+            continue
+        moved = 0
+        for stream, a, b in (("stdout", out0, out1), ("stderr", err0, err1)):
+            n, diff = compare_lines(name, argv[0], a, b, deltas)
+            moved += n
+            if diff is not None:
+                other.append(f"  {name} ({stream}):\n    - {diff[0]}\n    + {diff[1]}")
+        moved_lines += moved
+        moved_runs += moved > 0
+
+    print(f"runs: {len(plan)}, identical: {identical}")
+    print(f"moved lines: {moved_lines} of {total_lines} in {moved_runs} runs")
+    print("largest |delta| per command and column (abs, rel, numbers moved, run of abs):")
+    for (command, column), (d_abs, d_rel, count, where) in sorted(deltas.items()):
+        print(f"  {command:7s} {column:18s} {d_abs:.3e}  {d_rel:.3e}  {count:4d}  {where}")
+    print(f"exit-code changes: {len(code_changes)}")
+    print("\n".join(code_changes) if code_changes else "  (none)")
+    print(f"other differences: {len(other)}")
+    print("\n".join(other) if other else "  (none)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
