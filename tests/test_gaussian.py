@@ -155,10 +155,14 @@ class TestConditionalMiBits:
         with pytest.raises(NonPositiveNoise):
             conditional_mi_bits([[1.0]], [1.0], [0.0])
 
+    def test_rejects_negative_power(self):
+        with pytest.raises(NegativePower):
+            conditional_mi_bits([[1.0]], [-1.0], [1.0])
+
     @pytest.mark.parametrize(
-        "gain, power", [(1.0, -1.0), (1.0, math.inf), (0.0, math.inf), (1.0, math.nan)]
+        "gain, power", [(1.0, math.inf), (0.0, math.inf), (1.0, math.nan)]
     )
-    def test_rejects_negative_power(self, gain, power):
+    def test_rejects_nonfinite_power(self, gain, power):
         with pytest.raises(NegativePower):
             conditional_mi_bits([[gain]], [power], [1.0])
 
