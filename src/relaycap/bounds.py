@@ -3,7 +3,9 @@
 Upper bounds come from cut rates evaluated under independent Gaussian
 inputs; the source (broadcast) cut is the capacity upper bound for this
 network class, and non-source cuts are reported as estimates under that
-particular input law.
+particular input law. The cut table evaluates all 2^(T-2) cuts together:
+grouped by how many relays sit on the transmitter side, each group's
+channel blocks are stacked and get one stacked Cholesky factorization.
 
 The achievable side is compress-forward: each relay forwards a quantized
 observation with additive quantization noise Q_j. A quantization vector is
@@ -50,9 +52,15 @@ from .errors import (
     InvalidReceiver,
     InvalidScale,
     NonPositiveQ,
+    NotPositiveDefinite,
     VerificationFailure,
 )
-from .gaussian import _cholesky_log2_det, conditional_mi_bits
+from .gaussian import (
+    _cholesky_log2_det,
+    _stacked_cholesky_log2_det,
+    _whitened,
+    conditional_mi_bits,
+)
 from .topology import NetworkSpec, scaled
 
 _LN2 = math.log(2.0)
@@ -98,7 +106,7 @@ class CutSpec:
     tx_side: frozenset[int]
 
     def __post_init__(self) -> None:
-        side = frozenset(int(i) for i in self.tx_side)
+        side = frozenset(map(int, self.tx_side))
         if 1 not in side:
             raise ValueError(f"cut transmitter side must contain the source (1), got {sorted(side)}")
         object.__setattr__(self, "tx_side", side)
@@ -205,6 +213,24 @@ class SweepRow:
     feasible: bool
 
 
+def _amplitudes(net: NetworkSpec, tx: tuple[int, ...], rx: tuple[int, ...]) -> np.ndarray:
+    """Amplitude gains sqrt(lambda_ij) with receivers j by rows and
+    transmitters i by columns. An entry with i == j (a relay on both lists)
+    is no channel: it is set to 0 and never read. Any other gain that is
+    not finite and >= 0 raises ValueError naming its node pair."""
+    # gains[i-1, j-1] runs from i to j.
+    gains = net.gains[np.ix_(np.subtract(tx, 1), np.subtract(rx, 1))]
+    channel = np.not_equal.outer(tx, rx)
+    bad = channel & ~((gains >= 0.0) & np.isfinite(gains))
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ValueError(
+            f"gain from node {tx[i]} to node {rx[j]} must be finite and >= 0, "
+            f"got {float(gains[i, j])!r}"
+        )
+    return np.sqrt(np.where(channel, gains, 0.0)).T
+
+
 def cut_rate(net: NetworkSpec, cut: CutSpec) -> float:
     """Information rate across one cut under independent Gaussian inputs.
 
@@ -222,11 +248,9 @@ def cut_rate(net: NetworkSpec, cut: CutSpec) -> float:
         raise ValueError("cut transmitter side must exclude the destination")
     tx = cut.sorted_ids()
     rx = tuple(sorted(all_ids - cut.tx_side))
-    # gains[i-1, j-1] runs from i to j; the routine wants receiver rows.
-    gains = np.sqrt(net.gains[np.ix_(np.subtract(tx, 1), np.subtract(rx, 1))].T)
     powers = np.array([net.transmit_power(i) for i in tx])
     noises = np.array([net.noise_variance(j) for j in rx])
-    return conditional_mi_bits(gains, powers, noises)
+    return conditional_mi_bits(_amplitudes(net, tx, rx), powers, noises)
 
 
 def source_cut_bound(net: NetworkSpec) -> float:
@@ -238,17 +262,79 @@ def source_cut_bound(net: NetworkSpec) -> float:
     return cut_rate(net, CutSpec(tx_side=frozenset({1})))
 
 
+def _cut_rates(net: NetworkSpec, override_guard: bool) -> np.ndarray:
+    """Every cut's rate in canonical order: bit i of a cut's index puts
+    the i-th sorted relay on its transmitter side.
+
+    A cut's rate comes from its block of one whitened matrix, receivers
+    (nodes 2..T) by transmitters (the source and the relays). The blocks of
+    the cuts with s relays on the transmitter side share one shape, so each
+    such group is gathered into one stack, turned into Gram matrices on the
+    smaller side by one matmul, and factored by one stacked Cholesky: per
+    cut, the arithmetic of ``cut_rate``. If cuts are not positive definite,
+    the error is ``cut_rate``'s on the first of them in canonical order.
+    """
+    _check_guard(net, override_guard)
+    relays = tuple(sorted(net.relay_ids))
+    t = net.num_nodes
+    if not set(relays) <= set(range(2, t)):
+        raise ValueError(f"relays {relays} must be nodes 2..{t - 1} of the {t}-node network")
+    tx = (1,) + relays
+    rx = tuple(range(2, t + 1))
+    a = _whitened(
+        _amplitudes(net, tx, rx),
+        np.array([net.transmit_power(i) for i in tx]),
+        np.array([net.noise_variance(j) for j in rx]),
+    )
+    count = 1 << len(relays)
+    inside = (np.arange(count)[:, None] >> np.arange(len(relays)) & 1).astype(bool)
+    tx_keep = np.ones((count, len(tx)), dtype=bool)
+    tx_keep[:, 1:] = inside
+    rx_keep = np.ones((count, len(rx)), dtype=bool)
+    rx_keep[:, np.array(relays, dtype=int) - 2] = ~inside
+
+    rates = np.empty(count)
+    failures = []
+    sizes = inside.sum(axis=1)
+    for s in range(len(relays) + 1):
+        cuts = np.flatnonzero(sizes == s)
+        tx_idx = np.nonzero(tx_keep[cuts])[1].reshape(len(cuts), 1 + s)
+        rx_idx = np.nonzero(rx_keep[cuts])[1].reshape(len(cuts), len(rx) - s)
+        w = a[rx_idx[:, :, None], tx_idx[:, None, :]]
+        wt = w.transpose(0, 2, 1)
+        gram = np.matmul(wt, w) if 1 + s <= len(rx) - s else np.matmul(w, wt)
+        try:
+            rates[cuts] = 0.5 * _stacked_cholesky_log2_det(np.eye(gram.shape[1]) + gram)
+        except NotPositiveDefinite as err:
+            failures.append((cuts[err.index], err))
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return rates
+
+
 def cut_rate_table(
     net: NetworkSpec, override_guard: bool = False
 ) -> tuple[tuple[CutSpec, float], ...]:
     """Rates for every valid cut, in canonical subset order of the relay
-    side (source-only cut first)."""
-    _check_guard(net, override_guard)
-    rows = []
-    for extra in subsets(net.relay_ids):
-        cut = CutSpec(tx_side=frozenset({1}) | set(extra))
-        rows.append((cut, cut_rate(net, cut)))
-    return tuple(rows)
+    side (source-only cut first).
+
+    The cuts are grouped by the number of relays on their transmitter
+    side, and each group's rates come from one stacked factorization
+    (``_cut_rates``), with the arithmetic ``cut_rate`` applies to each cut.
+    """
+    rates = _cut_rates(net, override_guard)
+    return tuple(
+        (CutSpec(tx_side=(1,) + extra), float(rate))
+        for extra, rate in zip(subsets(net.relay_ids), rates)
+    )
+
+
+def _min_cut(net: NetworkSpec, rates: np.ndarray) -> tuple[float, CutSpec]:
+    """The smallest of the canonical-order cut rates with its cut; ties go
+    to the earliest cut."""
+    best = int(np.argmin(rates))
+    extra = tuple(r for i, r in enumerate(sorted(net.relay_ids)) if best >> i & 1)
+    return float(rates[best]), CutSpec(tx_side=(1,) + extra)
 
 
 def min_cut_bound(
@@ -260,8 +346,7 @@ def min_cut_bound(
     an estimate for the others; ties resolve to the earliest cut in
     canonical order.
     """
-    cut, val = min(cut_rate_table(net, override_guard), key=lambda row: row[1])
-    return val, cut
+    return _min_cut(net, _cut_rates(net, override_guard))
 
 
 def _block_snr_sum(net: NetworkSpec, block: Block, r: int) -> float:
@@ -628,9 +713,9 @@ def build_rate_report(
     _require_mode(mode)
     table = _ConstraintTable(net, quantifier, override_guard)
     q_star, rate = _optimize(table, mode, tol)
-    cuts = cut_rate_table(net, override_guard)
-    bound = cuts[0][1]  # the source cut
-    mc, mc_bits = min(cuts, key=lambda row: row[1])
+    rates = _cut_rates(net, override_guard)
+    bound = float(rates[0])  # the source cut
+    mc_bits, mc = _min_cut(net, rates)
     margins = table.constraint_margins(q_star)
     binding = tuple(sorted(margins, key=lambda m: m.margin_log2)[: max(top_k, 0)])
     return RateReport(

@@ -70,11 +70,13 @@ def subsets(relays: Iterable[int]) -> Iterator[tuple[int, ...]]:
     """All 2^|R| subsets of the relay set, empty and full included.
 
     Binary counting on the sorted ids: subset k contains the i-th smallest
-    id iff bit i of k is set.
+    id iff bit i of k is set. Built by doubling: subset 2^i + k is subset k
+    plus the i-th id, which is larger than every id in subset k.
     """
-    ids = sorted(set(relays))
-    for mask in range(1 << len(ids)):
-        yield tuple(ids[i] for i in range(len(ids)) if mask >> i & 1)
+    out: list[tuple[int, ...]] = [()]
+    for x in sorted(set(relays)):
+        out += [s + (x,) for s in out]
+    yield from out
 
 
 def partitions(s: Iterable[int]) -> Iterator[tuple[Block, ...]]:

@@ -10,7 +10,13 @@ class RelaycapError(Exception):
 
 
 class NotPositiveDefinite(RelaycapError):
-    """A factorization pivot fell at or below the positive-definiteness epsilon."""
+    """A factorization pivot fell at or below the positive-definiteness epsilon.
+
+    When a stack of matrices was factored, ``index`` is the failing
+    matrix's position in the stack.
+    """
+
+    index: int | None = None
 
 
 class DimensionMismatch(RelaycapError):

@@ -1,14 +1,19 @@
 """Covariance algebra for jointly Gaussian variables.
 
 Everything here reduces to log-determinants of small symmetric
-positive-definite matrices, computed by one Cholesky kernel with an
-explicit pivot check: det(M) equals the product of the pivots, so log2
-det(M) is the sum of their base-2 logs, and a pivot at or below
-``PD_EPSILON`` rejects the matrix as not positive definite. ``log2_det``
-is the one checked entry point: it also rejects a matrix that is not
-square, is empty, or is asymmetric beyond ``SYMMETRY_ATOL``. The
-library's own builders make their matrices exactly symmetric and call the
-kernel directly. Cofactor expansion exists only inside the test suite as an
+positive-definite matrices, computed by Cholesky factorization under one
+pivot rule: det(M) equals the product of the pivots, so log2 det(M) is the
+sum of their base-2 logs, and a pivot at or below ``PD_EPSILON`` (or NaN)
+rejects the matrix as not positive definite. Two kernels apply that rule:
+``_cholesky_log2_det`` factors one matrix, and
+``_stacked_cholesky_log2_det`` factors a stack of equal-sized matrices
+with the same steps vectorized over the stack, for callers that have many
+(the cut table). A single matrix stays on the scalar kernel, which costs a
+fraction of the stacked one at these sizes. ``log2_det`` is the one
+checked entry point: it also rejects a matrix that is not square, is
+empty, or is asymmetric beyond ``SYMMETRY_ATOL``. The library's own
+builders make their matrices exactly symmetric and call the kernels
+directly. Cofactor expansion exists only inside the test suite as an
 independent oracle.
 
 Mutual information for independent Gaussian inputs over a linear channel
@@ -47,6 +52,10 @@ SYMMETRY_ATOL = 1e-12
 PD_EPSILON = 1e-12
 
 
+def _pivot_failure(pivot: float, k: int) -> NotPositiveDefinite:
+    return NotPositiveDefinite(f"pivot {pivot:.6e} at index {k} is <= epsilon {PD_EPSILON:g}")
+
+
 def _cholesky_log2_det(a: np.ndarray) -> float:
     """Sum of the base-2 logs of the Cholesky pivots of ``a``, which must
     be exactly symmetric; the internal builders construct it so.
@@ -60,15 +69,54 @@ def _cholesky_log2_det(a: np.ndarray) -> float:
     for k in range(n):
         pivot = a[k, k] - lower[k, :k] @ lower[k, :k]
         if not pivot > PD_EPSILON:
-            raise NotPositiveDefinite(
-                f"pivot {pivot:.6e} at index {k} is <= epsilon {PD_EPSILON:g}"
-            )
+            raise _pivot_failure(pivot, k)
         log2_sum += math.log2(pivot)
         root = math.sqrt(pivot)
         lower[k, k] = root
         if k + 1 < n:
             lower[k + 1 :, k] = (a[k + 1 :, k] - lower[k + 1 :, :k] @ lower[k, :k]) / root
     return log2_sum
+
+
+def _stacked_cholesky_log2_det(stack: np.ndarray) -> np.ndarray:
+    """``_cholesky_log2_det`` of every matrix in a (count, n, n) stack.
+
+    Step k of the scalar kernel runs once for the whole stack: the same
+    products (as stacked matmuls), the same pivot rule, and ``math.log2``
+    rather than ``np.log2``, whose last bit can differ from it. Where the
+    stacked and single matmuls round alike, as with numpy's BLAS loops,
+    each result is the scalar kernel's to the bit.
+
+    Raises the NotPositiveDefinite that the scalar kernel raises on the
+    first matrix, in stack order, with a failing pivot; the error's
+    ``index`` is that matrix's position in the stack.
+    """
+    count, n, _ = stack.shape
+    lower = np.zeros_like(stack)
+    log2_sums = np.zeros(count)
+    for k in range(n):
+        row = lower[:, k, None, :k]
+        pivot = stack[:, k, k] - np.matmul(row, row.transpose(0, 2, 1))[:, 0, 0]
+        failed = ~(pivot > PD_EPSILON)
+        if failed.any():
+            first = int(np.argmax(failed))
+            # An earlier matrix passed pivots 0..k but may fail a later one.
+            for i in range(first):
+                try:
+                    _cholesky_log2_det(stack[i])
+                except NotPositiveDefinite as err:
+                    err.index = i
+                    raise
+            err = _pivot_failure(pivot[first], k)
+            err.index = first
+            raise err
+        log2_sums += np.fromiter(map(math.log2, pivot.tolist()), float, count)
+        root = np.sqrt(pivot)
+        lower[:, k, k] = root
+        if k + 1 < n:
+            column = np.matmul(lower[:, k + 1 :, :k], row.transpose(0, 2, 1))[:, :, 0]
+            lower[:, k + 1 :, k] = (stack[:, k + 1 :, k] - column) / root[:, None]
+    return log2_sums
 
 
 def log2_det(m: np.ndarray) -> float:
@@ -128,14 +176,19 @@ def conditional_mi_bits(
             f"gains shape {gains.shape} does not match "
             f"({noise.size} receivers, {powers.size} transmitters)"
         )
+    w = _whitened(gains, powers, noise)
+    gram = w.T @ w if powers.size <= noise.size else w @ w.T
+    return 0.5 * _cholesky_log2_det(np.eye(len(gram)) + gram)
+
+
+def _whitened(gains: np.ndarray, powers: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """W = Sigma_N^(-1/2) H P^(1/2) for amplitude gains H (receivers by
+    rows), after the noise and power checks of ``conditional_mi_bits``."""
     if np.any(noise <= 0.0) or not np.all(np.isfinite(noise)):
         raise NonPositiveNoise(f"receiver noise variances must be > 0, got {noise}")
     if np.any(powers < 0.0) or not np.all(np.isfinite(powers)):
         raise NegativePower(f"transmit powers must be finite and >= 0, got {powers}")
-
-    w = gains * np.sqrt(powers) / np.sqrt(noise)[:, None]
-    gram = w.T @ w if powers.size <= noise.size else w @ w.T
-    return 0.5 * _cholesky_log2_det(np.eye(len(gram)) + gram)
+    return gains * np.sqrt(powers) / np.sqrt(noise)[:, None]
 
 
 def joint_covariance(coefficients: np.ndarray, factor_variances: np.ndarray) -> np.ndarray:

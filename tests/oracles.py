@@ -6,8 +6,9 @@ the Cholesky log-det, the binomial Bell recurrence against the
 restricted-growth-string partition generator, a scan of every
 partition against the constraint table's subset DP, a column-by-column
 sum over a 0/1 membership matrix against the table's doubling subset sums,
-and the receiver-side covariance formula for a cut rate against the
-whitened-channel form.
+the receiver-side covariance formula for a cut rate against the
+whitened-channel form, and the cut table evaluated one cut at a time
+against its grouped, stacked evaluation.
 Nothing here is performance sensitive; clarity wins.
 """
 
@@ -15,7 +16,7 @@ import math
 
 import numpy as np
 
-from relaycap.bounds import _LN2, _block_snr_sum
+from relaycap.bounds import _LN2, CutSpec, _block_snr_sum, _check_guard, cut_rate
 from relaycap.enumeration import ConstraintInstance, partitions, subsets
 from relaycap.gaussian import log2_det
 
@@ -125,3 +126,15 @@ def cut_rate_by_covariance(net, cut) -> float:
     signal = (gains * powers) @ gains.T
     sigma = np.diag(noises) + 0.5 * (signal + signal.T)
     return 0.5 * (log2_det(sigma) - float(np.sum(np.log2(noises))))
+
+
+def cut_table_by_cuts(net, override_guard=False):
+    """Cut-table rows one cut at a time: every cut of ``subsets`` order,
+    each rate from its own ``cut_rate`` call (one ``conditional_mi_bits``
+    log-det per cut)."""
+    _check_guard(net, override_guard)
+    rows = []
+    for extra in subsets(net.relay_ids):
+        cut = CutSpec(tx_side=frozenset({1}) | set(extra))
+        rows.append((cut, cut_rate(net, cut)))
+    return tuple(rows)

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 import relaycap as rc
 from oracles import (
     cut_rate_by_covariance,
+    cut_table_by_cuts,
     det_cofactor,
     subset_sums_by_columns,
     table_by_partition_scan,
@@ -20,6 +23,7 @@ from relaycap.errors import (
     InvalidAlpha,
     InvalidReceiver,
     NonPositiveQ,
+    NotPositiveDefinite,
     VerificationFailure,
 )
 from relaycap.selftest import random_network, sample_feasible_q
@@ -497,6 +501,120 @@ class TestWhitenedCutRates:
         assert rc.min_cut_bound(net, override_guard=True)[1].sorted_ids() == (1,)
 
 
+def _refuse_per_cut(*args, **kwargs):
+    raise AssertionError("the cut table must not evaluate cuts one at a time")
+
+
+def _tiny_noise_network(t, gains, noises):
+    nodes = [rc.source(1, 1.0)] + [rc.relay(j, 1.0, noises[j - 2]) for j in range(2, t)]
+    return rc.from_gains(nodes + [rc.destination(t, noises[-1])], np.array(gains, dtype=float))
+
+
+def _two_group_failure_network():
+    """The first cut in canonical order that is not positive definite,
+    {1,2,3}, has two relays; the one-relay group, factored first, fails
+    too, at {1,5} and with a different pivot."""
+    return _tiny_noise_network(
+        6,
+        [
+            [0, 1, 1, 1, 4, 1],
+            [1, 0, 4, 0, 4, 4],
+            [1, 1, 0, 0, 4, 4],
+            [4, 0, 0, 0, 0, 1],
+            [1, 4, 4, 4, 0, 4],
+            [1, 4, 0, 4, 0, 0],
+        ],
+        [1e-16, 1e-16, 1e-15, 1e-17, 1e-16],
+    )
+
+
+def _assert_same_table(net, override_guard=False):
+    table = rc.cut_rate_table(net, override_guard)
+    want = cut_table_by_cuts(net, override_guard)
+    want_rates = [rate for _, rate in want]
+    assert [cut for cut, _ in table] == [cut for cut, _ in want]
+    assert [rate for _, rate in table] == pytest.approx(want_rates, rel=0.0, abs=1e-10)
+    want_cut = want[want_rates.index(min(want_rates))][0]
+    assert rc.min_cut_bound(net, override_guard)[1] == want_cut
+
+
+class TestBatchedCutTable:
+    """The stacked cut table against the per-cut oracle."""
+
+    @pytest.mark.parametrize("net", _cut_cases())
+    def test_matches_per_cut_oracle(self, net):
+        _assert_same_table(net)
+
+    @pytest.mark.parametrize("t", range(11, 15))
+    def test_matches_per_cut_oracle_past_the_guard(self, t):
+        _assert_same_table(random_network(np.random.default_rng(100 + t), t), True)
+
+    def test_no_per_cut_evaluation_past_the_guard(self, monkeypatch):
+        monkeypatch.setattr(bounds, "cut_rate", _refuse_per_cut)
+        monkeypatch.setattr(bounds, "conditional_mi_bits", _refuse_per_cut)
+        net = random_network(np.random.default_rng(14), 14)
+        table = rc.cut_rate_table(net, override_guard=True)
+        assert [cut.tx_side - {1} for cut, _ in table] == [
+            set(s) for s in rc.subsets(net.relay_ids)
+        ]
+        assert all(rate > 0.0 for _, rate in table)
+
+    @pytest.mark.parametrize(
+        "net",
+        [
+            # Unit gains, unit powers, every noise 1e-17: the rank-deficient
+            # cuts {1,2} and {1,3} cancel their second pivot.
+            pytest.param(
+                _tiny_noise_network(4, 1.0 - np.eye(4), [1e-17] * 3), id="unit-gain-T4"
+            ),
+            pytest.param(_two_group_failure_network(), id="first-failure-in-a-larger-group-T6"),
+        ],
+    )
+    def test_not_positive_definite_matches_per_cut_oracle(self, net):
+        with pytest.raises(NotPositiveDefinite) as want:
+            cut_table_by_cuts(net)
+        with pytest.raises(NotPositiveDefinite) as got:
+            rc.cut_rate_table(net)
+        assert str(got.value) == str(want.value)
+        with pytest.raises(NotPositiveDefinite, match=re.escape(str(want.value))):
+            rc.min_cut_bound(net)
+
+
+class TestUnvalidatedGains:
+    """Cut rates on networks built without ``validate``."""
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan])
+    def test_bad_off_diagonal_gain_names_the_pair(self, bad):
+        gains = _full_gains(3)
+        gains[0, 2] = bad
+        net = _net([rc.source(1, 1.0), rc.relay(2, 1.0, 1.0), rc.destination(3, 1.0)], gains)
+        pair = "gain from node 1 to node 3 must be finite and >= 0"
+        message = re.escape(f"{pair}, got {bad!r}")
+        with pytest.raises(ValueError, match=message):
+            rc.source_cut_bound(net)
+        with pytest.raises(ValueError, match=message):
+            rc.cut_rate(net, rc.CutSpec(tx_side=frozenset({1, 2})))
+        with pytest.raises(ValueError, match=message):
+            rc.cut_rate_table(net)
+        assert any(p.startswith(pair) for p in rc.validate(net))
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan])
+    def test_diagonal_is_never_read(self, bad):
+        nodes = [rc.source(1, 2.0), rc.relay(2, 3.0, 0.5), rc.relay(3, 1.5, 2.0)]
+        nodes.append(rc.destination(4, 1.0))
+        gains = 1.0 + np.arange(16.0).reshape(4, 4)
+        net = _net(nodes, gains)
+        np.fill_diagonal(gains, bad)
+        noisy = _net(nodes, gains)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rc.cut_rate_table(noisy) == rc.cut_rate_table(net)
+            assert rc.source_cut_bound(noisy) == rc.source_cut_bound(net)
+            assert rc.min_cut_bound(noisy) == rc.min_cut_bound(net)
+            for cut, rate in rc.cut_rate_table(net):
+                assert rc.cut_rate(noisy, cut) == rate
+
+
 def _table_cases():
     rng = np.random.default_rng(20250901)
     for t in range(3, 8):
@@ -695,19 +813,30 @@ class TestRateReport:
 
     @pytest.mark.parametrize("t", [3, 5, 8])
     def test_report_evaluates_each_cut_once(self, monkeypatch, t):
+        # One cut-table evaluation per report, factoring each of the
+        # 2^(T-2) cuts once: the stacks it factors hold 2^(T-2) matrices in
+        # total, and its rates are the per-cut oracle's, cut by cut.
         net = random_network(np.random.default_rng(t), t)
-        calls = []
-        real = bounds.cut_rate
+        tables, factored = [], []
+        real_rates, real_kernel = bounds._cut_rates, bounds._stacked_cholesky_log2_det
 
-        def counting(net, cut):
-            calls.append(cut.sorted_ids())
-            return real(net, cut)
+        def counting_rates(*args):
+            tables.append(real_rates(*args))
+            return tables[-1]
 
-        monkeypatch.setattr(bounds, "cut_rate", counting)
+        def counting_kernel(stack):
+            factored.append(len(stack))
+            return real_kernel(stack)
+
+        monkeypatch.setattr(bounds, "_cut_rates", counting_rates)
+        monkeypatch.setattr(bounds, "_stacked_cholesky_log2_det", counting_kernel)
+        monkeypatch.setattr(bounds, "cut_rate", _refuse_per_cut)
         rep = rc.build_rate_report(net)
-        assert len(calls) == 2 ** (t - 2)
-        assert len(set(calls)) == len(calls)
         monkeypatch.undo()
+        assert len(tables) == 1
+        assert sum(factored) == 2 ** (t - 2)
+        want = [rate for _, rate in cut_table_by_cuts(net)]
+        assert tables[0].tolist() == pytest.approx(want, rel=0.0, abs=1e-10)
         assert rep.upper_bound_bits == rc.source_cut_bound(net)
         assert (rep.min_cut_bits, rep.min_cut) == rc.min_cut_bound(net)
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from relaycap.errors import (
 )
 from relaycap.gaussian import (
     PD_EPSILON,
+    _cholesky_log2_det,
+    _stacked_cholesky_log2_det,
     conditional_covariance,
     conditional_mi_bits,
     joint_covariance,
@@ -90,6 +93,51 @@ class TestLog2Det:
         m = random_spd(np.random.default_rng(seed), 4)
         got = log2_det(c * m)
         assert got == pytest.approx(4 * math.log2(c) + log2_det(m), abs=1e-9)
+
+
+class TestStackedCholesky:
+    """The stacked kernel against the scalar one, matrix by matrix."""
+
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 7), count=st.integers(1, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scalar_kernel_matrix_by_matrix(self, seed, n, count):
+        rng = np.random.default_rng(seed)
+        stack = []
+        for _ in range(count):
+            d = 10.0 ** rng.uniform(-2.0, 2.0, size=n)  # D M D: SPD, unevenly scaled
+            stack.append(random_spd(rng, n) * np.outer(d, d))
+        got = _stacked_cholesky_log2_det(np.array(stack))
+        want = [_cholesky_log2_det(m) for m in stack]
+        assert got.tolist() == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            np.diag([1.0, PD_EPSILON]),
+            np.diag([1.0, 10.0 * PD_EPSILON]),
+            np.array([[1.0, 2.0], [2.0, 1.0]]),
+            np.full((2, 2), math.nan),
+        ],
+        ids=["at-epsilon", "above-epsilon", "indefinite", "nan"],
+    )
+    def test_same_pivot_rule_and_message(self, m):
+        try:
+            want = _cholesky_log2_det(m)
+        except NotPositiveDefinite as err:
+            with pytest.raises(NotPositiveDefinite, match=re.escape(str(err))):
+                _stacked_cholesky_log2_det(m[None])
+        else:
+            assert _stacked_cholesky_log2_det(m[None]).tolist() == pytest.approx([want])
+
+    def test_raises_for_the_first_failing_matrix_in_stack_order(self):
+        # Matrix 1 fails at its last pivot, matrix 2 already at its second.
+        late, early = np.diag([1.0, 1.0, -1.0]), np.diag([1.0, -2.0, 1.0])
+        with pytest.raises(NotPositiveDefinite) as want:
+            _cholesky_log2_det(late)
+        with pytest.raises(NotPositiveDefinite) as got:
+            _stacked_cholesky_log2_det(np.array([np.eye(3), late, early]))
+        assert str(got.value) == str(want.value)
+        assert got.value.index == 1
 
 
 class TestConditionalMiBits:
