@@ -55,12 +55,7 @@ from .errors import (
     NotPositiveDefinite,
     VerificationFailure,
 )
-from .gaussian import (
-    _cholesky_log2_det,
-    _stacked_cholesky_log2_det,
-    _whitened,
-    conditional_mi_bits,
-)
+from .gaussian import _stacked_cholesky_log2_det, _whitened, conditional_mi_bits
 from .topology import NetworkSpec, scaled
 
 _LN2 = math.log(2.0)
@@ -213,22 +208,22 @@ class SweepRow:
     feasible: bool
 
 
-def _amplitudes(net: NetworkSpec, tx: tuple[int, ...], rx: tuple[int, ...]) -> np.ndarray:
-    """Amplitude gains sqrt(lambda_ij) with receivers j by rows and
-    transmitters i by columns. An entry with i == j (a relay on both lists)
-    is no channel: it is set to 0 and never read. Any other gain that is
-    not finite and >= 0 raises ValueError naming its node pair."""
-    # gains[i-1, j-1] runs from i to j.
-    gains = net.gains[np.ix_(np.subtract(tx, 1), np.subtract(rx, 1))]
-    channel = np.not_equal.outer(tx, rx)
-    bad = channel & ~((gains >= 0.0) & np.isfinite(gains))
+def _gains(net: NetworkSpec, tx: tuple[int, ...], rx: tuple[int, ...]) -> np.ndarray:
+    """Power gains lambda_ij with receivers j by rows and transmitters i by
+    columns. An entry with i == j (a relay on both lists) is no channel: it
+    is set to 0 and never read. Any other gain that is not finite and >= 0
+    raises ValueError naming its node pair."""
+    t, r = np.array(tx), np.array(rx)
+    # net.gains[i-1, j-1] runs from i to j.
+    gains = np.where(t[:, None] != r, net.gains[(t - 1)[:, None], r - 1], 0.0)
+    bad = ~((gains >= 0.0) & np.isfinite(gains))
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise ValueError(
             f"gain from node {tx[i]} to node {rx[j]} must be finite and >= 0, "
             f"got {float(gains[i, j])!r}"
         )
-    return np.sqrt(np.where(channel, gains, 0.0)).T
+    return gains.T
 
 
 def cut_rate(net: NetworkSpec, cut: CutSpec) -> float:
@@ -250,7 +245,7 @@ def cut_rate(net: NetworkSpec, cut: CutSpec) -> float:
     rx = tuple(sorted(all_ids - cut.tx_side))
     powers = np.array([net.transmit_power(i) for i in tx])
     noises = np.array([net.noise_variance(j) for j in rx])
-    return conditional_mi_bits(_amplitudes(net, tx, rx), powers, noises)
+    return conditional_mi_bits(np.sqrt(_gains(net, tx, rx)), powers, noises)
 
 
 def source_cut_bound(net: NetworkSpec) -> float:
@@ -282,7 +277,7 @@ def _cut_rates(net: NetworkSpec, override_guard: bool) -> np.ndarray:
     tx = (1,) + relays
     rx = tuple(range(2, t + 1))
     a = _whitened(
-        _amplitudes(net, tx, rx),
+        np.sqrt(_gains(net, tx, rx)),
         np.array([net.transmit_power(i) for i in tx]),
         np.array([net.noise_variance(j) for j in rx]),
     )
@@ -398,10 +393,10 @@ def _log2_quantized_covariance_det(
     net: NetworkSpec, s: tuple[int, ...], q_values: np.ndarray
 ) -> float:
     p1 = net.transmit_power(1)
-    u = np.array([math.sqrt(net.gain(1, i)) for i in s])
+    u = np.sqrt(_gains(net, (1,), s)[:, 0])
     noise = np.array([net.noise_variance(i) for i in s])
     m = np.diag(noise + q_values) + p1 * np.outer(u, u)  # exactly symmetric
-    return _cholesky_log2_det(m)
+    return float(_stacked_cholesky_log2_det(m[None])[0])
 
 
 class _ConstraintTable:
@@ -448,10 +443,11 @@ class _ConstraintTable:
         # v(B) and its receiver, in _block_snr_sum's arithmetic: a block's
         # sum extends the sum without its largest relay (the lowest bit).
         candidates = relays + (net.destination_id,)
-        floors = [
-            net.gain(1, r) * net.transmit_power(1) + net.noise_variance(r) for r in candidates
-        ]
-        terms = [[net.gain(i, r) * net.transmit_power(i) for r in candidates] for i in relays]
+        gains = _gains(net, (1,) + relays, candidates)
+        noise = np.array([net.noise_variance(r) for r in candidates])
+        self.p1 = net.transmit_power(1)
+        floors = (gains[:, 0] * self.p1 + noise).tolist()
+        terms = (gains[:, 1:] * [net.transmit_power(i) for i in relays]).T.tolist()
         sums = [[0.0] * len(candidates)]
         value, receiver = [0.0], [0]
         for m in range(1, full + 1):
@@ -500,9 +496,8 @@ class _ConstraintTable:
             )
         self.denom_log2 = np.array(denoms)
         self.instances = tuple(instances)
-        self.lam = np.array([net.gain(1, i) for i in relays])
-        self.noise = np.array([net.noise_variance(i) for i in relays])
-        self.p1 = net.transmit_power(1)
+        self.lam = gains[:n, 0]
+        self.noise = noise[:n]
 
     def margins_log2(self, q_values: np.ndarray) -> np.ndarray:
         """Per-subset tightest margins for Q given as values aligned with
@@ -578,14 +573,12 @@ def cf_rate(net: NetworkSpec, q: QuantizationVector) -> float:
         raise ValueError(
             f"quantization vector covers relays {q.ids}, network has {relays}"
         )
-    rx = list(relays) + [net.destination_id]
-    gains = np.array([[math.sqrt(net.gain(1, j))] for j in rx])
-    powers = np.array([net.transmit_power(1)])
+    gains = np.sqrt(_gains(net, (1,), relays + (net.destination_id,)))
     noises = np.array(
         [net.noise_variance(j) + q.get(j) for j in relays]
         + [net.noise_variance(net.destination_id)]
     )
-    return conditional_mi_bits(gains, powers, noises)
+    return conditional_mi_bits(gains, np.array([net.transmit_power(1)]), noises)
 
 
 def _frontier(feasible_at: Callable[[float], bool], start: float, rel_tol: float) -> float:

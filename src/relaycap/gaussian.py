@@ -4,17 +4,15 @@ Everything here reduces to log-determinants of small symmetric
 positive-definite matrices, computed by Cholesky factorization under one
 pivot rule: det(M) equals the product of the pivots, so log2 det(M) is the
 sum of their base-2 logs, and a pivot at or below ``PD_EPSILON`` (or NaN)
-rejects the matrix as not positive definite. Two kernels apply that rule:
-``_cholesky_log2_det`` factors one matrix, and
-``_stacked_cholesky_log2_det`` factors a stack of equal-sized matrices
-with the same steps vectorized over the stack, for callers that have many
-(the cut table). A single matrix stays on the scalar kernel, which costs a
-fraction of the stacked one at these sizes. ``log2_det`` is the one
-checked entry point: it also rejects a matrix that is not square, is
-empty, or is asymmetric beyond ``SYMMETRY_ATOL``. The library's own
-builders make their matrices exactly symmetric and call the kernels
-directly. Cofactor expansion exists only inside the test suite as an
-independent oracle.
+rejects the matrix as not positive definite. One kernel applies that
+rule, ``_stacked_cholesky_log2_det``: it factors a stack of equal-sized
+matrices with each step vectorized over the stack, and a single matrix is
+a stack of one. ``log2_det`` is the one checked entry point: it also
+rejects a matrix that is not square, is empty, or is asymmetric beyond
+``SYMMETRY_ATOL``. The library's own callers construct their matrices
+exactly symmetric and call the kernel directly. The covariance helpers
+take one matrix or a stack. The scalar kernel and cofactor expansion
+exist only inside the test suite, as independent oracles.
 
 Mutual information for independent Gaussian inputs over a linear channel
 Y = H x + Z, with P = diag(tx powers) and Sigma_N = diag(rx noises), is
@@ -56,66 +54,45 @@ def _pivot_failure(pivot: float, k: int) -> NotPositiveDefinite:
     return NotPositiveDefinite(f"pivot {pivot:.6e} at index {k} is <= epsilon {PD_EPSILON:g}")
 
 
-def _cholesky_log2_det(a: np.ndarray) -> float:
-    """Sum of the base-2 logs of the Cholesky pivots of ``a``, which must
-    be exactly symmetric; the internal builders construct it so.
-
-    Pivot k is a[k,k] minus the accumulated squared row of the factor; a
-    pivot <= PD_EPSILON (or NaN) raises NotPositiveDefinite.
-    """
-    n = a.shape[0]
-    lower = np.zeros((n, n))
-    log2_sum = 0.0
-    for k in range(n):
-        pivot = a[k, k] - lower[k, :k] @ lower[k, :k]
-        if not pivot > PD_EPSILON:
-            raise _pivot_failure(pivot, k)
-        log2_sum += math.log2(pivot)
-        root = math.sqrt(pivot)
-        lower[k, k] = root
-        if k + 1 < n:
-            lower[k + 1 :, k] = (a[k + 1 :, k] - lower[k + 1 :, :k] @ lower[k, :k]) / root
-    return log2_sum
-
-
 def _stacked_cholesky_log2_det(stack: np.ndarray) -> np.ndarray:
-    """``_cholesky_log2_det`` of every matrix in a (count, n, n) stack.
+    """Sum of the base-2 logs of the Cholesky pivots of every matrix in a
+    (count, n, n) stack; each matrix must be exactly symmetric, as the
+    library's callers construct it.
 
-    Step k of the scalar kernel runs once for the whole stack: the same
-    products (as stacked matmuls), the same pivot rule, and ``math.log2``
-    rather than ``np.log2``, whose last bit can differ from it. Where the
-    stacked and single matmuls round alike, as with numpy's BLAS loops,
-    each result is the scalar kernel's to the bit.
+    Step k runs once for the whole stack. Pivot k is a[k,k] minus the
+    accumulated squared row of the factor, and its log is taken with
+    ``math.log2`` rather than ``np.log2``, whose last bit can differ. A pivot
+    <= PD_EPSILON (or NaN) fails its matrix, which from then on is factored
+    as an identity so that no NaN or warning spreads from it; the other
+    matrices carry on.
 
-    Raises the NotPositiveDefinite that the scalar kernel raises on the
-    first matrix, in stack order, with a failing pivot; the error's
-    ``index`` is that matrix's position in the stack.
+    Raises NotPositiveDefinite for the first failing matrix in stack order,
+    naming its first failing pivot; the error's ``index`` is that matrix's
+    position in the stack.
     """
     count, n, _ = stack.shape
-    lower = np.zeros_like(stack)
+    a = np.array(stack, dtype=float)
+    lower = np.zeros(a.shape)
     log2_sums = np.zeros(count)
+    error: NotPositiveDefinite | None = None
     for k in range(n):
         row = lower[:, k, None, :k]
-        pivot = stack[:, k, k] - np.matmul(row, row.transpose(0, 2, 1))[:, 0, 0]
-        failed = ~(pivot > PD_EPSILON)
-        if failed.any():
-            first = int(np.argmax(failed))
-            # An earlier matrix passed pivots 0..k but may fail a later one.
-            for i in range(first):
-                try:
-                    _cholesky_log2_det(stack[i])
-                except NotPositiveDefinite as err:
-                    err.index = i
-                    raise
-            err = _pivot_failure(pivot[first], k)
-            err.index = first
-            raise err
+        pivot = a[:, k, k] - np.matmul(row, row.transpose(0, 2, 1))[:, 0, 0]
+        passed = pivot > PD_EPSILON
+        if not passed.all():
+            failed = np.flatnonzero(~passed)
+            if error is None or failed[0] < error.index:
+                error = _pivot_failure(pivot[failed[0]], k)
+                error.index = int(failed[0])
+            a[failed], lower[failed], pivot[failed] = np.eye(n), 0.0, 1.0
         log2_sums += np.fromiter(map(math.log2, pivot.tolist()), float, count)
         root = np.sqrt(pivot)
         lower[:, k, k] = root
         if k + 1 < n:
             column = np.matmul(lower[:, k + 1 :, :k], row.transpose(0, 2, 1))[:, :, 0]
-            lower[:, k + 1 :, k] = (stack[:, k + 1 :, k] - column) / root[:, None]
+            lower[:, k + 1 :, k] = (a[:, k + 1 :, k] - column) / root[:, None]
+    if error is not None:
+        raise error
     return log2_sums
 
 
@@ -142,7 +119,7 @@ def log2_det(m: np.ndarray) -> float:
             f"matrix is not symmetric within atol={SYMMETRY_ATOL:g} "
             f"(max |a - a.T| = {worst:.3e})"
         )
-    return _cholesky_log2_det(a)
+    return float(_stacked_cholesky_log2_det(a[None])[0])
 
 
 def conditional_mi_bits(
@@ -178,7 +155,7 @@ def conditional_mi_bits(
         )
     w = _whitened(gains, powers, noise)
     gram = w.T @ w if powers.size <= noise.size else w @ w.T
-    return 0.5 * _cholesky_log2_det(np.eye(len(gram)) + gram)
+    return 0.5 * float(_stacked_cholesky_log2_det((np.eye(len(gram)) + gram)[None])[0])
 
 
 def _whitened(gains: np.ndarray, powers: np.ndarray, noise: np.ndarray) -> np.ndarray:
@@ -193,17 +170,19 @@ def _whitened(gains: np.ndarray, powers: np.ndarray, noise: np.ndarray) -> np.nd
 
 def joint_covariance(coefficients: np.ndarray, factor_variances: np.ndarray) -> np.ndarray:
     """Covariance A diag(v) A^T of variables that are rows of A over
-    independent zero-mean Gaussian factors with variances v."""
+    independent zero-mean Gaussian factors with variances v. Leading axes
+    of A (..., rows, factors) and v (..., factors) give a stack of
+    covariances."""
     a = np.atleast_2d(np.asarray(coefficients, dtype=float))
     v = np.atleast_1d(np.asarray(factor_variances, dtype=float))
-    if a.shape[1] != v.size:
+    if a.shape[-1] != v.shape[-1]:
         raise DimensionMismatch(
-            f"{a.shape[1]} coefficient columns vs {v.size} factor variances"
+            f"{a.shape[-1]} coefficient columns vs {v.shape[-1]} factor variances"
         )
     if np.any(v < 0.0):
         raise ValueError(f"factor variances must be >= 0, got {v}")
-    sigma = (a * v) @ a.T
-    return 0.5 * (sigma + sigma.T)
+    sigma = (a * v[..., None, :]) @ a.swapaxes(-1, -2)
+    return 0.5 * (sigma + sigma.swapaxes(-1, -2))
 
 
 def conditional_covariance(
@@ -212,13 +191,18 @@ def conditional_covariance(
     given: list[int],
 ) -> np.ndarray:
     """Schur complement: covariance of the ``keep`` block given the ``given``
-    block, Sigma_kk - Sigma_kg Sigma_gg^{-1} Sigma_gk."""
+    block, Sigma_kk - Sigma_kg Sigma_gg^{-1} Sigma_gk, of one covariance or
+    of each in a stack (leading axes)."""
     s = np.asarray(sigma, dtype=float)
+
+    def block(rows: list[int], cols: list[int]) -> np.ndarray:
+        return s[..., rows, :][..., cols]
+
     if not given:
-        return s[np.ix_(keep, keep)].copy()
-    s_gg = s[np.ix_(given, given)]
-    s_gg = 0.5 * (s_gg + s_gg.T)
-    _cholesky_log2_det(s_gg)  # PD gate before the solve
-    solved = np.linalg.solve(s_gg, s[np.ix_(given, keep)])
-    cond = s[np.ix_(keep, keep)] - s[np.ix_(keep, given)] @ solved
-    return 0.5 * (cond + cond.T)
+        return block(keep, keep)
+    s_gg = block(given, given)
+    s_gg = 0.5 * (s_gg + s_gg.swapaxes(-1, -2))
+    _stacked_cholesky_log2_det(s_gg.reshape(-1, len(given), len(given)))  # PD gate
+    solved = np.linalg.solve(s_gg, block(given, keep))
+    cond = block(keep, keep) - block(keep, given) @ solved
+    return 0.5 * (cond + cond.swapaxes(-1, -2))

@@ -10,8 +10,10 @@ Generator seeded per suite.
 The two dual-route routines live here too. They cross-check the
 independent-input claim behind the broadcast-cut bound on small networks
 by computing the same mutual information through two unrelated routes:
-closed form, and joint-covariance Schur complements. The package
-re-exports them and their report classes.
+closed form, one scalar ``math.log2`` per grid point, and joint-covariance
+Schur complements, built for the whole grid as one stack and factored by
+one stacked Cholesky call. The package re-exports them and their report
+classes.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .errors import (
     RelaycapError,
     VerificationFailure,
 )
-from .gaussian import _cholesky_log2_det, conditional_covariance, joint_covariance
+from .gaussian import _stacked_cholesky_log2_det, conditional_covariance, joint_covariance
 from .topology import NetworkSpec, destination, from_gains, relay, source
 
 #: 21 symmetric grid offsets in [-1, 1] with an exact 0.0 at the center.
@@ -112,8 +114,9 @@ def verify_single_relay_independence(
     P_W = P1 - alpha^2 P2 >= 0, so the grid must stay inside
     |alpha| <= sqrt(P1/P2). For each grid point the broadcast-cut MI is
     computed both from the closed form and from the joint covariance of
-    (Y2, Y3, X2); the two routes must agree to RATE_TOL_BITS and the maximum
-    must sit at alpha = 0 (the grid should contain 0).
+    (Y2, Y3, X2), the grid's covariances conditioned and factored as one
+    stack; the two routes must agree to RATE_TOL_BITS and the maximum must
+    sit at alpha = 0 (the grid should contain 0).
 
     Raises VerificationFailure if the routes disagree or the argmax moves.
     """
@@ -132,7 +135,7 @@ def verify_single_relay_independence(
             )
 
     closed: list[float] = []
-    cov: list[float] = []
+    rows, variances = [], []
     log2_thermal = math.log2(n2) + math.log2(n3)
     for a in alphas:
         pw = max(p1 - a * a * p2, 0.0)  # exact-extreme rounding guard
@@ -140,17 +143,18 @@ def verify_single_relay_independence(
         # Joint covariance of (Y2, Y3, X2) over independent factors
         # (X2, W, Z2, Z3); the relay transmission enters Y3 and is then
         # conditioned back out, exercising the full Schur-complement path.
-        rows = np.array(
+        rows.append(
             [
                 [a, 1.0, 1.0, 0.0],  # Y2 = X1 + Z2
                 [a + 1.0, 1.0, 0.0, 1.0],  # Y3 = X1 + X2 + Z3
                 [1.0, 0.0, 0.0, 0.0],  # X2
             ]
         )
-        sigma = joint_covariance(rows, np.array([p2, pw, n2, n3]))
-        given_x2 = conditional_covariance(sigma, keep=[0, 1], given=[2])
-        # Given X1 and X2 the residual is exactly the thermal pair (Z2, Z3).
-        cov.append(0.5 * (_cholesky_log2_det(given_x2) - log2_thermal))
+        variances.append([p2, pw, n2, n3])
+    sigma = joint_covariance(np.array(rows), np.array(variances))
+    given_x2 = conditional_covariance(sigma, keep=[0, 1], given=[2])
+    # Given X1 and X2 the residual is exactly the thermal pair (Z2, Z3).
+    cov = (0.5 * (_stacked_cholesky_log2_det(given_x2) - log2_thermal)).tolist()
 
     diffs = [abs(c - v) for c, v in zip(closed, cov)]
     max_diff = max(diffs)
@@ -191,7 +195,8 @@ def verify_relay_correlation_invariance(
 
     Relay inputs are coupled as X2 = beta * X3 + W' (unit X3 and W'
     variances; the MI conditions both out, so their scale is irrelevant).
-    Every grid point must match 1/2 log2(1 + P1 (1/N2 + 1/N3 + 1/N4)) to
+    The grid's joint covariances are conditioned and factored as one stack,
+    and every grid point must match 1/2 log2(1 + P1 (1/N2 + 1/N3 + 1/N4)) to
     RATE_TOL_BITS. Raises VerificationFailure otherwise.
     """
     if not (n2 > 0.0 and n3 > 0.0 and n4 > 0.0):
@@ -206,11 +211,10 @@ def verify_relay_correlation_invariance(
     expected = 0.5 * math.log2(1.0 + p1 * (1.0 / n2 + 1.0 / n3 + 1.0 / n4))
     log2_thermal = math.log2(n2) + math.log2(n3) + math.log2(n4)
 
-    mis: list[float] = []
-    for b in betas:
-        # Factors (X1, X3, W', Z2, Z3, Z4); unit-gain channel rows for
-        # (Y2, Y3, Y4, X2, X3) with X2 = b*X3 + W'.
-        rows = np.array(
+    # Factors (X1, X3, W', Z2, Z3, Z4); unit-gain channel rows for
+    # (Y2, Y3, Y4, X2, X3) with X2 = b*X3 + W', one set per grid point.
+    rows = np.array(
+        [
             [
                 [1.0, 1.0, 0.0, 1.0, 0.0, 0.0],  # Y2 = X1 + X3 + Z2
                 [1.0, b, 1.0, 0.0, 1.0, 0.0],  # Y3 = X1 + X2 + Z3
@@ -218,10 +222,12 @@ def verify_relay_correlation_invariance(
                 [0.0, b, 1.0, 0.0, 0.0, 0.0],  # X2
                 [0.0, 1.0, 0.0, 0.0, 0.0, 0.0],  # X3
             ]
-        )
-        sigma = joint_covariance(rows, np.array([p1, 1.0, 1.0, n2, n3, n4]))
-        given_inputs = conditional_covariance(sigma, keep=[0, 1, 2], given=[3, 4])
-        mis.append(0.5 * (_cholesky_log2_det(given_inputs) - log2_thermal))
+            for b in betas
+        ]
+    )
+    sigma = joint_covariance(rows, np.array([p1, 1.0, 1.0, n2, n3, n4]))
+    given_inputs = conditional_covariance(sigma, keep=[0, 1, 2], given=[3, 4])
+    mis = (0.5 * (_stacked_cholesky_log2_det(given_inputs) - log2_thermal)).tolist()
 
     devs = [abs(v - expected) for v in mis]
     max_dev = max(devs)

@@ -263,11 +263,11 @@ def validate(net: NetworkSpec) -> list[str]:
     for a, b in zip(*np.nonzero(bad)):
         problems.append(
             f"gain from node {a + 1} to node {b + 1} must be finite and >= 0, "
-            f"got {net.gains[a, b]!r}"
+            f"got {float(net.gains[a, b])!r}"
         )
 
     for j in range(2, t + 1):
-        lam = net.gains[0, j - 1]
+        lam = float(net.gains[0, j - 1])
         if not lam > 0.0:
             problems.append(f"source gain to node {j} must be strictly positive, got {lam!r}")
     return problems

@@ -7,8 +7,10 @@ restricted-growth-string partition generator, a scan of every
 partition against the constraint table's subset DP, a column-by-column
 sum over a 0/1 membership matrix against the table's doubling subset sums,
 the receiver-side covariance formula for a cut rate against the
-whitened-channel form, and the cut table evaluated one cut at a time
-against its grouped, stacked evaluation.
+whitened-channel form, the cut table evaluated one cut at a time
+against its grouped, stacked evaluation, the scalar Cholesky kernel
+against the stacked one, and the dual-route covariance routes computed one
+grid point at a time against their stacked evaluation.
 Nothing here is performance sensitive; clarity wins.
 """
 
@@ -18,7 +20,78 @@ import numpy as np
 
 from relaycap.bounds import _LN2, CutSpec, _block_snr_sum, _check_guard, cut_rate
 from relaycap.enumeration import ConstraintInstance, partitions, subsets
-from relaycap.gaussian import log2_det
+from relaycap.gaussian import (
+    PD_EPSILON,
+    _pivot_failure,
+    conditional_covariance,
+    joint_covariance,
+    log2_det,
+)
+
+
+def _cholesky_log2_det(a: np.ndarray) -> float:
+    """Sum of the base-2 logs of the Cholesky pivots of ``a``, which must
+    be exactly symmetric; the internal builders construct it so.
+
+    Pivot k is a[k,k] minus the accumulated squared row of the factor; a
+    pivot <= PD_EPSILON (or NaN) raises NotPositiveDefinite.
+    """
+    n = a.shape[0]
+    lower = np.zeros((n, n))
+    log2_sum = 0.0
+    for k in range(n):
+        pivot = a[k, k] - lower[k, :k] @ lower[k, :k]
+        if not pivot > PD_EPSILON:
+            raise _pivot_failure(pivot, k)
+        log2_sum += math.log2(pivot)
+        root = math.sqrt(pivot)
+        lower[k, k] = root
+        if k + 1 < n:
+            lower[k + 1 :, k] = (a[k + 1 :, k] - lower[k + 1 :, :k] @ lower[k, :k]) / root
+    return log2_sum
+
+
+def single_relay_covariance_bits_by_points(p1, p2, n2, n3, alphas) -> list[float]:
+    """``verify_single_relay_independence``'s covariance route one alpha at
+    a time: per grid point, one joint covariance of (Y2, Y3, X2), one Schur
+    complement given X2 and one scalar log-det."""
+    log2_thermal = math.log2(n2) + math.log2(n3)
+    bits = []
+    for a in alphas:
+        pw = max(p1 - a * a * p2, 0.0)
+        rows = np.array(
+            [
+                [a, 1.0, 1.0, 0.0],  # Y2 = X1 + Z2
+                [a + 1.0, 1.0, 0.0, 1.0],  # Y3 = X1 + X2 + Z3
+                [1.0, 0.0, 0.0, 0.0],  # X2
+            ]
+        )
+        sigma = joint_covariance(rows, np.array([p2, pw, n2, n3]))
+        given_x2 = conditional_covariance(sigma, keep=[0, 1], given=[2])
+        bits.append(0.5 * (_cholesky_log2_det(given_x2) - log2_thermal))
+    return bits
+
+
+def relay_correlation_mi_bits_by_points(p1, n2, n3, n4, betas) -> list[float]:
+    """``verify_relay_correlation_invariance``'s covariance route one beta
+    at a time: per grid point, one joint covariance of (Y2, Y3, Y4, X2,
+    X3), one Schur complement given (X2, X3) and one scalar log-det."""
+    log2_thermal = math.log2(n2) + math.log2(n3) + math.log2(n4)
+    bits = []
+    for b in betas:
+        rows = np.array(
+            [
+                [1.0, 1.0, 0.0, 1.0, 0.0, 0.0],  # Y2 = X1 + X3 + Z2
+                [1.0, b, 1.0, 0.0, 1.0, 0.0],  # Y3 = X1 + X2 + Z3
+                [1.0, 1.0 + b, 1.0, 0.0, 0.0, 1.0],  # Y4 = X1 + X2 + X3 + Z4
+                [0.0, b, 1.0, 0.0, 0.0, 0.0],  # X2
+                [0.0, 1.0, 0.0, 0.0, 0.0, 0.0],  # X3
+            ]
+        )
+        sigma = joint_covariance(rows, np.array([p1, 1.0, 1.0, n2, n3, n4]))
+        given_inputs = conditional_covariance(sigma, keep=[0, 1, 2], given=[3, 4])
+        bits.append(0.5 * (_cholesky_log2_det(given_inputs) - log2_thermal))
+    return bits
 
 
 def det_cofactor(matrix) -> float:

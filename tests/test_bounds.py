@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import warnings
@@ -12,10 +13,12 @@ from oracles import (
     cut_rate_by_covariance,
     cut_table_by_cuts,
     det_cofactor,
+    relay_correlation_mi_bits_by_points,
+    single_relay_covariance_bits_by_points,
     subset_sums_by_columns,
     table_by_partition_scan,
 )
-from relaycap import bounds, enumeration, selftest
+from relaycap import bounds, enumeration, gaussian, selftest
 from relaycap.bounds import _ConstraintTable
 from relaycap.errors import (
     GuardExceeded,
@@ -161,6 +164,15 @@ class TestSingleRelayIndependence:
         )
         assert rep.max_abs_diff_bits < 1e-9
 
+    def test_covariance_route_matches_per_point_oracle_on_default_grid(self):
+        grid = (selftest._ALPHA_P1, selftest._ALPHA_P2, selftest._ALPHA_N2, selftest._ALPHA_N3)
+        for p1, p2, n2, n3 in itertools.product(*grid):
+            alphas = tuple(0.9 * math.sqrt(p1 / p2) * o for o in selftest.DEFAULT_OFFSETS)
+            got = rc.verify_single_relay_independence(p1, p2, n2, n3, alphas).covariance_bits
+            want = single_relay_covariance_bits_by_points(p1, p2, n2, n3, alphas)
+            assert len(got) == len(want) == 21
+            assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-15
+
 
 def test_dual_route_checks_are_reexported_from_selftest():
     for name in (
@@ -183,6 +195,35 @@ class TestRelayCorrelationInvariance:
         rep = rc.verify_relay_correlation_invariance(2.0, 0.5, 1.0, 4.0, (0.7,))
         want = 0.5 * math.log2(1.0 + 2.0 * (2.0 + 1.0 + 0.25))
         assert rep.mi_bits[0] == pytest.approx(want, abs=1e-9)
+
+    def test_covariance_route_matches_per_point_oracle_on_default_grid(self):
+        grid = (selftest._BETA_P1, selftest._BETA_N2, selftest._BETA_N3, selftest._BETA_N4)
+        betas = selftest.DEFAULT_OFFSETS
+        for p1, n2, n3, n4 in itertools.product(*grid):
+            got = rc.verify_relay_correlation_invariance(p1, n2, n3, n4, betas).mi_bits
+            want = relay_correlation_mi_bits_by_points(p1, n2, n3, n4, betas)
+            assert len(got) == len(want) == 21
+            assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-15
+
+
+def test_dual_route_covariance_routes_factor_each_grid_in_one_call(monkeypatch):
+    # One stacked log-det per routine, and one stacked positive-definiteness
+    # gate inside conditional_covariance: no kernel call per grid point.
+    kernel = gaussian._stacked_cholesky_log2_det
+    log_dets, gates = [], []
+
+    def counting(calls):
+        def count(stack):
+            calls.append(len(stack))
+            return kernel(stack)
+
+        return count
+
+    monkeypatch.setattr(selftest, "_stacked_cholesky_log2_det", counting(log_dets))
+    monkeypatch.setattr(gaussian, "_stacked_cholesky_log2_det", counting(gates))
+    rc.verify_single_relay_independence(1.0, 1.0, 1.0, 1.0, OFFSETS)
+    rc.verify_relay_correlation_invariance(1.0, 1.0, 1.0, 1.0, OFFSETS)
+    assert log_dets == gates == [21, 21]
 
 
 class TestBlockDecodeRate:
@@ -597,6 +638,31 @@ class TestUnvalidatedGains:
         with pytest.raises(ValueError, match=message):
             rc.cut_rate_table(net)
         assert any(p.startswith(pair) for p in rc.validate(net))
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan])
+    def test_achievable_side_names_the_pair(self, bad):
+        gains = _full_gains(3)
+        gains[0, 2] = bad
+        net = _net([rc.source(1, 1.0), rc.relay(2, 1.0, 1.0), rc.destination(3, 1.0)], gains)
+        q = rc.QuantizationVector.uniform(1.0, (2,))
+        message = re.escape(f"gain from node 1 to node 3 must be finite and >= 0, got {bad!r}")
+        with pytest.raises(ValueError, match=message):
+            rc.cf_rate(net, q)
+        with pytest.raises(ValueError, match=message):
+            rc.cf_feasible(net, q)
+        with pytest.raises(ValueError, match=message):
+            rc.optimize_quantization(net)
+        with pytest.raises(ValueError, match=message):
+            rc.build_rate_report(net)
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan])
+    def test_quantized_covariance_det_names_the_pair(self, bad):
+        gains = _full_gains(3)
+        gains[0, 1] = bad
+        net = _net([rc.source(1, 1.0), rc.relay(2, 1.0, 1.0), rc.destination(3, 1.0)], gains)
+        message = re.escape(f"gain from node 1 to node 2 must be finite and >= 0, got {bad!r}")
+        with pytest.raises(ValueError, match=message):
+            rc.quantized_covariance_det(net, (2,), rc.QuantizationVector.uniform(1.0, (2,)))
 
     @pytest.mark.parametrize("bad", [-1.0, math.nan])
     def test_diagonal_is_never_read(self, bad):

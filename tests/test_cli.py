@@ -215,6 +215,15 @@ class TestExitCodes:
         assert cli.main(["bound", "--config", cfg]) == 2
         assert "unknown keys" in capsys.readouterr().err
 
+    def test_negative_gain_prints_a_plain_float(self, tmp_path, capsys):
+        doc = _ref_doc()
+        doc["gains"][0][3] = -1.0
+        cfg = _write(tmp_path, "g.json", doc)
+        assert cli.main(["bound", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "gain from node 1 to node 4 must be finite and >= 0, got -1.0" in err
+        assert "source gain to node 4 must be strictly positive, got -1.0" in err
+
     def test_bool_count_rejected(self, tmp_path):
         cfg = _write(tmp_path, "v.json", {"verify": {"det_samples": True}})
         assert cli.main(["verify", "--config", cfg]) == 2

@@ -1,12 +1,13 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import det_cofactor
+from oracles import _cholesky_log2_det, det_cofactor
 from relaycap.errors import (
     DimensionMismatch,
     NegativePower,
@@ -15,7 +16,6 @@ from relaycap.errors import (
 )
 from relaycap.gaussian import (
     PD_EPSILON,
-    _cholesky_log2_det,
     _stacked_cholesky_log2_det,
     conditional_covariance,
     conditional_mi_bits,
@@ -139,6 +139,34 @@ class TestStackedCholesky:
         assert str(got.value) == str(want.value)
         assert got.value.index == 1
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.array([[1.0, math.nan, 0.0], [math.nan, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+            np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        ],
+        ids=["nan", "indefinite"],
+    )
+    def test_earlier_failure_is_reported_without_warnings(self, bad):
+        # ``bad`` fails at pivot 1, the next matrix already at pivot 0 and the
+        # one after only at pivot 2; the matrices after a failure must factor
+        # on without NaN or warnings.
+        spd = random_spd(np.random.default_rng(3), 3)
+        late, early = np.diag([1.0, 1.0, -1.0]), np.diag([-1.0, 1.0, 1.0])
+        stack = np.array([np.eye(3), spd, bad, early, late, spd])
+        for index, m in enumerate(stack):
+            try:
+                _cholesky_log2_det(m)
+            except NotPositiveDefinite as err:
+                want = err
+                break
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotPositiveDefinite) as got:
+                _stacked_cholesky_log2_det(stack)
+        assert str(got.value) == str(want)
+        assert got.value.index == index == 2
+
 
 class TestConditionalMiBits:
     def test_zero_power_is_exactly_zero(self):
@@ -243,3 +271,22 @@ class TestCovarianceHelpers:
         sigma = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
         with pytest.raises(NotPositiveDefinite):
             conditional_covariance(sigma, keep=[0], given=[1, 2])
+
+    def test_stacks_match_one_matrix_at_a_time(self):
+        rng = np.random.default_rng(11)
+        coefficients = rng.normal(size=(4, 5, 6))
+        variances = rng.uniform(0.1, 2.0, size=(4, 6))
+        sigma = joint_covariance(coefficients, variances)
+        cond = conditional_covariance(sigma, keep=[0, 2, 4], given=[1, 3])
+        assert sigma.shape == (4, 5, 5) and cond.shape == (4, 3, 3)
+        for k in range(4):
+            one = joint_covariance(coefficients[k], variances[k])
+            np.testing.assert_allclose(sigma[k], one, rtol=1e-12, atol=1e-12)
+            want = conditional_covariance(one, keep=[0, 2, 4], given=[1, 3])
+            np.testing.assert_allclose(cond[k], want, rtol=1e-12, atol=1e-12)
+
+    def test_singular_given_block_rejected_in_a_stack(self):
+        singular = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
+        with pytest.raises(NotPositiveDefinite) as err:
+            conditional_covariance(np.array([np.eye(3), singular]), keep=[0], given=[1, 2])
+        assert err.value.index == 1

@@ -20,8 +20,11 @@ powerless-relay), random T = 11 and 12 networks under ``--override-guard``,
 one geometry config, and two tiny-scale configs (every noise 1e-13; every
 power and noise 1e-200). Each network runs ``bound``, ``cfrate`` (uniform
 and coordinate, forall and exists, and ``--top-k 1000`` under both
-quantifiers) and ``sweep`` (forall and exists); ``verify`` runs with its
-defaults and with two seeds. Only the standard library and numpy are used.
+quantifiers) and ``sweep`` (forall and exists). Two configs that
+validation rejects (a negative relay-to-relay gain; a zero source gain)
+run ``bound`` and ``cfrate``, so config-error texts are compared too.
+``verify`` runs with its defaults and with two seeds. Only the standard
+library and numpy are used.
 """
 
 from __future__ import annotations
@@ -49,6 +52,8 @@ NETWORK_COMMANDS = (
     ["sweep", "--quantifier", "forall"],
     ["sweep", "--quantifier", "exists"],
 )
+
+CONFIG_ERROR_COMMANDS = (["bound"], ["cfrate"])
 
 # Runs inside each tree's interpreter: reads a JSON list of argv lists on
 # stdin and writes [exit code, stdout, stderr] per run as JSON on stdout.
@@ -178,15 +183,26 @@ def corpus() -> list[tuple[str, dict]]:
     return docs
 
 
+def config_errors() -> list[tuple[str, dict]]:
+    """Configs that validation rejects (exit 2): (name, config) pairs."""
+    negative = _doc(1.0, [(1.0, 1.0)] * 2, 1.0, np.ones((4, 4)))
+    negative["gains"][1][2] = -1.0
+    zero_source = _doc(1.0, [(1.0, 1.0)] * 2, 1.0, np.ones((4, 4)))
+    zero_source["gains"][0][2] = 0.0
+    return [("negative-gain", negative), ("zero-source-gain", zero_source)]
+
+
 def runs(config_dir: str) -> list[tuple[str, list[str]]]:
     """Write the corpus into config_dir; return (run name, argv) pairs."""
     out = []
-    for name, doc in corpus():
+    plans = [(entry, NETWORK_COMMANDS) for entry in corpus()]
+    plans += [(entry, CONFIG_ERROR_COMMANDS) for entry in config_errors()]
+    for (name, doc), commands in plans:
         path = os.path.join(config_dir, f"{name}.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
         big = len(doc["nodes"]) > 10
-        for command in NETWORK_COMMANDS:
+        for command in commands:
             argv = command + ["--config", path] + (["--override-guard"] if big else [])
             out.append((f"{name}: {' '.join(command)}", argv))
     out.append(("verify", ["verify"]))
