@@ -23,14 +23,16 @@ feasibility query is then one vectorized margin evaluation on that table.
 
 Rate is strictly decreasing in every Q_j and feasibility margins are
 strictly increasing, so the best admissible Q sits on the feasibility
-frontier and one monotone search (double up, halve down, bisect) finds
-it: uniformly (all Q_j equal) or per-coordinate (cyclic descent from the
-uniform solution). Margins rise toward the subset's denominator as Q
-grows, so a network is infeasible exactly when some denominator is not
-positive. A rate report evaluates every cut once: the bound is the
-source cut, the first row of that table. A sweep over the relay power
-multiplier shows the gap between the two sides collapsing as relay power
-grows.
+frontier. With all Q_j equal, one monotone search (double up, halve
+down, bisect) finds it. Coordinate descent then cycles from that uniform
+solution and moves each Q_j straight to its own frontier: with the other
+entries fixed, each subset's margin is nonnegative exactly above a
+closed-form threshold, so no search is needed. Margins rise toward the
+subset's denominator as Q grows, so a network is infeasible exactly when
+some denominator is not positive. A rate report evaluates every cut
+once: the bound is the source cut, the first row of that table. A sweep
+over the relay power multiplier shows the gap between the two sides
+collapsing as relay power grows.
 
 All rates are bits per channel use. Everything here is pure given an
 immutable NetworkSpec, and diagnostics are emitted in canonical
@@ -348,12 +350,13 @@ def _block_snr_sum(net: NetworkSpec, block: Block, r: int) -> float:
     """Sum over block members of lambda_ir P_i, divided by the receiver's
     source-interference-plus-noise floor lambda_1r P1 + N_r. The sum runs
     left to right (builtin sum compensates from Python 3.12 on), as the
-    constraint table's block sums do."""
-    floor = net.gain(1, r) * net.transmit_power(1) + net.noise_variance(r)
+    constraint table's block sums do. Gains are read through ``_gains``."""
+    source_gain, *gains = _gains(net, (1,) + tuple(block), (r,))[0].tolist()
+    floor = source_gain * net.transmit_power(1) + net.noise_variance(r)
     total = 0.0
-    for i in block:
+    for i, gain in zip(block, gains):
         if i != r:
-            total += net.gain(i, r) * net.transmit_power(i)
+            total += gain * net.transmit_power(i)
     return total / floor
 
 
@@ -612,36 +615,78 @@ def _frontier(feasible_at: Callable[[float], bool], start: float, rel_tol: float
     return hi
 
 
+def _coordinate_step(
+    table: _ConstraintTable, q_values: np.ndarray, k: int, rows: np.ndarray
+) -> float:
+    """Smallest feasible Q_k with every other Q fixed, or the current Q_k
+    when that is no smaller.
+
+    ``rows`` are the table rows of the subsets {k} + T, T running over the
+    subsets of the other relays in canonical order. Row S's margin, with
+    B_S = 1 + P1 sum_{i in S-k} lam_i/(N_i+Q_i) and
+    m_S = ln2 denom_S - sum_{i in S-k} log1p(N_i/Q_i) - ln B_S, is
+    nonnegative exactly when Q_k >= (N_k + P1 lam_k / B_S) / expm1(m_S),
+    so the frontier is the largest of these bounds. At a feasible Q every
+    exact m_S is positive; a row whose m_S rounds to <= 0 cannot resolve
+    Q_k and gives no bound, and one whose expm1 overflows gives 0. The
+    table has the last word: rounding can leave the bound a few ulps
+    infeasible, so it is stepped up geometrically, never past the current
+    Q_k, until ``table.feasible`` accepts it.
+    """
+    others = np.arange(len(q_values)) != k
+    noise, q = table.noise[others], q_values[others]
+    shrink = np.append(0.0, table._subset_sums(np.log1p(noise / q)))
+    source = table.p1 * np.append(0.0, table._subset_sums(table.lam[others] / (noise + q)))
+    m = _LN2 * table.denom_log2[rows] - shrink - np.log1p(source)
+    with np.errstate(over="ignore"):  # m > ~709.78: the bound is 0
+        grow = np.expm1(m)
+    need = table.noise[k] + table.p1 * table.lam[k] / (1.0 + source)
+    bound = np.divide(need, grow, out=np.zeros(len(m)), where=grow > 0.0).max()
+    current = q_values[k]
+    if not 0.0 < bound < current:
+        return current
+    trial = q_values.copy()
+    candidate, step = bound, np.finfo(float).eps
+    while candidate < current:
+        trial[k] = candidate
+        if table.feasible(trial):
+            return candidate
+        candidate, step = bound * (1.0 + step), 2.0 * step
+    return current
+
+
 def _coordinate_descent(
     table: _ConstraintTable, start: QuantizationVector, rel_tol: float
 ) -> QuantizationVector:
-    """Cyclically shrink each Q_j to its per-coordinate frontier.
+    """Cyclically move each Q_j to its exact per-coordinate frontier
+    (``_coordinate_step``: a closed form, no search).
 
     Each move keeps every margin nonnegative and never raises any Q, so
     the rate is nondecreasing; stop when a full cycle improves it by no
     more than rel_tol bits, or after DESCENT_MAX_CYCLES cycles.
     """
+    n = len(table.relays)
+    # Row of {k} + T, for T given by its mask over the other relays: bits
+    # below k stay, the rest move up one to make room for k.
+    rest = np.arange(1 << (n - 1))
+    rows = []
+    for k in range(n):
+        low = rest & ((1 << k) - 1)
+        rows.append((low | ((rest ^ low) << 1) | (1 << k)) - 1)
 
-    def as_vector(values: np.ndarray) -> QuantizationVector:
-        return QuantizationVector(entries=tuple(zip(table.relays, values)))
-
+    q_star = start
     q_values = np.array(start.values)
-    rate = cf_rate(table.net, as_vector(q_values))
+    rate = cf_rate(table.net, q_star)
     for _ in range(DESCENT_MAX_CYCLES):
-        for k in range(len(table.relays)):
-            def feasible_at(x: float) -> bool:
-                trial = q_values.copy()
-                trial[k] = x
-                return table.feasible(trial)
-
-            # Starts on the frontier; doubling only undoes numerical slack.
-            q_values[k] = _frontier(feasible_at, q_values[k], rel_tol)
-        new_rate = cf_rate(table.net, as_vector(q_values))
+        for k in range(n):
+            q_values[k] = _coordinate_step(table, q_values, k, rows[k])
+        q_star = QuantizationVector(entries=tuple(zip(table.relays, q_values)))
+        new_rate = cf_rate(table.net, q_star)
         improved = new_rate - rate
         rate = new_rate
         if improved <= rel_tol:
             break
-    return as_vector(q_values)
+    return q_star
 
 
 def _require_mode(mode: str) -> None:
@@ -685,9 +730,11 @@ def optimize_quantization(
 
     Rate falls as any Q_j grows, so the optimum sits on the feasibility
     frontier. ``uniform_bisection`` ties all Q_j to one scalar and bisects
-    it; ``coordinate_descent`` then shrinks coordinates cyclically, which
-    helps asymmetric networks and provably never hurts. Raises Infeasible
-    when no quantization works (e.g. powerless relays).
+    it to relative tolerance ``tol``; ``coordinate_descent`` then moves
+    each coordinate in turn to its exact frontier (a closed form, no
+    bisection), which helps asymmetric networks and provably never hurts,
+    and stops once a cycle gains no more than ``tol`` bits. Raises
+    Infeasible when no quantization works (e.g. powerless relays).
     """
     _require_mode(mode)
     return _optimize(_ConstraintTable(net, quantifier, override_guard), mode, tol)

@@ -366,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         "--mode": dict(choices=("uniform", "coordinate"), default=None,
                        help="quantization optimizer (default from config, else uniform)"),
-        "--tol": dict(type=float, default=None, help="bisection relative tolerance"),
+        "--tol": dict(type=float, default=None,
+                      help="uniform bisection relative tolerance; descent stop in bits"),
         "--top-k": dict(type=int, default=None, dest="top_k",
                         help="how many binding constraints to list (default 5)"),
         "--override-guard": dict(action="store_true",

@@ -9,8 +9,9 @@ sum over a 0/1 membership matrix against the table's doubling subset sums,
 the receiver-side covariance formula for a cut rate against the
 whitened-channel form, the cut table evaluated one cut at a time
 against its grouped, stacked evaluation, the scalar Cholesky kernel
-against the stacked one, and the dual-route covariance routes computed one
-grid point at a time against their stacked evaluation.
+against the stacked one, the dual-route covariance routes computed one
+grid point at a time against their stacked evaluation, and coordinate
+descent by per-coordinate bisection against its closed-form frontier.
 Nothing here is performance sensitive; clarity wins.
 """
 
@@ -18,7 +19,17 @@ import math
 
 import numpy as np
 
-from relaycap.bounds import _LN2, CutSpec, _block_snr_sum, _check_guard, cut_rate
+from relaycap.bounds import (
+    _LN2,
+    DESCENT_MAX_CYCLES,
+    CutSpec,
+    QuantizationVector,
+    _block_snr_sum,
+    _check_guard,
+    _frontier,
+    cf_rate,
+    cut_rate,
+)
 from relaycap.enumeration import ConstraintInstance, partitions, subsets
 from relaycap.gaussian import (
     PD_EPSILON,
@@ -211,3 +222,35 @@ def cut_table_by_cuts(net, override_guard=False):
         cut = CutSpec(tx_side=frozenset({1}) | set(extra))
         rows.append((cut, cut_rate(net, cut)))
     return tuple(rows)
+
+
+def coordinate_descent_by_bisection(table, start, rel_tol):
+    """Coordinate descent with each coordinate found by the ``_frontier``
+    bisection (to rel_tol) instead of its closed form: cyclically shrink
+    each Q_j to its per-coordinate frontier.
+
+    Each move keeps every margin nonnegative and never raises any Q, so
+    the rate is nondecreasing; stop when a full cycle improves it by no
+    more than rel_tol bits, or after DESCENT_MAX_CYCLES cycles.
+    """
+
+    def as_vector(values: np.ndarray) -> QuantizationVector:
+        return QuantizationVector(entries=tuple(zip(table.relays, values)))
+
+    q_values = np.array(start.values)
+    rate = cf_rate(table.net, as_vector(q_values))
+    for _ in range(DESCENT_MAX_CYCLES):
+        for k in range(len(table.relays)):
+            def feasible_at(x: float) -> bool:
+                trial = q_values.copy()
+                trial[k] = x
+                return table.feasible(trial)
+
+            # Starts on the frontier; doubling only undoes numerical slack.
+            q_values[k] = _frontier(feasible_at, q_values[k], rel_tol)
+        new_rate = cf_rate(table.net, as_vector(q_values))
+        improved = new_rate - rate
+        rate = new_rate
+        if improved <= rel_tol:
+            break
+    return as_vector(q_values)

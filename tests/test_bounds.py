@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import relaycap as rc
 from oracles import (
+    coordinate_descent_by_bisection,
     cut_rate_by_covariance,
     cut_table_by_cuts,
     det_cofactor,
@@ -19,7 +20,7 @@ from oracles import (
     table_by_partition_scan,
 )
 from relaycap import bounds, enumeration, gaussian, selftest
-from relaycap.bounds import _ConstraintTable
+from relaycap.bounds import BISECT_REL_TOL, _ConstraintTable
 from relaycap.errors import (
     GuardExceeded,
     Infeasible,
@@ -665,6 +666,18 @@ class TestUnvalidatedGains:
             rc.quantized_covariance_det(net, (2,), rc.QuantizationVector.uniform(1.0, (2,)))
 
     @pytest.mark.parametrize("bad", [-1.0, math.nan])
+    @pytest.mark.parametrize("tx", [1, 2])
+    def test_block_decode_rate_names_the_pair(self, tx, bad):
+        # tx = 1 puts the bad gain in the receiver's floor, tx = 2 in the
+        # block's sum.
+        gains = _full_gains(3)
+        gains[tx - 1, 2] = bad
+        net = _net([rc.source(1, 1.0), rc.relay(2, 1.0, 1.0), rc.destination(3, 1.0)], gains)
+        message = re.escape(f"gain from node {tx} to node 3 must be finite and >= 0, got {bad!r}")
+        with pytest.raises(ValueError, match=message):
+            rc.block_decode_rate(net, (2,), 3)
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan])
     def test_diagonal_is_never_read(self, bad):
         nodes = [rc.source(1, 2.0), rc.relay(2, 3.0, 0.5), rc.relay(3, 1.5, 2.0)]
         nodes.append(rc.destination(4, 1.0))
@@ -832,6 +845,20 @@ class TestConstraintTableDP:
                 atol=1e-12,
             )
 
+    @given(seed=st.integers(0, 10_000), t=st.integers(3, 8))
+    @settings(max_examples=25, deadline=None)
+    def test_binding_forall_blocks_have_distinct_receivers(self, seed, t):
+        # Merging two blocks that share a receiver never raises the total
+        # (log1p is subadditive), so the minimizing partition never needs
+        # two blocks decoded at one receiver.
+        net = _asymmetric_network(np.random.default_rng(seed), t)
+        table = _ConstraintTable(net, "forall")
+        denoms, instances = table_by_partition_scan(net, "forall")
+        assert np.array_equal(table.denom_log2, denoms)
+        assert table.instances == instances
+        for inst in table.instances:
+            assert len(set(inst.assignment)) == len(inst.assignment), inst
+
     @given(
         seed=st.integers(0, 10_000),
         t=st.integers(3, 7),
@@ -846,6 +873,109 @@ class TestConstraintTableDP:
             q_c, rate_c = rc.optimize_quantization(scaled_net, quantifier=quantifier)
             assert rate_c == pytest.approx(rate, abs=1e-9)
             np.testing.assert_allclose(q_c.values, np.multiply(c, q.values), rtol=1e-8)
+
+
+def _descent_cases():
+    rng = np.random.default_rng(20261019)
+    for t in range(3, 11):
+        yield pytest.param(random_network(rng, t), id=f"random-T{t}")
+        yield pytest.param(_asymmetric_network(rng, t), id=f"asymmetric-T{t}")
+        yield pytest.param(
+            _equal_gain_network(t, lambda j: 10.0 ** (j % 3)), id=f"tied-powers-T{t}"
+        )
+        powers = 10.0 ** rng.uniform(0.0, 3.0, size=t)
+        yield pytest.param(
+            _equal_gain_network(t, lambda j: float(powers[j])), id=f"unit-gain-T{t}"
+        )
+
+
+def _uniform_start(table):
+    start, _ = bounds._optimize(table, "uniform_bisection", BISECT_REL_TOL)
+    return start
+
+
+def _extreme_networks():
+    """T = 5, unit gains, relay powers 1e100, 1e250 and 1e300, and the
+    relay noises 1e-300, 1 and 1e300 in every order."""
+    for noises in itertools.permutations((1e-300, 1.0, 1e300)):
+        nodes = [rc.source(1, 1.0)]
+        nodes += [rc.relay(j, p, n) for j, p, n in zip((2, 3, 4), (1e100, 1e250, 1e300), noises)]
+        yield _net(nodes + [rc.destination(5, 1.0)])
+
+
+class TestCoordinateDescent:
+    """The closed-form per-coordinate frontier against the bisection
+    descent it replaced (``coordinate_descent_by_bisection``)."""
+
+    @pytest.mark.parametrize("net", _descent_cases())
+    def test_matches_bisection_oracle(self, net):
+        for quantifier in ("forall", "exists"):
+            table = _ConstraintTable(net, quantifier)
+            start = _uniform_start(table)
+            q = bounds._coordinate_descent(table, start, BISECT_REL_TOL)
+            want = coordinate_descent_by_bisection(table, start, BISECT_REL_TOL)
+            assert rc.cf_rate(net, q) == pytest.approx(rc.cf_rate(net, want), rel=0.0, abs=1e-9)
+            q_values = np.array(q.values)
+            assert table.feasible(q_values)
+            assert not table.feasible(q_values * (1.0 - 1e-6))
+            # Bisection stops up to rel_tol above each coordinate's frontier,
+            # and that slack moves where the descent stalls, either way. At a
+            # matched tight tolerance both follow the same path.
+            tight = 1e-15
+            got = rc.cf_rate(net, bounds._coordinate_descent(table, start, tight))
+            want = coordinate_descent_by_bisection(table, start, tight)
+            assert got >= rc.cf_rate(net, want) - 1e-12
+
+    def test_bisection_runs_only_for_the_uniform_start(self, monkeypatch):
+        calls = []
+        real = bounds._frontier
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(bounds, "_frontier", counting)
+        net = random_network(np.random.default_rng(8), 8)
+        for quantifier in ("forall", "exists"):
+            for optimize in (rc.optimize_quantization, rc.build_rate_report):
+                calls.clear()
+                optimize(net, "coordinate_descent", quantifier)
+                assert len(calls) == 1
+            for extreme in _extreme_networks():
+                calls.clear()
+                rc.optimize_quantization(extreme, "coordinate_descent", quantifier)
+                assert len(calls) == 1
+
+    @pytest.mark.parametrize("net", _extreme_networks())
+    def test_extreme_magnitudes(self, net):
+        for quantifier in ("forall", "exists"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    q, _ = rc.optimize_quantization(net, "coordinate_descent", quantifier)
+                except Infeasible:
+                    table = _ConstraintTable(net, quantifier)
+                    with pytest.raises(Infeasible):
+                        coordinate_descent_by_bisection(
+                            table, _uniform_start(table), BISECT_REL_TOL
+                        )
+                    continue
+                table = _ConstraintTable(net, quantifier)
+                start = np.array(_uniform_start(table).values)
+            q_values = np.array(q.values)
+            assert table.feasible(q_values)
+            assert np.all(q_values > 0.0)
+            assert np.all(q_values <= start)
+
+    def test_coordinate_is_kept_when_every_bound_overflows(self, reference_network):
+        # With 2000-bit denominators every m_S is near 1386 nats, past
+        # expm1's overflow at ~709.78, so every bound is 0: no help.
+        table = _ConstraintTable(reference_network, "forall")
+        table.denom_log2 = np.full_like(table.denom_log2, 2000.0)
+        start = rc.QuantizationVector.uniform(1.0, table.relays)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bounds._coordinate_descent(table, start, BISECT_REL_TOL) == start
 
 
 class TestRateReport:

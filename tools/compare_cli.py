@@ -10,7 +10,8 @@ and compares stdout, stderr and exit code run by run. It prints:
 - how many runs are identical;
 - how many output lines moved, where a moved line is one whose text is
   unchanged once every number in it is masked;
-- the largest |delta| of each command and column over the moved lines;
+- the largest |delta| of each command and column over the moved lines,
+  with how many of its numbers went up and how many went down;
 - every change of exit code (an uncaught exception counts as an exit code);
 - every other difference, with the first line that differs.
 
@@ -266,6 +267,8 @@ def compare_lines(name, command, old_text, new_text, deltas):
                 if delta > 0.0:
                     entry[1] = max(entry[1], delta / max(abs(x), abs(y)))
                 entry[2] += 1
+                entry[4] += y > x
+                entry[5] += y < x
     return moved, None
 
 
@@ -281,7 +284,7 @@ def main() -> int:
 
     identical = moved_lines = moved_runs = 0
     total_lines = sum(len((out + err).splitlines()) for _, out, err in old)
-    deltas = defaultdict(lambda: [0.0, 0.0, 0, ""])
+    deltas = defaultdict(lambda: [0.0, 0.0, 0, "", 0, 0])
     code_changes, other = [], []
     for (name, argv), (c0, out0, err0), (c1, out1, err1) in zip(plan, old, new):
         if (c0, out0, err0) == (c1, out1, err1):
@@ -301,9 +304,15 @@ def main() -> int:
 
     print(f"runs: {len(plan)}, identical: {identical}")
     print(f"moved lines: {moved_lines} of {total_lines} in {moved_runs} runs")
-    print("largest |delta| per command and column (abs, rel, numbers moved, run of abs):")
-    for (command, column), (d_abs, d_rel, count, where) in sorted(deltas.items()):
-        print(f"  {command:7s} {column:18s} {d_abs:.3e}  {d_rel:.3e}  {count:4d}  {where}")
+    print(
+        "largest |delta| per command and column "
+        "(abs, rel, numbers moved, up, down, run of abs):"
+    )
+    for (command, column), (d_abs, d_rel, count, where, up, down) in sorted(deltas.items()):
+        print(
+            f"  {command:7s} {column:18s} {d_abs:.3e}  {d_rel:.3e}  {count:4d}"
+            f"  {up:4d}  {down:4d}  {where}"
+        )
     print(f"exit-code changes: {len(code_changes)}")
     print("\n".join(code_changes) if code_changes else "  (none)")
     print(f"other differences: {len(other)}")
