@@ -34,7 +34,9 @@ once: the bound is the source cut, the first row of that table. A sweep
 over the relay power multiplier shows the gap between the two sides
 collapsing as relay power grows.
 
-All rates are bits per channel use. Everything here is pure given an
+All rates are bits per channel use. Every analysis first checks its
+network with ``topology.validate`` and raises one ValueError listing the
+problems of a network that fails it. Everything here is pure given an
 immutable NetworkSpec, and diagnostics are emitted in canonical
 enumeration order so output is deterministic.
 """
@@ -58,7 +60,7 @@ from .errors import (
     VerificationFailure,
 )
 from .gaussian import _stacked_cholesky_log2_det, _whitened, conditional_mi_bits
-from .topology import NetworkSpec, scaled
+from .topology import NetworkSpec, scaled, validate
 
 _LN2 = math.log(2.0)
 
@@ -85,6 +87,11 @@ _OPT_MODES = ("uniform_bisection", "coordinate_descent")
 def _require_quantifier(quantifier: str) -> None:
     if quantifier not in _QUANTIFIERS:
         raise ValueError(f"quantifier must be one of {_QUANTIFIERS}, got {quantifier!r}")
+
+
+def _require_cover(q: QuantizationVector, relays: tuple[int, ...]) -> None:
+    if q.ids != relays:
+        raise ValueError(f"quantization vector covers relays {q.ids}, network has {relays}")
 
 
 def _check_guard(net: NetworkSpec, override_guard: bool) -> None:
@@ -212,20 +219,16 @@ class SweepRow:
 
 def _gains(net: NetworkSpec, tx: tuple[int, ...], rx: tuple[int, ...]) -> np.ndarray:
     """Power gains lambda_ij with receivers j by rows and transmitters i by
-    columns. An entry with i == j (a relay on both lists) is no channel: it
-    is set to 0 and never read. Any other gain that is not finite and >= 0
-    raises ValueError naming its node pair."""
+    columns. Every analysis reads its network here first, so this is where
+    a network that ``validate`` rejects raises one ValueError listing every
+    problem. An entry with i == j (a relay on both lists) is no channel: it
+    is set to 0 and never read."""
+    problems = validate(net)
+    if problems:
+        raise ValueError("invalid network: " + "; ".join(problems))
     t, r = np.array(tx), np.array(rx)
     # net.gains[i-1, j-1] runs from i to j.
-    gains = np.where(t[:, None] != r, net.gains[(t - 1)[:, None], r - 1], 0.0)
-    bad = ~((gains >= 0.0) & np.isfinite(gains))
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise ValueError(
-            f"gain from node {tx[i]} to node {rx[j]} must be finite and >= 0, "
-            f"got {float(gains[i, j])!r}"
-        )
-    return gains.T
+    return np.where(t[:, None] != r, net.gains[(t - 1)[:, None], r - 1], 0.0).T
 
 
 def cut_rate(net: NetworkSpec, cut: CutSpec) -> float:
@@ -245,9 +248,10 @@ def cut_rate(net: NetworkSpec, cut: CutSpec) -> float:
         raise ValueError("cut transmitter side must exclude the destination")
     tx = cut.sorted_ids()
     rx = tuple(sorted(all_ids - cut.tx_side))
+    gains = np.sqrt(_gains(net, tx, rx))
     powers = np.array([net.transmit_power(i) for i in tx])
     noises = np.array([net.noise_variance(j) for j in rx])
-    return conditional_mi_bits(np.sqrt(_gains(net, tx, rx)), powers, noises)
+    return conditional_mi_bits(gains, powers, noises)
 
 
 def source_cut_bound(net: NetworkSpec) -> float:
@@ -272,12 +276,9 @@ def _cut_rates(net: NetworkSpec, override_guard: bool) -> np.ndarray:
     the error is ``cut_rate``'s on the first of them in canonical order.
     """
     _check_guard(net, override_guard)
-    relays = tuple(sorted(net.relay_ids))
-    t = net.num_nodes
-    if not set(relays) <= set(range(2, t)):
-        raise ValueError(f"relays {relays} must be nodes 2..{t - 1} of the {t}-node network")
+    relays = net.relay_ids
     tx = (1,) + relays
-    rx = tuple(range(2, t + 1))
+    rx = tuple(range(2, net.num_nodes + 1))
     a = _whitened(
         np.sqrt(_gains(net, tx, rx)),
         np.array([net.transmit_power(i) for i in tx]),
@@ -330,7 +331,7 @@ def _min_cut(net: NetworkSpec, rates: np.ndarray) -> tuple[float, CutSpec]:
     """The smallest of the canonical-order cut rates with its cut; ties go
     to the earliest cut."""
     best = int(np.argmin(rates))
-    extra = tuple(r for i, r in enumerate(sorted(net.relay_ids)) if best >> i & 1)
+    extra = tuple(r for i, r in enumerate(net.relay_ids) if best >> i & 1)
     return float(rates[best]), CutSpec(tx_side=(1,) + extra)
 
 
@@ -395,10 +396,10 @@ def quantized_covariance_det(
 def _log2_quantized_covariance_det(
     net: NetworkSpec, s: tuple[int, ...], q_values: np.ndarray
 ) -> float:
-    p1 = net.transmit_power(1)
     u = np.sqrt(_gains(net, (1,), s)[:, 0])
     noise = np.array([net.noise_variance(i) for i in s])
-    m = np.diag(noise + q_values) + p1 * np.outer(u, u)  # exactly symmetric
+    # exactly symmetric
+    m = np.diag(noise + q_values) + net.transmit_power(1) * np.outer(u, u)
     return float(_stacked_cholesky_log2_det(m[None])[0])
 
 
@@ -536,10 +537,7 @@ class _ConstraintTable:
     def constraint_margins(self, q: QuantizationVector) -> tuple[ConstraintMargin, ...]:
         """Every subset's binding instance with its margin at Q, in
         canonical subset order."""
-        if q.ids != self.relays:
-            raise ValueError(
-                f"quantization vector covers relays {q.ids}, network has {self.relays}"
-            )
+        _require_cover(q, self.relays)
         margins = self.margins_log2(np.array(q.values))
         return tuple(
             ConstraintMargin(instance=inst, margin_log2=float(m))
@@ -572,10 +570,7 @@ def cf_rate(net: NetworkSpec, q: QuantizationVector) -> float:
     decodes at once the forwarded indices are absorbed.
     """
     relays = net.relay_ids
-    if q.ids != relays:
-        raise ValueError(
-            f"quantization vector covers relays {q.ids}, network has {relays}"
-        )
+    _require_cover(q, relays)
     gains = np.sqrt(_gains(net, (1,), relays + (net.destination_id,)))
     noises = np.array(
         [net.noise_variance(j) + q.get(j) for j in relays]
@@ -795,37 +790,18 @@ def convergence_sweep(
     bound = source_cut_bound(net)
     rows: list[SweepRow] = []
     for g in gammas:
-        net_g = scaled(net, g)
         try:
             q_star, rate = optimize_quantization(
-                net_g, "uniform_bisection", quantifier, tol, override_guard
+                scaled(net, g), "uniform_bisection", quantifier, tol, override_guard
             )
         except Infeasible:
-            rows.append(
-                SweepRow(
-                    gamma=g,
-                    upper_bound_bits=bound,
-                    cf_rate_bits=math.nan,
-                    gap_bits=math.nan,
-                    q_uniform=math.nan,
-                    feasible=False,
-                )
-            )
-            continue
+            feasible, rate, q_uni = False, math.nan, math.nan
+        else:
+            feasible, q_uni = True, max(q_star.values, default=math.nan)
         gap = bound - rate
-        if not gap >= -RATE_TOL_BITS:
+        if feasible and not gap >= -RATE_TOL_BITS:
             raise VerificationFailure(
                 f"rate {rate!r} exceeds bound {bound!r} at gamma={g!r}"
             )
-        q_uni = max(q_star.values) if q_star.values else math.nan
-        rows.append(
-            SweepRow(
-                gamma=g,
-                upper_bound_bits=bound,
-                cf_rate_bits=rate,
-                gap_bits=gap,
-                q_uniform=q_uni,
-                feasible=True,
-            )
-        )
+        rows.append(SweepRow(g, bound, rate, gap, q_uni, feasible))
     return tuple(rows)

@@ -39,6 +39,7 @@ import sys
 import numpy as np
 
 from .bounds import (
+    BISECT_REL_TOL,
     build_rate_report,
     convergence_sweep,
     cut_rate_table,
@@ -163,7 +164,7 @@ def _cf_settings(doc: dict, args: argparse.Namespace) -> tuple[str, str, float, 
     mode_word = getattr(args, "mode", None) or cf.get("mode", "uniform")
     if not isinstance(mode_word, str) or mode_word not in _MODE_WORDS:
         raise ConfigError(f"mode must be uniform or coordinate, got {mode_word!r}")
-    tol = args.tol if args.tol is not None else cf.get("tol", 1e-9)
+    tol = args.tol if args.tol is not None else cf.get("tol", BISECT_REL_TOL)
     if isinstance(tol, bool):
         raise ConfigError(f"bad tol: {tol!r}")
     try:

@@ -276,7 +276,7 @@ def alpha_suite(offsets: tuple[float, ...] | None = None) -> CheckResult:
                         pw = max(p1 - a * a * p2, 0.0)
                         want = 0.5 * math.log2(1.0 + pw / n2 + pw / n3)
                         worst_expect = max(worst_expect, abs(got - want))
-                    if worst_expect > 1e-9:
+                    if worst_expect > RATE_TOL_BITS:
                         return CheckResult(
                             name,
                             False,
@@ -424,7 +424,7 @@ def achievability_suite(samples: int = 100, seed: int = 20250813) -> CheckResult
         rate = cf_rate(net, q)
         bound = source_cut_bound(net)
         worst_slack = min(worst_slack, bound - rate)
-        if rate > bound + 1e-9:
+        if rate > bound + RATE_TOL_BITS:
             return CheckResult(name, False, f"sample {i}: rate {rate!r} exceeds bound {bound!r}")
     detail = f"{samples} random networks; smallest bound-rate slack {worst_slack:.3e} bits"
     return CheckResult(name, True, detail)

@@ -206,8 +206,11 @@ def from_geometry(
 def validate(net: NetworkSpec) -> list[str]:
     """All invariant violations as human-readable strings; empty means valid.
 
-    Violations are data, not faults: malformed networks construct fine and
-    are diagnosed here, so a front end can print every problem at once.
+    This is the one definition of a network the library will analyse: the
+    CLI refuses a config whose network fails it, and every analysis in
+    ``bounds`` raises ValueError("invalid network: ...") on one. Violations
+    are data, not faults: malformed networks construct fine and are
+    diagnosed here, so a front end can print every problem at once.
     """
     problems: list[str] = []
     t = net.num_nodes

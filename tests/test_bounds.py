@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import json
 import math
 import re
 import warnings
@@ -19,7 +21,7 @@ from oracles import (
     subset_sums_by_columns,
     table_by_partition_scan,
 )
-from relaycap import bounds, enumeration, gaussian, selftest
+from relaycap import bounds, cli, enumeration, gaussian, selftest
 from relaycap.bounds import BISECT_REL_TOL, _ConstraintTable
 from relaycap.errors import (
     GuardExceeded,
@@ -692,6 +694,103 @@ class TestUnvalidatedGains:
             assert rc.min_cut_bound(noisy) == rc.min_cut_bound(net)
             for cut, rate in rc.cut_rate_table(net):
                 assert rc.cut_rate(noisy, cut) == rate
+
+
+def _invalid_network(case):
+    """The 4-node network (unit gains; P1 = 1; relays 2 and 3 with P = 10,
+    N = 1; destination noise 1) with one field made invalid."""
+    nodes = [rc.source(1, 1.0), rc.relay(2, 10.0, 1.0), rc.relay(3, 10.0, 1.0)]
+    nodes.append(rc.destination(4, 1.0))
+    gains = _full_gains(4)
+    kind, value = case
+    if kind == "zero source gain":
+        gains[0, 2] = 0.0
+    elif kind == "roles swapped":
+        nodes[2:] = [rc.destination(3, 1.0), rc.relay(4, 10.0, 1.0)]
+    else:
+        node, field = {
+            "relay noise": (2, "noise"),
+            "destination noise": (4, "noise"),
+            "relay power": (2, "power"),
+            "source power": (1, "power"),
+        }[kind]
+        nodes[node - 1] = dataclasses.replace(nodes[node - 1], **{field: value})
+    return _net(nodes, gains)
+
+
+_INVALID_CASES = [
+    *(("relay noise", v) for v in (0.0, -1.0, math.nan, math.inf)),
+    ("destination noise", 0.0),
+    *(("relay power", v) for v in (-1.0, math.nan, math.inf)),
+    *(("source power", v) for v in (-1.0, math.nan, math.inf)),
+    ("zero source gain", None),
+    ("roles swapped", None),
+]
+
+_ANALYSES = {
+    "source_cut_bound": lambda net, q: rc.source_cut_bound(net),
+    "cut_rate": lambda net, q: rc.cut_rate(net, rc.CutSpec(tx_side=frozenset({1, 2}))),
+    "cut_rate_table": lambda net, q: rc.cut_rate_table(net),
+    "min_cut_bound": lambda net, q: rc.min_cut_bound(net),
+    "cf_rate": lambda net, q: rc.cf_rate(net, q),
+    "cf_feasible": lambda net, q: rc.cf_feasible(net, q),
+    **{
+        f"optimize_quantization-{mode}-{quantifier}": (
+            lambda net, q, mode=mode, quantifier=quantifier: rc.optimize_quantization(
+                net, mode, quantifier
+            )
+        )
+        for mode in ("uniform_bisection", "coordinate_descent")
+        for quantifier in ("forall", "exists")
+    },
+    "build_rate_report": lambda net, q: rc.build_rate_report(net),
+    "convergence_sweep": lambda net, q: rc.convergence_sweep(net, [1.0, 10.0]),
+    "block_decode_rate": lambda net, q: rc.block_decode_rate(net, (2,), net.num_nodes),
+    "quantized_covariance_det": lambda net, q: rc.quantized_covariance_det(
+        net, net.relay_ids, q
+    ),
+}
+
+
+class TestInvalidNetworks:
+    """Every analysis refuses a network that ``validate`` rejects, with one
+    ValueError listing every problem: no Infeasible, no arithmetic error,
+    no warning and no number."""
+
+    @pytest.mark.parametrize("analysis", sorted(_ANALYSES))
+    @pytest.mark.parametrize(
+        "case", _INVALID_CASES, ids=[k if v is None else f"{k}={v}" for k, v in _INVALID_CASES]
+    )
+    def test_one_error_for_every_invalid_network(self, case, analysis):
+        net = _invalid_network(case)
+        problems = rc.validate(net)
+        assert problems
+        q = rc.QuantizationVector.uniform(1.0, net.relay_ids)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                _ANALYSES[analysis](net, q)
+        assert problems[0] in str(err.value)
+        assert str(err.value) == "invalid network: " + "; ".join(problems)
+
+    def test_library_message_is_the_cli_message(self, tmp_path, capsys):
+        net = _invalid_network(("relay noise", 0.0))
+        doc = {
+            "nodes": [
+                {"id": 1, "role": "source", "power": 1.0},
+                {"id": 2, "role": "relay", "power": 10.0, "noise": 0.0},
+                {"id": 3, "role": "relay", "power": 10.0, "noise": 1.0},
+                {"id": 4, "role": "destination", "noise": 1.0},
+            ],
+            "gains": net.gains.tolist(),
+        }
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["bound", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        with pytest.raises(ValueError) as lib:
+            rc.source_cut_bound(net)
+        assert err == f"config error: {lib.value}\n"
 
 
 def _table_cases():

@@ -21,16 +21,18 @@ powerless-relay), random T = 11 and 12 networks under ``--override-guard``,
 one geometry config, and two tiny-scale configs (every noise 1e-13; every
 power and noise 1e-200). Each network runs ``bound``, ``cfrate`` (uniform
 and coordinate, forall and exists, and ``--top-k 1000`` under both
-quantifiers) and ``sweep`` (forall and exists). Two configs that
-validation rejects (a negative relay-to-relay gain; a zero source gain)
-run ``bound`` and ``cfrate``, so config-error texts are compared too.
-``verify`` runs with its defaults and with two seeds. Only the standard
-library and numpy are used.
+quantifiers) and ``sweep`` (forall and exists). Five configs that
+validation rejects (a negative relay-to-relay gain, a zero source gain, a
+zero relay noise, a negative source power, a NaN relay noise) run
+``bound``, ``cfrate`` and ``sweep``, so config-error texts are compared
+too. ``verify`` runs with its defaults and with two seeds: 441 runs in
+all. Only the standard library and numpy are used.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -54,7 +56,7 @@ NETWORK_COMMANDS = (
     ["sweep", "--quantifier", "exists"],
 )
 
-CONFIG_ERROR_COMMANDS = (["bound"], ["cfrate"])
+CONFIG_ERROR_COMMANDS = (["bound"], ["cfrate"], ["sweep"])
 
 # Runs inside each tree's interpreter: reads a JSON list of argv lists on
 # stdin and writes [exit code, stdout, stderr] per run as JSON on stdout.
@@ -185,12 +187,19 @@ def corpus() -> list[tuple[str, dict]]:
 
 
 def config_errors() -> list[tuple[str, dict]]:
-    """Configs that validation rejects (exit 2): (name, config) pairs."""
+    """Configs that validation rejects (exit 2): (name, config) pairs. A NaN
+    noise is written as the bare ``NaN`` that the CLI's json.load accepts."""
     negative = _doc(1.0, [(1.0, 1.0)] * 2, 1.0, np.ones((4, 4)))
     negative["gains"][1][2] = -1.0
     zero_source = _doc(1.0, [(1.0, 1.0)] * 2, 1.0, np.ones((4, 4)))
     zero_source["gains"][0][2] = 0.0
-    return [("negative-gain", negative), ("zero-source-gain", zero_source)]
+    return [
+        ("negative-gain", negative),
+        ("zero-source-gain", zero_source),
+        ("zero-relay-noise", _doc(1.0, [(10.0, 0.0), (10.0, 1.0)], 1.0, np.ones((4, 4)))),
+        ("negative-source-power", _doc(-1.0, [(10.0, 1.0)] * 2, 1.0, np.ones((4, 4)))),
+        ("nan-relay-noise", _doc(1.0, [(10.0, math.nan), (10.0, 1.0)], 1.0, np.ones((4, 4)))),
+    ]
 
 
 def runs(config_dir: str) -> list[tuple[str, list[str]]]:
