@@ -15,11 +15,16 @@ divided by a product of per-block decoding factors, taken over partitions
 of S and receiver assignments. The `forall` quantifier requires the
 inequality against every (partition, assignment); `exists` requires one
 witness per subset. The decoding factors do not depend on Q, so one
-analysis builds one constraint table: per subset, the extreme denominator
-and its attaining instance. A block's factor does not depend on the other
-blocks, so each extreme comes from an O(3^R) subset DP over the R relays
-(``_ConstraintTable`` states the recurrence and its tie-break). Every
-feasibility query is then one vectorized margin evaluation on that table.
+analysis builds one constraint table: per subset, the extreme
+denominator. A block's factor does not depend on the other blocks, so
+each extreme comes from an O(3^R) subset DP over the R relays
+(``_ConstraintTable`` states the recurrence and its tie-break); every
+block's factor comes from one array of block sums. The table keeps the
+DP's choices, not the attaining (partition, assignment) instances: it
+builds a subset's instance only when a caller reads it (a rate report's
+binding rows, an infeasibility message, ``cf_feasible``'s diagnostics).
+Every feasibility query is one vectorized margin evaluation on the
+denominators.
 
 Rate is strictly decreasing in every Q_j and feasibility margins are
 strictly increasing, so the best admissible Q sits on the feasibility
@@ -46,6 +51,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -403,14 +409,32 @@ def _log2_quantized_covariance_det(
     return float(_stacked_cholesky_log2_det(m[None])[0])
 
 
+@cache
+def _dp_layout(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The constraint table's mask bookkeeping for n relays. It depends on
+    n alone, so it is built once per relay count: each relay's DP bit,
+    each DP mask's eligible receivers as columns in id order (the relays
+    outside it, then the destination, column n), and the DP mask of each
+    canonical row (by doubling: row 2^i + k is row k plus relay i)."""
+    # DP masks give the smallest relay the highest bit, so a descending
+    # submask walk meets candidate blocks in restricted-growth order.
+    bit = tuple(1 << (n - 1 - i) for i in range(n))
+    columns = [(n,)]
+    for i in reversed(range(n)):
+        columns = [(i,) + c for c in columns] + columns
+    masks = [0]
+    for b in bit:
+        masks += [m | b for m in masks]
+    return bit, tuple(columns), tuple(masks)
+
+
 class _ConstraintTable:
     """The whole constraint family of one analysis, reduced to arrays.
 
     Row k stands for the k-th nonempty relay subset S in canonical order
-    (relay mask k + 1, bit i selecting the i-th sorted relay) and holds two
-    things: ``denom_log2[k]``, the extreme over the family of
-    sum log2(1 + block snr), and ``instances[k]``, the (partition,
-    assignment) attaining it. The per-block factors do not involve Q, so
+    (relay mask k + 1, bit i selecting the i-th sorted relay).
+    ``denom_log2[k]`` is the extreme over the family of
+    sum log2(1 + block snr). The per-block factors do not involve Q, so
     they are computed once; a feasibility query for a concrete Q then sums
     two per-relay terms over every subset (``margins_log2``).
 
@@ -423,10 +447,18 @@ class _ConstraintTable:
         f(S) = ext over B subset of S holding the smallest relay of S
                of v(B) + f(S minus B),    f(empty) = 0.
 
-    Equal totals go to the first block in restricted-growth order: at the
-    smallest relay where two candidate blocks differ, the block containing
-    it wins. Equal receivers go to the smallest id. ``denom_log2`` is the
-    left-to-right sum of the chosen blocks' values.
+    Every block's sums at every receiver form one (2^R, R + 1) array;
+    v(B) is the extreme of log2(1 + sum / floor) over B's eligible
+    receivers. Equal totals go to the first block in restricted-growth
+    order: at the smallest relay where two candidate blocks differ, the
+    block containing it wins. Equal receivers go to the smallest id.
+    ``denom_log2`` is the left-to-right sum of the chosen blocks' values.
+
+    The table stores ``denom_log2``, each DP mask's first block and each
+    block's receiver, nothing per row beyond that. ``instance(k)`` follows
+    row k's blocks and builds its (partition, assignment) on demand;
+    ``instances`` builds every row's, once, for the callers that report
+    every subset.
     """
 
     def __init__(self, net: NetworkSpec, quantifier: str, override_guard: bool = False):
@@ -437,37 +469,36 @@ class _ConstraintTable:
         self.relays = relays
         n = len(relays)
         full = (1 << n) - 1
-        # exists maximizes; negating its scores (exact) lets both minimize.
-        sign = 1.0 if quantifier == "forall" else -1.0
-        # DP masks give the smallest relay the highest bit, so a descending
-        # submask walk meets candidate blocks in restricted-growth order.
-        bit = [1 << (n - 1 - i) for i in range(n)]
-        members = [tuple(r for r, b in zip(relays, bit) if m & b) for m in range(full + 1)]
+        bit, columns, masks = _dp_layout(n)
 
-        # v(B) and its receiver, in _block_snr_sum's arithmetic: a block's
-        # sum extends the sum without its largest relay (the lowest bit).
+        # v(B) and its receiver for every DP mask B, in _block_snr_sum's
+        # arithmetic. The masks holding only relays before relay i are the
+        # multiples of 2^(n-i); adding relay i to each extends its sums by
+        # the largest relay last, so every row is the left-to-right sum
+        # over its block.
         candidates = relays + (net.destination_id,)
         gains = _gains(net, (1,) + relays, candidates)
         noise = np.array([net.noise_variance(r) for r in candidates])
         self.p1 = net.transmit_power(1)
-        floors = (gains[:, 0] * self.p1 + noise).tolist()
-        terms = (gains[:, 1:] * [net.transmit_power(i) for i in relays]).T.tolist()
-        sums = [[0.0] * len(candidates)]
-        value, receiver = [0.0], [0]
-        for m in range(1, full + 1):
-            low = m & -m
-            sums.append([a + t for a, t in zip(sums[m ^ low], terms[n - low.bit_length()])])
-            best_v: float | None = None
-            for j, r in enumerate(candidates):
-                if j < n and m & bit[j]:
-                    continue
-                v = math.log1p(sums[m][j] / floors[j]) / _LN2
-                if best_v is None or sign * v < sign * best_v:
-                    best_v, best_r = v, r
-            assert best_v is not None  # the destination is always eligible
-            value.append(best_v)
-            receiver.append(best_r)
-        score = [sign * v for v in value]
+        # lambda_ir P_i for the source (column 0) and every relay.
+        signal = gains * [net.transmit_power(i) for i in (1,) + relays]
+        floors = (signal[:, 0] + noise).tolist()
+        sums = np.zeros((full + 1, n + 1))
+        with np.errstate(over="ignore"):  # inf, silently, as Python floats give
+            for b, term in zip(bit, signal[:, 1:].T):
+                np.add(sums[:: 2 * b], term, out=sums[b :: 2 * b])
+        # math.log1p, not np.log1p, whose last bit differs on some inputs.
+        values = [
+            [math.log1p(x / f) / _LN2 for x, f in zip(row, floors)] for row in sums.tolist()
+        ]
+        # min and max keep the first of equal values: the smallest id.
+        extreme = min if quantifier == "forall" else max
+        self._receiver_column = [
+            extreme(c, key=row.__getitem__) for c, row in zip(columns, values)
+        ]
+        value = [row[j] for row, j in zip(values, self._receiver_column)]
+        # exists maximizes; negating its scores (exact) lets both minimize.
+        score = value if quantifier == "forall" else [-v for v in value]
 
         f = [0.0] * (full + 1)  # signed extreme totals
         first_block = [0] * (full + 1)
@@ -483,25 +514,43 @@ class _ConstraintTable:
                     best, pick = total, top | sub
             f[s], first_block[s] = best, pick
 
-        denoms: list[float] = []
-        instances: list[ConstraintInstance] = []
-        for c in range(1, full + 1):  # canonical order: bit i of c selects relays[i]
-            s = m = sum(b for i, b in enumerate(bit) if c >> i & 1)
-            blocks, recv, total = [], [], 0.0
+        denoms = []
+        for m in masks[1:]:
+            total = 0.0
             while m:
                 b = first_block[m]
-                blocks.append(members[b])
-                recv.append(receiver[b])
                 total += value[b]
                 m ^= b
             denoms.append(total)
-            instances.append(
-                ConstraintInstance(s=members[s], partition=tuple(blocks), assignment=tuple(recv))
-            )
         self.denom_log2 = np.array(denoms)
-        self.instances = tuple(instances)
+        self._first_block = first_block
         self.lam = gains[:n, 0]
         self.noise = noise[:n]
+
+    def instance(self, k: int) -> ConstraintInstance:
+        """Row k's binding (partition, assignment): the DP's first blocks
+        followed from the row's mask, each with its receiver."""
+        relays = self.relays
+        bit, _, masks = _dp_layout(len(relays))
+        receivers = relays + (self.net.destination_id,)
+
+        def members(mask: int) -> tuple[int, ...]:
+            return tuple(r for r, b in zip(relays, bit) if mask & b)
+
+        m = masks[int(k) + 1]
+        s = members(m)
+        blocks, recv = [], []
+        while m:
+            b = self._first_block[m]
+            blocks.append(members(b))
+            recv.append(receivers[self._receiver_column[b]])
+            m ^= b
+        return ConstraintInstance(s=s, partition=tuple(blocks), assignment=tuple(recv))
+
+    @cached_property
+    def instances(self) -> tuple[ConstraintInstance, ...]:
+        """Every row's binding instance, in canonical subset order."""
+        return tuple(map(self.instance, range(len(self.denom_log2))))
 
     def margins_log2(self, q_values: np.ndarray) -> np.ndarray:
         """Per-subset tightest margins for Q given as values aligned with
@@ -700,11 +749,12 @@ def _optimize(table: _ConstraintTable, mode: str, tol: float) -> tuple[Quantizat
     if not relays:
         empty = QuantizationVector(entries=())
         return empty, cf_rate(net, empty)
-    blocked = [inst.s for inst, d in zip(table.instances, table.denom_log2) if not d > 0.0]
-    if blocked:
+    blocked = np.flatnonzero(~(table.denom_log2 > 0.0))
+    if blocked.size:
         raise Infeasible(
-            f"relay subset {blocked[0]} cannot forward at any finite quantization "
-            "noise: its relays deliver no power to the receivers that must decode them"
+            f"relay subset {table.instance(blocked[0]).s} cannot forward at any finite "
+            "quantization noise: its relays deliver no power to the receivers that must "
+            "decode them"
         )
     start = max(net.noise_variance(j) for j in relays + (net.destination_id,))
     q_uni = _frontier(lambda x: table.feasible(np.full(len(relays), x)), start, tol)
@@ -751,8 +801,9 @@ def build_rate_report(
     rates = _cut_rates(net, override_guard)
     bound = float(rates[0])  # the source cut
     mc_bits, mc = _min_cut(net, rates)
-    margins = table.constraint_margins(q_star)
-    binding = tuple(sorted(margins, key=lambda m: m.margin_log2)[: max(top_k, 0)])
+    margins = table.margins_log2(np.array(q_star.values))
+    tightest = np.argsort(margins, kind="stable")[: max(top_k, 0)]
+    binding = tuple(ConstraintMargin(table.instance(k), float(margins[k])) for k in tightest)
     return RateReport(
         upper_bound_bits=bound,
         cf_rate_bits=rate,

@@ -4,7 +4,9 @@ These exist to cross-check the library's production paths through
 completely different algorithms: a Laplace-expansion determinant against
 the Cholesky log-det, the binomial Bell recurrence against the
 restricted-growth-string partition generator, a scan of every
-partition against the constraint table's subset DP, a column-by-column
+partition against the constraint table's subset DP, the table's former
+loop build (Python lists, every instance built up front) against its
+array build, a column-by-column
 sum over a 0/1 membership matrix against the table's doubling subset sums,
 the receiver-side covariance formula for a cut rate against the
 whitened-channel form, the cut table evaluated one cut at a time
@@ -27,6 +29,7 @@ from relaycap.bounds import (
     _block_snr_sum,
     _check_guard,
     _frontier,
+    _gains,
     cf_rate,
     cut_rate,
 )
@@ -182,6 +185,83 @@ def table_by_partition_scan(net, quantifier):
                 best = (total, ConstraintInstance(s=s, partition=part, assignment=tuple(recv)))
         denoms.append(best[0])
         instances.append(best[1])
+    return np.array(denoms), tuple(instances)
+
+
+def constraint_table_by_loops(net, quantifier):
+    """Constraint-table rows by the subset DP over Python lists, building
+    every row's instance: ``(denom_log2, instances)``.
+
+    Block sums grow relay by relay in DP-mask order (the smallest relay
+    has the highest bit), each block value is the extreme over the
+    eligible receivers (the first on ties), and each row follows the DP's
+    first blocks in canonical order, summing their values left to right.
+    forall minimizes, exists maximizes.
+    """
+    relays = net.relay_ids
+    n = len(relays)
+    full = (1 << n) - 1
+    # exists maximizes; negating its scores (exact) lets both minimize.
+    sign = 1.0 if quantifier == "forall" else -1.0
+    # DP masks give the smallest relay the highest bit, so a descending
+    # submask walk meets candidate blocks in restricted-growth order.
+    bit = [1 << (n - 1 - i) for i in range(n)]
+    members = [tuple(r for r, b in zip(relays, bit) if m & b) for m in range(full + 1)]
+
+    # v(B) and its receiver, in _block_snr_sum's arithmetic: a block's
+    # sum extends the sum without its largest relay (the lowest bit).
+    candidates = relays + (net.destination_id,)
+    gains = _gains(net, (1,) + relays, candidates)
+    noise = np.array([net.noise_variance(r) for r in candidates])
+    p1 = net.transmit_power(1)
+    floors = (gains[:, 0] * p1 + noise).tolist()
+    terms = (gains[:, 1:] * [net.transmit_power(i) for i in relays]).T.tolist()
+    sums = [[0.0] * len(candidates)]
+    value, receiver = [0.0], [0]
+    for m in range(1, full + 1):
+        low = m & -m
+        sums.append([a + t for a, t in zip(sums[m ^ low], terms[n - low.bit_length()])])
+        best_v = None
+        for j, r in enumerate(candidates):
+            if j < n and m & bit[j]:
+                continue
+            v = math.log1p(sums[m][j] / floors[j]) / _LN2
+            if best_v is None or sign * v < sign * best_v:
+                best_v, best_r = v, r
+        assert best_v is not None  # the destination is always eligible
+        value.append(best_v)
+        receiver.append(best_r)
+    score = [sign * v for v in value]
+
+    f = [0.0] * (full + 1)  # signed extreme totals
+    first_block = [0] * (full + 1)
+    for s in range(1, full + 1):
+        top = 1 << (s.bit_length() - 1)  # the smallest relay of S
+        rest = s ^ top
+        best, pick = score[s], s  # B = S comes first
+        sub = rest
+        while sub:
+            sub = (sub - 1) & rest
+            total = score[top | sub] + f[rest ^ sub]
+            if total < best:
+                best, pick = total, top | sub
+        f[s], first_block[s] = best, pick
+
+    denoms = []
+    instances = []
+    for c in range(1, full + 1):  # canonical order: bit i of c selects relays[i]
+        s = m = sum(b for i, b in enumerate(bit) if c >> i & 1)
+        blocks, recv, total = [], [], 0.0
+        while m:
+            b = first_block[m]
+            blocks.append(members[b])
+            recv.append(receiver[b])
+            total += value[b]
+            m ^= b
+        denoms.append(total)
+        instances.append(
+            ConstraintInstance(s=members[s], partition=tuple(blocks), assignment=tuple(recv))
+        )
     return np.array(denoms), tuple(instances)
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import relaycap as rc
 from oracles import (
+    constraint_table_by_loops,
     coordinate_descent_by_bisection,
     cut_rate_by_covariance,
     cut_table_by_cuts,
@@ -972,6 +973,174 @@ class TestConstraintTableDP:
             q_c, rate_c = rc.optimize_quantization(scaled_net, quantifier=quantifier)
             assert rate_c == pytest.approx(rate, abs=1e-9)
             np.testing.assert_allclose(q_c.values, np.multiply(c, q.values), rtol=1e-8)
+
+
+def _huge_relay_power_network():
+    """T = 4, unit gains and noises, P1 = 1, relay powers 1e308: each
+    singleton block's sum is finite, the merged block's overflows to inf."""
+    return _equal_gain_network(4, lambda j: 1e308)
+
+
+def _array_build_cases():
+    for t in range(3, 13):
+        for s in range(3):
+            yield pytest.param(random_network(np.random.default_rng(s), t), id=f"random-s{s}-T{t}")
+    # Powerless relays add exactly 0 bits to a block, so merged and split
+    # witnesses tie exactly; equal gains tie receivers and blocks.
+    yield pytest.param(_equal_gain_network(7, lambda j: float(j % 2)), id="powerless-relays-T7")
+    yield pytest.param(
+        _equal_gain_network(6, lambda j: 0.0 if j == 3 else 10.0), id="one-powerless-relay-T6"
+    )
+    yield pytest.param(_equal_gain_network(8, lambda j: 10.0), id="all-equal-T8")
+    yield pytest.param(_huge_relay_power_network(), id="huge-relay-power-T4")
+
+
+def _config_doc(net):
+    nodes = []
+    for node in net.nodes:
+        entry = {"id": node.id, "role": node.role}
+        if node.power is not None:
+            entry["power"] = node.power
+        if node.noise is not None:
+            entry["noise"] = node.noise
+        nodes.append(entry)
+    return {"nodes": nodes, "gains": net.gains.tolist()}
+
+
+def _count_instances(monkeypatch):
+    """A list that grows by one per ConstraintInstance constructed."""
+    built = []
+    real = enumeration.ConstraintInstance.__post_init__
+
+    def counting(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(enumeration.ConstraintInstance, "__post_init__", counting)
+    return built
+
+
+class TestConstraintTableArrays:
+    """The array build against the loop build it replaced
+    (``constraint_table_by_loops``), and the rows that build instances."""
+
+    @pytest.mark.parametrize("net", _array_build_cases())
+    def test_matches_loop_build_bitwise(self, net):
+        for quantifier in ("forall", "exists"):
+            table = _ConstraintTable(net, quantifier, override_guard=True)
+            denoms, instances = constraint_table_by_loops(net, quantifier)
+            assert table.denom_log2.tobytes() == denoms.tobytes()
+            assert table.instances == instances
+            assert tuple(map(table.instance, range(len(denoms)))) == instances
+
+    def test_overflowing_block_sum_keeps_singletons_without_warnings(self):
+        net = _huge_relay_power_network()
+        single = math.log1p(1e308 / 2.0) / bounds._LN2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            forall = _ConstraintTable(net, "forall")
+            exists = _ConstraintTable(net, "exists")
+            for quantifier in ("forall", "exists"):
+                q, _ = rc.optimize_quantization(net, quantifier=quantifier)
+                assert _ConstraintTable(net, quantifier).feasible(np.array(q.values))
+        assert forall.denom_log2.tolist() == [single, single, single + single]
+        assert forall.instance(2).partition == ((2,), (3,))
+        assert exists.denom_log2.tolist() == [single, single, math.inf]
+        assert exists.instance(2).partition == ((2, 3),)
+
+    @pytest.mark.parametrize("mode", ["uniform_bisection", "coordinate_descent"])
+    def test_huge_power_config_optimizes_without_warnings(self, mode):
+        # T = 5, unit gains, P1 = 1, relay powers 1e100, 1e250, 1e300,
+        # relay noises 1e-300, 1, 1e300, destination noise 1.
+        net = next(_extreme_networks())
+        for quantifier in ("forall", "exists"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                q, rate = rc.optimize_quantization(net, mode, quantifier)
+            assert _ConstraintTable(net, quantifier).feasible(np.array(q.values))
+            assert math.isfinite(rate)
+
+    def test_sweep_builds_no_instance(self, monkeypatch, tmp_path, capsys):
+        net = random_network(np.random.default_rng(5), 8)
+        doc = dict(_config_doc(net), sweep={"gammas": [1, 10, 100]})
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        built = _count_instances(monkeypatch)
+        for quantifier in ("forall", "exists"):
+            assert cli.main(["sweep", "--config", str(path), "--quantifier", quantifier]) == 0
+        out = capsys.readouterr().out.splitlines()
+        rows = [row for row in out if not row.startswith("gamma,")]
+        assert len(rows) == 6 and all(row.endswith(",true") for row in rows)
+        assert built == []
+
+    @pytest.mark.parametrize("top_k", [0, 1, 5, 64])
+    def test_report_builds_only_the_printed_instances(self, monkeypatch, top_k):
+        net = random_network(np.random.default_rng(6), 8)
+        built = _count_instances(monkeypatch)
+        for quantifier in ("forall", "exists"):
+            for mode in ("uniform_bisection", "coordinate_descent"):
+                built.clear()
+                rep = rc.build_rate_report(net, mode, quantifier, top_k=top_k)
+                assert len(built) == len(rep.binding_constraints) == min(top_k, 63)
+
+    @pytest.mark.parametrize(
+        "net",
+        [
+            pytest.param(random_network(np.random.default_rng(7), 7), id="random-T7"),
+            pytest.param(_equal_gain_network(6, lambda j: 10.0), id="tied-T6"),
+            pytest.param(_equal_gain_network(7, lambda j: 10.0 ** (j % 3)), id="tied-powers-T7"),
+        ],
+    )
+    @pytest.mark.parametrize("top_k", [0, 1, 5, 100])
+    def test_binding_rows_are_the_sorted_margins(self, net, top_k):
+        for quantifier in ("forall", "exists"):
+            rep = rc.build_rate_report(net, quantifier=quantifier, top_k=top_k)
+            margins = _ConstraintTable(net, quantifier).constraint_margins(rep.q_star)
+            want = sorted(margins, key=lambda m: m.margin_log2)[:top_k]
+            assert rep.binding_constraints == tuple(want)
+
+    def test_tied_network_has_tied_margins(self):
+        net = _equal_gain_network(6, lambda j: 10.0)
+        for quantifier in ("forall", "exists"):
+            rep = rc.build_rate_report(net, quantifier=quantifier, top_k=100)
+            values = [m.margin_log2 for m in rep.binding_constraints]
+            assert len(set(values)) < len(values) == 15
+
+    @pytest.mark.parametrize(
+        "net",
+        [
+            pytest.param(_equal_gain_network(3, lambda j: 0.0), id="powerless-T3"),
+            pytest.param(_equal_gain_network(7, lambda j: float(j % 2)), id="powerless-relays-T7"),
+            pytest.param(
+                _equal_gain_network(6, lambda j: 0.0 if j == 3 else 10.0),
+                id="one-powerless-relay-T6",
+            ),
+        ],
+    )
+    def test_infeasible_names_the_first_blocked_subset(self, monkeypatch, net):
+        for quantifier in ("forall", "exists"):
+            denoms, instances = constraint_table_by_loops(net, quantifier)
+            first = next(inst.s for inst, d in zip(instances, denoms) if not d > 0.0)
+            built = _count_instances(monkeypatch)
+            with pytest.raises(Infeasible) as err:
+                rc.optimize_quantization(net, quantifier=quantifier)
+            monkeypatch.undo()
+            assert str(err.value).startswith(f"relay subset {first} cannot forward")
+            assert len(built) == 1
+
+    def test_monotonicity_suite_builds_one_table_per_network(self, monkeypatch):
+        builds = []
+        real = selftest._ConstraintTable
+
+        def counting(*args, **kwargs):
+            builds.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(selftest, "_ConstraintTable", counting)
+        monkeypatch.setattr(selftest, "cf_feasible", None)
+        result = selftest.monotonicity_suite(samples=20)
+        assert result.passed, result.detail
+        assert len(builds) == len({id(net) for net in builds}) == 20
 
 
 def _descent_cases():
