@@ -29,15 +29,20 @@ denominators.
 Rate is strictly decreasing in every Q_j and feasibility margins are
 strictly increasing, so the best admissible Q sits on the feasibility
 frontier. With all Q_j equal, one monotone search (double up, halve
-down, bisect) finds it. Coordinate descent then cycles from that uniform
-solution and moves each Q_j straight to its own frontier: with the other
-entries fixed, each subset's margin is nonnegative exactly above a
-closed-form threshold, so no search is needed. Margins rise toward the
-subset's denominator as Q grows, so a network is infeasible exactly when
-some denominator is not positive. A rate report evaluates every cut
-once: the bound is the source cut, the first row of that table. A sweep
-over the relay power multiplier shows the gap between the two sides
-collapsing as relay power grows.
+down, bisect) finds it. The search is a generator that yields each point
+to test and receives the answer, so the caller decides how queries are
+answered: a single analysis asks its table one point at a time, and a
+sweep runs every gamma row's search in lockstep, answering all their
+current queries with one margin pass over the rows' tables stacked in
+columns, bit for bit the per-table answers. Coordinate descent then
+cycles from that uniform solution and moves each Q_j straight to its own
+frontier: with the other entries fixed, each subset's margin is
+nonnegative exactly above a closed-form threshold, so no search is
+needed. Margins rise toward the subset's denominator as Q grows, so a
+network is infeasible exactly when some denominator is not positive. A
+rate report evaluates every cut once: the bound is the source cut, the
+first row of that table. A sweep over the relay power multiplier shows
+the gap between the two sides collapsing as relay power grows.
 
 All rates are bits per channel use. Every analysis first checks its
 network with ``topology.validate`` and raises one ValueError listing the
@@ -49,7 +54,7 @@ enumeration order so output is deterministic.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Generator
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -555,26 +560,19 @@ class _ConstraintTable:
     def margins_log2(self, q_values: np.ndarray) -> np.ndarray:
         """Per-subset tightest margins for Q given as values aligned with
         the sorted relay list."""
-        # log2(prod Q) - log2(det) + denom, rewritten through the rank-one
-        # determinant identity as -sum log1p(N/Q) - log1p(P1 sum lam/(N+Q))
-        # + denom. Differencing the raw log-dets loses the N/Q term once Q
-        # is ~1e16 N (it falls under the ulp), which would misread the
-        # powerless-relay constraint Q >= Q + c as satisfiable; the log1p
-        # form is exact there. The factorized determinant itself is checked
-        # against this identity by the determinant-lemma suite.
-        shrink = self._subset_sums(np.log1p(self.noise / q_values))
-        source_term = np.log1p(self.p1 * self._subset_sums(self.lam / (self.noise + q_values)))
-        return self.denom_log2 - (shrink + source_term) / _LN2
+        return _margins_log2(self.denom_log2, self.noise, self.lam, self.p1, q_values)
 
     @staticmethod
     def _subset_sums(per_relay: np.ndarray) -> np.ndarray:
         """Per nonempty subset in canonical order, the sum of its relays'
-        terms. Built by doubling: the subsets holding relay i are those
-        without it, each plus relay i's term, so row 2^i + k is row k plus
-        that term. Every row is the left-to-right sum over its subset, so
-        subsets with tied terms get bit-identical sums and the
-        binding-constraint order keeps its canonical tie-break."""
-        sums = np.zeros(1 << len(per_relay))
+        terms, along axis 0: entry i (a number, or a row with one term per
+        column) is relay i's. Built by doubling: the subsets holding relay
+        i are those without it, each plus relay i's term, so row 2^i + k is
+        row k plus that term. Every row is the left-to-right sum over its
+        subset, so subsets with tied terms get bit-identical sums and the
+        binding-constraint order keeps its canonical tie-break; each column
+        of a stacked input gets the sums of that column alone."""
+        sums = np.zeros((1 << len(per_relay),) + per_relay.shape[1:])
         for i, value in enumerate(per_relay):
             half = 1 << i
             sums[half : 2 * half] = sums[:half] + value
@@ -592,6 +590,36 @@ class _ConstraintTable:
             ConstraintMargin(instance=inst, margin_log2=float(m))
             for inst, m in zip(self.instances, margins)
         )
+
+
+def _margins_log2(
+    denom_log2: np.ndarray,
+    noise: np.ndarray,
+    lam: np.ndarray,
+    p1: float | np.ndarray,
+    q_values: np.ndarray,
+) -> np.ndarray:
+    """Every subset's margin, along axis 0, for one table or for K tables
+    stacked in columns.
+
+    One table: ``denom_log2`` per subset, ``noise``, ``lam`` and
+    ``q_values`` per relay, ``p1`` a number. K tables: ``denom_log2`` is
+    (2^R - 1, K), ``noise`` and ``lam`` are (R, K), and ``p1`` and
+    ``q_values`` are (K,), table k's source power and uniform Q. Every
+    operation is elementwise, so column k is bit for bit table k's own
+    margins at its Q.
+    """
+    # log2(prod Q) - log2(det) + denom, rewritten through the rank-one
+    # determinant identity as -sum log1p(N/Q) - log1p(P1 sum lam/(N+Q))
+    # + denom. Differencing the raw log-dets loses the N/Q term once Q
+    # is ~1e16 N (it falls under the ulp), which would misread the
+    # powerless-relay constraint Q >= Q + c as satisfiable; the log1p
+    # form is exact there. The factorized determinant itself is checked
+    # against this identity by the determinant-lemma suite.
+    subset_sums = _ConstraintTable._subset_sums
+    shrink = subset_sums(np.log1p(noise / q_values))
+    source_term = np.log1p(p1 * subset_sums(lam / (noise + q_values)))
+    return denom_log2 - (shrink + source_term) / _LN2
 
 
 def cf_feasible(
@@ -628,23 +656,25 @@ def cf_rate(net: NetworkSpec, q: QuantizationVector) -> float:
     return conditional_mi_bits(gains, np.array([net.transmit_power(1)]), noises)
 
 
-def _frontier(feasible_at: Callable[[float], bool], start: float, rel_tol: float) -> float:
-    """Smallest x (to rel_tol) with feasible_at(x), for a predicate that is
-    monotone in x.
+def _frontier(start: float, rel_tol: float) -> Generator[float, bool, float]:
+    """The uniform search: the smallest x (to rel_tol) at which a monotone
+    feasibility predicate holds, as a generator that yields each point to
+    test and is sent whether the predicate holds there.
 
     Double up from ``start`` until feasible, halve down from there until
     infeasible, then bisect geometrically between the two. Raises
     Infeasible if doubling overflows: no finite x is feasible. Returns the
     doubling end when halving underflows to 0 (the frontier lies below
-    the representable range).
+    the representable range). ``_search`` answers one search's queries one
+    at a time; ``_lockstep_frontiers`` answers many searches' at once.
     """
     hi = start
-    while not feasible_at(hi):
+    while not (yield hi):
         hi *= 2.0
         if math.isinf(hi):
             raise Infeasible("no finite quantization noise satisfies every constraint")
     lo = hi
-    while feasible_at(lo):
+    while (yield lo):
         lo *= 0.5
         if lo == 0.0:
             return hi
@@ -652,11 +682,67 @@ def _frontier(feasible_at: Callable[[float], bool], start: float, rel_tol: float
         mid = math.sqrt(lo) * math.sqrt(hi)  # geometric, overflow-safe
         if mid <= lo or mid >= hi:  # no representable point left between
             break
-        if feasible_at(mid):
+        if (yield mid):
             hi = mid
         else:
             lo = mid
     return hi
+
+
+def _search(search: Generator[float, bool, float], feasible_at: Callable[[float], bool]) -> float:
+    """Run one ``_frontier`` search to its end, answering each query with
+    ``feasible_at``; its result (or its Infeasible)."""
+    x = next(search)
+    try:
+        while True:
+            x = search.send(feasible_at(x))
+    except StopIteration as stop:
+        return stop.value
+
+
+def _search_start(table: _ConstraintTable) -> float:
+    """Where the uniform search starts: the largest receiver noise."""
+    net = table.net
+    return max(net.noise_variance(j) for j in table.relays + (net.destination_id,))
+
+
+def _lockstep_frontiers(
+    tables: list[_ConstraintTable], rel_tol: float
+) -> list[float | None]:
+    """Each table's uniform frontier, the value ``_optimize`` finds on it,
+    or None where its search raises Infeasible. The tables share one relay
+    count and none is blocked.
+
+    Every table's search runs at once. Each step answers the current query
+    of every search still running with one ``_margins_log2`` pass over
+    their tables stacked in columns, so each answer is bit for bit the
+    one ``table.feasible`` gives. A search that ends, by its result or by
+    Infeasible, leaves the stack; the others go on unchanged.
+    """
+    searches = [_frontier(_search_start(t), rel_tol) for t in tables]
+    points = [next(search) for search in searches]
+    found: list[float | None] = [None] * len(tables)
+    active, stacked = list(range(len(tables))), 0
+    while active:
+        if stacked != len(active):
+            denom, noise, lam, p1 = (
+                np.stack([getattr(tables[k], name) for k in active], axis=-1)
+                for name in ("denom_log2", "noise", "lam", "p1")
+            )
+            stacked = len(active)
+        margins = _margins_log2(denom, noise, lam, p1, np.array([points[k] for k in active]))
+        running = []
+        for k, feasible in zip(active, np.all(margins >= 0.0, axis=0).tolist()):
+            try:
+                points[k] = searches[k].send(feasible)
+            except StopIteration as stop:
+                found[k] = stop.value
+            except Infeasible:
+                pass
+            else:
+                running.append(k)
+        active = running
+    return found
 
 
 def _coordinate_step(
@@ -743,7 +829,7 @@ def _optimize(table: _ConstraintTable, mode: str, tol: float) -> tuple[Quantizat
 
     Every margin rises strictly toward its denominator as Q grows, so a
     feasible Q exists exactly when every denom_log2 is positive. The
-    uniform search starts at the largest receiver noise.
+    uniform search asks the table one point at a time.
     """
     net, relays = table.net, table.relays
     if not relays:
@@ -756,8 +842,10 @@ def _optimize(table: _ConstraintTable, mode: str, tol: float) -> tuple[Quantizat
             "quantization noise: its relays deliver no power to the receivers that must "
             "decode them"
         )
-    start = max(net.noise_variance(j) for j in relays + (net.destination_id,))
-    q_uni = _frontier(lambda x: table.feasible(np.full(len(relays), x)), start, tol)
+    q_uni = _search(
+        _frontier(_search_start(table), tol),
+        lambda x: table.feasible(np.full(len(relays), x)),
+    )
     q_star = QuantizationVector.uniform(q_uni, relays)
     if mode == "coordinate_descent":
         q_star = _coordinate_descent(table, q_star, tol)
@@ -827,8 +915,16 @@ def convergence_sweep(
 
     The upper bound never involves relay power, so the column is constant;
     the optimized rate climbs toward it. Quantization is optimized in
-    uniform mode so the q column is a single scalar per row. Infeasible
-    rows are reported, not fatal.
+    uniform mode so the q column is a single scalar per row.
+
+    Every row's constraint table is built first. Then one lockstep run
+    (``_lockstep_frontiers``) performs every searchable row's uniform
+    search at once, with one stacked margin pass per step; each row gets
+    the q and rate that ``optimize_quantization`` gives on its own.
+    Infeasible rows, blocked tables or searches that raise Infeasible,
+    are reported, not fatal, and never stop the other rows. An error from
+    building a row's table is raised after the rows before it are done,
+    as a row-by-row loop would raise it.
     """
     gammas = [float(g) for g in gammas]
     if not gammas:
@@ -839,15 +935,25 @@ def convergence_sweep(
         raise InvalidScale(f"every gamma must be >= 1, got {gammas}")
 
     bound = source_cut_bound(net)
-    rows: list[SweepRow] = []
+    tables: list[_ConstraintTable] = []
+    failure = None
     for g in gammas:
         try:
-            q_star, rate = optimize_quantization(
-                scaled(net, g), "uniform_bisection", quantifier, tol, override_guard
-            )
-        except Infeasible:
+            tables.append(_ConstraintTable(scaled(net, g), quantifier, override_guard))
+        except (ValueError, GuardExceeded) as err:  # raised once the rows before it are done
+            failure = err
+            break
+    searched = [k for k, t in enumerate(tables) if t.relays and np.all(t.denom_log2 > 0.0)]
+    frontiers = dict(zip(searched, _lockstep_frontiers([tables[k] for k in searched], tol)))
+
+    rows: list[SweepRow] = []
+    for k, (g, table) in enumerate(zip(gammas, tables)):
+        if table.relays and frontiers.get(k) is None:
             feasible, rate, q_uni = False, math.nan, math.nan
         else:
+            # Without relays there is nothing to search: Q is empty.
+            q_star = QuantizationVector.uniform(frontiers.get(k, math.nan), table.relays)
+            rate = cf_rate(table.net, q_star)
             feasible, q_uni = True, max(q_star.values, default=math.nan)
         gap = bound - rate
         if feasible and not gap >= -RATE_TOL_BITS:
@@ -855,4 +961,6 @@ def convergence_sweep(
                 f"rate {rate!r} exceeds bound {bound!r} at gamma={g!r}"
             )
         rows.append(SweepRow(g, bound, rate, gap, q_uni, feasible))
+    if failure is not None:
+        raise failure
     return tuple(rows)

@@ -12,28 +12,37 @@ the receiver-side covariance formula for a cut rate against the
 whitened-channel form, the cut table evaluated one cut at a time
 against its grouped, stacked evaluation, the scalar Cholesky kernel
 against the stacked one, the dual-route covariance routes computed one
-grid point at a time against their stacked evaluation, and coordinate
-descent by per-coordinate bisection against its closed-form frontier.
+grid point at a time against their stacked evaluation, coordinate
+descent by per-coordinate bisection against its closed-form frontier,
+the uniform search as a loop over a scalar predicate against its
+generator form, and the convergence sweep one row at a time against its
+lockstep searches.
 Nothing here is performance sensitive; clarity wins.
 """
 
 import math
+from collections.abc import Callable
 
 import numpy as np
 
 from relaycap.bounds import (
     _LN2,
+    BISECT_REL_TOL,
     DESCENT_MAX_CYCLES,
+    RATE_TOL_BITS,
     CutSpec,
     QuantizationVector,
+    SweepRow,
     _block_snr_sum,
     _check_guard,
-    _frontier,
     _gains,
     cf_rate,
     cut_rate,
+    optimize_quantization,
+    source_cut_bound,
 )
 from relaycap.enumeration import ConstraintInstance, partitions, subsets
+from relaycap.errors import Infeasible, InvalidScale, VerificationFailure
 from relaycap.gaussian import (
     PD_EPSILON,
     _pivot_failure,
@@ -41,6 +50,7 @@ from relaycap.gaussian import (
     joint_covariance,
     log2_det,
 )
+from relaycap.topology import scaled
 
 
 def _cholesky_log2_det(a: np.ndarray) -> float:
@@ -301,6 +311,73 @@ def cut_table_by_cuts(net, override_guard=False):
     for extra in subsets(net.relay_ids):
         cut = CutSpec(tx_side=frozenset({1}) | set(extra))
         rows.append((cut, cut_rate(net, cut)))
+    return tuple(rows)
+
+
+def _frontier(feasible_at: Callable[[float], bool], start: float, rel_tol: float) -> float:
+    """Smallest x (to rel_tol) with feasible_at(x), for a predicate that is
+    monotone in x.
+
+    Double up from ``start`` until feasible, halve down from there until
+    infeasible, then bisect geometrically between the two. Raises
+    Infeasible if doubling overflows: no finite x is feasible. Returns the
+    doubling end when halving underflows to 0 (the frontier lies below
+    the representable range).
+    """
+    hi = start
+    while not feasible_at(hi):
+        hi *= 2.0
+        if math.isinf(hi):
+            raise Infeasible("no finite quantization noise satisfies every constraint")
+    lo = hi
+    while feasible_at(lo):
+        lo *= 0.5
+        if lo == 0.0:
+            return hi
+    while hi - lo > rel_tol * hi:
+        mid = math.sqrt(lo) * math.sqrt(hi)  # geometric, overflow-safe
+        if mid <= lo or mid >= hi:  # no representable point left between
+            break
+        if feasible_at(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def convergence_sweep_by_rows(
+    net, gammas, quantifier="forall", tol=BISECT_REL_TOL, override_guard=False
+):
+    """The convergence sweep one gamma row at a time: per row, one scaled
+    network, one ``optimize_quantization`` (its own table and uniform
+    search), and an infeasible row where that raises Infeasible."""
+    from relaycap.topology import scaled
+
+    gammas = [float(g) for g in gammas]
+    if not gammas:
+        raise InvalidScale("gamma list is empty")
+    if any(b < a for a, b in zip(gammas, gammas[1:])):
+        raise InvalidScale(f"gammas must be sorted ascending, got {gammas}")
+    if any(not g >= 1.0 for g in gammas):
+        raise InvalidScale(f"every gamma must be >= 1, got {gammas}")
+
+    bound = source_cut_bound(net)
+    rows: list[SweepRow] = []
+    for g in gammas:
+        try:
+            q_star, rate = optimize_quantization(
+                scaled(net, g), "uniform_bisection", quantifier, tol, override_guard
+            )
+        except Infeasible:
+            feasible, rate, q_uni = False, math.nan, math.nan
+        else:
+            feasible, q_uni = True, max(q_star.values, default=math.nan)
+        gap = bound - rate
+        if feasible and not gap >= -RATE_TOL_BITS:
+            raise VerificationFailure(
+                f"rate {rate!r} exceeds bound {bound!r} at gamma={g!r}"
+            )
+        rows.append(SweepRow(g, bound, rate, gap, q_uni, feasible))
     return tuple(rows)
 
 

@@ -11,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relaycap as rc
+from oracles import _frontier as scalar_frontier
 from oracles import (
     constraint_table_by_loops,
+    convergence_sweep_by_rows,
     coordinate_descent_by_bisection,
     cut_rate_by_covariance,
     cut_table_by_cuts,
@@ -846,6 +848,45 @@ class TestConstraintTableInternals:
         assert np.all(np.isinf(sums[masks & 2 != 0]))
         assert np.array_equal(sums[masks & 2 == 0], [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("r", range(1, 11))
+    def test_stacked_subset_sums_are_the_column_sums_bitwise(self, r):
+        # An (R, K) input sums along axis 0: column k is bitwise the 1-D
+        # sums of column k, with tied and infinite terms too.
+        rng = np.random.default_rng(200 + r)
+        stack = 10.0 ** rng.uniform(-12.0, 12.0, size=(r, 9))
+        stack[:, 1] = 1.0 / 3.0
+        stack[:, 2] = rng.choice([0.1, 0.7, 3.0], size=r)
+        stack[rng.integers(r), 3] = math.inf
+        stack[:, 4] = math.inf
+        got = _ConstraintTable._subset_sums(stack)
+        assert got.shape == (2**r - 1, 9)
+        for k in range(9):
+            column = np.ascontiguousarray(stack[:, k])
+            assert got[:, k].tobytes() == _ConstraintTable._subset_sums(column).tobytes()
+
+    @pytest.mark.parametrize("quantifier", ["forall", "exists"])
+    @pytest.mark.parametrize("t", [3, 5, 8, 10])
+    def test_stacked_margins_are_each_tables_margins_bitwise(self, t, quantifier):
+        # The lockstep search's margin pass: tables stacked in columns, each
+        # at its own uniform Q, give column by column the table's margins.
+        rng = np.random.default_rng(300 + t)
+        net = random_network(rng, t)
+        tables = [
+            _ConstraintTable(rc.scaled(net, g), quantifier) for g in (1.0, 10.0, 1e3, 1e8, 1e50)
+        ]
+        denom, noise, lam, p1 = (
+            np.stack([getattr(table, a) for table in tables], axis=-1)
+            for a in ("denom_log2", "noise", "lam", "p1")
+        )
+        n = len(net.relay_ids)
+        for i in range(20):
+            q = 10.0 ** rng.uniform(-30.0, 30.0, size=len(tables))
+            q[0] = 1e-300 if i % 2 else 1e300
+            stacked = bounds._margins_log2(denom, noise, lam, p1, q)
+            for k, table in enumerate(tables):
+                want = table.margins_log2(np.full(n, q[k]))
+                assert stacked[:, k].tobytes() == want.tobytes()
+
     def test_margin_matches_direct_log_det_evaluation(self):
         rng = np.random.default_rng(20250902)
         for net, _, table in _table_cases():
@@ -1352,6 +1393,225 @@ class TestConvergenceSweep:
     def test_gamma_errors_are_invalid_scale(self, reference_network, gammas):
         with pytest.raises(rc.InvalidScale):
             rc.convergence_sweep(reference_network, gammas)
+
+
+#: The relay power multipliers of perfbench's sweep workload: 10^(k/2), k = 0..12.
+_SWEEP_GAMMAS = [10.0 ** (k / 2) for k in range(13)]
+
+#: Searches that end hundreds of steps apart: at 1e200 an exists search
+#: halves about 665 times.
+_HUGE_GAMMAS = [10.0**k for k in range(0, 201, 20)]
+
+
+def _row_keys(rows):
+    """Sweep rows with every float as its hex text: equal keys are bitwise
+    equal rows, and NaN equals NaN."""
+    return [
+        tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(row))
+        for row in rows
+    ]
+
+
+def _sweep_outcome(sweep, *args, **kwargs):
+    """A sweep's row keys, or the type and text of what it raised."""
+    try:
+        return _row_keys(sweep(*args, **kwargs))
+    except Exception as err:
+        return type(err), str(err)
+
+
+def _sweep_cases():
+    for t in range(3, 12):
+        for s in range(5):
+            yield pytest.param(random_network(np.random.default_rng(s), t), id=f"random-s{s}-T{t}")
+
+
+class TestLockstepSweep:
+    """``convergence_sweep`` (tables first, then every row's search in
+    lockstep) against the row-by-row loop it replaced
+    (``convergence_sweep_by_rows``): bitwise equal rows, and the same
+    error where the loop raises."""
+
+    @pytest.mark.parametrize("net", _sweep_cases())
+    def test_matches_row_loop_bitwise(self, net):
+        big = net.num_nodes > 10
+        for quantifier in ("forall", "exists"):
+            args = (net, _SWEEP_GAMMAS, quantifier, BISECT_REL_TOL, big)
+            got = _row_keys(rc.convergence_sweep(*args))
+            assert got == _row_keys(convergence_sweep_by_rows(*args))
+
+    @pytest.mark.parametrize(
+        "net",
+        [pytest.param("powerless", id="powerless-relay")]
+        + [pytest.param(_net([rc.source(1, 1.0), rc.destination(2, 1.0)]), id="no-relays")]
+        + [pytest.param(n, id=f"extreme-{i}") for i, n in enumerate(_extreme_networks())],
+    )
+    def test_infeasible_and_extreme_networks_match_row_loop(self, net, powerless_relay_network):
+        net = powerless_relay_network if net == "powerless" else net
+        for quantifier in ("forall", "exists"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _row_keys(rc.convergence_sweep(net, _SWEEP_GAMMAS, quantifier))
+            assert got == _row_keys(convergence_sweep_by_rows(net, _SWEEP_GAMMAS, quantifier))
+
+    @pytest.mark.parametrize("t", [4, 6, 9])
+    def test_huge_gammas_match_row_loop(self, t, reference_network):
+        nets = [random_network(np.random.default_rng(40 + t), t), reference_network]
+        for net in nets:
+            for quantifier in ("forall", "exists"):
+                got = _row_keys(rc.convergence_sweep(net, _HUGE_GAMMAS, quantifier))
+                assert got == _row_keys(convergence_sweep_by_rows(net, _HUGE_GAMMAS, quantifier))
+                assert all(row[-1] for row in got)  # every row searched, none blocked
+
+    def test_guard_error_matches_row_loop(self):
+        net = random_network(np.random.default_rng(0), 11)
+        got = _sweep_outcome(rc.convergence_sweep, net, _SWEEP_GAMMAS)
+        assert got == _sweep_outcome(convergence_sweep_by_rows, net, _SWEEP_GAMMAS)
+        assert got[0] is GuardExceeded
+
+    def test_overflowing_gamma_error_matches_row_loop(self):
+        # Relay powers are at least 10, so gamma 1e308 overflows every one:
+        # InvalidScale on the last row, after two searchable rows.
+        net = random_network(np.random.default_rng(2), 6)
+        gammas = [1.0, 1e3, 1e308]
+        for quantifier in ("forall", "exists"):
+            got = _sweep_outcome(rc.convergence_sweep, net, gammas, quantifier)
+            assert got == _sweep_outcome(convergence_sweep_by_rows, net, gammas, quantifier)
+            assert got[0] is rc.InvalidScale
+
+    @pytest.mark.parametrize(
+        "case", _INVALID_CASES, ids=[k if v is None else f"{k}={v}" for k, v in _INVALID_CASES]
+    )
+    def test_invalid_network_error_matches_row_loop(self, case):
+        net = _invalid_network(case)
+        got = _sweep_outcome(rc.convergence_sweep, net, _SWEEP_GAMMAS)
+        assert got == _sweep_outcome(convergence_sweep_by_rows, net, _SWEEP_GAMMAS)
+        assert got[0] is ValueError and got[1].startswith("invalid network: ")
+
+    def test_bad_quantifier_error_matches_row_loop(self, reference_network):
+        got = _sweep_outcome(rc.convergence_sweep, reference_network, [1.0], "sometimes")
+        assert got == _sweep_outcome(convergence_sweep_by_rows, reference_network, [1.0], "sometimes")
+        assert got[0] is ValueError
+
+    def test_earlier_row_errors_come_first(self, monkeypatch):
+        # The loop raises a row's own error before building any later
+        # row's table; so does the sweep, though it builds its tables first.
+        net = random_network(np.random.default_rng(2), 6)
+        gammas = [1.0, 1e308]
+
+        def failing_rate(*args):
+            raise NotPositiveDefinite("rate of the first row")
+
+        monkeypatch.setattr(bounds, "cf_rate", failing_rate)
+        got = _sweep_outcome(rc.convergence_sweep, net, gammas)
+        assert got == _sweep_outcome(convergence_sweep_by_rows, net, gammas)
+        assert got == (NotPositiveDefinite, "rate of the first row")
+
+    def test_sweep_runs_no_single_analysis(self, monkeypatch, reference_network):
+        # Every row's search runs in the lockstep; none goes through
+        # optimize_quantization or _optimize.
+        monkeypatch.setattr(bounds, "optimize_quantization", None)
+        monkeypatch.setattr(bounds, "_optimize", None)
+        rows = rc.convergence_sweep(reference_network, _SWEEP_GAMMAS)
+        monkeypatch.undo()
+        assert _row_keys(rows) == _row_keys(
+            convergence_sweep_by_rows(reference_network, _SWEEP_GAMMAS)
+        )
+
+
+def _scalar_search(table):
+    """The uniform search on one table by the scalar-predicate oracle, with
+    its query count: (frontier or None where it raises Infeasible, count)."""
+    n = len(table.relays)
+    queries = []
+
+    def feasible_at(x):
+        queries.append(x)
+        return table.feasible(np.full(n, x))
+
+    try:
+        found = scalar_frontier(feasible_at, bounds._search_start(table), BISECT_REL_TOL)
+    except Infeasible:
+        found = None
+    return found, len(queries)
+
+
+def _stub_tables(net):
+    """Two tables of ``net`` whose searches reach the rare exits: every
+    denominator 1e-310, so no finite Q is feasible and doubling overflows;
+    and 5000-bit denominators with relay noises 1e-300, so every Q down
+    to the smallest double is feasible and halving underflows."""
+    overflow = _ConstraintTable(net, "forall")
+    overflow.denom_log2 = np.full_like(overflow.denom_log2, 1e-310)
+    underflow = _ConstraintTable(net, "forall")
+    underflow.denom_log2 = np.full_like(underflow.denom_log2, 5000.0)
+    underflow.noise = np.full_like(underflow.noise, 1e-300)
+    return overflow, underflow
+
+
+class TestLockstepFrontiers:
+    """Searches that end at different steps, by a result, by the halving
+    underflow return or by Infeasible, all in one lockstep run."""
+
+    def _ordinary(self, quantifier="forall"):
+        net = random_network(np.random.default_rng(3), 6)
+        return net, [
+            _ConstraintTable(rc.scaled(net, g), quantifier) for g in (1.0, 1e10, 1e100)
+        ]
+
+    def test_every_exit_matches_the_scalar_oracle(self):
+        net, ordinary = self._ordinary()
+        overflow, underflow = _stub_tables(net)
+        tables = [overflow, ordinary[0], underflow, ordinary[1], ordinary[2]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = bounds._lockstep_frontiers(tables, BISECT_REL_TOL)
+        want = [_scalar_search(table) for table in tables]
+        assert got == [found for found, _ in want]
+        # The exits are the rare ones: overflow raised, underflow returned
+        # the doubling end (the start, feasible down to the smallest double).
+        assert got[0] is None
+        assert got[2] == bounds._search_start(underflow)
+        assert underflow.feasible(np.full(len(net.relay_ids), 5e-324))
+        # Ordinary searches of different lengths; the stubs run longest.
+        counts = [count for _, count in want]
+        assert len(set(counts[1::2] + counts[4:])) == 3
+        assert min(counts[0], counts[2]) > 1000 > max(counts[1], counts[3], counts[4])
+
+    @pytest.mark.parametrize("quantifier", ["forall", "exists"])
+    def test_ending_searches_leave_the_others_unchanged(self, quantifier):
+        net, ordinary = self._ordinary(quantifier)
+        overflow, underflow = _stub_tables(net)
+        alone = bounds._lockstep_frontiers(ordinary, BISECT_REL_TOL)
+        assert alone == [_scalar_search(table)[0] for table in ordinary]
+        for mixed in (
+            [overflow] + ordinary,
+            ordinary + [underflow],
+            [ordinary[0], underflow, ordinary[1], overflow, ordinary[2]],
+        ):
+            got = bounds._lockstep_frontiers(mixed, BISECT_REL_TOL)
+            assert [x for x, t in zip(got, mixed) if t in ordinary] == alone
+
+    def test_single_search_is_the_scalar_oracle(self):
+        # _optimize drives the same generator one query at a time.
+        thresholds = [0.0, 5e-324, 1e-300, 0.3, 1.0, 7.5, 1e300, math.inf]
+        for threshold in thresholds:
+            for start in (1e-10, 1.0, 3.0, 1e200):
+
+                def feasible_at(x, c=threshold):
+                    return x >= c
+
+                try:
+                    want = scalar_frontier(feasible_at, start, BISECT_REL_TOL)
+                except Infeasible:
+                    with pytest.raises(Infeasible):
+                        bounds._search(bounds._frontier(start, BISECT_REL_TOL), feasible_at)
+                    continue
+                got = bounds._search(bounds._frontier(start, BISECT_REL_TOL), feasible_at)
+                assert got == want
+
+    def test_no_tables_no_searches(self):
+        assert bounds._lockstep_frontiers([], BISECT_REL_TOL) == []
 
 
 class TestAchievabilityNeverExceedsBound:

@@ -25,8 +25,11 @@ quantifiers) and ``sweep`` (forall and exists). Five configs that
 validation rejects (a negative relay-to-relay gain, a zero source gain, a
 zero relay noise, a negative source power, a NaN relay noise) run
 ``bound``, ``cfrate`` and ``sweep``, so config-error texts are compared
-too. ``verify`` runs with its defaults and with two seeds: 441 runs in
-all. Only the standard library and numpy are used.
+too. Two more random networks, T = 6 and T = 9, run only ``sweep`` (forall
+and exists) over gammas 10^0..10^200 in steps of 10^20, where the rows'
+uniform searches end hundreds of steps apart. ``verify`` runs with its
+defaults and with two seeds: 445 runs in all. Only the standard library
+and numpy are used.
 """
 
 from __future__ import annotations
@@ -57,6 +60,11 @@ NETWORK_COMMANDS = (
 )
 
 CONFIG_ERROR_COMMANDS = (["bound"], ["cfrate"], ["sweep"])
+
+#: Relay power multipliers of the huge-gamma sweeps: 10^0..10^200.
+HUGE_GAMMAS = [10.0**k for k in range(0, 201, 20)]
+
+SWEEP_COMMANDS = (["sweep", "--quantifier", "forall"], ["sweep", "--quantifier", "exists"])
 
 # Runs inside each tree's interpreter: reads a JSON list of argv lists on
 # stdin and writes [exit code, stdout, stderr] per run as JSON on stdout.
@@ -202,11 +210,24 @@ def config_errors() -> list[tuple[str, dict]]:
     ]
 
 
+def huge_gamma_sweeps() -> list[tuple[str, dict]]:
+    """Random T = 6 and T = 9 networks swept over HUGE_GAMMAS: (name,
+    config) pairs, drawn from their own seed so the corpus stays as it is."""
+    rng = np.random.default_rng(20261019)
+    docs = []
+    for t in (6, 9):
+        doc = _random_doc(rng, t)
+        doc["sweep"] = {"gammas": HUGE_GAMMAS}
+        docs.append((f"huge-gamma-T{t}", doc))
+    return docs
+
+
 def runs(config_dir: str) -> list[tuple[str, list[str]]]:
     """Write the corpus into config_dir; return (run name, argv) pairs."""
     out = []
     plans = [(entry, NETWORK_COMMANDS) for entry in corpus()]
     plans += [(entry, CONFIG_ERROR_COMMANDS) for entry in config_errors()]
+    plans += [(entry, SWEEP_COMMANDS) for entry in huge_gamma_sweeps()]
     for (name, doc), commands in plans:
         path = os.path.join(config_dir, f"{name}.json")
         with open(path, "w", encoding="utf-8") as fh:
