@@ -44,11 +44,11 @@ rate report evaluates every cut once: the bound is the source cut, the
 first row of that table. A sweep over the relay power multiplier shows
 the gap between the two sides collapsing as relay power grows.
 
-All rates are bits per channel use. Every analysis first checks its
-network with ``topology.validate`` and raises one ValueError listing the
-problems of a network that fails it. Everything here is pure given an
-immutable NetworkSpec, and diagnostics are emitted in canonical
-enumeration order so output is deterministic.
+All rates are bits per channel use. Every analysis reads its network
+through ``_channel``, from a view that ``topology.validate`` checks once
+per network; a network that fails raises one ValueError listing its
+problems. Everything here is pure given an immutable NetworkSpec, and
+diagnostics come in canonical enumeration order, so output is deterministic.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ from .errors import (
     VerificationFailure,
 )
 from .gaussian import _stacked_cholesky_log2_det, _whitened, conditional_mi_bits
-from .topology import NetworkSpec, scaled, validate
+from .topology import NetworkSpec, scaled
 
 _LN2 = math.log(2.0)
 
@@ -228,18 +228,13 @@ class SweepRow:
     feasible: bool
 
 
-def _gains(net: NetworkSpec, tx: tuple[int, ...], rx: tuple[int, ...]) -> np.ndarray:
-    """Power gains lambda_ij with receivers j by rows and transmitters i by
-    columns. Every analysis reads its network here first, so this is where
-    a network that ``validate`` rejects raises one ValueError listing every
-    problem. An entry with i == j (a relay on both lists) is no channel: it
-    is set to 0 and never read."""
-    problems = validate(net)
-    if problems:
-        raise ValueError("invalid network: " + "; ".join(problems))
-    t, r = np.array(tx), np.array(rx)
-    # net.gains[i-1, j-1] runs from i to j.
-    return np.where(t[:, None] != r, net.gains[(t - 1)[:, None], r - 1], 0.0).T
+def _channel(net: NetworkSpec, tx: tuple[int, ...], rx: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Power gains lambda_ij (receivers j by rows, transmitters i by
+    columns), the tx powers and the rx noises, sliced from the network's
+    validated ``_arrays``. An entry with i == j is no channel: it is 0."""
+    gains, powers, noises = net._arrays
+    t, r = np.array(tx, dtype=int) - 1, np.array(rx, dtype=int) - 1
+    return gains[t[:, None], r].T, powers[t], noises[r]
 
 
 def cut_rate(net: NetworkSpec, cut: CutSpec) -> float:
@@ -257,12 +252,8 @@ def cut_rate(net: NetworkSpec, cut: CutSpec) -> float:
         )
     if net.destination_id in cut.tx_side:
         raise ValueError("cut transmitter side must exclude the destination")
-    tx = cut.sorted_ids()
-    rx = tuple(sorted(all_ids - cut.tx_side))
-    gains = np.sqrt(_gains(net, tx, rx))
-    powers = np.array([net.transmit_power(i) for i in tx])
-    noises = np.array([net.noise_variance(j) for j in rx])
-    return conditional_mi_bits(gains, powers, noises)
+    gains, powers, noises = _channel(net, cut.sorted_ids(), tuple(sorted(all_ids - cut.tx_side)))
+    return conditional_mi_bits(np.sqrt(gains), powers, noises)
 
 
 def source_cut_bound(net: NetworkSpec) -> float:
@@ -290,11 +281,8 @@ def _cut_rates(net: NetworkSpec, override_guard: bool) -> np.ndarray:
     relays = net.relay_ids
     tx = (1,) + relays
     rx = tuple(range(2, net.num_nodes + 1))
-    a = _whitened(
-        np.sqrt(_gains(net, tx, rx)),
-        np.array([net.transmit_power(i) for i in tx]),
-        np.array([net.noise_variance(j) for j in rx]),
-    )
+    gains, powers, noises = _channel(net, tx, rx)
+    a = _whitened(np.sqrt(gains), powers, noises)
     count = 1 << len(relays)
     inside = (np.arange(count)[:, None] >> np.arange(len(relays)) & 1).astype(bool)
     tx_keep = np.ones((count, len(tx)), dtype=bool)
@@ -362,14 +350,13 @@ def _block_snr_sum(net: NetworkSpec, block: Block, r: int) -> float:
     """Sum over block members of lambda_ir P_i, divided by the receiver's
     source-interference-plus-noise floor lambda_1r P1 + N_r. The sum runs
     left to right (builtin sum compensates from Python 3.12 on), as the
-    constraint table's block sums do. Gains are read through ``_gains``."""
-    source_gain, *gains = _gains(net, (1,) + tuple(block), (r,))[0].tolist()
-    floor = source_gain * net.transmit_power(1) + net.noise_variance(r)
+    constraint table's block sums do."""
+    gains, powers, (noise,) = _channel(net, (1,) + tuple(block), (r,))
+    (source_gain, *gains), (p1, *powers) = gains[0].tolist(), powers.tolist()
     total = 0.0
-    for i, gain in zip(block, gains):
-        if i != r:
-            total += gain * net.transmit_power(i)
-    return total / floor
+    for gain, power in zip(gains, powers):
+        total += gain * power
+    return total / (source_gain * p1 + float(noise))
 
 
 def block_decode_rate(net: NetworkSpec, block: Block | tuple[int, ...], r: int) -> float:
@@ -384,6 +371,8 @@ def block_decode_rate(net: NetworkSpec, block: Block | tuple[int, ...], r: int) 
         raise InvalidReceiver(f"receiver {r} must be a relay or the destination")
     if r in block:
         raise InvalidReceiver(f"receiver {r} lies inside its own block {block}")
+    if not set(block) <= set(net.relay_ids):
+        raise ValueError(f"block {block} must hold relays only")
     if not block:
         return 0.0
     return 0.5 * math.log1p(_block_snr_sum(net, block, r)) / _LN2
@@ -401,17 +390,14 @@ def quantized_covariance_det(
     s = tuple(s)
     if not s:
         raise ValueError("subset must be nonempty")
-    return 2.0 ** _log2_quantized_covariance_det(net, s, np.array([q.get(i) for i in s]))
-
-
-def _log2_quantized_covariance_det(
-    net: NetworkSpec, s: tuple[int, ...], q_values: np.ndarray
-) -> float:
-    u = np.sqrt(_gains(net, (1,), s)[:, 0])
-    noise = np.array([net.noise_variance(i) for i in s])
+    if not set(s) <= set(net.relay_ids):
+        raise ValueError(f"subset {s} must hold relays only")
+    q_values = np.array([q.get(i) for i in s])
+    gains, (p1,), noise = _channel(net, (1,), s)
+    u = np.sqrt(gains[:, 0])
     # exactly symmetric
-    m = np.diag(noise + q_values) + net.transmit_power(1) * np.outer(u, u)
-    return float(_stacked_cholesky_log2_det(m[None])[0])
+    m = np.diag(noise + q_values) + p1 * np.outer(u, u)
+    return 2.0 ** float(_stacked_cholesky_log2_det(m[None])[0])
 
 
 @cache
@@ -481,17 +467,15 @@ class _ConstraintTable:
         # multiples of 2^(n-i); adding relay i to each extends its sums by
         # the largest relay last, so every row is the left-to-right sum
         # over its block.
-        candidates = relays + (net.destination_id,)
-        gains = _gains(net, (1,) + relays, candidates)
-        noise = np.array([net.noise_variance(r) for r in candidates])
-        self.p1 = net.transmit_power(1)
-        # lambda_ir P_i for the source (column 0) and every relay.
-        signal = gains * [net.transmit_power(i) for i in (1,) + relays]
-        floors = (signal[:, 0] + noise).tolist()
+        gains, powers, noise = _channel(net, (1,) + relays, relays + (net.destination_id,))
+        self.p1 = float(powers[0])
         sums = np.zeros((full + 1, n + 1))
         with np.errstate(over="ignore"):  # inf, silently, as Python floats give
+            # lambda_ir P_i for the source (column 0) and every relay.
+            signal = gains * powers
             for b, term in zip(bit, signal[:, 1:].T):
                 np.add(sums[:: 2 * b], term, out=sums[b :: 2 * b])
+        floors = (signal[:, 0] + noise).tolist()
         # math.log1p, not np.log1p, whose last bit differs on some inputs.
         values = [
             [math.log1p(x / f) / _LN2 for x, f in zip(row, floors)] for row in sums.tolist()
@@ -648,12 +632,9 @@ def cf_rate(net: NetworkSpec, q: QuantizationVector) -> float:
     """
     relays = net.relay_ids
     _require_cover(q, relays)
-    gains = np.sqrt(_gains(net, (1,), relays + (net.destination_id,)))
-    noises = np.array(
-        [net.noise_variance(j) + q.get(j) for j in relays]
-        + [net.noise_variance(net.destination_id)]
-    )
-    return conditional_mi_bits(gains, np.array([net.transmit_power(1)]), noises)
+    gains, powers, noises = _channel(net, (1,), relays + (net.destination_id,))
+    # + 0.0 leaves the destination's noise exact.
+    return conditional_mi_bits(np.sqrt(gains), powers, noises + (*q.values, 0.0))
 
 
 def _frontier(start: float, rel_tol: float) -> Generator[float, bool, float]:
@@ -702,8 +683,7 @@ def _search(search: Generator[float, bool, float], feasible_at: Callable[[float]
 
 def _search_start(table: _ConstraintTable) -> float:
     """Where the uniform search starts: the largest receiver noise."""
-    net = table.net
-    return max(net.noise_variance(j) for j in table.relays + (net.destination_id,))
+    return max(_channel(table.net, (), table.relays + (table.net.destination_id,))[2].tolist())
 
 
 def _lockstep_frontiers(

@@ -182,6 +182,8 @@ def _cf_settings(doc: dict, args: argparse.Namespace) -> tuple[str, str, float, 
         top_k = int(top_k)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad top_k: {top_k!r}") from exc
+    if top_k < 0:
+        raise ConfigError(f"top_k must be >= 0, got {top_k}")
     return quantifier, _MODE_WORDS[mode_word], tol, top_k
 
 
@@ -254,7 +256,7 @@ def cmd_cfrate(args: argparse.Namespace) -> int:
             f"  S={_cut_label(inst.s)} blocks {blocks} -> receivers ({recv})"
             f"  margin_log2 {_fmt(cm.margin_log2)}"
         )
-    if not report.binding_constraints:
+    if not report.q_star.entries:
         lines.append("  (none: no relay subsets)")
     _emit("\n".join(lines) + "\n", args.out)
     return 0

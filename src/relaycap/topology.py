@@ -14,7 +14,8 @@ factor gamma >= 1, and sweeping gamma large realizes the regime where relay
 power grows without bound while the source stays fixed.
 
 NetworkSpec is immutable after construction and safe to share across
-concurrent computations.
+concurrent computations. Analyses read it through one cached view, built
+and checked with ``validate`` on its first read (``NetworkSpec._arrays``).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -159,6 +161,21 @@ class NetworkSpec:
 
     def gain(self, tx_id: int, rx_id: int) -> float:
         return float(self.gains[tx_id - 1, rx_id - 1])
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only arrays indexed by node id - 1: the gains with the
+        diagonal zeroed, then each node's power and noise (NaN for None).
+        A network that ``validate`` rejects caches nothing: every read
+        raises one ValueError listing every problem."""
+        problems = validate(self)
+        if problems:
+            raise ValueError("invalid network: " + "; ".join(problems))
+        gains = np.where(np.eye(self.num_nodes, dtype=bool), 0.0, self.gains)
+        values = np.array([(n.power, n.noise) for n in self.nodes], dtype=float).T
+        gains.setflags(write=False)
+        values.setflags(write=False)
+        return gains, *values
 
     def transmit_power(self, node_id: int) -> float:
         n = self.node(node_id)

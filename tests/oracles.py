@@ -35,7 +35,7 @@ from relaycap.bounds import (
     SweepRow,
     _block_snr_sum,
     _check_guard,
-    _gains,
+    _channel,
     cf_rate,
     cut_rate,
     optimize_quantization,
@@ -221,7 +221,7 @@ def constraint_table_by_loops(net, quantifier):
     # v(B) and its receiver, in _block_snr_sum's arithmetic: a block's
     # sum extends the sum without its largest relay (the lowest bit).
     candidates = relays + (net.destination_id,)
-    gains = _gains(net, (1,) + relays, candidates)
+    gains = _channel(net, (1,) + relays, candidates)[0]
     noise = np.array([net.noise_variance(r) for r in candidates])
     p1 = net.transmit_power(1)
     floors = (gains[:, 0] * p1 + noise).tolist()

@@ -24,7 +24,7 @@ from oracles import (
     subset_sums_by_columns,
     table_by_partition_scan,
 )
-from relaycap import bounds, cli, enumeration, gaussian, selftest
+from relaycap import bounds, cli, enumeration, gaussian, selftest, topology
 from relaycap.bounds import BISECT_REL_TOL, _ConstraintTable
 from relaycap.errors import (
     GuardExceeded,
@@ -248,6 +248,11 @@ class TestBlockDecodeRate:
         with pytest.raises(InvalidReceiver):
             rc.block_decode_rate(reference_network, (2,), 1)
 
+    @pytest.mark.parametrize("block", [(1,), (4,), (2, 4)])
+    def test_block_holds_relays_only(self, reference_network, block):
+        with pytest.raises(ValueError, match=re.escape(f"block {block} must hold relays only")):
+            rc.block_decode_rate(reference_network, block, 3)
+
     def test_monotone_in_relay_power(self, reference_network):
         vals = [
             rc.block_decode_rate(rc.scaled(reference_network, g), (2,), 4)
@@ -268,6 +273,12 @@ class TestQuantizedCovarianceDet:
         q = rc.QuantizationVector.per_relay({2: 0.5, 3: 0.25})
         got = rc.quantized_covariance_det(net, (2, 3), q)
         assert got == pytest.approx(2.5 * 3.25, rel=1e-12)
+
+    @pytest.mark.parametrize("s", [(1,), (4,), (2, 1)])
+    def test_subset_holds_relays_only(self, reference_network, s):
+        q = rc.QuantizationVector.per_relay({i: 1.0 for i in s})
+        with pytest.raises(ValueError, match=re.escape(f"subset {s} must hold relays only")):
+            rc.quantized_covariance_det(reference_network, s, q)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
@@ -794,6 +805,76 @@ class TestInvalidNetworks:
         with pytest.raises(ValueError) as lib:
             rc.source_cut_bound(net)
         assert err == f"config error: {lib.value}\n"
+
+
+def _count_validations(monkeypatch):
+    """A list that grows by one per ``validate`` call, from the library's
+    network read (``topology.validate``) or from the CLI's own check."""
+    calls = []
+    real = topology.validate
+
+    def counting(net):
+        calls.append(net)
+        return real(net)
+
+    monkeypatch.setattr(topology, "validate", counting)
+    monkeypatch.setattr(cli, "validate", counting)
+    return calls
+
+
+class TestOneValidationPerNetwork:
+    """A network is validated once, on its first analysis; every later
+    analysis of it reads the cached arrays."""
+
+    @pytest.mark.parametrize("analysis", sorted(_ANALYSES))
+    def test_each_analysis_validates_a_fresh_network_once(
+        self, monkeypatch, reference_network, analysis
+    ):
+        q = rc.QuantizationVector.uniform(1.0, reference_network.relay_ids)
+        calls = _count_validations(monkeypatch)
+        # A sweep also validates each of its scaled copies, two here.
+        copies = 2 if analysis == "convergence_sweep" else 0
+        _ANALYSES[analysis](reference_network, q)
+        assert len(calls) == 1 + copies
+        assert calls[0] is reference_network
+        calls.clear()
+        _ANALYSES[analysis](reference_network, q)
+        assert len(calls) == copies
+
+    @pytest.mark.parametrize("k", [1, 4, 13])
+    def test_sweep_validates_the_network_and_each_scaled_copy(
+        self, monkeypatch, reference_network, k
+    ):
+        calls = _count_validations(monkeypatch)
+        rc.convergence_sweep(reference_network, [10.0**i for i in range(k)])
+        assert len(calls) == 1 + k
+        assert len({id(net) for net in calls}) == 1 + k
+
+    def test_cli_cfrate_validates_twice(self, monkeypatch, tmp_path, reference_network):
+        path = tmp_path / "ref.json"
+        path.write_text(json.dumps(_config_doc(reference_network)), encoding="utf-8")
+        calls = _count_validations(monkeypatch)
+        assert cli.main(["cfrate", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 2  # once in the CLI, once in the library
+
+    def test_cached_arrays_are_read_only(self, reference_network):
+        gains, powers, noises = reference_network._arrays
+        assert reference_network._arrays is reference_network._arrays
+        assert np.all(np.diag(gains) == 0.0)
+        assert np.isnan(powers[-1]) and np.isnan(noises[0])
+        for a in (gains, powers, noises):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+
+    def test_invalid_network_raises_on_every_read(self, monkeypatch):
+        net = _invalid_network(("relay noise", 0.0))
+        calls = _count_validations(monkeypatch)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="^invalid network: "):
+                net._arrays
+        assert len(calls) == 3
+        assert "_arrays" not in vars(net)
 
 
 def _table_cases():
@@ -1393,6 +1474,35 @@ class TestConvergenceSweep:
     def test_gamma_errors_are_invalid_scale(self, reference_network, gammas):
         with pytest.raises(rc.InvalidScale):
             rc.convergence_sweep(reference_network, gammas)
+
+    @pytest.mark.parametrize(
+        "quantifier, q_uniform",
+        [("forall", 1.1408651890799878e-102), ("exists", 9.06156019789291e-307)],
+    )
+    def test_overflowing_relay_signal_is_silent(self, quantifier, q_uniform):
+        # At gamma = 1e305 every relay power is finite, but some
+        # lambda_ir P_i exceeds the largest double: the table reads it as
+        # inf without a warning, as Python floats would.
+        net = random_network(np.random.default_rng(2), 6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = rc.convergence_sweep(net, [1, 1e305], quantifier)
+        top = rows[1]
+        assert top.feasible
+        assert top.cf_rate_bits == top.upper_bound_bits == 1.5052059207175237
+        assert top.gap_bits == 0.0
+        assert top.q_uniform == q_uniform
+
+    def test_overflowing_relay_signal_sweeps_cleanly_in_the_cli(self, tmp_path, capsys):
+        doc = _config_doc(random_network(np.random.default_rng(2), 6))
+        doc["sweep"] = {"gammas": [1, 1e305]}
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for quantifier in ("forall", "exists"):
+            assert cli.main(["sweep", "--config", str(path), "--quantifier", quantifier]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            assert captured.out.count("\n") == 3  # the CSV header and two rows
 
 
 #: The relay power multipliers of perfbench's sweep workload: 10^(k/2), k = 0..12.

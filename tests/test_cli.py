@@ -108,6 +108,26 @@ class TestCommandsSucceed:
         assert "S={2,3}" in out
         assert out.count("margin_log2") == 3
 
+    def test_cfrate_top_k_zero_prints_no_rows(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "ref.json", _ref_doc())
+        assert cli.main(["cfrate", "--config", cfg, "--top-k", "0"]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("tightest constraints (top 0):\n")
+        assert "none" not in out
+
+    def test_cfrate_without_relays_says_so(self, tmp_path, capsys):
+        doc = {
+            "nodes": [
+                {"id": 1, "role": "source", "power": 1.0},
+                {"id": 2, "role": "destination", "noise": 1.0},
+            ],
+            "gains": _full_gains(2),
+        }
+        cfg = _write(tmp_path, "p2p.json", doc)
+        assert cli.main(["cfrate", "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("tightest constraints (top 0):\n  (none: no relay subsets)\n")
+
     def test_sweep_csv_shape(self, tmp_path, capsys):
         cfg = _write(tmp_path, "ref.json", _ref_doc(sweep={"gammas": [1, 10, 100]}))
         assert cli.main(["sweep", "--config", cfg]) == 0
@@ -336,12 +356,20 @@ class TestExitCodes:
             {"tol": math.inf},
             {"tol": True},
             {"top_k": True},
+            {"top_k": -1},
         ],
     )
     def test_unusable_cf_value_is_a_config_error(self, tmp_path, capsys, command, cf):
         cfg = _write(tmp_path, "cf.json", _ref_doc(cf=cf, sweep={"gammas": [1, 10]}))
         assert cli.main([command, "--config", cfg]) == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    def test_negative_top_k_flag_is_a_config_error(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "ref.json", _ref_doc())
+        assert cli.main(["cfrate", "--config", cfg, "--top-k", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: top_k must be >= 0, got -3\n"
 
     @pytest.mark.parametrize("command", ["cfrate", "sweep"])
     def test_infinite_tol_flag_is_a_config_error(self, tmp_path, capsys, command):

@@ -27,9 +27,12 @@ zero relay noise, a negative source power, a NaN relay noise) run
 ``bound``, ``cfrate`` and ``sweep``, so config-error texts are compared
 too. Two more random networks, T = 6 and T = 9, run only ``sweep`` (forall
 and exists) over gammas 10^0..10^200 in steps of 10^20, where the rows'
-uniform searches end hundreds of steps apart. ``verify`` runs with its
-defaults and with two seeds: 445 runs in all. Only the standard library
-and numpy are used.
+uniform searches end hundreds of steps apart. One more, the T = 6 network
+``selftest.random_network(default_rng(2), 6)`` draws, runs only ``sweep``
+(forall and exists) over gammas [1, 1e305], where some lambda_ir P_i
+overflows a double although every power is finite. ``verify`` runs with
+its defaults and with two seeds: 447 runs in all. Only the standard
+library and numpy are used.
 """
 
 from __future__ import annotations
@@ -222,12 +225,25 @@ def huge_gamma_sweeps() -> list[tuple[str, dict]]:
     return docs
 
 
+def overflow_sweep() -> tuple[str, dict]:
+    """(name, config) of the overflow sweep: the network that
+    ``selftest.random_network(np.random.default_rng(2), 6)`` builds, drawn
+    here in that function's order, swept over gammas [1, 1e305]."""
+    rng = np.random.default_rng(2)
+    source_power = 10.0 ** rng.uniform(-0.5, 0.5)
+    relays = [(10.0 ** rng.uniform(1.0, 4.0), 10.0 ** rng.uniform(-0.5, 0.5)) for _ in range(4)]
+    doc = _doc(source_power, relays, 10.0 ** rng.uniform(-0.5, 0.5), _symmetric_gains(rng, 6))
+    doc["sweep"] = {"gammas": [1, 1e305]}
+    return "overflow-gamma-T6", doc
+
+
 def runs(config_dir: str) -> list[tuple[str, list[str]]]:
     """Write the corpus into config_dir; return (run name, argv) pairs."""
     out = []
     plans = [(entry, NETWORK_COMMANDS) for entry in corpus()]
     plans += [(entry, CONFIG_ERROR_COMMANDS) for entry in config_errors()]
     plans += [(entry, SWEEP_COMMANDS) for entry in huge_gamma_sweeps()]
+    plans.append((overflow_sweep(), SWEEP_COMMANDS))
     for (name, doc), commands in plans:
         path = os.path.join(config_dir, f"{name}.json")
         with open(path, "w", encoding="utf-8") as fh:
