@@ -30,19 +30,19 @@ Rate is strictly decreasing in every Q_j and feasibility margins are
 strictly increasing, so the best admissible Q sits on the feasibility
 frontier. With all Q_j equal, one monotone search (double up, halve
 down, bisect) finds it. The search is a generator that yields each point
-to test and receives the answer, so the caller decides how queries are
-answered: a single analysis asks its table one point at a time, and a
-sweep runs every gamma row's search in lockstep, answering all their
-current queries with one margin pass over the rows' tables stacked in
-columns, bit for bit the per-table answers. Coordinate descent then
-cycles from that uniform solution and moves each Q_j straight to its own
-frontier: with the other entries fixed, each subset's margin is
-nonnegative exactly above a closed-form threshold, so no search is
-needed. Margins rise toward the subset's denominator as Q grows, so a
-network is infeasible exactly when some denominator is not positive. A
-rate report evaluates every cut once: the bound is the source cut, the
-first row of that table. A sweep over the relay power multiplier shows
-the gap between the two sides collapsing as relay power grows.
+to test and receives the answer, and one driver runs every search: a
+single analysis runs one, a sweep one per gamma row, all in lockstep.
+While one search runs, its table answers it one point at a time; several
+share one margin pass over their tables stacked in columns, bit for bit
+the per-table answers. Coordinate descent then cycles from that uniform
+solution and moves each Q_j straight to its own frontier: with the other
+entries fixed, each subset's margin is nonnegative exactly above a
+closed-form threshold, so no search is needed. Margins rise toward the
+subset's denominator as Q grows, so a network is infeasible exactly when
+some denominator is not positive. A rate report evaluates every cut
+once: the bound is the source cut, the first row of that table. A sweep
+over the relay power multiplier shows the gap between the two sides
+collapsing as relay power grows.
 
 All rates are bits per channel use. Every analysis reads its network
 through ``_channel``, from a view that ``topology.validate`` checks once
@@ -54,7 +54,7 @@ diagnostics come in canonical enumeration order, so output is deterministic.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Generator
+from collections.abc import Generator
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -637,23 +637,22 @@ def cf_rate(net: NetworkSpec, q: QuantizationVector) -> float:
     return conditional_mi_bits(np.sqrt(gains), powers, noises + (*q.values, 0.0))
 
 
-def _frontier(start: float, rel_tol: float) -> Generator[float, bool, float]:
+def _frontier(start: float, rel_tol: float) -> Generator[float, bool, float | None]:
     """The uniform search: the smallest x (to rel_tol) at which a monotone
     feasibility predicate holds, as a generator that yields each point to
     test and is sent whether the predicate holds there.
 
     Double up from ``start`` until feasible, halve down from there until
-    infeasible, then bisect geometrically between the two. Raises
-    Infeasible if doubling overflows: no finite x is feasible. Returns the
-    doubling end when halving underflows to 0 (the frontier lies below
-    the representable range). ``_search`` answers one search's queries one
-    at a time; ``_lockstep_frontiers`` answers many searches' at once.
+    infeasible, then bisect geometrically between the two. Returns None if
+    doubling overflows: no finite x is feasible. Returns the doubling end
+    when halving underflows to 0 (the frontier lies below the
+    representable range). ``_lockstep_frontiers`` is its one driver.
     """
     hi = start
     while not (yield hi):
         hi *= 2.0
         if math.isinf(hi):
-            raise Infeasible("no finite quantization noise satisfies every constraint")
+            return None
     lo = hi
     while (yield lo):
         lo *= 0.5
@@ -670,17 +669,6 @@ def _frontier(start: float, rel_tol: float) -> Generator[float, bool, float]:
     return hi
 
 
-def _search(search: Generator[float, bool, float], feasible_at: Callable[[float], bool]) -> float:
-    """Run one ``_frontier`` search to its end, answering each query with
-    ``feasible_at``; its result (or its Infeasible)."""
-    x = next(search)
-    try:
-        while True:
-            x = search.send(feasible_at(x))
-    except StopIteration as stop:
-        return stop.value
-
-
 def _search_start(table: _ConstraintTable) -> float:
     """Where the uniform search starts: the largest receiver noise."""
     return max(_channel(table.net, (), table.relays + (table.net.destination_id,))[2].tolist())
@@ -689,36 +677,39 @@ def _search_start(table: _ConstraintTable) -> float:
 def _lockstep_frontiers(
     tables: list[_ConstraintTable], rel_tol: float
 ) -> list[float | None]:
-    """Each table's uniform frontier, the value ``_optimize`` finds on it,
-    or None where its search raises Infeasible. The tables share one relay
-    count and none is blocked.
+    """Each table's uniform frontier, or None where no finite uniform Q is
+    feasible. The tables share one relay count and none is blocked.
 
     Every table's search runs at once. Each step answers the current query
-    of every search still running with one ``_margins_log2`` pass over
-    their tables stacked in columns, so each answer is bit for bit the
-    one ``table.feasible`` gives. A search that ends, by its result or by
-    Infeasible, leaves the stack; the others go on unchanged.
+    of every search still running: a search running alone asks its table
+    one point (``table.feasible``); several share one ``_margins_log2``
+    pass over their tables stacked in columns, bit for bit the answers
+    ``table.feasible`` gives. A search that ends leaves the stack; the
+    others go on unchanged.
     """
     searches = [_frontier(_search_start(t), rel_tol) for t in tables]
     points = [next(search) for search in searches]
     found: list[float | None] = [None] * len(tables)
     active, stacked = list(range(len(tables))), 0
     while active:
-        if stacked != len(active):
-            denom, noise, lam, p1 = (
-                np.stack([getattr(tables[k], name) for k in active], axis=-1)
-                for name in ("denom_log2", "noise", "lam", "p1")
-            )
-            stacked = len(active)
-        margins = _margins_log2(denom, noise, lam, p1, np.array([points[k] for k in active]))
+        if len(active) == 1:
+            table = tables[active[0]]
+            answers = [table.feasible(np.full(len(table.relays), points[active[0]]))]
+        else:
+            if stacked != len(active):
+                denom, noise, lam, p1 = (
+                    np.stack([getattr(tables[k], name) for k in active], axis=-1)
+                    for name in ("denom_log2", "noise", "lam", "p1")
+                )
+                stacked = len(active)
+            q = np.array([points[k] for k in active])
+            answers = np.all(_margins_log2(denom, noise, lam, p1, q) >= 0.0, axis=0).tolist()
         running = []
-        for k, feasible in zip(active, np.all(margins >= 0.0, axis=0).tolist()):
+        for k, feasible in zip(active, answers):
             try:
                 points[k] = searches[k].send(feasible)
-            except StopIteration as stop:
+            except StopIteration as stop:  # the search's end: its result
                 found[k] = stop.value
-            except Infeasible:
-                pass
             else:
                 running.append(k)
         active = running
@@ -809,7 +800,8 @@ def _optimize(table: _ConstraintTable, mode: str, tol: float) -> tuple[Quantizat
 
     Every margin rises strictly toward its denominator as Q grows, so a
     feasible Q exists exactly when every denom_log2 is positive. The
-    uniform search asks the table one point at a time.
+    uniform search is ``_lockstep_frontiers`` on this one table, which asks
+    it one point at a time.
     """
     net, relays = table.net, table.relays
     if not relays:
@@ -822,10 +814,9 @@ def _optimize(table: _ConstraintTable, mode: str, tol: float) -> tuple[Quantizat
             "quantization noise: its relays deliver no power to the receivers that must "
             "decode them"
         )
-    q_uni = _search(
-        _frontier(_search_start(table), tol),
-        lambda x: table.feasible(np.full(len(relays), x)),
-    )
+    (q_uni,) = _lockstep_frontiers([table], tol)
+    if q_uni is None:
+        raise Infeasible("no finite quantization noise satisfies every constraint")
     q_star = QuantizationVector.uniform(q_uni, relays)
     if mode == "coordinate_descent":
         q_star = _coordinate_descent(table, q_star, tol)
@@ -864,13 +855,15 @@ def build_rate_report(
     """Full analysis: bound, optimized rate, and the tightest constraints,
     from one constraint table and one cut table."""
     _require_mode(mode)
+    if top_k < 0:
+        raise ValueError(f"top_k must be >= 0, got {top_k}")
     table = _ConstraintTable(net, quantifier, override_guard)
     q_star, rate = _optimize(table, mode, tol)
     rates = _cut_rates(net, override_guard)
     bound = float(rates[0])  # the source cut
     mc_bits, mc = _min_cut(net, rates)
     margins = table.margins_log2(np.array(q_star.values))
-    tightest = np.argsort(margins, kind="stable")[: max(top_k, 0)]
+    tightest = np.argsort(margins, kind="stable")[:top_k]
     binding = tuple(ConstraintMargin(table.instance(k), float(margins[k])) for k in tightest)
     return RateReport(
         upper_bound_bits=bound,
@@ -901,7 +894,7 @@ def convergence_sweep(
     (``_lockstep_frontiers``) performs every searchable row's uniform
     search at once, with one stacked margin pass per step; each row gets
     the q and rate that ``optimize_quantization`` gives on its own.
-    Infeasible rows, blocked tables or searches that raise Infeasible,
+    Infeasible rows, blocked tables or searches that find no finite Q,
     are reported, not fatal, and never stop the other rows. An error from
     building a row's table is raised after the rows before it are done,
     as a row-by-row loop would raise it.

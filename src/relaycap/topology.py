@@ -142,25 +142,12 @@ class NetworkSpec:
         return len(self.nodes)
 
     @property
-    def source_id(self) -> int:
-        return 1
-
-    @property
     def destination_id(self) -> int:
         return self.num_nodes
 
     @property
     def relay_ids(self) -> tuple[int, ...]:
         return tuple(n.id for n in self.nodes if n.role == ROLE_RELAY)
-
-    def node(self, node_id: int) -> NodeSpec:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError(f"no node with id {node_id}")
-
-    def gain(self, tx_id: int, rx_id: int) -> float:
-        return float(self.gains[tx_id - 1, rx_id - 1])
 
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -176,18 +163,6 @@ class NetworkSpec:
         gains.setflags(write=False)
         values.setflags(write=False)
         return gains, *values
-
-    def transmit_power(self, node_id: int) -> float:
-        n = self.node(node_id)
-        if n.power is None:
-            raise ValueError(f"node {node_id} ({n.role}) has no transmit power")
-        return n.power
-
-    def noise_variance(self, node_id: int) -> float:
-        n = self.node(node_id)
-        if n.noise is None:
-            raise ValueError(f"node {node_id} ({n.role}) has no receiver noise")
-        return n.noise
 
 
 def from_gains(nodes: list[NodeSpec] | tuple[NodeSpec, ...], gains: np.ndarray) -> NetworkSpec:

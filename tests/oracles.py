@@ -222,10 +222,10 @@ def constraint_table_by_loops(net, quantifier):
     # sum extends the sum without its largest relay (the lowest bit).
     candidates = relays + (net.destination_id,)
     gains = _channel(net, (1,) + relays, candidates)[0]
-    noise = np.array([net.noise_variance(r) for r in candidates])
-    p1 = net.transmit_power(1)
+    noise = np.array([net.nodes[r - 1].noise for r in candidates])
+    p1 = net.nodes[0].power
     floors = (gains[:, 0] * p1 + noise).tolist()
-    terms = (gains[:, 1:] * [net.transmit_power(i) for i in relays]).T.tolist()
+    terms = (gains[:, 1:] * [net.nodes[i - 1].power for i in relays]).T.tolist()
     sums = [[0.0] * len(candidates)]
     value, receiver = [0.0], [0]
     for m in range(1, full + 1):
@@ -294,9 +294,9 @@ def cut_rate_by_covariance(net, cut) -> float:
     amplitude gains and factored by the checked ``log2_det``."""
     tx = cut.sorted_ids()
     rx = [j for j in range(1, net.num_nodes + 1) if j not in cut.tx_side]
-    gains = np.array([[math.sqrt(net.gain(i, j)) for i in tx] for j in rx])
-    powers = np.array([net.transmit_power(i) for i in tx])
-    noises = np.array([net.noise_variance(j) for j in rx])
+    gains = np.array([[math.sqrt(net.gains[i - 1, j - 1]) for i in tx] for j in rx])
+    powers = np.array([net.nodes[i - 1].power for i in tx])
+    noises = np.array([net.nodes[j - 1].noise for j in rx])
     signal = (gains * powers) @ gains.T
     sigma = np.diag(noises) + 0.5 * (signal + signal.T)
     return 0.5 * (log2_det(sigma) - float(np.sum(np.log2(noises))))

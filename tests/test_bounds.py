@@ -408,11 +408,11 @@ class TestCfRate:
         net = random_network(rng, int(rng.integers(3, 7)))
         qvals = 10.0 ** rng.uniform(-2, 2, size=len(net.relay_ids))
         q = rc.QuantizationVector(entries=tuple(zip(net.relay_ids, qvals.tolist())))
-        p1 = net.transmit_power(1)
+        p1 = net.nodes[0].power
         t = net.destination_id
-        acc = net.gain(1, t) / net.noise_variance(t)
+        acc = net.gains[0, t - 1] / net.nodes[t - 1].noise
         for j, qj in zip(net.relay_ids, qvals):
-            acc += net.gain(1, j) / (net.noise_variance(j) + qj)
+            acc += net.gains[0, j - 1] / (net.nodes[j - 1].noise + qj)
         want = 0.5 * math.log2(1.0 + p1 * acc)
         assert rc.cf_rate(net, q) == pytest.approx(want, rel=1e-10)
 
@@ -1009,20 +1009,20 @@ def _relabel(net, new_id):
     and noise travel with it."""
     t = net.num_nodes
     old_of = {1: 1, t: t, **{new: old for old, new in new_id.items()}}
-    nodes = [rc.source(1, net.node(1).power)]
-    nodes += [
-        rc.relay(j, net.node(old_of[j]).power, net.node(old_of[j]).noise) for j in range(2, t)
-    ]
-    nodes.append(rc.destination(t, net.node(t).noise))
+    old = {j: net.nodes[old_of[j] - 1] for j in range(1, t + 1)}
+    nodes = [rc.source(1, old[1].power)]
+    nodes += [rc.relay(j, old[j].power, old[j].noise) for j in range(2, t)]
+    nodes.append(rc.destination(t, old[t].noise))
     order = [old_of[j] - 1 for j in range(1, t + 1)]
     return rc.from_gains(nodes, net.gains[np.ix_(order, order)])
 
 
 def _scale_powers_and_noises(net, c):
     t = net.num_nodes
-    nodes = [rc.source(1, c * net.node(1).power)]
-    nodes += [rc.relay(j, c * net.node(j).power, c * net.node(j).noise) for j in range(2, t)]
-    nodes.append(rc.destination(t, c * net.node(t).noise))
+    source, *relays, dest = net.nodes
+    nodes = [rc.source(1, c * source.power)]
+    nodes += [rc.relay(n.id, c * n.power, c * n.noise) for n in relays]
+    nodes.append(rc.destination(t, c * dest.noise))
     return rc.from_gains(nodes, net.gains)
 
 
@@ -1195,10 +1195,16 @@ class TestConstraintTableArrays:
         assert len(rows) == 6 and all(row.endswith(",true") for row in rows)
         assert built == []
 
-    @pytest.mark.parametrize("top_k", [0, 1, 5, 64])
+    @pytest.mark.parametrize("top_k", [-1, 0, 1, 5, 64])
     def test_report_builds_only_the_printed_instances(self, monkeypatch, top_k):
         net = random_network(np.random.default_rng(6), 8)
         built = _count_instances(monkeypatch)
+        if top_k < 0:
+            # Refused before any work: no table is built.
+            monkeypatch.setattr(bounds, "_ConstraintTable", None)
+            with pytest.raises(ValueError, match="^top_k must be >= 0, got -1$"):
+                rc.build_rate_report(net, top_k=top_k)
+            return
         for quantifier in ("forall", "exists"):
             for mode in ("uniform_bisection", "coordinate_descent"):
                 built.clear()
@@ -1661,7 +1667,8 @@ def _stub_tables(net):
 
 class TestLockstepFrontiers:
     """Searches that end at different steps, by a result, by the halving
-    underflow return or by Infeasible, all in one lockstep run."""
+    underflow return or by the doubling overflow's None, all in one
+    lockstep run."""
 
     def _ordinary(self, quantifier="forall"):
         net = random_network(np.random.default_rng(3), 6)
@@ -1678,8 +1685,9 @@ class TestLockstepFrontiers:
             got = bounds._lockstep_frontiers(tables, BISECT_REL_TOL)
         want = [_scalar_search(table) for table in tables]
         assert got == [found for found, _ in want]
-        # The exits are the rare ones: overflow raised, underflow returned
-        # the doubling end (the start, feasible down to the smallest double).
+        # The exits are the rare ones: overflow returned None, underflow
+        # returned the doubling end (the start, feasible down to the
+        # smallest double).
         assert got[0] is None
         assert got[2] == bounds._search_start(underflow)
         assert underflow.feasible(np.full(len(net.relay_ids), 5e-324))
@@ -1703,22 +1711,53 @@ class TestLockstepFrontiers:
             assert [x for x, t in zip(got, mixed) if t in ordinary] == alone
 
     def test_single_search_is_the_scalar_oracle(self):
-        # _optimize drives the same generator one query at a time.
+        # The generator, answered one query at a time, is the oracle, with
+        # None where the oracle raises Infeasible.
         thresholds = [0.0, 5e-324, 1e-300, 0.3, 1.0, 7.5, 1e300, math.inf]
         for threshold in thresholds:
             for start in (1e-10, 1.0, 3.0, 1e200):
-
-                def feasible_at(x, c=threshold):
-                    return x >= c
-
+                search = bounds._frontier(start, BISECT_REL_TOL)
+                x = next(search)
                 try:
-                    want = scalar_frontier(feasible_at, start, BISECT_REL_TOL)
+                    while True:
+                        x = search.send(x >= threshold)
+                except StopIteration as stop:
+                    got = stop.value
+                try:
+                    want = scalar_frontier(lambda x: x >= threshold, start, BISECT_REL_TOL)
                 except Infeasible:
-                    with pytest.raises(Infeasible):
-                        bounds._search(bounds._frontier(start, BISECT_REL_TOL), feasible_at)
-                    continue
-                got = bounds._search(bounds._frontier(start, BISECT_REL_TOL), feasible_at)
+                    want = None
                 assert got == want
+
+    @pytest.mark.parametrize("quantifier", ["forall", "exists"])
+    def test_single_analysis_asks_its_table_one_point_at_a_time(self, monkeypatch, quantifier):
+        # One running search takes no stacked pass: every query of the
+        # uniform search is one table.feasible call.
+        calls = []
+        real = _ConstraintTable.feasible
+
+        def counting(table, q_values):
+            calls.append(q_values)
+            return real(table, q_values)
+
+        for t in range(4, 12):
+            net = random_network(np.random.default_rng(t), t)
+            found, count = _scalar_search(_ConstraintTable(net, quantifier, override_guard=True))
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(_ConstraintTable, "feasible", counting)
+                q, _ = rc.optimize_quantization(
+                    net, "uniform_bisection", quantifier, override_guard=True
+                )
+            assert len(calls) == count
+            assert q.values == (found,) * (t - 2)
+
+    def test_optimize_raises_where_doubling_overflows(self, reference_network):
+        overflow, _ = _stub_tables(reference_network)
+        message = "^no finite quantization noise satisfies every constraint$"
+        for mode in ("uniform_bisection", "coordinate_descent"):
+            with pytest.raises(Infeasible, match=message):
+                bounds._optimize(overflow, mode, BISECT_REL_TOL)
 
     def test_no_tables_no_searches(self):
         assert bounds._lockstep_frontiers([], BISECT_REL_TOL) == []

@@ -116,8 +116,8 @@ class TestNetworkSpec:
         net = rc.from_gains(nodes, g)
         assert not net.geometry_derived
         assert rc.validate(net) == []
-        assert net.gain(1, 3) == 2.0
-        assert net.gain(3, 1) == 1.0
+        assert net.gains[0, 2] == 2.0
+        assert net.gains[2, 0] == 1.0
 
     def test_geometry_gains_symmetric(self):
         nodes = [
@@ -128,42 +128,30 @@ class TestNetworkSpec:
         net = rc.from_geometry(nodes, rc.PathLossParams(kappa=2.0, eta=3.0))
         assert net.geometry_derived
         assert np.allclose(net.gains, net.gains.T)
-        assert net.gain(2, 3) == pytest.approx(2.0 * 5.0 ** (-3.0))
-
-    def test_node_lookup_and_accessors(self, single_relay_network):
-        net = single_relay_network
-        assert net.node(2).role == "relay"
-        assert net.transmit_power(2) == 1e3
-        assert net.noise_variance(3) == 1.0
-        with pytest.raises(KeyError):
-            net.node(9)
-        with pytest.raises(ValueError):
-            net.transmit_power(3)  # destination does not transmit
-        with pytest.raises(ValueError):
-            net.noise_variance(1)  # source does not receive
+        assert net.gains[1, 2] == pytest.approx(2.0 * 5.0 ** (-3.0))
 
 
 class TestScaled:
     def test_identity_scale(self, reference_network):
         same = rc.scaled(reference_network, 1.0)
-        assert same.transmit_power(2) == reference_network.transmit_power(2)
-        assert same.transmit_power(1) == reference_network.transmit_power(1)
+        assert same.nodes[1].power == reference_network.nodes[1].power
+        assert same.nodes[0].power == reference_network.nodes[0].power
 
     def test_relay_powers_multiplied(self):
         net = _unit_net(4)  # relay powers 2 and 3
         big = rc.scaled(net, 10.0)
-        assert big.transmit_power(2) == pytest.approx(20.0)
-        assert big.transmit_power(3) == pytest.approx(30.0)
+        assert big.nodes[1].power == pytest.approx(20.0)
+        assert big.nodes[2].power == pytest.approx(30.0)
 
     def test_source_power_noises_gains_untouched(self, reference_network):
         big = rc.scaled(reference_network, 123.0)
-        assert big.transmit_power(1) == reference_network.transmit_power(1)
-        assert big.noise_variance(2) == reference_network.noise_variance(2)
+        assert big.nodes[0].power == reference_network.nodes[0].power
+        assert big.nodes[1].noise == reference_network.nodes[1].noise
         assert np.array_equal(big.gains, reference_network.gains)
 
     def test_scaling_composes(self, reference_network):
         twice = rc.scaled(rc.scaled(reference_network, 10.0), 10.0)
-        assert twice.transmit_power(2) == pytest.approx(100.0)
+        assert twice.nodes[1].power == pytest.approx(100.0)
 
     def test_rejects_gamma_below_one(self, reference_network):
         with pytest.raises(InvalidScale):
@@ -180,7 +168,7 @@ class TestScaled:
                    rc.destination(3, 1.0)),
             gains=np.ones((3, 3)),
         )
-        assert rc.scaled(net, 10.0).node(2).power is None
+        assert rc.scaled(net, 10.0).nodes[1].power is None
 
     @given(gamma=st.floats(min_value=1.0, max_value=1e6))
     @settings(max_examples=40, deadline=None)

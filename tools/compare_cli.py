@@ -5,7 +5,11 @@ Usage: python3 tools/compare_cli.py PARENT_DIR CHANGE_DIR
 Each directory is the root of a relaycap checkout. The script builds one
 fixed, seeded corpus of configs, runs every command line of it through
 ``relaycap.cli.main`` in one subprocess per tree (``PYTHONPATH=<dir>/src``),
-and compares stdout, stderr and exit code run by run. It prints:
+and compares stdout, stderr and exit code run by run. Each run executes
+inside ``warnings.catch_warnings()``: entering it clears the per-module
+warning registries, so a run prints every warning it hits, as it would in
+a fresh process, not only the first run to reach a warning's code
+location. It prints:
 
 - how many runs are identical;
 - how many output lines moved, where a moved line is one whose text is
@@ -72,12 +76,16 @@ SWEEP_COMMANDS = (["sweep", "--quantifier", "forall"], ["sweep", "--quantifier",
 # Runs inside each tree's interpreter: reads a JSON list of argv lists on
 # stdin and writes [exit code, stdout, stderr] per run as JSON on stdout.
 WORKER = """
-import contextlib, io, json, sys
+import contextlib, io, json, sys, warnings
 from relaycap import cli
 results = []
 for argv in json.load(sys.stdin):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with (
+        warnings.catch_warnings(),
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+    ):
         try:
             code = cli.main(argv)
         except SystemExit as exc:
