@@ -54,6 +54,7 @@ diagnostics come in canonical enumeration order, so output is deterministic.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Generator
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -67,11 +68,10 @@ from .errors import (
     InvalidReceiver,
     InvalidScale,
     NonPositiveQ,
-    NotPositiveDefinite,
     VerificationFailure,
 )
 from .gaussian import _stacked_cholesky_log2_det, _whitened, conditional_mi_bits
-from .topology import NetworkSpec, scaled
+from .topology import NetworkSpec, _node_id, scaled
 
 _LN2 = math.log(2.0)
 
@@ -121,7 +121,7 @@ class CutSpec:
     tx_side: frozenset[int]
 
     def __post_init__(self) -> None:
-        side = frozenset(map(int, self.tx_side))
+        side = frozenset(map(_node_id, self.tx_side))
         if 1 not in side:
             raise ValueError(f"cut transmitter side must contain the source (1), got {sorted(side)}")
         object.__setattr__(self, "tx_side", side)
@@ -141,7 +141,7 @@ class QuantizationVector:
     entries: tuple[tuple[int, float], ...]
 
     def __post_init__(self) -> None:
-        cleaned = tuple(sorted((int(i), float(v)) for i, v in self.entries))
+        cleaned = tuple(sorted((_node_id(i), float(v)) for i, v in self.entries))
         ids = [i for i, _ in cleaned]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate relay ids in quantization vector: {ids}")
@@ -274,8 +274,9 @@ def _cut_rates(net: NetworkSpec, override_guard: bool) -> np.ndarray:
     the cuts with s relays on the transmitter side share one shape, so each
     such group is gathered into one stack, turned into Gram matrices on the
     smaller side by one matmul, and factored by one stacked Cholesky: per
-    cut, the arithmetic of ``cut_rate``. If cuts are not positive definite,
-    the error is ``cut_rate``'s on the first of them in canonical order.
+    cut, the arithmetic of ``cut_rate``. The groups run by relay count, and
+    the first group holding a cut that is not positive definite raises the
+    kernel's error.
     """
     _check_guard(net, override_guard)
     relays = net.relay_ids
@@ -291,7 +292,6 @@ def _cut_rates(net: NetworkSpec, override_guard: bool) -> np.ndarray:
     rx_keep[:, np.array(relays, dtype=int) - 2] = ~inside
 
     rates = np.empty(count)
-    failures = []
     sizes = inside.sum(axis=1)
     for s in range(len(relays) + 1):
         cuts = np.flatnonzero(sizes == s)
@@ -300,12 +300,7 @@ def _cut_rates(net: NetworkSpec, override_guard: bool) -> np.ndarray:
         w = a[rx_idx[:, :, None], tx_idx[:, None, :]]
         wt = w.transpose(0, 2, 1)
         gram = np.matmul(wt, w) if 1 + s <= len(rx) - s else np.matmul(w, wt)
-        try:
-            rates[cuts] = 0.5 * _stacked_cholesky_log2_det(np.eye(gram.shape[1]) + gram)
-        except NotPositiveDefinite as err:
-            failures.append((cuts[err.index], err))
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
+        rates[cuts] = 0.5 * _stacked_cholesky_log2_det(np.eye(gram.shape[1]) + gram)
     return rates
 
 
@@ -366,8 +361,8 @@ def block_decode_rate(net: NetworkSpec, block: Block | tuple[int, ...], r: int) 
 
     An empty block carries nothing and yields 0 bits.
     """
-    block = tuple(block)
-    if not 2 <= r <= net.num_nodes:
+    block = tuple(map(_node_id, block))
+    if not 2 <= _node_id(r) <= net.num_nodes:
         raise InvalidReceiver(f"receiver {r} must be a relay or the destination")
     if r in block:
         raise InvalidReceiver(f"receiver {r} lies inside its own block {block}")
@@ -387,7 +382,7 @@ def quantized_covariance_det(
     sqrt(lambda_1i lambda_1k) P1: a positive diagonal plus a rank-one
     source term, always positive definite for Q > 0.
     """
-    s = tuple(s)
+    s = tuple(map(_node_id, s))
     if not s:
         raise ValueError("subset must be nonempty")
     if not set(s) <= set(net.relay_ids):
@@ -569,7 +564,8 @@ class _ConstraintTable:
         """Every subset's binding instance with its margin at Q, in
         canonical subset order."""
         _require_cover(q, self.relays)
-        margins = self.margins_log2(np.array(q.values))
+        with np.errstate(over="ignore"):  # N + Q -> inf, as in _lockstep_frontiers
+            margins = self.margins_log2(np.array(q.values))
         return tuple(
             ConstraintMargin(instance=inst, margin_log2=float(m))
             for inst, m in zip(self.instances, margins)
@@ -633,8 +629,12 @@ def cf_rate(net: NetworkSpec, q: QuantizationVector) -> float:
     relays = net.relay_ids
     _require_cover(q, relays)
     gains, powers, noises = _channel(net, (1,), relays + (net.destination_id,))
-    # + 0.0 leaves the destination's noise exact.
-    return conditional_mi_bits(np.sqrt(gains), powers, noises + (*q.values, 0.0))
+    # Python floats: an N + Q that overflows is inf, without a warning; that
+    # relay hears nothing of the source, so dropping it is the exact limit.
+    total = [n + x for n, x in zip(noises.tolist(), (*q.values, 0.0))]
+    if math.inf in total:
+        gains, total = gains[np.isfinite(total)], [x for x in total if x < math.inf]
+    return conditional_mi_bits(np.sqrt(gains), powers, total)
 
 
 def _frontier(start: float, rel_tol: float) -> Generator[float, bool, float | None]:
@@ -643,16 +643,19 @@ def _frontier(start: float, rel_tol: float) -> Generator[float, bool, float | No
     test and is sent whether the predicate holds there.
 
     Double up from ``start`` until feasible, halve down from there until
-    infeasible, then bisect geometrically between the two. Returns None if
-    doubling overflows: no finite x is feasible. Returns the doubling end
-    when halving underflows to 0 (the frontier lies below the
-    representable range). ``_lockstep_frontiers`` is its one driver.
+    infeasible, then bisect geometrically between the two. Doubling stops
+    at the largest double; returns None if that is infeasible too: no
+    finite x is feasible. Returns the doubling end when halving underflows
+    to 0 (the frontier lies below the representable range).
+    ``_lockstep_frontiers`` is its one driver.
     """
+    if not 0.0 < rel_tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {rel_tol!r}")
     hi = start
     while not (yield hi):
-        hi *= 2.0
-        if math.isinf(hi):
+        if hi == sys.float_info.max:
             return None
+        hi = min(2.0 * hi, sys.float_info.max)
     lo = hi
     while (yield lo):
         lo *= 0.5
@@ -691,28 +694,31 @@ def _lockstep_frontiers(
     points = [next(search) for search in searches]
     found: list[float | None] = [None] * len(tables)
     active, stacked = list(range(len(tables))), 0
-    while active:
-        if len(active) == 1:
-            table = tables[active[0]]
-            answers = [table.feasible(np.full(len(table.relays), points[active[0]]))]
-        else:
-            if stacked != len(active):
-                denom, noise, lam, p1 = (
-                    np.stack([getattr(tables[k], name) for k in active], axis=-1)
-                    for name in ("denom_log2", "noise", "lam", "p1")
-                )
-                stacked = len(active)
-            q = np.array([points[k] for k in active])
-            answers = np.all(_margins_log2(denom, noise, lam, p1, q) >= 0.0, axis=0).tolist()
-        running = []
-        for k, feasible in zip(active, answers):
-            try:
-                points[k] = searches[k].send(feasible)
-            except StopIteration as stop:  # the search's end: its result
-                found[k] = stop.value
+    # N + Q -> inf near the largest double: a relay that hears nothing of
+    # the source, the exact limit. Silenced once per run, not per pass.
+    with np.errstate(over="ignore"):
+        while active:
+            if len(active) == 1:
+                table = tables[active[0]]
+                answers = [table.feasible(np.full(len(table.relays), points[active[0]]))]
             else:
-                running.append(k)
-        active = running
+                if stacked != len(active):
+                    denom, noise, lam, p1 = (
+                        np.stack([getattr(tables[k], name) for k in active], axis=-1)
+                        for name in ("denom_log2", "noise", "lam", "p1")
+                    )
+                    stacked = len(active)
+                q = np.array([points[k] for k in active])
+                answers = np.all(_margins_log2(denom, noise, lam, p1, q) >= 0.0, axis=0).tolist()
+            running = []
+            for k, feasible in zip(active, answers):
+                try:
+                    points[k] = searches[k].send(feasible)
+                except StopIteration as stop:  # the search's end: its result
+                    found[k] = stop.value
+                else:
+                    running.append(k)
+            active = running
     return found
 
 
@@ -779,8 +785,9 @@ def _coordinate_descent(
     q_values = np.array(start.values)
     rate = cf_rate(table.net, q_star)
     for _ in range(DESCENT_MAX_CYCLES):
-        for k in range(n):
-            q_values[k] = _coordinate_step(table, q_values, k, rows[k])
+        with np.errstate(over="ignore"):  # N + Q -> inf, as in _lockstep_frontiers
+            for k in range(n):
+                q_values[k] = _coordinate_step(table, q_values, k, rows[k])
         q_star = QuantizationVector(entries=tuple(zip(table.relays, q_values)))
         new_rate = cf_rate(table.net, q_star)
         improved = new_rate - rate
@@ -838,7 +845,8 @@ def optimize_quantization(
     each coordinate in turn to its exact frontier (a closed form, no
     bisection), which helps asymmetric networks and provably never hurts,
     and stops once a cycle gains no more than ``tol`` bits. Raises
-    Infeasible when no quantization works (e.g. powerless relays).
+    Infeasible when no quantization works (e.g. powerless relays), and
+    ValueError once a search starts with a tol that is not finite and > 0.
     """
     _require_mode(mode)
     return _optimize(_ConstraintTable(net, quantifier, override_guard), mode, tol)
@@ -862,7 +870,8 @@ def build_rate_report(
     rates = _cut_rates(net, override_guard)
     bound = float(rates[0])  # the source cut
     mc_bits, mc = _min_cut(net, rates)
-    margins = table.margins_log2(np.array(q_star.values))
+    with np.errstate(over="ignore"):  # N + Q -> inf, as in _lockstep_frontiers
+        margins = table.margins_log2(np.array(q_star.values))
     tightest = np.argsort(margins, kind="stable")[:top_k]
     binding = tuple(ConstraintMargin(table.instance(k), float(margins[k])) for k in tightest)
     return RateReport(
@@ -896,8 +905,7 @@ def convergence_sweep(
     the q and rate that ``optimize_quantization`` gives on its own.
     Infeasible rows, blocked tables or searches that find no finite Q,
     are reported, not fatal, and never stop the other rows. An error from
-    building a row's table is raised after the rows before it are done,
-    as a row-by-row loop would raise it.
+    building any row's table is raised before any row is searched.
     """
     gammas = [float(g) for g in gammas]
     if not gammas:
@@ -908,14 +916,7 @@ def convergence_sweep(
         raise InvalidScale(f"every gamma must be >= 1, got {gammas}")
 
     bound = source_cut_bound(net)
-    tables: list[_ConstraintTable] = []
-    failure = None
-    for g in gammas:
-        try:
-            tables.append(_ConstraintTable(scaled(net, g), quantifier, override_guard))
-        except (ValueError, GuardExceeded) as err:  # raised once the rows before it are done
-            failure = err
-            break
+    tables = [_ConstraintTable(scaled(net, g), quantifier, override_guard) for g in gammas]
     searched = [k for k, t in enumerate(tables) if t.relays and np.all(t.denom_log2 > 0.0)]
     frontiers = dict(zip(searched, _lockstep_frontiers([tables[k] for k in searched], tol)))
 
@@ -934,6 +935,4 @@ def convergence_sweep(
                 f"rate {rate!r} exceeds bound {bound!r} at gamma={g!r}"
             )
         rows.append(SweepRow(g, bound, rate, gap, q_uni, feasible))
-    if failure is not None:
-        raise failure
     return tuple(rows)

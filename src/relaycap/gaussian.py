@@ -61,38 +61,31 @@ def _stacked_cholesky_log2_det(stack: np.ndarray) -> np.ndarray:
 
     Step k runs once for the whole stack. Pivot k is a[k,k] minus the
     accumulated squared row of the factor, and its log is taken with
-    ``math.log2`` rather than ``np.log2``, whose last bit can differ. A pivot
-    <= PD_EPSILON (or NaN) fails its matrix, which from then on is factored
-    as an identity so that no NaN or warning spreads from it; the other
-    matrices carry on.
+    ``math.log2`` rather than ``np.log2``, whose last bit can differ.
 
-    Raises NotPositiveDefinite for the first failing matrix in stack order,
-    naming its first failing pivot; the error's ``index`` is that matrix's
-    position in the stack.
+    Raises NotPositiveDefinite at the first step where a pivot is
+    <= PD_EPSILON (or NaN), naming the lowest-index matrix that fails
+    there; the error's ``index`` is that matrix's position in the stack.
     """
     count, n, _ = stack.shape
     a = np.array(stack, dtype=float)
     lower = np.zeros(a.shape)
     log2_sums = np.zeros(count)
-    error: NotPositiveDefinite | None = None
     for k in range(n):
         row = lower[:, k, None, :k]
         pivot = a[:, k, k] - np.matmul(row, row.transpose(0, 2, 1))[:, 0, 0]
         passed = pivot > PD_EPSILON
         if not passed.all():
-            failed = np.flatnonzero(~passed)
-            if error is None or failed[0] < error.index:
-                error = _pivot_failure(pivot[failed[0]], k)
-                error.index = int(failed[0])
-            a[failed], lower[failed], pivot[failed] = np.eye(n), 0.0, 1.0
+            index = int(np.argmin(passed))  # the first False
+            error = _pivot_failure(pivot[index], k)
+            error.index = index
+            raise error
         log2_sums += np.fromiter(map(math.log2, pivot.tolist()), float, count)
         root = np.sqrt(pivot)
         lower[:, k, k] = root
         if k + 1 < n:
             column = np.matmul(lower[:, k + 1 :, :k], row.transpose(0, 2, 1))[:, :, 0]
             lower[:, k + 1 :, k] = (a[:, k + 1 :, k] - column) / root[:, None]
-    if error is not None:
-        raise error
     return log2_sums
 
 

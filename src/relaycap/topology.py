@@ -35,6 +35,13 @@ ROLE_DESTINATION = "destination"
 _ROLES = (ROLE_SOURCE, ROLE_RELAY, ROLE_DESTINATION)
 
 
+def _node_id(value: int) -> int:
+    """``value`` if it is a node id, a positive int; 2.7 is refused, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"node id must be a positive integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class NodeSpec:
     """One node: id (1-based), role, optional planar position, power/noise.
@@ -55,8 +62,7 @@ class NodeSpec:
     def __post_init__(self) -> None:
         if self.role not in _ROLES:
             raise ValueError(f"unknown role {self.role!r}; expected one of {_ROLES}")
-        if isinstance(self.id, bool) or not isinstance(self.id, int) or self.id < 1:
-            raise ValueError(f"node id must be a positive integer, got {self.id!r}")
+        _node_id(self.id)
         if self.position is not None:
             pos = tuple(float(c) for c in self.position)
             if len(pos) != 2:

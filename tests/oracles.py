@@ -21,6 +21,7 @@ Nothing here is performance sensitive; clarity wins.
 """
 
 import math
+import sys
 from collections.abc import Callable
 
 import numpy as np
@@ -319,16 +320,16 @@ def _frontier(feasible_at: Callable[[float], bool], start: float, rel_tol: float
     monotone in x.
 
     Double up from ``start`` until feasible, halve down from there until
-    infeasible, then bisect geometrically between the two. Raises
-    Infeasible if doubling overflows: no finite x is feasible. Returns the
-    doubling end when halving underflows to 0 (the frontier lies below
-    the representable range).
+    infeasible, then bisect geometrically between the two. Doubling stops
+    at the largest double; raises Infeasible if that is infeasible too: no
+    finite x is feasible. Returns the doubling end when halving underflows
+    to 0 (the frontier lies below the representable range).
     """
     hi = start
     while not feasible_at(hi):
-        hi *= 2.0
-        if math.isinf(hi):
+        if hi == sys.float_info.max:
             raise Infeasible("no finite quantization noise satisfies every constraint")
+        hi = min(2.0 * hi, sys.float_info.max)
     lo = hi
     while feasible_at(lo):
         lo *= 0.5

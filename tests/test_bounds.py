@@ -326,6 +326,24 @@ class TestQuantizationVector:
         assert q.values == (10.0, 20.0)
 
 
+@pytest.mark.parametrize("bad", [2.7, 2.0, True, "2", np.int64(2), 0])
+def test_ids_are_never_truncated(reference_network, bad):
+    # What NodeSpec refuses as an id is refused wherever an id is taken;
+    # CutSpec({1, 2.7}) used to evaluate cut {1,2}.
+    q = rc.QuantizationVector.uniform(1.0, (2, 3))
+    message = f"^node id must be a positive integer, got {re.escape(repr(bad))}$"
+    for call in (
+        lambda: rc.NodeSpec(id=bad, role="relay"),
+        lambda: rc.CutSpec(tx_side=(1, bad)),
+        lambda: rc.QuantizationVector(entries=((bad, 1.0), (3, 1.0))),
+        lambda: rc.block_decode_rate(reference_network, (bad,), 4),
+        lambda: rc.block_decode_rate(reference_network, (3,), bad),
+        lambda: rc.quantized_covariance_det(reference_network, (bad, 3), q),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 class TestCfFeasible:
     def test_single_relay_example(self, single_relay_network):
         ok, _ = rc.cf_feasible(
@@ -506,6 +524,16 @@ class TestOptimizeQuantization:
         with pytest.raises(ValueError, match="mode"):
             rc.optimize_quantization(reference_network, mode="newton")
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9])
+    def test_tol_validated(self, reference_network, tol):
+        # The CLI's text; a NaN tol used to end the search at its doubling end.
+        message = f"^tol must be finite and > 0, got {re.escape(repr(tol))}$"
+        for analysis in (rc.optimize_quantization, rc.build_rate_report):
+            with pytest.raises(ValueError, match=message):
+                analysis(reference_network, tol=tol)
+        with pytest.raises(ValueError, match=message):
+            rc.convergence_sweep(reference_network, [1.0], tol=tol)
+
     def test_no_relays_degenerate(self):
         net = _net([rc.source(1, 1.0), rc.destination(2, 1.0)])
         q, rate = rc.optimize_quantization(net)
@@ -618,19 +646,23 @@ class TestBatchedCutTable:
         assert all(rate > 0.0 for _, rate in table)
 
     @pytest.mark.parametrize(
-        "net",
+        "net, cut",
         [
             # Unit gains, unit powers, every noise 1e-17: the rank-deficient
-            # cuts {1,2} and {1,3} cancel their second pivot.
+            # cuts {1,2} and {1,3} cancel their second pivot; the lower, {1,2},
+            # is named.
             pytest.param(
-                _tiny_noise_network(4, 1.0 - np.eye(4), [1e-17] * 3), id="unit-gain-T4"
+                _tiny_noise_network(4, 1.0 - np.eye(4), [1e-17] * 3), {1, 2}, id="unit-gain-T4"
             ),
-            pytest.param(_two_group_failure_network(), id="first-failure-in-a-larger-group-T6"),
+            # The one-relay group runs first, so its failing cut is named.
+            pytest.param(
+                _two_group_failure_network(), {1, 5}, id="first-failure-in-a-larger-group-T6"
+            ),
         ],
     )
-    def test_not_positive_definite_matches_per_cut_oracle(self, net):
+    def test_not_positive_definite_matches_per_cut_oracle(self, net, cut):
         with pytest.raises(NotPositiveDefinite) as want:
-            cut_table_by_cuts(net)
+            rc.cut_rate(net, rc.CutSpec(tx_side=frozenset(cut)))
         with pytest.raises(NotPositiveDefinite) as got:
             rc.cut_rate_table(net)
         assert str(got.value) == str(want.value)
@@ -1511,6 +1543,50 @@ class TestConvergenceSweep:
             assert captured.out.count("\n") == 3  # the CSV header and two rows
 
 
+def _huge_relay_noise_network(relay_power):
+    """T=3 with unit gains, unit source power and relay noise 1e308: the
+    frontier Q* lies where N + Q overflows a double."""
+    return _net([rc.source(1, 1.0), rc.relay(2, relay_power, 1e308), rc.destination(3, 1.0)])
+
+
+class TestHugeRelayNoise:
+    """A relay whose N + Q overflows hears nothing of the source, the exact
+    limit: rate and bound are both 0.5 bits. At relay power 2.2, Q* is
+    about 9.1e307; at 1.5 it is about 1.3e308, past the search's first
+    doubling from 1e308."""
+
+    @pytest.mark.parametrize("relay_power", [2.2, 1.5])
+    def test_rate_meets_the_bound_without_warnings(self, relay_power):
+        net = _huge_relay_noise_network(relay_power)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for mode in ("uniform_bisection", "coordinate_descent"):
+                for quantifier in ("forall", "exists"):
+                    report = rc.build_rate_report(net, mode, quantifier)
+                    assert report.cf_rate_bits == report.upper_bound_bits == 0.5
+                    assert rc.cf_feasible(net, report.q_star, quantifier)[0]
+            rows = rc.convergence_sweep(net, [1.0, 10.0])
+        assert [(row.feasible, row.cf_rate_bits) for row in rows] == [(True, 0.5)] * 2
+
+    def test_cf_rate_drops_a_relay_whose_noise_overflows(self):
+        net = _huge_relay_noise_network(2.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rc.cf_rate(net, rc.QuantizationVector.uniform(1e308, (2,))) == 0.5
+
+    @pytest.mark.parametrize("relay_power", [2.2, 1.5])
+    def test_cli_exits_zero(self, relay_power, tmp_path, capsys):
+        doc = _config_doc(_huge_relay_noise_network(relay_power))
+        doc["sweep"] = {"gammas": [1, 10]}
+        path = tmp_path / "huge-noise.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for command in (["cfrate"], ["cfrate", "--mode", "coordinate"], ["sweep"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert cli.main(command + ["--config", str(path)]) == 0
+            assert capsys.readouterr().err == ""
+
+
 #: The relay power multipliers of perfbench's sweep workload: 10^(k/2), k = 0..12.
 _SWEEP_GAMMAS = [10.0 ** (k / 2) for k in range(13)]
 
@@ -1546,7 +1622,7 @@ class TestLockstepSweep:
     """``convergence_sweep`` (tables first, then every row's search in
     lockstep) against the row-by-row loop it replaced
     (``convergence_sweep_by_rows``): bitwise equal rows, and the same
-    error where the loop raises."""
+    error where one row's table cannot be built."""
 
     @pytest.mark.parametrize("net", _sweep_cases())
     def test_matches_row_loop_bitwise(self, net):
@@ -1609,19 +1685,17 @@ class TestLockstepSweep:
         assert got == _sweep_outcome(convergence_sweep_by_rows, reference_network, [1.0], "sometimes")
         assert got[0] is ValueError
 
-    def test_earlier_row_errors_come_first(self, monkeypatch):
-        # The loop raises a row's own error before building any later
-        # row's table; so does the sweep, though it builds its tables first.
+    def test_build_errors_come_before_any_search(self, monkeypatch):
+        # Every row's table is built first, so the 1e308 row's InvalidScale
+        # is raised before the first row is searched or rated.
+        def refuse(*args):
+            raise AssertionError("no row may be searched or rated")
+
+        monkeypatch.setattr(bounds, "_lockstep_frontiers", refuse)
+        monkeypatch.setattr(bounds, "cf_rate", refuse)
         net = random_network(np.random.default_rng(2), 6)
-        gammas = [1.0, 1e308]
-
-        def failing_rate(*args):
-            raise NotPositiveDefinite("rate of the first row")
-
-        monkeypatch.setattr(bounds, "cf_rate", failing_rate)
-        got = _sweep_outcome(rc.convergence_sweep, net, gammas)
-        assert got == _sweep_outcome(convergence_sweep_by_rows, net, gammas)
-        assert got == (NotPositiveDefinite, "rate of the first row")
+        with pytest.raises(rc.InvalidScale):
+            rc.convergence_sweep(net, [1.0, 1e308])
 
     def test_sweep_runs_no_single_analysis(self, monkeypatch, reference_network):
         # Every row's search runs in the lockstep; none goes through
@@ -1713,9 +1787,9 @@ class TestLockstepFrontiers:
     def test_single_search_is_the_scalar_oracle(self):
         # The generator, answered one query at a time, is the oracle, with
         # None where the oracle raises Infeasible.
-        thresholds = [0.0, 5e-324, 1e-300, 0.3, 1.0, 7.5, 1e300, math.inf]
+        thresholds = [0.0, 5e-324, 1e-300, 0.3, 1.0, 7.5, 1e300, 1.5e308, math.inf]
         for threshold in thresholds:
-            for start in (1e-10, 1.0, 3.0, 1e200):
+            for start in (1e-10, 1.0, 3.0, 1e200, 1e308):
                 search = bounds._frontier(start, BISECT_REL_TOL)
                 x = next(search)
                 try:

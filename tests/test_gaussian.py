@@ -129,15 +129,16 @@ class TestStackedCholesky:
         else:
             assert _stacked_cholesky_log2_det(m[None]).tolist() == pytest.approx([want])
 
-    def test_raises_for_the_first_failing_matrix_in_stack_order(self):
-        # Matrix 1 fails at its last pivot, matrix 2 already at its second.
+    def test_raises_at_the_first_failing_pivot_step(self):
+        # Matrix 1 fails at its last pivot, matrices 2 and 3 already at their
+        # second: that step raises, naming the lower of the two.
         late, early = np.diag([1.0, 1.0, -1.0]), np.diag([1.0, -2.0, 1.0])
         with pytest.raises(NotPositiveDefinite) as want:
-            _cholesky_log2_det(late)
+            _cholesky_log2_det(early)
         with pytest.raises(NotPositiveDefinite) as got:
-            _stacked_cholesky_log2_det(np.array([np.eye(3), late, early]))
+            _stacked_cholesky_log2_det(np.array([np.eye(3), late, early, early]))
         assert str(got.value) == str(want.value)
-        assert got.value.index == 1
+        assert got.value.index == 2
 
     @pytest.mark.parametrize(
         "bad",
@@ -149,23 +150,19 @@ class TestStackedCholesky:
     )
     def test_earlier_failure_is_reported_without_warnings(self, bad):
         # ``bad`` fails at pivot 1, the next matrix already at pivot 0 and the
-        # one after only at pivot 2; the matrices after a failure must factor
-        # on without NaN or warnings.
+        # one after only at pivot 2: step 0 raises, for the next matrix,
+        # without a warning from ``bad``.
         spd = random_spd(np.random.default_rng(3), 3)
         late, early = np.diag([1.0, 1.0, -1.0]), np.diag([-1.0, 1.0, 1.0])
         stack = np.array([np.eye(3), spd, bad, early, late, spd])
-        for index, m in enumerate(stack):
-            try:
-                _cholesky_log2_det(m)
-            except NotPositiveDefinite as err:
-                want = err
-                break
+        with pytest.raises(NotPositiveDefinite) as want:
+            _cholesky_log2_det(early)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NotPositiveDefinite) as got:
                 _stacked_cholesky_log2_det(stack)
-        assert str(got.value) == str(want)
-        assert got.value.index == index == 2
+        assert str(got.value) == str(want.value)
+        assert got.value.index == 3
 
 
 class TestConditionalMiBits:

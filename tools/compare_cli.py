@@ -34,9 +34,11 @@ and exists) over gammas 10^0..10^200 in steps of 10^20, where the rows'
 uniform searches end hundreds of steps apart. One more, the T = 6 network
 ``selftest.random_network(default_rng(2), 6)`` draws, runs only ``sweep``
 (forall and exists) over gammas [1, 1e305], where some lambda_ir P_i
-overflows a double although every power is finite. ``verify`` runs with
-its defaults and with two seeds: 447 runs in all. Only the standard
-library and numpy are used.
+overflows a double although every power is finite. Two T = 3 unit-gain
+networks with relay noise 1e308 and relay power 2.2 or 1.5, whose
+frontier Q lies where N + Q overflows a double, run ``cfrate`` and
+``sweep --quantifier forall``. ``verify`` runs with its defaults and with
+two seeds: 451 runs in all. Only the standard library and numpy are used.
 """
 
 from __future__ import annotations
@@ -72,6 +74,8 @@ CONFIG_ERROR_COMMANDS = (["bound"], ["cfrate"], ["sweep"])
 HUGE_GAMMAS = [10.0**k for k in range(0, 201, 20)]
 
 SWEEP_COMMANDS = (["sweep", "--quantifier", "forall"], ["sweep", "--quantifier", "exists"])
+
+HUGE_NOISE_COMMANDS = (["cfrate"], ["sweep", "--quantifier", "forall"])
 
 # Runs inside each tree's interpreter: reads a JSON list of argv lists on
 # stdin and writes [exit code, stdout, stderr] per run as JSON on stdout.
@@ -245,6 +249,15 @@ def overflow_sweep() -> tuple[str, dict]:
     return "overflow-gamma-T6", doc
 
 
+def huge_noise() -> list[tuple[str, dict]]:
+    """(name, config) pairs of the huge-noise networks: T = 3, unit gains,
+    source power 1, relay noise 1e308, destination noise 1."""
+    return [
+        (f"huge-noise-P{power}", _doc(1.0, [(power, 1e308)], 1.0, np.ones((3, 3))))
+        for power in (2.2, 1.5)
+    ]
+
+
 def runs(config_dir: str) -> list[tuple[str, list[str]]]:
     """Write the corpus into config_dir; return (run name, argv) pairs."""
     out = []
@@ -252,6 +265,7 @@ def runs(config_dir: str) -> list[tuple[str, list[str]]]:
     plans += [(entry, CONFIG_ERROR_COMMANDS) for entry in config_errors()]
     plans += [(entry, SWEEP_COMMANDS) for entry in huge_gamma_sweeps()]
     plans.append((overflow_sweep(), SWEEP_COMMANDS))
+    plans += [(entry, HUGE_NOISE_COMMANDS) for entry in huge_noise()]
     for (name, doc), commands in plans:
         path = os.path.join(config_dir, f"{name}.json")
         with open(path, "w", encoding="utf-8") as fh:
