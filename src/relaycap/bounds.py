@@ -32,14 +32,14 @@ frontier. With all Q_j equal, one monotone search (double up, halve
 down, bisect) finds it. The search is a generator that yields each point
 to test and receives the answer, and one driver runs every search: a
 single analysis runs one, a sweep one per gamma row, all in lockstep.
-While one search runs, its table answers it one point at a time; several
-share one margin pass over their tables stacked in columns, bit for bit
-the per-table answers. Coordinate descent then cycles from that uniform
-solution and moves each Q_j straight to its own frontier: with the other
-entries fixed, each subset's margin is nonnegative exactly above a
-closed-form threshold, so no search is needed. Margins rise toward the
-subset's denominator as Q grows, so a network is infeasible exactly when
-some denominator is not positive. A rate report evaluates every cut
+Each pass is one margin evaluation that answers every search: on a single
+table's own arrays, or on all the tables, stacked in columns once per run,
+bit for bit the per-table answers. Coordinate descent then cycles from
+that uniform solution and moves each Q_j straight to its own frontier:
+with the other entries fixed, each subset's margin is nonnegative exactly
+above a closed-form threshold, so no search is needed. Margins rise
+toward the subset's denominator as Q grows, so a network is infeasible
+exactly when some denominator is not positive. A rate report evaluates every cut
 once: the bound is the source cut, the first row of that table. A sweep
 over the relay power multiplier shows the gap between the two sides
 collapsing as relay power grows.
@@ -683,37 +683,37 @@ def _lockstep_frontiers(
     """Each table's uniform frontier, or None where no finite uniform Q is
     feasible. The tables share one relay count and none is blocked.
 
-    Every table's search runs at once. Each step answers the current query
-    of every search still running: a search running alone asks its table
-    one point (``table.feasible``); several share one ``_margins_log2``
-    pass over their tables stacked in columns, bit for bit the answers
-    ``table.feasible`` gives. A search that ends leaves the stack; the
-    others go on unchanged.
+    Every table's search runs at once, and each pass is one
+    ``_margins_log2`` call that answers every search's current query. The
+    arrays are set up once per run: a single table passes its own 1-D
+    arrays, and K tables are stacked in K columns, bit for bit the answers
+    of each table alone. A search that ends keeps its column and its last
+    point; its answer is ignored from then on.
     """
+    if not tables:
+        return []
+    if len(tables) == 1:
+        (table,) = tables
+        arrays = table.denom_log2, table.noise, table.lam, table.p1
+    else:
+        arrays = tuple(
+            np.stack([getattr(t, name) for t in tables], axis=-1)
+            for name in ("denom_log2", "noise", "lam", "p1")
+        )
     searches = [_frontier(_search_start(t), rel_tol) for t in tables]
     points = [next(search) for search in searches]
     found: list[float | None] = [None] * len(tables)
-    active, stacked = list(range(len(tables))), 0
+    active = range(len(tables))
     # N + Q -> inf near the largest double: a relay that hears nothing of
     # the source, the exact limit. Silenced once per run, not per pass.
     with np.errstate(over="ignore"):
         while active:
-            if len(active) == 1:
-                table = tables[active[0]]
-                answers = [table.feasible(np.full(len(table.relays), points[active[0]]))]
-            else:
-                if stacked != len(active):
-                    denom, noise, lam, p1 = (
-                        np.stack([getattr(tables[k], name) for k in active], axis=-1)
-                        for name in ("denom_log2", "noise", "lam", "p1")
-                    )
-                    stacked = len(active)
-                q = np.array([points[k] for k in active])
-                answers = np.all(_margins_log2(denom, noise, lam, p1, q) >= 0.0, axis=0).tolist()
+            margins = _margins_log2(*arrays, np.array(points))
+            answers = np.all(margins >= 0.0, axis=0).reshape(-1).tolist()
             running = []
-            for k, feasible in zip(active, answers):
+            for k in active:
                 try:
-                    points[k] = searches[k].send(feasible)
+                    points[k] = searches[k].send(answers[k])
                 except StopIteration as stop:  # the search's end: its result
                     found[k] = stop.value
                 else:
@@ -728,8 +728,9 @@ def _coordinate_step(
     """Smallest feasible Q_k with every other Q fixed, or the current Q_k
     when that is no smaller.
 
-    ``rows`` are the table rows of the subsets {k} + T, T running over the
-    subsets of the other relays in canonical order. Row S's margin, with
+    ``rows`` is a boolean mask of the table rows of the subsets {k} + T;
+    in row order T runs over the subsets of the other relays in canonical
+    order, as the subset sums below do. Row S's margin, with
     B_S = 1 + P1 sum_{i in S-k} lam_i/(N_i+Q_i) and
     m_S = ln2 denom_S - sum_{i in S-k} log1p(N_i/Q_i) - ln B_S, is
     nonnegative exactly when Q_k >= (N_k + P1 lam_k / B_S) / expm1(m_S),
@@ -773,13 +774,9 @@ def _coordinate_descent(
     more than rel_tol bits, or after DESCENT_MAX_CYCLES cycles.
     """
     n = len(table.relays)
-    # Row of {k} + T, for T given by its mask over the other relays: bits
-    # below k stay, the rest move up one to make room for k.
-    rest = np.arange(1 << (n - 1))
-    rows = []
-    for k in range(n):
-        low = rest & ((1 << k) - 1)
-        rows.append((low | ((rest ^ low) << 1) | (1 << k)) - 1)
+    # Relay k's rows, the subsets holding it: row i is canonical mask i + 1.
+    masks = np.arange(1, 1 << n)
+    rows = [(masks >> k & 1).astype(bool) for k in range(n)]
 
     q_star = start
     q_values = np.array(start.values)
@@ -807,8 +804,8 @@ def _optimize(table: _ConstraintTable, mode: str, tol: float) -> tuple[Quantizat
 
     Every margin rises strictly toward its denominator as Q grows, so a
     feasible Q exists exactly when every denom_log2 is positive. The
-    uniform search is ``_lockstep_frontiers`` on this one table, which asks
-    it one point at a time.
+    uniform search is ``_lockstep_frontiers`` on this one table, one
+    margin pass on its own arrays per query.
     """
     net, relays = table.net, table.relays
     if not relays:

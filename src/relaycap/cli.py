@@ -76,6 +76,8 @@ def load_config(path: str) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -176,12 +178,8 @@ def _cf_settings(doc: dict, args: argparse.Namespace) -> tuple[str, str, float, 
     top_k = getattr(args, "top_k", None)
     if top_k is None:
         top_k = cf.get("top_k", 5)
-    if isinstance(top_k, bool):
-        raise ConfigError(f"bad top_k: {top_k!r}")
-    try:
-        top_k = int(top_k)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad top_k: {top_k!r}") from exc
+    if isinstance(top_k, bool) or not isinstance(top_k, int):
+        raise ConfigError(f"top_k must be an integer, got {top_k!r}")
     if top_k < 0:
         raise ConfigError(f"top_k must be >= 0, got {top_k}")
     return quantifier, _MODE_WORDS[mode_word], tol, top_k
@@ -190,9 +188,12 @@ def _cf_settings(doc: dict, args: argparse.Namespace) -> tuple[str, str, float, 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {out_path}: {exc}") from exc
 
 
 def _cut_label(ids: tuple[int, ...]) -> str:

@@ -1803,28 +1803,54 @@ class TestLockstepFrontiers:
                     want = None
                 assert got == want
 
-    @pytest.mark.parametrize("quantifier", ["forall", "exists"])
-    def test_single_analysis_asks_its_table_one_point_at_a_time(self, monkeypatch, quantifier):
-        # One running search takes no stacked pass: every query of the
-        # uniform search is one table.feasible call.
+    @staticmethod
+    def _counting_margins(monkeypatch):
+        """Patch ``bounds._margins_log2`` to record each call's arguments."""
         calls = []
-        real = _ConstraintTable.feasible
+        real = bounds._margins_log2
 
-        def counting(table, q_values):
-            calls.append(q_values)
-            return real(table, q_values)
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
 
+        monkeypatch.setattr(bounds, "_margins_log2", counting)
+        return calls
+
+    @pytest.mark.parametrize("quantifier", ["forall", "exists"])
+    def test_single_analysis_passes_its_own_arrays(self, monkeypatch, quantifier):
+        # One search: every query of the uniform search is one margin pass,
+        # on the table's own 1-D arrays.
         for t in range(4, 12):
             net = random_network(np.random.default_rng(t), t)
-            found, count = _scalar_search(_ConstraintTable(net, quantifier, override_guard=True))
-            calls.clear()
+            table = _ConstraintTable(net, quantifier, override_guard=True)
+            found, count = _scalar_search(table)
             with monkeypatch.context() as patch:
-                patch.setattr(_ConstraintTable, "feasible", counting)
-                q, _ = rc.optimize_quantization(
-                    net, "uniform_bisection", quantifier, override_guard=True
-                )
+                calls = self._counting_margins(patch)
+                q, _ = bounds._optimize(table, "uniform_bisection", BISECT_REL_TOL)
             assert len(calls) == count
             assert q.values == (found,) * (t - 2)
+            for denom, noise, lam, p1, q_values in calls:
+                assert denom is table.denom_log2
+                assert noise is table.noise and lam is table.lam and p1 == table.p1
+                assert q_values.shape == (1,)
+
+    def test_stacked_run_sets_up_its_arrays_once(self, monkeypatch):
+        # K tables: every pass gets the same stacked arrays, K columns wide,
+        # and the run lasts as long as its longest search.
+        net, ordinary = self._ordinary()
+        overflow, underflow = _stub_tables(net)
+        tables = [overflow, *ordinary, underflow]
+        want = [_scalar_search(table) for table in tables]
+        calls = self._counting_margins(monkeypatch)
+        got = bounds._lockstep_frontiers(tables, BISECT_REL_TOL)
+        assert got == [found for found, _ in want]
+        assert len(calls) == max(count for _, count in want)
+        first = calls[0][:4]
+        k, r = len(tables), len(net.relay_ids)
+        assert [a.shape for a in first] == [((1 << r) - 1, k), (r, k), (r, k), (k,)]
+        for args in calls:
+            assert all(a is b for a, b in zip(args[:4], first))
+            assert args[4].shape == (k,)
 
     def test_optimize_raises_where_doubling_overflows(self, reference_network):
         overflow, _ = _stub_tables(reference_network)

@@ -192,6 +192,24 @@ class TestExitCodes:
         assert cli.main(["bound", "--config", str(path)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["bound", "cfrate", "sweep", "verify"])
+    def test_config_that_is_not_utf8(self, tmp_path, capsys, command):
+        path = tmp_path / "latin.json"
+        path.write_bytes(json.dumps(_ref_doc(sweep={"gammas": [1]})).encode() + b"\xff")
+        assert cli.main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config {path} is not valid UTF-8: ")
+
+    @pytest.mark.parametrize("command", ["bound", "cfrate", "sweep", "verify"])
+    def test_out_path_that_cannot_be_opened(self, tmp_path, capsys, command):
+        doc = dict(_ref_doc(sweep={"gammas": [1]}), **_SMALL_VERIFY)
+        cfg = _write(tmp_path, "ref.json", doc)
+        out = tmp_path / "missing" / "x.txt"
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: cannot write output {out}: ")
+
     def test_two_sources(self, tmp_path, capsys):
         doc = _ref_doc()
         doc["nodes"][1] = {"id": 2, "role": "source", "power": 1.0}
@@ -357,6 +375,8 @@ class TestExitCodes:
             {"tol": True},
             {"top_k": True},
             {"top_k": -1},
+            {"top_k": 2.7},
+            {"top_k": "3"},
         ],
     )
     def test_unusable_cf_value_is_a_config_error(self, tmp_path, capsys, command, cf):

@@ -9,7 +9,8 @@ and compares stdout, stderr and exit code run by run. Each run executes
 inside ``warnings.catch_warnings()``: entering it clears the per-module
 warning registries, so a run prints every warning it hits, as it would in
 a fresh process, not only the first run to reach a warning's code
-location. It prints:
+location. Each tree's own path is masked in the output, so a warning
+that names its source file reads the same from both trees. It prints:
 
 - how many runs are identical;
 - how many output lines moved, where a moved line is one whose text is
@@ -37,8 +38,14 @@ uniform searches end hundreds of steps apart. One more, the T = 6 network
 overflows a double although every power is finite. Two T = 3 unit-gain
 networks with relay noise 1e308 and relay power 2.2 or 1.5, whose
 frontier Q lies where N + Q overflows a double, run ``cfrate`` and
-``sweep --quantifier forall``. ``verify`` runs with its defaults and with
-two seeds: 451 runs in all. Only the standard library and numpy are used.
+``sweep --quantifier forall``. Two extreme-SNR networks run ``bound``,
+``cfrate`` and ``sweep``: T = 5 with unit gains, relay powers
+1e100/1e250/1e300 and relay noises 1e-300/1/1e300, whose whitened Gram
+stack overflows; and T = 3 with source and relay power 1e10, every gain 10
+and every noise 1e-300, whose SNR lies past the double range. Their exits
+show whether a change mends the cut side there (ROADMAP item 7).
+``verify`` runs with its defaults and with two seeds: 457 runs in all. Only
+the standard library and numpy are used.
 """
 
 from __future__ import annotations
@@ -68,7 +75,7 @@ NETWORK_COMMANDS = (
     ["sweep", "--quantifier", "exists"],
 )
 
-CONFIG_ERROR_COMMANDS = (["bound"], ["cfrate"], ["sweep"])
+PLAIN_COMMANDS = (["bound"], ["cfrate"], ["sweep"])
 
 #: Relay power multipliers of the huge-gamma sweeps: 10^0..10^200.
 HUGE_GAMMAS = [10.0**k for k in range(0, 201, 20)]
@@ -258,14 +265,27 @@ def huge_noise() -> list[tuple[str, dict]]:
     ]
 
 
+def extreme_snr() -> list[tuple[str, dict]]:
+    """(name, config) pairs of the extreme-SNR networks: huge relay powers
+    over noises 1e-300..1e300 at T = 5, and tiny noises at T = 3."""
+    return [
+        (
+            "huge-power-T5",
+            _doc(1.0, [(1e100, 1e-300), (1e250, 1.0), (1e300, 1e300)], 1.0, np.ones((5, 5))),
+        ),
+        ("tiny-noise-gain-10-T3", _doc(1e10, [(1e10, 1e-300)], 1e-300, np.full((3, 3), 10.0))),
+    ]
+
+
 def runs(config_dir: str) -> list[tuple[str, list[str]]]:
     """Write the corpus into config_dir; return (run name, argv) pairs."""
     out = []
     plans = [(entry, NETWORK_COMMANDS) for entry in corpus()]
-    plans += [(entry, CONFIG_ERROR_COMMANDS) for entry in config_errors()]
+    plans += [(entry, PLAIN_COMMANDS) for entry in config_errors()]
     plans += [(entry, SWEEP_COMMANDS) for entry in huge_gamma_sweeps()]
     plans.append((overflow_sweep(), SWEEP_COMMANDS))
     plans += [(entry, HUGE_NOISE_COMMANDS) for entry in huge_noise()]
+    plans += [(entry, PLAIN_COMMANDS) for entry in extreme_snr()]
     for (name, doc), commands in plans:
         path = os.path.join(config_dir, f"{name}.json")
         with open(path, "w", encoding="utf-8") as fh:
@@ -297,7 +317,12 @@ def run_tree(tree: str, argvs: list[list[str]], cwd: str) -> list[list]:
     )
     if proc.returncode != 0:
         sys.exit(f"worker for {tree} failed:\n{proc.stderr}")
-    return json.loads(proc.stdout)
+    # A warning names the file that raised it; mask the tree's own path.
+    root = os.path.abspath(tree)
+    return [
+        [code, out.replace(root, "<tree>"), err.replace(root, "<tree>")]
+        for code, out, err in json.loads(proc.stdout)
+    ]
 
 
 def _column(line: str, start: int, previous: list[str]) -> str:
