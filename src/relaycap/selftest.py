@@ -5,7 +5,10 @@ correlation sweeps on small networks, the determinant-lemma cross-check of
 the quantized-observation covariance determinant, feasibility monotonicity
 under scaling, and achievable-rate-below-bound sampling. Grids and seeds
 are fixed so a run is deterministic; the random samplers use an explicit
-Generator seeded per suite.
+Generator seeded per suite. The random suites draw every sample first and
+then batch the work, bit for bit the serial results: the network suites
+run one lockstep uniform search per relay count, and the determinant
+lemma factors one stack per matrix size.
 
 The two dual-route routines live here too. They cross-check the
 independent-input claim behind the broadcast-cut bound on small networks
@@ -28,6 +31,7 @@ from .bounds import (
     RATE_TOL_BITS,
     QuantizationVector,
     _ConstraintTable,
+    _lockstep_frontiers,
     _optimize,
     cf_feasible,  # no suite calls it; kept as a name perfbench/spans.py wraps
     cf_rate,
@@ -317,17 +321,36 @@ def beta_suite(betas: tuple[float, ...] | None = None) -> CheckResult:
 def _flat_network(source_gains: np.ndarray, relay_noises: np.ndarray, p1: float) -> NetworkSpec:
     """Source + D relays + destination with prescribed source gains; all
     other gains and powers are unit (irrelevant to the determinant)."""
-    d = len(source_gains)
-    nodes = [source(1, power=p1)]
-    for k in range(d):
-        nodes.append(relay(2 + k, power=1.0, noise=float(relay_noises[k])))
-    nodes.append(destination(d + 2, noise=1.0))
-    t = d + 2
+    t = len(source_gains) + 2
+    relays = [relay(j, power=1.0, noise=n) for j, n in enumerate(relay_noises.tolist(), 2)]
     g = np.ones((t, t))
     np.fill_diagonal(g, 0.0)
-    g[0, 1 : d + 1] = source_gains
-    g[1 : d + 1, 0] = source_gains
-    return from_gains(nodes, g)
+    g[0, 1:-1] = g[1:-1, 0] = source_gains
+    return from_gains([source(1, power=p1), *relays, destination(t, noise=1.0)], g)
+
+
+def _determinants(draws: list[tuple]) -> list[float]:
+    """Each (lambda, N, Q, P1) instance's determinant, bit for bit what
+    ``quantized_covariance_det`` gives. The first instance of each size d
+    takes that route; the others are built in its arithmetic,
+    diag(N + Q) + P1 u u^T with u = sqrt(lambda), as one stack per size."""
+    dets, sizes = [0.0] * len(draws), {}
+    for i, (lam, *_) in enumerate(draws):
+        sizes.setdefault(len(lam), []).append(i)
+    for d, (head, *rest) in sizes.items():
+        lam, noise, qv, p1 = draws[head]
+        s = tuple(range(2, 2 + d))
+        q = QuantizationVector(entries=tuple(zip(s, qv.tolist())))
+        dets[head] = quantized_covariance_det(_flat_network(lam, noise, p1), s, q)
+        if rest:
+            lam, noise, qv, p1 = map(np.array, zip(*(draws[i] for i in rest)))
+            u = np.sqrt(lam)
+            m = p1[:, None, None] * (u[:, :, None] * u[:, None, :])
+            m[:, range(d), range(d)] += noise + qv
+            # Python's 2.0 ** x: numpy's last bit can differ.
+            for i, x in zip(rest, _stacked_cholesky_log2_det(m).tolist()):
+                dets[i] = 2.0 ** x
+    return dets
 
 
 def determinant_lemma_suite(samples: int = 500, seed: int = 20250811) -> CheckResult:
@@ -335,17 +358,15 @@ def determinant_lemma_suite(samples: int = 500, seed: int = 20250811) -> CheckRe
     prod(N+Q) * (1 + P1 * sum lambda/(N+Q)) on random instances."""
     name = "determinant-lemma"
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    draws = []
     for _ in range(samples):
         d = int(rng.integers(1, 7))
         lam = 10.0 ** rng.uniform(-1.0, 1.0, size=d)
         noise = 10.0 ** rng.uniform(-0.5, 0.5, size=d)
         qv = 10.0 ** rng.uniform(-3.0, 3.0, size=d)
-        p1 = 10.0 ** rng.uniform(-0.5, 0.5)
-        net = _flat_network(lam, noise, p1)
-        s = tuple(range(2, 2 + d))
-        q = QuantizationVector(entries=tuple(zip(s, qv.tolist())))
-        got = quantized_covariance_det(net, s, q)
+        draws.append((lam, noise, qv, 10.0 ** rng.uniform(-0.5, 0.5)))
+    worst = 0.0
+    for (lam, noise, qv, p1), got in zip(draws, _determinants(draws)):
         closed = float(np.prod(noise + qv) * (1.0 + p1 * np.sum(lam / (noise + qv))))
         worst = max(worst, abs(got - closed) / closed)
     passed = worst < 1e-10
@@ -373,10 +394,14 @@ def random_network(rng: np.random.Generator, num_nodes: int) -> NetworkSpec:
     return from_gains(nodes, g)
 
 
-def _pushed_inside(rng: np.random.Generator, q_star: QuantizationVector) -> QuantizationVector:
-    """Q* pushed up by per-relay factors in [1, 100]. Margins grow with
-    every coordinate, so a feasible Q* stays feasible."""
-    factors = 10.0 ** rng.uniform(0.0, 2.0, size=len(q_star.ids))
+def _push_factors(rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` log-uniform factors in [1, 100], one per relay."""
+    return 10.0 ** rng.uniform(0.0, 2.0, size=count)
+
+
+def _pushed_inside(q_star: QuantizationVector, factors: np.ndarray) -> QuantizationVector:
+    """Q* pushed up by its per-relay factors. Margins grow with every
+    coordinate, so a feasible Q* stays feasible."""
     return QuantizationVector(
         entries=tuple((i, v * float(f)) for (i, v), f in zip(q_star.entries, factors))
     )
@@ -388,24 +413,48 @@ def sample_feasible_q(
     """A random point strictly inside the feasible region: the optimized
     uniform solution pushed up by per-relay factors in [1, 100]."""
     q_star, _ = optimize_quantization(net, "uniform_bisection", quantifier)
-    return _pushed_inside(rng, q_star)
+    return _pushed_inside(q_star, _push_factors(rng, len(q_star.ids)))
+
+
+def _feasible_points(rng: np.random.Generator, samples: int) -> list[tuple]:
+    """Each random network's forall table with the point
+    ``sample_feasible_q`` gives it, or the RelaycapError its search raises.
+    Each network is drawn, then its factors: they need only its relay
+    count, so the stream is the serial one. Unblocked tables search at
+    once, one ``_lockstep_frontiers`` per relay count; a blocked table, or
+    one with no frontier, goes to ``_optimize`` alone for its error."""
+    drawn, groups, q_uni = [], {}, {}
+    for i in range(samples):
+        table = _ConstraintTable(random_network(rng, int(rng.integers(3, 7))), "forall")
+        drawn.append((table, _push_factors(rng, len(table.relays))))
+        if np.all(table.denom_log2 > 0.0):
+            groups.setdefault(len(table.relays), []).append(i)
+    for members in groups.values():
+        found = _lockstep_frontiers([drawn[i][0] for i in members], BISECT_REL_TOL)
+        q_uni.update(zip(members, found))
+    points = []
+    for i, (table, factors) in enumerate(drawn):
+        if q_uni.get(i) is not None:
+            q_star = QuantizationVector.uniform(q_uni[i], table.relays)
+        else:
+            try:
+                q_star, _ = _optimize(table, "uniform_bisection", BISECT_REL_TOL)
+            except RelaycapError as exc:
+                points.append((table, exc))
+                continue
+        points.append((table, _pushed_inside(q_star, factors)))
+    return points
 
 
 def monotonicity_suite(samples: int = 100, seed: int = 20250812) -> CheckResult:
     """Feasible Q stays feasible under uniform up-scaling by 1.5, 10, 10^3.
 
-    One constraint table per network serves the feasible-point search and
-    every scale check."""
+    One constraint table per network serves the feasible-point search
+    (``_feasible_points``) and every scale check."""
     name = "feasibility-monotonicity"
-    rng = np.random.default_rng(seed)
-    for i in range(samples):
-        net = random_network(rng, int(rng.integers(3, 7)))
-        try:
-            table = _ConstraintTable(net, "forall")
-            q_star, _ = _optimize(table, "uniform_bisection", BISECT_REL_TOL)
-        except RelaycapError as exc:
-            return CheckResult(name, False, f"sample {i}: feasible point search failed: {exc}")
-        q = _pushed_inside(rng, q_star)
+    for i, (table, q) in enumerate(_feasible_points(np.random.default_rng(seed), samples)):
+        if isinstance(q, RelaycapError):
+            return CheckResult(name, False, f"sample {i}: feasible point search failed: {q}")
         if not table.feasible(np.array(q.values)):
             return CheckResult(name, False, f"sample {i}: sampled Q not feasible at scale 1")
         for c in (1.5, 10.0, 1e3):
@@ -423,18 +472,15 @@ def monotonicity_suite(samples: int = 100, seed: int = 20250812) -> CheckResult:
 
 
 def achievability_suite(samples: int = 100, seed: int = 20250813) -> CheckResult:
-    """Compress-forward rate never exceeds the broadcast-cut bound."""
+    """Compress-forward rate never exceeds the broadcast-cut bound, at the
+    points ``_feasible_points`` samples."""
     name = "achievability-vs-bound"
-    rng = np.random.default_rng(seed)
     worst_slack = math.inf
-    for i in range(samples):
-        net = random_network(rng, int(rng.integers(3, 7)))
-        try:
-            q = sample_feasible_q(rng, net, "forall")
-        except RelaycapError as exc:
-            return CheckResult(name, False, f"sample {i}: feasible point search failed: {exc}")
-        rate = cf_rate(net, q)
-        bound = source_cut_bound(net)
+    for i, (table, q) in enumerate(_feasible_points(np.random.default_rng(seed), samples)):
+        if isinstance(q, RelaycapError):
+            return CheckResult(name, False, f"sample {i}: feasible point search failed: {q}")
+        rate = cf_rate(table.net, q)
+        bound = source_cut_bound(table.net)
         worst_slack = min(worst_slack, bound - rate)
         if rate > bound + RATE_TOL_BITS:
             return CheckResult(name, False, f"sample {i}: rate {rate!r} exceeds bound {bound!r}")

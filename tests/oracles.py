@@ -15,8 +15,10 @@ against the stacked one, the dual-route covariance routes computed one
 grid point at a time against their stacked evaluation, coordinate
 descent by per-coordinate bisection against its closed-form frontier,
 the uniform search as a loop over a scalar predicate against its
-generator form, and the convergence sweep one row at a time against its
-lockstep searches.
+generator form, the convergence sweep one row at a time against its
+lockstep searches, and the three random verify suites run one sample at
+a time (one network, one table and one uniform search per sample; one
+public determinant call per instance) against their batched forms.
 Nothing here is performance sensitive; clarity wins.
 """
 
@@ -26,6 +28,7 @@ from collections.abc import Callable
 
 import numpy as np
 
+from relaycap import selftest
 from relaycap.bounds import (
     _LN2,
     BISECT_REL_TOL,
@@ -34,16 +37,19 @@ from relaycap.bounds import (
     CutSpec,
     QuantizationVector,
     SweepRow,
+    _ConstraintTable,
     _block_snr_sum,
     _check_guard,
     _channel,
+    _optimize,
     cf_rate,
     cut_rate,
     optimize_quantization,
+    quantized_covariance_det,
     source_cut_bound,
 )
 from relaycap.enumeration import ConstraintInstance, partitions, subsets
-from relaycap.errors import Infeasible, InvalidScale, VerificationFailure
+from relaycap.errors import Infeasible, InvalidScale, RelaycapError, VerificationFailure
 from relaycap.gaussian import (
     PD_EPSILON,
     _pivot_failure,
@@ -412,3 +418,100 @@ def coordinate_descent_by_bisection(table, start, rel_tol):
         if improved <= rel_tol:
             break
     return as_vector(q_values)
+
+
+def determinant_lemma_draws(samples, seed):
+    """The determinant-lemma suite's random instances (lam, noise, Q, P1),
+    drawn one at a time in its order."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(samples):
+        d = int(rng.integers(1, 7))
+        lam = 10.0 ** rng.uniform(-1.0, 1.0, size=d)
+        noise = 10.0 ** rng.uniform(-0.5, 0.5, size=d)
+        qv = 10.0 ** rng.uniform(-3.0, 3.0, size=d)
+        p1 = 10.0 ** rng.uniform(-0.5, 0.5)
+        draws.append((lam, noise, qv, p1))
+    return draws
+
+
+def determinant_by_network(lam, noise, qv, p1):
+    """One instance's determinant through the public
+    ``quantized_covariance_det`` on its own flat network."""
+    d = len(lam)
+    net = selftest._flat_network(lam, noise, p1)
+    s = tuple(range(2, 2 + d))
+    q = QuantizationVector(entries=tuple(zip(s, qv.tolist())))
+    return quantized_covariance_det(net, s, q)
+
+
+def determinant_lemma_suite_by_samples(samples=500, seed=20250811):
+    """``selftest.determinant_lemma_suite`` one instance at a time: each
+    instance builds its network and makes its own public determinant call."""
+    name = "determinant-lemma"
+    worst = 0.0
+    for lam, noise, qv, p1 in determinant_lemma_draws(samples, seed):
+        got = determinant_by_network(lam, noise, qv, p1)
+        closed = float(np.prod(noise + qv) * (1.0 + p1 * np.sum(lam / (noise + qv))))
+        worst = max(worst, abs(got - closed) / closed)
+    passed = worst < 1e-10
+    detail = f"{samples} random instances (size <= 6); worst relative error {worst:.3e}"
+    return selftest.CheckResult(name, passed, detail)
+
+
+def monotonicity_suite_by_samples(samples=100, seed=20250812):
+    """``selftest.monotonicity_suite`` one sample at a time: each network
+    gets its table and its own uniform search before the next is drawn.
+    Networks come from ``selftest.random_network``, looked up per call."""
+    name = "feasibility-monotonicity"
+    rng = np.random.default_rng(seed)
+    for i in range(samples):
+        net = selftest.random_network(rng, int(rng.integers(3, 7)))
+        try:
+            table = _ConstraintTable(net, "forall")
+            q_star, _ = _optimize(table, "uniform_bisection", BISECT_REL_TOL)
+        except RelaycapError as exc:
+            return selftest.CheckResult(
+                name, False, f"sample {i}: feasible point search failed: {exc}"
+            )
+        q = selftest._pushed_inside(q_star, selftest._push_factors(rng, len(q_star.ids)))
+        if not table.feasible(np.array(q.values)):
+            detail = f"sample {i}: sampled Q not feasible at scale 1"
+            return selftest.CheckResult(name, False, detail)
+        for c in (1.5, 10.0, 1e3):
+            q_c = q.scaled_by(c)
+            if not table.feasible(np.array(q_c.values)):
+                worst = min(table.constraint_margins(q_c), key=lambda m: m.margin_log2)
+                return selftest.CheckResult(
+                    name,
+                    False,
+                    f"sample {i}: scale {c} broke feasibility "
+                    f"(S={worst.instance.s}, margin {worst.margin_log2:.3e})",
+                )
+    detail = f"{samples} random (network, Q) pairs x scales (1.5, 10, 1e3)"
+    return selftest.CheckResult(name, True, detail)
+
+
+def achievability_suite_by_samples(samples=100, seed=20250813):
+    """``selftest.achievability_suite`` one sample at a time, each feasible
+    point from its own ``sample_feasible_q`` search."""
+    name = "achievability-vs-bound"
+    rng = np.random.default_rng(seed)
+    worst_slack = math.inf
+    for i in range(samples):
+        net = selftest.random_network(rng, int(rng.integers(3, 7)))
+        try:
+            q = selftest.sample_feasible_q(rng, net, "forall")
+        except RelaycapError as exc:
+            return selftest.CheckResult(
+                name, False, f"sample {i}: feasible point search failed: {exc}"
+            )
+        rate = cf_rate(net, q)
+        bound = source_cut_bound(net)
+        worst_slack = min(worst_slack, bound - rate)
+        if rate > bound + RATE_TOL_BITS:
+            return selftest.CheckResult(
+                name, False, f"sample {i}: rate {rate!r} exceeds bound {bound!r}"
+            )
+    detail = f"{samples} random networks; smallest bound-rate slack {worst_slack:.3e} bits"
+    return selftest.CheckResult(name, True, detail)

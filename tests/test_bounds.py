@@ -13,12 +13,17 @@ from hypothesis import strategies as st
 import relaycap as rc
 from oracles import _frontier as scalar_frontier
 from oracles import (
+    achievability_suite_by_samples,
     constraint_table_by_loops,
     convergence_sweep_by_rows,
     coordinate_descent_by_bisection,
     cut_rate_by_covariance,
     cut_table_by_cuts,
     det_cofactor,
+    determinant_by_network,
+    determinant_lemma_draws,
+    determinant_lemma_suite_by_samples,
+    monotonicity_suite_by_samples,
     relay_correlation_mi_bits_by_points,
     single_relay_covariance_bits_by_points,
     subset_sums_by_columns,
@@ -1301,6 +1306,143 @@ class TestConstraintTableArrays:
         result = selftest.monotonicity_suite(samples=20)
         assert result.passed, result.detail
         assert len(builds) == len({id(net) for net in builds}) == 20
+
+
+#: The suites' default seeds, and two large seed bumps like the benchmark's.
+SUITE_SEEDS = {
+    "determinant_lemma_suite": 20250811,
+    "monotonicity_suite": 20250812,
+    "achievability_suite": 20250813,
+}
+SEED_BUMPS = (0, 1, 2, 3 * 1234567, 3 * 1234568)
+
+SERIAL_SUITES = {
+    "determinant_lemma_suite": determinant_lemma_suite_by_samples,
+    "monotonicity_suite": monotonicity_suite_by_samples,
+    "achievability_suite": achievability_suite_by_samples,
+}
+
+
+class TestBatchedSuites:
+    """The random verify suites, batched, against their serial oracles."""
+
+    @pytest.mark.parametrize("bump", SEED_BUMPS)
+    @pytest.mark.parametrize("samples", [1, 2, 7, 100])
+    @pytest.mark.parametrize("name", list(SERIAL_SUITES))
+    def test_check_result_matches_serial_suite(self, name, samples, bump):
+        seed = SUITE_SEEDS[name] + bump
+        got = getattr(selftest, name)(samples, seed)
+        assert got == SERIAL_SUITES[name](samples, seed)
+
+    @pytest.mark.parametrize("bump", SEED_BUMPS)
+    @pytest.mark.parametrize("name", ["monotonicity_suite", "achievability_suite"])
+    def test_uniform_optima_match_serial_searches_bitwise(self, monkeypatch, name, bump):
+        # Every Q* and push factor reaches _pushed_inside, on both paths.
+        pushed = []
+        real = selftest._pushed_inside
+
+        def recording(q_star, factors):
+            pushed.append((q_star.entries, factors.tolist()))
+            return real(q_star, factors)
+
+        monkeypatch.setattr(selftest, "_pushed_inside", recording)
+        seed = SUITE_SEEDS[name] + bump
+        points = selftest._feasible_points(np.random.default_rng(seed), 100)
+        batched, pushed[:] = pushed[:], []
+        rng = np.random.default_rng(seed)
+        serial = []
+        for _ in range(100):
+            net = random_network(rng, int(rng.integers(3, 7)))
+            serial.append(sample_feasible_q(rng, net))
+        # Q values are positive and finite: == is bit equality.
+        assert batched == pushed
+        assert [q for _, q in points] == serial
+
+    @pytest.mark.parametrize("bump", SEED_BUMPS)
+    def test_determinants_match_public_route_bitwise(self, bump):
+        draws = determinant_lemma_draws(500, SUITE_SEEDS["determinant_lemma_suite"] + bump)
+        assert selftest._determinants(draws) == [determinant_by_network(*d) for d in draws]
+
+    def test_determinant_lemma_factors_one_stack_per_size(self, monkeypatch):
+        public, stacks = [], []
+        real_det = selftest.quantized_covariance_det
+        real_kernel = selftest._stacked_cholesky_log2_det
+
+        def det(net, s, q):
+            public.append(len(s))
+            return real_det(net, s, q)
+
+        def kernel(stack):
+            stacks.append(stack.shape)
+            return real_kernel(stack)
+
+        monkeypatch.setattr(selftest, "quantized_covariance_det", det)
+        monkeypatch.setattr(selftest, "_stacked_cholesky_log2_det", kernel)
+        assert selftest.determinant_lemma_suite().passed
+        assert sorted(public) == [1, 2, 3, 4, 5, 6]
+        assert sorted(d for _, d, _ in stacks) == [1, 2, 3, 4, 5, 6]
+        assert sum(count for count, _, _ in stacks) == 500 - 6
+
+    @pytest.mark.parametrize("name", ["monotonicity_suite", "achievability_suite"])
+    def test_one_lockstep_run_per_relay_count(self, monkeypatch, name):
+        relay_counts = []
+        real = selftest._lockstep_frontiers
+
+        def counting(tables, rel_tol):
+            relay_counts.append({len(t.relays) for t in tables})
+            return real(tables, rel_tol)
+
+        monkeypatch.setattr(selftest, "_lockstep_frontiers", counting)
+        assert getattr(selftest, name)().passed
+        assert sorted(relay_counts, key=min) == [{1}, {2}, {3}, {4}]
+
+    @pytest.mark.parametrize(
+        "relay_power, error",
+        [
+            pytest.param(0.0, "relay subset (2,) cannot forward", id="blocked"),
+            pytest.param(1e-310, "no finite quantization noise", id="no-frontier"),
+        ],
+    )
+    @pytest.mark.parametrize("name", ["monotonicity_suite", "achievability_suite"])
+    def test_first_failing_sample_is_named(self, monkeypatch, name, relay_power, error):
+        real = selftest.random_network
+
+        def failing_at(index):
+            drawn = itertools.count()
+
+            def draw(rng, num_nodes):
+                net = real(rng, num_nodes)  # the real draws, then the swap
+                if next(drawn) == index:
+                    return _equal_gain_network(num_nodes, lambda j: relay_power)
+                return net
+
+            return draw
+
+        monkeypatch.setattr(selftest, "random_network", failing_at(5))
+        want = SERIAL_SUITES[name](20, SUITE_SEEDS[name])
+        monkeypatch.setattr(selftest, "random_network", failing_at(5))
+        got = getattr(selftest, name)(20, SUITE_SEEDS[name])
+        assert got == want
+        assert not got.passed
+        assert got.detail.startswith(f"sample 5: feasible point search failed: {error}")
+
+
+def test_selftest_keeps_every_name_the_benchmark_tracer_wraps():
+    for name in (
+        "optimize_quantization",
+        "cf_feasible",
+        "cf_rate",
+        "source_cut_bound",
+        "quantized_covariance_det",
+        "alpha_suite",
+        "beta_suite",
+        "determinant_lemma_suite",
+        "monotonicity_suite",
+        "achievability_suite",
+        "verify_single_relay_independence",
+        "verify_relay_correlation_invariance",
+    ):
+        assert callable(getattr(selftest, name))
 
 
 def _descent_cases():

@@ -10,7 +10,10 @@ inside ``warnings.catch_warnings()``: entering it clears the per-module
 warning registries, so a run prints every warning it hits, as it would in
 a fresh process, not only the first run to reach a warning's code
 location. Each tree's own path is masked in the output, so a warning
-that names its source file reads the same from both trees. It prints:
+that names its source file reads the same from both trees, and so is the
+source line number such a warning carries (``bounds.py:302:`` reads
+``bounds.py:<line>:``), so an edit that only shifts lines moves no
+output. It prints:
 
 - how many runs are identical;
 - how many output lines moved, where a moved line is one whose text is
@@ -44,8 +47,11 @@ frontier Q lies where N + Q overflows a double, run ``cfrate`` and
 stack overflows; and T = 3 with source and relay power 1e10, every gain 10
 and every noise 1e-300, whose SNR lies past the double range. Their exits
 show whether a change mends the cut side there (ROADMAP item 7).
-``verify`` runs with its defaults and with two seeds: 457 runs in all. Only
-the standard library and numpy are used.
+``verify`` runs with its defaults, with seeds 1 and 2 and with two large
+seeds like the benchmark's (3 * 1234567 and 3 * 1234568), and with 1 and 7
+network samples and 1 and 7 determinant samples, the edge cases of batching
+the random suites by size: 463 runs in all. Only the standard library and
+numpy are used.
 """
 
 from __future__ import annotations
@@ -109,6 +115,7 @@ json.dump(results, sys.stdout)
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\bnan\b|\binf\b")
 LABEL_NOISE = re.compile(r"\{[^}]*\}|\([^)]*\)|\+|->")
+SOURCE_LINE = re.compile(r"\.py:\d+:")
 
 
 def _doc(source_power, relays, dest_noise, gains):
@@ -295,11 +302,13 @@ def runs(config_dir: str) -> list[tuple[str, list[str]]]:
             argv = command + ["--config", path] + (["--override-guard"] if big else [])
             out.append((f"{name}: {' '.join(command)}", argv))
     out.append(("verify", ["verify"]))
-    for seed in (1, 2):
-        path = os.path.join(config_dir, f"verify-{seed}.json")
+    verify_docs = [("seed", seed) for seed in (1, 2, 3 * 1234567, 3 * 1234568)]
+    verify_docs += [(key, n) for key in ("network_samples", "det_samples") for n in (1, 7)]
+    for key, value in verify_docs:
+        path = os.path.join(config_dir, f"verify-{key}-{value}.json")
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"verify": {"seed": seed}}, fh)
-        out.append((f"verify seed {seed}", ["verify", "--config", path]))
+            json.dump({"verify": {key: value}}, fh)
+        out.append((f"verify {key} {value}", ["verify", "--config", path]))
     return out
 
 
@@ -317,12 +326,14 @@ def run_tree(tree: str, argvs: list[list[str]], cwd: str) -> list[list]:
     )
     if proc.returncode != 0:
         sys.exit(f"worker for {tree} failed:\n{proc.stderr}")
-    # A warning names the file that raised it; mask the tree's own path.
+    # A warning names the file and line that raised it; mask the tree's
+    # own path, then the line number.
     root = os.path.abspath(tree)
-    return [
-        [code, out.replace(root, "<tree>"), err.replace(root, "<tree>")]
-        for code, out, err in json.loads(proc.stdout)
-    ]
+
+    def masked(text: str) -> str:
+        return SOURCE_LINE.sub(".py:<line>:", text.replace(root, "<tree>"))
+
+    return [[code, masked(out), masked(err)] for code, out, err in json.loads(proc.stdout)]
 
 
 def _column(line: str, start: int, previous: list[str]) -> str:
