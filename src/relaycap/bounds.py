@@ -30,16 +30,20 @@ Rate is strictly decreasing in every Q_j and feasibility margins are
 strictly increasing, so the best admissible Q sits on the feasibility
 frontier. With all Q_j equal, one monotone search (double up, halve
 down, bisect) finds it. The search is a generator that yields each point
-to test and receives the answer, and one driver runs every search: a
-single analysis runs one, a sweep one per gamma row, all in lockstep.
-Each pass is one margin evaluation that answers every search: on a single
-table's own arrays, or on all the tables, stacked in columns once per run,
-bit for bit the per-table answers. Coordinate descent then cycles from
-that uniform solution and moves each Q_j straight to its own frontier:
-with the other entries fixed, each subset's margin is nonnegative exactly
-above a closed-form threshold, so no search is needed. Margins rise
-toward the subset's denominator as Q grows, so a network is infeasible
-exactly when some denominator is not positive. A rate report evaluates every cut
+to test and receives the answer. One function, ``_uniform_optima``,
+decides every uniform optimum: given any list of tables it returns each
+one's Q or the Infeasible that explains why there is none. Margins rise
+toward the subset's denominator as Q grows, so a table is infeasible
+exactly when some denominator is not positive; a relay-free table gets
+the empty Q; every other table is searched, all those of one relay
+count in lockstep. A single analysis passes one table, a sweep one per
+gamma row, and ``verify`` one per random network. Each pass is one margin
+evaluation that answers every search: on a single table's own arrays, or
+on all the tables, stacked in columns once per run, bit for bit the
+per-table answers. Coordinate descent then cycles from that uniform
+solution and moves each Q_j straight to its own frontier: with the other
+entries fixed, each subset's margin is nonnegative exactly above a
+closed-form threshold, so no search is needed. A rate report evaluates every cut
 once: the bound is the source cut, the first row of that table. A sweep
 over the relay power multiplier shows the gap between the two sides
 collapsing as relay power grows.
@@ -366,8 +370,8 @@ def block_decode_rate(net: NetworkSpec, block: Block | tuple[int, ...], r: int) 
         raise InvalidReceiver(f"receiver {r} must be a relay or the destination")
     if r in block:
         raise InvalidReceiver(f"receiver {r} lies inside its own block {block}")
-    if not set(block) <= set(net.relay_ids):
-        raise ValueError(f"block {block} must hold relays only")
+    if len(set(block)) != len(block) or not set(block) <= set(net.relay_ids):
+        raise ValueError(f"block {block} must hold relays only, each once")
     if not block:
         return 0.0
     return 0.5 * math.log1p(_block_snr_sum(net, block, r)) / _LN2
@@ -385,8 +389,8 @@ def quantized_covariance_det(
     s = tuple(map(_node_id, s))
     if not s:
         raise ValueError("subset must be nonempty")
-    if not set(s) <= set(net.relay_ids):
-        raise ValueError(f"subset {s} must hold relays only")
+    if len(set(s)) != len(s) or not set(s) <= set(net.relay_ids):
+        raise ValueError(f"subset {s} must hold relays only, each once")
     q_values = np.array([q.get(i) for i in s])
     gains, (p1,), noise = _channel(net, (1,), s)
     u = np.sqrt(gains[:, 0])
@@ -564,7 +568,7 @@ class _ConstraintTable:
         """Every subset's binding instance with its margin at Q, in
         canonical subset order."""
         _require_cover(q, self.relays)
-        with np.errstate(over="ignore"):  # N + Q -> inf, as in _lockstep_frontiers
+        with np.errstate(over="ignore"):  # N + Q -> inf, as in _uniform_optima
             margins = self.margins_log2(np.array(q.values))
         return tuple(
             ConstraintMargin(instance=inst, margin_log2=float(m))
@@ -647,7 +651,7 @@ def _frontier(start: float, rel_tol: float) -> Generator[float, bool, float | No
     at the largest double; returns None if that is infeasible too: no
     finite x is feasible. Returns the doubling end when halving underflows
     to 0 (the frontier lies below the representable range).
-    ``_lockstep_frontiers`` is its one driver.
+    ``_uniform_optima`` is its one driver.
     """
     if not 0.0 < rel_tol < math.inf:
         raise ValueError(f"tol must be finite and > 0, got {rel_tol!r}")
@@ -677,49 +681,66 @@ def _search_start(table: _ConstraintTable) -> float:
     return max(_channel(table.net, (), table.relays + (table.net.destination_id,))[2].tolist())
 
 
-def _lockstep_frontiers(
+def _uniform_optima(
     tables: list[_ConstraintTable], rel_tol: float
-) -> list[float | None]:
-    """Each table's uniform frontier, or None where no finite uniform Q is
-    feasible. The tables share one relay count and none is blocked.
+) -> list[QuantizationVector | Infeasible]:
+    """Each table's best uniform Q, or the Infeasible that says why it has
+    none, for any tables: mixed relay counts, blocked and relay-free ones.
 
-    Every table's search runs at once, and each pass is one
-    ``_margins_log2`` call that answers every search's current query. The
-    arrays are set up once per run: a single table passes its own 1-D
-    arrays, and K tables are stacked in K columns, bit for bit the answers
-    of each table alone. A search that ends keeps its column and its last
-    point; its answer is ignored from then on.
+    Every margin rises strictly toward its denominator as Q grows, so a
+    table with some denom_log2 <= 0 is infeasible without a search, and a
+    relay-free table gets the empty Q. The others search by relay count,
+    one lockstep run each, and each pass is one ``_margins_log2`` call that
+    answers every search's current query. The arrays are set up once per
+    run: a single table passes its own 1-D arrays, and K tables are stacked
+    in K columns, bit for bit the answers of each table alone. A search
+    that ends keeps its column and its last point; its answer is ignored
+    from then on.
     """
-    if not tables:
-        return []
-    if len(tables) == 1:
-        (table,) = tables
-        arrays = table.denom_log2, table.noise, table.lam, table.p1
-    else:
-        arrays = tuple(
-            np.stack([getattr(t, name) for t in tables], axis=-1)
-            for name in ("denom_log2", "noise", "lam", "p1")
-        )
-    searches = [_frontier(_search_start(t), rel_tol) for t in tables]
-    points = [next(search) for search in searches]
-    found: list[float | None] = [None] * len(tables)
-    active = range(len(tables))
+    optima: list[QuantizationVector | Infeasible] = [QuantizationVector(entries=())] * len(tables)
+    runs: dict[int, list[int]] = {}
+    for k, table in enumerate(tables):
+        blocked = np.flatnonzero(~(table.denom_log2 > 0.0))
+        if blocked.size:
+            optima[k] = Infeasible(
+                f"relay subset {table.instance(blocked[0]).s} cannot forward at any finite "
+                "quantization noise: its relays deliver no power to the receivers that must "
+                "decode them"
+            )
+        elif table.relays:
+            runs.setdefault(len(table.relays), []).append(k)
     # N + Q -> inf near the largest double: a relay that hears nothing of
     # the source, the exact limit. Silenced once per run, not per pass.
     with np.errstate(over="ignore"):
-        while active:
-            margins = _margins_log2(*arrays, np.array(points))
-            answers = np.all(margins >= 0.0, axis=0).reshape(-1).tolist()
-            running = []
-            for k in active:
-                try:
-                    points[k] = searches[k].send(answers[k])
-                except StopIteration as stop:  # the search's end: its result
-                    found[k] = stop.value
-                else:
-                    running.append(k)
-            active = running
-    return found
+        for members in runs.values():
+            run = [tables[k] for k in members]
+            if len(run) == 1:
+                arrays = run[0].denom_log2, run[0].noise, run[0].lam, run[0].p1
+            else:
+                arrays = tuple(
+                    np.stack([getattr(t, name) for t in run], axis=-1)
+                    for name in ("denom_log2", "noise", "lam", "p1")
+                )
+            searches = [_frontier(_search_start(t), rel_tol) for t in run]
+            points = [next(search) for search in searches]
+            active = range(len(run))
+            while active:
+                margins = _margins_log2(*arrays, np.array(points))
+                answers = np.all(margins >= 0.0, axis=0).reshape(-1).tolist()
+                running = []
+                for i in active:
+                    try:
+                        points[i] = searches[i].send(answers[i])
+                    except StopIteration as stop:  # the search's end: its result
+                        optima[members[i]] = (
+                            Infeasible("no finite quantization noise satisfies every constraint")
+                            if stop.value is None
+                            else QuantizationVector.uniform(stop.value, run[i].relays)
+                        )
+                    else:
+                        running.append(i)
+                active = running
+    return optima
 
 
 def _coordinate_step(
@@ -782,7 +803,7 @@ def _coordinate_descent(
     q_values = np.array(start.values)
     rate = cf_rate(table.net, q_star)
     for _ in range(DESCENT_MAX_CYCLES):
-        with np.errstate(over="ignore"):  # N + Q -> inf, as in _lockstep_frontiers
+        with np.errstate(over="ignore"):  # N + Q -> inf, as in _uniform_optima
             for k in range(n):
                 q_values[k] = _coordinate_step(table, q_values, k, rows[k])
         q_star = QuantizationVector(entries=tuple(zip(table.relays, q_values)))
@@ -800,31 +821,15 @@ def _require_mode(mode: str) -> None:
 
 
 def _optimize(table: _ConstraintTable, mode: str, tol: float) -> tuple[QuantizationVector, float]:
-    """Best feasible quantization vector on one constraint table.
-
-    Every margin rises strictly toward its denominator as Q grows, so a
-    feasible Q exists exactly when every denom_log2 is positive. The
-    uniform search is ``_lockstep_frontiers`` on this one table, one
-    margin pass on its own arrays per query.
-    """
-    net, relays = table.net, table.relays
-    if not relays:
-        empty = QuantizationVector(entries=())
-        return empty, cf_rate(net, empty)
-    blocked = np.flatnonzero(~(table.denom_log2 > 0.0))
-    if blocked.size:
-        raise Infeasible(
-            f"relay subset {table.instance(blocked[0]).s} cannot forward at any finite "
-            "quantization noise: its relays deliver no power to the receivers that must "
-            "decode them"
-        )
-    (q_uni,) = _lockstep_frontiers([table], tol)
-    if q_uni is None:
-        raise Infeasible("no finite quantization noise satisfies every constraint")
-    q_star = QuantizationVector.uniform(q_uni, relays)
-    if mode == "coordinate_descent":
+    """Best feasible quantization vector on one constraint table: its
+    ``_uniform_optima`` entry, raised if it is an Infeasible, then the
+    descent from it when asked for and there is a Q to descend."""
+    (q_star,) = _uniform_optima([table], tol)
+    if isinstance(q_star, Infeasible):
+        raise q_star
+    if mode == "coordinate_descent" and q_star.entries:
         q_star = _coordinate_descent(table, q_star, tol)
-    return q_star, cf_rate(net, q_star)
+    return q_star, cf_rate(table.net, q_star)
 
 
 def optimize_quantization(
@@ -867,7 +872,7 @@ def build_rate_report(
     rates = _cut_rates(net, override_guard)
     bound = float(rates[0])  # the source cut
     mc_bits, mc = _min_cut(net, rates)
-    with np.errstate(over="ignore"):  # N + Q -> inf, as in _lockstep_frontiers
+    with np.errstate(over="ignore"):  # N + Q -> inf, as in _uniform_optima
         margins = table.margins_log2(np.array(q_star.values))
     tightest = np.argsort(margins, kind="stable")[:top_k]
     binding = tuple(ConstraintMargin(table.instance(k), float(margins[k])) for k in tightest)
@@ -896,13 +901,13 @@ def convergence_sweep(
     the optimized rate climbs toward it. Quantization is optimized in
     uniform mode so the q column is a single scalar per row.
 
-    Every row's constraint table is built first. Then one lockstep run
-    (``_lockstep_frontiers``) performs every searchable row's uniform
-    search at once, with one stacked margin pass per step; each row gets
-    the q and rate that ``optimize_quantization`` gives on its own.
-    Infeasible rows, blocked tables or searches that find no finite Q,
-    are reported, not fatal, and never stop the other rows. An error from
-    building any row's table is raised before any row is searched.
+    Every row's constraint table is built first. Then one
+    ``_uniform_optima`` call searches every row at once, with one stacked
+    margin pass per step; each row gets the q and rate that
+    ``optimize_quantization`` gives on its own. A row is infeasible
+    exactly when its entry is an Infeasible; it is reported, not fatal,
+    and never stops the other rows. An error from building any row's
+    table is raised before any row is searched.
     """
     gammas = [float(g) for g in gammas]
     if not gammas:
@@ -914,16 +919,11 @@ def convergence_sweep(
 
     bound = source_cut_bound(net)
     tables = [_ConstraintTable(scaled(net, g), quantifier, override_guard) for g in gammas]
-    searched = [k for k, t in enumerate(tables) if t.relays and np.all(t.denom_log2 > 0.0)]
-    frontiers = dict(zip(searched, _lockstep_frontiers([tables[k] for k in searched], tol)))
-
     rows: list[SweepRow] = []
-    for k, (g, table) in enumerate(zip(gammas, tables)):
-        if table.relays and frontiers.get(k) is None:
+    for g, table, q_star in zip(gammas, tables, _uniform_optima(tables, tol)):
+        if isinstance(q_star, Infeasible):
             feasible, rate, q_uni = False, math.nan, math.nan
         else:
-            # Without relays there is nothing to search: Q is empty.
-            q_star = QuantizationVector.uniform(frontiers.get(k, math.nan), table.relays)
             rate = cf_rate(table.net, q_star)
             feasible, q_uni = True, max(q_star.values, default=math.nan)
         gap = bound - rate

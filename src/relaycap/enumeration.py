@@ -56,10 +56,11 @@ class ConstraintInstance:
         for block in self.partition:
             if not block:
                 raise ValueError("empty block in partition")
-            if seen & set(block):
-                raise ValueError(f"blocks overlap at {sorted(seen & set(block))}")
+            repeated = sorted(i for i in set(block) if i in seen or block.count(i) > 1)
+            if repeated:
+                raise ValueError(f"blocks overlap or repeat a relay at {repeated}")
             seen.update(block)
-        if seen != set(self.s):
+        if sorted(seen) != sorted(self.s):
             raise ValueError(f"partition covers {sorted(seen)}, expected {list(self.s)}")
         for block, r in zip(self.partition, self.assignment):
             if r in block:

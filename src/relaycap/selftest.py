@@ -7,8 +7,8 @@ under scaling, and achievable-rate-below-bound sampling. Grids and seeds
 are fixed so a run is deterministic; the random samplers use an explicit
 Generator seeded per suite. The random suites draw every sample first and
 then batch the work, bit for bit the serial results: the network suites
-run one lockstep uniform search per relay count, and the determinant
-lemma factors one stack per matrix size.
+pass every network's table to one ``bounds._uniform_optima`` call, and
+the determinant lemma factors one stack per matrix size.
 
 The two dual-route routines live here too. They cross-check the
 independent-input claim behind the broadcast-cut bound on small networks
@@ -31,8 +31,7 @@ from .bounds import (
     RATE_TOL_BITS,
     QuantizationVector,
     _ConstraintTable,
-    _lockstep_frontiers,
-    _optimize,
+    _uniform_optima,
     cf_feasible,  # no suite calls it; kept as a name perfbench/spans.py wraps
     cf_rate,
     optimize_quantization,
@@ -418,32 +417,19 @@ def sample_feasible_q(
 
 def _feasible_points(rng: np.random.Generator, samples: int) -> list[tuple]:
     """Each random network's forall table with the point
-    ``sample_feasible_q`` gives it, or the RelaycapError its search raises.
+    ``sample_feasible_q`` gives it, or the Infeasible its search meets.
     Each network is drawn, then its factors: they need only its relay
-    count, so the stream is the serial one. Unblocked tables search at
-    once, one ``_lockstep_frontiers`` per relay count; a blocked table, or
-    one with no frontier, goes to ``_optimize`` alone for its error."""
-    drawn, groups, q_uni = [], {}, {}
-    for i in range(samples):
+    count, so the stream is the serial one. One ``_uniform_optima`` call
+    decides every table."""
+    drawn = []
+    for _ in range(samples):
         table = _ConstraintTable(random_network(rng, int(rng.integers(3, 7))), "forall")
         drawn.append((table, _push_factors(rng, len(table.relays))))
-        if np.all(table.denom_log2 > 0.0):
-            groups.setdefault(len(table.relays), []).append(i)
-    for members in groups.values():
-        found = _lockstep_frontiers([drawn[i][0] for i in members], BISECT_REL_TOL)
-        q_uni.update(zip(members, found))
-    points = []
-    for i, (table, factors) in enumerate(drawn):
-        if q_uni.get(i) is not None:
-            q_star = QuantizationVector.uniform(q_uni[i], table.relays)
-        else:
-            try:
-                q_star, _ = _optimize(table, "uniform_bisection", BISECT_REL_TOL)
-            except RelaycapError as exc:
-                points.append((table, exc))
-                continue
-        points.append((table, _pushed_inside(q_star, factors)))
-    return points
+    optima = _uniform_optima([table for table, _ in drawn], BISECT_REL_TOL)
+    return [
+        (table, q if isinstance(q, RelaycapError) else _pushed_inside(q, factors))
+        for (table, factors), q in zip(drawn, optima)
+    ]
 
 
 def monotonicity_suite(samples: int = 100, seed: int = 20250812) -> CheckResult:

@@ -253,7 +253,7 @@ class TestBlockDecodeRate:
         with pytest.raises(InvalidReceiver):
             rc.block_decode_rate(reference_network, (2,), 1)
 
-    @pytest.mark.parametrize("block", [(1,), (4,), (2, 4)])
+    @pytest.mark.parametrize("block", [(1,), (4,), (2, 4), (2, 2)])
     def test_block_holds_relays_only(self, reference_network, block):
         with pytest.raises(ValueError, match=re.escape(f"block {block} must hold relays only")):
             rc.block_decode_rate(reference_network, block, 3)
@@ -279,7 +279,7 @@ class TestQuantizedCovarianceDet:
         got = rc.quantized_covariance_det(net, (2, 3), q)
         assert got == pytest.approx(2.5 * 3.25, rel=1e-12)
 
-    @pytest.mark.parametrize("s", [(1,), (4,), (2, 1)])
+    @pytest.mark.parametrize("s", [(1,), (4,), (2, 1), (2, 2)])
     def test_subset_holds_relays_only(self, reference_network, s):
         q = rc.QuantizationVector.per_relay({i: 1.0 for i in s})
         with pytest.raises(ValueError, match=re.escape(f"subset {s} must hold relays only")):
@@ -1385,16 +1385,27 @@ class TestBatchedSuites:
 
     @pytest.mark.parametrize("name", ["monotonicity_suite", "achievability_suite"])
     def test_one_lockstep_run_per_relay_count(self, monkeypatch, name):
-        relay_counts = []
-        real = selftest._lockstep_frontiers
+        # One call decides every network; inside it, each relay count's
+        # run stacks its denominators once.
+        calls, stacks = [], {}
+        real, real_margins = selftest._uniform_optima, bounds._margins_log2
 
         def counting(tables, rel_tol):
-            relay_counts.append({len(t.relays) for t in tables})
-            return real(tables, rel_tol)
+            calls.append(len(tables))
+            monkeypatch.setattr(bounds, "_margins_log2", margins)
+            try:
+                return real(tables, rel_tol)
+            finally:
+                monkeypatch.setattr(bounds, "_margins_log2", real_margins)
 
-        monkeypatch.setattr(selftest, "_lockstep_frontiers", counting)
+        def margins(denom, *args):
+            stacks[id(denom)] = denom
+            return real_margins(denom, *args)
+
+        monkeypatch.setattr(selftest, "_uniform_optima", counting)
         assert getattr(selftest, name)().passed
-        assert sorted(relay_counts, key=min) == [{1}, {2}, {3}, {4}]
+        assert calls == [100]
+        assert sorted(len(denom) for denom in stacks.values()) == [1, 3, 7, 15]
 
     @pytest.mark.parametrize(
         "relay_power, error",
@@ -1833,7 +1844,7 @@ class TestLockstepSweep:
         def refuse(*args):
             raise AssertionError("no row may be searched or rated")
 
-        monkeypatch.setattr(bounds, "_lockstep_frontiers", refuse)
+        monkeypatch.setattr(bounds, "_uniform_optima", refuse)
         monkeypatch.setattr(bounds, "cf_rate", refuse)
         net = random_network(np.random.default_rng(2), 6)
         with pytest.raises(rc.InvalidScale):
@@ -1868,6 +1879,31 @@ def _scalar_search(table):
     return found, len(queries)
 
 
+#: The error of a search that finds no finite frontier, as an optimum's key.
+_NO_FRONTIER = (Infeasible, "no finite quantization noise satisfies every constraint")
+
+
+def _optimum_key(optimum):
+    """A ``_uniform_optima`` entry as a comparable value: a Q's entries (Q
+    values are positive and finite, so == is bit equality), or an error's
+    type and text."""
+    if isinstance(optimum, Exception):
+        return type(optimum), str(optimum)
+    return optimum.entries
+
+
+def _scalar_optimum(table):
+    """``_scalar_search`` as an optimum's key, with its query count."""
+    found, count = _scalar_search(table)
+    if found is None:
+        return _NO_FRONTIER, count
+    return rc.QuantizationVector.uniform(found, table.relays).entries, count
+
+
+def _uniform_optima_keys(tables):
+    return [_optimum_key(q) for q in bounds._uniform_optima(tables, BISECT_REL_TOL)]
+
+
 def _stub_tables(net):
     """Two tables of ``net`` whose searches reach the rare exits: every
     denominator 1e-310, so no finite Q is feasible and doubling overflows;
@@ -1882,9 +1918,10 @@ def _stub_tables(net):
 
 
 class TestLockstepFrontiers:
-    """Searches that end at different steps, by a result, by the halving
-    underflow return or by the doubling overflow's None, all in one
-    lockstep run."""
+    """``_uniform_optima``: searches that end at different steps, by a
+    result, by the halving underflow return or by the doubling overflow's
+    Infeasible, all in one lockstep run; and the tables it decides without
+    a search."""
 
     def _ordinary(self, quantifier="forall"):
         net = random_network(np.random.default_rng(3), 6)
@@ -1898,14 +1935,14 @@ class TestLockstepFrontiers:
         tables = [overflow, ordinary[0], underflow, ordinary[1], ordinary[2]]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = bounds._lockstep_frontiers(tables, BISECT_REL_TOL)
-        want = [_scalar_search(table) for table in tables]
-        assert got == [found for found, _ in want]
-        # The exits are the rare ones: overflow returned None, underflow
+            got = _uniform_optima_keys(tables)
+        want = [_scalar_optimum(table) for table in tables]
+        assert got == [key for key, _ in want]
+        # The exits are the rare ones: overflow found no frontier, underflow
         # returned the doubling end (the start, feasible down to the
         # smallest double).
-        assert got[0] is None
-        assert got[2] == bounds._search_start(underflow)
+        assert got[0] == _NO_FRONTIER
+        assert [q for _, q in got[2]] == [bounds._search_start(underflow)] * len(net.relay_ids)
         assert underflow.feasible(np.full(len(net.relay_ids), 5e-324))
         # Ordinary searches of different lengths; the stubs run longest.
         counts = [count for _, count in want]
@@ -1916,14 +1953,14 @@ class TestLockstepFrontiers:
     def test_ending_searches_leave_the_others_unchanged(self, quantifier):
         net, ordinary = self._ordinary(quantifier)
         overflow, underflow = _stub_tables(net)
-        alone = bounds._lockstep_frontiers(ordinary, BISECT_REL_TOL)
-        assert alone == [_scalar_search(table)[0] for table in ordinary]
+        alone = _uniform_optima_keys(ordinary)
+        assert alone == [_scalar_optimum(table)[0] for table in ordinary]
         for mixed in (
             [overflow] + ordinary,
             ordinary + [underflow],
             [ordinary[0], underflow, ordinary[1], overflow, ordinary[2]],
         ):
-            got = bounds._lockstep_frontiers(mixed, BISECT_REL_TOL)
+            got = _uniform_optima_keys(mixed)
             assert [x for x, t in zip(got, mixed) if t in ordinary] == alone
 
     def test_single_search_is_the_scalar_oracle(self):
@@ -1982,10 +2019,10 @@ class TestLockstepFrontiers:
         net, ordinary = self._ordinary()
         overflow, underflow = _stub_tables(net)
         tables = [overflow, *ordinary, underflow]
-        want = [_scalar_search(table) for table in tables]
+        want = [_scalar_optimum(table) for table in tables]
         calls = self._counting_margins(monkeypatch)
-        got = bounds._lockstep_frontiers(tables, BISECT_REL_TOL)
-        assert got == [found for found, _ in want]
+        got = _uniform_optima_keys(tables)
+        assert got == [key for key, _ in want]
         assert len(calls) == max(count for _, count in want)
         first = calls[0][:4]
         k, r = len(tables), len(net.relay_ids)
@@ -2002,7 +2039,37 @@ class TestLockstepFrontiers:
                 bounds._optimize(overflow, mode, BISECT_REL_TOL)
 
     def test_no_tables_no_searches(self):
-        assert bounds._lockstep_frontiers([], BISECT_REL_TOL) == []
+        assert bounds._uniform_optima([], BISECT_REL_TOL) == []
+
+    def test_any_tables_match_optimize_alone(self, monkeypatch):
+        # Relay-free, blocked and no-frontier tables among searchable ones
+        # of two relay counts: each entry is what _optimize gives its table
+        # alone, and each relay count's run stacks its arrays once.
+        def table(net):
+            return _ConstraintTable(net, "forall")
+
+        r3, r4 = (random_network(np.random.default_rng(3 + t), t) for t in (5, 6))
+        tables = [
+            table(_net([rc.source(1, 1.0), rc.destination(2, 1.0)])),
+            table(r3),
+            table(_equal_gain_network(4, lambda j: 0.0)),
+            table(rc.scaled(r4, 1e10)),
+            table(_equal_gain_network(5, lambda j: 1e-310)),
+            table(rc.scaled(r3, 1e10)),
+            table(r4),
+        ]
+        want = []
+        for t in tables:
+            try:
+                want.append(bounds._optimize(t, "uniform_bisection", BISECT_REL_TOL)[0].entries)
+            except Infeasible as exc:
+                want.append((type(exc), str(exc)))
+        calls = self._counting_margins(monkeypatch)
+        assert _uniform_optima_keys(tables) == want
+        assert want[0] == () and want[4] == _NO_FRONTIER
+        assert want[2][1].startswith("relay subset (2,) cannot forward")
+        stacks = {id(args[0]): args[0].shape for args in calls}
+        assert sorted(stacks.values()) == [(7, 3), (15, 2)]
 
 
 class TestAchievabilityNeverExceedsBound:

@@ -105,13 +105,21 @@ class TestConstraintInstance:
         with pytest.raises(ValueError, match="inside its own block"):
             ConstraintInstance(s=(2, 3), partition=((2, 3),), assignment=(2,))
 
-    def test_overlapping_blocks_rejected(self):
+    @pytest.mark.parametrize(
+        "s, partition, assignment",
+        [((2, 3), ((2, 3), (3,)), (4, 4)), ((2,), ((2, 2),), (3,))],
+    )
+    def test_overlapping_blocks_rejected(self, s, partition, assignment):
         with pytest.raises(ValueError, match="overlap"):
-            ConstraintInstance(s=(2, 3), partition=((2, 3), (3,)), assignment=(4, 4))
+            ConstraintInstance(s=s, partition=partition, assignment=assignment)
 
-    def test_partition_must_cover_s(self):
+    @pytest.mark.parametrize(
+        "s, partition, assignment",
+        [((2, 3, 4), ((2, 3),), (4,)), ((2, 2), ((2,),), (3,))],
+    )
+    def test_partition_must_cover_s(self, s, partition, assignment):
         with pytest.raises(ValueError, match="covers"):
-            ConstraintInstance(s=(2, 3, 4), partition=((2, 3),), assignment=(4,))
+            ConstraintInstance(s=s, partition=partition, assignment=assignment)
 
     def test_block_and_receiver_lengths_must_match(self):
         with pytest.raises(ValueError, match="blocks"):

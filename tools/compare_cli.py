@@ -46,11 +46,16 @@ frontier Q lies where N + Q overflows a double, run ``cfrate`` and
 1e100/1e250/1e300 and relay noises 1e-300/1/1e300, whose whitened Gram
 stack overflows; and T = 3 with source and relay power 1e10, every gain 10
 and every noise 1e-300, whose SNR lies past the double range. Their exits
-show whether a change mends the cut side there (ROADMAP item 7).
+show whether a change mends the cut side there (ROADMAP item 7). Two
+more networks reach the uniform optimum's other exits, each with
+``bound``, ``cfrate`` and ``sweep``: a relay-free T = 2 network (the empty
+Q), and T = 4 with unit gains and relay powers 1e-310 and 10, swept over
+gammas [1, 1e300], whose ``cfrate`` finds no finite Q (exit 4) and whose
+sweep gives one infeasible row and then one feasible row.
 ``verify`` runs with its defaults, with seeds 1 and 2 and with two large
 seeds like the benchmark's (3 * 1234567 and 3 * 1234568), and with 1 and 7
 network samples and 1 and 7 determinant samples, the edge cases of batching
-the random suites by size: 463 runs in all. Only the standard library and
+the random suites by size: 469 runs in all. Only the standard library and
 numpy are used.
 """
 
@@ -284,6 +289,17 @@ def extreme_snr() -> list[tuple[str, dict]]:
     ]
 
 
+def search_exits() -> list[tuple[str, dict]]:
+    """(name, config) pairs of the relay-free network and the network whose
+    first sweep row has no finite uniform frontier."""
+    no_frontier = _doc(1.0, [(1e-310, 1.0), (10.0, 1.0)], 1.0, np.ones((4, 4)))
+    no_frontier["sweep"] = {"gammas": [1, 1e300]}
+    return [
+        ("relay-free-T2", _doc(1.0, [], 1.0, np.ones((2, 2)))),
+        ("no-frontier-T4", no_frontier),
+    ]
+
+
 def runs(config_dir: str) -> list[tuple[str, list[str]]]:
     """Write the corpus into config_dir; return (run name, argv) pairs."""
     out = []
@@ -293,6 +309,7 @@ def runs(config_dir: str) -> list[tuple[str, list[str]]]:
     plans.append((overflow_sweep(), SWEEP_COMMANDS))
     plans += [(entry, HUGE_NOISE_COMMANDS) for entry in huge_noise()]
     plans += [(entry, PLAIN_COMMANDS) for entry in extreme_snr()]
+    plans += [(entry, PLAIN_COMMANDS) for entry in search_exits()]
     for (name, doc), commands in plans:
         path = os.path.join(config_dir, f"{name}.json")
         with open(path, "w", encoding="utf-8") as fh:
