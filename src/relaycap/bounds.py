@@ -4,8 +4,9 @@ Upper bounds come from cut rates evaluated under independent Gaussian
 inputs; the source (broadcast) cut is the capacity upper bound for this
 network class, and non-source cuts are reported as estimates under that
 particular input law. The cut table evaluates all 2^(T-2) cuts together:
-grouped by how many relays sit on the transmitter side, each group's
-channel blocks are stacked and get one stacked Cholesky factorization.
+it whitens the network once and, grouped by how many relays sit on the
+transmitter side, passes each group's channel blocks as one stack to
+``gaussian``'s rate function, the one that ``cut_rate`` calls.
 
 The achievable side is compress-forward: each relay forwards a quantized
 observation with additive quantization noise Q_j. A quantization vector is
@@ -24,7 +25,9 @@ DP's choices, not the attaining (partition, assignment) instances: it
 builds a subset's instance only when a caller reads it (a rate report's
 binding rows, an infeasibility message, ``cf_feasible``'s diagnostics).
 Every feasibility query is one vectorized margin evaluation on the
-denominators.
+denominators, with the determinant in its rank-one closed form; the
+determinant-lemma suite checks that form against ``gaussian``'s
+factorized one, which ``quantized_covariance_det`` calls too.
 
 Rate is strictly decreasing in every Q_j and feasibility margins are
 strictly increasing, so the best admissible Q sits on the feasibility
@@ -74,7 +77,7 @@ from .errors import (
     NonPositiveQ,
     VerificationFailure,
 )
-from .gaussian import _stacked_cholesky_log2_det, _whitened, conditional_mi_bits
+from .gaussian import _rank_one_log2_dets, _whitened, _whitened_mi_bits, conditional_mi_bits
 from .topology import NetworkSpec, _node_id, scaled
 
 _LN2 = math.log(2.0)
@@ -276,11 +279,10 @@ def _cut_rates(net: NetworkSpec, override_guard: bool) -> np.ndarray:
     A cut's rate comes from its block of one whitened matrix, receivers
     (nodes 2..T) by transmitters (the source and the relays). The blocks of
     the cuts with s relays on the transmitter side share one shape, so each
-    such group is gathered into one stack, turned into Gram matrices on the
-    smaller side by one matmul, and factored by one stacked Cholesky: per
-    cut, the arithmetic of ``cut_rate``. The groups run by relay count, and
-    the first group holding a cut that is not positive definite raises the
-    kernel's error.
+    such group is one stack for ``gaussian._whitened_mi_bits``, the
+    function ``cut_rate`` applies to its one channel. The groups run by
+    relay count, and the first group holding a cut that is not positive
+    definite raises the kernel's error.
     """
     _check_guard(net, override_guard)
     relays = net.relay_ids
@@ -301,10 +303,7 @@ def _cut_rates(net: NetworkSpec, override_guard: bool) -> np.ndarray:
         cuts = np.flatnonzero(sizes == s)
         tx_idx = np.nonzero(tx_keep[cuts])[1].reshape(len(cuts), 1 + s)
         rx_idx = np.nonzero(rx_keep[cuts])[1].reshape(len(cuts), len(rx) - s)
-        w = a[rx_idx[:, :, None], tx_idx[:, None, :]]
-        wt = w.transpose(0, 2, 1)
-        gram = np.matmul(wt, w) if 1 + s <= len(rx) - s else np.matmul(w, wt)
-        rates[cuts] = 0.5 * _stacked_cholesky_log2_det(np.eye(gram.shape[1]) + gram)
+        rates[cuts] = _whitened_mi_bits(a[rx_idx[:, :, None], tx_idx[:, None, :]])
     return rates
 
 
@@ -315,8 +314,9 @@ def cut_rate_table(
     side (source-only cut first).
 
     The cuts are grouped by the number of relays on their transmitter
-    side, and each group's rates come from one stacked factorization
-    (``_cut_rates``), with the arithmetic ``cut_rate`` applies to each cut.
+    side, and each group's rates come from one stacked call of the rate
+    function ``cut_rate`` applies to each cut (``_cut_rates``), so every
+    row equals ``cut_rate`` of its cut exactly.
     """
     rates = _cut_rates(net, override_guard)
     return tuple(
@@ -392,11 +392,8 @@ def quantized_covariance_det(
     if len(set(s)) != len(s) or not set(s) <= set(net.relay_ids):
         raise ValueError(f"subset {s} must hold relays only, each once")
     q_values = np.array([q.get(i) for i in s])
-    gains, (p1,), noise = _channel(net, (1,), s)
-    u = np.sqrt(gains[:, 0])
-    # exactly symmetric
-    m = np.diag(noise + q_values) + p1 * np.outer(u, u)
-    return 2.0 ** float(_stacked_cholesky_log2_det(m[None])[0])
+    gains, p1, noise = _channel(net, (1,), s)
+    return 2.0 ** float(_rank_one_log2_dets(gains.T, (noise + q_values)[None], p1)[0])
 
 
 @cache

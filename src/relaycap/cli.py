@@ -21,8 +21,10 @@ The config is one JSON document::
 ``gains`` and ``path_loss`` are mutually exclusive: give the matrix
 directly, or give per-node positions plus the path-loss law. Powers and
 noises may be linear (``power``) or dB (``power_db``, converted as
-10^(db/10)); exactly one of the pair. Command-line flags override the
-``cf`` section.
+10^(db/10)); exactly one of the pair. Every number may be a JSON number
+or a numeric string, never a boolean: ``true`` is a config error naming
+its field, not the number 1. Command-line flags override the ``cf``
+section.
 
 Exit codes: 0 success, 1 verification failure, 2 config error, 3 size
 guard, 4 no feasible quantization. All numbers print with 12 significant
@@ -85,16 +87,28 @@ def load_config(path: str) -> dict:
     return doc
 
 
+def _number(value: object, where: str) -> float:
+    """A config number as a float. A numeric string reads as its number;
+    a JSON boolean is not a number."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where} must be a number: {exc}") from exc
+
+
 def _linear_field(entry: dict, base: str, node_id: object) -> float | None:
     lin, db = entry.get(base), entry.get(f"{base}_db")
     if lin is not None and db is not None:
         raise ConfigError(f"node {node_id}: give {base} or {base}_db, not both")
+    if db is None:
+        return None if lin is None else _number(lin, f"node {node_id}: {base}")
+    db = _number(db, f"node {node_id}: {base}_db")
     try:
-        if db is not None:
-            return 10.0 ** (float(db) / 10.0)
-        return None if lin is None else float(lin)
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise ConfigError(f"node {node_id}: bad {base}: {exc}") from exc
+        return 10.0 ** (db / 10.0)
+    except OverflowError as exc:
+        raise ConfigError(f"node {node_id}: bad {base}_db: {exc}") from exc
 
 
 def _node_from_entry(entry: object, index: int) -> NodeSpec:
@@ -107,8 +121,10 @@ def _node_from_entry(entry: object, index: int) -> NodeSpec:
         raise ConfigError(f"nodes[{index}] has unknown keys {sorted(unknown)}")
     node_id = entry.get("id")
     position = entry.get("position")
-    if position is not None and not (isinstance(position, (list, tuple)) and len(position) == 2):
-        raise ConfigError(f"node {node_id}: position must be [x, y]")
+    if position is not None:
+        if not (isinstance(position, (list, tuple)) and len(position) == 2):
+            raise ConfigError(f"node {node_id}: position must be [x, y]")
+        position = [_number(c, f"node {node_id}: position") for c in position]
     power = _linear_field(entry, "power", node_id)
     noise = _linear_field(entry, "noise", node_id)
     try:
@@ -129,9 +145,15 @@ def network_from_config(doc: dict) -> NetworkSpec:
     if has_gains == has_pl:
         raise ConfigError("give exactly one of 'gains' or 'path_loss'")
     if has_gains:
+        rows = doc["gains"]
+        if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+            raise ConfigError("'gains' must be an array of rows")
         try:
-            gains = np.asarray(doc["gains"], dtype=float)
-        except (TypeError, ValueError) as exc:
+            gains = np.array(
+                [[_number(g, f"gains[{i}][{j}]") for j, g in enumerate(row)]
+                 for i, row in enumerate(rows)]
+            )
+        except ValueError as exc:
             raise ConfigError(f"'gains' must be a numeric matrix: {exc}") from exc
         try:
             net = from_gains(nodes, gains)
@@ -141,8 +163,9 @@ def network_from_config(doc: dict) -> NetworkSpec:
         pl = doc["path_loss"]
         if not isinstance(pl, dict) or not {"kappa", "eta"} <= set(pl):
             raise ConfigError("'path_loss' must be an object with kappa and eta")
+        kappa, eta = (_number(pl[key], f"path_loss.{key}") for key in ("kappa", "eta"))
         try:
-            params = PathLossParams(kappa=float(pl["kappa"]), eta=float(pl["eta"]))
+            params = PathLossParams(kappa=kappa, eta=eta)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad path_loss: {exc}") from exc
         try:
@@ -166,13 +189,7 @@ def _cf_settings(doc: dict, args: argparse.Namespace) -> tuple[str, str, float, 
     mode_word = getattr(args, "mode", None) or cf.get("mode", "uniform")
     if not isinstance(mode_word, str) or mode_word not in _MODE_WORDS:
         raise ConfigError(f"mode must be uniform or coordinate, got {mode_word!r}")
-    tol = args.tol if args.tol is not None else cf.get("tol", BISECT_REL_TOL)
-    if isinstance(tol, bool):
-        raise ConfigError(f"bad tol: {tol!r}")
-    try:
-        tol = float(tol)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad tol: {tol!r}") from exc
+    tol = _number(args.tol if args.tol is not None else cf.get("tol", BISECT_REL_TOL), "tol")
     if not 0.0 < tol < math.inf:
         raise ConfigError(f"tol must be finite and > 0, got {tol!r}")
     top_k = getattr(args, "top_k", None)
@@ -273,10 +290,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     raw = sweep_doc["gammas"]
     if not isinstance(raw, list) or not raw:
         raise ConfigError("'sweep.gammas' must be a nonempty array")
-    try:
-        gammas = [float(g) for g in raw]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"'sweep.gammas' must be numeric: {exc}") from exc
+    gammas = [_number(g, f"sweep.gammas[{i}]") for i, g in enumerate(raw)]
     try:
         rows = convergence_sweep(net, gammas, quantifier, tol, args.override_guard)
     except InvalidScale as exc:
@@ -338,10 +352,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _grid(value: object, where: str) -> tuple[float, ...]:
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{where} must be a nonempty array of numbers")
-    try:
-        grid = tuple(float(v) for v in value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where} must be numeric: {exc}") from exc
+    grid = tuple(_number(v, where) for v in value)
     if not all(math.isfinite(v) for v in grid):
         raise ConfigError(f"{where} must be finite, got {grid}")
     return grid

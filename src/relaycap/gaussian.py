@@ -14,6 +14,12 @@ exactly symmetric and call the kernel directly. The covariance helpers
 take one matrix or a stack. The scalar kernel and cofactor expansion
 exist only inside the test suite, as independent oracles.
 
+Each of the library's two Gaussian formulas has one stacked
+implementation, and a single evaluation is a stack of one:
+``_whitened_mi_bits`` for the rate below (one cut or the whole cut table)
+and ``_rank_one_log2_dets`` for compress-forward's quantized-observation
+determinant.
+
 Mutual information for independent Gaussian inputs over a linear channel
 Y = H x + Z, with P = diag(tx powers) and Sigma_N = diag(rx noises), is
 computed from the whitened channel W = Sigma_N^(-1/2) H P^(1/2):
@@ -146,9 +152,16 @@ def conditional_mi_bits(
             f"gains shape {gains.shape} does not match "
             f"({noise.size} receivers, {powers.size} transmitters)"
         )
-    w = _whitened(gains, powers, noise)
-    gram = w.T @ w if powers.size <= noise.size else w @ w.T
-    return 0.5 * float(_stacked_cholesky_log2_det((np.eye(len(gram)) + gram)[None])[0])
+    return float(_whitened_mi_bits(_whitened(gains, powers, noise)[None])[0])
+
+
+def _whitened_mi_bits(w: np.ndarray) -> np.ndarray:
+    """1/2 log2 det(I + W^T W) of every whitened channel W in a (count,
+    rx, tx) stack, factored on the smaller side as ``conditional_mi_bits``
+    says: one matmul, one stacked factorization."""
+    wt = w.transpose(0, 2, 1)
+    gram = np.matmul(wt, w) if w.shape[2] <= w.shape[1] else np.matmul(w, wt)
+    return 0.5 * _stacked_cholesky_log2_det(np.eye(gram.shape[1]) + gram)
 
 
 def _whitened(gains: np.ndarray, powers: np.ndarray, noise: np.ndarray) -> np.ndarray:
@@ -159,6 +172,17 @@ def _whitened(gains: np.ndarray, powers: np.ndarray, noise: np.ndarray) -> np.nd
     if np.any(powers < 0.0) or not np.all(np.isfinite(powers)):
         raise NegativePower(f"transmit powers must be finite and >= 0, got {powers}")
     return gains * np.sqrt(powers) / np.sqrt(noise)[:, None]
+
+
+def _rank_one_log2_dets(lam: np.ndarray, noise: np.ndarray, p1: np.ndarray) -> np.ndarray:
+    """log2 det(diag(N + Q) + P1 u u^T), u = sqrt(lambda), for each row of
+    (count, d) stacks ``lam`` and ``noise`` (N + Q) and each of the (count,)
+    powers ``p1``; the matrices are built exactly symmetric."""
+    u = np.sqrt(lam)
+    m = p1[:, None, None] * (u[:, :, None] * u[:, None, :])
+    d = lam.shape[1]
+    m[:, range(d), range(d)] += noise
+    return _stacked_cholesky_log2_det(m)
 
 
 def joint_covariance(coefficients: np.ndarray, factor_variances: np.ndarray) -> np.ndarray:

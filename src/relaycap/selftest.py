@@ -2,13 +2,15 @@
 
 Five suites, each summarized as one CheckResult: the two dual-route
 correlation sweeps on small networks, the determinant-lemma cross-check of
-the quantized-observation covariance determinant, feasibility monotonicity
-under scaling, and achievable-rate-below-bound sampling. Grids and seeds
+the factorized quantized-observation covariance determinant against its
+closed form, feasibility monotonicity under scaling, and
+achievable-rate-below-bound sampling. Grids and seeds
 are fixed so a run is deterministic; the random samplers use an explicit
 Generator seeded per suite. The random suites draw every sample first and
 then batch the work, bit for bit the serial results: the network suites
 pass every network's table to one ``bounds._uniform_optima`` call, and
-the determinant lemma factors one stack per matrix size.
+the determinant lemma calls the kernel behind ``quantized_covariance_det``,
+``gaussian._rank_one_log2_dets``, once per matrix size.
 
 The two dual-route routines live here too. They cross-check the
 independent-input claim behind the broadcast-cut bound on small networks
@@ -32,12 +34,11 @@ from .bounds import (
     QuantizationVector,
     _ConstraintTable,
     _uniform_optima,
-    cf_feasible,  # no suite calls it; kept as a name perfbench/spans.py wraps
     cf_rate,
-    optimize_quantization,
-    quantized_covariance_det,
     source_cut_bound,
 )
+# No suite calls these; they stay bound here because perfbench/spans.py wraps them.
+from .bounds import cf_feasible, optimize_quantization, quantized_covariance_det
 from .errors import (
     InvalidAlpha,
     NegativePower,
@@ -45,7 +46,12 @@ from .errors import (
     RelaycapError,
     VerificationFailure,
 )
-from .gaussian import _stacked_cholesky_log2_det, conditional_covariance, joint_covariance
+from .gaussian import (
+    _rank_one_log2_dets,
+    _stacked_cholesky_log2_det,
+    conditional_covariance,
+    joint_covariance,
+)
 from .topology import NetworkSpec, destination, from_gains, relay, source
 
 #: 21 symmetric grid offsets in [-1, 1] with an exact 0.0 at the center.
@@ -317,38 +323,18 @@ def beta_suite(betas: tuple[float, ...] | None = None) -> CheckResult:
     return CheckResult(name, True, detail)
 
 
-def _flat_network(source_gains: np.ndarray, relay_noises: np.ndarray, p1: float) -> NetworkSpec:
-    """Source + D relays + destination with prescribed source gains; all
-    other gains and powers are unit (irrelevant to the determinant)."""
-    t = len(source_gains) + 2
-    relays = [relay(j, power=1.0, noise=n) for j, n in enumerate(relay_noises.tolist(), 2)]
-    g = np.ones((t, t))
-    np.fill_diagonal(g, 0.0)
-    g[0, 1:-1] = g[1:-1, 0] = source_gains
-    return from_gains([source(1, power=p1), *relays, destination(t, noise=1.0)], g)
-
-
 def _determinants(draws: list[tuple]) -> list[float]:
     """Each (lambda, N, Q, P1) instance's determinant, bit for bit what
-    ``quantized_covariance_det`` gives. The first instance of each size d
-    takes that route; the others are built in its arithmetic,
-    diag(N + Q) + P1 u u^T with u = sqrt(lambda), as one stack per size."""
+    ``quantized_covariance_det`` gives: the kernel it calls on a stack of
+    one, called here once per size d on that size's stack."""
     dets, sizes = [0.0] * len(draws), {}
     for i, (lam, *_) in enumerate(draws):
         sizes.setdefault(len(lam), []).append(i)
-    for d, (head, *rest) in sizes.items():
-        lam, noise, qv, p1 = draws[head]
-        s = tuple(range(2, 2 + d))
-        q = QuantizationVector(entries=tuple(zip(s, qv.tolist())))
-        dets[head] = quantized_covariance_det(_flat_network(lam, noise, p1), s, q)
-        if rest:
-            lam, noise, qv, p1 = map(np.array, zip(*(draws[i] for i in rest)))
-            u = np.sqrt(lam)
-            m = p1[:, None, None] * (u[:, :, None] * u[:, None, :])
-            m[:, range(d), range(d)] += noise + qv
-            # Python's 2.0 ** x: numpy's last bit can differ.
-            for i, x in zip(rest, _stacked_cholesky_log2_det(m).tolist()):
-                dets[i] = 2.0 ** x
+    for rows in sizes.values():
+        lam, noise, qv, p1 = map(np.array, zip(*(draws[i] for i in rows)))
+        # Python's 2.0 ** x, as the public function takes it.
+        for i, x in zip(rows, _rank_one_log2_dets(lam, noise + qv, p1).tolist()):
+            dets[i] = 2.0 ** x
     return dets
 
 
@@ -406,18 +392,10 @@ def _pushed_inside(q_star: QuantizationVector, factors: np.ndarray) -> Quantizat
     )
 
 
-def sample_feasible_q(
-    rng: np.random.Generator, net: NetworkSpec, quantifier: str = "forall"
-) -> QuantizationVector:
-    """A random point strictly inside the feasible region: the optimized
-    uniform solution pushed up by per-relay factors in [1, 100]."""
-    q_star, _ = optimize_quantization(net, "uniform_bisection", quantifier)
-    return _pushed_inside(q_star, _push_factors(rng, len(q_star.ids)))
-
-
 def _feasible_points(rng: np.random.Generator, samples: int) -> list[tuple]:
-    """Each random network's forall table with the point
-    ``sample_feasible_q`` gives it, or the Infeasible its search meets.
+    """Each random network's forall table with a point strictly inside
+    its feasible region, the uniform optimum pushed up by per-relay
+    factors in [1, 100], or the Infeasible its search meets.
     Each network is drawn, then its factors: they need only its relay
     count, so the stream is the serial one. One ``_uniform_optima`` call
     decides every table."""

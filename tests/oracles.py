@@ -17,8 +17,9 @@ descent by per-coordinate bisection against its closed-form frontier,
 the uniform search as a loop over a scalar predicate against its
 generator form, the convergence sweep one row at a time against its
 lockstep searches, and the three random verify suites run one sample at
-a time (one network, one table and one uniform search per sample; one
-public determinant call per instance) against their batched forms.
+a time (one network, one table and one uniform search per sample, the
+feasible point from ``sample_feasible_q``; one public determinant call
+per instance, on its own flat network) against their batched forms.
 Nothing here is performance sensitive; clarity wins.
 """
 
@@ -57,7 +58,7 @@ from relaycap.gaussian import (
     joint_covariance,
     log2_det,
 )
-from relaycap.topology import scaled
+from relaycap.topology import destination, from_gains, relay, scaled, source
 
 
 def _cholesky_log2_det(a: np.ndarray) -> float:
@@ -435,11 +436,22 @@ def determinant_lemma_draws(samples, seed):
     return draws
 
 
+def _flat_network(source_gains, relay_noises, p1):
+    """Source + D relays + destination with prescribed source gains; all
+    other gains and powers are unit (irrelevant to the determinant)."""
+    t = len(source_gains) + 2
+    relays = [relay(j, power=1.0, noise=n) for j, n in enumerate(relay_noises.tolist(), 2)]
+    g = np.ones((t, t))
+    np.fill_diagonal(g, 0.0)
+    g[0, 1:-1] = g[1:-1, 0] = source_gains
+    return from_gains([source(1, power=p1), *relays, destination(t, noise=1.0)], g)
+
+
 def determinant_by_network(lam, noise, qv, p1):
     """One instance's determinant through the public
     ``quantized_covariance_det`` on its own flat network."""
     d = len(lam)
-    net = selftest._flat_network(lam, noise, p1)
+    net = _flat_network(lam, noise, p1)
     s = tuple(range(2, 2 + d))
     q = QuantizationVector(entries=tuple(zip(s, qv.tolist())))
     return quantized_covariance_det(net, s, q)
@@ -457,6 +469,14 @@ def determinant_lemma_suite_by_samples(samples=500, seed=20250811):
     passed = worst < 1e-10
     detail = f"{samples} random instances (size <= 6); worst relative error {worst:.3e}"
     return selftest.CheckResult(name, passed, detail)
+
+
+def sample_feasible_q(rng, net, quantifier="forall"):
+    """A random point strictly inside the feasible region, found serially:
+    the network's own uniform optimum pushed up by per-relay factors in
+    [1, 100], drawn from ``rng`` after the search."""
+    q_star, _ = optimize_quantization(net, "uniform_bisection", quantifier)
+    return selftest._pushed_inside(q_star, selftest._push_factors(rng, len(q_star.ids)))
 
 
 def monotonicity_suite_by_samples(samples=100, seed=20250812):
@@ -501,7 +521,7 @@ def achievability_suite_by_samples(samples=100, seed=20250813):
     for i in range(samples):
         net = selftest.random_network(rng, int(rng.integers(3, 7)))
         try:
-            q = selftest.sample_feasible_q(rng, net, "forall")
+            q = sample_feasible_q(rng, net, "forall")
         except RelaycapError as exc:
             return selftest.CheckResult(
                 name, False, f"sample {i}: feasible point search failed: {exc}"

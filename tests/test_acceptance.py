@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import relaycap as rc
-from oracles import bell_numbers, count_assignments_brute, det_cofactor
+from oracles import bell_numbers, count_assignments_brute, det_cofactor, sample_feasible_q
 from relaycap import cli, selftest
 from relaycap.enumeration import assignments, partitions, subsets
 
@@ -95,7 +95,7 @@ def test_criterion_04_achievability_below_converse():
     rng = np.random.default_rng(20260816)
     for _ in range(100):
         net = selftest.random_network(rng, int(rng.integers(3, 7)))
-        q = selftest.sample_feasible_q(rng, net)
+        q = sample_feasible_q(rng, net)
         assert rc.cf_rate(net, q) <= rc.source_cut_bound(net) + 1e-9
 
 
@@ -105,7 +105,7 @@ def test_criterion_05_feasibility_monotone_under_scaling():
     rng = np.random.default_rng(20260817)
     for _ in range(100):
         net = selftest.random_network(rng, int(rng.integers(3, 7)))
-        q = selftest.sample_feasible_q(rng, net)
+        q = sample_feasible_q(rng, net)
         ok, _ = rc.cf_feasible(net, q)
         assert ok
         for c in (1.5, 10.0, 1e3):

@@ -25,6 +25,7 @@ from oracles import (
     determinant_lemma_suite_by_samples,
     monotonicity_suite_by_samples,
     relay_correlation_mi_bits_by_points,
+    sample_feasible_q,
     single_relay_covariance_bits_by_points,
     subset_sums_by_columns,
     table_by_partition_scan,
@@ -40,7 +41,7 @@ from relaycap.errors import (
     NotPositiveDefinite,
     VerificationFailure,
 )
-from relaycap.selftest import random_network, sample_feasible_q
+from relaycap.selftest import random_network
 
 
 def _full_gains(t):
@@ -1364,24 +1365,24 @@ class TestBatchedSuites:
         assert selftest._determinants(draws) == [determinant_by_network(*d) for d in draws]
 
     def test_determinant_lemma_factors_one_stack_per_size(self, monkeypatch):
-        public, stacks = [], []
-        real_det = selftest.quantized_covariance_det
-        real_kernel = selftest._stacked_cholesky_log2_det
+        # Every instance goes through the kernel behind the public
+        # determinant, one call per size; none through the public function.
+        stacks = []
+        real_kernel = selftest._rank_one_log2_dets
 
-        def det(net, s, q):
-            public.append(len(s))
-            return real_det(net, s, q)
+        def kernel(lam, noise, p1):
+            stacks.append(lam.shape)
+            assert noise.shape == lam.shape and p1.shape == lam.shape[:1]
+            return real_kernel(lam, noise, p1)
 
-        def kernel(stack):
-            stacks.append(stack.shape)
-            return real_kernel(stack)
+        def public(*args):
+            raise AssertionError("the suite must not call the public determinant")
 
-        monkeypatch.setattr(selftest, "quantized_covariance_det", det)
-        monkeypatch.setattr(selftest, "_stacked_cholesky_log2_det", kernel)
+        monkeypatch.setattr(selftest, "quantized_covariance_det", public)
+        monkeypatch.setattr(selftest, "_rank_one_log2_dets", kernel)
         assert selftest.determinant_lemma_suite().passed
-        assert sorted(public) == [1, 2, 3, 4, 5, 6]
-        assert sorted(d for _, d, _ in stacks) == [1, 2, 3, 4, 5, 6]
-        assert sum(count for count, _, _ in stacks) == 500 - 6
+        assert sorted(d for _, d in stacks) == [1, 2, 3, 4, 5, 6]
+        assert sum(count for count, _ in stacks) == 500
 
     @pytest.mark.parametrize("name", ["monotonicity_suite", "achievability_suite"])
     def test_one_lockstep_run_per_relay_count(self, monkeypatch, name):
@@ -1468,6 +1469,14 @@ def _descent_cases():
         yield pytest.param(
             _equal_gain_network(t, lambda j: float(powers[j])), id=f"unit-gain-T{t}"
         )
+
+
+@pytest.mark.parametrize("net", _descent_cases())
+def test_cut_table_rows_equal_cut_rate_exactly(net):
+    # The table and cut_rate share one rate function, so every row is
+    # cut_rate's value for its cut, bit for bit.
+    table = rc.cut_rate_table(net)
+    assert [rate for _, rate in table] == [rc.cut_rate(net, cut) for cut, _ in table]
 
 
 def _uniform_start(table):
@@ -1590,28 +1599,29 @@ class TestRateReport:
 
     @pytest.mark.parametrize("t", [3, 5, 8])
     def test_report_evaluates_each_cut_once(self, monkeypatch, t):
-        # One cut-table evaluation per report, factoring each of the
-        # 2^(T-2) cuts once: the stacks it factors hold 2^(T-2) matrices in
-        # total, and its rates are the per-cut oracle's, cut by cut.
+        # One cut-table evaluation per report, rating each of the 2^(T-2)
+        # cuts once: the stacks it passes to the rate function hold
+        # 2^(T-2) channels in total, and its rates are the per-cut
+        # oracle's, cut by cut.
         net = random_network(np.random.default_rng(t), t)
-        tables, factored = [], []
-        real_rates, real_kernel = bounds._cut_rates, bounds._stacked_cholesky_log2_det
+        tables, rated = [], []
+        real_rates, real_mi = bounds._cut_rates, bounds._whitened_mi_bits
 
         def counting_rates(*args):
             tables.append(real_rates(*args))
             return tables[-1]
 
-        def counting_kernel(stack):
-            factored.append(len(stack))
-            return real_kernel(stack)
+        def counting_mi(w):
+            rated.append(len(w))
+            return real_mi(w)
 
         monkeypatch.setattr(bounds, "_cut_rates", counting_rates)
-        monkeypatch.setattr(bounds, "_stacked_cholesky_log2_det", counting_kernel)
+        monkeypatch.setattr(bounds, "_whitened_mi_bits", counting_mi)
         monkeypatch.setattr(bounds, "cut_rate", _refuse_per_cut)
         rep = rc.build_rate_report(net)
         monkeypatch.undo()
         assert len(tables) == 1
-        assert sum(factored) == 2 ** (t - 2)
+        assert sum(rated) == 2 ** (t - 2)
         want = [rate for _, rate in cut_table_by_cuts(net)]
         assert tables[0].tolist() == pytest.approx(want, rel=0.0, abs=1e-10)
         assert rep.upper_bound_bits == rc.source_cut_bound(net)

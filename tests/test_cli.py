@@ -45,6 +45,29 @@ def _single_relay_doc(**relay_over):
     }
 
 
+def _geometry_doc(position=(0.0, 0.0), kappa=1.0):
+    """Three nodes on a line under the path-loss law; ``position`` is the
+    source's."""
+    return {
+        "nodes": [
+            {"id": 1, "role": "source", "power": 1.0, "position": list(position)},
+            {"id": 2, "role": "relay", "power": 1.0, "noise": 1.0, "position": [0.0, 1.0]},
+            {"id": 3, "role": "destination", "noise": 1.0, "position": [0.0, 2.0]},
+        ],
+        "path_loss": {"kappa": kappa, "eta": 2.0},
+    }
+
+
+#: A field the CLI reads as a number: its name in errors, the command
+#: that reads it, and a config with a given value there.
+_NUMBER_FIELDS = {
+    "gains[0][1]": ("bound", lambda v: _ref_doc(gains=[[0, v, 1, 1]] + _full_gains(4)[1:])),
+    "node 1: position": ("bound", lambda v: _geometry_doc(position=[0.0, v])),
+    "path_loss.kappa": ("bound", lambda v: _geometry_doc(kappa=v)),
+    "sweep.gammas[1]": ("sweep", lambda v: _ref_doc(sweep={"gammas": [1, v]})),
+}
+
+
 def _big_doc(t=12):
     nodes = [{"id": 1, "role": "source", "power": 1.0}]
     nodes += [{"id": j, "role": "relay", "power": 1.0, "noise": 1.0} for j in range(2, t)]
@@ -267,7 +290,17 @@ class TestExitCodes:
         assert cli.main(["verify", "--config", cfg]) == 2
 
     @pytest.mark.parametrize(
-        "field", [{"power": "abc"}, {"power": [1.0]}, {"power_db": 1e5}, {"noise_db": "x"}]
+        "field",
+        [
+            {"power": "abc"},
+            {"power": [1.0]},
+            {"power_db": 1e5},
+            {"noise_db": "x"},
+            {"power": True},
+            {"noise": True},
+            {"power_db": True},
+            {"noise_db": False},
+        ],
     )
     def test_unreadable_power_or_noise_rejected(self, tmp_path, capsys, field):
         doc = _single_relay_doc()
@@ -277,6 +310,23 @@ class TestExitCodes:
         cfg = _write(tmp_path, "p.json", doc)
         assert cli.main(["cfrate", "--config", cfg]) == 2
         assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", list(_NUMBER_FIELDS))
+    def test_boolean_number_is_refused_by_name(self, tmp_path, capsys, field):
+        # JSON true is not the number 1: the error names the field.
+        command, doc = _NUMBER_FIELDS[field]
+        cfg = _write(tmp_path, "b.json", doc(True))
+        assert cli.main([command, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {field} must be a number, got True\n"
+
+    @pytest.mark.parametrize("field", list(_NUMBER_FIELDS))
+    def test_integer_past_the_double_range_is_refused_by_name(self, tmp_path, capsys, field):
+        command, doc = _NUMBER_FIELDS[field]
+        cfg = _write(tmp_path, "i.json", doc(10**400))
+        assert cli.main([command, "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {field} must be a number:")
 
     @pytest.mark.parametrize(
         "node, key", [(0, "power"), (1, "power"), (1, "noise"), (2, "noise")]
@@ -413,6 +463,7 @@ class TestExitCodes:
             {"alpha_offsets": [0.5]},
             {"alpha_offsets": [1]},
             {"alpha_offsets": [True]},
+            {"alpha_offsets": [False, True]},
             {"alpha_offsets": [0.0, 2.0]},
             {"alpha_offsets": [0.0, math.inf]},
             {"alpha_offsets": [0.0, -math.inf]},
@@ -482,15 +533,7 @@ class TestOutputDiscipline:
 
 class TestGeometryConfig:
     def test_path_loss_network(self, tmp_path, capsys):
-        doc = {
-            "nodes": [
-                {"id": 1, "role": "source", "power": 1.0, "position": [0.0, 0.0]},
-                {"id": 2, "role": "relay", "power": 1.0, "noise": 1.0, "position": [0.0, 1.0]},
-                {"id": 3, "role": "destination", "noise": 1.0, "position": [0.0, 2.0]},
-            ],
-            "path_loss": {"kappa": 1.0, "eta": 2.0},
-        }
-        cfg = _write(tmp_path, "geo.json", doc)
+        cfg = _write(tmp_path, "geo.json", _geometry_doc())
         assert cli.main(["bound", "--config", cfg]) == 0
         out = capsys.readouterr().out
         # lambda_12 = 1, lambda_13 = 1/4, so 1/2 log2(1 + 1 + 1/4)
@@ -498,27 +541,15 @@ class TestGeometryConfig:
         assert _value_after(out, "source-cut bound:") == pytest.approx(want, abs=1e-9)
 
     def test_coincident_positions_rejected(self, tmp_path, capsys):
-        doc = {
-            "nodes": [
-                {"id": 1, "role": "source", "power": 1.0, "position": [0.0, 0.0]},
-                {"id": 2, "role": "relay", "power": 1.0, "noise": 1.0, "position": [0.0, 0.0]},
-                {"id": 3, "role": "destination", "noise": 1.0, "position": [0.0, 2.0]},
-            ],
-            "path_loss": {"kappa": 1.0, "eta": 2.0},
-        }
+        doc = _geometry_doc()
+        doc["nodes"][1]["position"] = [0.0, 0.0]
         cfg = _write(tmp_path, "geo.json", doc)
         assert cli.main(["bound", "--config", cfg]) == 2
         assert "CoincidentNodes" in capsys.readouterr().err
 
     def test_missing_position_rejected(self, tmp_path):
-        doc = {
-            "nodes": [
-                {"id": 1, "role": "source", "power": 1.0, "position": [0.0, 0.0]},
-                {"id": 2, "role": "relay", "power": 1.0, "noise": 1.0},
-                {"id": 3, "role": "destination", "noise": 1.0, "position": [0.0, 2.0]},
-            ],
-            "path_loss": {"kappa": 1.0, "eta": 2.0},
-        }
+        doc = _geometry_doc()
+        del doc["nodes"][1]["position"]
         cfg = _write(tmp_path, "geo.json", doc)
         assert cli.main(["bound", "--config", cfg]) == 2
 

@@ -29,13 +29,15 @@ powerless-relay), random T = 11 and 12 networks under ``--override-guard``,
 one geometry config, and two tiny-scale configs (every noise 1e-13; every
 power and noise 1e-200). Each network runs ``bound``, ``cfrate`` (uniform
 and coordinate, forall and exists, and ``--top-k 1000`` under both
-quantifiers) and ``sweep`` (forall and exists). Five configs that
-validation rejects (a negative relay-to-relay gain, a zero source gain, a
-zero relay noise, a negative source power, a NaN relay noise) run
-``bound``, ``cfrate`` and ``sweep``, so config-error texts are compared
-too. Two more random networks, T = 6 and T = 9, run only ``sweep`` (forall
-and exists) over gammas 10^0..10^200 in steps of 10^20, where the rows'
-uniform searches end hundreds of steps apart. One more, the T = 6 network
+quantifiers) and ``sweep`` (forall and exists). Six configs that the
+CLI rejects (a negative relay-to-relay gain, a zero source gain, a zero
+relay noise, a negative source power, a NaN relay noise, and a source
+power written as JSON ``true``, which trees that read a boolean as the
+number 1 run) run ``bound``, ``cfrate`` and ``sweep``, so config-error
+texts are compared too. Two more random networks, T = 6 and T = 9, run
+only ``sweep`` (forall and exists) over gammas 10^0..10^200 in steps of
+10^20, where the rows' uniform searches end hundreds of steps apart. One
+more, the T = 6 network
 ``selftest.random_network(default_rng(2), 6)`` draws, runs only ``sweep``
 (forall and exists) over gammas [1, 1e305], where some lambda_ir P_i
 overflows a double although every power is finite. Two T = 3 unit-gain
@@ -55,7 +57,7 @@ sweep gives one infeasible row and then one feasible row.
 ``verify`` runs with its defaults, with seeds 1 and 2 and with two large
 seeds like the benchmark's (3 * 1234567 and 3 * 1234568), and with 1 and 7
 network samples and 1 and 7 determinant samples, the edge cases of batching
-the random suites by size: 469 runs in all. Only the standard library and
+the random suites by size: 472 runs in all. Only the standard library and
 numpy are used.
 """
 
@@ -229,18 +231,21 @@ def corpus() -> list[tuple[str, dict]]:
 
 
 def config_errors() -> list[tuple[str, dict]]:
-    """Configs that validation rejects (exit 2): (name, config) pairs. A NaN
+    """Configs that the CLI rejects (exit 2): (name, config) pairs. A NaN
     noise is written as the bare ``NaN`` that the CLI's json.load accepts."""
     negative = _doc(1.0, [(1.0, 1.0)] * 2, 1.0, np.ones((4, 4)))
     negative["gains"][1][2] = -1.0
     zero_source = _doc(1.0, [(1.0, 1.0)] * 2, 1.0, np.ones((4, 4)))
     zero_source["gains"][0][2] = 0.0
+    boolean_power = _doc(1.0, [(10.0, 1.0)] * 2, 1.0, np.ones((4, 4)))
+    boolean_power["nodes"][0]["power"] = True
     return [
         ("negative-gain", negative),
         ("zero-source-gain", zero_source),
         ("zero-relay-noise", _doc(1.0, [(10.0, 0.0), (10.0, 1.0)], 1.0, np.ones((4, 4)))),
         ("negative-source-power", _doc(-1.0, [(10.0, 1.0)] * 2, 1.0, np.ones((4, 4)))),
         ("nan-relay-noise", _doc(1.0, [(10.0, math.nan), (10.0, 1.0)], 1.0, np.ones((4, 4)))),
+        ("boolean-source-power", boolean_power),
     ]
 
 
