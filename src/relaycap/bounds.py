@@ -20,10 +20,15 @@ analysis builds one constraint table: per subset, the extreme
 denominator. A block's factor does not depend on the other blocks, so
 each extreme comes from an O(3^R) subset DP over the R relays
 (``_ConstraintTable`` states the recurrence and its tie-break); every
-block's factor comes from one array of block sums. The table keeps the
-DP's choices, not the attaining (partition, assignment) instances: it
-builds a subset's instance only when a caller reads it (a rate report's
-binding rows, an infeasibility message, ``cf_feasible``'s diagnostics).
+block's factor comes from one array of block sums, with one log per
+block. Under `exists`, a network whose relays each reach some receiver
+at an snr of at least 2^-10, with no block sum overflowing, needs no DP:
+there, splitting a block raises the total by a proven margin, so each
+subset's extreme is the sum of its relays' own best factors. The table
+keeps the DP's choices, not the attaining (partition, assignment)
+instances: it builds a subset's instance only when a caller reads it (a
+rate report's binding rows, an infeasibility message, ``cf_feasible``'s
+diagnostics).
 Every feasibility query is one vectorized margin evaluation on the
 denominators, with the determinant in its rank-one closed form; the
 determinant-lemma suite checks that form against ``gaussian``'s
@@ -52,9 +57,9 @@ over the relay power multiplier shows the gap between the two sides
 collapsing as relay power grows.
 
 All rates are bits per channel use. Every analysis reads its network
-through ``_channel``, from a view that ``topology.validate`` checks once
-per network; a network that fails raises one ValueError listing its
-problems. Everything here is pure given an immutable NetworkSpec, and
+through ``_channel`` (the constraint table takes the same slices itself),
+from a view that ``topology.validate`` checks once per network; a
+network that fails raises one ValueError listing its problems. Everything here is pure given an immutable NetworkSpec, and
 diagnostics come in canonical enumeration order, so output is deterministic.
 """
 
@@ -65,6 +70,7 @@ import sys
 from collections.abc import Generator
 from dataclasses import dataclass
 from functools import cache, cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -396,13 +402,29 @@ def quantized_covariance_det(
     return 2.0 ** float(_rank_one_log2_dets(gains.T, (noise + q_values)[None], p1)[0])
 
 
+class _Layout(NamedTuple):
+    """The constraint table's mask bookkeeping for n relays (``_dp_layout``)."""
+
+    bit: tuple[int, ...]
+    columns: tuple[tuple[int, ...], ...]
+    masks: tuple[int, ...]
+    ineligible: np.ndarray
+    tops: tuple[int, ...]
+    single_columns: tuple[tuple[int, ...], ...]
+    single_ineligible: np.ndarray
+
+
 @cache
-def _dp_layout(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
+def _dp_layout(n: int) -> _Layout:
     """The constraint table's mask bookkeeping for n relays. It depends on
-    n alone, so it is built once per relay count: each relay's DP bit,
-    each DP mask's eligible receivers as columns in id order (the relays
-    outside it, then the destination, column n), and the DP mask of each
-    canonical row (by doubling: row 2^i + k is row k plus relay i)."""
+    n alone, so it is built once per relay count: each relay's DP bit;
+    each nonempty DP mask m's eligible receivers, in row m - 1, as columns
+    in id order (the relays outside it, then the destination, column n)
+    and, read-only, as a (2^n - 1, n + 1) mask of the ineligible ones; the
+    DP mask of each canonical row (by doubling: row 2^i + k is row k plus
+    relay i); each DP mask's top bit, its first block when every block is
+    one relay; and the eligible columns and ineligible mask of each
+    relay's singleton block, relay i in row i."""
     # DP masks give the smallest relay the highest bit, so a descending
     # submask walk meets candidate blocks in restricted-growth order.
     bit = tuple(1 << (n - 1 - i) for i in range(n))
@@ -412,7 +434,116 @@ def _dp_layout(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tu
     masks = [0]
     for b in bit:
         masks += [m | b for m in masks]
-    return bit, tuple(columns), tuple(masks)
+    ineligible = np.zeros((1 << n, n + 1), dtype=bool)
+    ineligible[:, :n] = np.arange(1 << n)[:, None] & np.array(bit, dtype=int) != 0
+    ineligible, single_ineligible = ineligible[1:], ineligible[list(bit)]
+    ineligible.flags.writeable = single_ineligible.flags.writeable = False
+    tops = (0,) + tuple(1 << (m.bit_length() - 1) for m in range(1, 1 << n))
+    return _Layout(
+        bit,
+        tuple(columns[1:]),
+        tuple(masks),
+        ineligible,
+        tops,
+        tuple(columns[b] for b in bit),
+        single_ineligible,
+    )
+
+
+#: Relative width of the window of ratios around a block's extreme whose
+#: receivers can tie with it once the log is taken (``_extreme_blocks``).
+_TIE_WINDOW = 2.0**-30
+
+#: The window's edge moves out by this too, so that it holds every ratio
+#: below 2^-1000, where a block value may be subnormal, with an absolute
+#: error.
+_TINY_RATIO = 2.0**-1000
+
+#: The exists table is a sum of singletons, with no DP, only when every
+#: relay's best ratio is at least this (``_ConstraintTable``).
+_SINGLETON_MIN_RATIO = 2.0**-10
+
+
+def _extreme_blocks(
+    ratios: np.ndarray, ineligible: np.ndarray, columns: tuple[tuple[int, ...], ...], forall: bool
+) -> tuple[list[int], list[float], list[float]]:
+    """Each block's receiver column and value log2(1 + ratio): the extreme
+    over its eligible receivers, the smallest column on equal values.
+    ``ratios`` holds a block per row and a receiver per column; it is
+    overwritten. Also returns each block's extreme ratio.
+
+    The pick is made on the ratios, and only then the log is taken, once
+    per block: log2(1 + x) rises with x, and two ratios that lie far
+    apart keep their order once the logs are rounded (see
+    ``_ConstraintTable``). Only a row with another ratio inside the window
+    around its extreme, an exact tie included, takes each of those
+    receivers' logs and picks among them as a scan of every receiver
+    would; a row with a NaN ratio takes every receiver's.
+    """
+    np.copyto(ratios, np.inf if forall else -np.inf, where=ineligible)
+    pick = ratios.argmin(axis=1) if forall else ratios.argmax(axis=1)
+    width = ratios.shape[1]
+    ext = ratios.ravel().take(pick + np.arange(0, ratios.size, width))
+    # Outside the window: a ratio past its edge. A NaN compares false, so
+    # a row with a NaN ratio (an inf sum over an inf floor) counts none.
+    if forall:
+        edge = ext * (1.0 + _TIE_WINDOW)
+        edge += _TINY_RATIO
+        far = ratios > edge[:, None]
+    else:
+        edge = ext * (1.0 - _TIE_WINDOW)
+        edge -= _TINY_RATIO
+        far = ratios < edge[:, None]
+    cols, ext = pick.tolist(), ext.tolist()
+    # math.log1p, not np.log1p, whose last bit differs on some inputs.
+    values = [math.log1p(x) / _LN2 for x in ext]
+    # A row needs its receivers' own logs unless every ratio but its
+    # extreme lies outside the window.
+    if np.count_nonzero(far) == (width - 1) * len(cols):
+        return cols, values, ext
+    extreme = min if forall else max
+    for k in (far.sum(axis=1) != width - 1).nonzero()[0].tolist():
+        row, outside = ratios[k].tolist(), far[k].tolist()
+        logs = {j: math.log1p(row[j]) / _LN2 for j in columns[k] if not outside[j]}
+        # min and max keep the first of equal values: the smallest id.
+        cols[k] = extreme(logs, key=logs.__getitem__)
+        values[k] = logs[cols[k]]
+    return cols, values, ext
+
+
+def _partition_dp(
+    value: list[float], forall: bool, masks: tuple[int, ...]
+) -> tuple[list[float], list[int]]:
+    """The subset DP over block values indexed by DP mask: every canonical
+    row's extreme total, summed left to right over its blocks, and each DP
+    mask's first block (``_ConstraintTable`` states the recurrence).
+    ``masks`` is the layout's DP mask of each canonical row."""
+    full = len(value) - 1
+    # exists maximizes; negating its scores (exact) lets both minimize.
+    score = value if forall else [-v for v in value]
+    f = [0.0] * (full + 1)  # signed extreme totals
+    first_block = [0] * (full + 1)
+    for s in range(1, full + 1):
+        top = 1 << (s.bit_length() - 1)  # the smallest relay of S
+        rest = s ^ top
+        best, pick = score[s], s  # B = S comes first
+        sub = rest
+        while sub:
+            sub = (sub - 1) & rest
+            total = score[top | sub] + f[rest ^ sub]
+            if total < best:
+                best, pick = total, top | sub
+        f[s], first_block[s] = best, pick
+
+    denoms = []
+    for m in masks[1:]:
+        total = 0.0
+        while m:
+            b = first_block[m]
+            total += value[b]
+            m ^= b
+        denoms.append(total)
+    return denoms, first_block
 
 
 class _ConstraintTable:
@@ -434,12 +565,52 @@ class _ConstraintTable:
         f(S) = ext over B subset of S holding the smallest relay of S
                of v(B) + f(S minus B),    f(empty) = 0.
 
-    Every block's sums at every receiver form one (2^R, R + 1) array;
-    v(B) is the extreme of log2(1 + sum / floor) over B's eligible
-    receivers. Equal totals go to the first block in restricted-growth
-    order: at the smallest relay where two candidate blocks differ, the
-    block containing it wins. Equal receivers go to the smallest id.
-    ``denom_log2`` is the left-to-right sum of the chosen blocks' values.
+    Every block's sums at every receiver form one (2^R, R + 1) array, and
+    dividing it by the receivers' floors gives every block snr (IEEE
+    division, the same bits as a Python float's). v(B) is the extreme of
+    log2(1 + snr) over B's eligible receivers. Equal totals go to the
+    first block in restricted-growth order: at the smallest relay where
+    two candidate blocks differ, the block containing it wins. Equal
+    receivers go to the smallest id. ``denom_log2`` is the left-to-right
+    sum of the chosen blocks' values.
+
+    One log per block. The receiver is picked on the snr, and log2(1 + x)
+    = math.log1p(x) / ln 2 is taken once, for the picked one. The log
+    rises with x, so only rounding can make another receiver tie with the
+    picked one, or beat it. Rounded log1p and the division each err by an
+    ulp or so, a relative 2^-50 of the value at most, so two computed
+    values keep their order when the exact ones differ by more than 2^-49
+    of the larger. Two ratios x < y with y > x (1 + w) have exact values
+    apart by more than log2(1 + w x / (1 + x)), which exceeds
+    2^-49 log2(1 + y) for every double once w > 2^-39.5 (ln(1 + x)
+    (1 + x) / x stays below 710). The window w = 2^-30 leaves a factor of
+    700 to spare. Every ratio
+    within the window of the extreme, or below 2^-1000 (where a value can
+    be subnormal, with an absolute error), takes its own log, and the
+    first of the extreme values wins, as a scan of every receiver's value
+    would choose.
+
+    exists needs no DP wherever every relay is strong. Write a_i for relay
+    i's largest snr alone. The snr of a block at receiver r is at most the
+    sum of its members' a_i, and log2(1 + x) is subadditive, so splitting
+    any block into singletons, each at its own best receiver, never
+    lowers a total: prod (1 + a_i) >= 1 + sum a_i. It raises it by at least
+    log2(1 + a_i a_j / (1 + a_i + a_j)) for any two members i, j. With
+    every a_i >= 2^-10 (``_SINGLETON_MIN_RATIO``, checked on the rounded
+    ratios) that gap exceeds 1.3e-6 bits, while each DP total is within
+    R^2 2^-42 bits of its exact value (every value is below 1024 bits, a
+    sum or a log adds an ulp or so), far less for any R the DP can run.
+    So the DP keeps every relay as its own block: each mask's first block
+    is its top bit (its smallest relay), and each row is the left-to-right
+    sum of its relays' values, which ``_subset_sums`` gives bit for bit.
+    The proof needs every block value finite: an overflowed sum reads inf,
+    and the DP then picks the merged block. Float sums of nonnegative terms
+    rise with every term, so one left-to-right sum per receiver over every
+    relay it may decode bounds each of its block sums; the singleton path
+    is taken only where each of those, over its floor, is finite. A
+    powerless relay or one too weak (a_i below the threshold) makes
+    merged blocks tie or nearly tie with split ones, and there the DP
+    runs, with its tie-break. So does every forall table.
 
     The table stores ``denom_log2``, each DP mask's first block and each
     block's receiver, nothing per row beyond that. ``instance(k)`` follows
@@ -452,71 +623,66 @@ class _ConstraintTable:
         _require_quantifier(quantifier)
         _check_guard(net, override_guard)
         self.net = net
-        relays = net.relay_ids
-        self.relays = relays
+        # The ids of a validated network run 1..T, so the relays are nodes
+        # 2..T-1, and _channel(net, (1,) + relays, relays + (T,)) is these
+        # views: transmitters 1..T-1, receivers 2..T.
+        gains, powers, noise = net._arrays
+        gains, powers, noise = gains[:-1, 1:].T, powers[:-1], noise[1:]
+        self.relays = relays = tuple(range(2, net.num_nodes))
         n = len(relays)
-        full = (1 << n) - 1
-        bit, columns, masks = _dp_layout(n)
-
-        # v(B) and its receiver for every DP mask B, in _block_snr_sum's
-        # arithmetic. The masks holding only relays before relay i are the
-        # multiples of 2^(n-i); adding relay i to each extends its sums by
-        # the largest relay last, so every row is the left-to-right sum
-        # over its block.
-        gains, powers, noise = _channel(net, (1,) + relays, relays + (net.destination_id,))
+        layout = _dp_layout(n)
+        forall = quantifier == "forall"
         self.p1 = float(powers[0])
-        sums = np.zeros((full + 1, n + 1))
-        with np.errstate(over="ignore"):  # inf, silently, as Python floats give
-            # lambda_ir P_i for the source (column 0) and every relay.
-            signal = gains * powers
-            for b, term in zip(bit, signal[:, 1:].T):
-                np.add(sums[:: 2 * b], term, out=sums[b :: 2 * b])
-        floors = (signal[:, 0] + noise).tolist()
-        # math.log1p, not np.log1p, whose last bit differs on some inputs.
-        values = [
-            [math.log1p(x / f) / _LN2 for x, f in zip(row, floors)] for row in sums.tolist()
-        ]
-        # min and max keep the first of equal values: the smallest id.
-        extreme = min if quantifier == "forall" else max
-        self._receiver_column = [
-            extreme(c, key=row.__getitem__) for c, row in zip(columns, values)
-        ]
-        value = [row[j] for row, j in zip(values, self._receiver_column)]
-        # exists maximizes; negating its scores (exact) lets both minimize.
-        score = value if quantifier == "forall" else [-v for v in value]
-
-        f = [0.0] * (full + 1)  # signed extreme totals
-        first_block = [0] * (full + 1)
-        for s in range(1, full + 1):
-            top = 1 << (s.bit_length() - 1)  # the smallest relay of S
-            rest = s ^ top
-            best, pick = score[s], s  # B = S comes first
-            sub = rest
-            while sub:
-                sub = (sub - 1) & rest
-                total = score[top | sub] + f[rest ^ sub]
-                if total < best:
-                    best, pick = total, top | sub
-            f[s], first_block[s] = best, pick
-
-        denoms = []
-        for m in masks[1:]:
-            total = 0.0
-            while m:
-                b = first_block[m]
-                total += value[b]
-                m ^= b
-            denoms.append(total)
-        self.denom_log2 = np.array(denoms)
-        self._first_block = first_block
         self.lam = gains[:n, 0]
         self.noise = noise[:n]
+        # inf and NaN, silently, as Python floats give.
+        with np.errstate(over="ignore", invalid="ignore"):
+            # lambda_ir P_i for the source (column 0) and every relay.
+            signal = gains * powers
+            floors = signal[:, 0] + noise
+            if not forall and self._singletons(layout, signal, floors):
+                return
+            # v(B) and its receiver for every DP mask B, in _block_snr_sum's
+            # arithmetic. The masks holding only relays before relay i are
+            # the multiples of 2^(n-i); adding relay i to each extends its
+            # sums by the largest relay last, so every row is the
+            # left-to-right sum over its block.
+            sums = np.zeros((1 << n, n + 1))
+            for b, term in zip(layout.bit, signal[:, 1:].T):
+                np.add(sums[:: 2 * b], term, out=sums[b :: 2 * b])
+            # Row 0, the empty block, is no candidate: it ties everywhere.
+            ratios = sums[1:]
+            np.divide(ratios, floors, out=ratios)
+            cols, value, _ = _extreme_blocks(ratios, layout.ineligible, layout.columns, forall)
+        self._receiver_column = [0] + cols
+        denoms, self._first_block = _partition_dp([0.0] + value, forall, layout.masks)
+        self.denom_log2 = np.array(denoms)
+
+    def _singletons(self, layout: _Layout, signal: np.ndarray, floors: np.ndarray) -> bool:
+        """Build the exists table as sums of singletons, if the class
+        docstring's guard proves that this is the DP's table; report
+        whether it did."""
+        cols, value, best = _extreme_blocks(
+            signal[:, 1:].T / floors, layout.single_ineligible, layout.single_columns, False
+        )
+        if not all(x >= _SINGLETON_MIN_RATIO for x in best):  # NaN fails too
+            return False
+        # Each receiver's left-to-right sum over every relay, its own term
+        # being 0: the sum over every relay it may decode.
+        totals = np.add.accumulate(signal[:, 1:], axis=1)[:, -1:]
+        if not np.isfinite(totals / floors[:, None]).all():
+            return False
+        self._receiver_column = dict(zip(layout.bit, cols))
+        self._first_block = layout.tops
+        self.denom_log2 = self._subset_sums(np.array(value))
+        return True
 
     def instance(self, k: int) -> ConstraintInstance:
         """Row k's binding (partition, assignment): the DP's first blocks
         followed from the row's mask, each with its receiver."""
         relays = self.relays
-        bit, _, masks = _dp_layout(len(relays))
+        layout = _dp_layout(len(relays))
+        bit, masks = layout.bit, layout.masks
         receivers = relays + (self.net.destination_id,)
 
         def members(mask: int) -> tuple[int, ...]:

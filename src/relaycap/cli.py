@@ -82,6 +82,10 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config {path} is not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # e.g. an integer past the int-string digit limit
+        raise ConfigError(f"config {path} cannot be read: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"config {path} nests too deeply: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     return doc

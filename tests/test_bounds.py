@@ -1180,6 +1180,49 @@ def _count_instances(monkeypatch):
     return built
 
 
+def _repowered(net, power):
+    """The same network with relay j transmitting power(j)."""
+    source, *relays, dest = net.nodes
+    nodes = [rc.source(1, source.power)]
+    nodes += [rc.relay(n.id, power(n.id), n.noise) for n in relays]
+    nodes.append(rc.destination(dest.id, dest.noise))
+    return rc.from_gains(nodes, net.gains)
+
+
+def _near_tie_forall_network():
+    """T = 4, unit gains and noises, relay powers 1e13, with gain 2 -> 3
+    raised by 4 ulps: relay 2's snr at receiver 3 is 4 ulps above its snr
+    at the destination (both 5e12), and both give one log2."""
+    gains = np.ones((4, 4))
+    gains[1, 2] += 4 * 2.0**-52
+    nodes = [rc.source(1, 1.0), rc.relay(2, 1e13, 1.0), rc.relay(3, 1e13, 1.0)]
+    return _net(nodes + [rc.destination(4, 1.0)], gains)
+
+
+def _guard_cases():
+    """Networks whose exists table the singleton guard must send to the
+    DP: one weak relay, every relay weak, block sums that overflow."""
+    net = random_network(np.random.default_rng(0), 6)
+    for p in (1e-300, 1e-17, 1e-12, 1e-8):
+        weak = _repowered(net, lambda j, p=p: p if j == 3 else net.nodes[j - 1].power)
+        yield pytest.param(weak, id=f"relay-3-at-{p:g}-T6")
+    yield pytest.param(_repowered(net, lambda j: 1e-20), id="all-weak-T6")
+    yield pytest.param(_repowered(net, lambda j: 1e308), id="relay-powers-1e308-T6")
+
+
+def _count_dp_runs(monkeypatch):
+    """A list that grows by one per subset DP the table builds run."""
+    runs = []
+    real = bounds._partition_dp
+
+    def counting(*args):
+        runs.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(bounds, "_partition_dp", counting)
+    return runs
+
+
 class TestConstraintTableArrays:
     """The array build against the loop build it replaced
     (``constraint_table_by_loops``), and the rows that build instances."""
@@ -1307,6 +1350,50 @@ class TestConstraintTableArrays:
         result = selftest.monotonicity_suite(samples=20)
         assert result.passed, result.detail
         assert len(builds) == len({id(net) for net in builds}) == 20
+
+    @pytest.mark.parametrize("net", list(_guard_cases()))
+    def test_guarded_networks_run_the_dp_and_match_loop_build_bitwise(self, monkeypatch, net):
+        runs = _count_dp_runs(monkeypatch)
+        for quantifier in ("forall", "exists"):
+            runs.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table = _ConstraintTable(net, quantifier)
+            assert len(runs) == 1
+            with np.errstate(over="ignore"):  # lambda_ir P_i -> inf, as in the table
+                denoms, instances = constraint_table_by_loops(net, quantifier)
+            assert table.denom_log2.tobytes() == denoms.tobytes()
+            assert table.instances == instances
+
+    def test_forall_ratios_ulps_apart_keep_the_first_receiver(self):
+        net = _near_tie_forall_network()
+        # The snrs differ, yet their values tie, so the first receiver wins
+        # although the destination's snr is the smaller.
+        above, at = (1.0 + 4 * 2.0**-52) * 1e13 / 2.0, 1e13 / 2.0
+        assert above > at > 1e12
+        assert math.log1p(above) == math.log1p(at)
+        for quantifier in ("forall", "exists"):
+            table = _ConstraintTable(net, quantifier)
+            denoms, instances = constraint_table_by_loops(net, quantifier)
+            assert table.denom_log2.tobytes() == denoms.tobytes()
+            assert table.instances == instances
+            assert table.instance(0).assignment == (3,)
+
+    def test_generic_exists_tables_need_no_dp(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the exists table must not run the subset DP")
+
+        monkeypatch.setattr(bounds, "_partition_dp", refuse)
+        for t in range(2, 13):
+            for s in range(3):
+                net = random_network(np.random.default_rng(s), t)
+                table = _ConstraintTable(net, "exists", override_guard=True)
+                denoms, instances = constraint_table_by_loops(net, "exists")
+                assert table.denom_log2.tobytes() == denoms.tobytes()
+                assert table.instances == instances
+                if t > 2:
+                    with pytest.raises(AssertionError, match="must not run"):
+                        _ConstraintTable(net, "forall", override_guard=True)
 
 
 #: The suites' default seeds, and two large seed bumps like the benchmark's.

@@ -223,6 +223,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: config {path} is not valid UTF-8: ")
 
+    def test_integer_past_the_digit_limit_is_a_config_error(self, tmp_path, capsys):
+        # 5,000 digits: past Python's int-string conversion limit (4,300),
+        # which json raises as a plain ValueError.
+        text = json.dumps(_ref_doc()).replace('"power": 1.0', '"power": ' + "1" * 5000, 1)
+        path = tmp_path / "long.json"
+        path.write_text(text, encoding="utf-8")
+        assert cli.main(["bound", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: config {path} cannot be read: ")
+        assert "Traceback" not in captured.err
+
+    def test_deeply_nested_config_is_a_config_error(self, tmp_path, capsys):
+        depth = 200_000
+        path = tmp_path / "deep.json"
+        path.write_text('{"nodes": ' + "[" * depth + "]" * depth + "}", encoding="utf-8")
+        assert cli.main(["bound", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: config {path} nests too deeply: ")
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize("command", ["bound", "cfrate", "sweep", "verify"])
     def test_out_path_that_cannot_be_opened(self, tmp_path, capsys, command):
         doc = dict(_ref_doc(sweep={"gammas": [1]}), **_SMALL_VERIFY)

@@ -53,11 +53,16 @@ more networks reach the uniform optimum's other exits, each with
 ``bound``, ``cfrate`` and ``sweep``: a relay-free T = 2 network (the empty
 Q), and T = 4 with unit gains and relay powers 1e-310 and 10, swept over
 gammas [1, 1e300], whose ``cfrate`` finds no finite Q (exit 4) and whose
-sweep gives one infeasible row and then one feasible row.
+sweep gives one infeasible row and then one feasible row. The T = 6
+network ``selftest.random_network(default_rng(0), 6)`` draws, with relay 3
+at power 1e-17, and again with every relay at power 1e-20, runs ``cfrate
+--top-k 1000`` under both quantifiers: its relays are too weak for the
+exists table to be a sum of singletons, so every printed witness shows
+whether a change keeps the subset DP's tie-break there.
 ``verify`` runs with its defaults, with seeds 1 and 2 and with two large
 seeds like the benchmark's (3 * 1234567 and 3 * 1234568), and with 1 and 7
 network samples and 1 and 7 determinant samples, the edge cases of batching
-the random suites by size: 472 runs in all. Only the standard library and
+the random suites by size: 476 runs in all. Only the standard library and
 numpy are used.
 """
 
@@ -96,6 +101,8 @@ HUGE_GAMMAS = [10.0**k for k in range(0, 201, 20)]
 SWEEP_COMMANDS = (["sweep", "--quantifier", "forall"], ["sweep", "--quantifier", "exists"])
 
 HUGE_NOISE_COMMANDS = (["cfrate"], ["sweep", "--quantifier", "forall"])
+
+TOP_K_COMMANDS = NETWORK_COMMANDS[5:7]
 
 # Runs inside each tree's interpreter: reads a JSON list of argv lists on
 # stdin and writes [exit code, stdout, stderr] per run as JSON on stdout.
@@ -261,16 +268,43 @@ def huge_gamma_sweeps() -> list[tuple[str, dict]]:
     return docs
 
 
+def _selftest_doc(seed: int, t: int) -> dict:
+    """Config of the network that
+    ``selftest.random_network(np.random.default_rng(seed), t)`` builds,
+    drawn here in that function's order."""
+    rng = np.random.default_rng(seed)
+    source_power = 10.0 ** rng.uniform(-0.5, 0.5)
+    relays = [
+        (10.0 ** rng.uniform(1.0, 4.0), 10.0 ** rng.uniform(-0.5, 0.5)) for _ in range(t - 2)
+    ]
+    return _doc(source_power, relays, 10.0 ** rng.uniform(-0.5, 0.5), _symmetric_gains(rng, t))
+
+
 def overflow_sweep() -> tuple[str, dict]:
     """(name, config) of the overflow sweep: the network that
-    ``selftest.random_network(np.random.default_rng(2), 6)`` builds, drawn
-    here in that function's order, swept over gammas [1, 1e305]."""
-    rng = np.random.default_rng(2)
-    source_power = 10.0 ** rng.uniform(-0.5, 0.5)
-    relays = [(10.0 ** rng.uniform(1.0, 4.0), 10.0 ** rng.uniform(-0.5, 0.5)) for _ in range(4)]
-    doc = _doc(source_power, relays, 10.0 ** rng.uniform(-0.5, 0.5), _symmetric_gains(rng, 6))
+    ``selftest.random_network(np.random.default_rng(2), 6)`` builds, swept
+    over gammas [1, 1e305]."""
+    doc = _selftest_doc(2, 6)
     doc["sweep"] = {"gammas": [1, 1e305]}
     return "overflow-gamma-T6", doc
+
+
+def weak_relays() -> list[tuple[str, dict]]:
+    """(name, config) pairs of the network that
+    ``selftest.random_network(np.random.default_rng(0), 6)`` builds, with
+    relay 3 at power 1e-17, and with every relay at power 1e-20: relays too
+    weak for the exists table to be a sum of singletons."""
+    docs = []
+    for name, power in (
+        ("weak-relay-3-T6", {3: 1e-17}),
+        ("all-weak-T6", dict.fromkeys((2, 3, 4, 5), 1e-20)),
+    ):
+        doc = _selftest_doc(0, 6)
+        for node in doc["nodes"]:
+            if node["id"] in power:
+                node["power"] = power[node["id"]]
+        docs.append((name, doc))
+    return docs
 
 
 def huge_noise() -> list[tuple[str, dict]]:
@@ -315,6 +349,7 @@ def runs(config_dir: str) -> list[tuple[str, list[str]]]:
     plans += [(entry, HUGE_NOISE_COMMANDS) for entry in huge_noise()]
     plans += [(entry, PLAIN_COMMANDS) for entry in extreme_snr()]
     plans += [(entry, PLAIN_COMMANDS) for entry in search_exits()]
+    plans += [(entry, TOP_K_COMMANDS) for entry in weak_relays()]
     for (name, doc), commands in plans:
         path = os.path.join(config_dir, f"{name}.json")
         with open(path, "w", encoding="utf-8") as fh:
