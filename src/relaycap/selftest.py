@@ -12,17 +12,18 @@ pass every network's table to one ``bounds._uniform_optima`` call, and
 the determinant lemma calls the kernel behind ``quantized_covariance_det``,
 ``gaussian._rank_one_log2_dets``, once per matrix size.
 
-The two dual-route routines live here too. They cross-check the
-independent-input claim behind the broadcast-cut bound on small networks
-by computing the same mutual information through two unrelated routes:
-closed form, one scalar ``math.log2`` per grid point, and joint-covariance
-Schur complements, built for the whole grid as one stack and factored by
-one stacked Cholesky call. The package re-exports them and their report
-classes.
+The two dual-route routines live here too, and the package re-exports
+them and their report classes. They cross-check the independent-input
+claim behind the broadcast-cut bound on small networks through two
+unrelated routes: a closed form, one scalar ``math.log2`` per grid point,
+and joint-covariance Schur complements, factored as one stack. Each has
+one batch function over parameter sets that share a grid; the routine
+calls it with one set, and its suite once per shared grid.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -132,67 +133,75 @@ def verify_single_relay_independence(
 
     Raises VerificationFailure if the routes disagree or the argmax moves.
     """
-    if not (n2 > 0.0 and n3 > 0.0):
-        raise NonPositiveNoise(f"noise variances must be > 0, got n2={n2!r}, n3={n3!r}")
-    if not (p1 > 0.0 and p2 > 0.0):
-        raise NegativePower(f"powers must be > 0 here, got p1={p1!r}, p2={p2!r}")
+    return _single_relay_reports([(p1, p2, n2, n3)], alpha_grid)[0]
+
+
+def _single_relay_reports(sets: list[tuple], alpha_grid: tuple[float, ...]) -> list:
+    """``verify_single_relay_independence`` for each (p1, p2, n2, n3) of
+    ``sets`` on one alpha grid, every covariance of every set in one stack.
+    Raises the first failure it meets."""
+    for p1, p2, n2, n3 in sets:
+        if not (n2 > 0.0 and n3 > 0.0):
+            raise NonPositiveNoise(f"noise variances must be > 0, got n2={n2!r}, n3={n3!r}")
+        if not (p1 > 0.0 and p2 > 0.0):
+            raise NegativePower(f"powers must be > 0 here, got p1={p1!r}, p2={p2!r}")
     alphas = tuple(float(a) for a in alpha_grid)
     if not alphas:
         raise ValueError("alpha grid is empty")
-    limit = math.sqrt(p1 / p2)
-    for a in alphas:
-        if abs(a) > limit * (1.0 + 1e-12):
-            raise InvalidAlpha(
-                f"alpha={a!r} outside the power-feasible interval [-{limit:g}, {limit:g}]"
-            )
+    for p1, p2, *_ in sets:
+        limit = math.sqrt(p1 / p2)
+        for a in alphas:
+            if abs(a) > limit * (1.0 + 1e-12):
+                raise InvalidAlpha(
+                    f"alpha={a!r} outside the power-feasible interval [-{limit:g}, {limit:g}]"
+                )
 
-    closed: list[float] = []
-    rows, variances = [], []
-    log2_thermal = math.log2(n2) + math.log2(n3)
-    for a in alphas:
-        pw = max(p1 - a * a * p2, 0.0)  # exact-extreme rounding guard
-        closed.append(0.5 * math.log2(1.0 + pw / n2 + pw / n3))
-        # Joint covariance of (Y2, Y3, X2) over independent factors
-        # (X2, W, Z2, Z3); the relay transmission enters Y3 and is then
-        # conditioned back out, exercising the full Schur-complement path.
-        rows.append(
-            [
-                [a, 1.0, 1.0, 0.0],  # Y2 = X1 + Z2
-                [a + 1.0, 1.0, 0.0, 1.0],  # Y3 = X1 + X2 + Z3
-                [1.0, 0.0, 0.0, 0.0],  # X2
-            ]
-        )
-        variances.append([p2, pw, n2, n3])
-    sigma = joint_covariance(np.array(rows), np.array(variances))
-    given_x2 = conditional_covariance(sigma, keep=[0, 1], given=[2])
+    # P_W per set and alpha; the max guards exact-extreme rounding.
+    pws = [[max(p1 - a * a * p2, 0.0) for a in alphas] for p1, p2, *_ in sets]
+    # Joint covariance of (Y2, Y3, X2) over independent factors (X2, W, Z2,
+    # Z3): the relay transmission enters Y3 and is conditioned back out.
+    rows = [
+        [
+            [a, 1.0, 1.0, 0.0],  # Y2 = X1 + Z2
+            [a + 1.0, 1.0, 0.0, 1.0],  # Y3 = X1 + X2 + Z3
+            [1.0, 0.0, 0.0, 0.0],  # X2
+        ]
+        for a in alphas
+    ]
+    variances = [[[p2, w, n2, n3] for w in pw] for (_, p2, n2, n3), pw in zip(sets, pws)]
     # Given X1 and X2 the residual is exactly the thermal pair (Z2, Z3).
-    cov = (0.5 * (_stacked_cholesky_log2_det(given_x2) - log2_thermal)).tolist()
+    covs = _covariance_route(rows, variances, [0, 1], [2], [s[2:] for s in sets])
+    reports = []
+    for (p1, p2, n2, n3), pw, cov in zip(sets, pws, covs):
+        closed = tuple(0.5 * math.log2(1.0 + w / n2 + w / n3) for w in pw)
+        diffs = [abs(c - v) for c, v in zip(closed, cov)]
+        gap = max(diffs)
+        if gap > RATE_TOL_BITS:
+            raise VerificationFailure(
+                f"covariance route disagrees with closed form by {gap:.3e} bits at "
+                f"alpha={alphas[diffs.index(gap)]!r} (p1={p1}, p2={p2}, n2={n2}, n3={n3})"
+            )
+        argmax = max(range(len(alphas)), key=lambda i: cov[i])
+        if abs(alphas[argmax]) > 1e-12:
+            raise VerificationFailure(
+                f"MI maximum sits at alpha={alphas[argmax]!r}, expected 0 "
+                f"(p1={p1}, p2={p2}, n2={n2}, n3={n3})"
+            )
+        reports.append(
+            SingleRelayIndependenceReport(p1, p2, n2, n3, alphas, closed, cov, gap, alphas[argmax])
+        )
+    return reports
 
-    diffs = [abs(c - v) for c, v in zip(closed, cov)]
-    max_diff = max(diffs)
-    if max_diff > RATE_TOL_BITS:
-        worst = diffs.index(max_diff)
-        raise VerificationFailure(
-            f"covariance route disagrees with closed form by {max_diff:.3e} bits "
-            f"at alpha={alphas[worst]!r} (p1={p1}, p2={p2}, n2={n2}, n3={n3})"
-        )
-    argmax = max(range(len(alphas)), key=lambda i: cov[i])
-    if abs(alphas[argmax]) > 1e-12:
-        raise VerificationFailure(
-            f"MI maximum sits at alpha={alphas[argmax]!r}, expected 0 "
-            f"(p1={p1}, p2={p2}, n2={n2}, n3={n3})"
-        )
-    return SingleRelayIndependenceReport(
-        p1=p1,
-        p2=p2,
-        n2=n2,
-        n3=n3,
-        alphas=alphas,
-        closed_form_bits=tuple(closed),
-        covariance_bits=tuple(cov),
-        max_abs_diff_bits=max_diff,
-        argmax_alpha=alphas[argmax],
-    )
+
+def _covariance_route(rows, variances, keep, given, noises) -> list[tuple[float, ...]]:
+    """1/2 (log2 det Cov(keep | given) - sum of log2 ``noises``) of each set
+    and grid point: the ``rows`` (one per point) over factors with each
+    set's ``variances``, every covariance conditioned and factored at once."""
+    cond = conditional_covariance(joint_covariance(rows, variances), keep, given)
+    log2_dets = _stacked_cholesky_log2_det(cond.reshape(-1, len(keep), len(keep)))
+    log2_thermal = [[sum(map(math.log2, n))] for n in noises]
+    bits = 0.5 * (log2_dets.reshape(len(noises), -1) - log2_thermal)
+    return list(map(tuple, bits.tolist()))
 
 
 def verify_relay_correlation_invariance(
@@ -211,115 +220,96 @@ def verify_relay_correlation_invariance(
     and every grid point must match 1/2 log2(1 + P1 (1/N2 + 1/N3 + 1/N4)) to
     RATE_TOL_BITS. Raises VerificationFailure otherwise.
     """
-    if not (n2 > 0.0 and n3 > 0.0 and n4 > 0.0):
-        raise NonPositiveNoise(
-            f"noise variances must be > 0, got n2={n2!r}, n3={n3!r}, n4={n4!r}"
-        )
-    if not p1 > 0.0:
-        raise NegativePower(f"source power must be > 0 here, got {p1!r}")
+    return _relay_correlation_reports([(p1, n2, n3, n4)], beta_grid)[0]
+
+
+def _relay_correlation_reports(sets: list[tuple], beta_grid: tuple[float, ...]) -> list:
+    """``verify_relay_correlation_invariance`` for each (p1, n2, n3, n4) of
+    ``sets`` on one beta grid, every covariance of every set in one stack.
+    Raises the first failure it meets."""
+    for p1, n2, n3, n4 in sets:
+        if not (n2 > 0.0 and n3 > 0.0 and n4 > 0.0):
+            raise NonPositiveNoise(
+                f"noise variances must be > 0, got n2={n2!r}, n3={n3!r}, n4={n4!r}"
+            )
+        if not p1 > 0.0:
+            raise NegativePower(f"source power must be > 0 here, got {p1!r}")
     betas = tuple(float(b) for b in beta_grid)
     if not betas:
         raise ValueError("beta grid is empty")
-    expected = 0.5 * math.log2(1.0 + p1 * (1.0 / n2 + 1.0 / n3 + 1.0 / n4))
-    log2_thermal = math.log2(n2) + math.log2(n3) + math.log2(n4)
 
     # Factors (X1, X3, W', Z2, Z3, Z4); unit-gain channel rows for
     # (Y2, Y3, Y4, X2, X3) with X2 = b*X3 + W', one set per grid point.
-    rows = np.array(
+    rows = [
         [
-            [
-                [1.0, 1.0, 0.0, 1.0, 0.0, 0.0],  # Y2 = X1 + X3 + Z2
-                [1.0, b, 1.0, 0.0, 1.0, 0.0],  # Y3 = X1 + X2 + Z3
-                [1.0, 1.0 + b, 1.0, 0.0, 0.0, 1.0],  # Y4 = X1 + X2 + X3 + Z4
-                [0.0, b, 1.0, 0.0, 0.0, 0.0],  # X2
-                [0.0, 1.0, 0.0, 0.0, 0.0, 0.0],  # X3
-            ]
-            for b in betas
+            [1.0, 1.0, 0.0, 1.0, 0.0, 0.0],  # Y2 = X1 + X3 + Z2
+            [1.0, b, 1.0, 0.0, 1.0, 0.0],  # Y3 = X1 + X2 + Z3
+            [1.0, 1.0 + b, 1.0, 0.0, 0.0, 1.0],  # Y4 = X1 + X2 + X3 + Z4
+            [0.0, b, 1.0, 0.0, 0.0, 0.0],  # X2
+            [0.0, 1.0, 0.0, 0.0, 0.0, 0.0],  # X3
         ]
-    )
-    sigma = joint_covariance(rows, np.array([p1, 1.0, 1.0, n2, n3, n4]))
-    given_inputs = conditional_covariance(sigma, keep=[0, 1, 2], given=[3, 4])
-    mis = (0.5 * (_stacked_cholesky_log2_det(given_inputs) - log2_thermal)).tolist()
-
-    devs = [abs(v - expected) for v in mis]
-    max_dev = max(devs)
-    if max_dev > RATE_TOL_BITS:
-        worst = devs.index(max_dev)
-        raise VerificationFailure(
-            f"MI moved by {max_dev:.3e} bits at beta={betas[worst]!r} "
-            f"(p1={p1}, n2={n2}, n3={n3}, n4={n4}): relay correlation must not matter"
+        for b in betas
+    ]
+    variances = [[[p1, 1.0, 1.0, n2, n3, n4]] for p1, n2, n3, n4 in sets]
+    mis_by_set = _covariance_route(rows, variances, [0, 1, 2], [3, 4], [s[1:] for s in sets])
+    reports = []
+    for (p1, n2, n3, n4), mis in zip(sets, mis_by_set):
+        expected = 0.5 * math.log2(1.0 + p1 * (1.0 / n2 + 1.0 / n3 + 1.0 / n4))
+        devs = [abs(v - expected) for v in mis]
+        max_dev = max(devs)
+        if max_dev > RATE_TOL_BITS:
+            raise VerificationFailure(
+                f"MI moved by {max_dev:.3e} bits at beta={betas[devs.index(max_dev)]!r} "
+                f"(p1={p1}, n2={n2}, n3={n3}, n4={n4}): relay correlation must not matter"
+            )
+        reports.append(
+            RelayCorrelationInvarianceReport(p1, n2, n3, n4, betas, mis, expected, max_dev)
         )
-    return RelayCorrelationInvarianceReport(
-        p1=p1,
-        n2=n2,
-        n3=n3,
-        n4=n4,
-        betas=betas,
-        mi_bits=tuple(mis),
-        expected_bits=expected,
-        max_abs_dev_bits=max_dev,
-    )
+    return reports
 
 
 def alpha_suite(offsets: tuple[float, ...] | None = None) -> CheckResult:
-    """Dual-route single-relay sweep over 256 parameter sets.
-
-    The verification op itself asserts route agreement and the argmax
-    location; on top of that the suite recomputes every closed-form value
-    here and compares it with the reported one.
-    """
+    """Dual-route single-relay sweep over 256 parameter sets, one batch
+    per (p1, p2): its 16 noise pairs share one alpha grid. The check itself
+    asserts route agreement and the argmax location."""
     name = "single-relay-correlation"
     offsets = DEFAULT_OFFSETS if offsets is None else tuple(float(o) for o in offsets)
-    sets = 0
-    worst_route = 0.0
-    worst_expect = 0.0
-    for p1 in _ALPHA_P1:
-        for p2 in _ALPHA_P2:
-            for n2 in _ALPHA_N2:
-                for n3 in _ALPHA_N3:
-                    limit = math.sqrt(p1 / p2)
-                    alphas = tuple(0.9 * limit * o for o in offsets)
-                    try:
-                        rep = verify_single_relay_independence(p1, p2, n2, n3, alphas)
-                    except RelaycapError as exc:
-                        return CheckResult(name, False, f"p1={p1} p2={p2} n2={n2} n3={n3}: {exc}")
-                    worst_route = max(worst_route, rep.max_abs_diff_bits)
-                    for a, got in zip(rep.alphas, rep.closed_form_bits):
-                        pw = max(p1 - a * a * p2, 0.0)
-                        want = 0.5 * math.log2(1.0 + pw / n2 + pw / n3)
-                        worst_expect = max(worst_expect, abs(got - want))
-                    if worst_expect > RATE_TOL_BITS:
-                        return CheckResult(
-                            name,
-                            False,
-                            f"closed form off by {worst_expect:.3e} bits at "
-                            f"p1={p1} p2={p2} n2={n2} n3={n3}",
-                        )
-                    sets += 1
-    detail = (
-        f"{sets} parameter sets x {len(offsets)} alphas; "
-        f"max dual-route gap {worst_route:.3e} bits"
-    )
-    return CheckResult(name, True, detail)
+    gaps = []
+    for p1, p2 in itertools.product(_ALPHA_P1, _ALPHA_P2):
+        alphas = tuple(0.9 * math.sqrt(p1 / p2) * o for o in offsets)
+        sets = list(itertools.product([p1], [p2], _ALPHA_N2, _ALPHA_N3))
+        try:
+            gaps += [r.max_abs_diff_bits for r in _single_relay_reports(sets, alphas)]
+        except RelaycapError:  # a stacked failure names no set: find the first alone
+            for _, _, n2, n3 in sets:
+                try:
+                    verify_single_relay_independence(p1, p2, n2, n3, alphas)
+                except RelaycapError as exc:
+                    return CheckResult(name, False, f"p1={p1} p2={p2} n2={n2} n3={n3}: {exc}")
+            raise  # unreachable: a stacked failure is some set's own
+    sweep = f"{len(gaps)} parameter sets x {len(offsets)} alphas"
+    return CheckResult(name, True, f"{sweep}; max dual-route gap {max([0.0] + gaps):.3e} bits")
 
 
 def beta_suite(betas: tuple[float, ...] | None = None) -> CheckResult:
-    """Relay-correlation invariance sweep over 135 parameter sets."""
+    """Relay-correlation invariance sweep over 135 parameter sets, one
+    batch per p1: its 27 noise triples share the beta grid."""
     name = "relay-correlation-invariance"
     betas = DEFAULT_OFFSETS if betas is None else tuple(float(b) for b in betas)
-    sets = 0
-    worst = 0.0
+    max_devs = []
     for p1 in _BETA_P1:
-        for n2 in _BETA_N2:
-            for n3 in _BETA_N3:
-                for n4 in _BETA_N4:
-                    try:
-                        rep = verify_relay_correlation_invariance(p1, n2, n3, n4, betas)
-                    except RelaycapError as exc:
-                        return CheckResult(name, False, f"p1={p1} n2={n2} n3={n3} n4={n4}: {exc}")
-                    worst = max(worst, rep.max_abs_dev_bits)
-                    sets += 1
-    detail = f"{sets} parameter sets x {len(betas)} betas; max deviation {worst:.3e} bits"
+        sets = list(itertools.product([p1], _BETA_N2, _BETA_N3, _BETA_N4))
+        try:
+            max_devs += [r.max_abs_dev_bits for r in _relay_correlation_reports(sets, betas)]
+        except RelaycapError:  # a stacked failure names no set: find the first alone
+            for _, n2, n3, n4 in sets:
+                try:
+                    verify_relay_correlation_invariance(p1, n2, n3, n4, betas)
+                except RelaycapError as exc:
+                    return CheckResult(name, False, f"p1={p1} n2={n2} n3={n3} n4={n4}: {exc}")
+            raise  # unreachable: a stacked failure is some set's own
+    worst = max([0.0] + max_devs)
+    detail = f"{len(max_devs)} parameter sets x {len(betas)} betas; max deviation {worst:.3e} bits"
     return CheckResult(name, True, detail)
 
 

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -43,14 +41,13 @@ def powerless_relay_network() -> rc.NetworkSpec:
 
 @pytest.fixture
 def injected_fault(monkeypatch):
-    """Make the single-relay verification report negated closed-form
-    values; the alpha suite's own closed-form comparison must catch it."""
-    real = selftest.verify_single_relay_independence
+    """Shift the covariance route of the single-relay check (the route whose
+    conditioned covariances are 2x2) up by one bit. The best alpha stays at
+    0, so only the check's route agreement can catch it."""
+    real = selftest._covariance_route
 
-    def flipped(*args, **kwargs):
-        rep = real(*args, **kwargs)
-        return dataclasses.replace(
-            rep, closed_form_bits=tuple(-v for v in rep.closed_form_bits)
-        )
+    def shifted(rows, variances, keep, given, noises):
+        bits = real(rows, variances, keep, given, noises)
+        return [tuple(v + 1.0 for v in row) for row in bits] if len(keep) == 2 else bits
 
-    monkeypatch.setattr(selftest, "verify_single_relay_independence", flipped)
+    monkeypatch.setattr(selftest, "_covariance_route", shifted)

@@ -12,7 +12,9 @@ the receiver-side covariance formula for a cut rate against the
 whitened-channel form, the cut table evaluated one cut at a time
 against its grouped, stacked evaluation, the scalar Cholesky kernel
 against the stacked one, the dual-route covariance routes computed one
-grid point at a time against their stacked evaluation, coordinate
+grid point at a time against their stacked evaluation, the two dual-route
+suites run one parameter set at a time (one public call per set) against
+their batches, coordinate
 descent by per-coordinate bisection against its closed-form frontier,
 the uniform search as a loop over a scalar predicate against its
 generator form, the convergence sweep one row at a time against its
@@ -124,6 +126,57 @@ def relay_correlation_mi_bits_by_points(p1, n2, n3, n4, betas) -> list[float]:
         given_inputs = conditional_covariance(sigma, keep=[0, 1, 2], given=[3, 4])
         bits.append(0.5 * (_cholesky_log2_det(given_inputs) - log2_thermal))
     return bits
+
+
+def alpha_suite_by_sets(offsets=None):
+    """The single-relay suite one parameter set at a time: one public
+    ``verify_single_relay_independence`` call per set, in (p1, p2, n2, n3)
+    order, the first failing set named."""
+    name = "single-relay-correlation"
+    offsets = selftest.DEFAULT_OFFSETS if offsets is None else tuple(float(o) for o in offsets)
+    sets = 0
+    worst_route = 0.0
+    for p1 in selftest._ALPHA_P1:
+        for p2 in selftest._ALPHA_P2:
+            for n2 in selftest._ALPHA_N2:
+                for n3 in selftest._ALPHA_N3:
+                    limit = math.sqrt(p1 / p2)
+                    alphas = tuple(0.9 * limit * o for o in offsets)
+                    try:
+                        rep = selftest.verify_single_relay_independence(p1, p2, n2, n3, alphas)
+                    except RelaycapError as exc:
+                        detail = f"p1={p1} p2={p2} n2={n2} n3={n3}: {exc}"
+                        return selftest.CheckResult(name, False, detail)
+                    worst_route = max(worst_route, rep.max_abs_diff_bits)
+                    sets += 1
+    detail = (
+        f"{sets} parameter sets x {len(offsets)} alphas; "
+        f"max dual-route gap {worst_route:.3e} bits"
+    )
+    return selftest.CheckResult(name, True, detail)
+
+
+def beta_suite_by_sets(betas=None):
+    """The relay-correlation suite one parameter set at a time: one public
+    ``verify_relay_correlation_invariance`` call per set, in (p1, n2, n3,
+    n4) order, the first failing set named."""
+    name = "relay-correlation-invariance"
+    betas = selftest.DEFAULT_OFFSETS if betas is None else tuple(float(b) for b in betas)
+    sets = 0
+    worst = 0.0
+    for p1 in selftest._BETA_P1:
+        for n2 in selftest._BETA_N2:
+            for n3 in selftest._BETA_N3:
+                for n4 in selftest._BETA_N4:
+                    try:
+                        rep = selftest.verify_relay_correlation_invariance(p1, n2, n3, n4, betas)
+                    except RelaycapError as exc:
+                        detail = f"p1={p1} n2={n2} n3={n3} n4={n4}: {exc}"
+                        return selftest.CheckResult(name, False, detail)
+                    worst = max(worst, rep.max_abs_dev_bits)
+                    sets += 1
+    detail = f"{sets} parameter sets x {len(betas)} betas; max deviation {worst:.3e} bits"
+    return selftest.CheckResult(name, True, detail)
 
 
 def det_cofactor(matrix) -> float:

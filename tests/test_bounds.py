@@ -14,6 +14,8 @@ import relaycap as rc
 from oracles import _frontier as scalar_frontier
 from oracles import (
     achievability_suite_by_samples,
+    alpha_suite_by_sets,
+    beta_suite_by_sets,
     constraint_table_by_loops,
     convergence_sweep_by_rows,
     coordinate_descent_by_bisection,
@@ -236,6 +238,100 @@ def test_dual_route_covariance_routes_factor_each_grid_in_one_call(monkeypatch):
     rc.verify_single_relay_independence(1.0, 1.0, 1.0, 1.0, OFFSETS)
     rc.verify_relay_correlation_invariance(1.0, 1.0, 1.0, 1.0, OFFSETS)
     assert log_dets == gates == [21, 21]
+
+
+#: Grids for the two dual-route suites: the defaults (None), the CLI's
+#: custom ones, offsets only a library caller can pass (InvalidAlpha), and
+#: beta grids on which the invariance check fails.
+ALPHA_GRIDS = [None, (-1.0, 0.0, 1.0), (0.0,), (0.0, 1.2), (-1.2, 0.0, 0.5)]
+BETA_GRIDS = [None, (-0.5, 0.0, 0.5), (0.0,), (-1e6, 0.0), (0.0, 1e8), (0.0, 1e200)]
+
+
+def _alpha_batches():
+    """The alpha suite's batches on the default offsets: (sets, alphas)."""
+    for p1, p2 in itertools.product(selftest._ALPHA_P1, selftest._ALPHA_P2):
+        alphas = tuple(0.9 * math.sqrt(p1 / p2) * o for o in selftest.DEFAULT_OFFSETS)
+        yield list(itertools.product([p1], [p2], selftest._ALPHA_N2, selftest._ALPHA_N3)), alphas
+
+
+def _beta_batches(betas=selftest.DEFAULT_OFFSETS):
+    """The beta suite's batches: (sets, betas)."""
+    for p1 in selftest._BETA_P1:
+        grid = (selftest._BETA_N2, selftest._BETA_N3, selftest._BETA_N4)
+        yield list(itertools.product([p1], *grid)), betas
+
+
+class TestBatchedDualRouteSuites:
+    """The two dual-route suites, one batch per shared grid, against their
+    serial oracles (one public call per parameter set)."""
+
+    @pytest.mark.parametrize("offsets", ALPHA_GRIDS)
+    def test_alpha_suite_matches_serial_suite(self, offsets):
+        assert selftest.alpha_suite(offsets) == alpha_suite_by_sets(offsets)
+
+    @pytest.mark.parametrize("betas", BETA_GRIDS)
+    def test_beta_suite_matches_serial_suite(self, betas):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the 1e200 grid overflows
+            assert selftest.beta_suite(betas) == beta_suite_by_sets(betas)
+
+    def test_offsets_past_the_power_limit_fail_with_invalid_alpha(self):
+        got = selftest.alpha_suite((0.0, 1.2))
+        assert not got.passed
+        assert got.detail == (
+            "p1=0.5 p2=0.25 n2=0.5 n3=0.25: alpha=1.5273506473629428 outside the "
+            "power-feasible interval [-1.41421, 1.41421]"
+        )
+
+    def test_failing_grid_names_the_first_set(self):
+        got = selftest.beta_suite((0.0, 1e8))
+        assert got == selftest.CheckResult(
+            "relay-correlation-invariance",
+            False,
+            "p1=0.5 n2=0.5 n3=0.5 n4=1.0: pivot 0.000000e+00 at index 1 is <= epsilon 1e-12",
+        )
+
+    def test_stacked_failure_of_a_later_set_is_not_reported(self, monkeypatch):
+        # Tiny n3 and n4 make a later set's conditioned covariance singular,
+        # so its factorization fails inside the batch, while a set-by-set
+        # run first meets the first set's failed invariance check.
+        monkeypatch.setattr(selftest, "_BETA_N3", (0.5, 1e-20))
+        monkeypatch.setattr(selftest, "_BETA_N4", (1.0, 1e-20))
+        betas = (-1e6, 0.0)
+        sets, _ = next(_beta_batches(betas))
+        with pytest.raises(NotPositiveDefinite):
+            selftest._relay_correlation_reports(sets, betas)
+        got = selftest.beta_suite(betas)
+        assert got == beta_suite_by_sets(betas)
+        assert got.detail.startswith("p1=0.5 n2=0.5 n3=0.5 n4=1.0: MI moved by 1.761e-04 bits")
+
+    def test_batch_reports_equal_public_calls(self):
+        for sets, alphas in _alpha_batches():
+            assert selftest._single_relay_reports(sets, alphas) == [
+                rc.verify_single_relay_independence(*one, alphas) for one in sets
+            ]
+        for sets, betas in _beta_batches():
+            assert selftest._relay_correlation_reports(sets, betas) == [
+                rc.verify_relay_correlation_invariance(*one, betas) for one in sets
+            ]
+
+    @pytest.mark.parametrize(
+        "suite, batch, want",
+        [
+            ("alpha_suite", "_single_relay_reports", [16] * 16),
+            ("beta_suite", "_relay_correlation_reports", [27] * 5),
+        ],
+    )
+    def test_one_batch_call_per_shared_grid(self, monkeypatch, suite, batch, want):
+        real, sizes = getattr(selftest, batch), []
+
+        def counting(sets, grid):
+            sizes.append(len(sets))
+            return real(sets, grid)
+
+        monkeypatch.setattr(selftest, batch, counting)
+        assert getattr(selftest, suite)().passed
+        assert sizes == want
 
 
 class TestBlockDecodeRate:
@@ -2025,6 +2121,20 @@ class TestLockstepFrontiers:
         return net, [
             _ConstraintTable(rc.scaled(net, g), quantifier) for g in (1.0, 1e10, 1e100)
         ]
+
+    @pytest.mark.parametrize("quantifier", ["forall", "exists"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_tolerance_past_double_resolution_matches_the_scalar_oracle(self, seed, quantifier):
+        # At rel_tol 1e-300 the bisection ends only where no double lies
+        # strictly between its ends: the search's no-representable-point exit.
+        net = random_network(np.random.default_rng(seed), 3 + seed)
+        table = _ConstraintTable(net, quantifier)
+        n = len(table.relays)
+        want = scalar_frontier(
+            lambda x: table.feasible(np.full(n, x)), bounds._search_start(table), 1e-300
+        )
+        (got,) = bounds._uniform_optima([table], 1e-300)
+        assert got.entries == rc.QuantizationVector.uniform(want, table.relays).entries
 
     def test_every_exit_matches_the_scalar_oracle(self):
         net, ordinary = self._ordinary()

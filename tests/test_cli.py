@@ -6,6 +6,7 @@ import re
 import pytest
 
 from relaycap import cli
+from relaycap.errors import VerificationFailure
 
 
 def _write(tmp_path, name, doc):
@@ -208,6 +209,23 @@ class TestExitCodes:
     def test_missing_config_file(self, tmp_path, capsys):
         assert cli.main(["bound", "--config", str(tmp_path / "nope.json")]) == 2
         assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["bound", "verify"])
+    def test_config_root_that_is_not_an_object(self, tmp_path, capsys, command):
+        cfg = _write(tmp_path, "list.json", [])
+        assert cli.main([command, "--config", cfg]) == 2
+        assert "config error: config root must be a JSON object" in capsys.readouterr().err
+
+    def test_verification_failure_from_a_library_call(self, tmp_path, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise VerificationFailure("sweep rows disagree")
+
+        monkeypatch.setattr(cli, "convergence_sweep", failing)
+        cfg = _write(tmp_path, "ref.json", _ref_doc(sweep={"gammas": [1, 10]}))
+        assert cli.main(["sweep", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "verification failure: sweep rows disagree\n"
 
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

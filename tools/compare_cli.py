@@ -62,8 +62,11 @@ whether a change keeps the subset DP's tie-break there.
 ``verify`` runs with its defaults, with seeds 1 and 2 and with two large
 seeds like the benchmark's (3 * 1234567 and 3 * 1234568), and with 1 and 7
 network samples and 1 and 7 determinant samples, the edge cases of batching
-the random suites by size: 476 runs in all. Only the standard library and
-numpy are used.
+the random suites by size. It also runs with alpha offsets [-1, 0, 1] and
+[0], and with beta grids [-0.5, 0, 0.5] and [0] and the three failing
+grids [-1e6, 0], [0, 1e8] and [0, 1e200], where the relay-correlation
+check stops at its first failing parameter set: 483 runs in all. Only the
+standard library and numpy are used.
 """
 
 from __future__ import annotations
@@ -361,8 +364,13 @@ def runs(config_dir: str) -> list[tuple[str, list[str]]]:
     out.append(("verify", ["verify"]))
     verify_docs = [("seed", seed) for seed in (1, 2, 3 * 1234567, 3 * 1234568)]
     verify_docs += [(key, n) for key in ("network_samples", "det_samples") for n in (1, 7)]
-    for key, value in verify_docs:
-        path = os.path.join(config_dir, f"verify-{key}-{value}.json")
+    verify_docs += [("alpha_offsets", grid) for grid in ([-1, 0, 1], [0])]
+    verify_docs += [
+        ("beta_grid", grid)
+        for grid in ([-0.5, 0, 0.5], [0], [-1e6, 0], [0, 1e8], [0, 1e200])
+    ]
+    for i, (key, value) in enumerate(verify_docs):
+        path = os.path.join(config_dir, f"verify-{i}-{key}.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump({"verify": {key: value}}, fh)
         out.append((f"verify {key} {value}", ["verify", "--config", path]))
