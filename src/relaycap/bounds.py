@@ -36,25 +36,21 @@ factorized one, which ``quantized_covariance_det`` calls too.
 
 Rate is strictly decreasing in every Q_j and feasibility margins are
 strictly increasing, so the best admissible Q sits on the feasibility
-frontier. With all Q_j equal, one monotone search (double up, halve
-down, bisect) finds it. The search is a generator that yields each point
-to test and receives the answer. One function, ``_uniform_optima``,
-decides every uniform optimum: given any list of tables it returns each
-one's Q or the Infeasible that explains why there is none. Margins rise
-toward the subset's denominator as Q grows, so a table is infeasible
-exactly when some denominator is not positive; a relay-free table gets
-the empty Q; every other table is searched, all those of one relay
-count in lockstep. A single analysis passes one table, a sweep one per
-gamma row, and ``verify`` one per random network. Each pass is one margin
-evaluation that answers every search: on a single table's own arrays, or
-on all the tables, stacked in columns once per run, bit for bit the
-per-table answers. Coordinate descent then cycles from that uniform
-solution and moves each Q_j straight to its own frontier: with the other
-entries fixed, each subset's margin is nonnegative exactly above a
-closed-form threshold, so no search is needed. A rate report evaluates every cut
-once: the bound is the source cut, the first row of that table. A sweep
-over the relay power multiplier shows the gap between the two sides
-collapsing as relay power grows.
+frontier. With every Q_j = x, each subset's margin is concave and
+increasing in u = ln x (a constant minus sum_k ln(1 + a_k e^-u), the a_k
+the eigenvalues of the quantized covariance at Q = 0), and so is their
+minimum: Newton steps in u never pass the frontier from the left, and a
+walk over the last ulps ends where the table turns from rejecting to
+accepting. The answer is exact, with no tolerance. ``_uniform_optima``
+decides every uniform optimum, for one table or many (a sweep's rows,
+``verify``'s networks), with one stacked margin pass per step.
+Coordinate descent then cycles from that uniform solution and moves each
+Q_j straight to its own frontier: with the other entries fixed, each
+subset's margin is nonnegative exactly above a closed-form threshold, so
+no search is needed. A rate report evaluates every cut once: the bound
+is the source cut, the first row of that table. A sweep over the relay
+power multiplier shows the gap between the two sides collapsing as relay
+power grows.
 
 All rates are bits per channel use. Every analysis reads its network
 through ``_channel`` (the constraint table takes the same slices itself),
@@ -67,7 +63,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Generator
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import NamedTuple
@@ -94,7 +89,8 @@ _LN2 = math.log(2.0)
 #: 2^(T-2)-row cut table both stay cheap past it.
 GUARD_MAX_NODES = 10
 
-#: Default relative tolerance for bisection on the feasibility frontier.
+#: Coordinate descent's default stop, in bits gained per cycle (named for
+#: the uniform bisection it once set; that search is now exact).
 BISECT_REL_TOL = 1e-9
 
 #: Bit-domain tolerance for rate comparisons (achievability vs bound).
@@ -804,61 +800,77 @@ def cf_rate(net: NetworkSpec, q: QuantizationVector) -> float:
     return conditional_mi_bits(np.sqrt(gains), powers, total)
 
 
-def _frontier(start: float, rel_tol: float) -> Generator[float, bool, float | None]:
-    """The uniform search: the smallest x (to rel_tol) at which a monotone
-    feasibility predicate holds, as a generator that yields each point to
-    test and is sent whether the predicate holds there.
-
-    Double up from ``start`` until feasible, halve down from there until
-    infeasible, then bisect geometrically between the two. Doubling stops
-    at the largest double; returns None if that is infeasible too: no
-    finite x is feasible. Returns the doubling end when halving underflows
-    to 0 (the frontier lies below the representable range).
-    ``_uniform_optima`` is its one driver.
-    """
-    if not 0.0 < rel_tol < math.inf:
-        raise ValueError(f"tol must be finite and > 0, got {rel_tol!r}")
-    hi = start
-    while not (yield hi):
-        if hi == sys.float_info.max:
-            return None
-        hi = min(2.0 * hi, sys.float_info.max)
-    lo = hi
-    while (yield lo):
-        lo *= 0.5
-        if lo == 0.0:
-            return hi
-    while hi - lo > rel_tol * hi:
-        mid = math.sqrt(lo) * math.sqrt(hi)  # geometric, overflow-safe
-        if mid <= lo or mid >= hi:  # no representable point left between
-            break
-        if (yield mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def _search_start(table: _ConstraintTable) -> float:
     """Where the uniform search starts: the largest receiver noise."""
     return max(_channel(table.net, (), table.relays + (table.net.destination_id,))[2].tolist())
 
 
-def _uniform_optima(
-    tables: list[_ConstraintTable], rel_tol: float
-) -> list[QuantizationVector | Infeasible]:
+#: Newton steps a search takes at most before it walks the ulps.
+_NEWTON_PASSES = 64
+
+
+def _lockstep_search(
+    denom_log2: np.ndarray, noise: np.ndarray, lam: np.ndarray, p1: np.ndarray, x: np.ndarray
+) -> np.ndarray:
+    """For K tables stacked in columns (as ``_margins_log2`` takes them),
+    searched from the points ``x``: each column's smallest Q that its
+    table accepts and whose predecessor it rejects, or inf where the
+    largest double is rejected.
+
+    Each column brackets its answer in the doubles' order, between the
+    largest point seen rejected (0.0 at first) and the smallest accepted
+    (inf). Each pass evaluates the margins once, inside every open
+    bracket, and moves one end; a closed bracket's point stays on its ends.
+    The point is a Newton step in u = ln x on the smallest margin until a
+    step leaves the bracket or ``_NEWTON_PASSES`` are made, then a gallop
+    from the last point, 1, 2, 4, ... ulps, then halving (63 + 62 passes
+    at most: the bracket is under 2^63 ulps). Each operation acts on each
+    column alone (sums over relays run left to right): a column's answer
+    is its table's searched alone.
+    """
+    k, n = len(x), len(noise)
+    member = (np.arange(1, 1 << n)[:, None] >> np.arange(n) & 1).astype(float)
+    lo, hi = np.zeros(k, dtype=np.int64), np.full(k, math.inf).view(np.int64)
+    step, newton = np.ones(k, dtype=np.int64), np.ones(k, dtype=bool)
+    for passes in range(1, _NEWTON_PASSES + 126):
+        margins = _margins_log2(denom_log2, noise, lam, p1, x)
+        row, low = margins.argmin(axis=0), margins.min(axis=0)
+        ok, bits = low >= 0.0, x.view(np.int64)
+        hi, lo = np.where(ok, bits, hi), np.where(ok, lo, bits)
+        width = hi - lo
+        if width.max() == 1:
+            return hi.view(np.float64)
+        # The u-slope of row S's ln2 * margin, c - sum_S ln(1 + N_i/x) -
+        # ln(1 + P1 sum_S lam_i/(N_i+x)). The step only proposes a point,
+        # clamped to the doubles.
+        with np.errstate(all="ignore"):
+            total = noise + x
+            share = lam / total
+            terms = np.stack([noise / total, share * (x / total), share]) * member[row].T
+            near, source, reach = np.cumsum(terms, axis=1)[:, -1]
+            slope = near + source / (1.0 / p1 + reach)
+            guess = np.clip(x * np.exp(low * -_LN2 / slope), 5e-324, sys.float_info.max)
+        guess = guess.view(np.int64)
+        newton &= (lo < guess) & (guess < hi) & (passes < _NEWTON_PASSES)
+        # The point just seen is an end of its bracket: gallop from it, or
+        # halve the bracket once the gallop step would leave it.
+        ulps = np.where(step < width, step, width >> 1)
+        walk = np.where(ok, hi - ulps, lo + ulps)
+        step = np.where(newton, step, 2 * np.minimum(step, 1 << 61))
+        x = np.where(newton, guess, walk).view(np.float64)
+    raise AssertionError("a uniform search overran its pass bound")
+
+
+def _uniform_optima(tables: list[_ConstraintTable]) -> list[QuantizationVector | Infeasible]:
     """Each table's best uniform Q, or the Infeasible that says why it has
     none, for any tables: mixed relay counts, blocked and relay-free ones.
 
     Every margin rises strictly toward its denominator as Q grows, so a
     table with some denom_log2 <= 0 is infeasible without a search, and a
     relay-free table gets the empty Q. The others search by relay count,
-    one lockstep run each, and each pass is one ``_margins_log2`` call that
-    answers every search's current query. The arrays are set up once per
-    run: a single table passes its own 1-D arrays, and K tables are stacked
-    in K columns, bit for bit the answers of each table alone. A search
-    that ends keeps its column and its last point; its answer is ignored
-    from then on.
+    one ``_lockstep_search`` from ``_search_start`` each, their arrays
+    stacked in columns once (a lone table is a stack of one). Each Q is
+    exact: the smallest double that its table accepts.
     """
     optima: list[QuantizationVector | Infeasible] = [QuantizationVector(entries=())] * len(tables)
     runs: dict[int, list[int]] = {}
@@ -872,37 +884,21 @@ def _uniform_optima(
             )
         elif table.relays:
             runs.setdefault(len(table.relays), []).append(k)
-    # N + Q -> inf near the largest double: a relay that hears nothing of
-    # the source, the exact limit. Silenced once per run, not per pass.
-    with np.errstate(over="ignore"):
-        for members in runs.values():
-            run = [tables[k] for k in members]
-            if len(run) == 1:
-                arrays = run[0].denom_log2, run[0].noise, run[0].lam, run[0].p1
-            else:
-                arrays = tuple(
-                    np.stack([getattr(t, name) for t in run], axis=-1)
-                    for name in ("denom_log2", "noise", "lam", "p1")
-                )
-            searches = [_frontier(_search_start(t), rel_tol) for t in run]
-            points = [next(search) for search in searches]
-            active = range(len(run))
-            while active:
-                margins = _margins_log2(*arrays, np.array(points))
-                answers = np.all(margins >= 0.0, axis=0).reshape(-1).tolist()
-                running = []
-                for i in active:
-                    try:
-                        points[i] = searches[i].send(answers[i])
-                    except StopIteration as stop:  # the search's end: its result
-                        optima[members[i]] = (
-                            Infeasible("no finite quantization noise satisfies every constraint")
-                            if stop.value is None
-                            else QuantizationVector.uniform(stop.value, run[i].relays)
-                        )
-                    else:
-                        running.append(i)
-                active = running
+    for members in runs.values():
+        run = [tables[k] for k in members]
+        names = ("denom_log2", "noise", "lam", "p1")
+        arrays = [np.stack([getattr(t, name) for t in run], axis=-1) for name in names]
+        # N + Q -> inf near the largest double: a relay that hears nothing
+        # of the source, the exact limit. Near the smallest, N/Q -> inf: a
+        # row whose denominator is inf reads NaN, rejected, as in feasible.
+        with np.errstate(over="ignore", invalid="ignore"):
+            found = _lockstep_search(*arrays, np.array([_search_start(t) for t in run]))
+        for k, table, q in zip(members, run, found.tolist()):
+            optima[k] = (
+                QuantizationVector.uniform(q, table.relays)
+                if q < math.inf
+                else Infeasible("no finite quantization noise satisfies every constraint")
+            )
     return optima
 
 
@@ -948,14 +944,14 @@ def _coordinate_step(
 
 
 def _coordinate_descent(
-    table: _ConstraintTable, start: QuantizationVector, rel_tol: float
+    table: _ConstraintTable, start: QuantizationVector, tol: float
 ) -> QuantizationVector:
     """Cyclically move each Q_j to its exact per-coordinate frontier
     (``_coordinate_step``: a closed form, no search).
 
     Each move keeps every margin nonnegative and never raises any Q, so
     the rate is nondecreasing; stop when a full cycle improves it by no
-    more than rel_tol bits, or after DESCENT_MAX_CYCLES cycles.
+    more than tol bits, or after DESCENT_MAX_CYCLES cycles.
     """
     n = len(table.relays)
     # Relay k's rows, the subsets holding it: row i is canonical mask i + 1.
@@ -973,7 +969,7 @@ def _coordinate_descent(
         new_rate = cf_rate(table.net, q_star)
         improved = new_rate - rate
         rate = new_rate
-        if improved <= rel_tol:
+        if improved <= tol:
             break
     return q_star
 
@@ -984,10 +980,12 @@ def _require_mode(mode: str) -> None:
 
 
 def _optimize(table: _ConstraintTable, mode: str, tol: float) -> tuple[QuantizationVector, float]:
-    """Best feasible quantization vector on one constraint table: its
-    ``_uniform_optima`` entry, raised if it is an Infeasible, then the
-    descent from it when asked for and there is a Q to descend."""
-    (q_star,) = _uniform_optima([table], tol)
+    """Best feasible quantization vector on one constraint table, after
+    checking ``tol``: its ``_uniform_optima`` entry, raised if it is an
+    Infeasible, then, if asked for and there is a Q, the descent from it."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    (q_star,) = _uniform_optima([table])
     if isinstance(q_star, Infeasible):
         raise q_star
     if mode == "coordinate_descent" and q_star.entries:
@@ -1005,13 +1003,14 @@ def optimize_quantization(
     """Best feasible quantization vector and its rate.
 
     Rate falls as any Q_j grows, so the optimum sits on the feasibility
-    frontier. ``uniform_bisection`` ties all Q_j to one scalar and bisects
-    it to relative tolerance ``tol``; ``coordinate_descent`` then moves
-    each coordinate in turn to its exact frontier (a closed form, no
-    bisection), which helps asymmetric networks and provably never hurts,
-    and stops once a cycle gains no more than ``tol`` bits. Raises
-    Infeasible when no quantization works (e.g. powerless relays), and
-    ValueError once a search starts with a tol that is not finite and > 0.
+    frontier. ``uniform_bisection`` ties all Q_j to one scalar and finds
+    its frontier exactly: the smallest double the constraint table
+    accepts (``_uniform_optima``). ``coordinate_descent`` then moves each
+    coordinate in turn to its exact frontier (a closed form, no search),
+    which helps asymmetric networks and provably never hurts, and stops
+    once a cycle gains no more than ``tol`` bits. Raises Infeasible when
+    no quantization works (e.g. powerless relays), and ValueError for a
+    tol that is not finite and > 0, in either mode.
     """
     _require_mode(mode)
     return _optimize(_ConstraintTable(net, quantifier, override_guard), mode, tol)
@@ -1055,7 +1054,7 @@ def convergence_sweep(
     net: NetworkSpec,
     gammas: list[float] | tuple[float, ...],
     quantifier: str = "forall",
-    tol: float = BISECT_REL_TOL,
+    *,
     override_guard: bool = False,
 ) -> tuple[SweepRow, ...]:
     """Bound-vs-rate table as relay power is scaled by each gamma.
@@ -1083,7 +1082,7 @@ def convergence_sweep(
     bound = source_cut_bound(net)
     tables = [_ConstraintTable(scaled(net, g), quantifier, override_guard) for g in gammas]
     rows: list[SweepRow] = []
-    for g, table, q_star in zip(gammas, tables, _uniform_optima(tables, tol)):
+    for g, table, q_star in zip(gammas, tables, _uniform_optima(tables)):
         if isinstance(q_star, Infeasible):
             feasible, rate, q_uni = False, math.nan, math.nan
         else:

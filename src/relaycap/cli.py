@@ -189,11 +189,12 @@ def _cf_settings(doc: dict, args: argparse.Namespace) -> tuple[str, str, float, 
     quantifier = args.quantifier or cf.get("quantifier", "forall")
     if quantifier not in ("forall", "exists"):
         raise ConfigError(f"quantifier must be forall or exists, got {quantifier!r}")
-    # sweep has no --mode flag; it still validates the config's cf.mode.
+    # sweep has no --mode or --tol flag; it still validates cf.mode and cf.tol.
     mode_word = getattr(args, "mode", None) or cf.get("mode", "uniform")
     if not isinstance(mode_word, str) or mode_word not in _MODE_WORDS:
         raise ConfigError(f"mode must be uniform or coordinate, got {mode_word!r}")
-    tol = _number(args.tol if args.tol is not None else cf.get("tol", BISECT_REL_TOL), "tol")
+    tol = getattr(args, "tol", None)
+    tol = _number(cf.get("tol", BISECT_REL_TOL) if tol is None else tol, "tol")
     if not 0.0 < tol < math.inf:
         raise ConfigError(f"tol must be finite and > 0, got {tol!r}")
     top_k = getattr(args, "top_k", None)
@@ -287,7 +288,7 @@ def cmd_cfrate(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     doc = load_config(args.config)
     net = network_from_config(doc)
-    quantifier, _, tol, _ = _cf_settings(doc, args)
+    quantifier, _, _, _ = _cf_settings(doc, args)
     sweep_doc = doc.get("sweep")
     if not isinstance(sweep_doc, dict) or "gammas" not in sweep_doc:
         raise ConfigError("config needs a 'sweep' object with a 'gammas' array")
@@ -296,7 +297,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("'sweep.gammas' must be a nonempty array")
     gammas = [_number(g, f"sweep.gammas[{i}]") for i, g in enumerate(raw)]
     try:
-        rows = convergence_sweep(net, gammas, quantifier, tol, args.override_guard)
+        rows = convergence_sweep(net, gammas, quantifier, override_guard=args.override_guard)
     except InvalidScale as exc:
         raise ConfigError(str(exc)) from exc
     out = ["gamma,upper_bound_bits,cf_rate_bits,gap_bits,q_uniform,feasible"]
@@ -386,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode": dict(choices=("uniform", "coordinate"), default=None,
                        help="quantization optimizer (default from config, else uniform)"),
         "--tol": dict(type=float, default=None,
-                      help="uniform bisection relative tolerance; descent stop in bits"),
+                      help="coordinate descent stop, in bits gained per cycle"),
         "--top-k": dict(type=int, default=None, dest="top_k",
                         help="how many binding constraints to list (default 5)"),
         "--override-guard": dict(action="store_true",
@@ -397,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("cfrate", cmd_cfrate, "optimize quantization and report the achievable rate",
          ("--quantifier", "--mode", "--tol", "--override-guard", "--top-k")),
         ("sweep", cmd_sweep, "relay-power convergence CSV",
-         ("--quantifier", "--tol", "--override-guard")),
+         ("--quantifier", "--override-guard")),
         ("verify", cmd_verify, "run the built-in verification suites", ()),
     )
     for name, func, summary, flags in commands:

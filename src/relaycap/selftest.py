@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import (
-    BISECT_REL_TOL,
     RATE_TOL_BITS,
     QuantizationVector,
     _ConstraintTable,
@@ -393,7 +392,7 @@ def _feasible_points(rng: np.random.Generator, samples: int) -> list[tuple]:
     for _ in range(samples):
         table = _ConstraintTable(random_network(rng, int(rng.integers(3, 7))), "forall")
         drawn.append((table, _push_factors(rng, len(table.relays))))
-    optima = _uniform_optima([table for table, _ in drawn], BISECT_REL_TOL)
+    optima = _uniform_optima([table for table, _ in drawn])
     return [
         (table, q if isinstance(q, RelaycapError) else _pushed_inside(q, factors))
         for (table, factors), q in zip(drawn, optima)

@@ -16,10 +16,11 @@ grid point at a time against their stacked evaluation, the two dual-route
 suites run one parameter set at a time (one public call per set) against
 their batches, coordinate
 descent by per-coordinate bisection against its closed-form frontier,
-the uniform search as a loop over a scalar predicate against its
-generator form, the convergence sweep one row at a time against its
-lockstep searches, and the three random verify suites run one sample at
-a time (one network, one table and one uniform search per sample, the
+the uniform search as a bisection over a scalar predicate (at rel_tol
+1e-300 it stops at the table's transition or a few ulps above) against
+the exact Newton-and-ulp search, the convergence sweep one row at a time
+against its lockstep searches, and the three random verify suites run
+one sample at a time (one network, one table and one uniform search per sample, the
 feasible point from ``sample_feasible_q``; one public determinant call
 per instance, on its own flat network) against their batched forms.
 Nothing here is performance sensitive; clarity wins.
@@ -406,9 +407,7 @@ def _frontier(feasible_at: Callable[[float], bool], start: float, rel_tol: float
     return hi
 
 
-def convergence_sweep_by_rows(
-    net, gammas, quantifier="forall", tol=BISECT_REL_TOL, override_guard=False
-):
+def convergence_sweep_by_rows(net, gammas, quantifier="forall", *, override_guard=False):
     """The convergence sweep one gamma row at a time: per row, one scaled
     network, one ``optimize_quantization`` (its own table and uniform
     search), and an infeasible row where that raises Infeasible."""
@@ -427,7 +426,7 @@ def convergence_sweep_by_rows(
     for g in gammas:
         try:
             q_star, rate = optimize_quantization(
-                scaled(net, g), "uniform_bisection", quantifier, tol, override_guard
+                scaled(net, g), "uniform_bisection", quantifier, override_guard=override_guard
             )
         except Infeasible:
             feasible, rate, q_uni = False, math.nan, math.nan

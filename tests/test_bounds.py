@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import re
+import statistics
 import warnings
 
 import numpy as np
@@ -628,13 +629,12 @@ class TestOptimizeQuantization:
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9])
     def test_tol_validated(self, reference_network, tol):
-        # The CLI's text; a NaN tol used to end the search at its doubling end.
+        # The CLI's text, in either mode; a sweep takes no tol.
         message = f"^tol must be finite and > 0, got {re.escape(repr(tol))}$"
         for analysis in (rc.optimize_quantization, rc.build_rate_report):
-            with pytest.raises(ValueError, match=message):
-                analysis(reference_network, tol=tol)
-        with pytest.raises(ValueError, match=message):
-            rc.convergence_sweep(reference_network, [1.0], tol=tol)
+            for mode in ("uniform_bisection", "coordinate_descent"):
+                with pytest.raises(ValueError, match=message):
+                    analysis(reference_network, mode, tol=tol)
 
     def test_no_relays_degenerate(self):
         net = _net([rc.source(1, 1.0), rc.destination(2, 1.0)])
@@ -1574,11 +1574,11 @@ class TestBatchedSuites:
         calls, stacks = [], {}
         real, real_margins = selftest._uniform_optima, bounds._margins_log2
 
-        def counting(tables, rel_tol):
+        def counting(tables):
             calls.append(len(tables))
             monkeypatch.setattr(bounds, "_margins_log2", margins)
             try:
-                return real(tables, rel_tol)
+                return real(tables)
             finally:
                 monkeypatch.setattr(bounds, "_margins_log2", real_margins)
 
@@ -1699,15 +1699,15 @@ class TestCoordinateDescent:
             want = coordinate_descent_by_bisection(table, start, tight)
             assert got >= rc.cf_rate(net, want) - 1e-12
 
-    def test_bisection_runs_only_for_the_uniform_start(self, monkeypatch):
+    def test_search_runs_only_for_the_uniform_start(self, monkeypatch):
         calls = []
-        real = bounds._frontier
+        real = bounds._lockstep_search
 
         def counting(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(bounds, "_frontier", counting)
+        monkeypatch.setattr(bounds, "_lockstep_search", counting)
         net = random_network(np.random.default_rng(8), 8)
         for quantifier in ("forall", "exists"):
             for optimize in (rc.optimize_quantization, rc.build_rate_report):
@@ -1861,7 +1861,7 @@ class TestConvergenceSweep:
 
     @pytest.mark.parametrize(
         "quantifier, q_uniform",
-        [("forall", 1.1408651890799878e-102), ("exists", 9.06156019789291e-307)],
+        [("forall", 1.140865188254393e-102), ("exists", 9.061560193763305e-307)],
     )
     def test_overflowing_relay_signal_is_silent(self, quantifier, q_uniform):
         # At gamma = 1e305 every relay power is finite, but some
@@ -1936,8 +1936,7 @@ class TestHugeRelayNoise:
 #: The relay power multipliers of perfbench's sweep workload: 10^(k/2), k = 0..12.
 _SWEEP_GAMMAS = [10.0 ** (k / 2) for k in range(13)]
 
-#: Searches that end hundreds of steps apart: at 1e200 an exists search
-#: halves about 665 times.
+#: Rows whose frontiers lie hundreds of binades apart.
 _HUGE_GAMMAS = [10.0**k for k in range(0, 201, 20)]
 
 
@@ -1974,9 +1973,9 @@ class TestLockstepSweep:
     def test_matches_row_loop_bitwise(self, net):
         big = net.num_nodes > 10
         for quantifier in ("forall", "exists"):
-            args = (net, _SWEEP_GAMMAS, quantifier, BISECT_REL_TOL, big)
-            got = _row_keys(rc.convergence_sweep(*args))
-            assert got == _row_keys(convergence_sweep_by_rows(*args))
+            args = (net, _SWEEP_GAMMAS, quantifier)
+            got = _row_keys(rc.convergence_sweep(*args, override_guard=big))
+            assert got == _row_keys(convergence_sweep_by_rows(*args, override_guard=big))
 
     @pytest.mark.parametrize(
         "net",
@@ -2055,21 +2054,22 @@ class TestLockstepSweep:
         )
 
 
-def _scalar_search(table):
-    """The uniform search on one table by the scalar-predicate oracle, with
-    its query count: (frontier or None where it raises Infeasible, count)."""
+def _oracle_frontier(table):
+    """The uniform frontier by the scalar bisection oracle at rel_tol
+    1e-300, or None where it raises Infeasible. It stops where no double
+    lies strictly between its ends, or where a geometric midpoint rounds
+    onto one: at the table's transition or a few ulps above it."""
     n = len(table.relays)
-    queries = []
-
-    def feasible_at(x):
-        queries.append(x)
-        return table.feasible(np.full(n, x))
-
     try:
-        found = scalar_frontier(feasible_at, bounds._search_start(table), BISECT_REL_TOL)
+        return scalar_frontier(
+            lambda x: table.feasible(np.full(n, x)), bounds._search_start(table), 1e-300
+        )
     except Infeasible:
-        found = None
-    return found, len(queries)
+        return None
+
+
+def _ulps(x):
+    return int(np.float64(x).view(np.int64))
 
 
 #: The error of a search that finds no finite frontier, as an optimum's key.
@@ -2085,23 +2085,15 @@ def _optimum_key(optimum):
     return optimum.entries
 
 
-def _scalar_optimum(table):
-    """``_scalar_search`` as an optimum's key, with its query count."""
-    found, count = _scalar_search(table)
-    if found is None:
-        return _NO_FRONTIER, count
-    return rc.QuantizationVector.uniform(found, table.relays).entries, count
-
-
 def _uniform_optima_keys(tables):
-    return [_optimum_key(q) for q in bounds._uniform_optima(tables, BISECT_REL_TOL)]
+    return [_optimum_key(q) for q in bounds._uniform_optima(tables)]
 
 
 def _stub_tables(net):
     """Two tables of ``net`` whose searches reach the rare exits: every
-    denominator 1e-310, so no finite Q is feasible and doubling overflows;
-    and 5000-bit denominators with relay noises 1e-300, so every Q down
-    to the smallest double is feasible and halving underflows."""
+    denominator 1e-310, so no finite Q is feasible; and 5000-bit
+    denominators with relay noises 1e-300, so every Q down to the smallest
+    double is feasible."""
     overflow = _ConstraintTable(net, "forall")
     overflow.denom_log2 = np.full_like(overflow.denom_log2, 1e-310)
     underflow = _ConstraintTable(net, "forall")
@@ -2110,84 +2102,53 @@ def _stub_tables(net):
     return overflow, underflow
 
 
+def _weakened(net, c):
+    """``net`` with every relay power multiplied by c < 1, which ``scaled``
+    refuses."""
+    nodes = tuple(
+        dataclasses.replace(n, power=n.power * c) if n.role == "relay" else n for n in net.nodes
+    )
+    return dataclasses.replace(net, nodes=nodes)
+
+
+def _transition_cases():
+    yield from _descent_cases()
+    rng = np.random.default_rng(20261022)
+    for t in range(3, 11):
+        yield pytest.param(_weakened(random_network(rng, t), 1e-8), id=f"weak-relays-T{t}")
+
+
+#: The most margin passes a uniform search takes.
+_PASS_CAP = bounds._NEWTON_PASSES + 125
+
+
+@pytest.mark.parametrize("net", _transition_cases())
+def test_each_uniform_optimum_is_a_table_transition(net):
+    # Accepted, its predecessor rejected, at most 2 ulps below the
+    # bisection oracle, and the same bits stacked or alone.
+    tables = [_ConstraintTable(net, quantifier) for quantifier in ("forall", "exists")]
+    tables.append(_ConstraintTable(rc.scaled(net, 1e3), "forall"))
+    stacked = bounds._uniform_optima(tables)
+    n = len(net.relay_ids)
+    for table, q in zip(tables, stacked):
+        assert [_optimum_key(q)] == _uniform_optima_keys([table])
+        x = q.values[0]
+        assert q.values == (x,) * n
+        assert table.feasible(np.full(n, x))
+        assert not table.feasible(np.full(n, np.nextafter(x, 0.0)))
+        assert 0 <= _ulps(_oracle_frontier(table)) - _ulps(x) <= 2
+
+
 class TestLockstepFrontiers:
-    """``_uniform_optima``: searches that end at different steps, by a
-    result, by the halving underflow return or by the doubling overflow's
-    Infeasible, all in one lockstep run; and the tables it decides without
-    a search."""
+    """``_uniform_optima``: searches that end at different passes, at a
+    transition, at the smallest double or with no finite frontier, all in
+    one lockstep run; and the tables it decides without a search."""
 
     def _ordinary(self, quantifier="forall"):
         net = random_network(np.random.default_rng(3), 6)
         return net, [
             _ConstraintTable(rc.scaled(net, g), quantifier) for g in (1.0, 1e10, 1e100)
         ]
-
-    @pytest.mark.parametrize("quantifier", ["forall", "exists"])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_tolerance_past_double_resolution_matches_the_scalar_oracle(self, seed, quantifier):
-        # At rel_tol 1e-300 the bisection ends only where no double lies
-        # strictly between its ends: the search's no-representable-point exit.
-        net = random_network(np.random.default_rng(seed), 3 + seed)
-        table = _ConstraintTable(net, quantifier)
-        n = len(table.relays)
-        want = scalar_frontier(
-            lambda x: table.feasible(np.full(n, x)), bounds._search_start(table), 1e-300
-        )
-        (got,) = bounds._uniform_optima([table], 1e-300)
-        assert got.entries == rc.QuantizationVector.uniform(want, table.relays).entries
-
-    def test_every_exit_matches_the_scalar_oracle(self):
-        net, ordinary = self._ordinary()
-        overflow, underflow = _stub_tables(net)
-        tables = [overflow, ordinary[0], underflow, ordinary[1], ordinary[2]]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = _uniform_optima_keys(tables)
-        want = [_scalar_optimum(table) for table in tables]
-        assert got == [key for key, _ in want]
-        # The exits are the rare ones: overflow found no frontier, underflow
-        # returned the doubling end (the start, feasible down to the
-        # smallest double).
-        assert got[0] == _NO_FRONTIER
-        assert [q for _, q in got[2]] == [bounds._search_start(underflow)] * len(net.relay_ids)
-        assert underflow.feasible(np.full(len(net.relay_ids), 5e-324))
-        # Ordinary searches of different lengths; the stubs run longest.
-        counts = [count for _, count in want]
-        assert len(set(counts[1::2] + counts[4:])) == 3
-        assert min(counts[0], counts[2]) > 1000 > max(counts[1], counts[3], counts[4])
-
-    @pytest.mark.parametrize("quantifier", ["forall", "exists"])
-    def test_ending_searches_leave_the_others_unchanged(self, quantifier):
-        net, ordinary = self._ordinary(quantifier)
-        overflow, underflow = _stub_tables(net)
-        alone = _uniform_optima_keys(ordinary)
-        assert alone == [_scalar_optimum(table)[0] for table in ordinary]
-        for mixed in (
-            [overflow] + ordinary,
-            ordinary + [underflow],
-            [ordinary[0], underflow, ordinary[1], overflow, ordinary[2]],
-        ):
-            got = _uniform_optima_keys(mixed)
-            assert [x for x, t in zip(got, mixed) if t in ordinary] == alone
-
-    def test_single_search_is_the_scalar_oracle(self):
-        # The generator, answered one query at a time, is the oracle, with
-        # None where the oracle raises Infeasible.
-        thresholds = [0.0, 5e-324, 1e-300, 0.3, 1.0, 7.5, 1e300, 1.5e308, math.inf]
-        for threshold in thresholds:
-            for start in (1e-10, 1.0, 3.0, 1e200, 1e308):
-                search = bounds._frontier(start, BISECT_REL_TOL)
-                x = next(search)
-                try:
-                    while True:
-                        x = search.send(x >= threshold)
-                except StopIteration as stop:
-                    got = stop.value
-                try:
-                    want = scalar_frontier(lambda x: x >= threshold, start, BISECT_REL_TOL)
-                except Infeasible:
-                    want = None
-                assert got == want
 
     @staticmethod
     def _counting_margins(monkeypatch):
@@ -2202,23 +2163,86 @@ class TestLockstepFrontiers:
         monkeypatch.setattr(bounds, "_margins_log2", counting)
         return calls
 
+    def _passes(self, monkeypatch, tables):
+        """The margin passes of one ``_uniform_optima`` call."""
+        with monkeypatch.context() as patch:
+            calls = self._counting_margins(patch)
+            bounds._uniform_optima(tables)
+        return len(calls)
+
+    def test_every_exit_in_one_run(self, monkeypatch):
+        net, ordinary = self._ordinary()
+        overflow, underflow = _stub_tables(net)
+        tables = [overflow, ordinary[0], underflow, ordinary[1], ordinary[2]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _uniform_optima_keys(tables)
+        assert got == [_uniform_optima_keys([table])[0] for table in tables]
+        # Overflow finds no frontier; underflow ends at the smallest double,
+        # which its table accepts.
+        assert got[0] == _NO_FRONTIER
+        assert got[2] == rc.QuantizationVector.uniform(5e-324, net.relay_ids).entries
+        assert underflow.feasible(np.full(len(net.relay_ids), 5e-324))
+        n = len(net.relay_ids)
+        for table, key in zip(ordinary, got[1::2] + got[4:]):
+            x = key[0][1]
+            assert table.feasible(np.full(n, x))
+            assert not table.feasible(np.full(n, np.nextafter(x, 0.0)))
+        # Searches of different lengths; the run lasts as long as the
+        # longest, the overflow stub's.
+        passes = [self._passes(monkeypatch, [table]) for table in tables]
+        assert len(set(passes)) == len(tables)
+        assert self._passes(monkeypatch, tables) == max(passes) == passes[0] <= _PASS_CAP
+
+    def test_underflow_stub_ends_at_the_smallest_double(self):
+        # The frontier lies below the doubles: every Q is accepted, and the
+        # answer is the smallest double, not the search's start.
+        _, underflow = _stub_tables(random_network(np.random.default_rng(3), 6))
+        (q,) = bounds._uniform_optima([underflow])
+        assert q.values == (5e-324,) * 4
+        assert bounds._search_start(underflow) > 5e-324
+
     @pytest.mark.parametrize("quantifier", ["forall", "exists"])
-    def test_single_analysis_passes_its_own_arrays(self, monkeypatch, quantifier):
-        # One search: every query of the uniform search is one margin pass,
-        # on the table's own 1-D arrays.
+    def test_ending_searches_leave_the_others_unchanged(self, quantifier):
+        net, ordinary = self._ordinary(quantifier)
+        overflow, underflow = _stub_tables(net)
+        alone = [_uniform_optima_keys([table])[0] for table in ordinary]
+        assert alone == _uniform_optima_keys(ordinary)
+        for mixed in (
+            [overflow] + ordinary,
+            ordinary + [underflow],
+            [ordinary[0], underflow, ordinary[1], overflow, ordinary[2]],
+        ):
+            got = _uniform_optima_keys(mixed)
+            assert [x for x, t in zip(got, mixed) if t in ordinary] == alone
+
+    def test_median_search_takes_at_most_twelve_passes(self, monkeypatch):
+        passes = []
+        for s in range(40):
+            for t in range(3, 11):
+                net = random_network(np.random.default_rng(s), t)
+                for quantifier in ("forall", "exists"):
+                    table = _ConstraintTable(net, quantifier)
+                    passes.append(self._passes(monkeypatch, [table]))
+        assert statistics.median(passes) <= 12
+        assert max(passes) <= _PASS_CAP
+
+    @pytest.mark.parametrize("quantifier", ["forall", "exists"])
+    def test_single_analysis_is_a_stack_of_one(self, monkeypatch, quantifier):
+        # One search: every pass gets the same one-column arrays.
         for t in range(4, 12):
             net = random_network(np.random.default_rng(t), t)
             table = _ConstraintTable(net, quantifier, override_guard=True)
-            found, count = _scalar_search(table)
             with monkeypatch.context() as patch:
                 calls = self._counting_margins(patch)
                 q, _ = bounds._optimize(table, "uniform_bisection", BISECT_REL_TOL)
-            assert len(calls) == count
-            assert q.values == (found,) * (t - 2)
-            for denom, noise, lam, p1, q_values in calls:
-                assert denom is table.denom_log2
-                assert noise is table.noise and lam is table.lam and p1 == table.p1
-                assert q_values.shape == (1,)
+            assert q.values == bounds._uniform_optima([table])[0].values
+            first = calls[0][:4]
+            r = t - 2
+            assert [a.shape for a in first] == [((1 << r) - 1, 1), (r, 1), (r, 1), (1,)]
+            for args in calls:
+                assert all(a is b for a, b in zip(args[:4], first))
+                assert args[4].shape == (1,)
 
     def test_stacked_run_sets_up_its_arrays_once(self, monkeypatch):
         # K tables: every pass gets the same stacked arrays, K columns wide,
@@ -2226,11 +2250,12 @@ class TestLockstepFrontiers:
         net, ordinary = self._ordinary()
         overflow, underflow = _stub_tables(net)
         tables = [overflow, *ordinary, underflow]
-        want = [_scalar_optimum(table) for table in tables]
+        want = [_uniform_optima_keys([table])[0] for table in tables]
+        passes = [self._passes(monkeypatch, [table]) for table in tables]
         calls = self._counting_margins(monkeypatch)
         got = _uniform_optima_keys(tables)
-        assert got == [key for key, _ in want]
-        assert len(calls) == max(count for _, count in want)
+        assert got == want
+        assert len(calls) == max(passes)
         first = calls[0][:4]
         k, r = len(tables), len(net.relay_ids)
         assert [a.shape for a in first] == [((1 << r) - 1, k), (r, k), (r, k), (k,)]
@@ -2246,7 +2271,7 @@ class TestLockstepFrontiers:
                 bounds._optimize(overflow, mode, BISECT_REL_TOL)
 
     def test_no_tables_no_searches(self):
-        assert bounds._uniform_optima([], BISECT_REL_TOL) == []
+        assert bounds._uniform_optima([]) == []
 
     def test_any_tables_match_optimize_alone(self, monkeypatch):
         # Relay-free, blocked and no-frontier tables among searchable ones

@@ -2,11 +2,12 @@ import json
 import math
 import random
 import re
+import warnings
 
 import pytest
 
 from relaycap import cli
-from relaycap.errors import VerificationFailure
+from relaycap.errors import NotPositiveDefinite, VerificationFailure
 
 
 def _write(tmp_path, name, doc):
@@ -205,7 +206,58 @@ class TestCommandsSucceed:
         assert out.count("PASS") == 5
 
 
+def _extreme_doc(p1, relays, dest_noise, gain):
+    """T = len(relays) + 2 nodes, every gain ``gain``; relays is [(power,
+    noise)]. Swept over gammas 1..1e6."""
+    t = len(relays) + 2
+    nodes = [{"id": 1, "role": "source", "power": p1}]
+    nodes += [
+        {"id": j, "role": "relay", "power": p, "noise": n} for j, (p, n) in enumerate(relays, 2)
+    ]
+    nodes.append({"id": t, "role": "destination", "noise": dest_noise})
+    gains = [[0.0 if i == j else gain for j in range(t)] for i in range(t)]
+    return {"nodes": nodes, "gains": gains, "sweep": {"gammas": [10**k for k in range(7)]}}
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "doc, exits",
+        [
+            pytest.param(
+                _extreme_doc(1.0, [(1e100, 1e-300), (1e250, 1.0), (1e300, 1e300)], 1.0, 1.0),
+                {"bound": NotPositiveDefinite, "cfrate": NotPositiveDefinite, "sweep": 0},
+                id="huge-power-T5",
+            ),
+            pytest.param(
+                _extreme_doc(1e10, [(1e10, 1e-300)], 1e-300, 10.0),
+                {"bound": 0, "cfrate": ValueError, "sweep": 1},
+                id="tiny-noise-gain-10-T3",
+            ),
+        ],
+    )
+    def test_extreme_snr_exits_stand(self, tmp_path, doc, exits):
+        # Every uniform search here ends; the cut side's failures past the
+        # double range (an uncaught error, a NaN gap) are pinned as they
+        # stand until they get a clear error of their own.
+        cfg = _write(tmp_path, "extreme.json", doc)
+        for argv in (
+            ["bound"],
+            ["cfrate"],
+            ["cfrate", "--mode", "coordinate"],
+            ["cfrate", "--quantifier", "exists"],
+            ["sweep"],
+            ["sweep", "--quantifier", "exists"],
+        ):
+            want = exits[argv[0]]
+            argv = argv[:1] + ["--config", cfg] + argv[1:]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                if isinstance(want, int):
+                    assert cli.main(argv) == want
+                else:
+                    with pytest.raises(want):
+                        cli.main(argv)
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert cli.main(["bound", "--config", str(tmp_path / "nope.json")]) == 2
         assert "config error:" in capsys.readouterr().err
@@ -443,6 +495,7 @@ class TestExitCodes:
             ["bound", "--mode", "coordinate"],
             ["bound", "--quantifier", "exists"],
             ["sweep", "--mode", "uniform"],
+            ["sweep", "--tol", "1e-6"],
             ["verify", "--override-guard"],
             ["verify", "--tol", "1e-6"],
         ],
@@ -481,7 +534,7 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "config error: top_k must be >= 0, got -3\n"
 
-    @pytest.mark.parametrize("command", ["cfrate", "sweep"])
+    @pytest.mark.parametrize("command", ["cfrate"])
     def test_infinite_tol_flag_is_a_config_error(self, tmp_path, capsys, command):
         cfg = _write(tmp_path, "ref.json", _ref_doc(sweep={"gammas": [1, 10]}))
         assert cli.main([command, "--config", cfg, "--tol", "inf"]) == 2

@@ -36,7 +36,7 @@ power written as JSON ``true``, which trees that read a boolean as the
 number 1 run) run ``bound``, ``cfrate`` and ``sweep``, so config-error
 texts are compared too. Two more random networks, T = 6 and T = 9, run
 only ``sweep`` (forall and exists) over gammas 10^0..10^200 in steps of
-10^20, where the rows' uniform searches end hundreds of steps apart. One
+10^20, where the rows' uniform frontiers lie hundreds of binades apart. One
 more, the T = 6 network
 ``selftest.random_network(default_rng(2), 6)`` draws, runs only ``sweep``
 (forall and exists) over gammas [1, 1e305], where some lambda_ir P_i
