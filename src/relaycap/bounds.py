@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import NamedTuple
@@ -403,7 +404,7 @@ class _Layout(NamedTuple):
 
     bit: tuple[int, ...]
     columns: tuple[tuple[int, ...], ...]
-    masks: tuple[int, ...]
+    masks: np.ndarray
     ineligible: np.ndarray
     tops: tuple[int, ...]
     single_columns: tuple[tuple[int, ...], ...]
@@ -417,10 +418,10 @@ def _dp_layout(n: int) -> _Layout:
     each nonempty DP mask m's eligible receivers, in row m - 1, as columns
     in id order (the relays outside it, then the destination, column n)
     and, read-only, as a (2^n - 1, n + 1) mask of the ineligible ones; the
-    DP mask of each canonical row (by doubling: row 2^i + k is row k plus
-    relay i); each DP mask's top bit, its first block when every block is
-    one relay; and the eligible columns and ineligible mask of each
-    relay's singleton block, relay i in row i."""
+    DP mask of each canonical row, read-only (by doubling: row 2^i + k is
+    row k plus relay i); each DP mask's top bit, its first block when
+    every block is one relay; and the eligible columns and ineligible mask
+    of each relay's singleton block, relay i in row i."""
     # DP masks give the smallest relay the highest bit, so a descending
     # submask walk meets candidate blocks in restricted-growth order.
     bit = tuple(1 << (n - 1 - i) for i in range(n))
@@ -430,20 +431,81 @@ def _dp_layout(n: int) -> _Layout:
     masks = [0]
     for b in bit:
         masks += [m | b for m in masks]
+    masks = np.array(masks)
     ineligible = np.zeros((1 << n, n + 1), dtype=bool)
     ineligible[:, :n] = np.arange(1 << n)[:, None] & np.array(bit, dtype=int) != 0
     ineligible, single_ineligible = ineligible[1:], ineligible[list(bit)]
-    ineligible.flags.writeable = single_ineligible.flags.writeable = False
+    for frozen in (masks, ineligible, single_ineligible):
+        frozen.flags.writeable = False
     tops = (0,) + tuple(1 << (m.bit_length() - 1) for m in range(1, 1 << n))
     return _Layout(
         bit,
         tuple(columns[1:]),
-        tuple(masks),
+        masks,
         ineligible,
         tops,
         tuple(columns[b] for b in bit),
         single_ineligible,
     )
+
+
+class _Plan(NamedTuple):
+    """The subset DP's gathers for n relays (``_dp_plan``)."""
+
+    order: np.ndarray
+    position: np.ndarray
+    layers: tuple[tuple[int, np.ndarray, np.ndarray], ...]
+    blocks: np.ndarray
+    start: np.ndarray
+
+
+@cache
+def _dp_plan(n: int) -> _Plan:
+    """The subset DP's gathers for n relays, all int arrays and read-only.
+    It depends on n alone, so it is built once per relay count, in numpy.
+
+    The DP keeps its totals by position: the DP masks in popcount layers,
+    ascending within each (``order``; ``position`` is its inverse). Layer
+    k = 2..n is ``(lo, block, rest)``: its masks S sit at positions lo
+    onward, and row i of ``block`` holds the i-th S's 2^(k-1) candidate
+    blocks B in the scalar scan's order, S's top bit (its smallest relay)
+    with every submask of the rest of S in descending order, so S itself
+    comes first; ``rest`` holds the position of each S - B. ``blocks`` is
+    every mask's candidates in turn (the empty mask and each singleton
+    have one, themselves) and ``start`` the index of each mask's first.
+    The descending submasks of a set, taken over its bits from low to
+    high, are each submask of the lower bits plus the next bit, then each
+    without it: each layer doubles its rows' submasks once per bit."""
+    every = np.arange(1 << n)
+    member = every[:, None] >> np.arange(n) & 1
+    count = member.sum(axis=1)
+    order = np.argsort(count, kind="stable")
+    position = np.empty_like(order)
+    position[order] = every
+    blocks, layers, lo = [order[: n + 1].astype(np.int32)], [], n + 1
+    for k in range(2, n + 1):
+        s = order[count[order] == k]
+        # Each S's bits in ascending order, one row per S; the last is its top.
+        low = np.left_shift(1, np.nonzero(member[s])[1], dtype=np.int32).reshape(len(s), k)
+        sub = np.zeros((len(s), 1), dtype=np.int32)
+        for j in range(k - 1):
+            sub = np.concatenate([sub + low[:, j, None], sub], axis=1)
+        top = low[:, -1:]
+        blocks.append(top | sub)
+        layers.append((lo, position[(s[:, None] ^ top) ^ sub].astype(np.int32)))
+        lo += len(s)
+    width = 1 << np.maximum(count - 1, 0)
+    start = (np.cumsum(width[order]) - width[order])[position]
+    flat = np.concatenate([b.ravel() for b in blocks])
+    # Each layer's blocks are a view of the flat array.
+    views, at = [], n + 1
+    for (lo, rest), block in zip(layers, blocks[1:]):
+        views.append((lo, flat[at : at + block.size].reshape(block.shape), rest))
+        at += block.size
+    plan = _Plan(order, position, tuple(views), flat, start)
+    for frozen in (order, position, flat, start, *(rest for _, rest in layers)):
+        frozen.flags.writeable = False
+    return plan
 
 
 #: Relative width of the window of ratios around a block's extreme whose
@@ -462,11 +524,13 @@ _SINGLETON_MIN_RATIO = 2.0**-10
 
 def _extreme_blocks(
     ratios: np.ndarray, ineligible: np.ndarray, columns: tuple[tuple[int, ...], ...], forall: bool
-) -> tuple[list[int], list[float], list[float]]:
+) -> tuple[list[int], list[float], np.ndarray]:
     """Each block's receiver column and value log2(1 + ratio): the extreme
     over its eligible receivers, the smallest column on equal values.
-    ``ratios`` holds a block per row and a receiver per column; it is
-    overwritten. Also returns each block's extreme ratio.
+    ``ratios`` holds K tables' blocks, (K, blocks, receivers), with the
+    blocks in the rows of ``ineligible`` and ``columns``; it is
+    overwritten. Also returns each block's extreme ratio, as an array.
+    Each result runs over every table's blocks, table by table.
 
     The pick is made on the ratios, and only then the log is taken, once
     per block: log2(1 + x) rises with x, and two ratios that lie far
@@ -477,8 +541,9 @@ def _extreme_blocks(
     would; a row with a NaN ratio takes every receiver's.
     """
     np.copyto(ratios, np.inf if forall else -np.inf, where=ineligible)
+    width = ratios.shape[-1]
+    ratios = ratios.reshape(-1, width)
     pick = ratios.argmin(axis=1) if forall else ratios.argmax(axis=1)
-    width = ratios.shape[1]
     ext = ratios.ravel().take(pick + np.arange(0, ratios.size, width))
     # Outside the window: a ratio past its edge. A NaN compares false, so
     # a row with a NaN ratio (an inf sum over an inf floor) counts none.
@@ -490,9 +555,9 @@ def _extreme_blocks(
         edge = ext * (1.0 - _TIE_WINDOW)
         edge -= _TINY_RATIO
         far = ratios < edge[:, None]
-    cols, ext = pick.tolist(), ext.tolist()
+    cols = pick.tolist()
     # math.log1p, not np.log1p, whose last bit differs on some inputs.
-    values = [math.log1p(x) / _LN2 for x in ext]
+    values = [math.log1p(x) / _LN2 for x in ext.tolist()]
     # A row needs its receivers' own logs unless every ratio but its
     # extreme lies outside the window.
     if np.count_nonzero(far) == (width - 1) * len(cols):
@@ -500,46 +565,62 @@ def _extreme_blocks(
     extreme = min if forall else max
     for k in (far.sum(axis=1) != width - 1).nonzero()[0].tolist():
         row, outside = ratios[k].tolist(), far[k].tolist()
-        logs = {j: math.log1p(row[j]) / _LN2 for j in columns[k] if not outside[j]}
+        logs = {j: math.log1p(row[j]) / _LN2 for j in columns[k % len(columns)] if not outside[j]}
         # min and max keep the first of equal values: the smallest id.
         cols[k] = extreme(logs, key=logs.__getitem__)
         values[k] = logs[cols[k]]
     return cols, values, ext
 
 
-def _partition_dp(
-    value: list[float], forall: bool, masks: tuple[int, ...]
-) -> tuple[list[float], list[int]]:
-    """The subset DP over block values indexed by DP mask: every canonical
-    row's extreme total, summed left to right over its blocks, and each DP
-    mask's first block (``_ConstraintTable`` states the recurrence).
-    ``masks`` is the layout's DP mask of each canonical row."""
-    full = len(value) - 1
-    # exists maximizes; negating its scores (exact) lets both minimize.
-    score = value if forall else [-v for v in value]
-    f = [0.0] * (full + 1)  # signed extreme totals
-    first_block = [0] * (full + 1)
-    for s in range(1, full + 1):
-        top = 1 << (s.bit_length() - 1)  # the smallest relay of S
-        rest = s ^ top
-        best, pick = score[s], s  # B = S comes first
-        sub = rest
-        while sub:
-            sub = (sub - 1) & rest
-            total = score[top | sub] + f[rest ^ sub]
-            if total < best:
-                best, pick = total, top | sub
-        f[s], first_block[s] = best, pick
+#: A DP layer gathers at most about this many candidate totals at once;
+#: larger layers run in chunks of masks (``_partition_dp``).
+_DP_CHUNK = 1 << 20
 
-    denoms = []
-    for m in masks[1:]:
-        total = 0.0
-        while m:
-            b = first_block[m]
-            total += value[b]
-            m ^= b
-        denoms.append(total)
-    return denoms, first_block
+
+def _partition_dp(value: np.ndarray, forall: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The subset DP for K tables stacked in rows: ``value`` is (K, 2^n),
+    each table's block values indexed by DP mask, entry 0 (the empty
+    block) 0. Returns each table's canonical rows' extreme totals, summed
+    left to right over their blocks, (K, 2^n - 1), and each DP mask's
+    first block, (K, 2^n) (``_ConstraintTable`` states the recurrence).
+    Every operation acts on each table alone, so a table's rows are its
+    own DP's, whatever it is stacked with."""
+    k_tables, size = value.shape
+    n = size.bit_length() - 1
+    plan = _dp_plan(n)
+    # exists maximizes; negating its scores (exact) lets both minimize.
+    score = value if forall else -value
+    # Signed extreme totals and picked candidates, by position: a
+    # singleton is its own block, and so is the empty mask.
+    f = score.take(plan.order, axis=1)
+    picks = np.zeros(value.shape, dtype=np.intp)
+    for lo, block, rest in plan.layers:
+        step = max(1, _DP_CHUNK // (k_tables * block.shape[1]))
+        for i in range(0, len(block), step):
+            total = score.take(block[i : i + step], axis=1)
+            total += f.take(rest[i : i + step], axis=1)
+            # The first minimum, as a strict-< scan keeps it; the scan skips
+            # a NaN candidate, unless it comes first, where it sticks.
+            later = total[..., 1:]
+            np.copyto(later, np.inf, where=np.isnan(later))
+            at = slice(lo + i, lo + i + total.shape[1])
+            total.argmin(axis=2, out=picks[:, at])
+            total.min(axis=2, out=f[:, at])
+    first = plan.blocks.take(picks.take(plan.position, axis=1) + plan.start)
+
+    # Each row follows its first blocks, adding their values left to right.
+    # In flat (table, mask) indices, a row that has run out of blocks sits
+    # at 0, which adds the empty block's 0 and leads to itself.
+    tables = np.arange(0, k_tables * size, size)[:, None]
+    left = np.arange(size) ^ first
+    ahead = np.where(left, left | tables, 0)
+    gained = value.take(first | tables)
+    at = _dp_layout(n).masks[1:] | tables
+    denoms = np.zeros(at.shape)
+    while at.any():
+        denoms += gained.take(at)
+        at = ahead.take(at)
+    return denoms, first
 
 
 class _ConstraintTable:
@@ -616,79 +697,25 @@ class _ConstraintTable:
     """
 
     def __init__(self, net: NetworkSpec, quantifier: str, override_guard: bool = False):
-        _require_quantifier(quantifier)
-        _check_guard(net, override_guard)
-        self.net = net
-        # The ids of a validated network run 1..T, so the relays are nodes
-        # 2..T-1, and _channel(net, (1,) + relays, relays + (T,)) is these
-        # views: transmitters 1..T-1, receivers 2..T.
-        gains, powers, noise = net._arrays
-        gains, powers, noise = gains[:-1, 1:].T, powers[:-1], noise[1:]
-        self.relays = relays = tuple(range(2, net.num_nodes))
-        n = len(relays)
-        layout = _dp_layout(n)
-        forall = quantifier == "forall"
-        self.p1 = float(powers[0])
-        self.lam = gains[:n, 0]
-        self.noise = noise[:n]
-        # inf and NaN, silently, as Python floats give.
-        with np.errstate(over="ignore", invalid="ignore"):
-            # lambda_ir P_i for the source (column 0) and every relay.
-            signal = gains * powers
-            floors = signal[:, 0] + noise
-            if not forall and self._singletons(layout, signal, floors):
-                return
-            # v(B) and its receiver for every DP mask B, in _block_snr_sum's
-            # arithmetic. The masks holding only relays before relay i are
-            # the multiples of 2^(n-i); adding relay i to each extends its
-            # sums by the largest relay last, so every row is the
-            # left-to-right sum over its block.
-            sums = np.zeros((1 << n, n + 1))
-            for b, term in zip(layout.bit, signal[:, 1:].T):
-                np.add(sums[:: 2 * b], term, out=sums[b :: 2 * b])
-            # Row 0, the empty block, is no candidate: it ties everywhere.
-            ratios = sums[1:]
-            np.divide(ratios, floors, out=ratios)
-            cols, value, _ = _extreme_blocks(ratios, layout.ineligible, layout.columns, forall)
-        self._receiver_column = [0] + cols
-        denoms, self._first_block = _partition_dp([0.0] + value, forall, layout.masks)
-        self.denom_log2 = np.array(denoms)
-
-    def _singletons(self, layout: _Layout, signal: np.ndarray, floors: np.ndarray) -> bool:
-        """Build the exists table as sums of singletons, if the class
-        docstring's guard proves that this is the DP's table; report
-        whether it did."""
-        cols, value, best = _extreme_blocks(
-            signal[:, 1:].T / floors, layout.single_ineligible, layout.single_columns, False
-        )
-        if not all(x >= _SINGLETON_MIN_RATIO for x in best):  # NaN fails too
-            return False
-        # Each receiver's left-to-right sum over every relay, its own term
-        # being 0: the sum over every relay it may decode.
-        totals = np.add.accumulate(signal[:, 1:], axis=1)[:, -1:]
-        if not np.isfinite(totals / floors[:, None]).all():
-            return False
-        self._receiver_column = dict(zip(layout.bit, cols))
-        self._first_block = layout.tops
-        self.denom_log2 = self._subset_sums(np.array(value))
-        return True
+        (table,) = _constraint_tables([net], quantifier, override_guard)
+        self.__dict__ = table.__dict__
 
     def instance(self, k: int) -> ConstraintInstance:
         """Row k's binding (partition, assignment): the DP's first blocks
         followed from the row's mask, each with its receiver."""
         relays = self.relays
         layout = _dp_layout(len(relays))
-        bit, masks = layout.bit, layout.masks
+        bit = layout.bit
         receivers = relays + (self.net.destination_id,)
 
         def members(mask: int) -> tuple[int, ...]:
             return tuple(r for r, b in zip(relays, bit) if mask & b)
 
-        m = masks[int(k) + 1]
+        m = int(layout.masks[int(k) + 1])
         s = members(m)
         blocks, recv = [], []
         while m:
-            b = self._first_block[m]
+            b = int(self._first_block[m])
             blocks.append(members(b))
             recv.append(receivers[self._receiver_column[b]])
             m ^= b
@@ -733,6 +760,109 @@ class _ConstraintTable:
             ConstraintMargin(instance=inst, margin_log2=float(m))
             for inst, m in zip(self.instances, margins)
         )
+
+
+def _constraint_tables(
+    nets: Iterable[NetworkSpec], quantifier: str, override_guard: bool = False
+) -> list[_ConstraintTable]:
+    """Each network's constraint table, for any networks: mixed relay
+    counts, relay-free ones. Each network is checked in turn, the size
+    guard and then validation, so the first that fails raises before any
+    table is built. Then the tables of each relay count are built in one
+    stacked pass (``_fill_tables``), each bit for bit as it is alone: a
+    lone table is a stack of one."""
+    _require_quantifier(quantifier)
+    tables: list[_ConstraintTable] = []
+    runs: dict[int, list[_ConstraintTable]] = {}
+    for net in nets:
+        _check_guard(net, override_guard)
+        gains, powers, noise = net._arrays
+        table = object.__new__(_ConstraintTable)
+        # The ids of a validated network run 1..T, so the relays are nodes
+        # 2..T-1.
+        table.net, table.relays = net, tuple(range(2, net.num_nodes))
+        n = len(table.relays)
+        table.p1, table.lam, table.noise = float(powers[0]), gains[0, 1 : n + 1], noise[1 : n + 1]
+        tables.append(table)
+        runs.setdefault(n, []).append(table)
+    for n, run in runs.items():
+        _fill_tables(run, n, quantifier == "forall")
+    return tables
+
+
+def _fill_tables(run: list[_ConstraintTable], n: int, forall: bool) -> None:
+    """Give each table of ``run``, every one of n relays, its denominators,
+    first blocks and receivers, from stacked arrays: the block sums of
+    every table at once, one ``_extreme_blocks`` call over all their
+    blocks, and one ``_partition_dp``. Under exists, the tables that the
+    class docstring's guard admits are sums of singletons
+    (``_sum_singletons``), and only the others run the DP."""
+    layout = _dp_layout(n)
+    arrays = [table.net._arrays for table in run]
+    # Each network's _channel(net, (1,) + relays, relays + (T,)), stacked:
+    # transmitters 1..T-1 by column, receivers 2..T by row.
+    gains = np.array([g for g, _, _ in arrays])[:, :-1, 1:].transpose(0, 2, 1)
+    powers = np.array([p for _, p, _ in arrays])[:, None, :-1]
+    noise = np.array([x for _, _, x in arrays])[:, 1:]
+    # inf and NaN, silently, as Python floats give.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # lambda_ir P_i for the source (column 0) and every relay.
+        signal = gains * powers
+        floors = signal[..., 0] + noise
+        if not forall:
+            weak = _sum_singletons(run, layout, signal, floors)
+            if not weak:
+                return
+            if len(weak) < len(run):
+                run, signal, floors = [run[k] for k in weak], signal[weak], floors[weak]
+        # v(B) and its receiver for every DP mask B, in _block_snr_sum's
+        # arithmetic. The masks holding only relays before relay i are
+        # the multiples of 2^(n-i); adding relay i to each extends its
+        # sums by the largest relay last, so every row is the
+        # left-to-right sum over its block.
+        sums = np.zeros((len(run), 1 << n, n + 1))
+        for i, b in enumerate(layout.bit):
+            np.add(sums[:, :: 2 * b], signal[:, None, :, 1 + i], out=sums[:, b :: 2 * b])
+        # Row 0, the empty block, is no candidate: it ties everywhere.
+        ratios = sums[:, 1:] / floors[:, None]
+        cols, value, _ = _extreme_blocks(ratios, layout.ineligible, layout.columns, forall)
+    rows = (1 << n) - 1
+    values = np.zeros((len(run), 1 << n))
+    values[:, 1:] = np.array(value).reshape(len(run), rows)
+    denoms, first = _partition_dp(values, forall)
+    for k, table in enumerate(run):
+        table._receiver_column = [0] + cols[k * rows : (k + 1) * rows]
+        table._first_block = first[k]
+        table.denom_log2 = denoms[k]
+
+
+def _sum_singletons(
+    run: list[_ConstraintTable], layout: _Layout, signal: np.ndarray, floors: np.ndarray
+) -> list[int]:
+    """Build each exists table of ``run`` that the class docstring's guard
+    proves is the DP's as a sum of singletons, from ``_fill_tables``'s
+    stacked arrays; return the indices of the others."""
+    k_tables, n = len(run), len(layout.bit)
+    # Every relay's singleton block: its value, receiver and snr.
+    relay_snr = signal[..., 1:].transpose(0, 2, 1) / floors[:, None]
+    cols, value, best = _extreme_blocks(
+        relay_snr, layout.single_ineligible, layout.single_columns, False
+    )
+    # Each receiver's left-to-right sum over every relay, its own term
+    # being 0: the sum over every relay it may decode.
+    totals = np.add.accumulate(signal[..., 1:], axis=2)[..., -1:]
+    strong = np.isfinite(totals / floors[..., None]).all(axis=(1, 2))
+    strong &= (best.reshape(k_tables, n) >= _SINGLETON_MIN_RATIO).all(axis=1)  # NaN fails too
+    denoms = _ConstraintTable._subset_sums(np.array(value).reshape(k_tables, n).T).T
+    weak = []
+    for k, (table, single) in enumerate(zip(run, strong.tolist())):
+        if not single:
+            weak.append(k)
+            continue
+        table._receiver_column = dict(zip(layout.bit, cols[k * n : (k + 1) * n]))
+        table._first_block = layout.tops
+        table.denom_log2 = np.ascontiguousarray(denoms[k])
+    return weak
 
 
 def _margins_log2(
@@ -1063,13 +1193,15 @@ def convergence_sweep(
     the optimized rate climbs toward it. Quantization is optimized in
     uniform mode so the q column is a single scalar per row.
 
-    Every row's constraint table is built first. Then one
-    ``_uniform_optima`` call searches every row at once, with one stacked
-    margin pass per step; each row gets the q and rate that
-    ``optimize_quantization`` gives on its own. A row is infeasible
-    exactly when its entry is an Infeasible; it is reported, not fatal,
-    and never stops the other rows. An error from building any row's
-    table is raised before any row is searched.
+    Every row's constraint table is built first, in one
+    ``_constraint_tables`` call: the rows share a relay count, so their
+    tables come from one stacked pass. Then one ``_uniform_optima`` call
+    searches every row at once, with one stacked margin pass per step;
+    each row gets the q and rate that ``optimize_quantization`` gives on
+    its own. A row is infeasible exactly when its entry is an Infeasible;
+    it is reported, not fatal, and never stops the other rows. An error
+    from scaling or checking any row's network is raised before any table
+    is built.
     """
     gammas = [float(g) for g in gammas]
     if not gammas:
@@ -1080,7 +1212,7 @@ def convergence_sweep(
         raise InvalidScale(f"every gamma must be >= 1, got {gammas}")
 
     bound = source_cut_bound(net)
-    tables = [_ConstraintTable(scaled(net, g), quantifier, override_guard) for g in gammas]
+    tables = _constraint_tables((scaled(net, g) for g in gammas), quantifier, override_guard)
     rows: list[SweepRow] = []
     for g, table, q_star in zip(gammas, tables, _uniform_optima(tables)):
         if isinstance(q_star, Infeasible):

@@ -32,7 +32,7 @@ import numpy as np
 from .bounds import (
     RATE_TOL_BITS,
     QuantizationVector,
-    _ConstraintTable,
+    _constraint_tables,
     _uniform_optima,
     cf_rate,
     source_cut_bound,
@@ -386,16 +386,17 @@ def _feasible_points(rng: np.random.Generator, samples: int) -> list[tuple]:
     its feasible region, the uniform optimum pushed up by per-relay
     factors in [1, 100], or the Infeasible its search meets.
     Each network is drawn, then its factors: they need only its relay
-    count, so the stream is the serial one. One ``_uniform_optima`` call
-    decides every table."""
-    drawn = []
+    count, so the stream is the serial one. One ``_constraint_tables``
+    call builds every table, one stacked pass per relay count, and one
+    ``_uniform_optima`` call decides them."""
+    nets, factors = [], []
     for _ in range(samples):
-        table = _ConstraintTable(random_network(rng, int(rng.integers(3, 7))), "forall")
-        drawn.append((table, _push_factors(rng, len(table.relays))))
-    optima = _uniform_optima([table for table, _ in drawn])
+        nets.append(random_network(rng, int(rng.integers(3, 7))))
+        factors.append(_push_factors(rng, len(nets[-1].relay_ids)))
+    tables = _constraint_tables(nets, "forall")
     return [
-        (table, q if isinstance(q, RelaycapError) else _pushed_inside(q, factors))
-        for (table, factors), q in zip(drawn, optima)
+        (table, q if isinstance(q, RelaycapError) else _pushed_inside(q, push))
+        for table, push, q in zip(tables, factors, _uniform_optima(tables))
     ]
 
 

@@ -1434,17 +1434,18 @@ class TestConstraintTableArrays:
             assert len(built) == 1
 
     def test_monotonicity_suite_builds_one_table_per_network(self, monkeypatch):
-        builds = []
-        real = selftest._ConstraintTable
+        calls = []
+        real = selftest._constraint_tables
 
-        def counting(*args, **kwargs):
-            builds.append(args[0])
-            return real(*args, **kwargs)
+        def counting(nets, *args, **kwargs):
+            calls.append(list(nets))
+            return real(calls[-1], *args, **kwargs)
 
-        monkeypatch.setattr(selftest, "_ConstraintTable", counting)
+        monkeypatch.setattr(selftest, "_constraint_tables", counting)
         monkeypatch.setattr(selftest, "cf_feasible", None)
         result = selftest.monotonicity_suite(samples=20)
         assert result.passed, result.detail
+        (builds,) = calls
         assert len(builds) == len({id(net) for net in builds}) == 20
 
     @pytest.mark.parametrize("net", list(_guard_cases()))
