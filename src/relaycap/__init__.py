@@ -58,12 +58,6 @@ from .gaussian import (
     joint_covariance,
     log2_det,
 )
-from .selftest import (
-    RelayCorrelationInvarianceReport,
-    SingleRelayIndependenceReport,
-    verify_relay_correlation_invariance,
-    verify_single_relay_independence,
-)
 from .topology import (
     NetworkSpec,
     NodeSpec,
@@ -79,3 +73,20 @@ from .topology import (
 )
 
 __version__ = "0.1.0"
+
+#: Names re-exported from ``selftest``, which is imported on first use
+#: (PEP 562), so that importing the package or its CLI leaves it out.
+_SELFTEST_NAMES = (
+    "RelayCorrelationInvarianceReport",
+    "SingleRelayIndependenceReport",
+    "verify_relay_correlation_invariance",
+    "verify_single_relay_independence",
+)
+
+
+def __getattr__(name: str):
+    if name in _SELFTEST_NAMES:
+        from . import selftest
+
+        return getattr(selftest, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -461,51 +461,51 @@ class _Plan(NamedTuple):
 
 @cache
 def _dp_plan(n: int) -> _Plan:
-    """The subset DP's gathers for n relays, all int arrays and read-only.
+    """The subset DP's gathers for n relays, int32 arrays and read-only.
     It depends on n alone, so it is built once per relay count, in numpy.
 
     The DP keeps its totals by position: the DP masks in popcount layers,
     ascending within each (``order``; ``position`` is its inverse). Layer
     k = 2..n is ``(lo, block, rest)``: its masks S sit at positions lo
     onward, and row i of ``block`` holds the i-th S's 2^(k-1) candidate
-    blocks B in the scalar scan's order, S's top bit (its smallest relay)
-    with every submask of the rest of S in descending order, so S itself
-    comes first; ``rest`` holds the position of each S - B. ``blocks`` is
-    every mask's candidates in turn (the empty mask and each singleton
-    have one, themselves) and ``start`` the index of each mask's first.
-    The descending submasks of a set, taken over its bits from low to
-    high, are each submask of the lower bits plus the next bit, then each
-    without it: each layer doubles its rows' submasks once per bit."""
-    every = np.arange(1 << n)
-    member = every[:, None] >> np.arange(n) & 1
+    blocks B in the scalar scan's order, S's top bit t (its smallest
+    relay) with each submask D of r = S - t in descending order, so S
+    itself comes first; ``rest`` holds the position of each S - B = r - D.
+    ``blocks`` holds every mask's candidates in turn (the empty mask and
+    each singleton have one, themselves), each layer's ``block`` a view of
+    it, and ``start`` the index of each mask's first. The descending
+    submasks of r, taken over its bits from low to high, are each submask
+    of the lower bits plus the next bit, then each without it: a row is
+    filled from its right end, doubling once per bit of r."""
+    every = np.arange(1 << n, dtype=np.int32)
+    member = every[:, None] >> np.arange(n, dtype=np.int32) & 1
     count = member.sum(axis=1)
-    order = np.argsort(count, kind="stable")
+    order = np.argsort(count, kind="stable").astype(np.int32)
     position = np.empty_like(order)
     position[order] = every
-    blocks, layers, lo = [order[: n + 1].astype(np.int32)], [], n + 1
-    for k in range(2, n + 1):
-        s = order[count[order] == k]
-        # Each S's bits in ascending order, one row per S; the last is its top.
-        low = np.left_shift(1, np.nonzero(member[s])[1], dtype=np.int32).reshape(len(s), k)
-        sub = np.zeros((len(s), 1), dtype=np.int32)
-        for j in range(k - 1):
-            sub = np.concatenate([sub + low[:, j, None], sub], axis=1)
-        top = low[:, -1:]
-        blocks.append(top | sub)
-        layers.append((lo, position[(s[:, None] ^ top) ^ sub].astype(np.int32)))
-        lo += len(s)
-    width = 1 << np.maximum(count - 1, 0)
+    width = np.left_shift(1, count - 1, where=count > 0, out=np.ones_like(count))
     start = (np.cumsum(width[order]) - width[order])[position]
-    flat = np.concatenate([b.ravel() for b in blocks])
-    # Each layer's blocks are a view of the flat array.
-    views, at = [], n + 1
-    for (lo, rest), block in zip(layers, blocks[1:]):
-        views.append((lo, flat[at : at + block.size].reshape(block.shape), rest))
-        at += block.size
-    plan = _Plan(order, position, tuple(views), flat, start)
-    for frozen in (order, position, flat, start, *(rest for _, rest in layers)):
+    blocks = np.empty(int(width.sum()), dtype=np.int32)
+    blocks[: n + 1] = order[: n + 1]
+    layers, lo = [], n + 1
+    for k, size in enumerate(np.bincount(count, minlength=n + 1)[2:].tolist(), start=2):
+        s = order[lo : lo + size]
+        # Each S's bits in ascending order, one row per S; the last is t.
+        low = np.left_shift(1, np.nonzero(member[s])[1], dtype=np.int32).reshape(size, k)
+        w = 1 << (k - 1)
+        block = blocks[start[s[0]] :][: size * w].reshape(size, w)
+        block[:, -1] = 0
+        for j in range(k - 1):
+            half = w - (1 << j)
+            np.add(block[:, half:], low[:, j, None], out=block[:, half - (1 << j) : half])
+        top = low[:, -1:]
+        rest = position[(s[:, None] ^ top) - block]
+        block |= top
+        layers.append((lo, block, rest))
+        lo += size
+    for frozen in (order, position, blocks, start, *(rest for _, _, rest in layers)):
         frozen.flags.writeable = False
-    return plan
+    return _Plan(order, position, tuple(layers), blocks, start)
 
 
 #: Relative width of the window of ratios around a block's extreme whose
@@ -602,7 +602,7 @@ def _partition_dp(value: np.ndarray, forall: bool) -> tuple[np.ndarray, np.ndarr
             # The first minimum, as a strict-< scan keeps it; the scan skips
             # a NaN candidate, unless it comes first, where it sticks.
             later = total[..., 1:]
-            np.copyto(later, np.inf, where=np.isnan(later))
+            np.fmin(later, np.inf, out=later)
             at = slice(lo + i, lo + i + total.shape[1])
             total.argmin(axis=2, out=picks[:, at])
             total.min(axis=2, out=f[:, at])
@@ -826,10 +826,10 @@ def _fill_tables(run: list[_ConstraintTable], n: int, forall: bool) -> None:
         # Row 0, the empty block, is no candidate: it ties everywhere.
         ratios = sums[:, 1:] / floors[:, None]
         cols, value, _ = _extreme_blocks(ratios, layout.ineligible, layout.columns, forall)
-    rows = (1 << n) - 1
-    values = np.zeros((len(run), 1 << n))
-    values[:, 1:] = np.array(value).reshape(len(run), rows)
-    denoms, first = _partition_dp(values, forall)
+        rows = (1 << n) - 1
+        values = np.zeros((len(run), 1 << n))
+        values[:, 1:] = np.array(value).reshape(len(run), rows)
+        denoms, first = _partition_dp(values, forall)
     for k, table in enumerate(run):
         table._receiver_column = [0] + cols[k * rows : (k + 1) * rows]
         table._first_block = first[k]
@@ -880,7 +880,9 @@ def _margins_log2(
     (2^R - 1, K), ``noise`` and ``lam`` are (R, K), and ``p1`` and
     ``q_values`` are (K,), table k's source power and uniform Q. Every
     operation is elementwise, so column k is bit for bit table k's own
-    margins at its Q.
+    margins at its Q. A row whose denominator is inf (an overflowed block
+    sum) holds at every Q, and reads inf at every Q, even where N/Q
+    overflows too; a NaN denominator reads NaN.
     """
     # log2(prod Q) - log2(det) + denom, rewritten through the rank-one
     # determinant identity as -sum log1p(N/Q) - log1p(P1 sum lam/(N+Q))
@@ -892,7 +894,9 @@ def _margins_log2(
     subset_sums = _ConstraintTable._subset_sums
     shrink = subset_sums(np.log1p(noise / q_values))
     source_term = np.log1p(p1 * subset_sums(lam / (noise + q_values)))
-    return denom_log2 - (shrink + source_term) / _LN2
+    cost = (shrink + source_term) / _LN2
+    # An inf denominator keeps its inf, where inf - inf would give NaN.
+    return np.subtract(denom_log2, cost, out=denom_log2.copy(), where=denom_log2 < np.inf)
 
 
 def cf_feasible(
@@ -1019,9 +1023,8 @@ def _uniform_optima(tables: list[_ConstraintTable]) -> list[QuantizationVector |
         names = ("denom_log2", "noise", "lam", "p1")
         arrays = [np.stack([getattr(t, name) for t in run], axis=-1) for name in names]
         # N + Q -> inf near the largest double: a relay that hears nothing
-        # of the source, the exact limit. Near the smallest, N/Q -> inf: a
-        # row whose denominator is inf reads NaN, rejected, as in feasible.
-        with np.errstate(over="ignore", invalid="ignore"):
+        # of the source, the exact limit. Near the smallest, N/Q -> inf.
+        with np.errstate(over="ignore"):
             found = _lockstep_search(*arrays, np.array([_search_start(t) for t in run]))
         for k, table, q in zip(members, run, found.tolist()):
             optima[k] = (

@@ -54,7 +54,6 @@ from .errors import (
     InvalidScale,
     VerificationFailure,
 )
-from . import selftest
 from .topology import (
     NetworkSpec,
     NodeSpec,
@@ -319,6 +318,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # Only verify needs the suites; the other commands never import them.
+    from . import selftest
+
     overrides: dict = {}
     if args.config:
         doc = load_config(args.config)

@@ -6,7 +6,9 @@ the Cholesky log-det, the binomial Bell recurrence against the
 restricted-growth-string partition generator, a scan of every
 partition against the constraint table's subset DP, the table's former
 loop build (Python lists, every instance built up front) against its
-array build, a column-by-column
+array build, the scalar subset DP (one mask and one candidate block at a
+time, a strict-< scan) against the DP by popcount layer over stacked
+tables, a column-by-column
 sum over a 0/1 membership matrix against the table's doubling subset sums,
 the receiver-side covariance formula for a cut rate against the
 whitened-channel form, the cut table evaluated one cut at a time
@@ -335,6 +337,41 @@ def constraint_table_by_loops(net, quantifier):
             ConstraintInstance(s=members[s], partition=tuple(blocks), assignment=tuple(recv))
         )
     return np.array(denoms), tuple(instances)
+
+
+def partition_dp_by_masks(
+    value: list[float], forall: bool, masks: tuple[int, ...]
+) -> tuple[list[float], list[int]]:
+    """The subset DP over block values indexed by DP mask: every canonical
+    row's extreme total, summed left to right over its blocks, and each DP
+    mask's first block (``_ConstraintTable`` states the recurrence).
+    ``masks`` is the layout's DP mask of each canonical row."""
+    full = len(value) - 1
+    # exists maximizes; negating its scores (exact) lets both minimize.
+    score = value if forall else [-v for v in value]
+    f = [0.0] * (full + 1)  # signed extreme totals
+    first_block = [0] * (full + 1)
+    for s in range(1, full + 1):
+        top = 1 << (s.bit_length() - 1)  # the smallest relay of S
+        rest = s ^ top
+        best, pick = score[s], s  # B = S comes first
+        sub = rest
+        while sub:
+            sub = (sub - 1) & rest
+            total = score[top | sub] + f[rest ^ sub]
+            if total < best:
+                best, pick = total, top | sub
+        f[s], first_block[s] = best, pick
+
+    denoms = []
+    for m in masks[1:]:
+        total = 0.0
+        while m:
+            b = first_block[m]
+            total += value[b]
+            m ^= b
+        denoms.append(total)
+    return denoms, first_block
 
 
 def subset_sums_by_columns(per_relay) -> np.ndarray:

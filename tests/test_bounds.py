@@ -4,6 +4,7 @@ import json
 import math
 import re
 import statistics
+import sys
 import warnings
 
 import numpy as np
@@ -27,6 +28,7 @@ from oracles import (
     determinant_lemma_draws,
     determinant_lemma_suite_by_samples,
     monotonicity_suite_by_samples,
+    partition_dp_by_masks,
     relay_correlation_mi_bits_by_points,
     sample_feasible_q,
     single_relay_covariance_bits_by_points,
@@ -1079,6 +1081,27 @@ class TestConstraintTableInternals:
             column = np.ascontiguousarray(stack[:, k])
             assert got[:, k].tobytes() == _ConstraintTable._subset_sums(column).tobytes()
 
+    @pytest.mark.parametrize("chunk", [bounds._DP_CHUNK, 40])
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_stacked_dp_matches_the_scalar_scan_bitwise(self, monkeypatch, n, chunk):
+        # Every table of a stack gets the scalar strict-< scan's totals and
+        # first blocks, on tied values and with inf, -inf and NaN mixed in;
+        # a small chunk splits every layer into many gathers.
+        monkeypatch.setattr(bounds, "_DP_CHUNK", chunk)
+        rng = np.random.default_rng(400 + n)
+        masks = tuple(bounds._dp_layout(n).masks.tolist())
+        for k_tables in (1, 3, 13):
+            for value in _dp_value_stacks(rng, n, k_tables):
+                for forall in (True, False):
+                    with np.errstate(invalid="ignore"):  # inf - inf, as the table build runs it
+                        denoms, first = bounds._partition_dp(value, forall)
+                    assert denoms.shape == (k_tables, 2**n - 1)
+                    assert first.shape == (k_tables, 2**n)
+                    for row, got_denoms, got_first in zip(value, denoms, first):
+                        want_denoms, want_first = partition_dp_by_masks(row.tolist(), forall, masks)
+                        assert got_denoms.tobytes() == np.array(want_denoms).tobytes()
+                        assert got_first.tolist() == want_first
+
     @pytest.mark.parametrize("quantifier", ["forall", "exists"])
     @pytest.mark.parametrize("t", [3, 5, 8, 10])
     def test_stacked_margins_are_each_tables_margins_bitwise(self, t, quantifier):
@@ -1114,6 +1137,21 @@ class TestConstraintTableInternals:
                 lam_det = rc.quantized_covariance_det(net, inst.s, q)
                 direct = float(np.sum(np.log2(qs))) - math.log2(lam_det) + denom
                 assert margin == pytest.approx(direct, abs=1e-9)
+
+
+def _dp_value_stacks(rng, n, k_tables):
+    """(k_tables, 2^n) block-value stacks indexed by DP mask, entry 0 (the
+    empty block) 0: spread values, values from a few levels (ties), and
+    tied values with inf, -inf and NaN in about one entry in six."""
+    size = 1 << n
+    spread = 10.0 ** rng.uniform(-3.0, 3.0, size=(k_tables, size))
+    tied = rng.choice([0.0, 0.5, 1.0, 1.5, 3.0], size=(k_tables, size))
+    special = tied.copy()
+    hit = rng.random(size=special.shape) < 1.0 / 6.0
+    special[hit] = rng.choice([math.inf, -math.inf, math.nan], size=int(hit.sum()))
+    for value in (spread, tied, special):
+        value[:, 0] = 0.0
+        yield value
 
 
 def _equal_gain_network(t, relay_power):
@@ -1346,6 +1384,69 @@ class TestConstraintTableArrays:
         assert forall.instance(2).partition == ((2,), (3,))
         assert exists.denom_log2.tolist() == [single, single, math.inf]
         assert exists.instance(2).partition == ((2, 3),)
+
+    def test_overflowed_denominator_holds_at_every_q(self):
+        # Its row reads inf even where N/Q overflows too, which inf - inf
+        # read as NaN; a NaN denominator still reads NaN.
+        table = _ConstraintTable(_huge_relay_power_network(), "exists")
+        with np.errstate(over="ignore"):
+            assert table.margins_log2(np.full(2, 5e-324)).tolist() == [-math.inf, -math.inf, math.inf]
+            for q in (1e-320, 1e-300, 1.0, 1e300, sys.float_info.max):
+                assert table.margins_log2(np.full(2, q))[2] == math.inf
+            denoms = np.array([math.nan, math.inf, 1.0])
+            got = bounds._margins_log2(denoms, table.noise, table.lam, table.p1, np.full(2, 5e-324))
+        assert math.isnan(got[0]) and got[1:].tolist() == [math.inf, -math.inf]
+
+    def test_mixed_batch_builds_each_table_as_alone(self, monkeypatch):
+        # Relay counts 0..10 in one call, with the guarded networks, the
+        # overflowing one and tied ones among generic networks: under
+        # exists, the generic T = 6 tables are singleton sums next to the
+        # guarded T = 6 tables' DP columns.
+        nets = [param.values[0] for param in _guard_cases()]
+        nets += [_huge_relay_power_network(), _equal_gain_network(6, lambda j: 10.0)]
+        nets += [random_network(np.random.default_rng(s), t) for t in (2, 3, 4, 6, 9, 12) for s in (0, 1)]
+        nets.append(_equal_gain_network(7, lambda j: float(j % 2)))
+        nets = [nets[i] for i in np.random.default_rng(5).permutation(len(nets))]
+        runs = _count_dp_runs(monkeypatch)
+        for quantifier in ("forall", "exists"):
+            runs.clear()
+            batch = bounds._constraint_tables(nets, quantifier, override_guard=True)
+            stacks = sorted(value.shape for value, _ in runs)
+            if quantifier == "forall":
+                assert stacks == [(1, 32), (2, 1), (2, 2), (2, 128), (2, 1024), (3, 4), (9, 16)]
+            else:
+                assert stacks == [(1, 4), (1, 32), (6, 16)]
+            for net, table in zip(nets, batch):
+                alone = _ConstraintTable(net, quantifier, override_guard=True)
+                assert table.denom_log2.tobytes() == alone.denom_log2.tobytes()
+                assert table.instances == alone.instances
+                with np.errstate(over="ignore"):  # lambda_ir P_i -> inf, as in the table
+                    denoms, instances = constraint_table_by_loops(net, quantifier)
+                assert table.denom_log2.tobytes() == denoms.tobytes()
+                assert table.instances == instances
+
+    @given(t=st.integers(3, 8), unit=st.booleans(), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_tied_gain_family_matches_loop_build_bitwise(self, t, unit, data):
+        # Unit gains tie every receiver of a block; symmetric gains and
+        # relay powers from a few levels (0 among them) tie blocks and
+        # partitions. One to three such networks are built in one stack.
+        def draw_network():
+            powers = data.draw(st.lists(st.sampled_from([0.0, 1.0, 10.0, 100.0]), min_size=t - 2, max_size=t - 2))
+            gains = np.ones((t, t))
+            if not unit:
+                levels = data.draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=t * t, max_size=t * t))
+                gains = np.triu(np.reshape(levels, (t, t)))
+                gains += np.triu(gains, 1).T
+            nodes = [rc.source(1, 1.0)] + [rc.relay(j, p, 1.0) for j, p in zip(range(2, t), powers)]
+            return _net(nodes + [rc.destination(t, 1.0)], gains)
+
+        nets = [draw_network() for _ in range(data.draw(st.integers(1, 3)))]
+        for quantifier in ("forall", "exists"):
+            for net, table in zip(nets, bounds._constraint_tables(nets, quantifier)):
+                denoms, instances = constraint_table_by_loops(net, quantifier)
+                assert table.denom_log2.tobytes() == denoms.tobytes()
+                assert table.instances == instances
 
     @pytest.mark.parametrize("mode", ["uniform_bisection", "coordinate_descent"])
     def test_huge_power_config_optimizes_without_warnings(self, mode):

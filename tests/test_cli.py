@@ -1,7 +1,10 @@
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -676,3 +679,22 @@ class TestFlagsAndConfig:
     def test_bad_tol_in_config(self, tmp_path):
         cfg = _write(tmp_path, "ref.json", _ref_doc(cf={"tol": -1.0}))
         assert cli.main(["cfrate", "--config", cfg]) == 2
+
+
+def test_importing_the_cli_leaves_the_verify_suites_out(tmp_path):
+    # bound, cfrate and sweep never import selftest; only verify does.
+    code = (
+        "import sys, relaycap.cli\n"
+        "print('relaycap.selftest' in sys.modules)\n"
+        "relaycap.cli.main(['verify', '--config', sys.argv[1]])\n"
+        "print('relaycap.selftest' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, _write(tmp_path, "v.json", _SMALL_VERIFY)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__))),
+        check=True,
+    )
+    lines = done.stdout.splitlines()
+    assert (lines[0], lines[-2], lines[-1]) == ("False", "5/5 suites passed", "True")
