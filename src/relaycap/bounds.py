@@ -19,9 +19,12 @@ witness per subset. The decoding factors do not depend on Q, so one
 analysis builds one constraint table: per subset, the extreme
 denominator. A block's factor does not depend on the other blocks, so
 each extreme comes from an O(3^R) subset DP over the R relays
-(``_ConstraintTable`` states the recurrence and its tie-break); every
-block's factor comes from one array of block sums, with one log per
-block. Under `exists`, a network whose relays each reach some receiver
+(``_ConstraintTable`` states the recurrence and its tie-break), run in
+numpy one popcount layer at a time; every block's factor comes from one
+array of block sums, with one log per block. ``_constraint_tables``
+builds any number of tables, one stacked pass per relay count (a
+sweep's rows, ``verify``'s networks; a lone table is a stack of one).
+Under `exists`, a network whose relays each reach some receiver
 at an snr of at least 2^-10, with no block sum overflowing, needs no DP:
 there, splitting a block raises the total by a proven margin, so each
 subset's extreme is the sum of its relays' own best factors. The table
@@ -573,8 +576,10 @@ def _extreme_blocks(
 
 
 #: A DP layer gathers at most about this many candidate totals at once;
-#: larger layers run in chunks of masks (``_partition_dp``).
-_DP_CHUNK = 1 << 20
+#: larger layers run in chunks of masks (``_partition_dp``), which keeps
+#: each gather's arrays near the cache and bounds the memory a wide table
+#: (2.4M candidates at 14 relays) adds.
+_DP_CHUNK = 1 << 16
 
 
 def _partition_dp(value: np.ndarray, forall: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -650,6 +655,25 @@ class _ConstraintTable:
     two candidate blocks differ, the block containing it wins. Equal
     receivers go to the smallest id. ``denom_log2`` is the left-to-right
     sum of the chosen blocks' values.
+
+    The DP runs by popcount layer (``_partition_dp``): every S of k relays
+    depends only on smaller sets, so a layer is one gather of
+    v(B) + f(S minus B) over each S's 2^(k-1) candidates, laid out as a
+    scan of S would meet them: S itself, then S's smallest relay with each
+    submask of the rest, in descending order, which is restricted-growth
+    order (``_dp_plan``). A strict-< scan keeps the first of equal totals,
+    and so does ``argmin``, which returns the first minimum. A NaN
+    candidate fails every < comparison, so the scan skips it, unless it
+    comes first, where it sticks: it stays the best, and its total is
+    f(S). So the layer reads every NaN after the first candidate as +inf
+    (never a strict improvement) and leaves the first alone, which
+    ``argmin``, returning the first NaN, then picks; a NaN total can only
+    come from a NaN value or from inf - inf. Each row's ``denom_log2``
+    then follows its first blocks, adding their values left to right, in
+    at most R vectorized steps. Tables of one relay count stack in rows
+    and every operation acts on each row alone: a table's arrays are bit
+    for bit the same whatever it is built with (``_constraint_tables``,
+    which a lone table calls as a stack of one).
 
     One log per block. The receiver is picked on the snr, and log2(1 + x)
     = math.log1p(x) / ln 2 is taken once, for the picked one. The log

@@ -58,14 +58,17 @@ network ``selftest.random_network(default_rng(0), 6)`` draws, with relay 3
 at power 1e-17, and again with every relay at power 1e-20, runs ``cfrate
 --top-k 1000`` under both quantifiers: its relays are too weak for the
 exists table to be a sum of singletons, so every printed witness shows
-whether a change keeps the subset DP's tie-break there.
+whether a change keeps the subset DP's tie-break there. A random T = 14
+network runs ``cfrate`` (uniform, forall and exists) under
+``--override-guard``: with 12 relays, its tables have the corpus's widest
+subset-DP layers.
 ``verify`` runs with its defaults, with seeds 1 and 2 and with two large
 seeds like the benchmark's (3 * 1234567 and 3 * 1234568), and with 1 and 7
 network samples and 1 and 7 determinant samples, the edge cases of batching
 the random suites by size. It also runs with alpha offsets [-1, 0, 1] and
 [0], and with beta grids [-0.5, 0, 0.5] and [0] and the three failing
 grids [-1e6, 0], [0, 1e8] and [0, 1e200], where the relay-correlation
-check stops at its first failing parameter set: 483 runs in all. Only the
+check stops at its first failing parameter set: 485 runs in all. Only the
 standard library and numpy are used.
 """
 
@@ -106,6 +109,8 @@ SWEEP_COMMANDS = (["sweep", "--quantifier", "forall"], ["sweep", "--quantifier",
 HUGE_NOISE_COMMANDS = (["cfrate"], ["sweep", "--quantifier", "forall"])
 
 TOP_K_COMMANDS = NETWORK_COMMANDS[5:7]
+
+WIDE_COMMANDS = NETWORK_COMMANDS[1:3]
 
 # Runs inside each tree's interpreter: reads a JSON list of argv lists on
 # stdin and writes [exit code, stdout, stderr] per run as JSON on stdout.
@@ -342,6 +347,13 @@ def search_exits() -> list[tuple[str, dict]]:
     ]
 
 
+def wide_network() -> tuple[str, dict]:
+    """(name, config) of a random T = 14 network, drawn from its own seed
+    so the corpus stays as it is: 12 relays, the widest constraint tables
+    and subset-DP layers of the corpus."""
+    return "override-T14", _random_doc(np.random.default_rng(20261020), 14)
+
+
 def runs(config_dir: str) -> list[tuple[str, list[str]]]:
     """Write the corpus into config_dir; return (run name, argv) pairs."""
     out = []
@@ -353,6 +365,7 @@ def runs(config_dir: str) -> list[tuple[str, list[str]]]:
     plans += [(entry, PLAIN_COMMANDS) for entry in extreme_snr()]
     plans += [(entry, PLAIN_COMMANDS) for entry in search_exits()]
     plans += [(entry, TOP_K_COMMANDS) for entry in weak_relays()]
+    plans.append((wide_network(), WIDE_COMMANDS))
     for (name, doc), commands in plans:
         path = os.path.join(config_dir, f"{name}.json")
         with open(path, "w", encoding="utf-8") as fh:
