@@ -418,13 +418,15 @@ class _Layout(NamedTuple):
 def _dp_layout(n: int) -> _Layout:
     """The constraint table's mask bookkeeping for n relays. It depends on
     n alone, so it is built once per relay count: each relay's DP bit;
-    each nonempty DP mask m's eligible receivers, in row m - 1, as columns
-    in id order (the relays outside it, then the destination, column n)
-    and, read-only, as a (2^n - 1, n + 1) mask of the ineligible ones; the
-    DP mask of each canonical row, read-only (by doubling: row 2^i + k is
-    row k plus relay i); each DP mask's top bit, its first block when
-    every block is one relay; and the eligible columns and ineligible mask
-    of each relay's singleton block, relay i in row i."""
+    each DP mask m's eligible receivers, in row m, as columns in id order
+    (the relays outside it, then the destination, column n) and,
+    read-only, as a (2^n, n + 1) mask of the ineligible ones, where the
+    empty mask, no block, has the destination alone, so that its value is
+    0 and ties with no other receiver; the DP mask of each canonical row,
+    read-only (by doubling: row 2^i + k is row k plus relay i); each DP
+    mask's top bit, its first block when every block is one relay; and
+    the eligible columns and ineligible mask of each relay's singleton
+    block, relay i in row i."""
     # DP masks give the smallest relay the highest bit, so a descending
     # submask walk meets candidate blocks in restricted-growth order.
     bit = tuple(1 << (n - 1 - i) for i in range(n))
@@ -437,13 +439,14 @@ def _dp_layout(n: int) -> _Layout:
     masks = np.array(masks)
     ineligible = np.zeros((1 << n, n + 1), dtype=bool)
     ineligible[:, :n] = np.arange(1 << n)[:, None] & np.array(bit, dtype=int) != 0
-    ineligible, single_ineligible = ineligible[1:], ineligible[list(bit)]
+    single_ineligible = ineligible[list(bit)]
+    ineligible[0, :n] = True
     for frozen in (masks, ineligible, single_ineligible):
         frozen.flags.writeable = False
     tops = (0,) + tuple(1 << (m.bit_length() - 1) for m in range(1, 1 << n))
     return _Layout(
         bit,
-        tuple(columns[1:]),
+        ((n,),) + tuple(columns[1:]),
         masks,
         ineligible,
         tops,
@@ -837,25 +840,23 @@ def _fill_tables(run: list[_ConstraintTable], n: int, forall: bool) -> None:
             weak = _sum_singletons(run, layout, signal, floors)
             if not weak:
                 return
-            if len(weak) < len(run):
-                run, signal, floors = [run[k] for k in weak], signal[weak], floors[weak]
+            run, signal, floors = [run[k] for k in weak], signal[weak], floors[weak]
         # v(B) and its receiver for every DP mask B, in _block_snr_sum's
         # arithmetic. The masks holding only relays before relay i are
         # the multiples of 2^(n-i); adding relay i to each extends its
         # sums by the largest relay last, so every row is the
         # left-to-right sum over its block.
         sums = np.zeros((len(run), 1 << n, n + 1))
-        for i, b in enumerate(layout.bit):
-            np.add(sums[:, :: 2 * b], signal[:, None, :, 1 + i], out=sums[:, b :: 2 * b])
-        # Row 0, the empty block, is no candidate: it ties everywhere.
-        ratios = sums[:, 1:] / floors[:, None]
-        cols, value, _ = _extreme_blocks(ratios, layout.ineligible, layout.columns, forall)
-        rows = (1 << n) - 1
-        values = np.zeros((len(run), 1 << n))
-        values[:, 1:] = np.array(value).reshape(len(run), rows)
-        denoms, first = _partition_dp(values, forall)
+        for b, term in zip(layout.bit, signal[:, None, :, 1:].transpose(3, 0, 1, 2)):
+            np.add(sums[:, :: 2 * b], term, out=sums[:, b :: 2 * b])
+        # Row 0, the empty block, sums to 0, and the layout leaves it the
+        # destination alone: its value is log2(1) = 0.
+        np.divide(sums, floors[:, None], out=sums)
+        cols, value, _ = _extreme_blocks(sums, layout.ineligible, layout.columns, forall)
+        size = 1 << n
+        denoms, first = _partition_dp(np.array(value).reshape(len(run), size), forall)
     for k, table in enumerate(run):
-        table._receiver_column = [0] + cols[k * rows : (k + 1) * rows]
+        table._receiver_column = cols[k * size : (k + 1) * size]
         table._first_block = first[k]
         table.denom_log2 = denoms[k]
 
@@ -906,7 +907,9 @@ def _margins_log2(
     operation is elementwise, so column k is bit for bit table k's own
     margins at its Q. A row whose denominator is inf (an overflowed block
     sum) holds at every Q, and reads inf at every Q, even where N/Q
-    overflows too; a NaN denominator reads NaN.
+    overflows too; a NaN denominator reads NaN. A cost that overflows (or
+    reads NaN) counts as the largest double, so any other row reads far
+    below 0 there, rejected.
     """
     # log2(prod Q) - log2(det) + denom, rewritten through the rank-one
     # determinant identity as -sum log1p(N/Q) - log1p(P1 sum lam/(N+Q))
@@ -919,8 +922,9 @@ def _margins_log2(
     shrink = subset_sums(np.log1p(noise / q_values))
     source_term = np.log1p(p1 * subset_sums(lam / (noise + q_values)))
     cost = (shrink + source_term) / _LN2
-    # An inf denominator keeps its inf, where inf - inf would give NaN.
-    return np.subtract(denom_log2, cost, out=denom_log2.copy(), where=denom_log2 < np.inf)
+    # A cost past the largest double reads as that double, so an inf
+    # denominator keeps its inf where inf - inf would read NaN.
+    return denom_log2 - np.fmin(cost, sys.float_info.max, out=cost)
 
 
 def cf_feasible(
@@ -1047,8 +1051,10 @@ def _uniform_optima(tables: list[_ConstraintTable]) -> list[QuantizationVector |
         names = ("denom_log2", "noise", "lam", "p1")
         arrays = [np.stack([getattr(t, name) for t in run], axis=-1) for name in names]
         # N + Q -> inf near the largest double: a relay that hears nothing
-        # of the source, the exact limit. Near the smallest, N/Q -> inf.
-        with np.errstate(over="ignore"):
+        # of the source, the exact limit. Near the smallest, N/Q -> inf, and
+        # with P1 = 0 the source term can read 0 * inf = NaN: a cost that
+        # _margins_log2 reads as the largest double.
+        with np.errstate(over="ignore", invalid="ignore"):
             found = _lockstep_search(*arrays, np.array([_search_start(t) for t in run]))
         for k, table, q in zip(members, run, found.tolist()):
             optima[k] = (

@@ -1387,15 +1387,17 @@ class TestConstraintTableArrays:
 
     def test_overflowed_denominator_holds_at_every_q(self):
         # Its row reads inf even where N/Q overflows too, which inf - inf
-        # read as NaN; a NaN denominator still reads NaN.
+        # read as NaN; a NaN denominator still reads NaN, and a finite one
+        # whose cost overflowed reads far below 0.
         table = _ConstraintTable(_huge_relay_power_network(), "exists")
+        far_below = table.denom_log2[0] - sys.float_info.max
         with np.errstate(over="ignore"):
-            assert table.margins_log2(np.full(2, 5e-324)).tolist() == [-math.inf, -math.inf, math.inf]
+            assert table.margins_log2(np.full(2, 5e-324)).tolist() == [far_below, far_below, math.inf]
             for q in (1e-320, 1e-300, 1.0, 1e300, sys.float_info.max):
                 assert table.margins_log2(np.full(2, q))[2] == math.inf
             denoms = np.array([math.nan, math.inf, 1.0])
             got = bounds._margins_log2(denoms, table.noise, table.lam, table.p1, np.full(2, 5e-324))
-        assert math.isnan(got[0]) and got[1:].tolist() == [math.inf, -math.inf]
+        assert math.isnan(got[0]) and got[1:].tolist() == [math.inf, 1.0 - sys.float_info.max]
 
     def test_mixed_batch_builds_each_table_as_alone(self, monkeypatch):
         # Relay counts 0..10 in one call, with the guarded networks, the
