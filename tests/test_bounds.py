@@ -35,7 +35,7 @@ from oracles import (
     subset_sums_by_columns,
     table_by_partition_scan,
 )
-from relaycap import bounds, cli, enumeration, gaussian, selftest, topology
+from relaycap import bounds, cli, enumeration, gaussian, partition_dp, selftest, topology
 from relaycap.bounds import BISECT_REL_TOL, _ConstraintTable
 from relaycap.errors import (
     GuardExceeded,
@@ -1081,20 +1081,20 @@ class TestConstraintTableInternals:
             column = np.ascontiguousarray(stack[:, k])
             assert got[:, k].tobytes() == _ConstraintTable._subset_sums(column).tobytes()
 
-    @pytest.mark.parametrize("chunk", [bounds._DP_CHUNK, 40])
+    @pytest.mark.parametrize("chunk", [partition_dp._DP_CHUNK, 40])
     @pytest.mark.parametrize("n", range(1, 11))
     def test_stacked_dp_matches_the_scalar_scan_bitwise(self, monkeypatch, n, chunk):
         # Every table of a stack gets the scalar strict-< scan's totals and
         # first blocks, on tied values and with inf, -inf and NaN mixed in;
         # a small chunk splits every layer into many gathers.
-        monkeypatch.setattr(bounds, "_DP_CHUNK", chunk)
+        monkeypatch.setattr(partition_dp, "_DP_CHUNK", chunk)
         rng = np.random.default_rng(400 + n)
-        masks = tuple(bounds._dp_layout(n).masks.tolist())
+        masks = tuple(partition_dp._dp_layout(n).masks.tolist())
         for k_tables in (1, 3, 13):
             for value in _dp_value_stacks(rng, n, k_tables):
                 for forall in (True, False):
                     with np.errstate(invalid="ignore"):  # inf - inf, as the table build runs it
-                        denoms, first = bounds._partition_dp(value, forall)
+                        denoms, first = partition_dp._partition_dp(value, forall)
                     assert denoms.shape == (k_tables, 2**n - 1)
                     assert first.shape == (k_tables, 2**n)
                     for row, got_denoms, got_first in zip(value, denoms, first):
