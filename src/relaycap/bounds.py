@@ -418,13 +418,13 @@ _SINGLETON_MIN_RATIO = 2.0**-10
 
 def _extreme_blocks(
     ratios: np.ndarray, ineligible: np.ndarray, columns: tuple[tuple[int, ...], ...], forall: bool
-) -> tuple[list[int], list[float], np.ndarray]:
+) -> tuple[list[int], np.ndarray, np.ndarray]:
     """Each block's receiver column and value log2(1 + ratio): the extreme
     over its eligible receivers, the smallest column on equal values.
     ``ratios`` holds K tables' blocks, (K, blocks, receivers), with the
     blocks in the rows of ``ineligible`` and ``columns``; it is
-    overwritten. Also returns each block's extreme ratio, as an array.
-    Each result runs over every table's blocks, table by table.
+    overwritten. Also returns each block's extreme ratio. Each result runs
+    over every table's blocks, table by table.
 
     The pick is made on the ratios, and only then the log is taken, once
     per block: log2(1 + x) rises with x, and two ratios that lie far
@@ -451,7 +451,7 @@ def _extreme_blocks(
         far = ratios < edge[:, None]
     cols = pick.tolist()
     # math.log1p, not np.log1p, whose last bit differs on some inputs.
-    values = [math.log1p(x) / _LN2 for x in ext.tolist()]
+    values = np.fromiter(map(math.log1p, ext.tolist()), float, len(ext)) / _LN2
     # A row needs its receivers' own logs unless every ratio but its
     # extreme lies outside the window.
     if np.count_nonzero(far) == (width - 1) * len(cols):
@@ -689,7 +689,7 @@ def _fill_tables(run: list[_ConstraintTable], n: int, forall: bool) -> None:
         np.divide(sums, floors[:, None], out=sums)
         cols, value, _ = _extreme_blocks(sums, layout.ineligible, layout.columns, forall)
         size = 1 << n
-        denoms, first = _partition_dp(np.array(value).reshape(len(run), size), forall)
+        denoms, first = _partition_dp(value.reshape(len(run), size), forall)
     for k, table in enumerate(run):
         table._receiver_column = cols[k * size : (k + 1) * size]
         table._first_block = first[k]
@@ -713,7 +713,7 @@ def _sum_singletons(
     totals = np.add.accumulate(signal[..., 1:], axis=2)[..., -1:]
     strong = np.isfinite(totals / floors[..., None]).all(axis=(1, 2))
     strong &= (best.reshape(k_tables, n) >= _SINGLETON_MIN_RATIO).all(axis=1)  # NaN fails too
-    denoms = _ConstraintTable._subset_sums(np.array(value).reshape(k_tables, n).T).T
+    denoms = _ConstraintTable._subset_sums(value.reshape(k_tables, n).T).T
     weak = []
     for k, (table, single) in enumerate(zip(run, strong.tolist())):
         if not single:
