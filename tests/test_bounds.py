@@ -1392,7 +1392,8 @@ class TestConstraintTableArrays:
         table = _ConstraintTable(_huge_relay_power_network(), "exists")
         far_below = table.denom_log2[0] - sys.float_info.max
         with np.errstate(over="ignore"):
-            assert table.margins_log2(np.full(2, 5e-324)).tolist() == [far_below, far_below, math.inf]
+            margins = table.margins_log2(np.full(2, 5e-324))
+            assert margins.tolist() == [far_below, far_below, math.inf]
             for q in (1e-320, 1e-300, 1.0, 1e300, sys.float_info.max):
                 assert table.margins_log2(np.full(2, q))[2] == math.inf
             denoms = np.array([math.nan, math.inf, 1.0])
@@ -1406,7 +1407,8 @@ class TestConstraintTableArrays:
         # guarded T = 6 tables' DP columns.
         nets = [param.values[0] for param in _guard_cases()]
         nets += [_huge_relay_power_network(), _equal_gain_network(6, lambda j: 10.0)]
-        nets += [random_network(np.random.default_rng(s), t) for t in (2, 3, 4, 6, 9, 12) for s in (0, 1)]
+        for t in (2, 3, 4, 6, 9, 12):
+            nets += [random_network(np.random.default_rng(s), t) for s in (0, 1)]
         nets.append(_equal_gain_network(7, lambda j: float(j % 2)))
         nets = [nets[i] for i in np.random.default_rng(5).permutation(len(nets))]
         runs = _count_dp_runs(monkeypatch)
@@ -1433,12 +1435,14 @@ class TestConstraintTableArrays:
         # Unit gains tie every receiver of a block; symmetric gains and
         # relay powers from a few levels (0 among them) tie blocks and
         # partitions. One to three such networks are built in one stack.
+        def levels(values, count):
+            return data.draw(st.lists(st.sampled_from(values), min_size=count, max_size=count))
+
         def draw_network():
-            powers = data.draw(st.lists(st.sampled_from([0.0, 1.0, 10.0, 100.0]), min_size=t - 2, max_size=t - 2))
+            powers = levels([0.0, 1.0, 10.0, 100.0], t - 2)
             gains = np.ones((t, t))
             if not unit:
-                levels = data.draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=t * t, max_size=t * t))
-                gains = np.triu(np.reshape(levels, (t, t)))
+                gains = np.triu(np.reshape(levels([0.5, 1.0, 2.0], t * t), (t, t)))
                 gains += np.triu(gains, 1).T
             nodes = [rc.source(1, 1.0)] + [rc.relay(j, p, 1.0) for j, p in zip(range(2, t), powers)]
             return _net(nodes + [rc.destination(t, 1.0)], gains)
