@@ -111,8 +111,8 @@ def _dp_plan(n: int) -> _Plan:
         s = order[lo : lo + size]
         # Each S's bits in ascending order, one row per S; the last is t.
         low = np.left_shift(1, np.nonzero(member[s])[1], dtype=np.int32).reshape(size, k)
-        w = 1 << (k - 1)
-        block = blocks[start[s[0]] :][: size * w].reshape(size, w)
+        w, first = 1 << (k - 1), start[s[0]]
+        block = blocks[first : first + size * w].reshape(size, w)
         block[:, -1] = 0
         for j in range(k - 1):
             half = w - (1 << j)

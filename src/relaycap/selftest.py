@@ -8,7 +8,8 @@ achievable-rate-below-bound sampling. Grids and seeds
 are fixed so a run is deterministic; the random samplers use an explicit
 Generator seeded per suite. The random suites draw every sample first and
 then batch the work, bit for bit the serial results: the network suites
-pass every network's table to one ``bounds._uniform_optima`` call, and
+build every network's table in one ``bounds._constraint_tables`` call and
+pass them to one ``bounds._uniform_optima`` call, and
 the determinant lemma calls the kernel behind ``quantized_covariance_det``,
 ``gaussian._rank_one_log2_dets``, once per matrix size.
 
