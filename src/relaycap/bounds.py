@@ -82,7 +82,7 @@ from .errors import (
     VerificationFailure,
 )
 from .gaussian import _rank_one_log2_dets, _whitened, _whitened_mi_bits, conditional_mi_bits
-from .partition_dp import _Layout, _dp_layout, _partition_dp
+from .partition_dp import _Layout, _dp_layout, _partition_dp, _subset_sums
 from .topology import NetworkSpec, _node_id, scaled
 
 _LN2 = math.log(2.0)
@@ -296,8 +296,8 @@ def _cut_rates(net: NetworkSpec, override_guard: bool) -> np.ndarray:
     rx = tuple(range(2, net.num_nodes + 1))
     gains, powers, noises = _channel(net, tx, rx)
     a = _whitened(np.sqrt(gains), powers, noises)
-    count = 1 << len(relays)
-    inside = (np.arange(count)[:, None] >> np.arange(len(relays)) & 1).astype(bool)
+    inside = _dp_layout(len(relays)).member
+    count = len(inside)
     tx_keep = np.ones((count, len(tx)), dtype=bool)
     tx_keep[:, 1:] = inside
     rx_keep = np.ones((count, len(rx)), dtype=bool)
@@ -470,7 +470,9 @@ class _ConstraintTable:
     """The whole constraint family of one analysis, reduced to arrays.
 
     Row k stands for the k-th nonempty relay subset S in canonical order
-    (relay mask k + 1, bit i selecting the i-th sorted relay).
+    (relay mask k + 1, bit i selecting the i-th sorted relay); every
+    array of the table and of its DP (``partition_dp``) indexes relay
+    subsets by this mask.
     ``denom_log2[k]`` is the extreme over the family of
     sum log2(1 + block snr). The per-block factors do not involve Q, so
     they are computed once; a feasibility query for a concrete Q then sums
@@ -497,21 +499,21 @@ class _ConstraintTable:
     The DP runs by popcount layer (``partition_dp``): every S of k relays
     depends only on smaller sets, so a layer is one gather of
     v(B) + f(S minus B) over each S's 2^(k-1) candidates, laid out as a
-    scan of S would meet them: S itself, then S's smallest relay with each
-    submask of the rest, in descending order, which is restricted-growth
-    order. A strict-< scan keeps the first of equal totals, and so does
-    ``argmin``, which returns the first minimum. A NaN
-    candidate fails every < comparison, so the scan skips it, unless it
-    comes first, where it sticks: it stays the best, and its total is
-    f(S). So the layer reads every NaN after the first candidate as +inf
-    (never a strict improvement) and leaves the first alone, which
-    ``argmin``, returning the first NaN, then picks; a NaN total can only
-    come from a NaN value or from inf - inf. Each row's ``denom_log2``
-    then follows its first blocks, adding their values left to right, in
-    at most R vectorized steps. Tables of one relay count stack in rows
-    and every operation acts on each row alone: a table's arrays are bit
-    for bit the same whatever it is built with (``_constraint_tables``,
-    which a lone table calls as a stack of one).
+    scan of S would meet them, in restricted-growth order: S itself first,
+    then S's smallest relay with each submask of the rest, of any two the
+    one holding the smallest relay at which they differ first. A strict-<
+    scan keeps the first of equal totals, and so does ``argmin``, which
+    returns the first minimum. A NaN candidate fails every < comparison,
+    so the scan skips it, unless it comes first, where it sticks: it stays
+    the best, and its total is f(S). So the layer reads every NaN after
+    the first candidate as +inf (never a strict improvement) and leaves
+    the first alone, which ``argmin``, returning the first NaN, then
+    picks; a NaN total can only come from a NaN value or from inf - inf.
+    Each row's ``denom_log2`` then follows its first blocks, adding their
+    values left to right, in at most R vectorized steps. Tables of one
+    relay count stack in rows and every operation acts on each row alone:
+    a table's arrays are bit for bit the same whatever it is built with
+    (``_constraint_tables``, which a lone table calls as a stack of one).
 
     One log per block. The receiver is picked on the snr, and log2(1 + x)
     = math.log1p(x) / ln 2 is taken once, for the picked one. The log
@@ -540,7 +542,7 @@ class _ConstraintTable:
     R^2 2^-42 bits of its exact value (every value is below 1024 bits, a
     sum or a log adds an ulp or so), far less for any R the DP can run.
     So the DP keeps every relay as its own block: each mask's first block
-    is its top bit (its smallest relay), and each row is the left-to-right
+    is its lowest bit (its smallest relay), and each row is the left-to-right
     sum of its relays' values, which ``_subset_sums`` gives bit for bit.
     The proof needs every block value finite: an overflowed sum reads inf,
     and the DP then picks the merged block. Float sums of nonnegative terms
@@ -551,7 +553,7 @@ class _ConstraintTable:
     merged blocks tie or nearly tie with split ones, and there the DP
     runs, with its tie-break. So does every forall table.
 
-    The table stores ``denom_log2``, each DP mask's first block and each
+    The table stores ``denom_log2``, each mask's first block and each
     block's receiver, nothing per row beyond that. ``instance(k)`` follows
     row k's blocks and builds its (partition, assignment) on demand;
     ``instances`` builds every row's, once, for the callers that report
@@ -566,14 +568,12 @@ class _ConstraintTable:
         """Row k's binding (partition, assignment): the DP's first blocks
         followed from the row's mask, each with its receiver."""
         relays = self.relays
-        layout = _dp_layout(len(relays))
-        bit = layout.bit
         receivers = relays + (self.net.destination_id,)
 
         def members(mask: int) -> tuple[int, ...]:
-            return tuple(r for r, b in zip(relays, bit) if mask & b)
+            return tuple(r for i, r in enumerate(relays) if mask >> i & 1)
 
-        m = int(layout.masks[int(k) + 1])
+        m = int(k) + 1
         s = members(m)
         blocks, recv = [], []
         while m:
@@ -592,22 +592,6 @@ class _ConstraintTable:
         """Per-subset tightest margins for Q given as values aligned with
         the sorted relay list."""
         return _margins_log2(self.denom_log2, self.noise, self.lam, self.p1, q_values)
-
-    @staticmethod
-    def _subset_sums(per_relay: np.ndarray) -> np.ndarray:
-        """Per nonempty subset in canonical order, the sum of its relays'
-        terms, along axis 0: entry i (a number, or a row with one term per
-        column) is relay i's. Built by doubling: the subsets holding relay
-        i are those without it, each plus relay i's term, so row 2^i + k is
-        row k plus that term. Every row is the left-to-right sum over its
-        subset, so subsets with tied terms get bit-identical sums and the
-        binding-constraint order keeps its canonical tie-break; each column
-        of a stacked input gets the sums of that column alone."""
-        sums = np.zeros((1 << len(per_relay),) + per_relay.shape[1:])
-        for i, value in enumerate(per_relay):
-            half = 1 << i
-            sums[half : 2 * half] = sums[:half] + value
-        return sums[1:]
 
     def feasible(self, q_values: np.ndarray) -> bool:
         return bool(np.all(self.margins_log2(q_values) >= 0.0))
@@ -676,18 +660,16 @@ def _fill_tables(run: list[_ConstraintTable], n: int, forall: bool) -> None:
             if not weak:
                 return
             run, signal, floors = [run[k] for k in weak], signal[weak], floors[weak]
-        # v(B) and its receiver for every DP mask B, in _block_snr_sum's
-        # arithmetic. The masks holding only relays before relay i are
-        # the multiples of 2^(n-i); adding relay i to each extends its
-        # sums by the largest relay last, so every row is the
-        # left-to-right sum over its block.
-        sums = np.zeros((len(run), 1 << n, n + 1))
-        for b, term in zip(layout.bit, signal[:, None, :, 1:].transpose(3, 0, 1, 2)):
-            np.add(sums[:, :: 2 * b], term, out=sums[:, b :: 2 * b])
-        # Row 0, the empty block, sums to 0, and the layout leaves it the
-        # destination alone: its value is log2(1) = 0.
-        np.divide(sums, floors[:, None], out=sums)
-        cols, value, _ = _extreme_blocks(sums, layout.ineligible, layout.columns, forall)
+        # v(B) and its receiver for every block B, in _block_snr_sum's
+        # arithmetic: every row of the subset sums, (2^n, tables,
+        # receivers), is the left-to-right sum over its block. Row 0, the
+        # empty block, sums to 0, and the layout leaves it the destination
+        # alone: its value is log2(1) = 0.
+        sums = _subset_sums(signal[..., 1:].transpose(2, 0, 1))
+        np.divide(sums, floors, out=sums)
+        cols, value, _ = _extreme_blocks(
+            sums.transpose(1, 0, 2), layout.ineligible, layout.columns, forall
+        )
         size = 1 << n
         denoms, first = _partition_dp(value.reshape(len(run), size), forall)
     for k, table in enumerate(run):
@@ -702,24 +684,26 @@ def _sum_singletons(
     """Build each exists table of ``run`` that the class docstring's guard
     proves is the DP's as a sum of singletons, from ``_fill_tables``'s
     stacked arrays; return the indices of the others."""
-    k_tables, n = len(run), len(layout.bit)
-    # Every relay's singleton block: its value, receiver and snr.
+    k_tables, n = len(run), layout.member.shape[1]
+    # Every relay's singleton block, relay i's in layout row 2^i: its
+    # value, receiver and snr.
+    singles = [1 << i for i in range(n)]
     relay_snr = signal[..., 1:].transpose(0, 2, 1) / floors[:, None]
     cols, value, best = _extreme_blocks(
-        relay_snr, layout.single_ineligible, layout.single_columns, False
+        relay_snr, layout.ineligible[singles], tuple(layout.columns[b] for b in singles), False
     )
     # Each receiver's left-to-right sum over every relay, its own term
     # being 0: the sum over every relay it may decode.
     totals = np.add.accumulate(signal[..., 1:], axis=2)[..., -1:]
     strong = np.isfinite(totals / floors[..., None]).all(axis=(1, 2))
     strong &= (best.reshape(k_tables, n) >= _SINGLETON_MIN_RATIO).all(axis=1)  # NaN fails too
-    denoms = _ConstraintTable._subset_sums(value.reshape(k_tables, n).T).T
+    denoms = _subset_sums(value.reshape(k_tables, n).T)[1:].T
     weak = []
     for k, (table, single) in enumerate(zip(run, strong.tolist())):
         if not single:
             weak.append(k)
             continue
-        table._receiver_column = dict(zip(layout.bit, cols[k * n : (k + 1) * n]))
+        table._receiver_column = dict(zip(singles, cols[k * n : (k + 1) * n]))
         table._first_block = layout.tops
         table.denom_log2 = np.ascontiguousarray(denoms[k])
     return weak
@@ -753,9 +737,8 @@ def _margins_log2(
     # powerless-relay constraint Q >= Q + c as satisfiable; the log1p
     # form is exact there. The factorized determinant itself is checked
     # against this identity by the determinant-lemma suite.
-    subset_sums = _ConstraintTable._subset_sums
-    shrink = subset_sums(np.log1p(noise / q_values))
-    source_term = np.log1p(p1 * subset_sums(lam / (noise + q_values)))
+    shrink = _subset_sums(np.log1p(noise / q_values))[1:]
+    source_term = np.log1p(p1 * _subset_sums(lam / (noise + q_values))[1:])
     cost = (shrink + source_term) / _LN2
     # A cost past the largest double reads as that double, so an inf
     # denominator keeps its inf where inf - inf would read NaN.
@@ -799,7 +782,7 @@ def cf_rate(net: NetworkSpec, q: QuantizationVector) -> float:
 
 def _search_start(table: _ConstraintTable) -> float:
     """Where the uniform search starts: the largest receiver noise."""
-    return max(_channel(table.net, (), table.relays + (table.net.destination_id,))[2].tolist())
+    return max(table.net._arrays[2][1:].tolist())
 
 
 #: Newton steps a search takes at most before it walks the ulps.
@@ -825,8 +808,8 @@ def _lockstep_search(
     column alone (sums over relays run left to right): a column's answer
     is its table's searched alone.
     """
-    k, n = len(x), len(noise)
-    member = (np.arange(1, 1 << n)[:, None] >> np.arange(n) & 1).astype(float)
+    k = len(x)
+    member = _dp_layout(len(noise)).member[1:]
     lo, hi = np.zeros(k, dtype=np.int64), np.full(k, math.inf).view(np.int64)
     step, newton = np.ones(k, dtype=np.int64), np.ones(k, dtype=bool)
     for passes in range(1, _NEWTON_PASSES + 126):
@@ -921,8 +904,8 @@ def _coordinate_step(
     """
     others = np.arange(len(q_values)) != k
     noise, q = table.noise[others], q_values[others]
-    shrink = np.append(0.0, table._subset_sums(np.log1p(noise / q)))
-    source = table.p1 * np.append(0.0, table._subset_sums(table.lam[others] / (noise + q)))
+    shrink = _subset_sums(np.log1p(noise / q))
+    source = table.p1 * _subset_sums(table.lam[others] / (noise + q))
     m = _LN2 * table.denom_log2[rows] - shrink - np.log1p(source)
     with np.errstate(over="ignore"):  # m > ~709.78: the bound is 0
         grow = np.expm1(m)
@@ -953,8 +936,7 @@ def _coordinate_descent(
     """
     n = len(table.relays)
     # Relay k's rows, the subsets holding it: row i is canonical mask i + 1.
-    masks = np.arange(1, 1 << n)
-    rows = [(masks >> k & 1).astype(bool) for k in range(n)]
+    rows = _dp_layout(n).member[1:].T
 
     q_star = start
     q_values = np.array(start.values)

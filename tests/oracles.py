@@ -345,7 +345,7 @@ def partition_dp_by_masks(
     """The subset DP over block values indexed by DP mask: every canonical
     row's extreme total, summed left to right over its blocks, and each DP
     mask's first block (``_ConstraintTable`` states the recurrence).
-    ``masks`` is the layout's DP mask of each canonical row."""
+    ``masks`` is the DP mask of each canonical row, its bits reversed."""
     full = len(value) - 1
     # exists maximizes; negating its scores (exact) lets both minimize.
     score = value if forall else [-v for v in value]

@@ -1056,11 +1056,11 @@ class TestConstraintTableInternals:
         vectors += [np.full(r, 0.1), np.full(r, 1.0 / 3.0), np.ones(r)]
         vectors += [rng.choice([0.1, 0.7, 3.0], size=r) for _ in range(7)]
         for v in vectors:
-            got = _ConstraintTable._subset_sums(v)
+            got = partition_dp._subset_sums(v)[1:]
             assert got.tobytes() == subset_sums_by_columns(v).tobytes()
 
     def test_infinite_term_reaches_only_its_own_subsets(self):
-        sums = _ConstraintTable._subset_sums(np.array([1.0, math.inf, 2.0]))
+        sums = partition_dp._subset_sums(np.array([1.0, math.inf, 2.0]))[1:]
         masks = np.arange(1, 8)
         assert np.all(np.isinf(sums[masks & 2 != 0]))
         assert np.array_equal(sums[masks & 2 == 0], [1.0, 2.0, 3.0])
@@ -1075,21 +1075,23 @@ class TestConstraintTableInternals:
         stack[:, 2] = rng.choice([0.1, 0.7, 3.0], size=r)
         stack[rng.integers(r), 3] = math.inf
         stack[:, 4] = math.inf
-        got = _ConstraintTable._subset_sums(stack)
+        got = partition_dp._subset_sums(stack)[1:]
         assert got.shape == (2**r - 1, 9)
         for k in range(9):
             column = np.ascontiguousarray(stack[:, k])
-            assert got[:, k].tobytes() == _ConstraintTable._subset_sums(column).tobytes()
+            assert got[:, k].tobytes() == partition_dp._subset_sums(column)[1:].tobytes()
 
     @pytest.mark.parametrize("chunk", [partition_dp._DP_CHUNK, 40])
     @pytest.mark.parametrize("n", range(1, 11))
     def test_stacked_dp_matches_the_scalar_scan_bitwise(self, monkeypatch, n, chunk):
         # Every table of a stack gets the scalar strict-< scan's totals and
         # first blocks, on tied values and with inf, -inf and NaN mixed in;
-        # a small chunk splits every layer into many gathers.
+        # a small chunk splits every layer into many gathers. The scan
+        # gives the smallest relay the highest bit: it reads each mask
+        # bit-reversed.
         monkeypatch.setattr(partition_dp, "_DP_CHUNK", chunk)
         rng = np.random.default_rng(400 + n)
-        masks = tuple(partition_dp._dp_layout(n).masks.tolist())
+        masks = tuple(int(f"{m:0{n}b}"[::-1], 2) for m in range(2**n))
         for k_tables in (1, 3, 13):
             for value in _dp_value_stacks(rng, n, k_tables):
                 for forall in (True, False):
@@ -1098,9 +1100,48 @@ class TestConstraintTableInternals:
                     assert denoms.shape == (k_tables, 2**n - 1)
                     assert first.shape == (k_tables, 2**n)
                     for row, got_denoms, got_first in zip(value, denoms, first):
-                        want_denoms, want_first = partition_dp_by_masks(row.tolist(), forall, masks)
+                        reversed_row = row[list(masks)].tolist()
+                        want_denoms, want_first = partition_dp_by_masks(reversed_row, forall, masks)
                         assert got_denoms.tobytes() == np.array(want_denoms).tobytes()
-                        assert got_first.tolist() == want_first
+                        assert got_first.tolist() == [masks[want_first[m]] for m in masks]
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_plan_rows_list_candidates_as_partitions_meets_them(self, n):
+        # Each layer row holds S's candidate blocks in the order in which
+        # the public generator first meets them as first blocks: the
+        # restricted-growth order that the tie-break keeps.
+        plan = partition_dp._dp_plan(n)
+        seen = []
+        for lo, block, _ in plan.layers:
+            for s, row in zip(plan.order[lo : lo + len(block)].tolist(), block.tolist()):
+                relays = [i for i in range(n) if s >> i & 1]
+                firsts = dict.fromkeys(p[0] for p in enumeration.partitions(relays))
+                assert row == [sum(1 << i for i in b) for b in firsts]
+                seen.append(s)
+        assert sorted(seen) == [s for s in range(1 << n) if s.bit_count() > 1]
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_layout_member_is_the_canonical_subset_order(self, n):
+        member = partition_dp._dp_layout(n).member
+        assert member.shape == (2**n, n)
+        assert not member.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            member[0] = True
+        for row, subset in zip(member, enumeration.subsets(range(n)), strict=True):
+            assert tuple(np.flatnonzero(row).tolist()) == subset
+
+    @pytest.mark.parametrize("t", range(3, 11))
+    def test_rows_and_cuts_hold_the_relays_member_names(self, t):
+        # Table row k is mask k + 1, cut k is mask k: each holds the
+        # relays that the layout's member row names.
+        net = random_network(np.random.default_rng(600 + t), t)
+        relays = np.array(net.relay_ids)
+        member = partition_dp._dp_layout(t - 2).member
+        table = _ConstraintTable(net, "forall")
+        for k in range(2 ** (t - 2) - 1):
+            assert table.instance(k).s == tuple(relays[member[k + 1]].tolist())
+        for (cut, _), inside in zip(rc.cut_rate_table(net), member, strict=True):
+            assert cut.tx_side == {1, *relays[inside].tolist()}
 
     @pytest.mark.parametrize("quantifier", ["forall", "exists"])
     @pytest.mark.parametrize("t", [3, 5, 8, 10])
@@ -1140,7 +1181,7 @@ class TestConstraintTableInternals:
 
 
 def _dp_value_stacks(rng, n, k_tables):
-    """(k_tables, 2^n) block-value stacks indexed by DP mask, entry 0 (the
+    """(k_tables, 2^n) block-value stacks indexed by mask, entry 0 (the
     empty block) 0: spread values, values from a few levels (ties), and
     tied values with inf, -inf and NaN in about one entry in six."""
     size = 1 << n

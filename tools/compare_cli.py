@@ -61,14 +61,18 @@ exists table to be a sum of singletons, so every printed witness shows
 whether a change keeps the subset DP's tie-break there. A random T = 14
 network runs ``cfrate`` (uniform, forall and exists) under
 ``--override-guard``: with 12 relays, its tables have the corpus's widest
-subset-DP layers.
+subset-DP layers. Two more networks run ``cfrate --mode uniform --top-k
+1000`` under both quantifiers and ``--override-guard``: a tied-power
+T = 16 network, whose 14-relay DP layers run in chunks, and a
+powerless-relay T = 12 network, whose tied totals exercise the subset
+DP's tie-break.
 ``verify`` runs with its defaults, with seeds 1 and 2 and with two large
 seeds like the benchmark's (3 * 1234567 and 3 * 1234568), and with 1 and 7
 network samples and 1 and 7 determinant samples, the edge cases of batching
 the random suites by size. It also runs with alpha offsets [-1, 0, 1] and
 [0], and with beta grids [-0.5, 0, 0.5] and [0] and the three failing
 grids [-1e6, 0], [0, 1e8] and [0, 1e200], where the relay-correlation
-check stops at its first failing parameter set: 485 runs in all. Only the
+check stops at its first failing parameter set: 489 runs in all. Only the
 standard library and numpy are used.
 """
 
@@ -111,6 +115,11 @@ HUGE_NOISE_COMMANDS = (["cfrate"], ["sweep", "--quantifier", "forall"])
 TOP_K_COMMANDS = NETWORK_COMMANDS[5:7]
 
 WIDE_COMMANDS = NETWORK_COMMANDS[1:3]
+
+UNIFORM_TOP_K_COMMANDS = tuple(
+    ["cfrate", "--mode", "uniform", "--top-k", "1000", "--quantifier", quantifier]
+    for quantifier in ("forall", "exists")
+)
 
 # Runs inside each tree's interpreter: reads a JSON list of argv lists on
 # stdin and writes [exit code, stdout, stderr] per run as JSON on stdout.
@@ -175,6 +184,22 @@ def _random_doc(rng, t):
     )
 
 
+def _tied_power_doc(rng, t):
+    """Relay powers 1, 10 and 100 in turn, every noise 1, symmetric gains."""
+    return _doc(1.0, [(10.0 ** (j % 3), 1.0) for j in range(2, t)], 1.0, _symmetric_gains(rng, t))
+
+
+def _powerless_relay_doc(rng, t):
+    """Every other relay (2, 4, ...) at power 0, the others at 100;
+    asymmetric gains."""
+    return _doc(
+        1.0,
+        [(float(j % 2) * 100.0, n) for j, n in zip(range(2, t), _near_unity(rng, t - 2))],
+        1.0,
+        10.0 ** rng.uniform(-1.0, 1.0, size=(t, t)),
+    )
+
+
 def corpus() -> list[tuple[str, dict]]:
     """The fixed list of (name, config) pairs; the same on every call."""
     rng = np.random.default_rng(20261018)
@@ -206,25 +231,12 @@ def corpus() -> list[tuple[str, dict]]:
                 10.0 ** rng.uniform(-1.0, 1.0, size=(t, t)),
             ),
         ))
-        docs.append((
-            f"tied-power-T{t}",
-            _doc(
-                1.0, [(10.0 ** (j % 3), 1.0) for j in range(2, t)], 1.0, _symmetric_gains(rng, t)
-            ),
-        ))
+        docs.append((f"tied-power-T{t}", _tied_power_doc(rng, t)))
         docs.append((
             f"unit-gain-T{t}",
             _doc(1.0, [(p, 1.0) for p in 10.0 ** rng.uniform(0.0, 3.0, r)], 1.0, np.ones((t, t))),
         ))
-        docs.append((
-            f"powerless-relay-T{t}",
-            _doc(
-                1.0,
-                [(float(j % 2) * 100.0, n) for j, n in zip(range(2, t), _near_unity(rng, r))],
-                1.0,
-                10.0 ** rng.uniform(-1.0, 1.0, size=(t, t)),
-            ),
-        ))
+        docs.append((f"powerless-relay-T{t}", _powerless_relay_doc(rng, t)))
     for t in (11, 12):
         docs.append((f"override-T{t}", _random_doc(rng, t)))
     docs.append((
@@ -354,6 +366,18 @@ def wide_network() -> tuple[str, dict]:
     return "override-T14", _random_doc(np.random.default_rng(20261020), 14)
 
 
+def tie_break_networks() -> list[tuple[str, dict]]:
+    """(name, config) pairs of a tied-power T = 16 network, whose 14-relay
+    DP layers run in chunks, and a powerless-relay T = 12 network, whose
+    tied totals exercise the subset DP's tie-break, drawn from their own
+    seed so the corpus stays as it is."""
+    rng = np.random.default_rng(20261021)
+    return [
+        ("tied-power-T16", _tied_power_doc(rng, 16)),
+        ("powerless-relay-T12", _powerless_relay_doc(rng, 12)),
+    ]
+
+
 def runs(config_dir: str) -> list[tuple[str, list[str]]]:
     """Write the corpus into config_dir; return (run name, argv) pairs."""
     out = []
@@ -366,6 +390,7 @@ def runs(config_dir: str) -> list[tuple[str, list[str]]]:
     plans += [(entry, PLAIN_COMMANDS) for entry in search_exits()]
     plans += [(entry, TOP_K_COMMANDS) for entry in weak_relays()]
     plans.append((wide_network(), WIDE_COMMANDS))
+    plans += [(entry, UNIFORM_TOP_K_COMMANDS) for entry in tie_break_networks()]
     for (name, doc), commands in plans:
         path = os.path.join(config_dir, f"{name}.json")
         with open(path, "w", encoding="utf-8") as fh:
