@@ -56,7 +56,8 @@ power multiplier shows the gap between the two sides collapsing as relay
 power grows.
 
 All rates are bits per channel use. Every analysis reads its network
-through ``_channel`` (the constraint table takes the same slices itself),
+through ``_channel`` (the constraint table and the compress-forward
+rates take the same slices themselves),
 from a view that ``topology.validate`` checks once per network; a
 network that fails raises one ValueError listing its problems. Everything here is pure given an immutable NetworkSpec, and
 diagnostics come in canonical enumeration order, so output is deterministic.
@@ -722,7 +723,8 @@ def _margins_log2(
     One table: ``denom_log2`` per subset, ``noise``, ``lam`` and
     ``q_values`` per relay, ``p1`` a number. K tables: ``denom_log2`` is
     (2^R - 1, K), ``noise`` and ``lam`` are (R, K), and ``p1`` and
-    ``q_values`` are (K,), table k's source power and uniform Q. Every
+    ``q_values`` are (K,), table k's source power and uniform Q (or Q
+    per relay, (R, K), as ``_feasible`` gives it). Every
     operation is elementwise, so column k is bit for bit table k's own
     margins at its Q. A row whose denominator is inf (an overflowed block
     sum) holds at every Q, and reads inf at every Q, even where N/Q
@@ -769,15 +771,72 @@ def cf_rate(net: NetworkSpec, q: QuantizationVector) -> float:
     separate question (cf_feasible); this is the rate the destination
     decodes at once the forwarded indices are absorbed.
     """
-    relays = net.relay_ids
-    _require_cover(q, relays)
-    gains, powers, noises = _channel(net, (1,), relays + (net.destination_id,))
-    # Python floats: an N + Q that overflows is inf, without a warning; that
-    # relay hears nothing of the source, so dropping it is the exact limit.
-    total = [n + x for n, x in zip(noises.tolist(), (*q.values, 0.0))]
-    if math.inf in total:
-        gains, total = gains[np.isfinite(total)], [x for x in total if x < math.inf]
-    return conditional_mi_bits(np.sqrt(gains), powers, total)
+    _require_cover(q, net.relay_ids)
+    return float(_cf_rates([net], [q.values])[0])
+
+
+def _cf_rates(nets: list[NetworkSpec], qs: list) -> np.ndarray:
+    """The compress-forward rate of each network at its Q, given as values
+    aligned with its sorted relays; ``cf_rate`` is a stack of one. At
+    Q = 0 a row is ``source_cut_bound`` bit for bit: N + 0.0 = N, with
+    the receivers in the same order.
+
+    The destination hears the source over one whitened column, receivers
+    2..T: each relay at N + Q, the destination at its N. An N + Q that
+    overflows is inf, silently, as Python floats give: that relay hears
+    nothing of the source, so dropping it is the exact limit. The columns
+    with the same number of receivers left are one stack for
+    ``gaussian._whitened_mi_bits``, the function ``cut_rate`` applies to
+    its one channel. Every network is read, and so checked, in turn
+    before any rate is taken.
+    """
+    runs: dict[int, list[int]] = {}
+    for k, net in enumerate(nets):
+        runs.setdefault(len(net._arrays[1]), []).append(k)
+    rates = np.empty(len(nets))
+    for members in runs.values():
+        arrays = [nets[k]._arrays for k in members]
+        gains = np.array([g[0, 1:] for g, _, _ in arrays])
+        q = np.array([(*qs[k], 0.0) for k in members])
+        with np.errstate(over="ignore"):
+            total = np.array([x[1:] for _, _, x in arrays]) + q
+        # conditional_mi_bits's whitening, one column per network.
+        w = np.sqrt(gains) * np.sqrt([p[:1] for _, p, _ in arrays]) / np.sqrt(total)
+        heard = total < math.inf
+        if heard.all():  # the usual case: the run is one stack
+            rates[members] = _whitened_mi_bits(w[:, :, None])
+            continue
+        counts = heard.sum(axis=1)
+        for m in set(counts.tolist()):
+            rows = counts == m
+            column = w[rows][heard[rows]].reshape(-1, m, 1)
+            rates[np.array(members)[rows]] = _whitened_mi_bits(column)
+    return rates
+
+
+def _columns(tables: list[_ConstraintTable]) -> list[np.ndarray]:
+    """The arrays of tables that share a relay count, stacked in columns
+    as ``_margins_log2`` takes them: denom_log2, noise, lam and p1."""
+    names = ("denom_log2", "noise", "lam", "p1")
+    return [np.stack([getattr(t, name) for t in tables], axis=-1) for name in names]
+
+
+def _feasible(tables: list[_ConstraintTable], qs: list) -> list[bool]:
+    """Whether each table accepts its Q, given as values aligned with its
+    sorted relays: ``table.feasible`` of every (table, Q) pair, bit for
+    bit, from one ``_margins_log2`` pass per relay count, with Q per relay
+    in columns (R, K). A relay-free table has no constraint to break."""
+    feasible = [True] * len(tables)
+    runs: dict[int, list[int]] = {}
+    for k, table in enumerate(tables):
+        if table.relays:
+            runs.setdefault(len(table.relays), []).append(k)
+    for members in runs.values():
+        q = np.array([qs[k] for k in members]).T
+        margins = _margins_log2(*_columns([tables[k] for k in members]), q)
+        for k, ok in zip(members, (margins >= 0.0).all(axis=0).tolist()):
+            feasible[k] = ok
+    return feasible
 
 
 def _search_start(table: _ConstraintTable) -> float:
@@ -866,14 +925,12 @@ def _uniform_optima(tables: list[_ConstraintTable]) -> list[QuantizationVector |
             runs.setdefault(len(table.relays), []).append(k)
     for members in runs.values():
         run = [tables[k] for k in members]
-        names = ("denom_log2", "noise", "lam", "p1")
-        arrays = [np.stack([getattr(t, name) for t in run], axis=-1) for name in names]
         # N + Q -> inf near the largest double: a relay that hears nothing
         # of the source, the exact limit. Near the smallest, N/Q -> inf, and
         # with P1 = 0 the source term can read 0 * inf = NaN: a cost that
         # _margins_log2 reads as the largest double.
         with np.errstate(over="ignore", invalid="ignore"):
-            found = _lockstep_search(*arrays, np.array([_search_start(t) for t in run]))
+            found = _lockstep_search(*_columns(run), np.array([_search_start(t) for t in run]))
         for k, table, q in zip(members, run, found.tolist()):
             optima[k] = (
                 QuantizationVector.uniform(q, table.relays)
@@ -1046,12 +1103,12 @@ def convergence_sweep(
     Every row's constraint table is built first, in one
     ``_constraint_tables`` call: the rows share a relay count, so their
     tables come from one stacked pass. Then one ``_uniform_optima`` call
-    searches every row at once, with one stacked margin pass per step;
-    each row gets the q and rate that ``optimize_quantization`` gives on
-    its own. A row is infeasible exactly when its entry is an Infeasible;
-    it is reported, not fatal, and never stops the other rows. An error
-    from scaling or checking any row's network is raised before any table
-    is built.
+    searches every row at once, with one stacked margin pass per step,
+    and one ``_cf_rates`` call rates the feasible rows; each row gets the
+    q and rate that ``optimize_quantization`` gives on its own. A row is
+    infeasible exactly when its entry is an Infeasible; it is reported,
+    not fatal, and never stops the other rows. An error from scaling or
+    checking any row's network is raised before any table is built.
     """
     gammas = [float(g) for g in gammas]
     if not gammas:
@@ -1063,12 +1120,15 @@ def convergence_sweep(
 
     bound = source_cut_bound(net)
     tables = _constraint_tables((scaled(net, g) for g in gammas), quantifier, override_guard)
+    optima = _uniform_optima(tables)
+    found = [(t.net, q) for t, q in zip(tables, optima) if not isinstance(q, Infeasible)]
+    rates = iter(_cf_rates([net for net, _ in found], [q.values for _, q in found]).tolist())
     rows: list[SweepRow] = []
-    for g, table, q_star in zip(gammas, tables, _uniform_optima(tables)):
+    for g, q_star in zip(gammas, optima):
         if isinstance(q_star, Infeasible):
             feasible, rate, q_uni = False, math.nan, math.nan
         else:
-            rate = cf_rate(table.net, q_star)
+            rate = next(rates)
             feasible, q_uni = True, max(q_star.values, default=math.nan)
         gap = bound - rate
         if feasible and not gap >= -RATE_TOL_BITS:

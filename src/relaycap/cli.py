@@ -371,7 +371,19 @@ def _count(value: object, where: str, minimum: int = 1) -> int:
     return value
 
 
+_COMMANDS = ("bound", "cfrate", "sweep", "verify")
+
+
 def build_parser() -> argparse.ArgumentParser:
+    return _parser(_COMMANDS)
+
+
+def _parser(names: tuple[str, ...]) -> argparse.ArgumentParser:
+    """The parser with the subcommands ``names``. A parser with one names
+    all four in its usage line, as the full parser's default does; the
+    full parser keeps that default, since a metavar would also rename the
+    argument ``command`` in its missing-command and unknown-command
+    errors."""
     parser = argparse.ArgumentParser(
         prog="relaycap",
         description=(
@@ -379,7 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
             "for Gaussian single-source relay networks"
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
     options = {
         "--quantifier": dict(
@@ -404,6 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("verify", cmd_verify, "run the built-in verification suites", ()),
     )
     for name, func, summary, flags in commands:
+        if name not in names:
+            continue
         sp = sub.add_parser(name, help=summary)
         sp.add_argument("--config", required=name != "verify", help="JSON config path")
         sp.add_argument("--out", default=None, help="write output to this file instead of stdout")
@@ -414,7 +429,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # Only the named command's parser is built; -h, no argument or an
+    # unknown word get all four.
+    named = tuple(argv[:1]) if argv[:1] and argv[0] in _COMMANDS else _COMMANDS
+    args = _parser(named).parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

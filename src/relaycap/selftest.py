@@ -7,11 +7,16 @@ closed form, feasibility monotonicity under scaling, and
 achievable-rate-below-bound sampling. Grids and seeds
 are fixed so a run is deterministic; the random samplers use an explicit
 Generator seeded per suite. The random suites draw every sample first and
-then batch the work, bit for bit the serial results: the network suites
-build every network's table in one ``bounds._constraint_tables`` call and
-pass them to one ``bounds._uniform_optima`` call, and
-the determinant lemma calls the kernel behind ``quantized_covariance_det``,
-``gaussian._rank_one_log2_dets``, once per matrix size.
+then batch the work, bit for bit the serial results, with no call per
+sample: the network suites build every network's table in one
+``bounds._constraint_tables`` call and pass them to one
+``bounds._uniform_optima`` call; the monotonicity suite checks every
+point at every scale in one ``bounds._feasible`` call, and the
+achievability suite takes every rate, and at Q = 0 every bound, in one
+``bounds._cf_rates`` call each. A failure is named by scanning the
+samples in order afterwards. The determinant lemma calls the kernel
+behind ``quantized_covariance_det``, ``gaussian._rank_one_log2_dets``,
+and takes the closed form, once per matrix size.
 
 The two dual-route routines live here too, and the package re-exports
 them and their report classes. They cross-check the independent-input
@@ -33,13 +38,19 @@ import numpy as np
 from .bounds import (
     RATE_TOL_BITS,
     QuantizationVector,
+    _cf_rates,
     _constraint_tables,
+    _feasible,
     _uniform_optima,
-    cf_rate,
-    source_cut_bound,
 )
 # No suite calls these; they stay bound here because perfbench/spans.py wraps them.
-from .bounds import cf_feasible, optimize_quantization, quantized_covariance_det
+from .bounds import (
+    cf_feasible,
+    cf_rate,
+    optimize_quantization,
+    quantized_covariance_det,
+    source_cut_bound,
+)
 from .errors import (
     InvalidAlpha,
     NegativePower,
@@ -313,24 +324,35 @@ def beta_suite(betas: tuple[float, ...] | None = None) -> CheckResult:
     return CheckResult(name, True, detail)
 
 
+def _size_stacks(draws: list[tuple]) -> list[tuple]:
+    """The (lambda, N, Q, P1) instances of each size d: their indices,
+    then lambda, N + Q and P1 stacked."""
+    sizes: dict[int, list[int]] = {}
+    for i, (lam, *_) in enumerate(draws):
+        sizes.setdefault(len(lam), []).append(i)
+    stacks = []
+    for rows in sizes.values():
+        lam, noise, qv, p1 = map(np.array, zip(*(draws[i] for i in rows)))
+        stacks.append((rows, lam, noise + qv, p1))
+    return stacks
+
+
 def _determinants(draws: list[tuple]) -> list[float]:
     """Each (lambda, N, Q, P1) instance's determinant, bit for bit what
     ``quantized_covariance_det`` gives: the kernel it calls on a stack of
     one, called here once per size d on that size's stack."""
-    dets, sizes = [0.0] * len(draws), {}
-    for i, (lam, *_) in enumerate(draws):
-        sizes.setdefault(len(lam), []).append(i)
-    for rows in sizes.values():
-        lam, noise, qv, p1 = map(np.array, zip(*(draws[i] for i in rows)))
+    dets = [0.0] * len(draws)
+    for rows, lam, total, p1 in _size_stacks(draws):
         # Python's 2.0 ** x, as the public function takes it.
-        for i, x in zip(rows, _rank_one_log2_dets(lam, noise + qv, p1).tolist()):
+        for i, x in zip(rows, _rank_one_log2_dets(lam, total, p1).tolist()):
             dets[i] = 2.0 ** x
     return dets
 
 
 def determinant_lemma_suite(samples: int = 500, seed: int = 20250811) -> CheckResult:
     """Factorized determinant vs the rank-one-update closed form
-    prod(N+Q) * (1 + P1 * sum lambda/(N+Q)) on random instances."""
+    prod(N+Q) * (1 + P1 * sum lambda/(N+Q)) on random instances, the
+    closed form taken once per size on that size's stack."""
     name = "determinant-lemma"
     rng = np.random.default_rng(seed)
     draws = []
@@ -340,10 +362,11 @@ def determinant_lemma_suite(samples: int = 500, seed: int = 20250811) -> CheckRe
         noise = 10.0 ** rng.uniform(-0.5, 0.5, size=d)
         qv = 10.0 ** rng.uniform(-3.0, 3.0, size=d)
         draws.append((lam, noise, qv, 10.0 ** rng.uniform(-0.5, 0.5)))
-    worst = 0.0
-    for (lam, noise, qv, p1), got in zip(draws, _determinants(draws)):
-        closed = float(np.prod(noise + qv) * (1.0 + p1 * np.sum(lam / (noise + qv))))
-        worst = max(worst, abs(got - closed) / closed)
+    dets, errors = np.array(_determinants(draws)), [0.0]
+    for rows, lam, total, p1 in _size_stacks(draws):
+        closed = np.prod(total, axis=1) * (1.0 + p1 * np.sum(lam / total, axis=1))
+        errors += (np.abs(dets[rows] - closed) / closed).tolist()
+    worst = max(errors)
     passed = worst < 1e-10
     detail = f"{samples} random instances (size <= 6); worst relative error {worst:.3e}"
     return CheckResult(name, passed, detail)
@@ -405,16 +428,28 @@ def monotonicity_suite(samples: int = 100, seed: int = 20250812) -> CheckResult:
     """Feasible Q stays feasible under uniform up-scaling by 1.5, 10, 10^3.
 
     One constraint table per network serves the feasible-point search
-    (``_feasible_points``) and every scale check."""
+    (``_feasible_points``) and every scale check: one ``_feasible`` call
+    checks every point at every scale. Scanning in sample order then
+    names the first failing (sample, scale)."""
     name = "feasibility-monotonicity"
-    for i, (table, q) in enumerate(_feasible_points(np.random.default_rng(seed), samples)):
+    scales = (1.0, 1.5, 10.0, 1e3)
+    points = _feasible_points(np.random.default_rng(seed), samples)
+    found = [(table, q) for table, q in points if not isinstance(q, RelaycapError)]
+    verdicts = iter(
+        _feasible(
+            [table for table, _ in found for _ in scales],
+            [[v * c for v in q.values] for _, q in found for c in scales],
+        )
+    )
+    for i, (table, q) in enumerate(points):
         if isinstance(q, RelaycapError):
             return CheckResult(name, False, f"sample {i}: feasible point search failed: {q}")
-        if not table.feasible(np.array(q.values)):
+        held = [next(verdicts) for _ in scales]
+        if not held[0]:
             return CheckResult(name, False, f"sample {i}: sampled Q not feasible at scale 1")
-        for c in (1.5, 10.0, 1e3):
-            q_c = q.scaled_by(c)
-            if not table.feasible(np.array(q_c.values)):
+        for c, ok in zip(scales[1:], held[1:]):
+            if not ok:
+                q_c = q.scaled_by(c)
                 worst = min(table.constraint_margins(q_c), key=lambda m: m.margin_log2)
                 return CheckResult(
                     name,
@@ -428,14 +463,21 @@ def monotonicity_suite(samples: int = 100, seed: int = 20250812) -> CheckResult:
 
 def achievability_suite(samples: int = 100, seed: int = 20250813) -> CheckResult:
     """Compress-forward rate never exceeds the broadcast-cut bound, at the
-    points ``_feasible_points`` samples."""
+    points ``_feasible_points`` samples. One ``_cf_rates`` call takes every
+    rate, and one more at Q = 0 every bound: there it is
+    ``source_cut_bound`` bit for bit."""
     name = "achievability-vs-bound"
+    points = _feasible_points(np.random.default_rng(seed), samples)
+    found = [(table.net, q.values) for table, q in points if not isinstance(q, RelaycapError)]
+    nets = [net for net, _ in found]
+    rates = _cf_rates(nets, [q for _, q in found]).tolist()
+    bounds = _cf_rates(nets, [(0.0,) * len(q) for _, q in found]).tolist()
+    checked = iter(zip(rates, bounds))
     worst_slack = math.inf
-    for i, (table, q) in enumerate(_feasible_points(np.random.default_rng(seed), samples)):
+    for i, (_, q) in enumerate(points):
         if isinstance(q, RelaycapError):
             return CheckResult(name, False, f"sample {i}: feasible point search failed: {q}")
-        rate = cf_rate(table.net, q)
-        bound = source_cut_bound(table.net)
+        rate, bound = next(checked)
         worst_slack = min(worst_slack, bound - rate)
         if rate > bound + RATE_TOL_BITS:
             return CheckResult(name, False, f"sample {i}: rate {rate!r} exceeds bound {bound!r}")

@@ -12,7 +12,9 @@ tables, a column-by-column
 sum over a 0/1 membership matrix against the table's doubling subset sums,
 the receiver-side covariance formula for a cut rate against the
 whitened-channel form, the cut table evaluated one cut at a time
-against its grouped, stacked evaluation, the scalar Cholesky kernel
+against its grouped, stacked evaluation, the compress-forward rate of
+one network (Python-float sums, one ``conditional_mi_bits`` call)
+against the stacked rates, the scalar Cholesky kernel
 against the stacked one, the dual-route covariance routes computed one
 grid point at a time against their stacked evaluation, the two dual-route
 suites run one parameter set at a time (one public call per set) against
@@ -23,8 +25,10 @@ the uniform search as a bisection over a scalar predicate (at rel_tol
 the exact Newton-and-ulp search, the convergence sweep one row at a time
 against its lockstep searches, and the three random verify suites run
 one sample at a time (one network, one table and one uniform search per sample, the
-feasible point from ``sample_feasible_q``; one public determinant call
-per instance, on its own flat network) against their batched forms.
+feasible point from ``sample_feasible_q``, one ``table.feasible`` call
+per scale, one rate and one bound call per network; one public
+determinant call per instance, on its own flat network) against their
+batched forms.
 Nothing here is performance sensitive; clarity wins.
 """
 
@@ -48,6 +52,7 @@ from relaycap.bounds import (
     _check_guard,
     _channel,
     _optimize,
+    _require_cover,
     cf_rate,
     cut_rate,
     optimize_quantization,
@@ -60,6 +65,7 @@ from relaycap.gaussian import (
     PD_EPSILON,
     _pivot_failure,
     conditional_covariance,
+    conditional_mi_bits,
     joint_covariance,
     log2_det,
 )
@@ -401,6 +407,22 @@ def cut_rate_by_covariance(net, cut) -> float:
     return 0.5 * (log2_det(sigma) - float(np.sum(np.log2(noises))))
 
 
+def cf_rate_by_network(net, q) -> float:
+    """The compress-forward rate of one network at Q, as ``cf_rate``
+    computed it before its stacked form: Python-float sums N + Q, an
+    overflowed receiver dropped from the list, and one
+    ``conditional_mi_bits`` call."""
+    relays = net.relay_ids
+    _require_cover(q, relays)
+    gains, powers, noises = _channel(net, (1,), relays + (net.destination_id,))
+    # Python floats: an N + Q that overflows is inf, without a warning; that
+    # relay hears nothing of the source, so dropping it is the exact limit.
+    total = [n + x for n, x in zip(noises.tolist(), (*q.values, 0.0))]
+    if math.inf in total:
+        gains, total = gains[np.isfinite(total)], [x for x in total if x < math.inf]
+    return conditional_mi_bits(np.sqrt(gains), powers, total)
+
+
 def cut_table_by_cuts(net, override_guard=False):
     """Cut-table rows one cut at a time: every cut of ``subsets`` order,
     each rate from its own ``cut_rate`` call (one ``conditional_mi_bits``
@@ -603,7 +625,8 @@ def monotonicity_suite_by_samples(samples=100, seed=20250812):
 
 def achievability_suite_by_samples(samples=100, seed=20250813):
     """``selftest.achievability_suite`` one sample at a time, each feasible
-    point from its own ``sample_feasible_q`` search."""
+    point from its own ``sample_feasible_q`` search, each rate from
+    ``cf_rate_by_network`` and each bound from ``source_cut_bound``."""
     name = "achievability-vs-bound"
     rng = np.random.default_rng(seed)
     worst_slack = math.inf
@@ -615,7 +638,7 @@ def achievability_suite_by_samples(samples=100, seed=20250813):
             return selftest.CheckResult(
                 name, False, f"sample {i}: feasible point search failed: {exc}"
             )
-        rate = cf_rate(net, q)
+        rate = cf_rate_by_network(net, q)
         bound = source_cut_bound(net)
         worst_slack = min(worst_slack, bound - rate)
         if rate > bound + RATE_TOL_BITS:

@@ -18,6 +18,7 @@ from oracles import (
     achievability_suite_by_samples,
     alpha_suite_by_sets,
     beta_suite_by_sets,
+    cf_rate_by_network,
     constraint_table_by_loops,
     convergence_sweep_by_rows,
     coordinate_descent_by_bisection,
@@ -1789,6 +1790,184 @@ def test_selftest_keeps_every_name_the_benchmark_tracer_wraps():
         assert callable(getattr(selftest, name))
 
 
+def _rate_cases():
+    """(network, Q) pairs of mixed relay counts: random T = 3..7 networks
+    at random Q, a relay-free T = 2 network, a T = 3 network with relay
+    noise 1e308 whose N + Q overflows, and two T = 5 networks where it
+    overflows for one relay and for two, beside the random T = 5 ones."""
+    rng = np.random.default_rng(20261025)
+    cases = []
+    for t in (3, 4, 5, 6, 7) * 4:
+        net = random_network(rng, t)
+        values = (10.0 ** rng.uniform(-3.0, 3.0, size=t - 2)).tolist()
+        cases.append((net, rc.QuantizationVector(entries=tuple(zip(net.relay_ids, values)))))
+    cases.append((_net([rc.source(1, 2.0), rc.destination(2, 0.5)]), rc.QuantizationVector(())))
+    huge = _net([rc.source(1, 1.0), rc.relay(2, 2.2, 1e308), rc.destination(3, 1.0)])
+    cases.append((huge, rc.QuantizationVector.uniform(1e308, (2,))))
+    relays = [rc.relay(j, 10.0, noise) for j, noise in zip((2, 3, 4), (1e308, 1.0, 1e308))]
+    huge = _net([rc.source(1, 1.5), *relays, rc.destination(5, 0.5)])
+    cases.append((huge, rc.QuantizationVector.per_relay({2: 1e308, 3: 2.0, 4: 1.0})))
+    cases.append((huge, rc.QuantizationVector.uniform(1e308, (2, 3, 4))))
+    return cases
+
+
+class TestStackedChecks:
+    """The per-sample checks of the random verify suites and the sweep's
+    rates, stacked, against their one-at-a-time forms."""
+
+    def test_stacked_rates_match_the_network_oracle_bitwise(self):
+        cases = _rate_cases()
+        want = [cf_rate_by_network(net, q) for net, q in cases]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = bounds._cf_rates([net for net, _ in cases], [q.values for _, q in cases])
+            assert got.tolist() == want
+            assert [rc.cf_rate(net, q) for net, q in cases] == want
+        # An overflowed relay is dropped: the T = 3 network's destination
+        # hears the source alone, 1/2 log2(1 + 1/1).
+        assert want[-3] == 0.5
+
+    def test_rates_at_zero_q_are_the_source_cut_bound_bitwise(self):
+        nets = [net for net, _ in _rate_cases()]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = bounds._cf_rates(nets, [(0.0,) * len(net.relay_ids) for net in nets])
+            assert got.tolist() == [rc.source_cut_bound(net) for net in nets]
+
+    def test_one_rate_stack_per_count_of_receivers_heard(self, monkeypatch):
+        shapes, real = [], bounds._whitened_mi_bits
+
+        def recording(w):
+            shapes.append(w.shape)
+            return real(w)
+
+        monkeypatch.setattr(bounds, "_whitened_mi_bits", recording)
+        cases = _rate_cases()
+        bounds._cf_rates([net for net, _ in cases], [q.values for _, q in cases])
+        # One stack per relay count, where the overflowed relays split a
+        # run: at T = 3 into 2 and 1 receivers heard, at T = 5 into 4, 3
+        # and 2.
+        assert sorted(shapes) == [
+            (1, 1, 1), (1, 1, 1), (1, 2, 1), (1, 3, 1),
+            (4, 2, 1), (4, 3, 1), (4, 4, 1), (4, 5, 1), (4, 6, 1),
+        ]
+
+    def test_stacked_feasibility_matches_each_table(self):
+        rng = np.random.default_rng(20261026)
+        nets = [random_network(rng, t) for t in (2, 3, 4, 5, 6, 3, 5) for _ in range(2)]
+        tables = bounds._constraint_tables(nets, "forall")
+        pairs = []
+        for table, q_star in zip(tables, bounds._uniform_optima(tables)):
+            for c in (0.5, 1.0, 1.5):
+                values = [v * c for v in q_star.values]
+                pairs.append((table, values))
+        got = bounds._feasible([t for t, _ in pairs], [q for _, q in pairs])
+        assert got == [t.feasible(np.array(q)) for t, q in pairs]
+        assert True in got and False in got
+
+    def test_sweep_rates_its_rows_in_one_call(self, monkeypatch, reference_network):
+        calls, real = [], bounds._cf_rates
+
+        def counting(nets, qs):
+            calls.append(len(nets))
+            return real(nets, qs)
+
+        def refuse(*args):
+            raise AssertionError("the sweep must not rate a row alone")
+
+        monkeypatch.setattr(bounds, "_cf_rates", counting)
+        monkeypatch.setattr(bounds, "cf_rate", refuse)
+        rows = rc.convergence_sweep(reference_network, _SWEEP_GAMMAS)
+        monkeypatch.undo()
+        assert calls == [len(_SWEEP_GAMMAS)]
+        assert _row_keys(rows) == _row_keys(
+            convergence_sweep_by_rows(reference_network, _SWEEP_GAMMAS)
+        )
+
+    def test_suites_make_no_per_sample_rate_or_feasibility_call(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("no suite may check one sample alone")
+
+        for name in ("cf_rate", "source_cut_bound"):
+            monkeypatch.setattr(selftest, name, refuse)
+            monkeypatch.setattr(bounds, name, refuse)
+        monkeypatch.setattr(bounds._ConstraintTable, "feasible", refuse)
+        assert selftest.achievability_suite().passed
+        assert selftest.monotonicity_suite().passed
+
+    @staticmethod
+    def _pushing(index, push):
+        """``_pushed_inside`` with sample ``index``'s point replaced by
+        ``push(q_star, point)``."""
+        real, calls = selftest._pushed_inside, itertools.count()
+
+        def pushed(q_star, factors):
+            point = real(q_star, factors)
+            return push(q_star, point) if next(calls) == index else point
+
+        return pushed
+
+    def _both_paths(self, monkeypatch, name, samples, *faults):
+        """The serial suite's and the batched suite's CheckResult, each run
+        with the ``faults``, (module, attribute, factory) triples, fresh."""
+        results = []
+        for suite in (SERIAL_SUITES[name], getattr(selftest, name)):
+            for module, attribute, factory in faults:
+                monkeypatch.setattr(module, attribute, factory())
+            results.append(suite(samples, SUITE_SEEDS[name]))
+        return results
+
+    def test_infeasible_sample_is_named_as_the_serial_suite_names_it(self, monkeypatch):
+        # Sample 5's point is Q*/2, below the uniform frontier.
+        halve = (
+            selftest,
+            "_pushed_inside",
+            lambda: self._pushing(5, lambda q_star, _: q_star.scaled_by(0.5)),
+        )
+        want, got = self._both_paths(monkeypatch, "monotonicity_suite", 20, halve)
+        assert got == want
+        assert got.detail == "sample 5: sampled Q not feasible at scale 1"
+
+    def test_broken_scale_is_named_as_the_serial_suite_names_it(self, monkeypatch):
+        # Sample 5's point is lifted until its smallest Q is 2e9, and every
+        # per-relay margin evaluation reads -1 where the smallest Q passes
+        # 1e10 (the uniform search, with one Q per column, is left alone):
+        # scale 10 breaks sample 5.
+        real = bounds._margins_log2
+
+        def faulty(denom_log2, noise, lam, p1, q_values):
+            margins = real(denom_log2, noise, lam, p1, q_values)
+            if q_values.ndim != denom_log2.ndim:
+                return margins
+            return np.where(q_values.min(axis=0) > 1e10, -1.0, margins)
+
+        lift = (
+            selftest,
+            "_pushed_inside",
+            lambda: self._pushing(5, lambda _, point: point.scaled_by(2e9 / min(point.values))),
+        )
+        margins = (bounds, "_margins_log2", lambda: faulty)
+        want, got = self._both_paths(monkeypatch, "monotonicity_suite", 20, lift, margins)
+        assert got == want
+        assert got.detail.startswith("sample 5: scale 10.0 broke feasibility (S=(")
+        assert got.detail.endswith(", margin -1.000e+00)")
+
+    def test_rate_above_bound_is_named_as_the_serial_suite_names_it(self, monkeypatch):
+        # Every rate and bound, stacked or alone, goes through the Cholesky
+        # kernel; a 1 x 1 matrix above 40 gets its log-det negated. Only
+        # sample 9's bound lies there, so its rate reads above its bound.
+        real = gaussian._stacked_cholesky_log2_det
+
+        def flipped(stack):
+            log2_dets = real(stack)
+            return np.where(stack[:, 0, 0] > 40.0, -log2_dets, log2_dets)
+
+        kernel = (gaussian, "_stacked_cholesky_log2_det", lambda: flipped)
+        want, got = self._both_paths(monkeypatch, "achievability_suite", 20, kernel)
+        assert got == want
+        assert re.fullmatch(r"sample 9: rate \S+ exceeds bound -\S+", got.detail)
+
+
 def _descent_cases():
     rng = np.random.default_rng(20261019)
     for t in range(3, 11):
@@ -1932,9 +2111,10 @@ class TestRateReport:
     @pytest.mark.parametrize("t", [3, 5, 8])
     def test_report_evaluates_each_cut_once(self, monkeypatch, t):
         # One cut-table evaluation per report, rating each of the 2^(T-2)
-        # cuts once: the stacks it passes to the rate function hold
-        # 2^(T-2) channels in total, and its rates are the per-cut
-        # oracle's, cut by cut.
+        # cuts once: the stacks passed to the rate function hold 2^(T-2)
+        # channels in total, and one more, the compress-forward rate's
+        # column (cf_rate is a stack of one), and the table's rates are
+        # the per-cut oracle's, cut by cut.
         net = random_network(np.random.default_rng(t), t)
         tables, rated = [], []
         real_rates, real_mi = bounds._cut_rates, bounds._whitened_mi_bits
@@ -1953,7 +2133,7 @@ class TestRateReport:
         rep = rc.build_rate_report(net)
         monkeypatch.undo()
         assert len(tables) == 1
-        assert sum(rated) == 2 ** (t - 2)
+        assert sum(rated) == 2 ** (t - 2) + 1
         want = [rate for _, rate in cut_table_by_cuts(net)]
         assert tables[0].tolist() == pytest.approx(want, rel=0.0, abs=1e-10)
         assert rep.upper_bound_bits == rc.source_cut_bound(net)

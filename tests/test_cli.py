@@ -113,6 +113,46 @@ def _value_after(out, label):
     raise AssertionError(f"no line starting with {label!r} in output:\n{out}")
 
 
+def _argparse_outcome(parser, argv, capsys):
+    """(exit code, stdout, stderr) of ``parser`` ending on ``argv``."""
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+class TestParser:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "--config", "x.json", "--bogus"],
+            ["cfrate", "--config", "x.json", "--mode", "fast"],
+            ["cfrate", "--config", "x.json", "--top-k", "many"],
+            ["cfrate", "--help"],
+            ["sweep"],
+            ["verify", "--bogus"],
+        ],
+    )
+    def test_one_command_parser_answers_as_the_full_parser(self, argv, capsys):
+        # Its usage line still names all four commands.
+        got = _argparse_outcome(cli._parser((argv[0],)), argv, capsys)
+        assert got == _argparse_outcome(cli.build_parser(), argv, capsys)
+
+    def test_main_builds_only_the_named_command(self, tmp_path, monkeypatch, capsys):
+        built, real = [], cli._parser
+
+        def recording(names):
+            built.append(names)
+            return real(names)
+
+        monkeypatch.setattr(cli, "_parser", recording)
+        assert cli.main(["bound", "--config", _write(tmp_path, "ref.json", _ref_doc())]) == 0
+        for argv in (["--help"], [], ["frobnicate"]):
+            with pytest.raises(SystemExit):
+                cli.main(argv)
+        assert built == [("bound",)] + [("bound", "cfrate", "sweep", "verify")] * 3
+
+
 class TestCommandsSucceed:
     def test_bound_reference(self, tmp_path, capsys):
         cfg = _write(tmp_path, "ref.json", _ref_doc())

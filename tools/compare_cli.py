@@ -72,8 +72,11 @@ network samples and 1 and 7 determinant samples, the edge cases of batching
 the random suites by size. It also runs with alpha offsets [-1, 0, 1] and
 [0], and with beta grids [-0.5, 0, 0.5] and [0] and the three failing
 grids [-1e6, 0], [0, 1e8] and [0, 1e200], where the relay-correlation
-check stops at its first failing parameter set: 489 runs in all. Only the
-standard library and numpy are used.
+check stops at its first failing parameter set. Fourteen runs end in
+argparse: ``--help`` alone and after each command, no argument, an
+unknown command, an unknown flag after each command, ``cfrate`` without
+``--config``, a bad ``--mode`` and a non-integer ``--top-k``: 503 runs in
+all. Only the standard library and numpy are used.
 """
 
 from __future__ import annotations
@@ -378,6 +381,24 @@ def tie_break_networks() -> list[tuple[str, dict]]:
     ]
 
 
+def argparse_runs(config: str) -> list[list[str]]:
+    """Command lines that argparse answers itself: help, a missing or
+    unknown command, an unknown flag on each command, a missing
+    ``--config``, a bad ``--mode`` choice and a non-integer ``--top-k``.
+    ``config`` is the path of a valid config."""
+    commands = ("bound", "cfrate", "sweep", "verify")
+    return [
+        ["--help"],
+        *([command, "--help"] for command in commands),
+        [],
+        ["frobnicate"],
+        *([command, "--config", config, "--bogus"] for command in commands),
+        ["cfrate"],
+        ["cfrate", "--config", config, "--mode", "fast"],
+        ["cfrate", "--config", config, "--top-k", "many"],
+    ]
+
+
 def runs(config_dir: str) -> list[tuple[str, list[str]]]:
     """Write the corpus into config_dir; return (run name, argv) pairs."""
     out = []
@@ -412,6 +433,10 @@ def runs(config_dir: str) -> list[tuple[str, list[str]]]:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump({"verify": {key: value}}, fh)
         out.append((f"verify {key} {value}", ["verify", "--config", path]))
+    readme = os.path.join(config_dir, "readme.json")
+    for argv in argparse_runs(readme):
+        words = " ".join("CONFIG" if word == readme else word for word in argv)
+        out.append((f"argparse: {words or '(no argument)'}", argv))
     return out
 
 
