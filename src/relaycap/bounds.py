@@ -620,7 +620,6 @@ def _constraint_tables(
     lone table is a stack of one."""
     _require_quantifier(quantifier)
     tables: list[_ConstraintTable] = []
-    runs: dict[int, list[_ConstraintTable]] = {}
     for net in nets:
         _check_guard(net, override_guard)
         gains, powers, noise = net._arrays
@@ -631,10 +630,21 @@ def _constraint_tables(
         n = len(table.relays)
         table.p1, table.lam, table.noise = float(powers[0]), gains[0, 1 : n + 1], noise[1 : n + 1]
         tables.append(table)
-        runs.setdefault(n, []).append(table)
-    for n, run in runs.items():
-        _fill_tables(run, n, quantifier == "forall")
+    for members in _runs([len(table.relays) for table in tables]):
+        run = [tables[k] for k in members]
+        _fill_tables(run, len(run[0].relays), quantifier == "forall")
     return tables
+
+
+def _runs(counts: list[int | None]) -> list[list[int]]:
+    """The indices of equal counts, one run per count in order of first
+    appearance, the items counted None left out: the stacks of equal
+    relay (or receiver) count that the batched routines pass as one."""
+    runs: dict[int, list[int]] = {}
+    for k, n in enumerate(counts):
+        if n is not None:
+            runs.setdefault(n, []).append(k)
+    return list(runs.values())
 
 
 def _fill_tables(run: list[_ConstraintTable], n: int, forall: bool) -> None:
@@ -790,11 +800,8 @@ def _cf_rates(nets: list[NetworkSpec], qs: list) -> np.ndarray:
     its one channel. Every network is read, and so checked, in turn
     before any rate is taken.
     """
-    runs: dict[int, list[int]] = {}
-    for k, net in enumerate(nets):
-        runs.setdefault(len(net._arrays[1]), []).append(k)
     rates = np.empty(len(nets))
-    for members in runs.values():
+    for members in _runs([len(net._arrays[1]) for net in nets]):
         arrays = [nets[k]._arrays for k in members]
         gains = np.array([g[0, 1:] for g, _, _ in arrays])
         q = np.array([(*qs[k], 0.0) for k in members])
@@ -803,13 +810,8 @@ def _cf_rates(nets: list[NetworkSpec], qs: list) -> np.ndarray:
         # conditional_mi_bits's whitening, one column per network.
         w = np.sqrt(gains) * np.sqrt([p[:1] for _, p, _ in arrays]) / np.sqrt(total)
         heard = total < math.inf
-        if heard.all():  # the usual case: the run is one stack
-            rates[members] = _whitened_mi_bits(w[:, :, None])
-            continue
-        counts = heard.sum(axis=1)
-        for m in set(counts.tolist()):
-            rows = counts == m
-            column = w[rows][heard[rows]].reshape(-1, m, 1)
+        for rows in _runs(heard.sum(axis=1).tolist()):
+            column = w[rows][heard[rows]].reshape(len(rows), -1, 1)
             rates[np.array(members)[rows]] = _whitened_mi_bits(column)
     return rates
 
@@ -827,11 +829,7 @@ def _feasible(tables: list[_ConstraintTable], qs: list) -> list[bool]:
     bit, from one ``_margins_log2`` pass per relay count, with Q per relay
     in columns (R, K). A relay-free table has no constraint to break."""
     feasible = [True] * len(tables)
-    runs: dict[int, list[int]] = {}
-    for k, table in enumerate(tables):
-        if table.relays:
-            runs.setdefault(len(table.relays), []).append(k)
-    for members in runs.values():
+    for members in _runs([len(table.relays) or None for table in tables]):
         q = np.array([qs[k] for k in members]).T
         margins = _margins_log2(*_columns([tables[k] for k in members]), q)
         for k, ok in zip(members, (margins >= 0.0).all(axis=0).tolist()):
@@ -912,18 +910,17 @@ def _uniform_optima(tables: list[_ConstraintTable]) -> list[QuantizationVector |
     exact: the smallest double that its table accepts.
     """
     optima: list[QuantizationVector | Infeasible] = [QuantizationVector(entries=())] * len(tables)
-    runs: dict[int, list[int]] = {}
+    counts: list[int | None] = []
     for k, table in enumerate(tables):
         blocked = np.flatnonzero(~(table.denom_log2 > 0.0))
+        counts.append(None if blocked.size else len(table.relays) or None)
         if blocked.size:
             optima[k] = Infeasible(
                 f"relay subset {table.instance(blocked[0]).s} cannot forward at any finite "
                 "quantization noise: its relays deliver no power to the receivers that must "
                 "decode them"
             )
-        elif table.relays:
-            runs.setdefault(len(table.relays), []).append(k)
-    for members in runs.values():
+    for members in _runs(counts):
         run = [tables[k] for k in members]
         # N + Q -> inf near the largest double: a relay that hears nothing
         # of the source, the exact limit. Near the smallest, N/Q -> inf, and

@@ -371,11 +371,20 @@ def _count(value: object, where: str, minimum: int = 1) -> int:
     return value
 
 
-_COMMANDS = ("bound", "cfrate", "sweep", "verify")
+#: Each subcommand by name: its help summary and options. Its handler is
+#: ``cmd_<name>``, looked up when a parser is built, so that a handler
+#: wrapped after import (a tracer's span) is the one that runs.
+_COMMANDS = {
+    "bound": ("cut rates and the min-cut upper bound", ("--override-guard",)),
+    "cfrate": ("optimize quantization and report the achievable rate",
+               ("--quantifier", "--mode", "--tol", "--override-guard", "--top-k")),
+    "sweep": ("relay-power convergence CSV", ("--quantifier", "--override-guard")),
+    "verify": ("run the built-in verification suites", ()),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    return _parser(_COMMANDS)
+    return _parser(tuple(_COMMANDS))
 
 
 def _parser(names: tuple[str, ...]) -> argparse.ArgumentParser:
@@ -408,23 +417,14 @@ def _parser(names: tuple[str, ...]) -> argparse.ArgumentParser:
         "--override-guard": dict(action="store_true",
                                  help="allow networks larger than the size guard"),
     }
-    commands = (
-        ("bound", cmd_bound, "cut rates and the min-cut upper bound", ("--override-guard",)),
-        ("cfrate", cmd_cfrate, "optimize quantization and report the achievable rate",
-         ("--quantifier", "--mode", "--tol", "--override-guard", "--top-k")),
-        ("sweep", cmd_sweep, "relay-power convergence CSV",
-         ("--quantifier", "--override-guard")),
-        ("verify", cmd_verify, "run the built-in verification suites", ()),
-    )
-    for name, func, summary, flags in commands:
-        if name not in names:
-            continue
+    for name in names:
+        summary, flags = _COMMANDS[name]
         sp = sub.add_parser(name, help=summary)
         sp.add_argument("--config", required=name != "verify", help="JSON config path")
         sp.add_argument("--out", default=None, help="write output to this file instead of stdout")
         for flag in flags:
             sp.add_argument(flag, **options[flag])
-        sp.set_defaults(func=func)
+        sp.set_defaults(func=globals()[f"cmd_{name}"])
     return parser
 
 
@@ -432,7 +432,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # Only the named command's parser is built; -h, no argument or an
     # unknown word get all four.
-    named = tuple(argv[:1]) if argv[:1] and argv[0] in _COMMANDS else _COMMANDS
+    named = tuple(argv[:1]) if argv[:1] and argv[0] in _COMMANDS else tuple(_COMMANDS)
     args = _parser(named).parse_args(argv)
     try:
         return args.func(args)

@@ -41,6 +41,7 @@ from .bounds import (
     _cf_rates,
     _constraint_tables,
     _feasible,
+    _runs,
     _uniform_optima,
 )
 # No suite calls these; they stay bound here because perfbench/spans.py wraps them.
@@ -324,35 +325,26 @@ def beta_suite(betas: tuple[float, ...] | None = None) -> CheckResult:
     return CheckResult(name, True, detail)
 
 
-def _size_stacks(draws: list[tuple]) -> list[tuple]:
-    """The (lambda, N, Q, P1) instances of each size d: their indices,
-    then lambda, N + Q and P1 stacked."""
-    sizes: dict[int, list[int]] = {}
-    for i, (lam, *_) in enumerate(draws):
-        sizes.setdefault(len(lam), []).append(i)
-    stacks = []
-    for rows in sizes.values():
-        lam, noise, qv, p1 = map(np.array, zip(*(draws[i] for i in rows)))
-        stacks.append((rows, lam, noise + qv, p1))
-    return stacks
-
-
-def _determinants(draws: list[tuple]) -> list[float]:
+def _determinants(draws: list[tuple]) -> tuple[list[float], list[float]]:
     """Each (lambda, N, Q, P1) instance's determinant, bit for bit what
-    ``quantized_covariance_det`` gives: the kernel it calls on a stack of
-    one, called here once per size d on that size's stack."""
-    dets = [0.0] * len(draws)
-    for rows, lam, total, p1 in _size_stacks(draws):
+    ``quantized_covariance_det`` gives (the kernel it calls on a stack of
+    one), and its rank-one closed form prod(N+Q) * (1 + P1 * sum
+    lambda/(N+Q)): both taken once per size d on that size's stack."""
+    dets, closed = [0.0] * len(draws), [0.0] * len(draws)
+    for rows in _runs([len(lam) for lam, *_ in draws]):
+        lam, noise, qv, p1 = map(np.array, zip(*(draws[i] for i in rows)))
+        total = noise + qv
+        forms = np.prod(total, axis=1) * (1.0 + p1 * np.sum(lam / total, axis=1))
         # Python's 2.0 ** x, as the public function takes it.
-        for i, x in zip(rows, _rank_one_log2_dets(lam, total, p1).tolist()):
-            dets[i] = 2.0 ** x
-    return dets
+        for i, x, c in zip(rows, _rank_one_log2_dets(lam, total, p1).tolist(), forms.tolist()):
+            dets[i], closed[i] = 2.0 ** x, c
+    return dets, closed
 
 
 def determinant_lemma_suite(samples: int = 500, seed: int = 20250811) -> CheckResult:
     """Factorized determinant vs the rank-one-update closed form
-    prod(N+Q) * (1 + P1 * sum lambda/(N+Q)) on random instances, the
-    closed form taken once per size on that size's stack."""
+    prod(N+Q) * (1 + P1 * sum lambda/(N+Q)) on random instances, both
+    taken once per size on that size's stack."""
     name = "determinant-lemma"
     rng = np.random.default_rng(seed)
     draws = []
@@ -362,11 +354,7 @@ def determinant_lemma_suite(samples: int = 500, seed: int = 20250811) -> CheckRe
         noise = 10.0 ** rng.uniform(-0.5, 0.5, size=d)
         qv = 10.0 ** rng.uniform(-3.0, 3.0, size=d)
         draws.append((lam, noise, qv, 10.0 ** rng.uniform(-0.5, 0.5)))
-    dets, errors = np.array(_determinants(draws)), [0.0]
-    for rows, lam, total, p1 in _size_stacks(draws):
-        closed = np.prod(total, axis=1) * (1.0 + p1 * np.sum(lam / total, axis=1))
-        errors += (np.abs(dets[rows] - closed) / closed).tolist()
-    worst = max(errors)
+    worst = max([0.0] + [abs(got - c) / c for got, c in zip(*_determinants(draws))])
     passed = worst < 1e-10
     detail = f"{samples} random instances (size <= 6); worst relative error {worst:.3e}"
     return CheckResult(name, passed, detail)

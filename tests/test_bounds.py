@@ -1695,7 +1695,7 @@ class TestBatchedSuites:
     @pytest.mark.parametrize("bump", SEED_BUMPS)
     def test_determinants_match_public_route_bitwise(self, bump):
         draws = determinant_lemma_draws(500, SUITE_SEEDS["determinant_lemma_suite"] + bump)
-        assert selftest._determinants(draws) == [determinant_by_network(*d) for d in draws]
+        assert selftest._determinants(draws)[0] == [determinant_by_network(*d) for d in draws]
 
     def test_determinant_lemma_factors_one_stack_per_size(self, monkeypatch):
         # Every instance goes through the kernel behind the public
