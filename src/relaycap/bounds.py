@@ -55,12 +55,14 @@ is the source cut, the first row of that table. A sweep over the relay
 power multiplier shows the gap between the two sides collapsing as relay
 power grows.
 
-All rates are bits per channel use. Every analysis reads its network
-through ``_channel`` (the constraint table and the compress-forward
-rates take the same slices themselves),
-from a view that ``topology.validate`` checks once per network; a
-network that fails raises one ValueError listing its problems. Everything here is pure given an immutable NetworkSpec, and
-diagnostics come in canonical enumeration order, so output is deterministic.
+All rates are bits per channel use. A NetworkSpec is the public input
+only: each entry point reads its validated (gains, powers, noises)
+arrays, ``NetworkSpec._arrays``, which ``topology.validate`` checks once
+per network (a network that fails raises one ValueError listing its
+problems), and everything past that read, the sweep's rows included,
+takes the arrays. Everything here is pure given an immutable
+NetworkSpec, and diagnostics come in canonical enumeration order, so
+output is deterministic.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ from .errors import (
 )
 from .gaussian import _rank_one_log2_dets, _whitened, _whitened_mi_bits, conditional_mi_bits
 from .partition_dp import _Layout, _dp_layout, _partition_dp, _subset_sums
-from .topology import NetworkSpec, _node_id, scaled
+from .topology import NetworkSpec, _node_id, _scaled_power
 
 _LN2 = math.log(2.0)
 
@@ -119,10 +121,10 @@ def _require_cover(q: QuantizationVector, relays: tuple[int, ...]) -> None:
         raise ValueError(f"quantization vector covers relays {q.ids}, network has {relays}")
 
 
-def _check_guard(net: NetworkSpec, override_guard: bool) -> None:
-    if net.num_nodes > GUARD_MAX_NODES and not override_guard:
+def _check_guard(num_nodes: int, override_guard: bool) -> None:
+    if num_nodes > GUARD_MAX_NODES and not override_guard:
         raise GuardExceeded(
-            f"network has {net.num_nodes} nodes, above the size guard of "
+            f"network has {num_nodes} nodes, above the size guard of "
             f"{GUARD_MAX_NODES}; set override_guard (--override-guard on the "
             "command line) to run it anyway"
         )
@@ -291,7 +293,7 @@ def _cut_rates(net: NetworkSpec, override_guard: bool) -> np.ndarray:
     relay count, and the first group holding a cut that is not positive
     definite raises the kernel's error.
     """
-    _check_guard(net, override_guard)
+    _check_guard(net.num_nodes, override_guard)
     relays = net.relay_ids
     tx = (1,) + relays
     rx = tuple(range(2, net.num_nodes + 1))
@@ -562,14 +564,18 @@ class _ConstraintTable:
     """
 
     def __init__(self, net: NetworkSpec, quantifier: str, override_guard: bool = False):
-        (table,) = _constraint_tables([net], quantifier, override_guard)
+        # The quantifier, then the size guard, then the network's read (its
+        # validation): a network past the guard is refused unread.
+        _require_quantifier(quantifier)
+        _check_guard(net.num_nodes, override_guard)
+        (table,) = _constraint_tables([net._arrays], quantifier, override_guard)
         self.__dict__ = table.__dict__
 
     def instance(self, k: int) -> ConstraintInstance:
         """Row k's binding (partition, assignment): the DP's first blocks
         followed from the row's mask, each with its receiver."""
         relays = self.relays
-        receivers = relays + (self.net.destination_id,)
+        receivers = relays + (len(self.arrays[1]),)
 
         def members(mask: int) -> tuple[int, ...]:
             return tuple(r for i, r in enumerate(relays) if mask >> i & 1)
@@ -597,6 +603,11 @@ class _ConstraintTable:
     def feasible(self, q_values: np.ndarray) -> bool:
         return bool(np.all(self.margins_log2(q_values) >= 0.0))
 
+    def cf_rate(self, q_values) -> float:
+        """The network's compress-forward rate at Q, given as values
+        aligned with the sorted relays: ``cf_rate`` on the table's arrays."""
+        return float(_cf_rates([self.arrays], [q_values])[0])
+
     def constraint_margins(self, q: QuantizationVector) -> tuple[ConstraintMargin, ...]:
         """Every subset's binding instance with its margin at Q, in
         canonical subset order."""
@@ -610,23 +621,28 @@ class _ConstraintTable:
 
 
 def _constraint_tables(
-    nets: Iterable[NetworkSpec], quantifier: str, override_guard: bool = False
+    networks: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    quantifier: str,
+    override_guard: bool = False,
 ) -> list[_ConstraintTable]:
     """Each network's constraint table, for any networks: mixed relay
-    counts, relay-free ones. Each network is checked in turn, the size
-    guard and then validation, so the first that fails raises before any
-    table is built. Then the tables of each relay count are built in one
-    stacked pass (``_fill_tables``), each bit for bit as it is alone: a
-    lone table is a stack of one."""
+    counts, relay-free ones. A network is its validated (gains, powers,
+    noises) arrays, as ``NetworkSpec._arrays`` gives them, and its table
+    keeps them. Each is taken from ``networks`` in turn and checked
+    against the size guard, so the first past it raises before any table
+    is built, and before a lazy ``networks`` makes the next one. Then the
+    tables of each relay count are built in one stacked pass
+    (``_fill_tables``), each bit for bit as it is alone: a lone table is a
+    stack of one."""
     _require_quantifier(quantifier)
     tables: list[_ConstraintTable] = []
-    for net in nets:
-        _check_guard(net, override_guard)
-        gains, powers, noise = net._arrays
+    for arrays in networks:
+        gains, powers, noise = arrays
+        _check_guard(len(powers), override_guard)
         table = object.__new__(_ConstraintTable)
         # The ids of a validated network run 1..T, so the relays are nodes
         # 2..T-1.
-        table.net, table.relays = net, tuple(range(2, net.num_nodes))
+        table.arrays, table.relays = arrays, tuple(range(2, len(powers)))
         n = len(table.relays)
         table.p1, table.lam, table.noise = float(powers[0]), gains[0, 1 : n + 1], noise[1 : n + 1]
         tables.append(table)
@@ -655,7 +671,7 @@ def _fill_tables(run: list[_ConstraintTable], n: int, forall: bool) -> None:
     class docstring's guard admits are sums of singletons
     (``_sum_singletons``), and only the others run the DP."""
     layout = _dp_layout(n)
-    arrays = [table.net._arrays for table in run]
+    arrays = [table.arrays for table in run]
     # Each network's _channel(net, (1,) + relays, relays + (T,)), stacked:
     # transmitters 1..T-1 by column, receivers 2..T by row.
     gains = np.array([g for g, _, _ in arrays])[:, :-1, 1:].transpose(0, 2, 1)
@@ -782,14 +798,15 @@ def cf_rate(net: NetworkSpec, q: QuantizationVector) -> float:
     decodes at once the forwarded indices are absorbed.
     """
     _require_cover(q, net.relay_ids)
-    return float(_cf_rates([net], [q.values])[0])
+    return float(_cf_rates([net._arrays], [q.values])[0])
 
 
-def _cf_rates(nets: list[NetworkSpec], qs: list) -> np.ndarray:
-    """The compress-forward rate of each network at its Q, given as values
-    aligned with its sorted relays; ``cf_rate`` is a stack of one. At
-    Q = 0 a row is ``source_cut_bound`` bit for bit: N + 0.0 = N, with
-    the receivers in the same order.
+def _cf_rates(networks: list[tuple[np.ndarray, np.ndarray, np.ndarray]], qs: list) -> np.ndarray:
+    """The compress-forward rate of each network, its validated (gains,
+    powers, noises) arrays, at its Q, given as values aligned with its
+    sorted relays; ``cf_rate`` is a stack of one. At Q = 0 a row is
+    ``source_cut_bound`` bit for bit: N + 0.0 = N, with the receivers in
+    the same order.
 
     The destination hears the source over one whitened column, receivers
     2..T: each relay at N + Q, the destination at its N. An N + Q that
@@ -797,12 +814,11 @@ def _cf_rates(nets: list[NetworkSpec], qs: list) -> np.ndarray:
     nothing of the source, so dropping it is the exact limit. The columns
     with the same number of receivers left are one stack for
     ``gaussian._whitened_mi_bits``, the function ``cut_rate`` applies to
-    its one channel. Every network is read, and so checked, in turn
-    before any rate is taken.
+    its one channel.
     """
-    rates = np.empty(len(nets))
-    for members in _runs([len(net._arrays[1]) for net in nets]):
-        arrays = [nets[k]._arrays for k in members]
+    rates = np.empty(len(networks))
+    for members in _runs([len(powers) for _, powers, _ in networks]):
+        arrays = [networks[k] for k in members]
         gains = np.array([g[0, 1:] for g, _, _ in arrays])
         q = np.array([(*qs[k], 0.0) for k in members])
         with np.errstate(over="ignore"):
@@ -839,7 +855,7 @@ def _feasible(tables: list[_ConstraintTable], qs: list) -> list[bool]:
 
 def _search_start(table: _ConstraintTable) -> float:
     """Where the uniform search starts: the largest receiver noise."""
-    return max(table.net._arrays[2][1:].tolist())
+    return max(table.arrays[2][1:].tolist())
 
 
 #: Newton steps a search takes at most before it walks the ulps.
@@ -994,13 +1010,13 @@ def _coordinate_descent(
 
     q_star = start
     q_values = np.array(start.values)
-    rate = cf_rate(table.net, q_star)
+    rate = table.cf_rate(q_star.values)
     for _ in range(DESCENT_MAX_CYCLES):
         with np.errstate(over="ignore"):  # N + Q -> inf, as in _uniform_optima
             for k in range(n):
                 q_values[k] = _coordinate_step(table, q_values, k, rows[k])
         q_star = QuantizationVector(entries=tuple(zip(table.relays, q_values)))
-        new_rate = cf_rate(table.net, q_star)
+        new_rate = table.cf_rate(q_star.values)
         improved = new_rate - rate
         rate = new_rate
         if improved <= tol:
@@ -1024,7 +1040,7 @@ def _optimize(table: _ConstraintTable, mode: str, tol: float) -> tuple[Quantizat
         raise q_star
     if mode == "coordinate_descent" and q_star.entries:
         q_star = _coordinate_descent(table, q_star, tol)
-    return q_star, cf_rate(table.net, q_star)
+    return q_star, table.cf_rate(q_star.values)
 
 
 def optimize_quantization(
@@ -1097,15 +1113,19 @@ def convergence_sweep(
     the optimized rate climbs toward it. Quantization is optimized in
     uniform mode so the q column is a single scalar per row.
 
-    Every row's constraint table is built first, in one
-    ``_constraint_tables`` call: the rows share a relay count, so their
-    tables come from one stacked pass. Then one ``_uniform_optima`` call
-    searches every row at once, with one stacked margin pass per step,
-    and one ``_cf_rates`` call rates the feasible rows; each row gets the
-    q and rate that ``optimize_quantization`` gives on its own. A row is
+    The network is validated once; a row is its arrays with every relay
+    power scaled by gamma (``topology._scaled_power``), and a finite
+    scaled power keeps a valid network valid. Every row's constraint
+    table is built first, in one ``_constraint_tables`` call: the rows
+    share a relay count, so their tables come from one stacked pass. Then
+    one ``_uniform_optima`` call searches every row at once, with one
+    stacked margin pass per step, and one ``_cf_rates`` call rates the
+    feasible rows; each row gets the q and rate that
+    ``optimize_quantization`` gives on its ``scaled`` network. A row is
     infeasible exactly when its entry is an Infeasible; it is reported,
-    not fatal, and never stops the other rows. An error from scaling or
-    checking any row's network is raised before any table is built.
+    not fatal, and never stops the other rows. Each row is scaled and
+    then checked against the size guard before the next is scaled, all
+    before any table is built.
     """
     gammas = [float(g) for g in gammas]
     if not gammas:
@@ -1115,11 +1135,19 @@ def convergence_sweep(
     if any(not g >= 1.0 for g in gammas):
         raise InvalidScale(f"every gamma must be >= 1, got {gammas}")
 
+    gains, powers, noises = net._arrays
     bound = source_cut_bound(net)
-    tables = _constraint_tables((scaled(net, g) for g in gammas), quantifier, override_guard)
+    relays = list(zip(range(2, net.num_nodes), powers[1:-1].tolist()))
+
+    def row(gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        scaled_powers = powers.copy()
+        scaled_powers[1:-1] = [_scaled_power(j, p, gamma) for j, p in relays]
+        return gains, scaled_powers, noises
+
+    tables = _constraint_tables(map(row, gammas), quantifier, override_guard)
     optima = _uniform_optima(tables)
-    found = [(t.net, q) for t, q in zip(tables, optima) if not isinstance(q, Infeasible)]
-    rates = iter(_cf_rates([net for net, _ in found], [q.values for _, q in found]).tolist())
+    found = [(t.arrays, q) for t, q in zip(tables, optima) if not isinstance(q, Infeasible)]
+    rates = iter(_cf_rates([arrays for arrays, _ in found], [q.values for _, q in found]).tolist())
     rows: list[SweepRow] = []
     for g, q_star in zip(gammas, optima):
         if isinstance(q_star, Infeasible):

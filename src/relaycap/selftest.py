@@ -405,7 +405,7 @@ def _feasible_points(rng: np.random.Generator, samples: int) -> list[tuple]:
     for _ in range(samples):
         nets.append(random_network(rng, int(rng.integers(3, 7))))
         factors.append(_push_factors(rng, len(nets[-1].relay_ids)))
-    tables = _constraint_tables(nets, "forall")
+    tables = _constraint_tables([net._arrays for net in nets], "forall")
     return [
         (table, q if isinstance(q, RelaycapError) else _pushed_inside(q, push))
         for table, push, q in zip(tables, factors, _uniform_optima(tables))
@@ -456,10 +456,10 @@ def achievability_suite(samples: int = 100, seed: int = 20250813) -> CheckResult
     ``source_cut_bound`` bit for bit."""
     name = "achievability-vs-bound"
     points = _feasible_points(np.random.default_rng(seed), samples)
-    found = [(table.net, q.values) for table, q in points if not isinstance(q, RelaycapError)]
-    nets = [net for net, _ in found]
-    rates = _cf_rates(nets, [q for _, q in found]).tolist()
-    bounds = _cf_rates(nets, [(0.0,) * len(q) for _, q in found]).tolist()
+    found = [(table.arrays, q.values) for table, q in points if not isinstance(q, RelaycapError)]
+    networks = [arrays for arrays, _ in found]
+    rates = _cf_rates(networks, [q for _, q in found]).tolist()
+    bounds = _cf_rates(networks, [(0.0,) * len(q) for _, q in found]).tolist()
     checked = iter(zip(rates, bounds))
     worst_slack = math.inf
     for i, (_, q) in enumerate(points):

@@ -13,9 +13,12 @@ power; ``scaled`` returns a copy with every relay power multiplied by a
 factor gamma >= 1, and sweeping gamma large realizes the regime where relay
 power grows without bound while the source stays fixed.
 
-NetworkSpec is immutable after construction and safe to share across
-concurrent computations. Analyses read it through one cached view, built
-and checked with ``validate`` on its first read (``NetworkSpec._arrays``).
+NetworkSpec is the public input, immutable after construction and safe to
+share across concurrent computations. Analyses read it through one cached
+view, built and checked with ``validate`` on its first read
+(``NetworkSpec._arrays``), and then work on those arrays: a convergence
+sweep scales their relay powers with ``_scaled_power``, the multiply of
+``scaled``, and builds no network per row.
 """
 
 from __future__ import annotations
@@ -274,22 +277,29 @@ def validate(net: NetworkSpec) -> list[str]:
     return problems
 
 
+def _scaled_power(relay_id: int, power: float, gamma: float) -> float:
+    """Relay ``relay_id``'s power multiplied by gamma. Like ``validate``,
+    this refuses a relay power that is not finite, so a gamma that
+    overflows one raises InvalidScale."""
+    power = power * float(gamma)
+    if not math.isfinite(power):
+        raise InvalidScale(f"gamma={gamma!r} gives relay {relay_id} a power that is not finite")
+    return power
+
+
 def scaled(net: NetworkSpec, gamma: float) -> NetworkSpec:
-    """Copy of the network with every relay power multiplied by gamma.
+    """Copy of the network with every relay power multiplied by gamma
+    (``_scaled_power``, which the convergence sweep applies to its one
+    network's arrays).
 
     Source power, noises, and gains are untouched; a relay with no power
-    keeps none. Like ``validate``, this refuses a relay power that is not
-    finite, so a gamma that overflows one raises InvalidScale.
+    keeps none.
     """
     if not gamma >= 1.0:
         raise InvalidScale(f"gamma must be >= 1, got {gamma!r}")
     nodes = []
     for n in net.nodes:
         if n.role == ROLE_RELAY and n.power is not None:
-            n = dataclasses.replace(n, power=n.power * float(gamma))
-            if not math.isfinite(n.power):
-                raise InvalidScale(
-                    f"gamma={gamma!r} gives relay {n.id} a power that is not finite"
-                )
+            n = dataclasses.replace(n, power=_scaled_power(n.id, n.power, gamma))
         nodes.append(n)
     return dataclasses.replace(net, nodes=tuple(nodes))

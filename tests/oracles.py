@@ -53,7 +53,6 @@ from relaycap.bounds import (
     _channel,
     _optimize,
     _require_cover,
-    cf_rate,
     cut_rate,
     optimize_quantization,
     quantized_covariance_det,
@@ -427,7 +426,7 @@ def cut_table_by_cuts(net, override_guard=False):
     """Cut-table rows one cut at a time: every cut of ``subsets`` order,
     each rate from its own ``cut_rate`` call (one ``conditional_mi_bits``
     log-det per cut)."""
-    _check_guard(net, override_guard)
+    _check_guard(net.num_nodes, override_guard)
     rows = []
     for extra in subsets(net.relay_ids):
         cut = CutSpec(tx_side=frozenset({1}) | set(extra))
@@ -470,8 +469,6 @@ def convergence_sweep_by_rows(net, gammas, quantifier="forall", *, override_guar
     """The convergence sweep one gamma row at a time: per row, one scaled
     network, one ``optimize_quantization`` (its own table and uniform
     search), and an infeasible row where that raises Infeasible."""
-    from relaycap.topology import scaled
-
     gammas = [float(g) for g in gammas]
     if not gammas:
         raise InvalidScale("gamma list is empty")
@@ -514,7 +511,7 @@ def coordinate_descent_by_bisection(table, start, rel_tol):
         return QuantizationVector(entries=tuple(zip(table.relays, values)))
 
     q_values = np.array(start.values)
-    rate = cf_rate(table.net, as_vector(q_values))
+    rate = table.cf_rate(q_values)
     for _ in range(DESCENT_MAX_CYCLES):
         for k in range(len(table.relays)):
             def feasible_at(x: float) -> bool:
@@ -524,7 +521,7 @@ def coordinate_descent_by_bisection(table, start, rel_tol):
 
             # Starts on the frontier; doubling only undoes numerical slack.
             q_values[k] = _frontier(feasible_at, q_values[k], rel_tol)
-        new_rate = cf_rate(table.net, as_vector(q_values))
+        new_rate = table.cf_rate(q_values)
         improved = new_rate - rate
         rate = new_rate
         if improved <= rel_tol:

@@ -43,6 +43,8 @@ from relaycap.errors import (
     Infeasible,
     InvalidAlpha,
     InvalidReceiver,
+    NegativePower,
+    NonPositiveNoise,
     NonPositiveQ,
     NotPositiveDefinite,
     VerificationFailure,
@@ -176,6 +178,22 @@ class TestSingleRelayIndependence:
         with pytest.raises(InvalidAlpha):
             rc.verify_single_relay_independence(1.0, 4.0, 1.0, 1.0, (0.6,))
 
+    @pytest.mark.parametrize(
+        "args, error, message",
+        [
+            ((1.0, 1.0, 0.0, 1.0, (0.0,)), NonPositiveNoise, "noise variances must be > 0"),
+            ((1.0, 1.0, 1.0, -1.0, (0.0,)), NonPositiveNoise, "noise variances must be > 0"),
+            ((0.0, 1.0, 1.0, 1.0, (0.0,)), NegativePower, "powers must be > 0 here"),
+            ((1.0, -1.0, 1.0, 1.0, (0.0,)), NegativePower, "powers must be > 0 here"),
+            ((1.0, 1.0, 1.0, 1.0, ()), ValueError, "^alpha grid is empty$"),
+            # Without 0 on the grid the maximum sits elsewhere.
+            ((1.0, 1.0, 1.0, 1.0, (0.5,)), VerificationFailure, "MI maximum sits at alpha=0.5"),
+        ],
+    )
+    def test_bad_inputs_rejected(self, args, error, message):
+        with pytest.raises(error, match=message):
+            rc.verify_single_relay_independence(*args)
+
     def test_route_agreement_over_grid(self):
         rep = rc.verify_single_relay_independence(
             3.0, 0.5, 0.7, 2.0, tuple(0.9 * math.sqrt(6.0) * o for o in OFFSETS)
@@ -208,6 +226,18 @@ class TestRelayCorrelationInvariance:
         rep = rc.verify_relay_correlation_invariance(1.0, 1.0, 1.0, 1.0, OFFSETS)
         assert rep.expected_bits == pytest.approx(1.0, abs=1e-12)
         assert rep.max_abs_dev_bits < 1e-9
+
+    @pytest.mark.parametrize(
+        "args, error, message",
+        [
+            ((1.0, 1.0, 1.0, 0.0, (0.0,)), NonPositiveNoise, "noise variances must be > 0"),
+            ((0.0, 1.0, 1.0, 1.0, (0.0,)), NegativePower, "source power must be > 0 here"),
+            ((1.0, 1.0, 1.0, 1.0, ()), ValueError, "^beta grid is empty$"),
+        ],
+    )
+    def test_bad_inputs_rejected(self, args, error, message):
+        with pytest.raises(error, match=message):
+            rc.verify_relay_correlation_invariance(*args)
 
     def test_single_point_beta(self):
         rep = rc.verify_relay_correlation_invariance(2.0, 0.5, 1.0, 4.0, (0.7,))
@@ -380,6 +410,11 @@ class TestQuantizedCovarianceDet:
         got = rc.quantized_covariance_det(net, (2, 3), q)
         assert got == pytest.approx(2.5 * 3.25, rel=1e-12)
 
+    def test_empty_subset_rejected(self, reference_network):
+        q = rc.QuantizationVector.uniform(1.0, (2, 3))
+        with pytest.raises(ValueError, match="^subset must be nonempty$"):
+            rc.quantized_covariance_det(reference_network, (), q)
+
     @pytest.mark.parametrize("s", [(1,), (4,), (2, 1), (2, 2)])
     def test_subset_holds_relays_only(self, reference_network, s):
         q = rc.QuantizationVector.per_relay({i: 1.0 for i in s})
@@ -430,6 +465,14 @@ class TestQuantizationVector:
     def test_scaled_by(self):
         q = rc.QuantizationVector.per_relay({2: 1.0, 3: 2.0}).scaled_by(10.0)
         assert q.values == (10.0, 20.0)
+        with pytest.raises(ValueError, match="^scale must be > 0, got 0.0$"):
+            q.scaled_by(0.0)
+
+    def test_get(self):
+        q = rc.QuantizationVector.per_relay({2: 1.0, 3: 2.0})
+        assert (q.get(2), q.get(3)) == (1.0, 2.0)
+        with pytest.raises(KeyError, match="no quantization entry for relay 4"):
+            q.get(4)
 
 
 @pytest.mark.parametrize("bad", [2.7, 2.0, True, "2", np.int64(2), 0])
@@ -943,6 +986,24 @@ class TestInvalidNetworks:
             rc.source_cut_bound(net)
         assert err == f"config error: {lib.value}\n"
 
+    def test_guard_comes_before_validation_except_in_a_sweep(self):
+        # An invalid T = 12 network, relay 2 at noise 0: a constraint table
+        # and the cut table check the size guard before they read the
+        # network; a sweep reads it first, for its bound.
+        t = 12
+        nodes = [rc.source(1, 1.0), rc.relay(2, 1.0, 0.0)]
+        nodes += [rc.relay(j, 1.0, 1.0) for j in range(3, t)] + [rc.destination(t, 1.0)]
+        net = _net(nodes)
+        message = "^invalid network: node 2 \\(relay\\) needs a finite noise > 0, got 0.0$"
+        with pytest.raises(GuardExceeded):
+            _ConstraintTable(net, "forall")
+        with pytest.raises(GuardExceeded):
+            rc.cut_rate_table(net)
+        with pytest.raises(ValueError, match=message):
+            _ConstraintTable(net, "forall", override_guard=True)
+        with pytest.raises(ValueError, match=message):
+            rc.convergence_sweep(net, [1.0])
+
 
 def _count_validations(monkeypatch):
     """A list that grows by one per ``validate`` call, from the library's
@@ -959,6 +1020,26 @@ def _count_validations(monkeypatch):
     return calls
 
 
+def _count_networks(monkeypatch):
+    """Lists that grow by one per NetworkSpec constructed (a
+    ``dataclasses.replace`` copy included) and per ``topology.scaled``
+    call."""
+    built, copies = [], []
+    real_init, real_scaled = topology.NetworkSpec.__post_init__, topology.scaled
+
+    def counting_init(self):
+        built.append(self)
+        real_init(self)
+
+    def counting_scaled(net, gamma):
+        copies.append(gamma)
+        return real_scaled(net, gamma)
+
+    monkeypatch.setattr(topology.NetworkSpec, "__post_init__", counting_init)
+    monkeypatch.setattr(topology, "scaled", counting_scaled)
+    return built, copies
+
+
 class TestOneValidationPerNetwork:
     """A network is validated once, on its first analysis; every later
     analysis of it reads the cached arrays."""
@@ -969,23 +1050,36 @@ class TestOneValidationPerNetwork:
     ):
         q = rc.QuantizationVector.uniform(1.0, reference_network.relay_ids)
         calls = _count_validations(monkeypatch)
-        # A sweep also validates each of its scaled copies, two here.
-        copies = 2 if analysis == "convergence_sweep" else 0
         _ANALYSES[analysis](reference_network, q)
-        assert len(calls) == 1 + copies
+        assert len(calls) == 1
         assert calls[0] is reference_network
         calls.clear()
         _ANALYSES[analysis](reference_network, q)
-        assert len(calls) == copies
+        assert calls == []
 
     @pytest.mark.parametrize("k", [1, 4, 13])
-    def test_sweep_validates_the_network_and_each_scaled_copy(
-        self, monkeypatch, reference_network, k
-    ):
+    def test_sweep_validates_once_and_scales_no_network(self, monkeypatch, reference_network, k):
+        # Rows are the network's arrays with scaled relay powers: no row
+        # is a NetworkSpec, a scaled copy or a second validation.
         calls = _count_validations(monkeypatch)
+        built, copies = _count_networks(monkeypatch)
         rc.convergence_sweep(reference_network, [10.0**i for i in range(k)])
-        assert len(calls) == 1 + k
-        assert len({id(net) for net in calls}) == 1 + k
+        assert len(calls) == 1 and calls[0] is reference_network
+        assert built == [] and copies == []
+        assert not hasattr(bounds, "scaled")
+
+    def test_cli_sweep_builds_and_validates_one_network(self, monkeypatch, tmp_path):
+        # A T = 9 sweep over 13 gammas, the shape of the benchmark's sweep
+        # op: one NetworkSpec, checked by the CLI and read once by the
+        # library, and no scaled copy.
+        net = random_network(np.random.default_rng(9), 9)
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(dict(_config_doc(net), sweep={"gammas": _SWEEP_GAMMAS})))
+        calls = _count_validations(monkeypatch)
+        built, copies = _count_networks(monkeypatch)
+        assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        assert len(built) == 1 and copies == []
+        assert len(calls) == 2 and calls[0] is calls[1] is built[0]
 
     def test_cli_cfrate_validates_twice(self, monkeypatch, tmp_path, reference_network):
         path = tmp_path / "ref.json"
@@ -1456,7 +1550,9 @@ class TestConstraintTableArrays:
         runs = _count_dp_runs(monkeypatch)
         for quantifier in ("forall", "exists"):
             runs.clear()
-            batch = bounds._constraint_tables(nets, quantifier, override_guard=True)
+            batch = bounds._constraint_tables(
+                [net._arrays for net in nets], quantifier, override_guard=True
+            )
             stacks = sorted(value.shape for value, _ in runs)
             if quantifier == "forall":
                 assert stacks == [(1, 32), (2, 1), (2, 2), (2, 128), (2, 1024), (3, 4), (9, 16)]
@@ -1491,7 +1587,8 @@ class TestConstraintTableArrays:
 
         nets = [draw_network() for _ in range(data.draw(st.integers(1, 3)))]
         for quantifier in ("forall", "exists"):
-            for net, table in zip(nets, bounds._constraint_tables(nets, quantifier)):
+            tables = bounds._constraint_tables([net._arrays for net in nets], quantifier)
+            for net, table in zip(nets, tables):
                 denoms, instances = constraint_table_by_loops(net, quantifier)
                 assert table.denom_log2.tobytes() == denoms.tobytes()
                 assert table.instances == instances
@@ -1820,7 +1917,7 @@ class TestStackedChecks:
         want = [cf_rate_by_network(net, q) for net, q in cases]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = bounds._cf_rates([net for net, _ in cases], [q.values for _, q in cases])
+            got = bounds._cf_rates([net._arrays for net, _ in cases], [q.values for _, q in cases])
             assert got.tolist() == want
             assert [rc.cf_rate(net, q) for net, q in cases] == want
         # An overflowed relay is dropped: the T = 3 network's destination
@@ -1831,7 +1928,9 @@ class TestStackedChecks:
         nets = [net for net, _ in _rate_cases()]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = bounds._cf_rates(nets, [(0.0,) * len(net.relay_ids) for net in nets])
+            got = bounds._cf_rates(
+                [net._arrays for net in nets], [(0.0,) * len(net.relay_ids) for net in nets]
+            )
             assert got.tolist() == [rc.source_cut_bound(net) for net in nets]
 
     def test_one_rate_stack_per_count_of_receivers_heard(self, monkeypatch):
@@ -1843,7 +1942,7 @@ class TestStackedChecks:
 
         monkeypatch.setattr(bounds, "_whitened_mi_bits", recording)
         cases = _rate_cases()
-        bounds._cf_rates([net for net, _ in cases], [q.values for _, q in cases])
+        bounds._cf_rates([net._arrays for net, _ in cases], [q.values for _, q in cases])
         # One stack per relay count, where the overflowed relays split a
         # run: at T = 3 into 2 and 1 receivers heard, at T = 5 into 4, 3
         # and 2.
@@ -1855,7 +1954,7 @@ class TestStackedChecks:
     def test_stacked_feasibility_matches_each_table(self):
         rng = np.random.default_rng(20261026)
         nets = [random_network(rng, t) for t in (2, 3, 4, 5, 6, 3, 5) for _ in range(2)]
-        tables = bounds._constraint_tables(nets, "forall")
+        tables = bounds._constraint_tables([net._arrays for net in nets], "forall")
         pairs = []
         for table, q_star in zip(tables, bounds._uniform_optima(tables)):
             for c in (0.5, 1.0, 1.5):
@@ -2091,6 +2190,17 @@ class TestRateReport:
                 binding_constraints=(),
                 min_cut=rc.CutSpec(tx_side=frozenset({1})),
                 min_cut_bits=0.5,
+                quantifier="forall",
+            )
+        with pytest.raises(ValueError, match="^inconsistent gap: 0.25 vs bound-rate 0.5$"):
+            rc.RateReport(
+                upper_bound_bits=1.0,
+                cf_rate_bits=0.5,
+                q_star=q,
+                gap_bits=0.25,
+                binding_constraints=(),
+                min_cut=rc.CutSpec(tx_side=frozenset({1})),
+                min_cut_bits=1.0,
                 quantifier="forall",
             )
 
@@ -2334,6 +2444,18 @@ class TestLockstepSweep:
         got = _sweep_outcome(rc.convergence_sweep, net, _SWEEP_GAMMAS)
         assert got == _sweep_outcome(convergence_sweep_by_rows, net, _SWEEP_GAMMAS)
         assert got[0] is GuardExceeded
+
+    @pytest.mark.parametrize(
+        "gammas, error", [([1e308], rc.InvalidScale), ([1.0, 1e308], GuardExceeded)]
+    )
+    def test_each_row_is_scaled_then_guarded(self, gammas, error):
+        # Past the guard, a first row that overflows raises InvalidScale;
+        # a first row that scales raises GuardExceeded before the second
+        # row is scaled.
+        net = random_network(np.random.default_rng(0), 11)
+        got = _sweep_outcome(rc.convergence_sweep, net, gammas)
+        assert got == _sweep_outcome(convergence_sweep_by_rows, net, gammas)
+        assert got[0] is error
 
     def test_overflowing_gamma_error_matches_row_loop(self):
         # Relay powers are at least 10, so gamma 1e308 overflows every one:

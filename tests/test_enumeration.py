@@ -121,6 +121,10 @@ class TestConstraintInstance:
         with pytest.raises(ValueError, match="covers"):
             ConstraintInstance(s=s, partition=partition, assignment=assignment)
 
+    def test_empty_block_rejected(self):
+        with pytest.raises(ValueError, match="^empty block in partition$"):
+            ConstraintInstance(s=(2,), partition=((2,), ()), assignment=(3, 4))
+
     def test_block_and_receiver_lengths_must_match(self):
         with pytest.raises(ValueError, match="blocks"):
             ConstraintInstance(s=(2,), partition=((2,),), assignment=(3, 4))

@@ -242,12 +242,18 @@ class TestConditionalMiBits:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
             conditional_mi_bits([[1.0, 1.0]], [1.0], [1.0])
+        with pytest.raises(DimensionMismatch, match="must be vectors"):
+            conditional_mi_bits([[1.0]], [[1.0]], [1.0])
 
 
 class TestCovarianceHelpers:
     def test_joint_covariance_shape_check(self):
         with pytest.raises(DimensionMismatch):
             joint_covariance(np.ones((2, 3)), np.ones(2))
+
+    def test_joint_covariance_rejects_negative_variance(self):
+        with pytest.raises(ValueError, match="factor variances must be >= 0"):
+            joint_covariance(np.eye(2), [1.0, -1.0])
 
     def test_joint_covariance_of_independent_factors(self):
         sigma = joint_covariance(np.eye(3), [1.0, 2.0, 3.0])

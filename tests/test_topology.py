@@ -94,6 +94,32 @@ class TestValidate:
         problems = rc.validate(rc.from_gains(nodes, g))
         assert any("power" in p for p in problems)
 
+    @pytest.mark.parametrize(
+        "nodes, geometry, problem",
+        [
+            (
+                [rc.source(1, 1.0), rc.relay(3, 1.0, 1.0), rc.destination(4, 1.0)],
+                False,
+                "node ids must be exactly 1..3 in order, got [1, 3, 4]",
+            ),
+            (
+                [rc.source(1, 1.0), rc.relay(2, 1.0, 1.0), rc.relay(3, 1.0, 1.0)],
+                False,
+                "expected exactly one destination, found nodes []",
+            ),
+            (
+                [rc.source(1, 1.0), rc.relay(2, 1.0, 1.0), rc.destination(3, 1.0)],
+                True,
+                "geometry-derived gain matrix must be symmetric",
+            ),
+        ],
+        ids=["ids-not-1-to-T", "no-destination", "asymmetric-geometry"],
+    )
+    def test_structural_problems_named(self, nodes, geometry, problem):
+        g = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        net = rc.NetworkSpec(nodes=tuple(nodes), gains=g, geometry_derived=geometry)
+        assert problem in rc.validate(net)
+
     def test_geometry_mode_requires_positions(self):
         nodes = [rc.source(1, 1.0, position=(0, 0)), rc.destination(2, 1.0)]
         with pytest.raises(ValueError, match="position"):
@@ -105,6 +131,8 @@ class TestNetworkSpec:
         nodes = [rc.source(1, 1.0), rc.destination(2, 1.0)]
         with pytest.raises(DimensionMismatch):
             rc.from_gains(nodes, np.ones((3, 3)))
+        with pytest.raises(DimensionMismatch, match="at least a source and a destination"):
+            rc.from_gains(nodes[:1], np.zeros((1, 1)))
 
     def test_gains_are_read_only(self, reference_network):
         with pytest.raises(ValueError):

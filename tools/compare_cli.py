@@ -65,7 +65,11 @@ subset-DP layers. Two more networks run ``cfrate --mode uniform --top-k
 1000`` under both quantifiers and ``--override-guard``: a tied-power
 T = 16 network, whose 14-relay DP layers run in chunks, and a
 powerless-relay T = 12 network, whose tied totals exercise the subset
-DP's tie-break.
+DP's tie-break. Five runs show which error comes first, without
+``--override-guard``: a T = 6 sweep whose last row's relay powers
+overflow (exit 2), and a T = 11 network past the size guard, swept over
+gammas [1e308] (the scale error first, exit 2) and [1, 1e308] (the guard,
+exit 3), and run through ``bound`` and ``cfrate`` (exit 3).
 ``verify`` runs with its defaults, with seeds 1 and 2 and with two large
 seeds like the benchmark's (3 * 1234567 and 3 * 1234568), and with 1 and 7
 network samples and 1 and 7 determinant samples, the edge cases of batching
@@ -75,7 +79,7 @@ grids [-1e6, 0], [0, 1e8] and [0, 1e200], where the relay-correlation
 check stops at its first failing parameter set. Fourteen runs end in
 argparse: ``--help`` alone and after each command, no argument, an
 unknown command, an unknown flag after each command, ``cfrate`` without
-``--config``, a bad ``--mode`` and a non-integer ``--top-k``: 503 runs in
+``--config``, a bad ``--mode`` and a non-integer ``--top-k``: 508 runs in
 all. Only the standard library and numpy are used.
 """
 
@@ -381,6 +385,29 @@ def tie_break_networks() -> list[tuple[str, dict]]:
     ]
 
 
+def error_precedence() -> list[tuple[tuple[str, dict], tuple]]:
+    """((name, config), commands) of the runs that show which error comes
+    first, none of them under ``--override-guard``. The T = 6 network that
+    ``selftest.random_network(np.random.default_rng(2), 6)`` builds is
+    swept over gammas [1, 1e3, 1e308]: its last row's relay powers
+    overflow (exit 2). The T = 11 network that
+    ``selftest.random_network(np.random.default_rng(0), 11)`` builds lies
+    past the size guard. Swept over [1e308], its first row's scale error
+    comes first (exit 2); swept over [1, 1e308], its first row scales and
+    then meets the guard (exit 3), as do its ``bound`` and ``cfrate``."""
+    overflow = _selftest_doc(2, 6)
+    overflow["sweep"] = {"gammas": [1, 1e3, 1e308]}
+    scale_first = _selftest_doc(0, 11)
+    scale_first["sweep"] = {"gammas": [1e308]}
+    guard_first = _selftest_doc(0, 11)
+    guard_first["sweep"] = {"gammas": [1, 1e308]}
+    return [
+        (("overflow-last-row-T6", overflow), (["sweep"],)),
+        (("guarded-scale-first-T11", scale_first), (["sweep"],)),
+        (("guarded-T11", guard_first), (["sweep"], ["bound"], ["cfrate"])),
+    ]
+
+
 def argparse_runs(config: str) -> list[list[str]]:
     """Command lines that argparse answers itself: help, a missing or
     unknown command, an unknown flag on each command, a missing
@@ -412,11 +439,13 @@ def runs(config_dir: str) -> list[tuple[str, list[str]]]:
     plans += [(entry, TOP_K_COMMANDS) for entry in weak_relays()]
     plans.append((wide_network(), WIDE_COMMANDS))
     plans += [(entry, UNIFORM_TOP_K_COMMANDS) for entry in tie_break_networks()]
-    for (name, doc), commands in plans:
+    precedence = error_precedence()
+    guarded = {name for (name, _), _ in precedence}
+    for (name, doc), commands in plans + precedence:
         path = os.path.join(config_dir, f"{name}.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
-        big = len(doc["nodes"]) > 10
+        big = len(doc["nodes"]) > 10 and name not in guarded
         for command in commands:
             argv = command + ["--config", path] + (["--override-guard"] if big else [])
             out.append((f"{name}: {' '.join(command)}", argv))
