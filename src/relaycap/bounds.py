@@ -420,14 +420,14 @@ _SINGLETON_MIN_RATIO = 2.0**-10
 
 
 def _extreme_blocks(
-    ratios: np.ndarray, ineligible: np.ndarray, columns: tuple[tuple[int, ...], ...], forall: bool
+    ratios: np.ndarray, ineligible: np.ndarray, forall: bool
 ) -> tuple[list[int], np.ndarray, np.ndarray]:
     """Each block's receiver column and value log2(1 + ratio): the extreme
     over its eligible receivers, the smallest column on equal values.
     ``ratios`` holds K tables' blocks, (K, blocks, receivers), with the
-    blocks in the rows of ``ineligible`` and ``columns``; it is
-    overwritten. Also returns each block's extreme ratio. Each result runs
-    over every table's blocks, table by table.
+    blocks in the rows of ``ineligible``; it is overwritten. Also returns
+    each block's extreme ratio. Each result runs over every table's
+    blocks, table by table.
 
     The pick is made on the ratios, and only then the log is taken, once
     per block: log2(1 + x) rises with x, and two ratios that lie far
@@ -462,7 +462,8 @@ def _extreme_blocks(
     extreme = min if forall else max
     for k in (far.sum(axis=1) != width - 1).nonzero()[0].tolist():
         row, outside = ratios[k].tolist(), far[k].tolist()
-        logs = {j: math.log1p(row[j]) / _LN2 for j in columns[k % len(columns)] if not outside[j]}
+        eligible = np.flatnonzero(~ineligible[k % len(ineligible)]).tolist()
+        logs = {j: math.log1p(row[j]) / _LN2 for j in eligible if not outside[j]}
         # min and max keep the first of equal values: the smallest id.
         cols[k] = extreme(logs, key=logs.__getitem__)
         values[k] = logs[cols[k]]
@@ -694,9 +695,7 @@ def _fill_tables(run: list[_ConstraintTable], n: int, forall: bool) -> None:
         # alone: its value is log2(1) = 0.
         sums = _subset_sums(signal[..., 1:].transpose(2, 0, 1))
         np.divide(sums, floors, out=sums)
-        cols, value, _ = _extreme_blocks(
-            sums.transpose(1, 0, 2), layout.ineligible, layout.columns, forall
-        )
+        cols, value, _ = _extreme_blocks(sums.transpose(1, 0, 2), layout.ineligible, forall)
         size = 1 << n
         denoms, first = _partition_dp(value.reshape(len(run), size), forall)
     for k, table in enumerate(run):
@@ -716,9 +715,7 @@ def _sum_singletons(
     # value, receiver and snr.
     singles = [1 << i for i in range(n)]
     relay_snr = signal[..., 1:].transpose(0, 2, 1) / floors[:, None]
-    cols, value, best = _extreme_blocks(
-        relay_snr, layout.ineligible[singles], tuple(layout.columns[b] for b in singles), False
-    )
+    cols, value, best = _extreme_blocks(relay_snr, layout.ineligible[singles], False)
     # Each receiver's left-to-right sum over every relay, its own term
     # being 0: the sum over every relay it may decode.
     totals = np.add.accumulate(signal[..., 1:], axis=2)[..., -1:]

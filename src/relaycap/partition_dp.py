@@ -4,10 +4,11 @@
 array here indexes relays by canonical mask, the order of
 ``enumeration.subsets``: bit i selects the i-th sorted relay. This module
 holds the mask bookkeeping that depends on the relay count alone
-(``_dp_layout``; ``_dp_plan``, the DP's gathers), each built once per
-relay count, the subset sums (``_subset_sums``), and the DP itself
-(``_partition_dp``), which runs one popcount layer at a time over any
-number of tables stacked in rows.
+(``_dp_layout``; ``_dp_layers``, each popcount layer's masks and
+candidate blocks), each built once per relay count, the subset sums
+(``_subset_sums``), and the DP itself (``_partition_dp``), which runs one
+popcount layer at a time over any number of tables stacked in rows and
+keeps its totals by mask, so that a candidate's rest is one XOR.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ class _Layout(NamedTuple):
     """The constraint table's mask bookkeeping for n relays (``_dp_layout``)."""
 
     member: np.ndarray
-    columns: tuple[tuple[int, ...], ...]
     ineligible: np.ndarray
     tops: tuple[int, ...]
 
@@ -32,28 +32,20 @@ def _dp_layout(n: int) -> _Layout:
     """The constraint table's mask bookkeeping for n relays, row m for
     mask m. It depends on n alone, so it is built once per relay count:
     read-only, each mask's relays as a (2^n, n) boolean ``member``; each
-    mask's eligible receivers, as columns in id order (the relays outside
-    it, then the destination, column n) and, read-only, as a (2^n, n + 1)
-    mask of the ineligible ones, where the empty mask, no block, has the
-    destination alone, so that its value is 0 and ties with no other
-    receiver; and each mask's lowest bit m & -m, its smallest relay, which
-    is its first block when every block is one relay. A relay's singleton
-    block is row 2^i."""
+    mask's ineligible receivers, read-only, as a (2^n, n + 1) mask over
+    the receiver columns in id order (relay i column i, the destination
+    column n), where the empty mask, no block, has the destination alone,
+    so that its value is 0 and ties with no other receiver; and each
+    mask's lowest bit m & -m, its smallest relay, which is its first block
+    when every block is one relay. A relay's singleton block is row 2^i."""
     every = np.arange(1 << n)
     member = every[:, None] >> np.arange(n) & 1 == 1
     ineligible = np.zeros((1 << n, n + 1), dtype=bool)
     ineligible[:, :n] = member
     ineligible[0, :n] = True
-    # By doubling, from the largest relay down: with relays i.. placed,
-    # mask 2j + 1 holds relay i and 2j does not.
-    columns = [(n,)]
-    for i in reversed(range(n)):
-        columns = [c for tail in columns for c in ((i,) + tail, tail)]
     for frozen in (member, ineligible):
         frozen.flags.writeable = False
-    return _Layout(
-        member, ((n,),) + tuple(columns[1:]), ineligible, tuple((every & -every).tolist())
-    )
+    return _Layout(member, ineligible, tuple((every & -every).tolist()))
 
 
 def _subset_sums(per_relay: np.ndarray) -> np.ndarray:
@@ -72,70 +64,45 @@ def _subset_sums(per_relay: np.ndarray) -> np.ndarray:
     return sums
 
 
-class _Plan(NamedTuple):
-    """The subset DP's gathers for n relays (``_dp_plan``)."""
-
-    order: np.ndarray
-    position: np.ndarray
-    layers: tuple[tuple[int, np.ndarray, np.ndarray], ...]
-    blocks: np.ndarray
-    start: np.ndarray
-
-
 @cache
-def _dp_plan(n: int) -> _Plan:
-    """The subset DP's gathers for n relays, int32 arrays and read-only.
-    It depends on n alone, so it is built once per relay count, in numpy.
+def _dp_layers(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The subset DP's candidate blocks for n relays, int32 arrays and
+    read-only. They depend on n alone, so they are built once per relay
+    count, in numpy.
 
-    The DP keeps its totals by position: the masks in popcount layers,
-    ascending within each (``order``; ``position`` is its inverse). Layer
-    k = 2..n is ``(lo, block, rest)``: its masks S sit at positions lo
-    onward, and row i of ``block`` holds the i-th S's 2^(k-1) candidate
-    blocks B in the scalar scan's order, restricted-growth order: S's
-    smallest relay t with each submask D of r = S - t, where at the
-    smallest relay at which two D differ the one holding it comes first,
-    so S itself comes first; ``rest`` holds the position of each
-    S - B = r - D. ``blocks`` holds every mask's candidates in turn (the
-    empty mask and each singleton have one, themselves), each layer's
-    ``block`` a view of it, and ``start`` the index of each mask's first.
-    A row is filled from its right end (D empty), doubling once per relay
-    of r from the largest to the smallest: each doubling puts the D
-    holding the next relay before those without it."""
-    every = np.arange(1 << n, dtype=np.int32)
+    Entry k - 2, for k = 2..n, is ``(masks, blocks)``: the masks S of k
+    relays, ascending, and row i of ``blocks`` holds the i-th S's 2^(k-1)
+    candidate blocks B in the scalar scan's order, restricted-growth
+    order: S's smallest relay t with each submask D of r = S - t, where at
+    the smallest relay at which two D differ the one holding it comes
+    first, so S itself comes first. A row is filled from its right end
+    (D empty), doubling once per relay of r from the largest to the
+    smallest: each doubling puts the D holding the next relay before
+    those without it. A candidate's rest is S - B = S ^ B."""
     member = _dp_layout(n).member
     count = member.sum(axis=1)
-    order = np.argsort(count, kind="stable").astype(np.int32)
-    position = np.empty_like(order)
-    position[order] = every
-    width = np.left_shift(1, count - 1, where=count > 0, out=np.ones_like(count))
-    start = (np.cumsum(width[order]) - width[order])[position]
-    blocks = np.empty(int(width.sum()), dtype=np.int32)
-    blocks[: n + 1] = order[: n + 1]
-    layers, lo = [], n + 1
-    for k, size in enumerate(np.bincount(count, minlength=n + 1)[2:].tolist(), start=2):
-        s = order[lo : lo + size]
+    layers = []
+    for k in range(2, n + 1):
+        masks = np.flatnonzero(count == k).astype(np.int32)
         # Each S's bits in ascending order, one row per S; the first is t.
-        low = np.left_shift(1, np.nonzero(member[s])[1], dtype=np.int32).reshape(size, k)
-        w, first = 1 << (k - 1), start[s[0]]
-        block = blocks[first : first + size * w].reshape(size, w)
-        block[:, -1] = 0
+        low = np.left_shift(1, np.nonzero(member[masks])[1], dtype=np.int32).reshape(-1, k)
+        w = 1 << (k - 1)
+        blocks = np.empty((len(masks), w), dtype=np.int32)
+        blocks[:, -1] = 0
         for j in range(k - 1):
             half = w - (1 << j)
-            np.add(block[:, half:], low[:, -1 - j, None], out=block[:, half - (1 << j) : half])
-        top = low[:, :1]
-        rest = position[(s[:, None] ^ top) - block]
-        block |= top
-        layers.append((lo, block, rest))
-        lo += size
-    for frozen in (order, position, blocks, start, *(rest for _, _, rest in layers)):
-        frozen.flags.writeable = False
-    return _Plan(order, position, tuple(layers), blocks, start)
+            np.add(blocks[:, half:], low[:, -1 - j, None], out=blocks[:, half - (1 << j) : half])
+        blocks |= low[:, :1]
+        for frozen in (masks, blocks):
+            frozen.flags.writeable = False
+        layers.append((masks, blocks))
+    return tuple(layers)
 
 
 #: A DP layer gathers at most about this many candidate totals at once;
 #: larger layers run in chunks of masks (``_partition_dp``), which keeps
 #: each gather's arrays near the cache and bounds the memory a wide table
-#: (2.4M candidates at 14 relays) adds.
+#: (2.4M candidates at 14 relays) adds beyond ``_dp_layers``'s.
 _DP_CHUNK = 1 << 16
 
 
@@ -149,26 +116,30 @@ def _partition_dp(value: np.ndarray, forall: bool) -> tuple[np.ndarray, np.ndarr
     Every operation acts on each table alone, so a table's rows are its
     own DP's, whatever it is stacked with."""
     k_tables, size = value.shape
-    plan = _dp_plan(size.bit_length() - 1)
     # exists maximizes; negating its scores (exact) lets both minimize.
     score = value if forall else -value
-    # Signed extreme totals and picked candidates, by position: a
-    # singleton is its own block, and so is the empty mask.
-    f = score.take(plan.order, axis=1)
-    picks = np.zeros(value.shape, dtype=np.intp)
-    for lo, block, rest in plan.layers:
-        step = max(1, _DP_CHUNK // (k_tables * block.shape[1]))
-        for i in range(0, len(block), step):
-            total = score.take(block[i : i + step], axis=1)
-            total += f.take(rest[i : i + step], axis=1)
+    # Signed extreme totals and first blocks, by mask: the empty mask and
+    # each singleton are their own block, and every mask of two or more
+    # relays is overwritten by its layer.
+    f = score.copy()
+    first = np.tile(np.arange(size, dtype=np.int32), (k_tables, 1))
+    rows = np.arange(k_tables)[:, None]
+    for masks, blocks in _dp_layers(size.bit_length() - 1):
+        step = max(1, _DP_CHUNK // (k_tables * blocks.shape[1]))
+        for i in range(0, len(masks), step):
+            s, block = masks[i : i + step], blocks[i : i + step]
+            # A candidate B of S leaves the rest S ^ B.
+            total = score.take(block, axis=1)
+            total += f.take(s[:, None] ^ block, axis=1)
             # The first minimum, as a strict-< scan keeps it; the scan skips
-            # a NaN candidate, unless it comes first, where it sticks.
+            # a NaN candidate, unless it comes first, where it sticks. Each
+            # pick becomes a flat index into the chunk's candidates.
             later = total[..., 1:]
             np.fmin(later, np.inf, out=later)
-            at = slice(lo + i, lo + i + total.shape[1])
-            total.argmin(axis=2, out=picks[:, at])
-            total.min(axis=2, out=f[:, at])
-    first = plan.blocks.take(picks.take(plan.position, axis=1) + plan.start)
+            pick = total.argmin(axis=2)
+            pick += np.arange(0, block.size, block.shape[1])
+            f[:, s] = total.reshape(k_tables, -1)[rows, pick]
+            first[:, s] = block.take(pick)
 
     # Each row follows its first blocks, adding their values left to right.
     # In flat (table, mask) indices, a row that has run out of blocks sits

@@ -1201,19 +1201,53 @@ class TestConstraintTableInternals:
                         assert got_first.tolist() == [masks[want_first[m]] for m in masks]
 
     @pytest.mark.parametrize("n", range(1, 8))
-    def test_plan_rows_list_candidates_as_partitions_meets_them(self, n):
+    def test_layer_rows_list_candidates_as_partitions_meets_them(self, n):
         # Each layer row holds S's candidate blocks in the order in which
         # the public generator first meets them as first blocks: the
-        # restricted-growth order that the tie-break keeps.
-        plan = partition_dp._dp_plan(n)
+        # restricted-growth order that the tie-break keeps. Every mask of
+        # two or more relays sits in exactly one layer.
         seen = []
-        for lo, block, _ in plan.layers:
-            for s, row in zip(plan.order[lo : lo + len(block)].tolist(), block.tolist()):
+        for masks, blocks in partition_dp._dp_layers(n):
+            for s, row in zip(masks.tolist(), blocks.tolist(), strict=True):
                 relays = [i for i in range(n) if s >> i & 1]
                 firsts = dict.fromkeys(p[0] for p in enumeration.partitions(relays))
                 assert row == [sum(1 << i for i in b) for b in firsts]
                 seen.append(s)
         assert sorted(seen) == [s for s in range(1 << n) if s.bit_count() > 1]
+        assert len(seen) == len(set(seen))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_layer_cache_holds_only_masks_and_blocks(self, n):
+        # The cache keeps (3^n - 1)/2 - n int32 candidate blocks and the
+        # 2^n - n - 1 masks of two or more relays, each array its own
+        # read-only buffer, and nothing per candidate besides the blocks.
+        layers = partition_dp._dp_layers(n)
+        assert len(layers) == max(0, n - 1)
+        for k, layer in enumerate(layers, start=2):
+            masks, blocks = layer
+            assert masks.shape == (math.comb(n, k),)
+            assert blocks.shape == (math.comb(n, k), 2 ** (k - 1))
+            for array in layer:
+                assert array.dtype == np.int32
+                assert array.base is None
+                assert not array.flags.writeable
+        assert sum(blocks.size for _, blocks in layers) == (3**n - 1) // 2 - n
+        assert sum(masks.size for masks, _ in layers) == 2**n - n - 1
+
+    def test_stacked_dp_is_each_table_alone_across_many_chunks(self, monkeypatch):
+        # At 12 relays and a 40-candidate chunk, a stack of six tables runs
+        # its layers in about 4,000 chunks, each writing its masks' totals
+        # and first blocks by mask: each table's rows are bit for bit those
+        # it gets alone.
+        monkeypatch.setattr(partition_dp, "_DP_CHUNK", 40)
+        value = np.concatenate(list(_dp_value_stacks(np.random.default_rng(412), 12, 2)))
+        for forall in (True, False):
+            with np.errstate(invalid="ignore"):  # inf - inf, as the table build runs it
+                denoms, first = partition_dp._partition_dp(value, forall)
+                alone = [partition_dp._partition_dp(row[None], forall) for row in value]
+            for k, (want_denoms, want_first) in enumerate(alone):
+                assert denoms[k].tobytes() == want_denoms[0].tobytes()
+                assert first[k].tobytes() == want_first[0].tobytes()
 
     @pytest.mark.parametrize("n", range(11))
     def test_layout_member_is_the_canonical_subset_order(self, n):

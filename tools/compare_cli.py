@@ -65,7 +65,10 @@ subset-DP layers. Two more networks run ``cfrate --mode uniform --top-k
 1000`` under both quantifiers and ``--override-guard``: a tied-power
 T = 16 network, whose 14-relay DP layers run in chunks, and a
 powerless-relay T = 12 network, whose tied totals exercise the subset
-DP's tie-break. Five runs show which error comes first, without
+DP's tie-break. A random T = 15 network runs ``sweep`` (forall and
+exists) under ``--override-guard`` over 13 gammas, 10^0..10^6 in half
+decades: its 13 tables of 13 relays are built in one stack, whose DP
+layers run in chunks. Five runs show which error comes first, without
 ``--override-guard``: a T = 6 sweep whose last row's relay powers
 overflow (exit 2), and a T = 11 network past the size guard, swept over
 gammas [1e308] (the scale error first, exit 2) and [1, 1e308] (the guard,
@@ -79,7 +82,7 @@ grids [-1e6, 0], [0, 1e8] and [0, 1e200], where the relay-correlation
 check stops at its first failing parameter set. Fourteen runs end in
 argparse: ``--help`` alone and after each command, no argument, an
 unknown command, an unknown flag after each command, ``cfrate`` without
-``--config``, a bad ``--mode`` and a non-integer ``--top-k``: 508 runs in
+``--config``, a bad ``--mode`` and a non-integer ``--top-k``: 510 runs in
 all. Only the standard library and numpy are used.
 """
 
@@ -385,6 +388,16 @@ def tie_break_networks() -> list[tuple[str, dict]]:
     ]
 
 
+def wide_sweep() -> tuple[str, dict]:
+    """(name, config) of a random T = 15 network swept over 13 gammas,
+    10^0..10^6 in half decades, drawn from its own seed so the corpus
+    stays as it is: a stack of 13 tables of 13 relays, whose subset-DP
+    layers run in chunks."""
+    doc = _random_doc(np.random.default_rng(20261022), 15)
+    doc["sweep"] = {"gammas": [10.0 ** (k / 2) for k in range(13)]}
+    return "sweep-T15", doc
+
+
 def error_precedence() -> list[tuple[tuple[str, dict], tuple]]:
     """((name, config), commands) of the runs that show which error comes
     first, none of them under ``--override-guard``. The T = 6 network that
@@ -439,6 +452,7 @@ def runs(config_dir: str) -> list[tuple[str, list[str]]]:
     plans += [(entry, TOP_K_COMMANDS) for entry in weak_relays()]
     plans.append((wide_network(), WIDE_COMMANDS))
     plans += [(entry, UNIFORM_TOP_K_COMMANDS) for entry in tie_break_networks()]
+    plans.append((wide_sweep(), SWEEP_COMMANDS))
     precedence = error_precedence()
     guarded = {name for (name, _), _ in precedence}
     for (name, doc), commands in plans + precedence:
