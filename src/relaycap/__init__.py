@@ -8,7 +8,6 @@ to show the two sides meeting. The ``relaycap`` command wraps it all.
 """
 
 from .bounds import (
-    BISECT_REL_TOL,
     GUARD_MAX_NODES,
     RATE_TOL_BITS,
     ConstraintMargin,

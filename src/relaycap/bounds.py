@@ -96,15 +96,11 @@ _LN2 = math.log(2.0)
 #: 2^(T-2)-row cut table both stay cheap past it.
 GUARD_MAX_NODES = 10
 
-#: Coordinate descent's default stop, in bits gained per cycle (named for
-#: the uniform bisection it once set; that search is now exact).
-BISECT_REL_TOL = 1e-9
-
 #: Bit-domain tolerance for rate comparisons (achievability vs bound).
 RATE_TOL_BITS = 1e-9
 
-#: Coordinate descent stops after this many full cycles even if the rate
-#: still improves by more than the tolerance.
+#: Coordinate descent stops after this many full cycles even if the last
+#: one still moved a coordinate. It stops at its fixed point long before.
 DESCENT_MAX_CYCLES = 64
 
 _QUANTIFIERS = ("forall", "exists")
@@ -991,34 +987,33 @@ def _coordinate_step(
     return current
 
 
-def _coordinate_descent(
-    table: _ConstraintTable, start: QuantizationVector, tol: float
-) -> QuantizationVector:
+def _coordinate_descent(table: _ConstraintTable, start: QuantizationVector) -> QuantizationVector:
     """Cyclically move each Q_j to its exact per-coordinate frontier
-    (``_coordinate_step``: a closed form, no search).
+    (``_coordinate_step``: a closed form, no search), until a full cycle
+    moves no coordinate, or after DESCENT_MAX_CYCLES cycles.
 
     Each move keeps every margin nonnegative and never raises any Q, so
-    the rate is nondecreasing; stop when a full cycle improves it by no
-    more than tol bits, or after DESCENT_MAX_CYCLES cycles.
+    the rate is nondecreasing. A Q_j only ever falls, and lowering the
+    other Qs only raises Q_j's frontier, so a Q_j on its frontier stays
+    there: in exact arithmetic the descent is at its fixed point after its
+    first cycle. Rounding in the closed form, and the repair's geometric
+    steps, can leave a Q_j an ulp or so above a frontier that a later
+    cycle then reaches, so the stop compares Q before and after each cycle
+    rather than counting on one cycle.
     """
     n = len(table.relays)
     # Relay k's rows, the subsets holding it: row i is canonical mask i + 1.
     rows = _dp_layout(n).member[1:].T
 
-    q_star = start
     q_values = np.array(start.values)
-    rate = table.cf_rate(q_star.values)
     for _ in range(DESCENT_MAX_CYCLES):
+        before = q_values.copy()
         with np.errstate(over="ignore"):  # N + Q -> inf, as in _uniform_optima
             for k in range(n):
                 q_values[k] = _coordinate_step(table, q_values, k, rows[k])
-        q_star = QuantizationVector(entries=tuple(zip(table.relays, q_values)))
-        new_rate = table.cf_rate(q_star.values)
-        improved = new_rate - rate
-        rate = new_rate
-        if improved <= tol:
+        if np.array_equal(q_values, before):
             break
-    return q_star
+    return QuantizationVector(entries=tuple(zip(table.relays, q_values)))
 
 
 def _require_mode(mode: str) -> None:
@@ -1026,17 +1021,15 @@ def _require_mode(mode: str) -> None:
         raise ValueError(f"mode must be one of {_OPT_MODES}, got {mode!r}")
 
 
-def _optimize(table: _ConstraintTable, mode: str, tol: float) -> tuple[QuantizationVector, float]:
-    """Best feasible quantization vector on one constraint table, after
-    checking ``tol``: its ``_uniform_optima`` entry, raised if it is an
-    Infeasible, then, if asked for and there is a Q, the descent from it."""
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+def _optimize(table: _ConstraintTable, mode: str) -> tuple[QuantizationVector, float]:
+    """Best feasible quantization vector on one constraint table, and its
+    rate: its ``_uniform_optima`` entry, raised if it is an Infeasible,
+    then, if asked for and there is a Q, the descent from it."""
     (q_star,) = _uniform_optima([table])
     if isinstance(q_star, Infeasible):
         raise q_star
     if mode == "coordinate_descent" and q_star.entries:
-        q_star = _coordinate_descent(table, q_star, tol)
+        q_star = _coordinate_descent(table, q_star)
     return q_star, table.cf_rate(q_star.values)
 
 
@@ -1044,7 +1037,6 @@ def optimize_quantization(
     net: NetworkSpec,
     mode: str = "uniform_bisection",
     quantifier: str = "forall",
-    tol: float = BISECT_REL_TOL,
     override_guard: bool = False,
 ) -> tuple[QuantizationVector, float]:
     """Best feasible quantization vector and its rate.
@@ -1054,20 +1046,21 @@ def optimize_quantization(
     its frontier exactly: the smallest double the constraint table
     accepts (``_uniform_optima``). ``coordinate_descent`` then moves each
     coordinate in turn to its exact frontier (a closed form, no search),
-    which helps asymmetric networks and provably never hurts, and stops
-    once a cycle gains no more than ``tol`` bits. Raises Infeasible when
-    no quantization works (e.g. powerless relays), and ValueError for a
-    tol that is not finite and > 0, in either mode.
+    which helps asymmetric networks and provably never hurts, and stops at
+    its fixed point: a cycle that moves no Q. A Q_j only falls, and
+    lowering the others only raises its frontier, so one cycle reaches
+    that point in exact arithmetic; rounding can add ulp-sized moves after
+    it. Raises Infeasible when no quantization works (e.g. powerless
+    relays).
     """
     _require_mode(mode)
-    return _optimize(_ConstraintTable(net, quantifier, override_guard), mode, tol)
+    return _optimize(_ConstraintTable(net, quantifier, override_guard), mode)
 
 
 def build_rate_report(
     net: NetworkSpec,
     mode: str = "uniform_bisection",
     quantifier: str = "forall",
-    tol: float = BISECT_REL_TOL,
     top_k: int = 5,
     override_guard: bool = False,
 ) -> RateReport:
@@ -1077,7 +1070,7 @@ def build_rate_report(
     if top_k < 0:
         raise ValueError(f"top_k must be >= 0, got {top_k}")
     table = _ConstraintTable(net, quantifier, override_guard)
-    q_star, rate = _optimize(table, mode, tol)
+    q_star, rate = _optimize(table, mode)
     rates = _cut_rates(net, override_guard)
     bound = float(rates[0])  # the source cut
     mc_bits, mc = _min_cut(net, rates)

@@ -14,7 +14,7 @@ The config is one JSON document::
       ],
       "gains": [[0,1,1],[1,0,1],[1,1,0]],
       "sweep": {"gammas": [1, 10, 100]},
-      "cf": {"quantifier": "forall", "mode": "uniform", "tol": 1e-9, "top_k": 5},
+      "cf": {"quantifier": "forall", "mode": "uniform", "top_k": 5},
       "verify": {"det_samples": 500, "network_samples": 100}
     }
 
@@ -40,12 +40,7 @@ import sys
 
 import numpy as np
 
-from .bounds import (
-    BISECT_REL_TOL,
-    build_rate_report,
-    convergence_sweep,
-    cut_rate_table,
-)
+from .bounds import build_rate_report, convergence_sweep, cut_rate_table
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -181,21 +176,18 @@ def network_from_config(doc: dict) -> NetworkSpec:
     return net
 
 
-def _cf_settings(doc: dict, args: argparse.Namespace) -> tuple[str, str, float, int]:
+def _cf_settings(doc: dict, args: argparse.Namespace) -> tuple[str, str, int]:
     cf = doc.get("cf", {})
     if not isinstance(cf, dict):
         raise ConfigError("'cf' must be an object")
     quantifier = args.quantifier or cf.get("quantifier", "forall")
     if quantifier not in ("forall", "exists"):
         raise ConfigError(f"quantifier must be forall or exists, got {quantifier!r}")
-    # sweep has no --mode or --tol flag; it still validates cf.mode and cf.tol.
+    # sweep has no --mode flag; it still validates cf.mode. A cf key that
+    # no command reads is ignored.
     mode_word = getattr(args, "mode", None) or cf.get("mode", "uniform")
     if not isinstance(mode_word, str) or mode_word not in _MODE_WORDS:
         raise ConfigError(f"mode must be uniform or coordinate, got {mode_word!r}")
-    tol = getattr(args, "tol", None)
-    tol = _number(cf.get("tol", BISECT_REL_TOL) if tol is None else tol, "tol")
-    if not 0.0 < tol < math.inf:
-        raise ConfigError(f"tol must be finite and > 0, got {tol!r}")
     top_k = getattr(args, "top_k", None)
     if top_k is None:
         top_k = cf.get("top_k", 5)
@@ -203,7 +195,7 @@ def _cf_settings(doc: dict, args: argparse.Namespace) -> tuple[str, str, float, 
         raise ConfigError(f"top_k must be an integer, got {top_k!r}")
     if top_k < 0:
         raise ConfigError(f"top_k must be >= 0, got {top_k}")
-    return quantifier, _MODE_WORDS[mode_word], tol, top_k
+    return quantifier, _MODE_WORDS[mode_word], top_k
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -245,12 +237,11 @@ def cmd_bound(args: argparse.Namespace) -> int:
 def cmd_cfrate(args: argparse.Namespace) -> int:
     doc = load_config(args.config)
     net = network_from_config(doc)
-    quantifier, mode, tol, top_k = _cf_settings(doc, args)
+    quantifier, mode, top_k = _cf_settings(doc, args)
     report = build_rate_report(
         net,
         mode=mode,
         quantifier=quantifier,
-        tol=tol,
         top_k=top_k,
         override_guard=args.override_guard,
     )
@@ -287,7 +278,7 @@ def cmd_cfrate(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     doc = load_config(args.config)
     net = network_from_config(doc)
-    quantifier, _, _, _ = _cf_settings(doc, args)
+    quantifier, _, _ = _cf_settings(doc, args)
     sweep_doc = doc.get("sweep")
     if not isinstance(sweep_doc, dict) or "gammas" not in sweep_doc:
         raise ConfigError("config needs a 'sweep' object with a 'gammas' array")
@@ -377,7 +368,7 @@ def _count(value: object, where: str, minimum: int = 1) -> int:
 _COMMANDS = {
     "bound": ("cut rates and the min-cut upper bound", ("--override-guard",)),
     "cfrate": ("optimize quantization and report the achievable rate",
-               ("--quantifier", "--mode", "--tol", "--override-guard", "--top-k")),
+               ("--quantifier", "--mode", "--override-guard", "--top-k")),
     "sweep": ("relay-power convergence CSV", ("--quantifier", "--override-guard")),
     "verify": ("run the built-in verification suites", ()),
 }
@@ -410,8 +401,6 @@ def _parser(names: tuple[str, ...]) -> argparse.ArgumentParser:
         ),
         "--mode": dict(choices=("uniform", "coordinate"), default=None,
                        help="quantization optimizer (default from config, else uniform)"),
-        "--tol": dict(type=float, default=None,
-                      help="coordinate descent stop, in bits gained per cycle"),
         "--top-k": dict(type=int, default=None, dest="top_k",
                         help="how many binding constraints to list (default 5)"),
         "--override-guard": dict(action="store_true",

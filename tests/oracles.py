@@ -41,7 +41,6 @@ import numpy as np
 from relaycap import selftest
 from relaycap.bounds import (
     _LN2,
-    BISECT_REL_TOL,
     DESCENT_MAX_CYCLES,
     RATE_TOL_BITS,
     CutSpec,
@@ -497,7 +496,7 @@ def convergence_sweep_by_rows(net, gammas, quantifier="forall", *, override_guar
     return tuple(rows)
 
 
-def coordinate_descent_by_bisection(table, start, rel_tol):
+def coordinate_descent_by_bisection(table, start, rel_tol=1e-9):
     """Coordinate descent with each coordinate found by the ``_frontier``
     bisection (to rel_tol) instead of its closed form: cyclically shrink
     each Q_j to its per-coordinate frontier.
@@ -597,7 +596,7 @@ def monotonicity_suite_by_samples(samples=100, seed=20250812):
         net = selftest.random_network(rng, int(rng.integers(3, 7)))
         try:
             table = _ConstraintTable(net, "forall")
-            q_star, _ = _optimize(table, "uniform_bisection", BISECT_REL_TOL)
+            q_star, _ = _optimize(table, "uniform_bisection")
         except RelaycapError as exc:
             return selftest.CheckResult(
                 name, False, f"sample {i}: feasible point search failed: {exc}"

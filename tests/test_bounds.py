@@ -37,7 +37,7 @@ from oracles import (
     table_by_partition_scan,
 )
 from relaycap import bounds, cli, enumeration, gaussian, partition_dp, selftest, topology
-from relaycap.bounds import BISECT_REL_TOL, _ConstraintTable
+from relaycap.bounds import DESCENT_MAX_CYCLES, _ConstraintTable
 from relaycap.errors import (
     GuardExceeded,
     Infeasible,
@@ -672,15 +672,6 @@ class TestOptimizeQuantization:
     def test_mode_validated(self, reference_network):
         with pytest.raises(ValueError, match="mode"):
             rc.optimize_quantization(reference_network, mode="newton")
-
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9])
-    def test_tol_validated(self, reference_network, tol):
-        # The CLI's text, in either mode; a sweep takes no tol.
-        message = f"^tol must be finite and > 0, got {re.escape(repr(tol))}$"
-        for analysis in (rc.optimize_quantization, rc.build_rate_report):
-            for mode in ("uniform_bisection", "coordinate_descent"):
-                with pytest.raises(ValueError, match=message):
-                    analysis(reference_network, mode, tol=tol)
 
     def test_no_relays_degenerate(self):
         net = _net([rc.source(1, 1.0), rc.destination(2, 1.0)])
@@ -2124,7 +2115,7 @@ def test_cut_table_rows_equal_cut_rate_exactly(net):
 
 
 def _uniform_start(table):
-    start, _ = bounds._optimize(table, "uniform_bisection", BISECT_REL_TOL)
+    start, _ = bounds._optimize(table, "uniform_bisection")
     return start
 
 
@@ -2137,28 +2128,55 @@ def _extreme_networks():
         yield _net(nodes + [rc.destination(5, 1.0)])
 
 
+def _fixed_point_cases():
+    yield from _descent_cases()
+    # A T = 10 network whose first cycles leave one Q an ulp above its
+    # frontier: a stop after one cycle, or on a rate gain, ends short.
+    rng = np.random.default_rng(461)
+    yield pytest.param(random_network(rng, int(rng.integers(3, 11))), id="seed-461-T10")
+
+
 class TestCoordinateDescent:
     """The closed-form per-coordinate frontier against the bisection
     descent it replaced (``coordinate_descent_by_bisection``)."""
+
+    @pytest.mark.parametrize("net", _fixed_point_cases())
+    def test_stops_at_its_fixed_point(self, net, monkeypatch):
+        steps, rates = [], []
+        step, cf_rates = bounds._coordinate_step, bounds._cf_rates
+        monkeypatch.setattr(bounds, "_coordinate_step", lambda *a: steps.append(a) or step(*a))
+        monkeypatch.setattr(bounds, "_cf_rates", lambda *a: rates.append(a) or cf_rates(*a))
+        n = len(net.relay_ids)
+        rows = partition_dp._dp_layout(n).member[1:].T
+        for quantifier in ("forall", "exists"):
+            steps.clear()
+            rates.clear()
+            report = rc.build_rate_report(net, "coordinate_descent", quantifier)
+            assert len(rates) == 1  # the report's rate, of the final Q only
+            assert len(steps) < DESCENT_MAX_CYCLES * n
+            # One more cycle moves no coordinate.
+            table = _ConstraintTable(net, quantifier)
+            q_values = np.array(report.q_star.values)
+            with np.errstate(over="ignore"):
+                moved = [k for k in range(n) if step(table, q_values, k, rows[k]) != q_values[k]]
+            assert moved == []
 
     @pytest.mark.parametrize("net", _descent_cases())
     def test_matches_bisection_oracle(self, net):
         for quantifier in ("forall", "exists"):
             table = _ConstraintTable(net, quantifier)
             start = _uniform_start(table)
-            q = bounds._coordinate_descent(table, start, BISECT_REL_TOL)
-            want = coordinate_descent_by_bisection(table, start, BISECT_REL_TOL)
+            q = bounds._coordinate_descent(table, start)
+            want = coordinate_descent_by_bisection(table, start)
             assert rc.cf_rate(net, q) == pytest.approx(rc.cf_rate(net, want), rel=0.0, abs=1e-9)
             q_values = np.array(q.values)
             assert table.feasible(q_values)
             assert not table.feasible(q_values * (1.0 - 1e-6))
             # Bisection stops up to rel_tol above each coordinate's frontier,
-            # and that slack moves where the descent stalls, either way. At a
-            # matched tight tolerance both follow the same path.
-            tight = 1e-15
-            got = rc.cf_rate(net, bounds._coordinate_descent(table, start, tight))
-            want = coordinate_descent_by_bisection(table, start, tight)
-            assert got >= rc.cf_rate(net, want) - 1e-12
+            # and that slack moves where its descent stalls, either way. At a
+            # tight tolerance it comes no closer than the fixed point.
+            want = coordinate_descent_by_bisection(table, start, 1e-15)
+            assert rc.cf_rate(net, q) >= rc.cf_rate(net, want) - 1e-12
 
     def test_search_runs_only_for_the_uniform_start(self, monkeypatch):
         calls = []
@@ -2190,9 +2208,7 @@ class TestCoordinateDescent:
                 except Infeasible:
                     table = _ConstraintTable(net, quantifier)
                     with pytest.raises(Infeasible):
-                        coordinate_descent_by_bisection(
-                            table, _uniform_start(table), BISECT_REL_TOL
-                        )
+                        coordinate_descent_by_bisection(table, _uniform_start(table))
                     continue
                 table = _ConstraintTable(net, quantifier)
                 start = np.array(_uniform_start(table).values)
@@ -2209,7 +2225,7 @@ class TestCoordinateDescent:
         start = rc.QuantizationVector.uniform(1.0, table.relays)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert bounds._coordinate_descent(table, start, BISECT_REL_TOL) == start
+            assert bounds._coordinate_descent(table, start) == start
 
 
 class TestRateReport:
@@ -2720,7 +2736,7 @@ class TestLockstepFrontiers:
             table = _ConstraintTable(net, quantifier, override_guard=True)
             with monkeypatch.context() as patch:
                 calls = self._counting_margins(patch)
-                q, _ = bounds._optimize(table, "uniform_bisection", BISECT_REL_TOL)
+                q, _ = bounds._optimize(table, "uniform_bisection")
             assert q.values == bounds._uniform_optima([table])[0].values
             first = calls[0][:4]
             r = t - 2
@@ -2753,7 +2769,7 @@ class TestLockstepFrontiers:
         message = "^no finite quantization noise satisfies every constraint$"
         for mode in ("uniform_bisection", "coordinate_descent"):
             with pytest.raises(Infeasible, match=message):
-                bounds._optimize(overflow, mode, BISECT_REL_TOL)
+                bounds._optimize(overflow, mode)
 
     def test_no_tables_no_searches(self):
         assert bounds._uniform_optima([]) == []
@@ -2778,7 +2794,7 @@ class TestLockstepFrontiers:
         want = []
         for t in tables:
             try:
-                want.append(bounds._optimize(t, "uniform_bisection", BISECT_REL_TOL)[0].entries)
+                want.append(bounds._optimize(t, "uniform_bisection")[0].entries)
             except Infeasible as exc:
                 want.append((type(exc), str(exc)))
         calls = self._counting_margins(monkeypatch)

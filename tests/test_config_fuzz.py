@@ -28,7 +28,7 @@ _GAINS_BASE = {
         {"id": 3, "role": "destination", "noise_db": 0},
     ],
     "gains": [[0, 1, 2], [1, 0, 1], [2, 1, 0]],
-    "cf": {"quantifier": "forall", "mode": "coordinate", "tol": 1e-9, "top_k": 5},
+    "cf": {"quantifier": "forall", "mode": "coordinate", "top_k": 5},
     "sweep": {"gammas": [1, 10]},
     "verify": {
         "alpha_offsets": [-1, 0, 1],

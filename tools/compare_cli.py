@@ -72,18 +72,20 @@ layers run in chunks. Five runs show which error comes first, without
 ``--override-guard``: a T = 6 sweep whose last row's relay powers
 overflow (exit 2), and a T = 11 network past the size guard, swept over
 gammas [1e308] (the scale error first, exit 2) and [1, 1e308] (the guard,
-exit 3), and run through ``bound`` and ``cfrate`` (exit 3).
+exit 3), and run through ``bound`` and ``cfrate`` (exit 3). A small
+network with ``cf.tol`` = -1 runs ``cfrate`` and ``sweep``: trees that
+still read ``cf.tol`` reject it (exit 2), and later trees ignore it.
 ``verify`` runs with its defaults, with seeds 1 and 2 and with two large
 seeds like the benchmark's (3 * 1234567 and 3 * 1234568), and with 1 and 7
 network samples and 1 and 7 determinant samples, the edge cases of batching
 the random suites by size. It also runs with alpha offsets [-1, 0, 1] and
 [0], and with beta grids [-0.5, 0, 0.5] and [0] and the three failing
 grids [-1e6, 0], [0, 1e8] and [0, 1e200], where the relay-correlation
-check stops at its first failing parameter set. Fourteen runs end in
+check stops at its first failing parameter set. Fifteen runs end in
 argparse: ``--help`` alone and after each command, no argument, an
 unknown command, an unknown flag after each command, ``cfrate`` without
-``--config``, a bad ``--mode`` and a non-integer ``--top-k``: 510 runs in
-all. Only the standard library and numpy are used.
+``--config``, a bad ``--mode``, a non-integer ``--top-k`` and ``cfrate
+--tol 1e-6`` (a flag that later trees no longer have): 513 runs in all. Only the standard library and numpy are used.
 """
 
 from __future__ import annotations
@@ -114,6 +116,8 @@ NETWORK_COMMANDS = (
 )
 
 PLAIN_COMMANDS = (["bound"], ["cfrate"], ["sweep"])
+
+CF_COMMANDS = PLAIN_COMMANDS[1:]
 
 #: Relay power multipliers of the huge-gamma sweeps: 10^0..10^200.
 HUGE_GAMMAS = [10.0**k for k in range(0, 201, 20)]
@@ -421,11 +425,19 @@ def error_precedence() -> list[tuple[tuple[str, dict], tuple]]:
     ]
 
 
+def retired_tol() -> tuple[str, dict]:
+    """A small network whose ``cf`` section sets ``tol`` = -1."""
+    doc = _doc(1.0, [(10.0, 1.0)] * 2, 1.0, np.ones((4, 4)))
+    doc["cf"] = {"tol": -1.0}
+    return "retired-cf-tol", doc
+
+
 def argparse_runs(config: str) -> list[list[str]]:
     """Command lines that argparse answers itself: help, a missing or
     unknown command, an unknown flag on each command, a missing
-    ``--config``, a bad ``--mode`` choice and a non-integer ``--top-k``.
-    ``config`` is the path of a valid config."""
+    ``--config``, a bad ``--mode`` choice, a non-integer ``--top-k`` and
+    ``cfrate --tol``, which trees before the descent's fixed-point stop
+    run. ``config`` is the path of a valid config."""
     commands = ("bound", "cfrate", "sweep", "verify")
     return [
         ["--help"],
@@ -436,6 +448,7 @@ def argparse_runs(config: str) -> list[list[str]]:
         ["cfrate"],
         ["cfrate", "--config", config, "--mode", "fast"],
         ["cfrate", "--config", config, "--top-k", "many"],
+        ["cfrate", "--config", config, "--tol", "1e-6"],
     ]
 
 
@@ -453,6 +466,7 @@ def runs(config_dir: str) -> list[tuple[str, list[str]]]:
     plans.append((wide_network(), WIDE_COMMANDS))
     plans += [(entry, UNIFORM_TOP_K_COMMANDS) for entry in tie_break_networks()]
     plans.append((wide_sweep(), SWEEP_COMMANDS))
+    plans.append((retired_tol(), CF_COMMANDS))
     precedence = error_precedence()
     guarded = {name for (name, _), _ in precedence}
     for (name, doc), commands in plans + precedence:
