@@ -24,11 +24,14 @@ the uniform search as a bisection over a scalar predicate (at rel_tol
 1e-300 it stops at the table's transition or a few ulps above) against
 the exact Newton-and-ulp search, the convergence sweep one row at a time
 against its lockstep searches, and the three random verify suites run
-one sample at a time (one network, one table and one uniform search per sample, the
-feasible point from ``sample_feasible_q``, one ``table.feasible`` call
-per scale, one rate and one bound call per network; one public
-determinant call per instance, on its own flat network) against their
-batched forms.
+one sample at a time (one ``selftest.random_network``, one table and one
+uniform search per sample, the feasible point from ``sample_feasible_q``
+with its factors drawn by ``push_factors`` and applied by
+``pushed_inside``, one ``table.feasible`` call per scale, one rate and
+one bound call per network; one public determinant call per instance, on
+its own flat network, each instance drawn by ``determinant_lemma_draws``)
+against their batched forms, which draw their samples as arrays. Like
+the suites, they fail at the first NaN error or rate.
 Nothing here is performance sensitive; clarity wins.
 """
 
@@ -572,10 +575,27 @@ def determinant_lemma_suite_by_samples(samples=500, seed=20250811):
     for lam, noise, qv, p1 in determinant_lemma_draws(samples, seed):
         got = determinant_by_network(lam, noise, qv, p1)
         closed = float(np.prod(noise + qv) * (1.0 + p1 * np.sum(lam / (noise + qv))))
-        worst = max(worst, abs(got - closed) / closed)
+        error = abs(got - closed) / closed
+        if math.isnan(error):  # max would drop it
+            worst = error
+            break
+        worst = max(worst, error)
     passed = worst < 1e-10
     detail = f"{samples} random instances (size <= 6); worst relative error {worst:.3e}"
     return selftest.CheckResult(name, passed, detail)
+
+
+def push_factors(rng, count):
+    """``count`` log-uniform factors in [1, 100], one per relay."""
+    return 10.0 ** rng.uniform(0.0, 2.0, size=count)
+
+
+def pushed_inside(q_star, factors):
+    """Q* pushed up by its per-relay factors, one Python multiply and one
+    QuantizationVector check per entry."""
+    return QuantizationVector(
+        entries=tuple((i, v * float(f)) for (i, v), f in zip(q_star.entries, factors))
+    )
 
 
 def sample_feasible_q(rng, net, quantifier="forall"):
@@ -583,7 +603,7 @@ def sample_feasible_q(rng, net, quantifier="forall"):
     the network's own uniform optimum pushed up by per-relay factors in
     [1, 100], drawn from ``rng`` after the search."""
     q_star, _ = optimize_quantization(net, "uniform_bisection", quantifier)
-    return selftest._pushed_inside(q_star, selftest._push_factors(rng, len(q_star.ids)))
+    return pushed_inside(q_star, push_factors(rng, len(q_star.ids)))
 
 
 def monotonicity_suite_by_samples(samples=100, seed=20250812):
@@ -601,7 +621,7 @@ def monotonicity_suite_by_samples(samples=100, seed=20250812):
             return selftest.CheckResult(
                 name, False, f"sample {i}: feasible point search failed: {exc}"
             )
-        q = selftest._pushed_inside(q_star, selftest._push_factors(rng, len(q_star.ids)))
+        q = pushed_inside(q_star, push_factors(rng, len(q_star.ids)))
         if not table.feasible(np.array(q.values)):
             detail = f"sample {i}: sampled Q not feasible at scale 1"
             return selftest.CheckResult(name, False, detail)
@@ -637,7 +657,7 @@ def achievability_suite_by_samples(samples=100, seed=20250813):
         rate = cf_rate_by_network(net, q)
         bound = source_cut_bound(net)
         worst_slack = min(worst_slack, bound - rate)
-        if rate > bound + RATE_TOL_BITS:
+        if not rate <= bound + RATE_TOL_BITS:  # a NaN fails
             return selftest.CheckResult(
                 name, False, f"sample {i}: rate {rate!r} exceeds bound {bound!r}"
             )

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import relaycap as rc
 from oracles import _frontier as scalar_frontier
 from oracles import (
@@ -30,6 +31,7 @@ from oracles import (
     determinant_lemma_suite_by_samples,
     monotonicity_suite_by_samples,
     partition_dp_by_masks,
+    push_factors,
     relay_correlation_mi_bits_by_points,
     sample_feasible_q,
     single_relay_covariance_bits_by_points,
@@ -282,10 +284,13 @@ BETA_GRIDS = [None, (-0.5, 0.0, 0.5), (0.0,), (-1e6, 0.0), (0.0, 1e8), (0.0, 1e2
 
 
 def _alpha_batches():
-    """The alpha suite's batches on the default offsets: (sets, alphas)."""
-    for p1, p2 in itertools.product(selftest._ALPHA_P1, selftest._ALPHA_P2):
-        alphas = tuple(0.9 * math.sqrt(p1 / p2) * o for o in selftest.DEFAULT_OFFSETS)
-        yield list(itertools.product([p1], [p2], selftest._ALPHA_N2, selftest._ALPHA_N3)), alphas
+    """The alpha suite's batches on the default offsets, one per p1:
+    (sets, each set's alpha grid)."""
+    for p1 in selftest._ALPHA_P1:
+        grid = (selftest._ALPHA_P2, selftest._ALPHA_N2, selftest._ALPHA_N3)
+        sets = list(itertools.product([p1], *grid))
+        offsets = selftest.DEFAULT_OFFSETS
+        yield sets, [tuple(0.9 * math.sqrt(p1 / p2) * o for o in offsets) for _, p2, *_ in sets]
 
 
 def _beta_batches(betas=selftest.DEFAULT_OFFSETS):
@@ -296,8 +301,8 @@ def _beta_batches(betas=selftest.DEFAULT_OFFSETS):
 
 
 class TestBatchedDualRouteSuites:
-    """The two dual-route suites, one batch per shared grid, against their
-    serial oracles (one public call per parameter set)."""
+    """The two dual-route suites, one batch per p1, against their serial
+    oracles (one public call per parameter set)."""
 
     @pytest.mark.parametrize("offsets", ALPHA_GRIDS)
     def test_alpha_suite_matches_serial_suite(self, offsets):
@@ -325,6 +330,42 @@ class TestBatchedDualRouteSuites:
             "p1=0.5 n2=0.5 n3=0.5 n4=1.0: pivot 0.000000e+00 at index 1 is <= epsilon 1e-12",
         )
 
+    @pytest.mark.parametrize(
+        "suite, serial, noises, want",
+        [
+            (
+                "alpha_suite",
+                alpha_suite_by_sets,
+                (0.5, 1.0),
+                "p1=0.5 p2=0.25 n2=0.5 n3=1.0: covariance route disagrees with closed form "
+                "by nan bits at alpha={!r} (p1=0.5, p2=0.25, n2=0.5, n3=1.0)",
+            ),
+            (
+                "beta_suite",
+                beta_suite_by_sets,
+                (0.5, 0.5, 2.0),
+                "p1=0.5 n2=0.5 n3=0.5 n4=2.0: MI moved by nan bits at beta={!r} "
+                "(p1=0.5, n2=0.5, n3=0.5, n4=2.0): relay correlation must not matter",
+            ),
+        ],
+    )
+    def test_nan_route_value_fails_at_its_point(self, monkeypatch, suite, serial, noises, want):
+        # The covariance route reads NaN at grid point 3 of every set with
+        # these noises. Python's max would drop it: it is not the first.
+        real = selftest._covariance_route
+
+        def nan_at_point_3(rows, variances, keep, given, set_noises):
+            bits = real(rows, variances, keep, given, set_noises)
+            return [
+                row[:3] + (math.nan,) + row[4:] if tuple(n) == noises else row
+                for row, n in zip(bits, set_noises)
+            ]
+
+        monkeypatch.setattr(selftest, "_covariance_route", nan_at_point_3)
+        got = getattr(selftest, suite)()
+        point = (0.9 * math.sqrt(0.5 / 0.25) if suite == "alpha_suite" else 1.0) * OFFSETS[3]
+        assert got == serial() == selftest.CheckResult(got.name, False, want.format(point))
+
     def test_stacked_failure_of_a_later_set_is_not_reported(self, monkeypatch):
         # Tiny n3 and n4 make a later set's conditioned covariance singular,
         # so its factorization fails inside the batch, while a set-by-set
@@ -340,9 +381,10 @@ class TestBatchedDualRouteSuites:
         assert got.detail.startswith("p1=0.5 n2=0.5 n3=0.5 n4=1.0: MI moved by 1.761e-04 bits")
 
     def test_batch_reports_equal_public_calls(self):
-        for sets, alphas in _alpha_batches():
-            assert selftest._single_relay_reports(sets, alphas) == [
-                rc.verify_single_relay_independence(*one, alphas) for one in sets
+        for sets, grids in _alpha_batches():
+            assert selftest._single_relay_reports(sets, grids) == [
+                rc.verify_single_relay_independence(*one, alphas)
+                for one, alphas in zip(sets, grids)
             ]
         for sets, betas in _beta_batches():
             assert selftest._relay_correlation_reports(sets, betas) == [
@@ -352,11 +394,11 @@ class TestBatchedDualRouteSuites:
     @pytest.mark.parametrize(
         "suite, batch, want",
         [
-            ("alpha_suite", "_single_relay_reports", [16] * 16),
+            ("alpha_suite", "_single_relay_reports", [64] * 4),
             ("beta_suite", "_relay_correlation_reports", [27] * 5),
         ],
     )
-    def test_one_batch_call_per_shared_grid(self, monkeypatch, suite, batch, want):
+    def test_one_batch_call_per_p1(self, monkeypatch, suite, batch, want):
         real, sizes = getattr(selftest, batch), []
 
         def counting(sets, grid):
@@ -1793,31 +1835,76 @@ class TestBatchedSuites:
     @pytest.mark.parametrize("bump", SEED_BUMPS)
     @pytest.mark.parametrize("name", ["monotonicity_suite", "achievability_suite"])
     def test_uniform_optima_match_serial_searches_bitwise(self, monkeypatch, name, bump):
-        # Every Q* and push factor reaches _pushed_inside, on both paths.
-        pushed = []
-        real = selftest._pushed_inside
+        # Every Q* and push factor reaches the push, on both paths.
+        batched, serial_pushes = [], []
+        real_batch, real_one = selftest._pushed, oracles.pushed_inside
 
-        def recording(q_star, factors):
-            pushed.append((q_star.entries, factors.tolist()))
-            return real(q_star, factors)
+        def recording_batch(optima, factors):
+            batched.extend((q.entries, f.tolist()) for q, f in zip(optima, factors))
+            return real_batch(optima, factors)
 
-        monkeypatch.setattr(selftest, "_pushed_inside", recording)
+        def recording_one(q_star, factors):
+            serial_pushes.append((q_star.entries, factors.tolist()))
+            return real_one(q_star, factors)
+
+        monkeypatch.setattr(selftest, "_pushed", recording_batch)
+        monkeypatch.setattr(oracles, "pushed_inside", recording_one)
         seed = SUITE_SEEDS[name] + bump
         points = selftest._feasible_points(np.random.default_rng(seed), 100)
-        batched, pushed[:] = pushed[:], []
         rng = np.random.default_rng(seed)
         serial = []
         for _ in range(100):
             net = random_network(rng, int(rng.integers(3, 7)))
             serial.append(sample_feasible_q(rng, net))
         # Q values are positive and finite: == is bit equality.
-        assert batched == pushed
-        assert [q for _, q in points] == serial
+        assert batched == serial_pushes
+        assert [q.tolist() for _, q in points] == [list(q.values) for q in serial]
+
+    @pytest.mark.parametrize("bump", SEED_BUMPS)
+    @pytest.mark.parametrize("samples", [1, 7, 100])
+    @pytest.mark.parametrize("name", ["monotonicity_suite", "achievability_suite"])
+    def test_network_draws_match_random_network_bitwise(self, name, samples, bump):
+        # The scalars are Python's 10.0 ** x and the gains and factors
+        # np.power, whose last bit can differ from Python's pow: every
+        # array, its NaNs and its read-only flag, as one network at a time.
+        seed = SUITE_SEEDS[name] + bump
+        rng = np.random.default_rng(seed)
+        networks, factors = selftest._network_draws(rng, samples)
+        serial_rng = np.random.default_rng(seed)
+        assert len(networks) == len(factors) == samples
+        for arrays, push in zip(networks, factors):
+            net = random_network(serial_rng, int(serial_rng.integers(3, 7)))
+            for got, want in zip(arrays, net._arrays, strict=True):
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+                assert not got.flags.writeable and not want.flags.writeable
+            want = push_factors(serial_rng, len(net.relay_ids))
+            assert push.shape == want.shape and push.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == serial_rng.bit_generator.state
+
+    @pytest.mark.parametrize("bump", SEED_BUMPS)
+    @pytest.mark.parametrize("samples", [1, 7, 100, 500])
+    def test_determinant_draws_match_serial_draws_bitwise(self, samples, bump):
+        seed = SUITE_SEEDS["determinant_lemma_suite"] + bump
+        rng = np.random.default_rng(seed)
+        stacks = selftest._determinant_draws(rng, samples)
+        got = [None] * samples
+        for draws, *arrays in stacks:
+            for row, k in enumerate(draws):
+                got[k] = [a[row] for a in arrays]
+        for (lam, noise, qv, p1), want in zip(got, determinant_lemma_draws(samples, seed)):
+            for a, b in zip((lam, noise, qv), want[:3], strict=True):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert float(p1) == want[3]
 
     @pytest.mark.parametrize("bump", SEED_BUMPS)
     def test_determinants_match_public_route_bitwise(self, bump):
-        draws = determinant_lemma_draws(500, SUITE_SEEDS["determinant_lemma_suite"] + bump)
-        assert selftest._determinants(draws)[0] == [determinant_by_network(*d) for d in draws]
+        seed = SUITE_SEEDS["determinant_lemma_suite"] + bump
+        dets, _ = selftest._determinants(
+            selftest._determinant_draws(np.random.default_rng(seed), 500)
+        )
+        draws = determinant_lemma_draws(500, seed)
+        assert dets.tolist() == [determinant_by_network(*d) for d in draws]
 
     def test_determinant_lemma_factors_one_stack_per_size(self, monkeypatch):
         # Every instance goes through the kernel behind the public
@@ -1872,22 +1959,26 @@ class TestBatchedSuites:
     )
     @pytest.mark.parametrize("name", ["monotonicity_suite", "achievability_suite"])
     def test_first_failing_sample_is_named(self, monkeypatch, name, relay_power, error):
-        real = selftest.random_network
+        # Sample 5's network is swapped, after the real draws, for an
+        # equal-gain one of its size: in the serial suite's random_network
+        # calls, and in the batched suite's stacked draws.
+        real, real_draws = selftest.random_network, selftest._network_draws
 
-        def failing_at(index):
-            drawn = itertools.count()
+        def draw(rng, num_nodes, drawn=itertools.count()):
+            net = real(rng, num_nodes)
+            return swapped(num_nodes) if next(drawn) == 5 else net
 
-            def draw(rng, num_nodes):
-                net = real(rng, num_nodes)  # the real draws, then the swap
-                if next(drawn) == index:
-                    return _equal_gain_network(num_nodes, lambda j: relay_power)
-                return net
+        def draws(rng, samples):
+            networks, factors = real_draws(rng, samples)
+            networks[5] = swapped(len(networks[5][1]))._arrays
+            return networks, factors
 
-            return draw
+        def swapped(num_nodes):
+            return _equal_gain_network(num_nodes, lambda j: relay_power)
 
-        monkeypatch.setattr(selftest, "random_network", failing_at(5))
+        monkeypatch.setattr(selftest, "random_network", draw)
         want = SERIAL_SUITES[name](20, SUITE_SEEDS[name])
-        monkeypatch.setattr(selftest, "random_network", failing_at(5))
+        monkeypatch.setattr(selftest, "_network_draws", draws)
         got = getattr(selftest, name)(20, SUITE_SEEDS[name])
         assert got == want
         assert not got.passed
@@ -2021,15 +2112,30 @@ class TestStackedChecks:
 
     @staticmethod
     def _pushing(index, push):
-        """``_pushed_inside`` with sample ``index``'s point replaced by
-        ``push(q_star, point)``."""
-        real, calls = selftest._pushed_inside, itertools.count()
+        """Faults that replace sample ``index``'s pushed point by
+        ``push(q_star, point)``, both given as value arrays: one in the
+        serial suite's ``pushed_inside`` calls, one in the batched suite's
+        ``_pushed`` call."""
+        real_one, real_batch = oracles.pushed_inside, selftest._pushed
 
-        def pushed(q_star, factors):
-            point = real(q_star, factors)
-            return push(q_star, point) if next(calls) == index else point
+        def one_at_a_time():
+            calls = itertools.count()
 
-        return pushed
+            def pushed(q_star, factors):
+                point = real_one(q_star, factors)
+                if next(calls) != index:
+                    return point
+                values = push(np.array(q_star.values), np.array(point.values))
+                return rc.QuantizationVector(entries=tuple(zip(point.ids, values.tolist())))
+
+            return pushed
+
+        def batched(optima, factors):
+            points = real_batch(optima, factors)
+            points[index] = push(np.array(optima[index].values), points[index])
+            return points
+
+        return (oracles, "pushed_inside", one_at_a_time), (selftest, "_pushed", lambda: batched)
 
     def _both_paths(self, monkeypatch, name, samples, *faults):
         """The serial suite's and the batched suite's CheckResult, each run
@@ -2043,12 +2149,8 @@ class TestStackedChecks:
 
     def test_infeasible_sample_is_named_as_the_serial_suite_names_it(self, monkeypatch):
         # Sample 5's point is Q*/2, below the uniform frontier.
-        halve = (
-            selftest,
-            "_pushed_inside",
-            lambda: self._pushing(5, lambda q_star, _: q_star.scaled_by(0.5)),
-        )
-        want, got = self._both_paths(monkeypatch, "monotonicity_suite", 20, halve)
+        halve = self._pushing(5, lambda q_star, _: q_star * 0.5)
+        want, got = self._both_paths(monkeypatch, "monotonicity_suite", 20, *halve)
         assert got == want
         assert got.detail == "sample 5: sampled Q not feasible at scale 1"
 
@@ -2065,13 +2167,9 @@ class TestStackedChecks:
                 return margins
             return np.where(q_values.min(axis=0) > 1e10, -1.0, margins)
 
-        lift = (
-            selftest,
-            "_pushed_inside",
-            lambda: self._pushing(5, lambda _, point: point.scaled_by(2e9 / min(point.values))),
-        )
+        lift = self._pushing(5, lambda _, point: point * (2e9 / point.min()))
         margins = (bounds, "_margins_log2", lambda: faulty)
-        want, got = self._both_paths(monkeypatch, "monotonicity_suite", 20, lift, margins)
+        want, got = self._both_paths(monkeypatch, "monotonicity_suite", 20, *lift, margins)
         assert got == want
         assert got.detail.startswith("sample 5: scale 10.0 broke feasibility (S=(")
         assert got.detail.endswith(", margin -1.000e+00)")
@@ -2090,6 +2188,105 @@ class TestStackedChecks:
         want, got = self._both_paths(monkeypatch, "achievability_suite", 20, kernel)
         assert got == want
         assert re.fullmatch(r"sample 9: rate \S+ exceeds bound -\S+", got.detail)
+
+    def test_nan_rate_fails_at_its_sample(self, monkeypatch):
+        # Sample 3's rate reads NaN, which compares False with any bound.
+        real_batch, real_one = selftest._cf_rates, oracles.cf_rate_by_network
+
+        def batch():
+            calls = itertools.count()
+
+            def rates(networks, qs):
+                got = real_batch(networks, qs)
+                if next(calls) == 0:  # the rates; the bounds come next
+                    got[3] = math.nan
+                return got
+
+            return rates
+
+        def one_at_a_time():
+            calls = itertools.count()
+            return lambda net, q: math.nan if next(calls) == 3 else real_one(net, q)
+
+        faults = (selftest, "_cf_rates", batch), (oracles, "cf_rate_by_network", one_at_a_time)
+        want, got = self._both_paths(monkeypatch, "achievability_suite", 20, *faults)
+        assert got == want
+        assert re.fullmatch(r"sample 3: rate nan exceeds bound \S+", got.detail)
+
+    def test_nan_determinant_fails_the_suite(self, monkeypatch):
+        # Instance 7 reads a NaN log-det. Python's max, starting from 0.0,
+        # would drop it.
+        target = determinant_lemma_draws(500, SUITE_SEEDS["determinant_lemma_suite"])[7][0]
+
+        def nan_at_target(real):
+            def kernel(lam, noise, p1):
+                log2_dets = real(lam, noise, p1)
+                if lam.shape[1] != len(target):
+                    return log2_dets
+                return np.where((lam == target).all(axis=1), math.nan, log2_dets)
+
+            return lambda: kernel
+
+        faults = (
+            (selftest, "_rank_one_log2_dets", nan_at_target(selftest._rank_one_log2_dets)),
+            (bounds, "_rank_one_log2_dets", nan_at_target(bounds._rank_one_log2_dets)),
+        )
+        want, got = self._both_paths(monkeypatch, "determinant_lemma_suite", 500, *faults)
+        assert got == want == selftest.CheckResult(
+            "determinant-lemma",
+            False,
+            "500 random instances (size <= 6); worst relative error nan",
+        )
+
+    def test_invalid_draw_raises_as_its_network_would(self, monkeypatch):
+        # Each stack's second network gets a NaN source-to-destination
+        # gain. Every stack is checked, and the first invalid network in
+        # sample order raises the ValueError that its NetworkSpec raises.
+        networks, _ = selftest._network_draws(np.random.default_rng(1), 20)
+        sizes = [len(powers) for _, powers, _ in networks]
+        first = min([k for k, n in enumerate(sizes) if n == t][1] for t in set(sizes))
+        assert first != [k for k, n in enumerate(sizes) if n == sizes[0]][1]
+        gains, powers, noise = (np.array(a) for a in networks[first])
+        t = sizes[first]
+        gains[0, t - 1] = gains[t - 1, 0] = math.nan
+        relays = [rc.relay(j, powers[j - 1], noise[j - 1]) for j in range(2, t)]
+        net = _net([rc.source(1, powers[0]), *relays, rc.destination(t, noise[-1])], gains)
+        with pytest.raises(ValueError) as want:
+            net._arrays
+        real = selftest._uniform
+
+        def uniform(u, low, high):
+            x = real(u, low, high)
+            if isinstance(low, float) and (low, high) == (-1.0, 1.0):  # a stack's gains
+                x[1:2, math.isqrt(x.shape[1]) - 1] = math.nan
+            return x
+
+        monkeypatch.setattr(selftest, "_uniform", uniform)
+        with pytest.raises(ValueError) as got:
+            selftest._network_draws(np.random.default_rng(1), 20)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(f"invalid network: gain from node 1 to node {t} ")
+
+    def test_overflowing_push_raises_non_positive_q(self):
+        # Q* = 1e307 pushed by 100 overflows, silently, as Python floats
+        # do, and the first value that is not finite and positive raises
+        # the error that the serial push raises.
+        optima = [
+            Infeasible("none"),
+            rc.QuantizationVector.uniform(1.0, (2,)),
+            rc.QuantizationVector.uniform(1e307, (2, 3)),
+        ]
+        factors = [np.ones(1), np.array([2.0]), np.array([1.0, 100.0])]
+        with pytest.raises(NonPositiveQ) as want:
+            oracles.pushed_inside(optima[2], factors[2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonPositiveQ) as got:
+                selftest._pushed(optima, factors)
+            points = selftest._pushed(optima[:2], factors[:2])
+        assert str(got.value) == str(want.value)
+        assert str(got.value) == "Q_3 must be a finite positive variance, got inf"
+        assert points[0] is optima[0] and points[1].tolist() == [2.0]
 
 
 def _descent_cases():

@@ -75,17 +75,19 @@ gammas [1e308] (the scale error first, exit 2) and [1, 1e308] (the guard,
 exit 3), and run through ``bound`` and ``cfrate`` (exit 3). A small
 network with ``cf.tol`` = -1 runs ``cfrate`` and ``sweep``: trees that
 still read ``cf.tol`` reject it (exit 2), and later trees ignore it.
-``verify`` runs with its defaults, with seeds 1 and 2 and with two large
-seeds like the benchmark's (3 * 1234567 and 3 * 1234568), and with 1 and 7
-network samples and 1 and 7 determinant samples, the edge cases of batching
-the random suites by size. It also runs with alpha offsets [-1, 0, 1] and
-[0], and with beta grids [-0.5, 0, 0.5] and [0] and the three failing
-grids [-1e6, 0], [0, 1e8] and [0, 1e200], where the relay-correlation
-check stops at its first failing parameter set. Fifteen runs end in
+``verify`` runs with its defaults, with seeds 1, 2, 5 and 12345 and with
+two large seeds like the benchmark's (3 * 1234567 and 3 * 1234568), with 1
+and 7 network samples and 1 and 7 determinant samples, the edge cases of
+batching the random suites by size, and with 250 network samples and 2000
+determinant samples, whose stacked draws are larger than the defaults'.
+It also runs with alpha offsets [-1, 0, 1], [0] and the uneven
+[-0.8, -0.2, 0, 0.2, 0.6], and with beta grids [-0.5, 0, 0.5] and [0]
+and the three failing grids [-1e6, 0], [0, 1e8] and [0, 1e200], where
+the relay-correlation check stops at its first failing parameter set. Fifteen runs end in
 argparse: ``--help`` alone and after each command, no argument, an
 unknown command, an unknown flag after each command, ``cfrate`` without
 ``--config``, a bad ``--mode``, a non-integer ``--top-k`` and ``cfrate
---tol 1e-6`` (a flag that later trees no longer have): 513 runs in all. Only the standard library and numpy are used.
+--tol 1e-6`` (a flag that later trees no longer have): 518 runs in all. Only the standard library and numpy are used.
 """
 
 from __future__ import annotations
@@ -478,9 +480,12 @@ def runs(config_dir: str) -> list[tuple[str, list[str]]]:
             argv = command + ["--config", path] + (["--override-guard"] if big else [])
             out.append((f"{name}: {' '.join(command)}", argv))
     out.append(("verify", ["verify"]))
-    verify_docs = [("seed", seed) for seed in (1, 2, 3 * 1234567, 3 * 1234568)]
+    verify_docs = [("seed", seed) for seed in (1, 2, 5, 12345, 3 * 1234567, 3 * 1234568)]
     verify_docs += [(key, n) for key in ("network_samples", "det_samples") for n in (1, 7)]
-    verify_docs += [("alpha_offsets", grid) for grid in ([-1, 0, 1], [0])]
+    verify_docs += [("network_samples", 250), ("det_samples", 2000)]
+    verify_docs += [
+        ("alpha_offsets", grid) for grid in ([-1, 0, 1], [0], [-0.8, -0.2, 0, 0.2, 0.6])
+    ]
     verify_docs += [
         ("beta_grid", grid)
         for grid in ([-0.5, 0, 0.5], [0], [-1e6, 0], [0, 1e8], [0, 1e200])
