@@ -907,9 +907,10 @@ def _lockstep_search(
     raise AssertionError("a uniform search overran its pass bound")
 
 
-def _uniform_optima(tables: list[_ConstraintTable]) -> list[QuantizationVector | Infeasible]:
-    """Each table's best uniform Q, or the Infeasible that says why it has
-    none, for any tables: mixed relay counts, blocked and relay-free ones.
+def _uniform_optima(tables: list[_ConstraintTable]) -> list[np.ndarray | Infeasible]:
+    """Each table's best uniform Q, as values aligned with its relays, or
+    the Infeasible that says why it has none, for any tables: mixed relay
+    counts, blocked and relay-free ones.
 
     Every margin rises strictly toward its denominator as Q grows, so a
     table with some denom_log2 <= 0 is infeasible without a search, and a
@@ -918,7 +919,7 @@ def _uniform_optima(tables: list[_ConstraintTable]) -> list[QuantizationVector |
     stacked in columns once (a lone table is a stack of one). Each Q is
     exact: the smallest double that its table accepts.
     """
-    optima: list[QuantizationVector | Infeasible] = [QuantizationVector(entries=())] * len(tables)
+    optima: list[np.ndarray | Infeasible] = [np.empty(0)] * len(tables)
     counts: list[int | None] = []
     for k, table in enumerate(tables):
         blocked = np.flatnonzero(~(table.denom_log2 > 0.0))
@@ -939,7 +940,7 @@ def _uniform_optima(tables: list[_ConstraintTable]) -> list[QuantizationVector |
             found = _lockstep_search(*_columns(run), np.array([_search_start(t) for t in run]))
         for k, table, q in zip(members, run, found.tolist()):
             optima[k] = (
-                QuantizationVector.uniform(q, table.relays)
+                np.full(len(table.relays), q)
                 if q < math.inf
                 else Infeasible("no finite quantization noise satisfies every constraint")
             )
@@ -987,10 +988,11 @@ def _coordinate_step(
     return current
 
 
-def _coordinate_descent(table: _ConstraintTable, start: QuantizationVector) -> QuantizationVector:
-    """Cyclically move each Q_j to its exact per-coordinate frontier
-    (``_coordinate_step``: a closed form, no search), until a full cycle
-    moves no coordinate, or after DESCENT_MAX_CYCLES cycles.
+def _coordinate_descent(table: _ConstraintTable, start: np.ndarray) -> np.ndarray:
+    """From ``start``'s values, cyclically move each Q_j to its exact
+    per-coordinate frontier (``_coordinate_step``: a closed form, no
+    search), until a full cycle moves no coordinate, or after
+    DESCENT_MAX_CYCLES cycles, in a new array.
 
     Each move keeps every margin nonnegative and never raises any Q, so
     the rate is nondecreasing. A Q_j only ever falls, and lowering the
@@ -1005,7 +1007,7 @@ def _coordinate_descent(table: _ConstraintTable, start: QuantizationVector) -> Q
     # Relay k's rows, the subsets holding it: row i is canonical mask i + 1.
     rows = _dp_layout(n).member[1:].T
 
-    q_values = np.array(start.values)
+    q_values = start.copy()
     for _ in range(DESCENT_MAX_CYCLES):
         before = q_values.copy()
         with np.errstate(over="ignore"):  # N + Q -> inf, as in _uniform_optima
@@ -1013,7 +1015,7 @@ def _coordinate_descent(table: _ConstraintTable, start: QuantizationVector) -> Q
                 q_values[k] = _coordinate_step(table, q_values, k, rows[k])
         if np.array_equal(q_values, before):
             break
-    return QuantizationVector(entries=tuple(zip(table.relays, q_values)))
+    return q_values
 
 
 def _require_mode(mode: str) -> None:
@@ -1021,16 +1023,17 @@ def _require_mode(mode: str) -> None:
         raise ValueError(f"mode must be one of {_OPT_MODES}, got {mode!r}")
 
 
-def _optimize(table: _ConstraintTable, mode: str) -> tuple[QuantizationVector, float]:
-    """Best feasible quantization vector on one constraint table, and its
-    rate: its ``_uniform_optima`` entry, raised if it is an Infeasible,
-    then, if asked for and there is a Q, the descent from it."""
-    (q_star,) = _uniform_optima([table])
-    if isinstance(q_star, Infeasible):
-        raise q_star
-    if mode == "coordinate_descent" and q_star.entries:
-        q_star = _coordinate_descent(table, q_star)
-    return q_star, table.cf_rate(q_star.values)
+def _optimize(table: _ConstraintTable, mode: str) -> tuple[QuantizationVector, np.ndarray, float]:
+    """Best feasible quantization vector on one constraint table, as the
+    one QuantizationVector that a public function returns and as values,
+    and its rate: its ``_uniform_optima`` entry, raised if it is an
+    Infeasible, then, if asked for and there is a Q, the descent from it."""
+    (q,) = _uniform_optima([table])
+    if isinstance(q, Infeasible):
+        raise q
+    if mode == "coordinate_descent" and len(q):
+        q = _coordinate_descent(table, q)
+    return QuantizationVector(entries=tuple(zip(table.relays, q.tolist()))), q, table.cf_rate(q)
 
 
 def optimize_quantization(
@@ -1054,7 +1057,8 @@ def optimize_quantization(
     relays).
     """
     _require_mode(mode)
-    return _optimize(_ConstraintTable(net, quantifier, override_guard), mode)
+    q_star, _, rate = _optimize(_ConstraintTable(net, quantifier, override_guard), mode)
+    return q_star, rate
 
 
 def build_rate_report(
@@ -1070,12 +1074,12 @@ def build_rate_report(
     if top_k < 0:
         raise ValueError(f"top_k must be >= 0, got {top_k}")
     table = _ConstraintTable(net, quantifier, override_guard)
-    q_star, rate = _optimize(table, mode)
+    q_star, q, rate = _optimize(table, mode)
     rates = _cut_rates(net, override_guard)
     bound = float(rates[0])  # the source cut
     mc_bits, mc = _min_cut(net, rates)
     with np.errstate(over="ignore"):  # N + Q -> inf, as in _uniform_optima
-        margins = table.margins_log2(np.array(q_star.values))
+        margins = table.margins_log2(q)
     tightest = np.argsort(margins, kind="stable")[:top_k]
     binding = tuple(ConstraintMargin(table.instance(k), float(margins[k])) for k in tightest)
     return RateReport(
@@ -1137,14 +1141,14 @@ def convergence_sweep(
     tables = _constraint_tables(map(row, gammas), quantifier, override_guard)
     optima = _uniform_optima(tables)
     found = [(t.arrays, q) for t, q in zip(tables, optima) if not isinstance(q, Infeasible)]
-    rates = iter(_cf_rates([arrays for arrays, _ in found], [q.values for _, q in found]).tolist())
+    rates = iter(_cf_rates([arrays for arrays, _ in found], [q for _, q in found]).tolist())
     rows: list[SweepRow] = []
     for g, q_star in zip(gammas, optima):
         if isinstance(q_star, Infeasible):
             feasible, rate, q_uni = False, math.nan, math.nan
         else:
             rate = next(rates)
-            feasible, q_uni = True, max(q_star.values, default=math.nan)
+            feasible, q_uni = True, max(q_star.tolist(), default=math.nan)
         gap = bound - rate
         if feasible and not gap >= -RATE_TOL_BITS:
             raise VerificationFailure(

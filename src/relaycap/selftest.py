@@ -11,18 +11,19 @@ first and then batch the work, bit for bit the serial results, with no
 call per sample. Per sample, one ``integers`` call draws its size and one
 ``random`` call every value it needs; the values are taken once per size,
 on that size's stack (``_network_draws``, ``_determinant_draws``): a
-network is its read-only (gains, powers, noises) arrays, never a
-NetworkSpec, and a pushed point is a value array, never a
-QuantizationVector. The network suites build every network's table in
-one ``bounds._constraint_tables`` call and pass them to one
-``bounds._uniform_optima`` call; the monotonicity suite checks every
-point at every scale in one ``bounds._feasible`` call, and the
-achievability suite takes every rate, and at Q = 0 every bound, in one
-``bounds._cf_rates`` call each. A failure is named by scanning the
-samples in order afterwards. The determinant lemma calls the kernel
-behind ``quantized_covariance_det``, ``gaussian._rank_one_log2_dets``,
-and takes the closed form, once per matrix size. Every check fails on a
-NaN, at the first sample that holds one.
+network is its read-only (gains, powers, noises) arrays, valid by
+construction, never a NetworkSpec, and a uniform optimum and a pushed
+point are value arrays, never QuantizationVectors. The network suites
+build every network's table in one ``bounds._constraint_tables`` call
+and pass them to one ``bounds._uniform_optima`` call; the monotonicity
+suite checks every point at every scale in one ``bounds._feasible``
+call, and the achievability suite takes every rate, and at Q = 0 every
+bound, in one ``bounds._cf_rates`` call each. A failure is named by
+scanning the samples in order afterwards. The determinant lemma calls
+the kernel behind ``quantized_covariance_det``,
+``gaussian._rank_one_log2_dets``, and takes the closed form, once per
+matrix size. Every check fails on a NaN, at the first sample that holds
+one.
 
 The two dual-route routines live here too, and the package re-exports
 them and their report classes. They cross-check the independent-input
@@ -72,7 +73,7 @@ from .gaussian import (
     conditional_covariance,
     joint_covariance,
 )
-from .topology import NetworkSpec, destination, from_gains, relay, source, validate
+from .topology import NetworkSpec, destination, from_gains, relay, source
 
 #: 21 symmetric grid offsets in [-1, 1] with an exact 0.0 at the center.
 DEFAULT_OFFSETS = tuple((i - 10) / 10.0 for i in range(21))
@@ -432,15 +433,19 @@ def _network_draws(rng: np.random.Generator, samples: int) -> tuple[list[tuple],
     Per sample, one ``random`` call draws the 2T - 2 powers and noises, the
     T x T gains and the factors, in that order. The scalars are Python's
     ``10.0 ** x``, the gains and factors ``np.power`` of each T's stack, as
-    one network at a time takes them. Each stack is validated at once, and
-    the first invalid network raises the ValueError its ``_arrays`` would."""
+    one network at a time takes them.
+
+    No draw can be invalid, so none is validated: every power and noise is
+    ``10.0 ** x`` with x in a bounded interval, and every gain ``10 ** u``
+    with u in [-1, 1), averaged with its transpose, with the diagonal set to
+    0. Every value that ``topology.validate`` checks is finite and positive,
+    and that function stays the one statement of its rules."""
     sizes, uniforms = [], []
     for _ in range(samples):
         t = int(rng.integers(3, 7))
         sizes.append(t)
         uniforms.append(rng.random(2 * t - 2 + t * t + (t - 2)))
     networks, factors = [None] * samples, [None] * samples
-    valid = np.ones(samples, dtype=bool)
     for members in _runs(sizes):
         t = sizes[members[0]]
         r = t - 2
@@ -456,29 +461,12 @@ def _network_draws(rng: np.random.Generator, samples: int) -> tuple[list[tuple],
         gains = (10.0 ** _uniform(u[:, 2 * t - 2 : -r], -1.0, 1.0)).reshape(-1, t, t)
         gains = 0.5 * (gains + gains.transpose(0, 2, 1))
         gains[:, range(t), range(t)] = 0.0
-        valid[members] = _valid(gains, *values.transpose(1, 0, 2))
         gains.setflags(write=False)
         values.setflags(write=False)
         push = 10.0 ** _uniform(u[:, -r:], 0.0, 2.0)
         for k, g, (powers, noise), f in zip(members, gains, values, push):
             networks[k], factors[k] = (g, powers, noise), f
-    for k in np.flatnonzero(~valid)[:1].tolist():
-        gains, powers, noise = networks[k]
-        t = len(powers)
-        relays = [relay(j, powers[j - 1], noise[j - 1]) for j in range(2, t)]
-        net = from_gains([source(1, powers[0]), *relays, destination(t, noise[-1])], gains)
-        raise ValueError("invalid network: " + "; ".join(validate(net)))
     return networks, factors
-
-
-def _valid(gains: np.ndarray, powers: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """Whether each network of a stack passes ``validate``: finite gains,
-    >= 0 off the (zero) diagonal and > 0 from the source, finite powers
-    >= 0 and finite noises > 0 where the roles have them."""
-    ok = ((gains >= 0.0) & (gains < math.inf)).all(axis=(1, 2))
-    ok &= (gains[:, 0, 1:] > 0.0).all(axis=1)
-    ok &= ((powers[:, :-1] >= 0.0) & (powers[:, :-1] < math.inf)).all(axis=1)
-    return ok & ((noise[:, 1:] > 0.0) & (noise[:, 1:] < math.inf)).all(axis=1)
 
 
 def _pushed(optima: list, factors: list) -> list:
@@ -489,10 +477,7 @@ def _pushed(optima: list, factors: list) -> list:
     once: the first value that is not finite and positive raises its
     NonPositiveQ."""
     with np.errstate(over="ignore"):  # Q * f -> inf, as Python floats give
-        points = [
-            q if isinstance(q, RelaycapError) else np.array(q.values) * f
-            for q, f in zip(optima, factors)
-        ]
+        points = [q if isinstance(q, RelaycapError) else q * f for q, f in zip(optima, factors)]
     found = [p for p in points if not isinstance(p, RelaycapError)]
     flat = np.concatenate([np.empty(0), *found])
     if not ((flat > 0.0) & (flat < math.inf)).all():
@@ -519,7 +504,9 @@ def monotonicity_suite(samples: int = 100, seed: int = 20250812) -> CheckResult:
     One constraint table per network serves the feasible-point search
     (``_feasible_points``) and every scale check: one ``_feasible`` call
     checks every point at every scale. Scanning in sample order then
-    names the first failing (sample, scale)."""
+    names the first failing (sample, scale), and at that scale the row
+    with the first NaN margin, or else the first smallest margin: a row
+    that fails whenever the scale fails."""
     name = "feasibility-monotonicity"
     scales = (1.0, 1.5, 10.0, 1e3)
     points = _feasible_points(np.random.default_rng(seed), samples)
@@ -536,13 +523,14 @@ def monotonicity_suite(samples: int = 100, seed: int = 20250812) -> CheckResult:
             return CheckResult(name, False, f"sample {i}: sampled Q not feasible at scale 1")
         for c, (ok, q_c) in zip(scales[1:], held[1:]):
             if not ok:
-                q_c = QuantizationVector(entries=tuple(zip(table.relays, q_c.tolist())))
-                worst = min(table.constraint_margins(q_c), key=lambda m: m.margin_log2)
+                with np.errstate(over="ignore"):  # N + Q -> inf, as in _uniform_optima
+                    margins = table.margins_log2(q_c)
+                row = int(np.argmin(margins))  # the first NaN, else the first smallest
                 return CheckResult(
                     name,
                     False,
                     f"sample {i}: scale {c} broke feasibility "
-                    f"(S={worst.instance.s}, margin {worst.margin_log2:.3e})",
+                    f"(S={table.instance(row).s}, margin {margins[row]:.3e})",
                 )
     detail = f"{samples} random (network, Q) pairs x scales (1.5, 10, 1e3)"
     return CheckResult(name, True, detail)

@@ -501,18 +501,15 @@ def convergence_sweep_by_rows(net, gammas, quantifier="forall", *, override_guar
 
 def coordinate_descent_by_bisection(table, start, rel_tol=1e-9):
     """Coordinate descent with each coordinate found by the ``_frontier``
-    bisection (to rel_tol) instead of its closed form: cyclically shrink
-    each Q_j to its per-coordinate frontier.
+    bisection (to rel_tol) instead of its closed form: from ``start``, Q as
+    values aligned with the sorted relays, cyclically shrink each Q_j to
+    its per-coordinate frontier. Returns the final values, a new array.
 
     Each move keeps every margin nonnegative and never raises any Q, so
     the rate is nondecreasing; stop when a full cycle improves it by no
     more than rel_tol bits, or after DESCENT_MAX_CYCLES cycles.
     """
-
-    def as_vector(values: np.ndarray) -> QuantizationVector:
-        return QuantizationVector(entries=tuple(zip(table.relays, values)))
-
-    q_values = np.array(start.values)
+    q_values = start.copy()
     rate = table.cf_rate(q_values)
     for _ in range(DESCENT_MAX_CYCLES):
         for k in range(len(table.relays)):
@@ -528,7 +525,7 @@ def coordinate_descent_by_bisection(table, start, rel_tol=1e-9):
         rate = new_rate
         if improved <= rel_tol:
             break
-    return as_vector(q_values)
+    return q_values
 
 
 def determinant_lemma_draws(samples, seed):
@@ -616,7 +613,7 @@ def monotonicity_suite_by_samples(samples=100, seed=20250812):
         net = selftest.random_network(rng, int(rng.integers(3, 7)))
         try:
             table = _ConstraintTable(net, "forall")
-            q_star, _ = _optimize(table, "uniform_bisection")
+            q_star, _, _ = _optimize(table, "uniform_bisection")
         except RelaycapError as exc:
             return selftest.CheckResult(
                 name, False, f"sample {i}: feasible point search failed: {exc}"
@@ -628,7 +625,10 @@ def monotonicity_suite_by_samples(samples=100, seed=20250812):
         for c in (1.5, 10.0, 1e3):
             q_c = q.scaled_by(c)
             if not table.feasible(np.array(q_c.values)):
-                worst = min(table.constraint_margins(q_c), key=lambda m: m.margin_log2)
+                # The first NaN margin, or else the first smallest: Python's
+                # min would drop a NaN that does not come first.
+                margins = table.constraint_margins(q_c)
+                worst = margins[int(np.argmin([m.margin_log2 for m in margins]))]
                 return selftest.CheckResult(
                     name,
                     False,

@@ -1840,11 +1840,11 @@ class TestBatchedSuites:
         real_batch, real_one = selftest._pushed, oracles.pushed_inside
 
         def recording_batch(optima, factors):
-            batched.extend((q.entries, f.tolist()) for q, f in zip(optima, factors))
+            batched.extend((q.tolist(), f.tolist()) for q, f in zip(optima, factors))
             return real_batch(optima, factors)
 
         def recording_one(q_star, factors):
-            serial_pushes.append((q_star.entries, factors.tolist()))
+            serial_pushes.append((list(q_star.values), factors.tolist()))
             return real_one(q_star, factors)
 
         monkeypatch.setattr(selftest, "_pushed", recording_batch)
@@ -2074,7 +2074,7 @@ class TestStackedChecks:
         pairs = []
         for table, q_star in zip(tables, bounds._uniform_optima(tables)):
             for c in (0.5, 1.0, 1.5):
-                values = [v * c for v in q_star.values]
+                values = [v * c for v in q_star.tolist()]
                 pairs.append((table, values))
         got = bounds._feasible([t for t, _ in pairs], [q for _, q in pairs])
         assert got == [t.feasible(np.array(q)) for t, q in pairs]
@@ -2132,7 +2132,7 @@ class TestStackedChecks:
 
         def batched(optima, factors):
             points = real_batch(optima, factors)
-            points[index] = push(np.array(optima[index].values), points[index])
+            points[index] = push(optima[index], points[index])
             return points
 
         return (oracles, "pushed_inside", one_at_a_time), (selftest, "_pushed", lambda: batched)
@@ -2173,6 +2173,31 @@ class TestStackedChecks:
         assert got == want
         assert got.detail.startswith("sample 5: scale 10.0 broke feasibility (S=(")
         assert got.detail.endswith(", margin -1.000e+00)")
+
+    def test_nan_margin_is_named_at_its_broken_scale(self, monkeypatch):
+        # As above, but where the smallest Q passes 1e10 every margin reads
+        # 0.5 except row 1's, which reads NaN: scale 10 breaks sample 5 at
+        # row 1, which min() would skip to name row 0, a row that holds.
+        real = bounds._margins_log2
+
+        def faulty(denom_log2, noise, lam, p1, q_values):
+            margins = real(denom_log2, noise, lam, p1, q_values)
+            if q_values.ndim != denom_log2.ndim:
+                return margins
+            nan_later = np.full_like(margins, 0.5)
+            nan_later[1:2] = math.nan  # a one-relay table has no row 1
+            return np.where(q_values.min(axis=0) > 1e10, nan_later, margins)
+
+        lift = self._pushing(5, lambda _, point: point * (2e9 / point.min()))
+        margins = (bounds, "_margins_log2", lambda: faulty)
+        want, got = self._both_paths(monkeypatch, "monotonicity_suite", 20, *lift, margins)
+        monkeypatch.undo()
+        rng = np.random.default_rng(SUITE_SEEDS["monotonicity_suite"])
+        table, _ = selftest._feasible_points(rng, 20)[5]
+        s = table.instance(1).s
+        assert s != table.instance(0).s
+        assert got == want
+        assert got.detail == f"sample 5: scale 10.0 broke feasibility (S={s}, margin nan)"
 
     def test_rate_above_bound_is_named_as_the_serial_suite_names_it(self, monkeypatch):
         # Every rate and bound, stacked or alone, goes through the Cholesky
@@ -2238,47 +2263,28 @@ class TestStackedChecks:
             "500 random instances (size <= 6); worst relative error nan",
         )
 
-    def test_invalid_draw_raises_as_its_network_would(self, monkeypatch):
-        # Each stack's second network gets a NaN source-to-destination
-        # gain. Every stack is checked, and the first invalid network in
-        # sample order raises the ValueError that its NetworkSpec raises.
-        networks, _ = selftest._network_draws(np.random.default_rng(1), 20)
-        sizes = [len(powers) for _, powers, _ in networks]
-        first = min([k for k, n in enumerate(sizes) if n == t][1] for t in set(sizes))
-        assert first != [k for k, n in enumerate(sizes) if n == sizes[0]][1]
-        gains, powers, noise = (np.array(a) for a in networks[first])
-        t = sizes[first]
-        gains[0, t - 1] = gains[t - 1, 0] = math.nan
-        relays = [rc.relay(j, powers[j - 1], noise[j - 1]) for j in range(2, t)]
-        net = _net([rc.source(1, powers[0]), *relays, rc.destination(t, noise[-1])], gains)
-        with pytest.raises(ValueError) as want:
-            net._arrays
-        real = selftest._uniform
-
-        def uniform(u, low, high):
-            x = real(u, low, high)
-            if isinstance(low, float) and (low, high) == (-1.0, 1.0):  # a stack's gains
-                x[1:2, math.isqrt(x.shape[1]) - 1] = math.nan
-            return x
-
-        monkeypatch.setattr(selftest, "_uniform", uniform)
-        with pytest.raises(ValueError) as got:
-            selftest._network_draws(np.random.default_rng(1), 20)
-        assert str(got.value) == str(want.value)
-        assert str(got.value).startswith(f"invalid network: gain from node 1 to node {t} ")
+    def test_every_drawn_network_is_valid(self):
+        # The draws are valid by construction, and no check of their own
+        # says so: wrapped as a NetworkSpec, each one passes validate.
+        sizes = set()
+        for seed in range(5):
+            networks, _ = selftest._network_draws(np.random.default_rng(seed), 500)
+            for gains, powers, noise in networks:
+                t = len(powers)
+                sizes.add(t)
+                relays = [rc.relay(j, powers[j - 1], noise[j - 1]) for j in range(2, t)]
+                nodes = [rc.source(1, powers[0]), *relays, rc.destination(t, noise[-1])]
+                assert topology.validate(topology.from_gains(nodes, gains)) == []
+        assert sizes == {3, 4, 5, 6}
 
     def test_overflowing_push_raises_non_positive_q(self):
         # Q* = 1e307 pushed by 100 overflows, silently, as Python floats
         # do, and the first value that is not finite and positive raises
         # the error that the serial push raises.
-        optima = [
-            Infeasible("none"),
-            rc.QuantizationVector.uniform(1.0, (2,)),
-            rc.QuantizationVector.uniform(1e307, (2, 3)),
-        ]
+        optima = [Infeasible("none"), np.full(1, 1.0), np.full(2, 1e307)]
         factors = [np.ones(1), np.array([2.0]), np.array([1.0, 100.0])]
         with pytest.raises(NonPositiveQ) as want:
-            oracles.pushed_inside(optima[2], factors[2])
+            oracles.pushed_inside(rc.QuantizationVector.uniform(1e307, (2, 3)), factors[2])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonPositiveQ) as got:
@@ -2312,7 +2318,8 @@ def test_cut_table_rows_equal_cut_rate_exactly(net):
 
 
 def _uniform_start(table):
-    start, _ = bounds._optimize(table, "uniform_bisection")
+    """The table's uniform optimum as values; raises its Infeasible."""
+    _, start, _ = bounds._optimize(table, "uniform_bisection")
     return start
 
 
@@ -2365,15 +2372,14 @@ class TestCoordinateDescent:
             start = _uniform_start(table)
             q = bounds._coordinate_descent(table, start)
             want = coordinate_descent_by_bisection(table, start)
-            assert rc.cf_rate(net, q) == pytest.approx(rc.cf_rate(net, want), rel=0.0, abs=1e-9)
-            q_values = np.array(q.values)
-            assert table.feasible(q_values)
-            assert not table.feasible(q_values * (1.0 - 1e-6))
+            assert table.cf_rate(q) == pytest.approx(table.cf_rate(want), rel=0.0, abs=1e-9)
+            assert table.feasible(q)
+            assert not table.feasible(q * (1.0 - 1e-6))
             # Bisection stops up to rel_tol above each coordinate's frontier,
             # and that slack moves where its descent stalls, either way. At a
             # tight tolerance it comes no closer than the fixed point.
             want = coordinate_descent_by_bisection(table, start, 1e-15)
-            assert rc.cf_rate(net, q) >= rc.cf_rate(net, want) - 1e-12
+            assert table.cf_rate(q) >= table.cf_rate(want) - 1e-12
 
     def test_search_runs_only_for_the_uniform_start(self, monkeypatch):
         calls = []
@@ -2408,7 +2414,7 @@ class TestCoordinateDescent:
                         coordinate_descent_by_bisection(table, _uniform_start(table))
                     continue
                 table = _ConstraintTable(net, quantifier)
-                start = np.array(_uniform_start(table).values)
+                start = _uniform_start(table)
             q_values = np.array(q.values)
             assert table.feasible(q_values)
             assert np.all(q_values > 0.0)
@@ -2419,10 +2425,10 @@ class TestCoordinateDescent:
         # expm1's overflow at ~709.78, so every bound is 0: no help.
         table = _ConstraintTable(reference_network, "forall")
         table.denom_log2 = np.full_like(table.denom_log2, 2000.0)
-        start = rc.QuantizationVector.uniform(1.0, table.relays)
+        start = np.full(len(table.relays), 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert bounds._coordinate_descent(table, start) == start
+            assert bounds._coordinate_descent(table, start).tolist() == start.tolist()
 
 
 class TestRateReport:
@@ -2775,12 +2781,12 @@ _NO_FRONTIER = (Infeasible, "no finite quantization noise satisfies every constr
 
 
 def _optimum_key(optimum):
-    """A ``_uniform_optima`` entry as a comparable value: a Q's entries (Q
+    """A ``_uniform_optima`` entry as a comparable value: a Q's values (Q
     values are positive and finite, so == is bit equality), or an error's
     type and text."""
     if isinstance(optimum, Exception):
         return type(optimum), str(optimum)
-    return optimum.entries
+    return tuple(optimum.tolist())
 
 
 def _uniform_optima_keys(tables):
@@ -2830,8 +2836,8 @@ def test_each_uniform_optimum_is_a_table_transition(net):
     n = len(net.relay_ids)
     for table, q in zip(tables, stacked):
         assert [_optimum_key(q)] == _uniform_optima_keys([table])
-        x = q.values[0]
-        assert q.values == (x,) * n
+        x = float(q[0])
+        assert q.tolist() == [x] * n
         assert table.feasible(np.full(n, x))
         assert not table.feasible(np.full(n, np.nextafter(x, 0.0)))
         assert 0 <= _ulps(_oracle_frontier(table)) - _ulps(x) <= 2
@@ -2879,11 +2885,11 @@ class TestLockstepFrontiers:
         # Overflow finds no frontier; underflow ends at the smallest double,
         # which its table accepts.
         assert got[0] == _NO_FRONTIER
-        assert got[2] == rc.QuantizationVector.uniform(5e-324, net.relay_ids).entries
+        assert got[2] == (5e-324,) * len(net.relay_ids)
         assert underflow.feasible(np.full(len(net.relay_ids), 5e-324))
         n = len(net.relay_ids)
         for table, key in zip(ordinary, got[1::2] + got[4:]):
-            x = key[0][1]
+            x = key[0]
             assert table.feasible(np.full(n, x))
             assert not table.feasible(np.full(n, np.nextafter(x, 0.0)))
         # Searches of different lengths; the run lasts as long as the
@@ -2897,7 +2903,7 @@ class TestLockstepFrontiers:
         # answer is the smallest double, not the search's start.
         _, underflow = _stub_tables(random_network(np.random.default_rng(3), 6))
         (q,) = bounds._uniform_optima([underflow])
-        assert q.values == (5e-324,) * 4
+        assert q.tolist() == [5e-324] * 4
         assert bounds._search_start(underflow) > 5e-324
 
     @pytest.mark.parametrize("quantifier", ["forall", "exists"])
@@ -2933,8 +2939,8 @@ class TestLockstepFrontiers:
             table = _ConstraintTable(net, quantifier, override_guard=True)
             with monkeypatch.context() as patch:
                 calls = self._counting_margins(patch)
-                q, _ = bounds._optimize(table, "uniform_bisection")
-            assert q.values == bounds._uniform_optima([table])[0].values
+                _, q, _ = bounds._optimize(table, "uniform_bisection")
+            assert q.tolist() == bounds._uniform_optima([table])[0].tolist()
             first = calls[0][:4]
             r = t - 2
             assert [a.shape for a in first] == [((1 << r) - 1, 1), (r, 1), (r, 1), (1,)]
@@ -2991,7 +2997,7 @@ class TestLockstepFrontiers:
         want = []
         for t in tables:
             try:
-                want.append(bounds._optimize(t, "uniform_bisection")[0].entries)
+                want.append(_optimum_key(bounds._optimize(t, "uniform_bisection")[1]))
             except Infeasible as exc:
                 want.append((type(exc), str(exc)))
         calls = self._counting_margins(monkeypatch)
@@ -3000,6 +3006,46 @@ class TestLockstepFrontiers:
         assert want[2][1].startswith("relay subset (2,) cannot forward")
         stacks = {id(args[0]): args[0].shape for args in calls}
         assert sorted(stacks.values()) == [(7, 3), (15, 2)]
+
+
+class TestValueArraysInside:
+    """Q is a value array from the uniform search to its last consumer: a
+    QuantizationVector is built only where a public function returns one."""
+
+    @staticmethod
+    def _counting_vectors(monkeypatch):
+        """A list that grows by each QuantizationVector built."""
+        built, real = [], rc.QuantizationVector.__post_init__
+
+        def counting(self):
+            built.append(self)
+            real(self)
+
+        monkeypatch.setattr(rc.QuantizationVector, "__post_init__", counting)
+        return built
+
+    def test_verify_builds_none(self, monkeypatch):
+        built = self._counting_vectors(monkeypatch)
+        assert all(result.passed for result in selftest.run_all())
+        assert built == []
+
+    def test_sweep_builds_none(self, monkeypatch):
+        net = random_network(np.random.default_rng(9), 9)
+        built = self._counting_vectors(monkeypatch)
+        rows = rc.convergence_sweep(net, _SWEEP_GAMMAS)
+        assert len(rows) == 13 and all(row.feasible for row in rows)
+        assert built == []
+
+    @pytest.mark.parametrize("quantifier", ["forall", "exists"])
+    @pytest.mark.parametrize("mode", ["uniform_bisection", "coordinate_descent"])
+    def test_each_analysis_builds_only_its_answer(self, monkeypatch, mode, quantifier):
+        net = random_network(np.random.default_rng(8), 8)
+        built = self._counting_vectors(monkeypatch)
+        q, _ = rc.optimize_quantization(net, mode, quantifier)
+        assert len(built) == 1 and built[0] is q
+        built.clear()
+        report = rc.build_rate_report(net, mode, quantifier)
+        assert len(built) == 1 and built[0] is report.q_star
 
 
 class TestAchievabilityNeverExceedsBound:
