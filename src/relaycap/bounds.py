@@ -4,9 +4,11 @@ Upper bounds come from cut rates evaluated under independent Gaussian
 inputs; the source (broadcast) cut is the capacity upper bound for this
 network class, and non-source cuts are reported as estimates under that
 particular input law. The cut table evaluates all 2^(T-2) cuts together:
-it whitens the network once and, grouped by how many relays sit on the
-transmitter side, passes each group's channel blocks as one stack to
-``gaussian``'s rate function, the one that ``cut_rate`` calls.
+it whitens the network once, and every cut is a leaf of one binary tree
+of stacked Schur complements (``gaussian._cut_tree_log2_dets``), one
+level per relay; ``cut_rate`` follows that tree's one branch to its cut.
+The source cut and the all-relay cut keep their one-column closed form.
+A cut whose pivot rounds away raises NotPositiveDefinite, naming it.
 
 The achievable side is compress-forward: each relay forwards a quantized
 observation with additive quantization noise Q_j. A quantization vector is
@@ -82,9 +84,17 @@ from .errors import (
     InvalidReceiver,
     InvalidScale,
     NonPositiveQ,
+    NotPositiveDefinite,
     VerificationFailure,
 )
-from .gaussian import _rank_one_log2_dets, _whitened, _whitened_mi_bits, conditional_mi_bits
+from .gaussian import (
+    PD_EPSILON,
+    _cut_tree_log2_dets,
+    _rank_one_log2_dets,
+    _whitened,
+    _whitened_mi_bits,
+    conditional_mi_bits,  # perfbench/spans.py traces bounds.conditional_mi_bits
+)
 from .partition_dp import _Layout, _dp_layout, _partition_dp, _subset_sums
 from .topology import NetworkSpec, _node_id, _scaled_power
 
@@ -255,7 +265,10 @@ def cut_rate(net: NetworkSpec, cut: CutSpec) -> float:
     Transmitters are the cut's source side (source plus any relays);
     receivers are everything else at their thermal noise. Receiver-side
     transmitters are conditioned out, which for independent inputs means
-    their columns simply do not appear.
+    their columns simply do not appear. The rate is the cut table's row
+    for this cut, bit for bit: ``_cut_rates`` runs the same tree on the
+    one branch to this cut (or the same closed form on the source and
+    all-relay cuts).
     """
     all_ids = set(range(1, net.num_nodes + 1))
     if not cut.tx_side <= all_ids:
@@ -264,8 +277,8 @@ def cut_rate(net: NetworkSpec, cut: CutSpec) -> float:
         )
     if net.destination_id in cut.tx_side:
         raise ValueError("cut transmitter side must exclude the destination")
-    gains, powers, noises = _channel(net, cut.sorted_ids(), tuple(sorted(all_ids - cut.tx_side)))
-    return conditional_mi_bits(np.sqrt(gains), powers, noises)
+    sides = tuple(r in cut.tx_side for r in net.relay_ids)
+    return float(_cut_rates(net, override_guard=True, sides=sides)[0])
 
 
 def source_cut_bound(net: NetworkSpec) -> float:
@@ -277,39 +290,57 @@ def source_cut_bound(net: NetworkSpec) -> float:
     return cut_rate(net, CutSpec(tx_side=frozenset({1})))
 
 
-def _cut_rates(net: NetworkSpec, override_guard: bool) -> np.ndarray:
+def _cut_rates(
+    net: NetworkSpec, override_guard: bool, sides: tuple[bool, ...] | None = None
+) -> np.ndarray:
     """Every cut's rate in canonical order: bit i of a cut's index puts
-    the i-th sorted relay on its transmitter side.
+    the i-th sorted relay on its transmitter side. ``sides`` (one bool per
+    sorted relay, True on the transmitter side) asks for that one cut
+    only, as a one-row array.
 
-    A cut's rate comes from its block of one whitened matrix, receivers
-    (nodes 2..T) by transmitters (the source and the relays). The blocks of
-    the cuts with s relays on the transmitter side share one shape, so each
-    such group is one stack for ``gaussian._whitened_mi_bits``, the
-    function ``cut_rate`` applies to its one channel. The groups run by
-    relay count, and the first group holding a cut that is not positive
-    definite raises the kernel's error.
+    The network is whitened once, receivers (nodes 2..T) by transmitters
+    (the source and the relays), and every cut comes from
+    ``gaussian._cut_tree_log2_dets``: one binary tree of stacked rank-one
+    Schur updates, whose leaves are the cuts. The two rank-one cuts, the
+    source cut and the all-relay cut, keep their one-column closed form
+    through ``gaussian._whitened_mi_bits`` instead (the source cut is then
+    ``_cf_rates`` at Q = 0 bit for bit). Every exact pivot of the tree is
+    at least 1, so a computed pivot that is NaN or at most ``PD_EPSILON``
+    is rounding past double precision: the first such cut in canonical
+    order raises NotPositiveDefinite, naming that cut, and ``cut_rate`` of
+    that cut raises the same error.
     """
     _check_guard(net.num_nodes, override_guard)
     relays = net.relay_ids
-    tx = (1,) + relays
-    rx = tuple(range(2, net.num_nodes + 1))
-    gains, powers, noises = _channel(net, tx, rx)
+    gains, powers, noises = _channel(net, (1,) + relays, tuple(range(2, net.num_nodes + 1)))
     a = _whitened(np.sqrt(gains), powers, noises)
-    inside = _dp_layout(len(relays)).member
-    count = len(inside)
-    tx_keep = np.ones((count, len(tx)), dtype=bool)
-    tx_keep[:, 1:] = inside
-    rx_keep = np.ones((count, len(rx)), dtype=bool)
-    rx_keep[:, np.array(relays, dtype=int) - 2] = ~inside
-
-    rates = np.empty(count)
-    sizes = inside.sum(axis=1)
-    for s in range(len(relays) + 1):
-        cuts = np.flatnonzero(sizes == s)
-        tx_idx = np.nonzero(tx_keep[cuts])[1].reshape(len(cuts), 1 + s)
-        rx_idx = np.nonzero(rx_keep[cuts])[1].reshape(len(cuts), len(rx) - s)
-        rates[cuts] = _whitened_mi_bits(a[rx_idx[:, :, None], tx_idx[:, None, :]])
+    if sides is not None and (all(sides) or not any(sides)):
+        return _rank_one_rate(a, any(sides))
+    log2_dets, worst = _cut_tree_log2_dets(a, sides)
+    rates = 0.5 * log2_dets
+    if sides is None:
+        rates[-1], rates[0] = _rank_one_rate(a, True)[0], _rank_one_rate(a, False)[0]
+        worst[[0, -1]] = math.inf
+    failed = ~(worst > PD_EPSILON)
+    if failed.any():
+        index = int(np.argmax(failed))  # the first True
+        if sides is None:
+            sides = tuple(bool(index >> i & 1) for i in range(len(relays)))
+        ids = (1,) + tuple(r for r, tx in zip(relays, sides) if tx)
+        raise NotPositiveDefinite(
+            f"cut {{{','.join(map(str, ids))}}}: pivot {worst[index]:.6e} "
+            f"is <= epsilon {PD_EPSILON:g}"
+        )
     return rates
+
+
+def _rank_one_rate(a: np.ndarray, all_relays: bool) -> np.ndarray:
+    """The source cut's rate (the whitened matrix's first column) or the
+    all-relay cut's (its last row, the destination), as a one-row array:
+    the closed form of ``gaussian._whitened_mi_bits`` on a C-ordered
+    copy, as the cut table has always given it."""
+    end = a[-1:] if all_relays else a[:, :1]
+    return _whitened_mi_bits(np.ascontiguousarray(end)[None])
 
 
 def cut_rate_table(
@@ -318,10 +349,9 @@ def cut_rate_table(
     """Rates for every valid cut, in canonical subset order of the relay
     side (source-only cut first).
 
-    The cuts are grouped by the number of relays on their transmitter
-    side, and each group's rates come from one stacked call of the rate
-    function ``cut_rate`` applies to each cut (``_cut_rates``), so every
-    row equals ``cut_rate`` of its cut exactly.
+    The rates come from one Schur-complement tree over the relays
+    (``_cut_rates``), and ``cut_rate`` follows the same tree's one branch
+    to its cut, so every row equals ``cut_rate`` of its cut exactly.
     """
     rates = _cut_rates(net, override_guard)
     return tuple(
@@ -806,8 +836,7 @@ def _cf_rates(networks: list[tuple[np.ndarray, np.ndarray, np.ndarray]], qs: lis
     overflows is inf, silently, as Python floats give: that relay hears
     nothing of the source, so dropping it is the exact limit. The columns
     with the same number of receivers left are one stack for
-    ``gaussian._whitened_mi_bits``, the function ``cut_rate`` applies to
-    its one channel.
+    ``gaussian._whitened_mi_bits``, the closed form of the source cut.
     """
     rates = np.empty(len(networks))
     for members in _runs([len(powers) for _, powers, _ in networks]):

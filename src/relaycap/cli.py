@@ -26,9 +26,11 @@ or a numeric string, never a boolean: ``true`` is a config error naming
 its field, not the number 1. Command-line flags override the ``cf``
 section.
 
-Exit codes: 0 success, 1 verification failure, 2 config error, 3 size
-guard, 4 no feasible quantization. All numbers print with 12 significant
-digits, so identical configs produce byte-identical output.
+Exit codes: 0 success, 1 verification failure, 2 config error or a
+network whose SNR is past double precision (a cut that cannot be
+factored), 3 size guard, 4 no feasible quantization. All numbers print
+with 12 significant digits, so identical configs produce byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .errors import (
     GuardExceeded,
     Infeasible,
     InvalidScale,
+    NotPositiveDefinite,
     VerificationFailure,
 )
 from .topology import (
@@ -427,6 +430,12 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except NotPositiveDefinite as exc:
+        print(
+            f"numerical error: {exc}; the network's SNR is past double precision",
+            file=sys.stderr,
+        )
         return 2
     except GuardExceeded as exc:
         print(f"size guard: {exc}", file=sys.stderr)

@@ -11,8 +11,8 @@ time, a strict-< scan) against the DP by popcount layer over stacked
 tables, a column-by-column
 sum over a 0/1 membership matrix against the table's doubling subset sums,
 the receiver-side covariance formula for a cut rate against the
-whitened-channel form, the cut table evaluated one cut at a time
-against its grouped, stacked evaluation, the compress-forward rate of
+whitened-channel form, the cut table's rows one Gram-and-Cholesky cut at
+a time against its Schur-complement tree, the compress-forward rate of
 one network (Python-float sums, one ``conditional_mi_bits`` call)
 against the stacked rates, the scalar Cholesky kernel
 against the stacked one, the dual-route covariance routes computed one
@@ -55,7 +55,6 @@ from relaycap.bounds import (
     _channel,
     _optimize,
     _require_cover,
-    cut_rate,
     optimize_quantization,
     quantized_covariance_det,
     source_cut_bound,
@@ -426,13 +425,15 @@ def cf_rate_by_network(net, q) -> float:
 
 def cut_table_by_cuts(net, override_guard=False):
     """Cut-table rows one cut at a time: every cut of ``subsets`` order,
-    each rate from its own ``cut_rate`` call (one ``conditional_mi_bits``
-    log-det per cut)."""
+    each rate from its own Gram-and-Cholesky ``conditional_mi_bits`` call
+    on the cut's channel, not from the library's cut kernel."""
     _check_guard(net.num_nodes, override_guard)
     rows = []
     for extra in subsets(net.relay_ids):
         cut = CutSpec(tx_side=frozenset({1}) | set(extra))
-        rows.append((cut, cut_rate(net, cut)))
+        rx = tuple(j for j in range(2, net.num_nodes + 1) if j not in cut.tx_side)
+        gains, powers, noises = _channel(net, cut.sorted_ids(), rx)
+        rows.append((cut, conditional_mi_bits(np.sqrt(gains), powers, noises)))
     return tuple(rows)
 
 

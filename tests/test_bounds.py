@@ -6,12 +6,14 @@ import re
 import statistics
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import exact
 import oracles
 import relaycap as rc
 from oracles import _frontier as scalar_frontier
@@ -777,10 +779,10 @@ def _tiny_noise_network(t, gains, noises):
     return rc.from_gains(nodes + [rc.destination(t, noises[-1])], np.array(gains, dtype=float))
 
 
-def _two_group_failure_network():
-    """The first cut in canonical order that is not positive definite,
-    {1,2,3}, has two relays; the one-relay group, factored first, fails
-    too, at {1,5} and with a different pivot."""
+def _many_failures_network():
+    """Eight of its 16 cuts lose a Schur pivot to rounding; the first in
+    canonical order is {1,2}, and later ones such as {1,5} fail with other
+    pivots."""
     return _tiny_noise_network(
         6,
         [
@@ -830,14 +832,14 @@ class TestBatchedCutTable:
         "net, cut",
         [
             # Unit gains, unit powers, every noise 1e-17: the rank-deficient
-            # cuts {1,2} and {1,3} cancel their second pivot; the lower, {1,2},
+            # cuts {1,2} and {1,3} lose a pivot to rounding; the first, {1,2},
             # is named.
             pytest.param(
                 _tiny_noise_network(4, 1.0 - np.eye(4), [1e-17] * 3), {1, 2}, id="unit-gain-T4"
             ),
-            # The one-relay group runs first, so its failing cut is named.
+            # The first failing cut in canonical order is named.
             pytest.param(
-                _two_group_failure_network(), {1, 5}, id="first-failure-in-a-larger-group-T6"
+                _many_failures_network(), {1, 2}, id="first-failure-in-canonical-order-T6"
             ),
         ],
     )
@@ -849,6 +851,111 @@ class TestBatchedCutTable:
         assert str(got.value) == str(want.value)
         with pytest.raises(NotPositiveDefinite, match=re.escape(str(want.value))):
             rc.min_cut_bound(net)
+
+
+def _family_network(kind, rng, t):
+    """One network of a family: ``random`` (the library's law),
+    ``asymmetric`` (``_asymmetric_network``), ``tied-power`` (relay powers
+    1, 10, 100 in turn, unit noises, symmetric gains in 10^[-1, 1]) or
+    ``unit-gain`` (relay powers in 10^[0, 3], unit noises)."""
+    if kind == "random":
+        return random_network(rng, t)
+    if kind == "asymmetric":
+        return _asymmetric_network(rng, t)
+    if kind == "tied-power":
+        gains = 10.0 ** rng.uniform(-1.0, 1.0, size=(t, t))
+        gains = 0.5 * (gains + gains.T)
+        relays = [rc.relay(j, 10.0 ** (j % 3), 1.0) for j in range(2, t)]
+    else:
+        gains = np.ones((t, t))
+        powers = 10.0 ** rng.uniform(0.0, 3.0, t)
+        relays = [rc.relay(j, float(powers[j]), 1.0) for j in range(2, t)]
+    np.fill_diagonal(gains, 0.0)
+    return rc.from_gains([rc.source(1, 1.0)] + relays + [rc.destination(t, 1.0)], gains)
+
+
+def _cut_bound_bits(net, cut):
+    """The bound on |tree - Gram route| for one cut, in bits:
+    (T - 1) eps (1 + ||W||_F^2), W the cut's whitened channel.
+
+    I + W^T W has every eigenvalue >= 1, so a perturbation E of it moves
+    ln det by at most about tr|E| <= sqrt(n) ||E||_F. The Gram route's
+    rounding is such a perturbation: forming W^T W and factoring it are
+    backward stable to a small multiple of n eps ||I + W^T W|| <= n eps
+    (1 + ||W||_F^2). The tree has no such a-priori bound (elimination
+    without pivoting on a non-symmetric K), but its pivots are all >= 1,
+    and measured it stays inside the same scale: on 240 networks of this
+    family (60 per kind, T = 3..12) the largest |difference| was 0.70 eps
+    (1 + ||W||_F^2), so the bound holds with a margin of at least 2.8,
+    which grows with T."""
+    tx = cut.sorted_ids()
+    rx = tuple(j for j in range(2, net.num_nodes + 1) if j not in cut.tx_side)
+    gains, powers, noises = bounds._channel(net, tx, rx)
+    power_gains = float(np.sum(gains * powers / noises[:, None]))
+    return (net.num_nodes - 1) * np.finfo(float).eps * (1.0 + power_gains)
+
+
+class TestCutTreeAccuracy:
+    """The Schur-complement tree against the Gram-and-Cholesky route and
+    against exact rationals."""
+
+    @given(
+        kind=st.sampled_from(["random", "asymmetric", "tied-power", "unit-gain"]),
+        t=st.integers(3, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_rows_within_the_bound_of_the_per_cut_oracle(self, kind, t, seed):
+        net = _family_network(kind, np.random.default_rng(seed), t)
+        table = rc.cut_rate_table(net, override_guard=True)
+        want = cut_table_by_cuts(net, override_guard=True)
+        bounds_bits = [_cut_bound_bits(net, cut) for cut, _ in want]
+        for (cut, got), (_, rate), bound in zip(table, want, bounds_bits):
+            assert abs(got - rate) <= bound, (cut, got, rate, bound)
+        rates = [rate for _, rate in want]
+        first, second = sorted(rates)[:2]
+        if second - first > 2.0 * max(bounds_bits):
+            want_cut = want[rates.index(first)][0]
+            assert rc.min_cut_bound(net, override_guard=True)[1] == want_cut
+
+    @pytest.mark.parametrize("k", range(16))
+    def test_unit_gain_cut_against_exact_rationals(self, k):
+        # Unit gains, unit powers, every noise N = 10^-k: cut {1,2} has
+        # det(I + W^T W) = 1 + 4/N exactly (N the float's rational value).
+        # The tree's error peaks at 3.6e-9 bits near N = 1e-8 and falls as
+        # N / 2.8 below it; the Gram route errs by 1.4e-3 bits at 1e-13 and
+        # 0.16 bits at 1e-15.
+        noise = 10.0**-k
+        net = _tiny_noise_network(4, 1.0 - np.eye(4), [noise] * 3)
+        cut = rc.CutSpec(tx_side=frozenset({1, 2}))
+        det = exact.cut_det(net.gains**0.5, [1.0] * 4, [1.0] + [noise] * 3, (1, 2), (3, 4))
+        want = 0.5 * exact.log2(det)
+        assert want == 0.5 * exact.log2(1 + 4 / Fraction(noise))
+        got = rc.cut_rate(net, cut)
+        assert abs(got - want) <= min(4e-9, noise / 2.0) + 1e-14
+        assert dict(rc.cut_rate_table(net))[cut] == got
+
+    def test_huge_power_cuts_are_exact_or_rejected(self):
+        # Relay powers 1e100..1e300 over noises 1e-300..1e300: every cut the
+        # tree does not reject is the exact rational's value to 1e-12 bits
+        # (the Gram route raises on this network).
+        nodes = [rc.source(1, 1.0), rc.relay(2, 1e100, 1e-300), rc.relay(3, 1e250, 1.0)]
+        nodes += [rc.relay(4, 1e300, 1e300), rc.destination(5, 1.0)]
+        net = rc.from_gains(nodes, 1.0 - np.eye(5))
+        powers, noises = [1.0, 1e100, 1e250, 1e300, 0.0], [1.0, 1e-300, 1.0, 1e300, 1.0]
+        rated = 0
+        for extra in rc.subsets(net.relay_ids):
+            cut = rc.CutSpec(tx_side=frozenset({1, *extra}))
+            rx = tuple(j for j in range(2, 6) if j not in cut.tx_side)
+            try:
+                got = rc.cut_rate(net, cut)
+            except NotPositiveDefinite as err:
+                assert str(err).startswith(f"cut {{{','.join(map(str, cut.sorted_ids()))}}}: ")
+                continue
+            want = 0.5 * exact.log2(exact.cut_det(net.gains, powers, noises, cut.sorted_ids(), rx))
+            assert got == pytest.approx(want, rel=0.0, abs=1e-12)
+            rated += 1
+        assert rated == 3
 
 
 class TestUnvalidatedGains:
@@ -2311,8 +2418,9 @@ def _descent_cases():
 
 @pytest.mark.parametrize("net", _descent_cases())
 def test_cut_table_rows_equal_cut_rate_exactly(net):
-    # The table and cut_rate share one rate function, so every row is
-    # cut_rate's value for its cut, bit for bit.
+    # cut_rate runs the table's kernel on its cut's branch of the tree (or
+    # the same closed form on a rank-one cut), so every row is cut_rate's
+    # value for its cut, bit for bit.
     table = rc.cut_rate_table(net)
     assert [rate for _, rate in table] == [rc.cut_rate(net, cut) for cut, _ in table]
 
@@ -2474,29 +2582,38 @@ class TestRateReport:
     @pytest.mark.parametrize("t", [3, 5, 8])
     def test_report_evaluates_each_cut_once(self, monkeypatch, t):
         # One cut-table evaluation per report, rating each of the 2^(T-2)
-        # cuts once: the stacks passed to the rate function hold 2^(T-2)
-        # channels in total, and one more, the compress-forward rate's
-        # column (cf_rate is a stack of one), and the table's rates are
-        # the per-cut oracle's, cut by cut.
+        # cuts once: one Schur-complement tree with 2^(T-2) leaves, and
+        # three one-channel calls of the Gram route, the source cut's and
+        # the all-relay cut's closed forms and the compress-forward rate's
+        # column (cf_rate is a stack of one); the table's rates are the
+        # per-cut oracle's, cut by cut.
         net = random_network(np.random.default_rng(t), t)
-        tables, rated = [], []
-        real_rates, real_mi = bounds._cut_rates, bounds._whitened_mi_bits
+        tables, leaves, rated = [], [], []
+        real_rates, real_tree = bounds._cut_rates, bounds._cut_tree_log2_dets
+        real_mi = bounds._whitened_mi_bits
 
         def counting_rates(*args):
             tables.append(real_rates(*args))
             return tables[-1]
+
+        def counting_tree(*args):
+            result = real_tree(*args)
+            leaves.append(len(result[0]))
+            return result
 
         def counting_mi(w):
             rated.append(len(w))
             return real_mi(w)
 
         monkeypatch.setattr(bounds, "_cut_rates", counting_rates)
+        monkeypatch.setattr(bounds, "_cut_tree_log2_dets", counting_tree)
         monkeypatch.setattr(bounds, "_whitened_mi_bits", counting_mi)
         monkeypatch.setattr(bounds, "cut_rate", _refuse_per_cut)
         rep = rc.build_rate_report(net)
         monkeypatch.undo()
         assert len(tables) == 1
-        assert sum(rated) == 2 ** (t - 2) + 1
+        assert leaves == [2 ** (t - 2)]
+        assert rated == [1, 1, 1]
         want = [rate for _, rate in cut_table_by_cuts(net)]
         assert tables[0].tolist() == pytest.approx(want, rel=0.0, abs=1e-10)
         assert rep.upper_bound_bits == rc.source_cut_bound(net)

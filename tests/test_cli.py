@@ -10,7 +10,7 @@ import warnings
 import pytest
 
 from relaycap import cli
-from relaycap.errors import NotPositiveDefinite, VerificationFailure
+from relaycap.errors import VerificationFailure
 
 
 def _write(tmp_path, name, doc):
@@ -268,7 +268,7 @@ class TestExitCodes:
         [
             pytest.param(
                 _extreme_doc(1.0, [(1e100, 1e-300), (1e250, 1.0), (1e300, 1e300)], 1.0, 1.0),
-                {"bound": NotPositiveDefinite, "cfrate": NotPositiveDefinite, "sweep": 0},
+                {"bound": 2, "cfrate": 2, "sweep": 0},
                 id="huge-power-T5",
             ),
             pytest.param(
@@ -279,9 +279,9 @@ class TestExitCodes:
         ],
     )
     def test_extreme_snr_exits_stand(self, tmp_path, doc, exits):
-        # Every uniform search here ends; the cut side's failures past the
-        # double range (an uncaught error, a NaN gap) are pinned as they
-        # stand until they get a clear error of their own.
+        # Every uniform search here ends. A cut that cannot be factored
+        # exits 2 (see the next test); the NaN gap past the double range is
+        # pinned as it stands until it gets a clear error of its own.
         cfg = _write(tmp_path, "extreme.json", doc)
         for argv in (
             ["bound"],
@@ -300,6 +300,21 @@ class TestExitCodes:
                 else:
                     with pytest.raises(want):
                         cli.main(argv)
+
+    @pytest.mark.parametrize("argv", [["bound"], ["cfrate"], ["cfrate", "--mode", "coordinate"]])
+    def test_cut_past_double_precision_exits_2(self, tmp_path, capsys, argv):
+        # huge-power-T5: relay powers 1e100..1e300 over noises 1e-300..1e300.
+        # Cut {1,2} loses a Schur pivot to rounding; the run prints one line
+        # and no warning (pytest turns a warning into an error).
+        doc = _extreme_doc(1.0, [(1e100, 1e-300), (1e250, 1.0), (1e300, 1e300)], 1.0, 1.0)
+        cfg = _write(tmp_path, "extreme.json", doc)
+        assert cli.main(argv[:1] + ["--config", cfg] + argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "numerical error: cut {1,2}: pivot 0.000000e+00 is <= epsilon 1e-12; "
+            "the network's SNR is past double precision\n"
+        )
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert cli.main(["bound", "--config", str(tmp_path / "nope.json")]) == 2
