@@ -27,18 +27,11 @@ from .bounds import (
     quantized_covariance_det,
     source_cut_bound,
 )
-from .enumeration import (
-    ConstraintInstance,
-    assignments,
-    constraint_instances,
-    partitions,
-    subsets,
-)
+from .enumeration import ConstraintInstance, subsets
 from .errors import (
     CoincidentNodes,
     ConfigError,
     DimensionMismatch,
-    EmptyChoice,
     GuardExceeded,
     Infeasible,
     InvalidAlpha,

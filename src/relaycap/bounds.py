@@ -114,7 +114,7 @@ RATE_TOL_BITS = 1e-9
 DESCENT_MAX_CYCLES = 64
 
 _QUANTIFIERS = ("forall", "exists")
-_OPT_MODES = ("uniform_bisection", "coordinate_descent")
+_OPT_MODES = ("uniform", "coordinate")
 
 
 def _require_quantifier(quantifier: str) -> None:
@@ -1060,25 +1060,25 @@ def _optimize(table: _ConstraintTable, mode: str) -> tuple[QuantizationVector, n
     (q,) = _uniform_optima([table])
     if isinstance(q, Infeasible):
         raise q
-    if mode == "coordinate_descent" and len(q):
+    if mode == "coordinate" and len(q):
         q = _coordinate_descent(table, q)
     return QuantizationVector(entries=tuple(zip(table.relays, q.tolist()))), q, table.cf_rate(q)
 
 
 def optimize_quantization(
     net: NetworkSpec,
-    mode: str = "uniform_bisection",
+    mode: str = "uniform",
     quantifier: str = "forall",
     override_guard: bool = False,
 ) -> tuple[QuantizationVector, float]:
     """Best feasible quantization vector and its rate.
 
     Rate falls as any Q_j grows, so the optimum sits on the feasibility
-    frontier. ``uniform_bisection`` ties all Q_j to one scalar and finds
-    its frontier exactly: the smallest double the constraint table
-    accepts (``_uniform_optima``). ``coordinate_descent`` then moves each
-    coordinate in turn to its exact frontier (a closed form, no search),
-    which helps asymmetric networks and provably never hurts, and stops at
+    frontier. ``uniform`` ties all Q_j to one scalar and finds its
+    frontier exactly: the smallest double the constraint table accepts
+    (``_uniform_optima``). ``coordinate`` then moves each coordinate in
+    turn to its exact frontier (a closed form, no search), which helps
+    asymmetric networks and provably never hurts, and stops at
     its fixed point: a cycle that moves no Q. A Q_j only falls, and
     lowering the others only raises its frontier, so one cycle reaches
     that point in exact arithmetic; rounding can add ulp-sized moves after
@@ -1092,7 +1092,7 @@ def optimize_quantization(
 
 def build_rate_report(
     net: NetworkSpec,
-    mode: str = "uniform_bisection",
+    mode: str = "uniform",
     quantifier: str = "forall",
     top_k: int = 5,
     override_guard: bool = False,

@@ -42,7 +42,13 @@ import sys
 
 import numpy as np
 
-from .bounds import build_rate_report, convergence_sweep, cut_rate_table
+from .bounds import (
+    _OPT_MODES,
+    _QUANTIFIERS,
+    build_rate_report,
+    convergence_sweep,
+    cut_rate_table,
+)
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -61,7 +67,6 @@ from .topology import (
     validate,
 )
 
-_MODE_WORDS = {"uniform": "uniform_bisection", "coordinate": "coordinate_descent"}
 _NODE_KEYS = {"id", "role", "position", "power", "power_db", "noise", "noise_db"}
 
 
@@ -184,13 +189,15 @@ def _cf_settings(doc: dict, args: argparse.Namespace) -> tuple[str, str, int]:
     if not isinstance(cf, dict):
         raise ConfigError("'cf' must be an object")
     quantifier = args.quantifier or cf.get("quantifier", "forall")
-    if quantifier not in ("forall", "exists"):
-        raise ConfigError(f"quantifier must be forall or exists, got {quantifier!r}")
+    if quantifier not in _QUANTIFIERS:
+        raise ConfigError(
+            f"quantifier must be {' or '.join(_QUANTIFIERS)}, got {quantifier!r}"
+        )
     # sweep has no --mode flag; it still validates cf.mode. A cf key that
     # no command reads is ignored.
-    mode_word = getattr(args, "mode", None) or cf.get("mode", "uniform")
-    if not isinstance(mode_word, str) or mode_word not in _MODE_WORDS:
-        raise ConfigError(f"mode must be uniform or coordinate, got {mode_word!r}")
+    mode = getattr(args, "mode", None) or cf.get("mode", "uniform")
+    if mode not in _OPT_MODES:
+        raise ConfigError(f"mode must be {' or '.join(_OPT_MODES)}, got {mode!r}")
     top_k = getattr(args, "top_k", None)
     if top_k is None:
         top_k = cf.get("top_k", 5)
@@ -198,7 +205,7 @@ def _cf_settings(doc: dict, args: argparse.Namespace) -> tuple[str, str, int]:
         raise ConfigError(f"top_k must be an integer, got {top_k!r}")
     if top_k < 0:
         raise ConfigError(f"top_k must be >= 0, got {top_k}")
-    return quantifier, _MODE_WORDS[mode_word], top_k
+    return quantifier, mode, top_k
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -377,10 +384,6 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    return _parser(tuple(_COMMANDS))
-
-
 def _parser(names: tuple[str, ...]) -> argparse.ArgumentParser:
     """The parser with the subcommands ``names``. A parser with one names
     all four in its usage line, as the full parser's default does; the
@@ -399,10 +402,10 @@ def _parser(names: tuple[str, ...]) -> argparse.ArgumentParser:
 
     options = {
         "--quantifier": dict(
-            choices=("forall", "exists"), default=None,
+            choices=_QUANTIFIERS, default=None,
             help="constraint family quantifier (default from config, else forall)",
         ),
-        "--mode": dict(choices=("uniform", "coordinate"), default=None,
+        "--mode": dict(choices=_OPT_MODES, default=None,
                        help="quantization optimizer (default from config, else uniform)"),
         "--top-k": dict(type=int, default=None, dest="top_k",
                         help="how many binding constraints to list (default 5)"),

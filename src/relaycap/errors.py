@@ -40,10 +40,6 @@ class InvalidScale(RelaycapError, ValueError):
     not sorted ascending."""
 
 
-class EmptyChoice(RelaycapError):
-    """A partition block excludes every candidate receiver."""
-
-
 class InvalidReceiver(RelaycapError):
     """The assigned receiver is a member of the block it should decode."""
 

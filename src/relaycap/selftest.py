@@ -73,7 +73,6 @@ from .gaussian import (
     conditional_covariance,
     joint_covariance,
 )
-from .topology import NetworkSpec, destination, from_gains, relay, source
 
 #: 21 symmetric grid offsets in [-1, 1] with an exact 0.0 at the center.
 DEFAULT_OFFSETS = tuple((i - 10) / 10.0 for i in range(21))
@@ -405,31 +404,14 @@ def determinant_lemma_suite(samples: int = 500, seed: int = 20250811) -> CheckRe
     return CheckResult(name, passed, detail)
 
 
-def random_network(rng: np.random.Generator, num_nodes: int) -> NetworkSpec:
-    """Random valid network: log-uniform gains in [0.1, 10], relay powers
-    in [10, 10^4], source power and noises near unity. The suites draw
-    theirs as arrays (``_network_draws``), bit for bit these."""
-    t = num_nodes
-    nodes = [source(1, power=float(10.0 ** rng.uniform(-0.5, 0.5)))]
-    for j in range(2, t):
-        nodes.append(
-            relay(
-                j,
-                power=float(10.0 ** rng.uniform(1.0, 4.0)),
-                noise=float(10.0 ** rng.uniform(-0.5, 0.5)),
-            )
-        )
-    nodes.append(destination(t, noise=float(10.0 ** rng.uniform(-0.5, 0.5))))
-    g = 10.0 ** rng.uniform(-1.0, 1.0, size=(t, t))
-    g = 0.5 * (g + g.T)
-    np.fill_diagonal(g, 0.0)
-    return from_gains(nodes, g)
-
-
 def _network_draws(rng: np.random.Generator, samples: int) -> tuple[list[tuple], list]:
-    """Each sample's network, T in [3, 6] drawn and then the network as
-    ``random_network(rng, T)`` draws it, given as its ``_arrays`` (read-only
-    views), and its push factors, one per relay, log-uniform in [1, 100].
+    """Each sample's network, T in [3, 6] drawn and then a random valid
+    network of T nodes: log-uniform gains in [0.1, 10], relay powers in
+    [10, 10^4], source power and noises near unity, given as its
+    ``_arrays`` (read-only views), bit for bit the NetworkSpec that
+    ``random_network`` in ``tests/oracles.py`` draws from the same
+    generator; and its push factors, one per relay, log-uniform in
+    [1, 100].
     Per sample, one ``random`` call draws the 2T - 2 powers and noises, the
     T x T gains and the factors, in that order. The scalars are Python's
     ``10.0 ** x``, the gains and factors ``np.power`` of each T's stack, as

@@ -1,5 +1,10 @@
 """Deliberately naive reference implementations used only by the tests.
 
+The exhaustive generators of the constraint family (``partitions``,
+``assignments``, ``constraint_instances``) and the serial network draw
+(``random_network``) live here: the library reaches every extreme
+without walking the family, and draws its verify networks as arrays.
+
 These exist to cross-check the library's production paths through
 completely different algorithms: a Laplace-expansion determinant against
 the Cholesky log-det, the binomial Bell recurrence against the
@@ -24,7 +29,7 @@ the uniform search as a bisection over a scalar predicate (at rel_tol
 1e-300 it stops at the table's transition or a few ulps above) against
 the exact Newton-and-ulp search, the convergence sweep one row at a time
 against its lockstep searches, and the three random verify suites run
-one sample at a time (one ``selftest.random_network``, one table and one
+one sample at a time (one ``random_network``, one table and one
 uniform search per sample, the feasible point from ``sample_feasible_q``
 with its factors drawn by ``push_factors`` and applied by
 ``pushed_inside``, one ``table.feasible`` call per scale, one rate and
@@ -37,7 +42,8 @@ Nothing here is performance sensitive; clarity wins.
 
 import math
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
+from itertools import product
 
 import numpy as np
 
@@ -59,7 +65,7 @@ from relaycap.bounds import (
     quantized_covariance_det,
     source_cut_bound,
 )
-from relaycap.enumeration import ConstraintInstance, partitions, subsets
+from relaycap.enumeration import Block, ConstraintInstance, subsets
 from relaycap.errors import Infeasible, InvalidScale, RelaycapError, VerificationFailure
 from relaycap.gaussian import (
     PD_EPSILON,
@@ -221,6 +227,99 @@ def count_assignments_brute(partition, candidates) -> int:
         eligible = [c for c in sorted(set(candidates)) if c not in block]
         vectors = [v + (r,) for v in vectors for r in eligible]
     return len(vectors)
+
+
+class EmptyChoice(RelaycapError):
+    """A partition block excludes every candidate receiver."""
+
+
+def partitions(s: Iterable[int]) -> Iterator[tuple[Block, ...]]:
+    """All set partitions of a nonempty set, Bell(|s|) of them.
+
+    Enumerated by restricted growth strings in lexicographic order: element
+    i (in sorted order) gets block label a[i] with a[0] = 0 and
+    a[i] <= max(a[:i]) + 1. Blocks are emitted ordered by smallest element,
+    each sorted: the one-block partition first, the all-singletons one last.
+    """
+    ids = sorted(set(s))
+    if not ids:
+        raise ValueError("partitions of the empty set are not defined here; "
+                         "an empty subset imposes no constraint")
+    n = len(ids)
+    labels = [0] * n
+
+    def grow(i: int, num_blocks: int) -> Iterator[tuple[Block, ...]]:
+        if i == n:
+            blocks: list[list[int]] = [[] for _ in range(num_blocks)]
+            for elem, lab in zip(ids, labels):
+                blocks[lab].append(elem)
+            yield tuple(tuple(b) for b in blocks)
+            return
+        for lab in range(num_blocks + 1):
+            labels[i] = lab
+            yield from grow(i + 1, max(num_blocks, lab + 1))
+
+    yield from grow(1, 1)
+
+
+def assignments(
+    partition: Iterable[Block], candidates: Iterable[int]
+) -> Iterator[tuple[int, ...]]:
+    """All receiver vectors: one r(m) per block, drawn from the candidates
+    minus the block itself, rightmost block varying fastest. Count is the
+    product of (|candidates| - |B_m|).
+    """
+    blocks = [tuple(b) for b in partition]
+    cand = sorted(set(candidates))
+    choices: list[list[int]] = []
+    for block in blocks:
+        eligible = [c for c in cand if c not in block]
+        if not eligible:
+            raise EmptyChoice(
+                f"block {block} excludes every candidate receiver {cand}"
+            )
+        choices.append(eligible)
+    yield from product(*choices)
+
+
+def constraint_instances(
+    relays: Iterable[int], candidates: Iterable[int]
+) -> Iterator[ConstraintInstance]:
+    """Stream the full constraint family over all nonempty relay subsets.
+
+    ``candidates`` is the receiver pool {2..T} (relays plus destination).
+    Order: subsets outermost, then partitions, then assignments, each in
+    its canonical order.
+    """
+    cand = sorted(set(candidates))
+    for sub in subsets(relays):
+        if not sub:
+            continue
+        for part in partitions(sub):
+            for recv in assignments(part, cand):
+                yield ConstraintInstance(s=sub, partition=part, assignment=recv)
+
+
+def random_network(rng: np.random.Generator, num_nodes: int):
+    """Random valid network: log-uniform gains in [0.1, 10], relay powers
+    in [10, 10^4], source power and noises near unity, drawn one value at
+    a time. ``selftest._network_draws`` draws its networks as arrays, bit
+    for bit these."""
+    t = num_nodes
+    nodes = [source(1, power=float(10.0 ** rng.uniform(-0.5, 0.5)))]
+    for j in range(2, t):
+        nodes.append(
+            relay(
+                j,
+                power=float(10.0 ** rng.uniform(1.0, 4.0)),
+                noise=float(10.0 ** rng.uniform(-0.5, 0.5)),
+            )
+        )
+    nodes.append(destination(t, noise=float(10.0 ** rng.uniform(-0.5, 0.5))))
+    g = 10.0 ** rng.uniform(-1.0, 1.0, size=(t, t))
+    g = 0.5 * (g + g.T)
+    np.fill_diagonal(g, 0.0)
+    return from_gains(nodes, g)
 
 
 def table_by_partition_scan(net, quantifier):
@@ -485,7 +584,7 @@ def convergence_sweep_by_rows(net, gammas, quantifier="forall", *, override_guar
     for g in gammas:
         try:
             q_star, rate = optimize_quantization(
-                scaled(net, g), "uniform_bisection", quantifier, override_guard=override_guard
+                scaled(net, g), "uniform", quantifier, override_guard=override_guard
             )
         except Infeasible:
             feasible, rate, q_uni = False, math.nan, math.nan
@@ -600,21 +699,21 @@ def sample_feasible_q(rng, net, quantifier="forall"):
     """A random point strictly inside the feasible region, found serially:
     the network's own uniform optimum pushed up by per-relay factors in
     [1, 100], drawn from ``rng`` after the search."""
-    q_star, _ = optimize_quantization(net, "uniform_bisection", quantifier)
+    q_star, _ = optimize_quantization(net, "uniform", quantifier)
     return pushed_inside(q_star, push_factors(rng, len(q_star.ids)))
 
 
 def monotonicity_suite_by_samples(samples=100, seed=20250812):
     """``selftest.monotonicity_suite`` one sample at a time: each network
     gets its table and its own uniform search before the next is drawn.
-    Networks come from ``selftest.random_network``, looked up per call."""
+    Networks come from ``random_network``, looked up per call."""
     name = "feasibility-monotonicity"
     rng = np.random.default_rng(seed)
     for i in range(samples):
-        net = selftest.random_network(rng, int(rng.integers(3, 7)))
+        net = random_network(rng, int(rng.integers(3, 7)))
         try:
             table = _ConstraintTable(net, "forall")
-            q_star, _, _ = _optimize(table, "uniform_bisection")
+            q_star, _, _ = _optimize(table, "uniform")
         except RelaycapError as exc:
             return selftest.CheckResult(
                 name, False, f"sample {i}: feasible point search failed: {exc}"
@@ -648,7 +747,7 @@ def achievability_suite_by_samples(samples=100, seed=20250813):
     rng = np.random.default_rng(seed)
     worst_slack = math.inf
     for i in range(samples):
-        net = selftest.random_network(rng, int(rng.integers(3, 7)))
+        net = random_network(rng, int(rng.integers(3, 7)))
         try:
             q = sample_feasible_q(rng, net, "forall")
         except RelaycapError as exc:

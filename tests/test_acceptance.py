@@ -14,9 +14,17 @@ import numpy as np
 import pytest
 
 import relaycap as rc
-from oracles import bell_numbers, count_assignments_brute, det_cofactor, sample_feasible_q
-from relaycap import cli, selftest
-from relaycap.enumeration import assignments, partitions, subsets
+from oracles import (
+    assignments,
+    bell_numbers,
+    count_assignments_brute,
+    det_cofactor,
+    partitions,
+    random_network,
+    sample_feasible_q,
+)
+from relaycap import cli
+from relaycap.enumeration import subsets
 
 OFFSETS = tuple((i - 10) / 10.0 for i in range(21))
 
@@ -94,7 +102,7 @@ def test_criterion_04_achievability_below_converse():
     # cf_rate <= source_cut_bound + 1e-9 every time.
     rng = np.random.default_rng(20260816)
     for _ in range(100):
-        net = selftest.random_network(rng, int(rng.integers(3, 7)))
+        net = random_network(rng, int(rng.integers(3, 7)))
         q = sample_feasible_q(rng, net)
         assert rc.cf_rate(net, q) <= rc.source_cut_bound(net) + 1e-9
 
@@ -104,7 +112,7 @@ def test_criterion_05_feasibility_monotone_under_scaling():
     # c in {1.5, 10, 1e3}.
     rng = np.random.default_rng(20260817)
     for _ in range(100):
-        net = selftest.random_network(rng, int(rng.integers(3, 7)))
+        net = random_network(rng, int(rng.integers(3, 7)))
         q = sample_feasible_q(rng, net)
         ok, _ = rc.cf_feasible(net, q)
         assert ok

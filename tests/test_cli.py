@@ -136,7 +136,7 @@ class TestParser:
     def test_one_command_parser_answers_as_the_full_parser(self, argv, capsys):
         # Its usage line still names all four commands.
         got = _argparse_outcome(cli._parser((argv[0],)), argv, capsys)
-        assert got == _argparse_outcome(cli.build_parser(), argv, capsys)
+        assert got == _argparse_outcome(cli._parser(tuple(cli._COMMANDS)), argv, capsys)
 
     def test_main_builds_only_the_named_command(self, tmp_path, monkeypatch, capsys):
         built, real = [], cli._parser
@@ -715,14 +715,34 @@ class TestFlagsAndConfig:
         assert cli.main(["cfrate", "--config", cfg, "--quantifier", "forall"]) == 0
         assert "quantifier: forall" in capsys.readouterr().out
 
-    def test_coordinate_mode_accepted(self, tmp_path, capsys):
-        cfg = _write(tmp_path, "ref.json", _ref_doc())
-        assert cli.main(["cfrate", "--config", cfg, "--mode", "coordinate"]) == 0
-        assert "mode: coordinate_descent" in capsys.readouterr().out
+    @pytest.mark.parametrize(
+        "cf, flags, want",
+        [
+            ({}, [], "uniform"),
+            ({}, ["--mode", "uniform"], "uniform"),
+            ({}, ["--mode", "coordinate"], "coordinate"),
+            ({"mode": "coordinate"}, [], "coordinate"),
+            ({"mode": "coordinate"}, ["--mode", "uniform"], "uniform"),
+        ],
+    )
+    def test_mode_line_names_the_mode(self, tmp_path, capsys, cf, flags, want):
+        # The flag wins over cf.mode, which wins over the default.
+        cfg = _write(tmp_path, "ref.json", _ref_doc(cf=cf))
+        assert cli.main(["cfrate", "--config", cfg, *flags]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first == f"quantifier: forall   mode: {want}"
 
-    def test_bad_mode_in_config(self, tmp_path):
+    def test_bad_mode_in_config(self, tmp_path, capsys):
         cfg = _write(tmp_path, "ref.json", _ref_doc(cf={"mode": "annealing"}))
         assert cli.main(["cfrate", "--config", cfg]) == 2
+        want = "config error: mode must be uniform or coordinate, got 'annealing'\n"
+        assert capsys.readouterr().err == want
+
+    def test_bad_quantifier_in_config(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "ref.json", _ref_doc(cf={"quantifier": "some"}))
+        assert cli.main(["cfrate", "--config", cfg]) == 2
+        want = "config error: quantifier must be forall or exists, got 'some'\n"
+        assert capsys.readouterr().err == want
 
     @pytest.mark.parametrize("command", ["cfrate", "sweep"])
     @pytest.mark.parametrize("tol", [1e-9, -1.0, math.inf, "abc", True])

@@ -4,15 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bell_numbers, count_assignments_brute
-from relaycap.enumeration import (
-    ConstraintInstance,
+from oracles import (
+    EmptyChoice,
     assignments,
+    bell_numbers,
     constraint_instances,
+    count_assignments_brute,
     partitions,
-    subsets,
 )
-from relaycap.errors import EmptyChoice
+from relaycap.enumeration import ConstraintInstance, subsets
 
 
 class TestSubsets:

@@ -38,7 +38,7 @@ texts are compared too. Two more random networks, T = 6 and T = 9, run
 only ``sweep`` (forall and exists) over gammas 10^0..10^200 in steps of
 10^20, where the rows' uniform frontiers lie hundreds of binades apart. One
 more, the T = 6 network
-``selftest.random_network(default_rng(2), 6)`` draws, runs only ``sweep``
+``oracles.random_network(default_rng(2), 6)`` draws, runs only ``sweep``
 (forall and exists) over gammas [1, 1e305], where some lambda_ir P_i
 overflows a double although every power is finite. Two T = 3 unit-gain
 networks with relay noise 1e308 and relay power 2.2 or 1.5, whose
@@ -54,7 +54,7 @@ more networks reach the uniform optimum's other exits, each with
 Q), and T = 4 with unit gains and relay powers 1e-310 and 10, swept over
 gammas [1, 1e300], whose ``cfrate`` finds no finite Q (exit 4) and whose
 sweep gives one infeasible row and then one feasible row. The T = 6
-network ``selftest.random_network(default_rng(0), 6)`` draws, with relay 3
+network ``oracles.random_network(default_rng(0), 6)`` draws, with relay 3
 at power 1e-17, and again with every relay at power 1e-20, runs ``cfrate
 --top-k 1000`` under both quantifiers: its relays are too weak for the
 exists table to be a sum of singletons, so every printed witness shows
@@ -304,10 +304,10 @@ def huge_gamma_sweeps() -> list[tuple[str, dict]]:
     return docs
 
 
-def _selftest_doc(seed: int, t: int) -> dict:
+def _oracle_network_doc(seed: int, t: int) -> dict:
     """Config of the network that
-    ``selftest.random_network(np.random.default_rng(seed), t)`` builds,
-    drawn here in that function's order."""
+    ``oracles.random_network(np.random.default_rng(seed), t)`` builds
+    (``tests/oracles.py``), drawn here in that function's order."""
     rng = np.random.default_rng(seed)
     source_power = 10.0 ** rng.uniform(-0.5, 0.5)
     relays = [
@@ -318,16 +318,16 @@ def _selftest_doc(seed: int, t: int) -> dict:
 
 def overflow_sweep() -> tuple[str, dict]:
     """(name, config) of the overflow sweep: the network that
-    ``selftest.random_network(np.random.default_rng(2), 6)`` builds, swept
+    ``oracles.random_network(np.random.default_rng(2), 6)`` builds, swept
     over gammas [1, 1e305]."""
-    doc = _selftest_doc(2, 6)
+    doc = _oracle_network_doc(2, 6)
     doc["sweep"] = {"gammas": [1, 1e305]}
     return "overflow-gamma-T6", doc
 
 
 def weak_relays() -> list[tuple[str, dict]]:
     """(name, config) pairs of the network that
-    ``selftest.random_network(np.random.default_rng(0), 6)`` builds, with
+    ``oracles.random_network(np.random.default_rng(0), 6)`` builds, with
     relay 3 at power 1e-17, and with every relay at power 1e-20: relays too
     weak for the exists table to be a sum of singletons."""
     docs = []
@@ -335,7 +335,7 @@ def weak_relays() -> list[tuple[str, dict]]:
         ("weak-relay-3-T6", {3: 1e-17}),
         ("all-weak-T6", dict.fromkeys((2, 3, 4, 5), 1e-20)),
     ):
-        doc = _selftest_doc(0, 6)
+        doc = _oracle_network_doc(0, 6)
         for node in doc["nodes"]:
             if node["id"] in power:
                 node["power"] = power[node["id"]]
@@ -407,18 +407,18 @@ def wide_sweep() -> tuple[str, dict]:
 def error_precedence() -> list[tuple[tuple[str, dict], tuple]]:
     """((name, config), commands) of the runs that show which error comes
     first, none of them under ``--override-guard``. The T = 6 network that
-    ``selftest.random_network(np.random.default_rng(2), 6)`` builds is
+    ``oracles.random_network(np.random.default_rng(2), 6)`` builds is
     swept over gammas [1, 1e3, 1e308]: its last row's relay powers
     overflow (exit 2). The T = 11 network that
-    ``selftest.random_network(np.random.default_rng(0), 11)`` builds lies
+    ``oracles.random_network(np.random.default_rng(0), 11)`` builds lies
     past the size guard. Swept over [1e308], its first row's scale error
     comes first (exit 2); swept over [1, 1e308], its first row scales and
     then meets the guard (exit 3), as do its ``bound`` and ``cfrate``."""
-    overflow = _selftest_doc(2, 6)
+    overflow = _oracle_network_doc(2, 6)
     overflow["sweep"] = {"gammas": [1, 1e3, 1e308]}
-    scale_first = _selftest_doc(0, 11)
+    scale_first = _oracle_network_doc(0, 11)
     scale_first["sweep"] = {"gammas": [1e308]}
-    guard_first = _selftest_doc(0, 11)
+    guard_first = _oracle_network_doc(0, 11)
     guard_first["sweep"] = {"gammas": [1, 1e308]}
     return [
         (("overflow-last-row-T6", overflow), (["sweep"],)),
