@@ -351,7 +351,10 @@ def cut_rate_table(
 
     The rates come from one Schur-complement tree over the relays
     (``_cut_rates``), and ``cut_rate`` follows the same tree's one branch
-    to its cut, so every row equals ``cut_rate`` of its cut exactly.
+    to its cut, so every row equals ``cut_rate`` of its cut exactly. This
+    is the row form, one ``CutSpec`` per cut; ``relaycap bound`` prints
+    straight from ``_cut_rates``' array, and the tests pin its lines to
+    these rows.
     """
     rates = _cut_rates(net, override_guard)
     return tuple(
@@ -362,7 +365,12 @@ def cut_rate_table(
 
 def _min_cut(net: NetworkSpec, rates: np.ndarray) -> tuple[float, CutSpec]:
     """The smallest of the canonical-order cut rates with its cut; ties go
-    to the earliest cut."""
+    to the earliest cut.
+
+    A NaN rate counts as the smallest: the first NaN row wins, as
+    ``np.argmin`` takes it, where Python's ``min`` would skip a NaN after
+    the first row. No NaN reaches here from ``_cut_rates``: a NaN rate
+    needs a NaN pivot, on which it raises NotPositiveDefinite first."""
     best = int(np.argmin(rates))
     extra = tuple(r for i, r in enumerate(net.relay_ids) if best >> i & 1)
     return float(rates[best]), CutSpec(tx_side=(1,) + extra)

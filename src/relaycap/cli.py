@@ -45,10 +45,12 @@ import numpy as np
 from .bounds import (
     _OPT_MODES,
     _QUANTIFIERS,
+    _cut_rates,
+    _min_cut,
     build_rate_report,
     convergence_sweep,
-    cut_rate_table,
 )
+from .enumeration import subsets
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -226,20 +228,20 @@ def _cut_label(ids: tuple[int, ...]) -> str:
 def cmd_bound(args: argparse.Namespace) -> int:
     doc = load_config(args.config)
     net = network_from_config(doc)
-    table = cut_rate_table(net, args.override_guard)
-    best_cut, best_val = min(table, key=lambda cv: cv[1])
+    rates = _cut_rates(net, args.override_guard)
+    best_val, best_cut = _min_cut(net, rates)
+    labels = [_cut_label((1,) + extra) for extra in subsets(net.relay_ids)]
+    width = max(map(len, labels))
     lines = [
         f"nodes: {net.num_nodes} (relays {_cut_label(net.relay_ids)})",
-        f"source-cut bound: {_fmt(table[0][1])} bits",
+        f"source-cut bound: {_fmt(float(rates[0]))} bits",
         f"min cut: {_cut_label(best_cut.sorted_ids())} at {_fmt(best_val)} bits",
         "",
         "per-cut rates (independent Gaussian inputs; the source cut is the",
         "binding upper bound, other cuts are input-law estimates):",
+        f"  {'tx_side'.ljust(width)}  rate_bits",
     ]
-    width = max(len(_cut_label(c.sorted_ids())) for c, _ in table)
-    lines.append(f"  {'tx_side'.ljust(width)}  rate_bits")
-    for cut, val in table:
-        lines.append(f"  {_cut_label(cut.sorted_ids()).ljust(width)}  {_fmt(val)}")
+    lines += [f"  {label.ljust(width)}  {_fmt(val)}" for label, val in zip(labels, rates.tolist())]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -17,7 +17,9 @@ tables, a column-by-column
 sum over a 0/1 membership matrix against the table's doubling subset sums,
 the receiver-side covariance formula for a cut rate against the
 whitened-channel form, the cut table's rows one Gram-and-Cholesky cut at
-a time against its Schur-complement tree, the compress-forward rate of
+a time against its Schur-complement tree, ``bound``'s text from the
+``cut_rate_table`` rows (a label per ``CutSpec``, the minimum by Python's
+``min``) against its print from the rate array, the compress-forward rate of
 one network (Python-float sums, one ``conditional_mi_bits`` call)
 against the stacked rates, the scalar Cholesky kernel
 against the stacked one, the dual-route covariance routes computed one
@@ -61,10 +63,12 @@ from relaycap.bounds import (
     _channel,
     _optimize,
     _require_cover,
+    cut_rate_table,
     optimize_quantization,
     quantized_covariance_det,
     source_cut_bound,
 )
+from relaycap.cli import _cut_label, _fmt
 from relaycap.enumeration import Block, ConstraintInstance, subsets
 from relaycap.errors import Infeasible, InvalidScale, RelaycapError, VerificationFailure
 from relaycap.gaussian import (
@@ -534,6 +538,28 @@ def cut_table_by_cuts(net, override_guard=False):
         gains, powers, noises = _channel(net, cut.sorted_ids(), rx)
         rows.append((cut, conditional_mi_bits(np.sqrt(gains), powers, noises)))
     return tuple(rows)
+
+
+def bound_text_by_rows(net, override_guard=False):
+    """What ``relaycap bound`` prints for ``net``, built from the row form:
+    each ``cut_rate_table`` row's label from its ``CutSpec`` and its rate
+    through ``_fmt``, and the min cut as Python's ``min`` over the rows
+    (the first of equal rates)."""
+    table = cut_rate_table(net, override_guard)
+    best_cut, best_val = min(table, key=lambda row: row[1])
+    labels = [_cut_label(cut.sorted_ids()) for cut, _ in table]
+    width = max(map(len, labels))
+    lines = [
+        f"nodes: {net.num_nodes} (relays {_cut_label(net.relay_ids)})",
+        f"source-cut bound: {_fmt(table[0][1])} bits",
+        f"min cut: {_cut_label(best_cut.sorted_ids())} at {_fmt(best_val)} bits",
+        "",
+        "per-cut rates (independent Gaussian inputs; the source cut is the",
+        "binding upper bound, other cuts are input-law estimates):",
+        f"  {'tx_side'.ljust(width)}  rate_bits",
+    ]
+    lines += [f"  {label.ljust(width)}  {_fmt(rate)}" for label, (_, rate) in zip(labels, table)]
+    return "\n".join(lines) + "\n"
 
 
 def _frontier(feasible_at: Callable[[float], bool], start: float, rel_tol: float) -> float:

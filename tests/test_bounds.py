@@ -1,10 +1,13 @@
+import contextlib
 import dataclasses
+import io
 import itertools
 import json
 import math
 import re
 import statistics
 import sys
+import tempfile
 import warnings
 from fractions import Fraction
 
@@ -21,6 +24,7 @@ from oracles import (
     achievability_suite_by_samples,
     alpha_suite_by_sets,
     beta_suite_by_sets,
+    bound_text_by_rows,
     cf_rate_by_network,
     constraint_instances,
     constraint_table_by_loops,
@@ -967,6 +971,83 @@ class TestCutTreeAccuracy:
             assert got == pytest.approx(want, rel=0.0, abs=1e-12)
             rated += 1
         assert rated == 3
+
+
+def _bound_output(net, *flags):
+    """``relaycap bound``'s stdout for ``net``'s config; the run must exit 0."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/net.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(_config_doc(net), fh)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["bound", "--config", path, *flags]) == 0
+    return out.getvalue()
+
+
+class TestBoundPrintsTheCutArray:
+    """``bound`` prints from ``_cut_rates``' array; its text is the one the
+    ``cut_rate_table`` rows give."""
+
+    @given(
+        kind=st.sampled_from(["random", "tied-power", "unit-gain"]),
+        t=st.integers(3, 10),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_every_line_matches_the_row_form(self, kind, t, seed):
+        net = _family_network(kind, np.random.default_rng(seed), t)
+        text = _bound_output(net)
+        assert text == bound_text_by_rows(net)
+        # The min-cut line is min_cut_bound's: ties go to the earliest cut.
+        value, cut = rc.min_cut_bound(net)
+        label = cli._cut_label(cut.sorted_ids())
+        assert text.splitlines()[2] == f"min cut: {label} at {cli._fmt(value)} bits"
+
+    def test_past_the_guard(self):
+        net = random_network(np.random.default_rng(12), 12)
+        assert _bound_output(net, "--override-guard") == bound_text_by_rows(net, True)
+
+    @pytest.mark.parametrize("t", [4, 8, 12])
+    def test_exact_tie_prints_the_earliest_cut(self, t):
+        # Unit gains, powers and noises: the source cut and the all-relay
+        # cut tie exactly at the minimum (test_rank_one_cuts_are_exact).
+        nodes = [rc.source(1, 1.0)] + [rc.relay(j, 1.0, 1.0) for j in range(2, t)]
+        net = _net(nodes + [rc.destination(t, 1.0)])
+        text = _bound_output(net, "--override-guard")
+        assert text == bound_text_by_rows(net, True)
+        assert text.splitlines()[2] == f"min cut: {{1}} at {cli._fmt(0.5 * math.log2(t))} bits"
+
+    def test_one_run_builds_at_most_one_cut_spec(self, monkeypatch):
+        built = []
+        real = bounds.CutSpec.__post_init__
+
+        def counting(self):
+            built.append(self)
+            real(self)
+
+        net = random_network(np.random.default_rng(3), 8)
+        monkeypatch.setattr(bounds.CutSpec, "__post_init__", counting)
+        _bound_output(net)
+        assert len(built) <= 1
+
+    @pytest.mark.parametrize(
+        "rates, index",
+        [
+            ([1.0, math.nan, 0.5, math.nan], 1),
+            ([math.nan, 0.2, 0.1, 0.0], 0),
+            ([0.5, 0.2, 0.2, 0.3], 1),
+            ([math.inf, math.inf, math.inf, math.inf], 0),
+        ],
+    )
+    def test_min_cut_takes_the_first_nan_else_the_first_smallest(self, rates, index):
+        # Python's min would skip the NaN of the first case and take row 2.
+        nodes = [rc.source(1, 1.0), rc.relay(2, 1.0, 1.0), rc.relay(3, 1.0, 1.0)]
+        net = _net(nodes + [rc.destination(4, 1.0)])
+        value, cut = bounds._min_cut(net, np.array(rates))
+        want = rates[index]
+        assert value == want or (math.isnan(value) and math.isnan(want))
+        assert cut == rc.cut_rate_table(net)[index][0]
 
 
 class TestUnvalidatedGains:

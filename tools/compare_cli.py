@@ -20,8 +20,12 @@ output. It prints:
   unchanged once every number in it is masked;
 - the largest |delta| of each command and column over the moved lines,
   with how many of its numbers went up and how many went down;
-- every change of exit code (an uncaught exception counts as an exit code);
-- every other difference, with the first line that differs.
+- every change of exit code (an uncaught exception counts as an exit
+  code), with the first line that differs in its stdout and its stderr;
+- every other difference: each line pair that differs other than in its
+  numbers (numbers moved on other lines of that output are still
+  counted), or, where the line counts differ, the counts and the first
+  line that differs.
 
 Corpus: the README example, the 4-node reference network, five seeded
 families at T = 3..10 (random, asymmetric, tied-power, unit-gain,
@@ -100,6 +104,7 @@ import subprocess
 import sys
 import tempfile
 from collections import defaultdict
+from itertools import zip_longest
 
 import numpy as np
 
@@ -538,18 +543,28 @@ def _column(line: str, start: int, previous: list[str]) -> str:
     return header.split()[-1] if header.split() else "(unlabelled)"
 
 
+def first_difference(old_text, new_text):
+    """The first line pair at which two texts differ, a missing line read
+    as ``(no line)``; None if their lines are equal."""
+    pairs = zip_longest(old_text.splitlines(), new_text.splitlines(), fillvalue="(no line)")
+    return next(((a, b) for a, b in pairs if a != b), None)
+
+
 def compare_lines(name, command, old_text, new_text, deltas):
     """Record moved numbers into ``deltas``; return (moved line count,
-    first line pair that differs other than in its numbers, or None)."""
+    every line pair that differs other than in its numbers). Texts of
+    different lengths give their line counts and first differing pair."""
     old_lines, new_lines = old_text.splitlines(), new_text.splitlines()
     if len(old_lines) != len(new_lines):
-        return 0, (f"{len(old_lines)} lines", f"{len(new_lines)} lines")
-    moved = 0
+        counts = (f"{len(old_lines)} lines", f"{len(new_lines)} lines")
+        return 0, [counts, first_difference(old_text, new_text)]
+    moved, other = 0, []
     for k, (a, b) in enumerate(zip(old_lines, new_lines)):
         if a == b:
             continue
         if NUMBER.sub("#", a) != NUMBER.sub("#", b):
-            return moved, (a, b)
+            other.append((a, b))
+            continue
         moved += 1
         for ma, mb in zip(NUMBER.finditer(a), NUMBER.finditer(b)):
             if ma.group() != mb.group():
@@ -563,7 +578,11 @@ def compare_lines(name, command, old_text, new_text, deltas):
                 entry[2] += 1
                 entry[4] += y > x
                 entry[5] += y < x
-    return moved, None
+    return moved, other
+
+
+def _shown(pairs, indent):
+    return "".join(f"\n{indent}- {a}\n{indent}+ {b}" for a, b in pairs)
 
 
 def main() -> int:
@@ -579,20 +598,26 @@ def main() -> int:
     identical = moved_lines = moved_runs = 0
     total_lines = sum(len((out + err).splitlines()) for _, out, err in old)
     deltas = defaultdict(lambda: [0.0, 0.0, 0, "", 0, 0])
-    code_changes, other = [], []
+    code_changes, other, other_pairs = [], [], 0
     for (name, argv), (c0, out0, err0), (c1, out1, err1) in zip(plan, old, new):
         if (c0, out0, err0) == (c1, out1, err1):
             identical += 1
             continue
+        streams = (("stdout", out0, out1), ("stderr", err0, err1))
         if c0 != c1:
-            code_changes.append(f"  {name}: {c0} -> {c1}")
+            firsts = ((stream, first_difference(a, b)) for stream, a, b in streams)
+            shown = "".join(
+                f"\n    {stream}:{_shown([diff], '      ')}" for stream, diff in firsts if diff
+            )
+            code_changes.append(f"  {name}: {c0} -> {c1}{shown}")
             continue
         moved = 0
-        for stream, a, b in (("stdout", out0, out1), ("stderr", err0, err1)):
-            n, diff = compare_lines(name, argv[0], a, b, deltas)
+        for stream, a, b in streams:
+            n, diffs = compare_lines(name, argv[0], a, b, deltas)
             moved += n
-            if diff is not None:
-                other.append(f"  {name} ({stream}):\n    - {diff[0]}\n    + {diff[1]}")
+            if diffs:
+                other.append(f"  {name} ({stream}):{_shown(diffs, '    ')}")
+                other_pairs += len(diffs)
         moved_lines += moved
         moved_runs += moved > 0
 
@@ -609,7 +634,7 @@ def main() -> int:
         )
     print(f"exit-code changes: {len(code_changes)}")
     print("\n".join(code_changes) if code_changes else "  (none)")
-    print(f"other differences: {len(other)}")
+    print(f"other differences: {other_pairs} line pairs in {len(other)} outputs")
     print("\n".join(other) if other else "  (none)")
     return 0
 
