@@ -46,9 +46,12 @@ increasing in u = ln x (a constant minus sum_k ln(1 + a_k e^-u), the a_k
 the eigenvalues of the quantized covariance at Q = 0), and so is their
 minimum: Newton steps in u never pass the frontier from the left, and a
 walk over the last ulps ends where the table turns from rejecting to
-accepting. The answer is exact, with no tolerance. ``_uniform_optima``
-decides every uniform optimum, for one table or many (a sweep's rows,
-``verify``'s networks), with one stacked margin pass per step.
+accepting. The answer is exact, with no tolerance. A search starts from
+the left, at the largest of the singleton rows' own frontiers, each a
+closed form: the uniform frontier is the largest of every row's, so
+about four margin passes reach it. ``_uniform_optima`` decides every
+uniform optimum, for one table or many (a sweep's rows, ``verify``'s
+networks), with one stacked margin pass per step.
 Coordinate descent then cycles from that uniform solution and moves each
 Q_j straight to its own frontier: with the other entries fixed, each
 subset's margin is nonnegative exactly above a closed-form threshold, so
@@ -783,9 +786,15 @@ def _margins_log2(
     ``q_values`` are (K,), table k's source power and uniform Q (or Q
     per relay, (R, K), as ``_feasible`` gives it). Every
     operation is elementwise, so column k is bit for bit table k's own
-    margins at its Q. A row whose denominator is inf (an overflowed block
-    sum) holds at every Q, and reads inf at every Q, even where N/Q
-    overflows too; a NaN denominator reads NaN. A cost that overflows (or
+    margins at its Q. The two per-relay terms, log1p(N/Q) and
+    lam/(N + Q), are stacked and summed over every subset in one
+    ``_subset_sums`` doubling, which gives each term its own
+    left-to-right sums. The stack lays the terms out one after the
+    other, so each term's sums are one block of memory, and a doubling
+    over one table is one long loop per term, not a two-entry loop per
+    subset. A row whose denominator is inf (an overflowed block sum)
+    holds at every Q, and reads inf at every Q, even where N/Q overflows
+    too; a NaN denominator reads NaN. A cost that overflows (or
     reads NaN) counts as the largest double, so any other row reads far
     below 0 there, rejected.
     """
@@ -796,9 +805,9 @@ def _margins_log2(
     # powerless-relay constraint Q >= Q + c as satisfiable; the log1p
     # form is exact there. The factorized determinant itself is checked
     # against this identity by the determinant-lemma suite.
-    shrink = _subset_sums(np.log1p(noise / q_values))[1:]
-    source_term = np.log1p(p1 * _subset_sums(lam / (noise + q_values))[1:])
-    cost = (shrink + source_term) / _LN2
+    terms = np.array([np.log1p(noise / q_values), lam / (noise + q_values)])
+    shrink, reach = _subset_sums(terms.swapaxes(0, 1))[1:].swapaxes(0, 1)
+    cost = (shrink + np.log1p(p1 * reach)) / _LN2
     # A cost past the largest double reads as that double, so an inf
     # denominator keeps its inf where inf - inf would read NaN.
     return denom_log2 - np.fmin(cost, sys.float_info.max, out=cost)
@@ -883,11 +892,6 @@ def _feasible(tables: list[_ConstraintTable], qs: list) -> list[bool]:
     return feasible
 
 
-def _search_start(table: _ConstraintTable) -> float:
-    """Where the uniform search starts: the largest receiver noise."""
-    return max(table.arrays[2][1:].tolist())
-
-
 #: Newton steps a search takes at most before it walks the ulps.
 _NEWTON_PASSES = 64
 
@@ -896,9 +900,12 @@ def _lockstep_search(
     denom_log2: np.ndarray, noise: np.ndarray, lam: np.ndarray, p1: np.ndarray, x: np.ndarray
 ) -> np.ndarray:
     """For K tables stacked in columns (as ``_margins_log2`` takes them),
-    searched from the points ``x``: each column's smallest Q that its
-    table accepts and whose predecessor it rejects, or inf where the
-    largest double is rejected.
+    searched from the positive doubles ``x``: each column's smallest Q
+    that its table accepts and whose predecessor it rejects, or inf where
+    the largest double is rejected. Where the table's verdict is monotone
+    in Q, the answer does not depend on the start, only the number of
+    passes does. From a point left of the frontier, as ``_uniform_optima``
+    gives, the Newton steps close in from the left.
 
     Each column brackets its answer in the doubles' order, between the
     largest point seen rejected (0.0 at first) and the smallest accepted
@@ -952,9 +959,23 @@ def _uniform_optima(tables: list[_ConstraintTable]) -> list[np.ndarray | Infeasi
     Every margin rises strictly toward its denominator as Q grows, so a
     table with some denom_log2 <= 0 is infeasible without a search, and a
     relay-free table gets the empty Q. The others search by relay count,
-    one ``_lockstep_search`` from ``_search_start`` each, their arrays
-    stacked in columns once (a lone table is a stack of one). Each Q is
-    exact: the smallest double that its table accepts.
+    one ``_lockstep_search`` each, their arrays stacked in columns once (a
+    lone table is a stack of one). Each Q is exact: the smallest double
+    that its table accepts.
+
+    Each search starts at its largest singleton frontier. Row {i}'s
+    margin is nonnegative exactly where (1 + N_i/x)(1 + P1 lam_i/(N_i + x))
+    = 1 + (N_i + P1 lam_i)/x is at most 2^denom_i, that is, from
+    x_i = (N_i + P1 lam_i) / expm1(ln2 denom_i) on. Every row's margin
+    rises with x, so the uniform frontier is the largest of all the rows'
+    frontiers, and max_i x_i is a lower bound on it in exact arithmetic
+    (a rounded root a few ulps past the frontier is an accepted point
+    like any other, which the search walks down from). The start is
+    clipped to the doubles: a root that overflows starts at the largest
+    double (where a table that rejects it ends in one pass with no
+    finite Q), and a root of 0 at the smallest. A NaN root (inf over inf)
+    is left out, and a column whose every root is NaN starts at its
+    largest relay noise.
     """
     optima: list[np.ndarray | Infeasible] = [np.empty(0)] * len(tables)
     counts: list[int | None] = []
@@ -974,7 +995,14 @@ def _uniform_optima(tables: list[_ConstraintTable]) -> list[np.ndarray | Infeasi
         # with P1 = 0 the source term can read 0 * inf = NaN: a cost that
         # _margins_log2 reads as the largest double.
         with np.errstate(over="ignore", invalid="ignore"):
-            found = _lockstep_search(*_columns(run), np.array([_search_start(t) for t in run]))
+            denom, noise, lam, p1 = columns = _columns(run)
+            # Each column's largest singleton frontier (row {i} is row
+            # 2^i - 1); a NaN root, inf over inf, is left out.
+            singles = denom[(1 << np.arange(len(noise))) - 1]
+            roots = (noise + p1 * lam) / np.expm1(_LN2 * singles)
+            start = np.clip(np.fmax.reduce(roots), 5e-324, sys.float_info.max)
+            start = np.where(np.isnan(start), noise.max(axis=0), start)
+            found = _lockstep_search(*columns, start)
         for k, table, q in zip(members, run, found.tolist()):
             optima[k] = (
                 np.full(len(table.relays), q)

@@ -56,8 +56,12 @@ def _subset_sums(per_relay: np.ndarray) -> np.ndarray:
     k plus that term. Every row is the left-to-right sum over its subset,
     so subsets with tied terms get bit-identical sums and the
     binding-constraint order keeps its canonical tie-break; each entry of
-    a stacked input gets the sums of that entry alone."""
-    sums = np.zeros((1 << len(per_relay),) + per_relay.shape[1:])
+    a stacked input gets the sums of that entry alone. The sums take
+    ``per_relay``'s memory layout, the subset axis where its relay axis
+    lies, so the caller's layout decides how long each doubling's inner
+    loop runs (``bounds._margins_log2`` keeps each term's sums one block)."""
+    sums = np.empty_like(per_relay, float, shape=(1 << len(per_relay),) + per_relay.shape[1:])
+    sums[0] = 0.0  # each later row is written by one doubling
     for i, value in enumerate(per_relay):
         half = 1 << i
         np.add(sums[:half], value, out=sums[half : 2 * half])

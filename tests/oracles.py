@@ -29,7 +29,9 @@ their batches, coordinate
 descent by per-coordinate bisection against its closed-form frontier,
 the uniform search as a bisection over a scalar predicate (at rel_tol
 1e-300 it stops at the table's transition or a few ulps above) against
-the exact Newton-and-ulp search, the convergence sweep one row at a time
+the exact Newton-and-ulp search, that search from the largest receiver
+noise (``search_start``) against the same search from the largest
+singleton frontier, the convergence sweep one row at a time
 against its lockstep searches, and the three random verify suites run
 one sample at a time (one ``random_network``, one table and one
 uniform search per sample, the feasible point from ``sample_feasible_q``
@@ -61,6 +63,8 @@ from relaycap.bounds import (
     _block_snr_sum,
     _check_guard,
     _channel,
+    _columns,
+    _lockstep_search,
     _optimize,
     _require_cover,
     cut_rate_table,
@@ -591,6 +595,21 @@ def _frontier(feasible_at: Callable[[float], bool], start: float, rel_tol: float
         else:
             lo = mid
     return hi
+
+
+def search_start(table) -> float:
+    """The reference start of a uniform search: the largest receiver
+    noise, which says nothing of where the frontier lies."""
+    return max(table.arrays[2][1:].tolist())
+
+
+def lockstep_search_by_noise(tables) -> list[float]:
+    """``bounds._lockstep_search`` over searchable tables of one relay
+    count, stacked in columns, each started at ``search_start``: each
+    table's uniform frontier Q, or inf where no finite Q is feasible."""
+    starts = np.array([search_start(table) for table in tables])
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _uniform_optima
+        return _lockstep_search(*_columns(tables), starts).tolist()
 
 
 def convergence_sweep_by_rows(net, gammas, quantifier="forall", *, override_guard=False):

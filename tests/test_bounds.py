@@ -36,6 +36,7 @@ from oracles import (
     determinant_by_network,
     determinant_lemma_draws,
     determinant_lemma_suite_by_samples,
+    lockstep_search_by_noise,
     monotonicity_suite_by_samples,
     partition_dp_by_masks,
     partitions,
@@ -43,6 +44,7 @@ from oracles import (
     random_network,
     relay_correlation_mi_bits_by_points,
     sample_feasible_q,
+    search_start,
     single_relay_covariance_bits_by_points,
     subset_sums_by_columns,
     table_by_partition_scan,
@@ -1405,6 +1407,12 @@ class TestConstraintTableInternals:
         for k in range(9):
             column = np.ascontiguousarray(stack[:, k])
             assert got[:, k].tobytes() == partition_dp._subset_sums(column)[1:].tobytes()
+        # The sums keep the input's layout: relays innermost in memory give
+        # subsets innermost (one relay's stack is laid out both ways), with
+        # the same bits.
+        by_relay = partition_dp._subset_sums(np.asfortranarray(stack))
+        assert by_relay.flags.f_contiguous or r == 1
+        assert by_relay[1:].tobytes() == got.tobytes()
 
     @pytest.mark.parametrize("chunk", [partition_dp._DP_CHUNK, 40])
     @pytest.mark.parametrize("n", range(1, 11))
@@ -2972,7 +2980,7 @@ def _oracle_frontier(table):
     n = len(table.relays)
     try:
         return scalar_frontier(
-            lambda x: table.feasible(np.full(n, x)), bounds._search_start(table), 1e-300
+            lambda x: table.feasible(np.full(n, x)), search_start(table), 1e-300
         )
     except Infeasible:
         return None
@@ -3012,6 +3020,25 @@ def _stub_tables(net):
     return overflow, underflow
 
 
+def _nan_root_table(net):
+    """A forall table of ``net`` whose every singleton root (N_i + P1
+    lam_i) / expm1(ln2 denom_i) reads inf / inf: infinite singleton
+    denominators, 1200-bit others, and P1 lam_i past the doubles."""
+    table = _ConstraintTable(net, "forall")
+    singles = (1 << np.arange(len(table.relays))) - 1
+    table.denom_log2 = np.full_like(table.denom_log2, 1200.0)
+    table.denom_log2[singles] = np.inf
+    table.lam, table.p1 = np.full_like(table.lam, 1e300), 1e10
+    return table
+
+
+def _no_frontier_network():
+    """T = 4, unit gains and noises, source power 1, relay powers 1e-310
+    and 10: no finite uniform Q at gamma = 1, Q* = 4e10 at gamma = 1e300."""
+    nodes = [rc.source(1, 1.0), rc.relay(2, 1e-310, 1.0), rc.relay(3, 10.0, 1.0)]
+    return _net(nodes + [rc.destination(4, 1.0)])
+
+
 def _weakened(net, c):
     """``net`` with every relay power multiplied by c < 1, which ``scaled``
     refuses."""
@@ -3047,6 +3074,70 @@ def test_each_uniform_optimum_is_a_table_transition(net):
         assert table.feasible(np.full(n, x))
         assert not table.feasible(np.full(n, np.nextafter(x, 0.0)))
         assert 0 <= _ulps(_oracle_frontier(table)) - _ulps(x) <= 2
+
+
+def _start_cases():
+    """Groups of searchable tables of one relay count, each a callable for
+    the start oracle below: seeded networks, tied-power and unit-gain
+    networks and relays weakened by 1e-8 under both quantifiers, sweeps
+    over gamma = 10^0..10^300, the stubs, a singleton denominator of
+    5e-324, whose root overflows, and a table whose every singleton root
+    is NaN."""
+    both = ("forall", "exists")
+    for t in range(3, 12):
+        nets = [random_network(np.random.default_rng(s), t) for s in range(4)]
+        yield pytest.param(
+            lambda nets=nets: [
+                _ConstraintTable(net, q, override_guard=True) for net in nets for q in both
+            ],
+            id=f"seeded-T{t}",
+        )
+    rng = np.random.default_rng(20261023)
+    for t in range(3, 11):
+        powers = 10.0 ** rng.uniform(0.0, 3.0, size=t)
+        nets = [
+            _equal_gain_network(t, lambda j: 10.0 ** (j % 3)),
+            _equal_gain_network(t, lambda j: float(powers[j])),
+            _weakened(random_network(rng, t), 1e-8),
+        ]
+        yield pytest.param(
+            lambda nets=nets: [_ConstraintTable(net, q) for net in nets for q in both],
+            id=f"tied-unit-weak-T{t}",
+        )
+    gammas = [10.0 ** (25 * k) for k in range(13)]
+    for t in (6, 9):
+        net = random_network(np.random.default_rng(t), t)
+        rows = [rc.scaled(net, g)._arrays for g in gammas]
+        for q in both:
+            yield pytest.param(
+                lambda rows=rows, q=q: bounds._constraint_tables(rows, q), id=f"sweep-T{t}-{q}"
+            )
+
+    def stubs():
+        net = random_network(np.random.default_rng(3), 6)
+        tiny = _ConstraintTable(net, "forall")
+        tiny.denom_log2 = tiny.denom_log2.copy()
+        tiny.denom_log2[0] = 5e-324
+        return [*_stub_tables(net), tiny, _nan_root_table(net), _ConstraintTable(net, "forall")]
+
+    yield pytest.param(stubs, id="stubs-tiny-singleton-nan-roots")
+
+
+@pytest.mark.parametrize("build", _start_cases())
+def test_singleton_start_keeps_the_reference_answers(build):
+    # The search from the largest singleton frontier ends where the same
+    # search from the largest receiver noise ends, bit for bit, stacked and
+    # alone, and warns of nothing.
+    tables = build()
+    assert all((table.denom_log2 > 0.0).all() for table in tables)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = lockstep_search_by_noise(tables)
+        assert want == [lockstep_search_by_noise([table])[0] for table in tables]
+        got = _uniform_optima_keys(tables)
+        assert got == [_uniform_optima_keys([table])[0] for table in tables]
+    n = len(tables[0].relays)
+    assert got == [(x,) * n if x < math.inf else _NO_FRONTIER for x in want]
 
 
 class TestLockstepFrontiers:
@@ -3099,18 +3190,19 @@ class TestLockstepFrontiers:
             assert table.feasible(np.full(n, x))
             assert not table.feasible(np.full(n, np.nextafter(x, 0.0)))
         # Searches of different lengths; the run lasts as long as the
-        # longest, the overflow stub's.
+        # longest, the gamma = 1e100 table's (both stubs end at pass 1).
         passes = [self._passes(monkeypatch, [table]) for table in tables]
-        assert len(set(passes)) == len(tables)
-        assert self._passes(monkeypatch, tables) == max(passes) == passes[0] <= _PASS_CAP
+        assert len(set(passes)) > 1
+        assert self._passes(monkeypatch, tables) == max(passes) == passes[4] <= _PASS_CAP
 
     def test_underflow_stub_ends_at_the_smallest_double(self):
         # The frontier lies below the doubles: every Q is accepted, and the
-        # answer is the smallest double, not the search's start.
+        # answer is the smallest double, also from a start above it.
         _, underflow = _stub_tables(random_network(np.random.default_rng(3), 6))
         (q,) = bounds._uniform_optima([underflow])
         assert q.tolist() == [5e-324] * 4
-        assert bounds._search_start(underflow) > 5e-324
+        assert search_start(underflow) > 5e-324
+        assert lockstep_search_by_noise([underflow]) == [5e-324]
 
     @pytest.mark.parametrize("quantifier", ["forall", "exists"])
     def test_ending_searches_leave_the_others_unchanged(self, quantifier):
@@ -3136,6 +3228,29 @@ class TestLockstepFrontiers:
                     passes.append(self._passes(monkeypatch, [table]))
         assert statistics.median(passes) <= 12
         assert max(passes) <= _PASS_CAP
+
+    def test_singleton_start_halves_the_passes(self, monkeypatch):
+        # From its largest singleton frontier, a search on the family above
+        # ends in about four passes. Each stub starts clipped to the end of
+        # the doubles where its answer lies, so it ends in one pass, and
+        # no-frontier-T4's gamma = 1e300 row starts next to its answer.
+        passes = []
+        for s in range(40):
+            for t in range(3, 11):
+                net = random_network(np.random.default_rng(s), t)
+                for quantifier in ("forall", "exists"):
+                    table = _ConstraintTable(net, quantifier)
+                    passes.append(self._passes(monkeypatch, [table]))
+        assert statistics.median(passes) <= 5
+        for stub in _stub_tables(random_network(np.random.default_rng(3), 6)):
+            assert self._passes(monkeypatch, [stub]) == 1
+        feasible_row = _ConstraintTable(rc.scaled(_no_frontier_network(), 1e300), "forall")
+        assert self._passes(monkeypatch, [feasible_row]) <= 3
+        # With no root to take, a search starts at its largest relay noise.
+        table = _nan_root_table(random_network(np.random.default_rng(3), 6))
+        calls = self._counting_margins(monkeypatch)
+        bounds._uniform_optima([table])
+        assert calls[0][4].tolist() == [table.noise.max()]
 
     @pytest.mark.parametrize("quantifier", ["forall", "exists"])
     def test_single_analysis_is_a_stack_of_one(self, monkeypatch, quantifier):
