@@ -20,19 +20,17 @@ inequality against every (partition, assignment); `exists` requires one
 witness per subset. The decoding factors do not depend on Q, so one
 analysis builds one constraint table: per subset, the extreme
 denominator. A block's factor does not depend on the other blocks, so
-each extreme comes from an O(3^R) subset DP over the R relays
+each forall minimum comes from an O(3^R) subset DP over the R relays
 (``_ConstraintTable`` states the recurrence and its tie-break), run in
 numpy one popcount layer at a time; every block's factor comes from one
-array of block sums, with one log per block. ``_constraint_tables``
-builds any number of tables, one stacked pass per relay count (a
-sweep's rows, ``verify``'s networks; a lone table is a stack of one).
-Under `exists`, a network whose relays each reach some receiver
-at an snr of at least 2^-10, with no block sum overflowing, needs no DP:
-there, splitting a block raises the total by a proven margin, so each
-subset's extreme is the sum of its relays' own best factors. The table
-keeps the DP's choices, not the attaining (partition, assignment)
-instances: it builds a subset's instance only when a caller reads it (a
-rate report's binding rows, an infeasibility message, ``cf_feasible``'s
+array of block sums, with one log per block. An exists maximum needs no
+DP: it is the sum of the subset's relays' own best factors, each relay
+its own block. ``_constraint_tables`` builds any number of tables, one
+stacked pass per relay count (a sweep's rows, ``verify``'s networks; a
+lone table is a stack of one). The table keeps its blocks and
+receivers, not the attaining (partition, assignment) instances: it
+builds a subset's instance only when a caller reads it (a rate report's
+binding rows, an infeasibility message, ``cf_feasible``'s
 diagnostics).
 Every feasibility query is one vectorized margin evaluation on the
 denominators, with the determinant in its rank-one closed form; the
@@ -311,30 +309,45 @@ def _cut_rates(
     at least 1, so a computed pivot that is NaN or at most ``PD_EPSILON``
     is rounding past double precision: the first such cut in canonical
     order raises NotPositiveDefinite, naming that cut, and ``cut_rate`` of
-    that cut raises the same error.
+    that cut raises the same error. Every exact rate is finite, so a rate
+    that is not (an snr past the double range) is rejected the same way,
+    after the pivots, with its own wording.
     """
     _check_guard(net.num_nodes, override_guard)
     relays = net.relay_ids
     gains, powers, noises = _channel(net, (1,) + relays, tuple(range(2, net.num_nodes + 1)))
     a = _whitened(np.sqrt(gains), powers, noises)
     if sides is not None and (all(sides) or not any(sides)):
-        return _rank_one_rate(a, any(sides))
-    log2_dets, worst = _cut_tree_log2_dets(a, sides)
-    rates = 0.5 * log2_dets
-    if sides is None:
-        rates[-1], rates[0] = _rank_one_rate(a, True)[0], _rank_one_rate(a, False)[0]
-        worst[[0, -1]] = math.inf
+        rates, worst = _rank_one_rate(a, any(sides)), np.full(1, math.inf)
+    else:
+        log2_dets, worst = _cut_tree_log2_dets(a, sides)
+        rates = 0.5 * log2_dets
+        if sides is None:
+            rates[-1], rates[0] = _rank_one_rate(a, True)[0], _rank_one_rate(a, False)[0]
+            worst[[0, -1]] = math.inf
+
     failed = ~(worst > PD_EPSILON)
     if failed.any():
         index = int(np.argmax(failed))  # the first True
-        if sides is None:
-            sides = tuple(bool(index >> i & 1) for i in range(len(relays)))
-        ids = (1,) + tuple(r for r, tx in zip(relays, sides) if tx)
         raise NotPositiveDefinite(
-            f"cut {{{','.join(map(str, ids))}}}: pivot {worst[index]:.6e} "
+            f"{_cut_name(relays, sides, index)}: pivot {worst[index]:.6e} "
             f"is <= epsilon {PD_EPSILON:g}"
         )
+    infinite = ~np.isfinite(rates)
+    if infinite.any():
+        index = int(np.argmax(infinite))
+        raise NotPositiveDefinite(f"{_cut_name(relays, sides, index)}: rate is not finite")
     return rates
+
+
+def _cut_name(relays: tuple[int, ...], sides: tuple[bool, ...] | None, index: int) -> str:
+    """Row ``index`` of ``_cut_rates``' result as "cut {1,...}": the one
+    cut that ``sides`` names, or else the cut whose index's bit i puts
+    the i-th sorted relay on the transmitter side."""
+    if sides is None:
+        sides = tuple(bool(index >> i & 1) for i in range(len(relays)))
+    ids = (1,) + tuple(r for r, tx in zip(relays, sides) if tx)
+    return f"cut {{{','.join(map(str, ids))}}}"
 
 
 def _rank_one_rate(a: np.ndarray, all_relays: bool) -> np.ndarray:
@@ -447,24 +460,18 @@ def quantized_covariance_det(
 _TIE_WINDOW = 2.0**-30
 
 #: The window's edge moves out by this too, so that it holds every ratio
-#: below 2^-1000, where a block value may be subnormal, with an absolute
-#: error.
+#: below this one (2.0**-1000), where a block value may be subnormal,
+#: with an absolute error.
 _TINY_RATIO = 2.0**-1000
-
-#: The exists table is a sum of singletons, with no DP, only when every
-#: relay's best ratio is at least this (``_ConstraintTable``).
-_SINGLETON_MIN_RATIO = 2.0**-10
-
 
 def _extreme_blocks(
     ratios: np.ndarray, ineligible: np.ndarray, forall: bool
-) -> tuple[list[int], np.ndarray, np.ndarray]:
+) -> tuple[list[int], np.ndarray]:
     """Each block's receiver column and value log2(1 + ratio): the extreme
     over its eligible receivers, the smallest column on equal values.
     ``ratios`` holds K tables' blocks, (K, blocks, receivers), with the
-    blocks in the rows of ``ineligible``; it is overwritten. Also returns
-    each block's extreme ratio. Each result runs over every table's
-    blocks, table by table.
+    blocks in the rows of ``ineligible``; it is overwritten. Each result
+    runs over every table's blocks, table by table.
 
     The pick is made on the ratios, and only then the log is taken, once
     per block: log2(1 + x) rises with x, and two ratios that lie far
@@ -495,7 +502,7 @@ def _extreme_blocks(
     # A row needs its receivers' own logs unless every ratio but its
     # extreme lies outside the window.
     if np.count_nonzero(far) == (width - 1) * len(cols):
-        return cols, values, ext
+        return cols, values
     extreme = min if forall else max
     for k in (far.sum(axis=1) != width - 1).nonzero()[0].tolist():
         row, outside = ratios[k].tolist(), far[k].tolist()
@@ -504,7 +511,7 @@ def _extreme_blocks(
         # min and max keep the first of equal values: the smallest id.
         cols[k] = extreme(logs, key=logs.__getitem__)
         values[k] = logs[cols[k]]
-    return cols, values, ext
+    return cols, values
 
 
 class _ConstraintTable:
@@ -521,17 +528,28 @@ class _ConstraintTable:
 
     In forall mode the binding family member minimizes the denominator
     product (hardest constraint); in exists mode it maximizes it (easiest
-    witness). A block's value v(B), the extreme over the receivers outside
-    it, does not depend on the other blocks, so the extreme over partitions
-    is an exact subset DP in O(3^R) steps for R relays:
+    witness). A block's value v(B), the extreme of log2(1 + snr) over the
+    receivers outside it, does not depend on the other blocks.
 
-        f(S) = ext over B subset of S holding the smallest relay of S
+    exists is a sum of singletons. Write a_i for relay i's best snr over
+    every receiver r other than i. A block B's snr at a receiver r outside
+    it is at most the sum of its members' a_i, and log2(1 + sum x_i) <=
+    sum log2(1 + x_i) for x_i >= 0, so the all-singletons witness, each
+    relay at its best receiver, attains the maximum for every S, with no
+    threshold and no finiteness premise. Its witness is every relay of S
+    alone, each at its first best receiver (the smallest id among equal
+    values): each mask's first block is its lowest bit, its smallest
+    relay, and ``denom_log2`` is the left-to-right sum of S's relays'
+    values, which ``_subset_sums`` gives.
+
+    forall is an exact subset DP in O(3^R) steps for R relays:
+
+        f(S) = min over B subset of S holding the smallest relay of S
                of v(B) + f(S minus B),    f(empty) = 0.
 
     Every block's sums at every receiver form one (2^R, R + 1) array, and
     dividing it by the receivers' floors gives every block snr (IEEE
-    division, the same bits as a Python float's). v(B) is the extreme of
-    log2(1 + snr) over B's eligible receivers. Equal totals go to the
+    division, the same bits as a Python float's). Equal totals go to the
     first block in restricted-growth order: at the smallest relay where
     two candidate blocks differ, the block containing it wins. Equal
     receivers go to the smallest id. ``denom_log2`` is the left-to-right
@@ -556,43 +574,20 @@ class _ConstraintTable:
     a table's arrays are bit for bit the same whatever it is built with
     (``_constraint_tables``, which a lone table calls as a stack of one).
 
-    One log per block. The receiver is picked on the snr, and log2(1 + x)
-    = math.log1p(x) / ln 2 is taken once, for the picked one. The log
-    rises with x, so only rounding can make another receiver tie with the
-    picked one, or beat it. Rounded log1p and the division each err by an
-    ulp or so, a relative 2^-50 of the value at most, so two computed
-    values keep their order when the exact ones differ by more than 2^-49
-    of the larger. Two ratios x < y with y > x (1 + w) have exact values
-    apart by more than log2(1 + w x / (1 + x)), which exceeds
-    2^-49 log2(1 + y) for every double once w > 2^-39.5 (ln(1 + x)
-    (1 + x) / x stays below 710). The window w = 2^-30 leaves a factor of
-    700 to spare. Every ratio
-    within the window of the extreme, or below 2^-1000 (where a value can
-    be subnormal, with an absolute error), takes its own log, and the
-    first of the extreme values wins, as a scan of every receiver's value
-    would choose.
-
-    exists needs no DP wherever every relay is strong. Write a_i for relay
-    i's largest snr alone. The snr of a block at receiver r is at most the
-    sum of its members' a_i, and log2(1 + x) is subadditive, so splitting
-    any block into singletons, each at its own best receiver, never
-    lowers a total: prod (1 + a_i) >= 1 + sum a_i. It raises it by at least
-    log2(1 + a_i a_j / (1 + a_i + a_j)) for any two members i, j. With
-    every a_i >= 2^-10 (``_SINGLETON_MIN_RATIO``, checked on the rounded
-    ratios) that gap exceeds 1.3e-6 bits, while each DP total is within
-    R^2 2^-42 bits of its exact value (every value is below 1024 bits, a
-    sum or a log adds an ulp or so), far less for any R the DP can run.
-    So the DP keeps every relay as its own block: each mask's first block
-    is its lowest bit (its smallest relay), and each row is the left-to-right
-    sum of its relays' values, which ``_subset_sums`` gives bit for bit.
-    The proof needs every block value finite: an overflowed sum reads inf,
-    and the DP then picks the merged block. Float sums of nonnegative terms
-    rise with every term, so one left-to-right sum per receiver over every
-    relay it may decode bounds each of its block sums; the singleton path
-    is taken only where each of those, over its floor, is finite. A
-    powerless relay or one too weak (a_i below the threshold) makes
-    merged blocks tie or nearly tie with split ones, and there the DP
-    runs, with its tie-break. So does every forall table.
+    One log per block (under exists, per singleton block). The receiver is
+    picked on the snr, and log2(1 + x) = math.log1p(x) / ln 2 is taken
+    once, for the picked one. The log rises with x, so only rounding can
+    make another receiver tie with the picked one, or beat it. Rounded
+    log1p and the division each err by an ulp or so, a relative 2^-50 of
+    the value at most, so two computed values keep their order when the
+    exact ones differ by more than 2^-49 of the larger. Two ratios x < y
+    with y > x (1 + w) have exact values apart by more than log2(1 + w x /
+    (1 + x)), which exceeds 2^-49 log2(1 + y) for every double once w >
+    2^-39.5 (ln(1 + x) (1 + x) / x stays below 710). The window w = 2^-30
+    leaves a factor of 700 to spare. Every ratio within the window of the
+    extreme, or below ``_TINY_RATIO`` (where a value can be subnormal,
+    with an absolute error), takes its own log, and the first of the
+    extreme values wins, as a scan of every receiver's value would choose.
 
     The table stores ``denom_log2``, each mask's first block and each
     block's receiver, nothing per row beyond that. ``instance(k)`` follows
@@ -610,8 +605,8 @@ class _ConstraintTable:
         self.__dict__ = table.__dict__
 
     def instance(self, k: int) -> ConstraintInstance:
-        """Row k's binding (partition, assignment): the DP's first blocks
-        followed from the row's mask, each with its receiver."""
+        """Row k's binding (partition, assignment): the table's first
+        blocks followed from the row's mask, each with its receiver."""
         relays = self.relays
         receivers = relays + (len(self.arrays[1]),)
 
@@ -703,11 +698,10 @@ def _runs(counts: list[int | None]) -> list[list[int]]:
 
 def _fill_tables(run: list[_ConstraintTable], n: int, forall: bool) -> None:
     """Give each table of ``run``, every one of n relays, its denominators,
-    first blocks and receivers, from stacked arrays: the block sums of
-    every table at once, one ``_extreme_blocks`` call over all their
-    blocks, and one ``_partition_dp``. Under exists, the tables that the
-    class docstring's guard admits are sums of singletons
-    (``_sum_singletons``), and only the others run the DP."""
+    first blocks and receivers, from stacked arrays. A forall stack takes
+    the block sums of every table at once, one ``_extreme_blocks`` call
+    over all their blocks, and one ``_partition_dp``; an exists stack is
+    a sum of singletons (``_sum_singletons``)."""
     layout = _dp_layout(n)
     arrays = [table.arrays for table in run]
     # Each network's _channel(net, (1,) + relays, relays + (T,)), stacked:
@@ -721,10 +715,8 @@ def _fill_tables(run: list[_ConstraintTable], n: int, forall: bool) -> None:
         signal = gains * powers
         floors = signal[..., 0] + noise
         if not forall:
-            weak = _sum_singletons(run, layout, signal, floors)
-            if not weak:
-                return
-            run, signal, floors = [run[k] for k in weak], signal[weak], floors[weak]
+            _sum_singletons(run, layout, signal, floors)
+            return
         # v(B) and its receiver for every block B, in _block_snr_sum's
         # arithmetic: every row of the subset sums, (2^n, tables,
         # receivers), is the left-to-right sum over its block. Row 0, the
@@ -732,9 +724,9 @@ def _fill_tables(run: list[_ConstraintTable], n: int, forall: bool) -> None:
         # alone: its value is log2(1) = 0.
         sums = _subset_sums(signal[..., 1:].transpose(2, 0, 1))
         np.divide(sums, floors, out=sums)
-        cols, value, _ = _extreme_blocks(sums.transpose(1, 0, 2), layout.ineligible, forall)
+        cols, value = _extreme_blocks(sums.transpose(1, 0, 2), layout.ineligible, True)
         size = 1 << n
-        denoms, first = _partition_dp(value.reshape(len(run), size), forall)
+        denoms, first = _partition_dp(value.reshape(len(run), size))
     for k, table in enumerate(run):
         table._receiver_column = cols[k * size : (k + 1) * size]
         table._first_block = first[k]
@@ -743,31 +735,21 @@ def _fill_tables(run: list[_ConstraintTable], n: int, forall: bool) -> None:
 
 def _sum_singletons(
     run: list[_ConstraintTable], layout: _Layout, signal: np.ndarray, floors: np.ndarray
-) -> list[int]:
-    """Build each exists table of ``run`` that the class docstring's guard
-    proves is the DP's as a sum of singletons, from ``_fill_tables``'s
-    stacked arrays; return the indices of the others."""
+) -> None:
+    """Build each exists table of ``run`` from ``_fill_tables``'s stacked
+    arrays as the sum of its relays' singleton values, each relay at its
+    first best receiver (the class docstring proves it the maximum)."""
     k_tables, n = len(run), layout.member.shape[1]
     # Every relay's singleton block, relay i's in layout row 2^i: its
-    # value, receiver and snr.
+    # value and receiver.
     singles = [1 << i for i in range(n)]
     relay_snr = signal[..., 1:].transpose(0, 2, 1) / floors[:, None]
-    cols, value, best = _extreme_blocks(relay_snr, layout.ineligible[singles], False)
-    # Each receiver's left-to-right sum over every relay, its own term
-    # being 0: the sum over every relay it may decode.
-    totals = np.add.accumulate(signal[..., 1:], axis=2)[..., -1:]
-    strong = np.isfinite(totals / floors[..., None]).all(axis=(1, 2))
-    strong &= (best.reshape(k_tables, n) >= _SINGLETON_MIN_RATIO).all(axis=1)  # NaN fails too
+    cols, value = _extreme_blocks(relay_snr, layout.ineligible[singles], False)
     denoms = _subset_sums(value.reshape(k_tables, n).T)[1:].T
-    weak = []
-    for k, (table, single) in enumerate(zip(run, strong.tolist())):
-        if not single:
-            weak.append(k)
-            continue
+    for k, table in enumerate(run):
         table._receiver_column = dict(zip(singles, cols[k * n : (k + 1) * n]))
         table._first_block = layout.tops
         table.denom_log2 = np.ascontiguousarray(denoms[k])
-    return weak
 
 
 def _margins_log2(

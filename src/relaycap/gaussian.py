@@ -166,9 +166,12 @@ def conditional_mi_bits(
 def _whitened_mi_bits(w: np.ndarray) -> np.ndarray:
     """1/2 log2 det(I + W^T W) of every whitened channel W in a (count,
     rx, tx) stack, factored on the smaller side as ``conditional_mi_bits``
-    says: one matmul, one stacked factorization."""
+    says: one matmul, one stacked factorization. A product past the
+    double range reads inf, silently: ``bounds._cut_rates`` rejects the
+    rate that it gives."""
     wt = w.transpose(0, 2, 1)
-    gram = np.matmul(wt, w) if w.shape[2] <= w.shape[1] else np.matmul(w, wt)
+    with np.errstate(over="ignore"):
+        gram = np.matmul(wt, w) if w.shape[2] <= w.shape[1] else np.matmul(w, wt)
     return 0.5 * _stacked_cholesky_log2_det(np.eye(gram.shape[1]) + gram)
 
 

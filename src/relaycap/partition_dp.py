@@ -1,6 +1,8 @@
-"""The constraint table's subset DP over relay masks, for stacks of tables.
+"""The forall constraint table's subset DP over relay masks, for stacks of
+tables, and the mask bookkeeping that both quantifiers' tables share.
 
-``bounds._ConstraintTable`` states the recurrence and its tie-break. Every
+``bounds._ConstraintTable`` states the recurrence and its tie-break; an
+exists table needs no DP, only ``_dp_layout`` and ``_subset_sums``. Every
 array here indexes relays by canonical mask, the order of
 ``enumeration.subsets``: bit i selects the i-th sorted relay. This module
 holds the mask bookkeeping that depends on the relay count alone
@@ -110,22 +112,20 @@ def _dp_layers(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
 _DP_CHUNK = 1 << 16
 
 
-def _partition_dp(value: np.ndarray, forall: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The subset DP for K tables stacked in rows: ``value`` is (K, 2^n),
-    each table's block values indexed by mask, entry 0 (the empty block)
-    0. Returns each table's rows' extreme totals, summed left to right
-    over their blocks, (K, 2^n - 1), row k for mask k + 1, and each mask's
-    first block, (K, 2^n) (``bounds._ConstraintTable`` states the
-    recurrence).
+def _partition_dp(value: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The forall table's subset DP for K tables stacked in rows: ``value``
+    is (K, 2^n), each table's block values indexed by mask, entry 0 (the
+    empty block) 0. Returns each table's rows' smallest totals, summed
+    left to right over their blocks, (K, 2^n - 1), row k for mask k + 1,
+    and each mask's first block, (K, 2^n) (``bounds._ConstraintTable``
+    states the recurrence).
     Every operation acts on each table alone, so a table's rows are its
     own DP's, whatever it is stacked with."""
     k_tables, size = value.shape
-    # exists maximizes; negating its scores (exact) lets both minimize.
-    score = value if forall else -value
-    # Signed extreme totals and first blocks, by mask: the empty mask and
-    # each singleton are their own block, and every mask of two or more
-    # relays is overwritten by its layer.
-    f = score.copy()
+    # Smallest totals and first blocks, by mask: the empty mask and each
+    # singleton are their own block, and every mask of two or more relays
+    # is overwritten by its layer.
+    f = value.copy()
     first = np.tile(np.arange(size, dtype=np.int32), (k_tables, 1))
     rows = np.arange(k_tables)[:, None]
     for masks, blocks in _dp_layers(size.bit_length() - 1):
@@ -133,7 +133,7 @@ def _partition_dp(value: np.ndarray, forall: bool) -> tuple[np.ndarray, np.ndarr
         for i in range(0, len(masks), step):
             s, block = masks[i : i + step], blocks[i : i + step]
             # A candidate B of S leaves the rest S ^ B.
-            total = score.take(block, axis=1)
+            total = value.take(block, axis=1)
             total += f.take(s[:, None] ^ block, axis=1)
             # The first minimum, as a strict-< scan keeps it; the scan skips
             # a NaN candidate, unless it comes first, where it sticks. Each

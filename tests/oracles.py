@@ -9,9 +9,12 @@ These exist to cross-check the library's production paths through
 completely different algorithms: a Laplace-expansion determinant against
 the Cholesky log-det, the binomial Bell recurrence against the
 restricted-growth-string partition generator, a scan of every
-partition against the constraint table's subset DP, the table's former
-loop build (Python lists, every instance built up front) against its
-array build, the scalar subset DP (one mask and one candidate block at a
+partition against the forall table's subset DP and against the exists
+table's maximum, the forall table's former loop build (Python lists,
+every instance built up front) against its array build, the exists
+table relay by relay (each relay's public ``block_decode_rate`` at its
+first best receiver, each subset's left-to-right sum) against its array
+build, the scalar subset DP (one mask and one candidate block at a
 time, a strict-< scan) against the DP by popcount layer over stacked
 tables, a column-by-column
 sum over a 0/1 membership matrix against the table's doubling subset sums,
@@ -67,6 +70,7 @@ from relaycap.bounds import (
     _lockstep_search,
     _optimize,
     _require_cover,
+    block_decode_rate,
     cut_rate_table,
     optimize_quantization,
     quantized_covariance_det,
@@ -330,14 +334,15 @@ def random_network(rng: np.random.Generator, num_nodes: int):
     return from_gains(nodes, g)
 
 
-def table_by_partition_scan(net, quantifier):
-    """Constraint-table rows by scanning every partition of every nonempty
-    relay subset, Bell(R+1) - 1 of them: ``(denom_log2, instances)``.
-
-    Each block takes its extreme receiver (the first one on ties); each
-    partition's total is the left-to-right sum of its block values; each
-    subset keeps the first partition in restricted-growth order that
-    attains the extreme total. forall minimizes, exists maximizes.
+def partition_candidates_by_scan(net, quantifier):
+    """Every partition of every nonempty relay subset, Bell(R+1) - 1 of
+    them, each block at its extreme receiver (the first one on ties): per
+    subset in canonical order, ``(s, [(partition, assignment, values),
+    ...])`` with the partitions in restricted-growth order and ``values``
+    the blocks' values. forall takes each block's smallest value, exists
+    its largest; a partition's total is the left-to-right sum of its
+    values, and a block's extreme over its receivers gives the extreme
+    total over that partition's assignments.
     """
     relays = net.relay_ids
     candidates = relays + (net.destination_id,)
@@ -356,40 +361,75 @@ def table_by_partition_scan(net, quantifier):
             block_best[block] = val_r
         return block_best[block]
 
-    denoms, instances = [], []
     for s in subsets(relays):
-        if not s:
-            continue
+        if s:
+            found = []
+            for part in partitions(s):
+                values, recv = zip(*map(best_for_block, part))
+                found.append((part, recv, values))
+            yield s, found
+
+
+def table_by_partition_scan(net):
+    """forall constraint-table rows by scanning every partition of every
+    nonempty relay subset: ``(denom_log2, instances)``. Each subset keeps
+    the first partition in restricted-growth order that attains the
+    smallest total."""
+    denoms, instances = [], []
+    for s, found in partition_candidates_by_scan(net, "forall"):
         best = None
-        for part in partitions(s):
+        for part, recv, values in found:
             total = 0.0
-            recv = []
-            for block in part:
-                v, r = best_for_block(block)
+            for v in values:
                 total += v
-                recv.append(r)
-            if best is None or better(total, best[0]):
-                best = (total, ConstraintInstance(s=s, partition=part, assignment=tuple(recv)))
+            if best is None or total < best[0]:
+                best = (total, ConstraintInstance(s=s, partition=part, assignment=recv))
         denoms.append(best[0])
         instances.append(best[1])
     return np.array(denoms), tuple(instances)
 
 
-def constraint_table_by_loops(net, quantifier):
-    """Constraint-table rows by the subset DP over Python lists, building
-    every row's instance: ``(denom_log2, instances)``.
+def exists_table_by_singletons(net):
+    """exists constraint-table rows built relay by relay through the
+    public per-block rate: ``(denom_log2, instances)``. Each relay's value
+    is 2 ``block_decode_rate`` of its singleton block at its first best
+    receiver; each subset's row is the left-to-right sum of its relays'
+    values, and its instance holds every relay alone, each at its best
+    receiver."""
+    relays = net.relay_ids
+    candidates = relays + (net.destination_id,)
+    best = {}
+    for i in relays:
+        for r in candidates:
+            if r != i:
+                v = 2.0 * block_decode_rate(net, (i,), r)
+                if i not in best or v > best[i][0]:
+                    best[i] = (v, r)
+    denoms, instances = [], []
+    for s in subsets(relays):
+        if s:
+            total = 0.0
+            for i in s:
+                total += best[i][0]
+            denoms.append(total)
+            partition = tuple((i,) for i in s)
+            assignment = tuple(best[i][1] for i in s)
+            instances.append(ConstraintInstance(s=s, partition=partition, assignment=assignment))
+    return np.array(denoms), tuple(instances)
+
+
+def constraint_table_by_loops(net):
+    """forall constraint-table rows by the subset DP over Python lists,
+    building every row's instance: ``(denom_log2, instances)``.
 
     Block sums grow relay by relay in DP-mask order (the smallest relay
-    has the highest bit), each block value is the extreme over the
+    has the highest bit), each block value is the smallest over the
     eligible receivers (the first on ties), and each row follows the DP's
     first blocks in canonical order, summing their values left to right.
-    forall minimizes, exists maximizes.
     """
     relays = net.relay_ids
     n = len(relays)
     full = (1 << n) - 1
-    # exists maximizes; negating its scores (exact) lets both minimize.
-    sign = 1.0 if quantifier == "forall" else -1.0
     # DP masks give the smallest relay the highest bit, so a descending
     # submask walk meets candidate blocks in restricted-growth order.
     bit = [1 << (n - 1 - i) for i in range(n)]
@@ -413,23 +453,22 @@ def constraint_table_by_loops(net, quantifier):
             if j < n and m & bit[j]:
                 continue
             v = math.log1p(sums[m][j] / floors[j]) / _LN2
-            if best_v is None or sign * v < sign * best_v:
+            if best_v is None or v < best_v:
                 best_v, best_r = v, r
         assert best_v is not None  # the destination is always eligible
         value.append(best_v)
         receiver.append(best_r)
-    score = [sign * v for v in value]
 
-    f = [0.0] * (full + 1)  # signed extreme totals
+    f = [0.0] * (full + 1)  # smallest totals
     first_block = [0] * (full + 1)
     for s in range(1, full + 1):
         top = 1 << (s.bit_length() - 1)  # the smallest relay of S
         rest = s ^ top
-        best, pick = score[s], s  # B = S comes first
+        best, pick = value[s], s  # B = S comes first
         sub = rest
         while sub:
             sub = (sub - 1) & rest
-            total = score[top | sub] + f[rest ^ sub]
+            total = value[top | sub] + f[rest ^ sub]
             if total < best:
                 best, pick = total, top | sub
         f[s], first_block[s] = best, pick
@@ -453,25 +492,24 @@ def constraint_table_by_loops(net, quantifier):
 
 
 def partition_dp_by_masks(
-    value: list[float], forall: bool, masks: tuple[int, ...]
+    value: list[float], masks: tuple[int, ...]
 ) -> tuple[list[float], list[int]]:
-    """The subset DP over block values indexed by DP mask: every canonical
-    row's extreme total, summed left to right over its blocks, and each DP
-    mask's first block (``_ConstraintTable`` states the recurrence).
-    ``masks`` is the DP mask of each canonical row, its bits reversed."""
+    """The forall subset DP over block values indexed by DP mask: every
+    canonical row's smallest total, summed left to right over its blocks,
+    and each DP mask's first block (``_ConstraintTable`` states the
+    recurrence). ``masks`` is the DP mask of each canonical row, its bits
+    reversed."""
     full = len(value) - 1
-    # exists maximizes; negating its scores (exact) lets both minimize.
-    score = value if forall else [-v for v in value]
-    f = [0.0] * (full + 1)  # signed extreme totals
+    f = [0.0] * (full + 1)  # smallest totals
     first_block = [0] * (full + 1)
     for s in range(1, full + 1):
         top = 1 << (s.bit_length() - 1)  # the smallest relay of S
         rest = s ^ top
-        best, pick = score[s], s  # B = S comes first
+        best, pick = value[s], s  # B = S comes first
         sub = rest
         while sub:
             sub = (sub - 1) & rest
-            total = score[top | sub] + f[rest ^ sub]
+            total = value[top | sub] + f[rest ^ sub]
             if total < best:
                 best, pick = total, top | sub
         f[s], first_block[s] = best, pick

@@ -36,8 +36,10 @@ from oracles import (
     determinant_by_network,
     determinant_lemma_draws,
     determinant_lemma_suite_by_samples,
+    exists_table_by_singletons,
     lockstep_search_by_noise,
     monotonicity_suite_by_samples,
+    partition_candidates_by_scan,
     partition_dp_by_masks,
     partitions,
     push_factors,
@@ -869,6 +871,23 @@ class TestBatchedCutTable:
         with pytest.raises(NotPositiveDefinite, match=re.escape(str(want.value))):
             rc.min_cut_bound(net)
 
+    def test_rate_past_the_double_range_is_rejected_by_name(self):
+        # T = 3, P1 = relay power = 1e10, gains 10, noises 1e-300: every
+        # cut's snr is past the double range, so its computed rate is inf.
+        # The table and each cut's own path name the cut, with no warning.
+        gains = 10.0 * (1.0 - np.eye(3))
+        nodes = [rc.source(1, 1e10), rc.relay(2, 1e10, 1e-300), rc.destination(3, 1e-300)]
+        net = _net(nodes, gains)
+        first = "cut {1}: rate is not finite"
+        for call in (rc.cut_rate_table, rc.min_cut_bound, rc.source_cut_bound):
+            with pytest.raises(NotPositiveDefinite, match=re.escape(first)):
+                call(net)
+        for cut in ({1}, {1, 2}):
+            name = "{" + ",".join(map(str, sorted(cut))) + "}"
+            want = re.escape(f"cut {name}: rate is not finite")
+            with pytest.raises(NotPositiveDefinite, match=want):
+                rc.cut_rate(net, rc.CutSpec(tx_side=frozenset(cut)))
+
 
 def _family_network(kind, rng, t):
     """One network of a family: ``random`` (the library's law),
@@ -1427,16 +1446,15 @@ class TestConstraintTableInternals:
         masks = tuple(int(f"{m:0{n}b}"[::-1], 2) for m in range(2**n))
         for k_tables in (1, 3, 13):
             for value in _dp_value_stacks(rng, n, k_tables):
-                for forall in (True, False):
-                    with np.errstate(invalid="ignore"):  # inf - inf, as the table build runs it
-                        denoms, first = partition_dp._partition_dp(value, forall)
-                    assert denoms.shape == (k_tables, 2**n - 1)
-                    assert first.shape == (k_tables, 2**n)
-                    for row, got_denoms, got_first in zip(value, denoms, first):
-                        reversed_row = row[list(masks)].tolist()
-                        want_denoms, want_first = partition_dp_by_masks(reversed_row, forall, masks)
-                        assert got_denoms.tobytes() == np.array(want_denoms).tobytes()
-                        assert got_first.tolist() == [masks[want_first[m]] for m in masks]
+                with np.errstate(invalid="ignore"):  # inf - inf, as the table build runs it
+                    denoms, first = partition_dp._partition_dp(value)
+                assert denoms.shape == (k_tables, 2**n - 1)
+                assert first.shape == (k_tables, 2**n)
+                for row, got_denoms, got_first in zip(value, denoms, first):
+                    reversed_row = row[list(masks)].tolist()
+                    want_denoms, want_first = partition_dp_by_masks(reversed_row, masks)
+                    assert got_denoms.tobytes() == np.array(want_denoms).tobytes()
+                    assert got_first.tolist() == [masks[want_first[m]] for m in masks]
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_layer_rows_list_candidates_as_partitions_meets_them(self, n):
@@ -1479,13 +1497,12 @@ class TestConstraintTableInternals:
         # it gets alone.
         monkeypatch.setattr(partition_dp, "_DP_CHUNK", 40)
         value = np.concatenate(list(_dp_value_stacks(np.random.default_rng(412), 12, 2)))
-        for forall in (True, False):
-            with np.errstate(invalid="ignore"):  # inf - inf, as the table build runs it
-                denoms, first = partition_dp._partition_dp(value, forall)
-                alone = [partition_dp._partition_dp(row[None], forall) for row in value]
-            for k, (want_denoms, want_first) in enumerate(alone):
-                assert denoms[k].tobytes() == want_denoms[0].tobytes()
-                assert first[k].tobytes() == want_first[0].tobytes()
+        with np.errstate(invalid="ignore"):  # inf - inf, as the table build runs it
+            denoms, first = partition_dp._partition_dp(value)
+            alone = [partition_dp._partition_dp(row[None]) for row in value]
+        for k, (want_denoms, want_first) in enumerate(alone):
+            assert denoms[k].tobytes() == want_denoms[0].tobytes()
+            assert first[k].tobytes() == want_first[0].tobytes()
 
     @pytest.mark.parametrize("n", range(11))
     def test_layout_member_is_the_canonical_subset_order(self, n):
@@ -1609,11 +1626,17 @@ def _scale_powers_and_noises(net, c):
 class TestConstraintTableDP:
     @pytest.mark.parametrize("net", _dp_cases())
     def test_matches_partition_scan_exactly(self, net):
-        for quantifier in ("forall", "exists"):
-            table = _ConstraintTable(net, quantifier)
-            denoms, instances = table_by_partition_scan(net, quantifier)
-            assert np.array_equal(table.denom_log2, denoms)
-            assert table.instances == instances
+        # forall against the scan of every partition; exists, whose
+        # maximum the theorem test below checks against that scan, against
+        # its sum of singletons.
+        forall = _ConstraintTable(net, "forall")
+        denoms, instances = table_by_partition_scan(net)
+        assert np.array_equal(forall.denom_log2, denoms)
+        assert forall.instances == instances
+        exists = _ConstraintTable(net, "exists")
+        denoms, instances = exists_table_by_singletons(net)
+        assert exists.denom_log2.tobytes() == denoms.tobytes()
+        assert exists.instances == instances
 
     def test_no_partition_scan_past_the_guard(self):
         # The library has no partition generator to scan with: it lives
@@ -1654,7 +1677,7 @@ class TestConstraintTableDP:
         # two blocks decoded at one receiver.
         net = _asymmetric_network(np.random.default_rng(seed), t)
         table = _ConstraintTable(net, "forall")
-        denoms, instances = table_by_partition_scan(net, "forall")
+        denoms, instances = table_by_partition_scan(net)
         assert np.array_equal(table.denom_log2, denoms)
         assert table.instances == instances
         for inst in table.instances:
@@ -1680,6 +1703,24 @@ def _huge_relay_power_network():
     """T = 4, unit gains and noises, P1 = 1, relay powers 1e308: each
     singleton block's sum is finite, the merged block's overflows to inf."""
     return _equal_gain_network(4, lambda j: 1e308)
+
+
+def _overflowing_relay_network():
+    """T = 4, gains 10, unit noises, P1 = 1, relay powers 1e308 and 1:
+    relay 2's own term overflows to inf at every receiver, so every row
+    holding it reads inf under either quantifier."""
+    gains = np.full((4, 4), 10.0)
+    np.fill_diagonal(gains, 0.0)
+    nodes = [rc.source(1, 1.0), rc.relay(2, 1e308, 1.0), rc.relay(3, 1.0, 1.0)]
+    return _net(nodes + [rc.destination(4, 1.0)], gains)
+
+
+def _reference_table(net, quantifier):
+    """The oracle rows of a table: the loop-built DP under forall, the
+    relay-by-relay sum of singletons under exists."""
+    if quantifier == "forall":
+        return constraint_table_by_loops(net)
+    return exists_table_by_singletons(net)
 
 
 def _array_build_cases():
@@ -1740,15 +1781,48 @@ def _near_tie_forall_network():
     return _net(nodes + [rc.destination(4, 1.0)], gains)
 
 
-def _guard_cases():
-    """Networks whose exists table the singleton guard must send to the
-    DP: one weak relay, every relay weak, block sums that overflow."""
+def _weak_cases():
+    """Networks on which the exists DP, were it run, would keep merged
+    blocks: one weak relay, every relay weak, block sums that overflow."""
     net = random_network(np.random.default_rng(0), 6)
     for p in (1e-300, 1e-17, 1e-12, 1e-8):
         weak = _repowered(net, lambda j, p=p: p if j == 3 else net.nodes[j - 1].power)
         yield pytest.param(weak, id=f"relay-3-at-{p:g}-T6")
     yield pytest.param(_repowered(net, lambda j: 1e-20), id="all-weak-T6")
     yield pytest.param(_repowered(net, lambda j: 1e308), id="relay-powers-1e308-T6")
+
+
+def _exists_family_network(data, max_nodes=8):
+    """A network for the exists tests, drawn by hypothesis: random
+    (``random_network``), unit gains with relay powers from a few levels,
+    or symmetric gains from a few levels with equal relay powers; then
+    each relay's power kept, set to 0, weakened by a factor
+    1e-8..1e-300, or set to 1e308."""
+
+    def levels(values, count):
+        return data.draw(st.lists(st.sampled_from(values), min_size=count, max_size=count))
+
+    t = data.draw(st.integers(2, max_nodes))
+    base = data.draw(st.sampled_from(["random", "unit-gains", "level-gains"]))
+    if base == "random":
+        net = random_network(np.random.default_rng(data.draw(st.integers(0, 2**16))), t)
+    elif base == "unit-gains":
+        powers = levels([1.0, 10.0, 100.0], t)
+        net = _equal_gain_network(t, lambda j: powers[j - 1])
+    else:
+        gains = np.triu(np.reshape(levels([0.5, 1.0, 2.0], t * t), (t, t)))
+        gains += np.triu(gains, 1).T
+        net = _net(_equal_gain_network(t, lambda j: 10.0).nodes, gains)
+    change = levels(["keep", "zero", "weaken", "huge"], t)
+    weaken = data.draw(st.lists(st.integers(8, 300), min_size=t, max_size=t))
+
+    def power(j):
+        p = net.nodes[j - 1].power
+        return {"keep": p, "zero": 0.0, "weaken": p * 10.0 ** -weaken[j - 1], "huge": 1e308}[
+            change[j - 1]
+        ]
+
+    return _repowered(net, power)
 
 
 def _count_dp_runs(monkeypatch):
@@ -1765,14 +1839,15 @@ def _count_dp_runs(monkeypatch):
 
 
 class TestConstraintTableArrays:
-    """The array build against the loop build it replaced
-    (``constraint_table_by_loops``), and the rows that build instances."""
+    """The array build against its references (``_reference_table``: the
+    forall loop build it replaced, the exists sum of singletons), and the
+    rows that build instances."""
 
     @pytest.mark.parametrize("net", _array_build_cases())
     def test_matches_loop_build_bitwise(self, net):
         for quantifier in ("forall", "exists"):
             table = _ConstraintTable(net, quantifier, override_guard=True)
-            denoms, instances = constraint_table_by_loops(net, quantifier)
+            denoms, instances = _reference_table(net, quantifier)
             assert table.denom_log2.tobytes() == denoms.tobytes()
             assert table.instances == instances
             assert tuple(map(table.instance, range(len(denoms)))) == instances
@@ -1789,30 +1864,35 @@ class TestConstraintTableArrays:
                 assert _ConstraintTable(net, quantifier).feasible(np.array(q.values))
         assert forall.denom_log2.tolist() == [single, single, single + single]
         assert forall.instance(2).partition == ((2,), (3,))
-        assert exists.denom_log2.tolist() == [single, single, math.inf]
-        assert exists.instance(2).partition == ((2, 3),)
+        # The exact exists maximum is the finite singleton sum, 2044.3 bits;
+        # the merged block's overflowed sum plays no part.
+        assert exists.denom_log2.tolist() == [single, single, single + single]
+        assert single + single == 2044.3077064506151
+        assert exists.instance(2).partition == ((2,), (3,))
 
-    def test_overflowed_denominator_holds_at_every_q(self):
-        # Its row reads inf even where N/Q overflows too, which inf - inf
-        # read as NaN; a NaN denominator still reads NaN, and a finite one
-        # whose cost overflowed reads far below 0.
-        table = _ConstraintTable(_huge_relay_power_network(), "exists")
-        far_below = table.denom_log2[0] - sys.float_info.max
+    @pytest.mark.parametrize("quantifier", ["forall", "exists"])
+    def test_overflowed_denominator_holds_at_every_q(self, quantifier):
+        # A row over relay 2's overflowed term reads inf even where N/Q
+        # overflows too, which inf - inf read as NaN; a NaN denominator
+        # still reads NaN, and a finite one whose cost overflowed reads far
+        # below 0.
+        table = _ConstraintTable(_overflowing_relay_network(), quantifier)
+        assert table.denom_log2[[0, 2]].tolist() == [math.inf, math.inf]
+        far_below = table.denom_log2[1] - sys.float_info.max
         with np.errstate(over="ignore"):
             margins = table.margins_log2(np.full(2, 5e-324))
-            assert margins.tolist() == [far_below, far_below, math.inf]
+            assert margins.tolist() == [math.inf, far_below, math.inf]
             for q in (1e-320, 1e-300, 1.0, 1e300, sys.float_info.max):
-                assert table.margins_log2(np.full(2, q))[2] == math.inf
+                assert table.margins_log2(np.full(2, q))[[0, 2]].tolist() == [math.inf] * 2
             denoms = np.array([math.nan, math.inf, 1.0])
             got = bounds._margins_log2(denoms, table.noise, table.lam, table.p1, np.full(2, 5e-324))
         assert math.isnan(got[0]) and got[1:].tolist() == [math.inf, 1.0 - sys.float_info.max]
 
     def test_mixed_batch_builds_each_table_as_alone(self, monkeypatch):
-        # Relay counts 0..10 in one call, with the guarded networks, the
-        # overflowing one and tied ones among generic networks: under
-        # exists, the generic T = 6 tables are singleton sums next to the
-        # guarded T = 6 tables' DP columns.
-        nets = [param.values[0] for param in _guard_cases()]
+        # Relay counts 0..10 in one call, with the weak networks, the
+        # overflowing one and tied ones among generic networks: every
+        # exists table is a sum of singletons, with no DP run.
+        nets = [param.values[0] for param in _weak_cases()]
         nets += [_huge_relay_power_network(), _equal_gain_network(6, lambda j: 10.0)]
         for t in (2, 3, 4, 6, 9, 12):
             nets += [random_network(np.random.default_rng(s), t) for s in (0, 1)]
@@ -1824,17 +1904,17 @@ class TestConstraintTableArrays:
             batch = bounds._constraint_tables(
                 [net._arrays for net in nets], quantifier, override_guard=True
             )
-            stacks = sorted(value.shape for value, _ in runs)
+            stacks = sorted(value.shape for (value,) in runs)
             if quantifier == "forall":
                 assert stacks == [(1, 32), (2, 1), (2, 2), (2, 128), (2, 1024), (3, 4), (9, 16)]
             else:
-                assert stacks == [(1, 4), (1, 32), (6, 16)]
+                assert stacks == []
             for net, table in zip(nets, batch):
                 alone = _ConstraintTable(net, quantifier, override_guard=True)
                 assert table.denom_log2.tobytes() == alone.denom_log2.tobytes()
                 assert table.instances == alone.instances
                 with np.errstate(over="ignore"):  # lambda_ir P_i -> inf, as in the table
-                    denoms, instances = constraint_table_by_loops(net, quantifier)
+                    denoms, instances = _reference_table(net, quantifier)
                 assert table.denom_log2.tobytes() == denoms.tobytes()
                 assert table.instances == instances
 
@@ -1860,7 +1940,7 @@ class TestConstraintTableArrays:
         for quantifier in ("forall", "exists"):
             tables = bounds._constraint_tables([net._arrays for net in nets], quantifier)
             for net, table in zip(nets, tables):
-                denoms, instances = constraint_table_by_loops(net, quantifier)
+                denoms, instances = _reference_table(net, quantifier)
                 assert table.denom_log2.tobytes() == denoms.tobytes()
                 assert table.instances == instances
 
@@ -1941,7 +2021,7 @@ class TestConstraintTableArrays:
     )
     def test_infeasible_names_the_first_blocked_subset(self, monkeypatch, net):
         for quantifier in ("forall", "exists"):
-            denoms, instances = constraint_table_by_loops(net, quantifier)
+            denoms, instances = _reference_table(net, quantifier)
             first = next(inst.s for inst, d in zip(instances, denoms) if not d > 0.0)
             built = _count_instances(monkeypatch)
             with pytest.raises(Infeasible) as err:
@@ -1965,17 +2045,17 @@ class TestConstraintTableArrays:
         (builds,) = calls
         assert len(builds) == len({id(net) for net in builds}) == 20
 
-    @pytest.mark.parametrize("net", list(_guard_cases()))
-    def test_guarded_networks_run_the_dp_and_match_loop_build_bitwise(self, monkeypatch, net):
+    @pytest.mark.parametrize("net", list(_weak_cases()))
+    def test_weak_networks_run_the_dp_for_forall_only(self, monkeypatch, net):
         runs = _count_dp_runs(monkeypatch)
         for quantifier in ("forall", "exists"):
             runs.clear()
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 table = _ConstraintTable(net, quantifier)
-            assert len(runs) == 1
+            assert len(runs) == (1 if quantifier == "forall" else 0)
             with np.errstate(over="ignore"):  # lambda_ir P_i -> inf, as in the table
-                denoms, instances = constraint_table_by_loops(net, quantifier)
+                denoms, instances = _reference_table(net, quantifier)
             assert table.denom_log2.tobytes() == denoms.tobytes()
             assert table.instances == instances
 
@@ -1988,7 +2068,7 @@ class TestConstraintTableArrays:
         assert math.log1p(above) == math.log1p(at)
         for quantifier in ("forall", "exists"):
             table = _ConstraintTable(net, quantifier)
-            denoms, instances = constraint_table_by_loops(net, quantifier)
+            denoms, instances = _reference_table(net, quantifier)
             assert table.denom_log2.tobytes() == denoms.tobytes()
             assert table.instances == instances
             assert table.instance(0).assignment == (3,)
@@ -2002,12 +2082,71 @@ class TestConstraintTableArrays:
             for s in range(3):
                 net = random_network(np.random.default_rng(s), t)
                 table = _ConstraintTable(net, "exists", override_guard=True)
-                denoms, instances = constraint_table_by_loops(net, "exists")
+                denoms, instances = exists_table_by_singletons(net)
                 assert table.denom_log2.tobytes() == denoms.tobytes()
                 assert table.instances == instances
                 if t > 2:
                     with pytest.raises(AssertionError, match="must not run"):
                         _ConstraintTable(net, "forall", override_guard=True)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_exists_tables_are_the_singleton_reference_bitwise(self, data):
+        # One to three networks in one stack, each random or with tied
+        # gains or tied powers, and each relay's power kept, zeroed,
+        # weakened by 1e-8..1e-300 or raised to 1e308 (block sums, and
+        # some relays' own terms, overflow). No build runs the DP.
+        nets = [_exists_family_network(data) for _ in range(data.draw(st.integers(1, 3)))]
+
+        def refuse(*args):
+            raise AssertionError("the exists table must not run the subset DP")
+
+        with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            patch.setattr(bounds, "_partition_dp", refuse)
+            tables = bounds._constraint_tables([net._arrays for net in nets], "exists")
+        for net, table in zip(nets, tables):
+            denoms, instances = exists_table_by_singletons(net)
+            assert table.denom_log2.tobytes() == denoms.tobytes()
+            assert table.instances == instances
+            assert tuple(map(table.instance, range(len(denoms)))) == instances
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_exists_rows_are_the_partition_scans_maximum(self, data):
+        # The theorem against every partition of every subset: the row is
+        # the scan's own all-singletons candidate (its last), bit for bit,
+        # and no candidate beats it by more than rounding. A block value
+        # errs by a few ulps of itself plus |B| ulps of its snr (the sum
+        # and the division), at most |B| 2^-53 / ln 2 bits since log1p's
+        # slope is below 1; a left-to-right sum of at most R values adds
+        # R ulps of the total. So each computed total is within
+        # (R + 3) 2^-52 (1 + total) of its exact value, and the exact
+        # candidate total is at most the row's: a margin of twice that,
+        # (R + 3) 2^-50 (1 + row), is generous. A candidate reads inf over
+        # a finite row only where a merged block's sum overflowed (every
+        # relay's own snrs are finite there); that one is exempt.
+        net = _exists_family_network(data, max_nodes=7)
+        table = _ConstraintTable(net, "exists")
+        r = len(net.relay_ids)
+        scans = list(partition_candidates_by_scan(net, "exists"))
+        for row, inst, (s, found) in zip(table.denom_log2.tolist(), table.instances, scans):
+            assert inst.s == s
+            part, recv, values = found[-1]
+            assert part == tuple((i,) for i in s)
+            assert (part, recv) == (inst.partition, inst.assignment)
+            total = 0.0
+            for v in values:
+                total += v
+            assert total.hex() == row.hex()
+            tol = (r + 3) * 2.0**-50 * (1.0 + abs(row))
+            for part, recv, values in found:
+                total = 0.0
+                for v in values:
+                    total += v
+                if math.isinf(total) and math.isfinite(row):
+                    continue
+                assert total <= row + tol, (part, recv, total, row)
 
 
 #: The suites' default seeds, and two large seed bumps like the benchmark's.

@@ -273,15 +273,15 @@ class TestExitCodes:
             ),
             pytest.param(
                 _extreme_doc(1e10, [(1e10, 1e-300)], 1e-300, 10.0),
-                {"bound": 0, "cfrate": ValueError, "sweep": 1},
+                {"bound": 2, "cfrate": 2, "sweep": 2},
                 id="tiny-noise-gain-10-T3",
             ),
         ],
     )
     def test_extreme_snr_exits_stand(self, tmp_path, doc, exits):
         # Every uniform search here ends. A cut that cannot be factored
-        # exits 2 (see the next test); the NaN gap past the double range is
-        # pinned as it stands until it gets a clear error of its own.
+        # exits 2 (see the next test), and so does a cut rate past the
+        # double range (the test after it).
         cfg = _write(tmp_path, "extreme.json", doc)
         for argv in (
             ["bound"],
@@ -313,6 +313,20 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == (
             "numerical error: cut {1,2}: pivot 0.000000e+00 is <= epsilon 1e-12; "
+            "the network's SNR is past double precision\n"
+        )
+
+    @pytest.mark.parametrize("command", ["bound", "cfrate", "sweep"])
+    def test_rate_past_the_double_range_exits_2(self, tmp_path, capsys, command):
+        # tiny-noise-gain-10-T3: P1 = relay power = 1e10, gains 10, noises
+        # 1e-300. The source cut's snr overflows to inf; the run prints one
+        # line and no warning (pytest turns a warning into an error).
+        cfg = _write(tmp_path, "extreme.json", _extreme_doc(1e10, [(1e10, 1e-300)], 1e-300, 10.0))
+        assert cli.main([command, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "numerical error: cut {1}: rate is not finite; "
             "the network's SNR is past double precision\n"
         )
 

@@ -60,10 +60,10 @@ gammas [1, 1e300], whose ``cfrate`` finds no finite Q (exit 4) and whose
 sweep gives one infeasible row and then one feasible row. The T = 6
 network ``oracles.random_network(default_rng(0), 6)`` draws, with relay 3
 at power 1e-17, and again with every relay at power 1e-20, runs ``cfrate
---top-k 1000`` under both quantifiers: its relays are too weak for the
-exists table to be a sum of singletons, so every printed witness shows
-whether a change keeps the subset DP's tie-break there. A random T = 14
-network runs ``cfrate`` (uniform, forall and exists) under
+--top-k 1000`` under both quantifiers: merged and split blocks tie or
+nearly tie there, so every printed witness shows whether a change keeps
+the forall DP's tie-break and the exists table's singleton witnesses. A
+random T = 14 network runs ``cfrate`` (uniform, forall and exists) under
 ``--override-guard``: with 12 relays, its tables have the corpus's widest
 subset-DP layers. Two more networks run ``cfrate --mode uniform --top-k
 1000`` under both quantifiers and ``--override-guard``: a tied-power
@@ -333,8 +333,8 @@ def overflow_sweep() -> tuple[str, dict]:
 def weak_relays() -> list[tuple[str, dict]]:
     """(name, config) pairs of the network that
     ``oracles.random_network(np.random.default_rng(0), 6)`` builds, with
-    relay 3 at power 1e-17, and with every relay at power 1e-20: relays too
-    weak for the exists table to be a sum of singletons."""
+    relay 3 at power 1e-17, and with every relay at power 1e-20: relays
+    weak enough that merged and split blocks tie or nearly tie."""
     docs = []
     for name, power in (
         ("weak-relay-3-T6", {3: 1e-17}),
