@@ -788,7 +788,16 @@ def _margins_log2(
     # form is exact there. The factorized determinant itself is checked
     # against this identity by the determinant-lemma suite.
     terms = np.array([np.log1p(noise / q_values), lam / (noise + q_values)])
-    shrink, reach = _subset_sums(terms.swapaxes(0, 1))[1:].swapaxes(0, 1)
+    return _cost_margins(denom_log2, p1, *_subset_sums(terms.swapaxes(0, 1))[1:].swapaxes(0, 1))
+
+
+def _cost_margins(
+    denom_log2: np.ndarray, p1: float | np.ndarray, shrink: np.ndarray, reach: np.ndarray
+) -> np.ndarray:
+    """The margins from a subset's two sums, sum log1p(N/Q) and
+    sum lam/(N + Q): the one elementwise rule of ``_margins_log2``, the
+    search's full pass (``_pass_margins``) and its window
+    (``_row_margins``)."""
     cost = (shrink + np.log1p(p1 * reach)) / _LN2
     # A cost past the largest double reads as that double, so an inf
     # denominator keeps its inf where inf - inf would read NaN.
@@ -877,6 +886,56 @@ def _feasible(tables: list[_ConstraintTable], qs: list) -> list[bool]:
 #: Newton steps a search takes at most before it walks the ulps.
 _NEWTON_PASSES = 64
 
+#: The ulp window's half width: a column whose Newton proposal lies within
+#: this many ulps of its point has the 2 * _WINDOW + 1 consecutive doubles
+#: around the proposal evaluated on its binding row (``_lockstep_search``).
+_WINDOW = 8
+
+
+def _pass_margins(
+    denom_log2: np.ndarray, noise: np.ndarray, lam: np.ndarray, p1: np.ndarray, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One full pass of ``_lockstep_search`` at each column's uniform
+    Q = x: every row's margins, bit for bit ``_margins_log2``'s, and every
+    row's three Newton-slope sums, sum lam/(N+x), sum N/(N+x) and
+    sum lam x/(N+x)^2, as (2^R - 1, 3, K). The four per-relay terms are
+    summed in one ``_subset_sums`` doubling: log1p(N/x) and lam/(N+x),
+    the margin's terms, then the slope's other two. Each relay's terms
+    lie together, so each doubling step is one loop over every term of
+    every column per subset."""
+    terms = np.empty((len(noise), 4) + noise.shape[1:])
+    shrink, share, near, source = terms.swapaxes(0, 1)
+    total = noise + x
+    np.log1p(np.divide(noise, x, out=shrink), out=shrink)
+    np.divide(lam, total, out=share)
+    np.divide(noise, total, out=near)
+    np.multiply(share, np.divide(x, total, out=source), out=source)
+    sums = _subset_sums(terms)[1:]
+    return _cost_margins(denom_log2, p1, sums[:, 0], sums[:, 1]), sums[:, 1:]
+
+
+def _row_margins(
+    denom_log2: np.ndarray,
+    noise: np.ndarray,
+    lam: np.ndarray,
+    p1: np.ndarray,
+    member: np.ndarray,
+    points: np.ndarray,
+) -> np.ndarray:
+    """Each column's margins on one row at W points, (K, W): column k's
+    row has the denominator ``denom_log2[k]`` and the relays
+    ``member[:, k]`` (R, K), and ``points`` is (K, W). The full pass's
+    elementwise operations, with each row's sums taken over its relays
+    left to right (a relay outside the row adds 0.0, which changes no
+    sum), so every margin is bit for bit that row's in a full pass at
+    that point."""
+    n = noise[..., None]
+    terms = np.empty((2,) + n.shape[:2] + points.shape[-1:])
+    np.log1p(np.divide(n, points, out=terms[0]), out=terms[0])
+    np.divide(lam[..., None], np.add(n, points, out=terms[1]), out=terms[1])
+    shrink, reach = np.where(member[..., None], terms, 0.0).cumsum(axis=1)[:, -1]
+    return _cost_margins(denom_log2[:, None], p1[:, None], shrink, reach)
+
 
 def _lockstep_search(
     denom_log2: np.ndarray, noise: np.ndarray, lam: np.ndarray, p1: np.ndarray, x: np.ndarray
@@ -891,45 +950,96 @@ def _lockstep_search(
 
     Each column brackets its answer in the doubles' order, between the
     largest point seen rejected (0.0 at first) and the smallest accepted
-    (inf). Each pass evaluates the margins once, inside every open
-    bracket, and moves one end; a closed bracket's point stays on its ends.
-    The point is a Newton step in u = ln x on the smallest margin until a
-    step leaves the bracket or ``_NEWTON_PASSES`` are made, then a gallop
-    from the last point, 1, 2, 4, ... ulps, then halving (63 + 62 passes
-    at most: the bracket is under 2^63 ulps). Each operation acts on each
-    column alone (sums over relays run left to right): a column's answer
-    is its table's searched alone.
+    (inf). Each full pass (``_pass_margins``) evaluates every row's
+    margins once, inside every open bracket, and moves one end; a closed
+    bracket's point stays on its ends. The point is a Newton step in
+    u = ln x on the smallest margin, its slope read from the pass's sums
+    at the argmin row, until a step leaves the bracket or
+    ``_NEWTON_PASSES`` are made, then a gallop from the last point, 1, 2,
+    4, ... ulps, then halving (62 + 63 passes at most: the bracket is
+    under 2^63 ulps).
+
+    The ulp tail takes one window. A column whose Newton proposal lies
+    within ``_WINDOW`` ulps of its point (before ``_NEWTON_PASSES``) has
+    its 2 * _WINDOW + 1 consecutive doubles centred on the proposal,
+    clipped into its open bracket, evaluated on the pass's argmin row
+    alone (``_row_margins``, each margin bit for bit the row's full-pass
+    one). A point that one row rejects is one that the table rejects,
+    whose smallest margin is at most that row's (or NaN), so the largest
+    rejected point becomes the bracket's low end. A bracket that this
+    closes is done: its high end was accepted by a full pass. Otherwise
+    the next full pass evaluates the point just above the low end, where
+    a rejection resumes Newton from the row that rejected it; or, where
+    the row rejected nothing, the point just below the window, and a
+    column whose windows keep rejecting nothing gallops down from them,
+    2, 4, ... ulps below. Every answer is a transition that full passes
+    and row rejections have shown, and under the monotone-verdict premise
+    the same one.
+
+    Each operation acts on each column alone (sums over relays run left
+    to right; each column's window follows its own proposal): a column's
+    answer and its points are its table's searched alone, and a stacked
+    run lasts as long as its longest search.
     """
     k = len(x)
+    cols = np.arange(k)
     member = _dp_layout(len(noise)).member[1:]
+    window = np.arange(2 * _WINDOW + 1)
     lo, hi = np.zeros(k, dtype=np.int64), np.full(k, math.inf).view(np.int64)
     step, newton = np.ones(k, dtype=np.int64), np.ones(k, dtype=bool)
-    for passes in range(1, _NEWTON_PASSES + 126):
-        margins = _margins_log2(denom_log2, noise, lam, p1, x)
-        row, low = margins.argmin(axis=0), margins.min(axis=0)
-        ok, bits = low >= 0.0, x.view(np.int64)
-        hi, lo = np.where(ok, bits, hi), np.where(ok, lo, bits)
-        width = hi - lo
-        if width.max() == 1:
-            return hi.view(np.float64)
-        # The u-slope of row S's ln2 * margin, c - sum_S ln(1 + N_i/x) -
-        # ln(1 + P1 sum_S lam_i/(N_i+x)). The step only proposes a point,
-        # clamped to the doubles.
-        with np.errstate(all="ignore"):
-            total = noise + x
-            share = lam / total
-            terms = np.stack([noise / total, share * (x / total), share]) * member[row].T
-            near, source, reach = np.cumsum(terms, axis=1)[:, -1]
-            slope = near + source / (1.0 / p1 + reach)
-            guess = np.clip(x * np.exp(low * -_LN2 / slope), 5e-324, sys.float_info.max)
-        guess = guess.view(np.int64)
-        newton &= (lo < guess) & (guess < hi) & (passes < _NEWTON_PASSES)
-        # The point just seen is an end of its bracket: gallop from it, or
-        # halve the bracket once the gallop step would leave it.
-        ulps = np.where(step < width, step, width >> 1)
-        walk = np.where(ok, hi - ulps, lo + ulps)
-        step = np.where(newton, step, 2 * np.minimum(step, 1 << 61))
-        x = np.where(newton, guess, walk).view(np.float64)
+    # N + x -> inf, N/x -> inf and 0 * inf, silently: _margins_log2's
+    # reading of them, and the step only proposes a point.
+    with np.errstate(all="ignore"):
+        inverse = 1.0 / p1
+        for passes in range(1, _NEWTON_PASSES + 126):
+            margins, slopes = _pass_margins(denom_log2, noise, lam, p1, x)
+            row = margins.argmin(axis=0)
+            low = margins[row, cols]
+            ok, bits = low >= 0.0, x.view(np.int64)
+            hi, lo = np.where(ok, bits, hi), np.where(ok, lo, bits)
+            width = hi - lo
+            if width.max() == 1:
+                return hi.view(np.float64)
+            # The u-slope of row S's ln2 * margin, c - sum_S ln(1 + N_i/x) -
+            # ln(1 + P1 sum_S lam_i/(N_i+x)). The step only proposes a point,
+            # clamped to the doubles.
+            reach, near, source = slopes[row, :, cols].T
+            guess = x * np.exp(low * -_LN2 / (near + source / (inverse + reach)))
+            guess = np.minimum(np.maximum(guess, 5e-324), sys.float_info.max).view(np.int64)
+            newton &= (lo < guess) & (guess < hi) & (passes < _NEWTON_PASSES)
+            if newton.all():
+                x = guess
+            else:
+                # The point just seen is an end of its bracket: gallop from
+                # it, or halve the bracket once the gallop step would leave it.
+                ulps = np.where(step < width, step, width >> 1)
+                x = np.where(newton, guess, np.where(ok, hi - ulps, lo + ulps))
+                step = np.where(newton, step, 2 * np.minimum(step, 1 << 61))
+            near = np.flatnonzero((np.abs(guess - bits) <= _WINDOW) & (width > 1))
+            if near.size and passes < _NEWTON_PASSES:
+                end, at = lo[near], row[near]
+                start = np.minimum(guess[near] - _WINDOW, hi[near] - window[-1] - 1)
+                start = np.maximum(start, end + 1)
+                points = np.minimum(start[:, None] + window, hi[near, None] - 1)
+                held = _row_margins(
+                    denom_log2[at, near],
+                    noise[:, near],
+                    lam[:, near],
+                    p1[near],
+                    member[at].T,
+                    points.view(np.float64),
+                )
+                end = np.maximum(end, np.where(held >= 0.0, end[:, None], points).max(axis=1))
+                lo[near] = end
+                if (hi - lo).max() == 1:
+                    return hi.view(np.float64)
+                # Just past the largest rejected point; or, where the row
+                # rejected nothing, a gallop down from the window.
+                gap, ulps = start - end, step[near]
+                x[near] = np.maximum(end + 1, start - np.where(ulps < gap, ulps, gap >> 1))
+                step[near] = np.where(gap > 0, 2 * np.minimum(ulps, 1 << 61), 1)
+                newton[near] = True
+            x = x.view(np.float64)
     raise AssertionError("a uniform search overran its pass bound")
 
 

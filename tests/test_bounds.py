@@ -2274,15 +2274,15 @@ class TestBatchedSuites:
         # One call decides every network; inside it, each relay count's
         # run stacks its denominators once.
         calls, stacks = [], {}
-        real, real_margins = selftest._uniform_optima, bounds._margins_log2
+        real, real_margins = selftest._uniform_optima, bounds._pass_margins
 
         def counting(tables):
             calls.append(len(tables))
-            monkeypatch.setattr(bounds, "_margins_log2", margins)
+            monkeypatch.setattr(bounds, "_pass_margins", margins)
             try:
                 return real(tables)
             finally:
-                monkeypatch.setattr(bounds, "_margins_log2", real_margins)
+                monkeypatch.setattr(bounds, "_pass_margins", real_margins)
 
         def margins(denom, *args):
             stacks[id(denom)] = denom
@@ -3292,19 +3292,20 @@ class TestLockstepFrontiers:
 
     @staticmethod
     def _counting_margins(monkeypatch):
-        """Patch ``bounds._margins_log2`` to record each call's arguments."""
+        """Patch ``bounds._pass_margins``, a search's full pass, to record
+        each call's arguments."""
         calls = []
-        real = bounds._margins_log2
+        real = bounds._pass_margins
 
         def counting(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(bounds, "_margins_log2", counting)
+        monkeypatch.setattr(bounds, "_pass_margins", counting)
         return calls
 
     def _passes(self, monkeypatch, tables):
-        """The margin passes of one ``_uniform_optima`` call."""
+        """The full margin passes of one ``_uniform_optima`` call."""
         with monkeypatch.context() as patch:
             calls = self._counting_margins(patch)
             bounds._uniform_optima(tables)
