@@ -66,7 +66,6 @@ from .topology import (
     PathLossParams,
     from_gains,
     from_geometry,
-    validate,
 )
 
 _NODE_KEYS = {"id", "role", "position", "power", "power_db", "noise", "noise_db"}
@@ -121,7 +120,7 @@ def _linear_field(entry: dict, base: str, node_id: object) -> float | None:
 
 def _node_from_entry(entry: object, index: int) -> NodeSpec:
     """One node from its config entry. Roles, ids, and which of power and
-    noise a role needs are checked by NodeSpec and ``validate``."""
+    noise a role needs are checked by NodeSpec and ``topology.validate``."""
     if not isinstance(entry, dict):
         raise ConfigError(f"nodes[{index}] must be an object")
     unknown = set(entry) - _NODE_KEYS
@@ -180,9 +179,12 @@ def network_from_config(doc: dict) -> NetworkSpec:
             net = from_geometry(nodes, params)
         except (ValueError, DimensionMismatch) as exc:
             raise ConfigError(str(exc)) from exc
-    problems = validate(net)
-    if problems:
-        raise ConfigError("invalid network: " + "; ".join(problems))
+    # The library's read validates the network once and caches its arrays;
+    # its ValueError lists every problem.
+    try:
+        net._arrays
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return net
 
 

@@ -5,10 +5,12 @@ logs of its pivots, under one pivot rule: a pivot at or below
 ``PD_EPSILON`` (or NaN) rejects the matrix as not positive definite. Two
 kernels compute pivots, each vectorized over a stack:
 
-- ``_stacked_cholesky_log2_det`` factors a stack of equal-sized symmetric
+- ``_stacked_cholesky_pivots`` factors a stack of equal-sized symmetric
   positive-definite matrices by Cholesky, with each step vectorized over
   the stack; a single matrix is a stack of one, and it raises at the
-  first failing pivot. ``log2_det`` is its one checked entry point: it
+  first failing pivot. ``_stacked_cholesky_log2_det`` sums each matrix's
+  pivot logs; ``conditional_covariance``'s gate needs only the verdict,
+  and takes no log. ``log2_det`` is the one checked entry point: it
   also rejects a matrix that is not square, is empty, or is asymmetric
   beyond ``SYMMETRY_ATOL``. The library's own callers construct their
   matrices exactly symmetric and call the kernel directly.
@@ -68,23 +70,24 @@ def _pivot_failure(pivot: float, k: int) -> NotPositiveDefinite:
     return NotPositiveDefinite(f"pivot {pivot:.6e} at index {k} is <= epsilon {PD_EPSILON:g}")
 
 
-def _stacked_cholesky_log2_det(stack: np.ndarray) -> np.ndarray:
-    """Sum of the base-2 logs of the Cholesky pivots of every matrix in a
-    (count, n, n) stack; each matrix must be exactly symmetric, as the
-    library's callers construct it.
+def _stacked_cholesky_pivots(stack: np.ndarray) -> np.ndarray:
+    """The Cholesky pivots of every matrix in a (count, n, n) stack, as
+    (n, count): row k holds every matrix's pivot k. Each matrix must be
+    exactly symmetric, as the library's callers construct it.
 
     Step k runs once for the whole stack. Pivot k is a[k,k] minus the
-    accumulated squared row of the factor, and its log is taken with
-    ``math.log2`` rather than ``np.log2``, whose last bit can differ.
+    accumulated squared row of the factor.
 
     Raises NotPositiveDefinite at the first step where a pivot is
     <= PD_EPSILON (or NaN), naming the lowest-index matrix that fails
     there; the error's ``index`` is that matrix's position in the stack.
+    ``conditional_covariance``'s positive-definiteness gate calls this
+    alone: it needs the verdict, not the logs.
     """
     count, n, _ = stack.shape
     a = np.array(stack, dtype=float)
     lower = np.zeros(a.shape)
-    log2_sums = np.zeros(count)
+    pivots = np.empty((n, count))
     for k in range(n):
         row = lower[:, k, None, :k]
         pivot = a[:, k, k] - np.matmul(row, row.transpose(0, 2, 1))[:, 0, 0]
@@ -94,12 +97,26 @@ def _stacked_cholesky_log2_det(stack: np.ndarray) -> np.ndarray:
             error = _pivot_failure(pivot[index], k)
             error.index = index
             raise error
-        log2_sums += np.fromiter(map(math.log2, pivot.tolist()), float, count)
+        pivots[k] = pivot
         root = np.sqrt(pivot)
         lower[:, k, k] = root
         if k + 1 < n:
             column = np.matmul(lower[:, k + 1 :, :k], row.transpose(0, 2, 1))[:, :, 0]
             lower[:, k + 1 :, k] = (a[:, k + 1 :, k] - column) / root[:, None]
+    return pivots
+
+
+def _stacked_cholesky_log2_det(stack: np.ndarray) -> np.ndarray:
+    """Sum of the base-2 logs of the Cholesky pivots of every matrix in a
+    (count, n, n) stack (``_stacked_cholesky_pivots``, which raises
+    NotPositiveDefinite as it states). Each log is taken with
+    ``math.log2`` rather than ``np.log2``, whose last bit can differ, and
+    each matrix's logs are added in pivot order."""
+    pivots = _stacked_cholesky_pivots(stack)
+    logs = np.fromiter(map(math.log2, pivots.ravel().tolist()), float, pivots.size)
+    log2_sums = np.zeros(pivots.shape[1])
+    for row in logs.reshape(pivots.shape):
+        log2_sums += row
     return log2_sums
 
 
@@ -321,7 +338,7 @@ def conditional_covariance(
         return block(keep, keep)
     s_gg = block(given, given)
     s_gg = 0.5 * (s_gg + s_gg.swapaxes(-1, -2))
-    _stacked_cholesky_log2_det(s_gg.reshape(-1, len(given), len(given)))  # PD gate
+    _stacked_cholesky_pivots(s_gg.reshape(-1, len(given), len(given)))  # PD gate
     solved = np.linalg.solve(s_gg, block(given, keep))
     cond = block(keep, keep) - block(keep, given) @ solved
     return 0.5 * (cond + cond.swapaxes(-1, -2))

@@ -31,10 +31,12 @@ suites run one parameter set at a time (one public call per set) against
 their batches, coordinate
 descent by per-coordinate bisection against its closed-form frontier,
 the uniform search as a bisection over a scalar predicate (at rel_tol
-1e-300 it stops at the table's transition or a few ulps above) against
-the exact Newton-and-ulp search, that search from the largest receiver
-noise (``search_start``) against the same search from the largest
-singleton frontier, the convergence sweep one row at a time
+1e-300 it stops at the table's transition or a few ulps above) and as a
+bisection on the doubles' bit patterns (exact, sharing nothing with the
+library's search) against the exact Newton-and-window search, that
+search from the largest receiver noise (``search_start``) against the
+same search from the largest singleton frontier, the convergence sweep
+one row at a time
 against its lockstep searches, and the three random verify suites run
 one sample at a time (one ``random_network``, one table and one
 uniform search per sample, the feasible point from ``sample_feasible_q``
@@ -648,6 +650,27 @@ def lockstep_search_by_noise(tables) -> list[float]:
     starts = np.array([search_start(table) for table in tables])
     with np.errstate(over="ignore", invalid="ignore"):  # as in _uniform_optima
         return _lockstep_search(*_columns(tables), starts).tolist()
+
+
+def frontier_by_bit_bisection(table) -> float:
+    """The table's uniform frontier by plain bisection on the int64 bit
+    patterns of the doubles, which order the nonnegative doubles as they
+    compare: 0.0 is taken as rejected and inf as accepted, and each step
+    asks ``table.feasible`` at the midpoint pattern's double. It ends
+    where no pattern lies between the ends: the smallest double that the
+    table accepts and whose predecessor it rejects, where the verdict is
+    monotone, or inf where the largest double is rejected. It shares no
+    step, start or slope with the library's search."""
+    n = len(table.relays)
+    lo, hi = 0, int(np.float64(math.inf).view(np.int64))
+    with np.errstate(all="ignore"):  # N + Q -> inf, N/Q -> inf, 0 * inf
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if table.feasible(np.full(n, np.int64(mid).view(np.float64))):
+                hi = mid
+            else:
+                lo = mid
+    return float(np.int64(hi).view(np.float64))
 
 
 def convergence_sweep_by_rows(net, gammas, quantifier="forall", *, override_guard=False):

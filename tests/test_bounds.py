@@ -37,6 +37,7 @@ from oracles import (
     determinant_lemma_draws,
     determinant_lemma_suite_by_samples,
     exists_table_by_singletons,
+    frontier_by_bit_bisection,
     lockstep_search_by_noise,
     monotonicity_suite_by_samples,
     partition_candidates_by_scan,
@@ -270,22 +271,26 @@ class TestRelayCorrelationInvariance:
 
 def test_dual_route_covariance_routes_factor_each_grid_in_one_call(monkeypatch):
     # One stacked log-det per routine, and one stacked positive-definiteness
-    # gate inside conditional_covariance: no kernel call per grid point.
-    kernel = gaussian._stacked_cholesky_log2_det
-    log_dets, gates = [], []
+    # gate inside conditional_covariance, which factors its stack and takes
+    # no log: no kernel call per grid point.
+    kernel, factor = gaussian._stacked_cholesky_log2_det, gaussian._stacked_cholesky_pivots
+    log_dets, gate_logs, factored = [], [], []
 
-    def counting(calls):
+    def counting(calls, real):
         def count(stack):
             calls.append(len(stack))
-            return kernel(stack)
+            return real(stack)
 
         return count
 
-    monkeypatch.setattr(selftest, "_stacked_cholesky_log2_det", counting(log_dets))
-    monkeypatch.setattr(gaussian, "_stacked_cholesky_log2_det", counting(gates))
+    monkeypatch.setattr(selftest, "_stacked_cholesky_log2_det", counting(log_dets, kernel))
+    monkeypatch.setattr(gaussian, "_stacked_cholesky_log2_det", counting(gate_logs, kernel))
+    monkeypatch.setattr(gaussian, "_stacked_cholesky_pivots", counting(factored, factor))
     rc.verify_single_relay_independence(1.0, 1.0, 1.0, 1.0, OFFSETS)
     rc.verify_relay_correlation_invariance(1.0, 1.0, 1.0, 1.0, OFFSETS)
-    assert log_dets == gates == [21, 21]
+    assert log_dets == [21, 21] and gate_logs == []
+    # Each routine factors twice: its gate, then its log-dets.
+    assert factored == [21, 21, 21, 21]
 
 
 #: Grids for the two dual-route suites: the defaults (None), the CLI's
@@ -1259,8 +1264,9 @@ class TestInvalidNetworks:
 
 
 def _count_validations(monkeypatch):
-    """A list that grows by one per ``validate`` call, from the library's
-    network read (``topology.validate``) or from the CLI's own check."""
+    """A list that grows by one per ``topology.validate`` call: the
+    network read (``NetworkSpec._arrays``), which the CLI's config check
+    and the library share."""
     calls = []
     real = topology.validate
 
@@ -1269,7 +1275,6 @@ def _count_validations(monkeypatch):
         return real(net)
 
     monkeypatch.setattr(topology, "validate", counting)
-    monkeypatch.setattr(cli, "validate", counting)
     return calls
 
 
@@ -1323,8 +1328,8 @@ class TestOneValidationPerNetwork:
 
     def test_cli_sweep_builds_and_validates_one_network(self, monkeypatch, tmp_path):
         # A T = 9 sweep over 13 gammas, the shape of the benchmark's sweep
-        # op: one NetworkSpec, checked by the CLI and read once by the
-        # library, and no scaled copy.
+        # op: one NetworkSpec, validated once by the CLI's read, which the
+        # library reuses, and no scaled copy.
         net = random_network(np.random.default_rng(9), 9)
         path = tmp_path / "net.json"
         path.write_text(json.dumps(dict(_config_doc(net), sweep={"gammas": _SWEEP_GAMMAS})))
@@ -1332,14 +1337,14 @@ class TestOneValidationPerNetwork:
         built, copies = _count_networks(monkeypatch)
         assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
         assert len(built) == 1 and copies == []
-        assert len(calls) == 2 and calls[0] is calls[1] is built[0]
+        assert len(calls) == 1 and calls[0] is built[0]
 
-    def test_cli_cfrate_validates_twice(self, monkeypatch, tmp_path, reference_network):
+    def test_cli_cfrate_validates_once(self, monkeypatch, tmp_path, reference_network):
         path = tmp_path / "ref.json"
         path.write_text(json.dumps(_config_doc(reference_network)), encoding="utf-8")
         calls = _count_validations(monkeypatch)
         assert cli.main(["cfrate", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
-        assert len(calls) == 2  # once in the CLI, once in the library
+        assert len(calls) == 1  # the CLI's read; the library reuses its arrays
 
     def test_cached_arrays_are_read_only(self, reference_network):
         gains, powers, noises = reference_network._arrays
@@ -3277,6 +3282,97 @@ def test_singleton_start_keeps_the_reference_answers(build):
         assert got == [_uniform_optima_keys([table])[0] for table in tables]
     n = len(tables[0].relays)
     assert got == [(x,) * n if x < math.inf else _NO_FRONTIER for x in want]
+    # The same bits as a bisection that shares nothing with the search.
+    assert want == [frontier_by_bit_bisection(table) for table in tables]
+
+
+def _frontier_family(t, seed, quantifier):
+    """Tables of t nodes whose searches cover every regime: seeded
+    networks, a tied-power and a unit-gain network with drawn powers,
+    relays weakened by 1e-8, a 13-row sweep over gamma = 10^0..10^300,
+    the stubs and a table whose every singleton root is NaN."""
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, t)
+    powers = 10.0 ** rng.uniform(0.0, 3.0, size=t)
+    nets = [
+        net,
+        random_network(rng, t),
+        _equal_gain_network(t, lambda j: 10.0 ** (j % 3)),
+        _equal_gain_network(t, lambda j: float(powers[j])),
+        _weakened(random_network(rng, t), 1e-8),
+    ]
+    tables = [_ConstraintTable(n, quantifier) for n in nets]
+    rows = [rc.scaled(net, 10.0 ** (25 * k))._arrays for k in range(13)]
+    tables += bounds._constraint_tables(rows, quantifier)
+    return tables + [*_stub_tables(net), _nan_root_table(net)]
+
+
+@given(t=st.integers(3, 9), seed=st.integers(0, 10_000), quantifier=st.sampled_from(["forall", "exists"]))
+@settings(max_examples=25, deadline=None)
+def test_uniform_optima_are_the_bit_bisection_frontiers(t, seed, quantifier):
+    # Stacked and alone, bit for bit the frontier that plain bisection on
+    # the doubles' bit patterns finds, and warning of nothing; where that
+    # is inf, an Infeasible.
+    tables = _frontier_family(t, seed, quantifier)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _uniform_optima_keys(tables)
+        assert got == [_uniform_optima_keys([table])[0] for table in tables]
+    for key, table in zip(got, tables):
+        x = frontier_by_bit_bisection(table)
+        if x < math.inf:
+            assert key == (x,) * (t - 2)
+        else:
+            assert key[0] is Infeasible
+
+
+def _window_cases():
+    """Stacks of tables of one relay count for the window's margins:
+    seeded networks under both quantifiers, one with an overflowing relay
+    (every row holding relay 2 reads an inf denominator), and a table whose
+    every singleton root is NaN."""
+    for t in (3, 5, 7, 9):
+        nets = [random_network(np.random.default_rng(100 + t + s), t) for s in range(3)]
+        tables = [_ConstraintTable(net, q) for net in nets for q in ("forall", "exists")]
+        overflow = _ConstraintTable(nets[0], "forall")
+        holds_first = (np.arange(1, 1 << (t - 2)) & 1) == 1
+        overflow.denom_log2 = np.where(holds_first, np.inf, overflow.denom_log2)
+        yield pytest.param(tables + [overflow, _nan_root_table(nets[1])], id=f"T{t}")
+
+
+@pytest.mark.parametrize("tables", _window_cases())
+def test_window_margins_are_the_full_pass_rows(tables):
+    # At points drawn over every binade, and at both ends of the doubles
+    # (N/Q and N + Q overflow there), each window margin is bit for bit its
+    # row's margin in a full pass at that point, and a full pass's margins
+    # are _margins_log2's. The slope sums are each row's Python-float sums
+    # over its relays, left to right.
+    rng = np.random.default_rng(len(tables[0].relays))
+    denom, noise, lam, p1 = columns = bounds._columns(tables)
+    k, r = len(tables), len(noise)
+    member = partition_dp._dp_layout(r).member[1:]
+    points = 2.0 ** rng.uniform(-1070.0, 1020.0, size=(k, 9))
+    points[:, :2] = [5e-324, sys.float_info.max]
+    rows = rng.integers(0, len(denom), size=k)
+    rows[-2] = 0  # the overflowing relay alone: inf at every point
+    with np.errstate(all="ignore"):
+        window = bounds._row_margins(denom[rows, np.arange(k)], noise, lam, p1, member[rows].T, points)
+        for w in range(points.shape[1]):
+            margins, slopes = bounds._pass_margins(*columns, points[:, w])
+            assert margins.tobytes() == bounds._margins_log2(*columns, points[:, w]).tobytes()
+            assert window[:, w].tobytes() == margins[rows, np.arange(k)].tobytes()
+            for j in range(k):
+                x, relays = points[j, w], np.flatnonzero(member[rows[j]]).tolist()
+                reach = near = source = 0.0
+                for i in relays:
+                    n, g = float(noise[i, j]), float(lam[i, j])
+                    total = n + x
+                    reach += g / total
+                    near += n / total
+                    source += g / total * (x / total)
+                want = np.array([reach, near, source])
+                assert slopes[rows[j], :, j].tobytes() == want.tobytes()
+    assert np.isinf(window[-2]).all()
 
 
 class TestLockstepFrontiers:
@@ -3368,6 +3464,32 @@ class TestLockstepFrontiers:
                     passes.append(self._passes(monkeypatch, [table]))
         assert statistics.median(passes) <= 12
         assert max(passes) <= _PASS_CAP
+
+    def test_window_keeps_the_tail_short(self, monkeypatch):
+        # T = 9 sweeps over the benchmark's 13 gammas, stacked: 8 full
+        # passes in the median and 12 at most. No verify search takes more
+        # than 10.
+        passes = []
+        for s in range(40):
+            net = random_network(np.random.default_rng(s), 9)
+            rows = [rc.scaled(net, g)._arrays for g in _SWEEP_GAMMAS]
+            for quantifier in ("forall", "exists"):
+                tables = bounds._constraint_tables(rows, quantifier)
+                passes.append(self._passes(monkeypatch, tables))
+        assert statistics.median(passes) <= 8
+        assert max(passes) <= 12
+        searches, real = [], bounds._lockstep_search
+
+        def counting(*args):
+            with monkeypatch.context() as patch:
+                calls = self._counting_margins(patch)
+                found = real(*args)
+            searches.append(len(calls))
+            return found
+
+        monkeypatch.setattr(bounds, "_lockstep_search", counting)
+        assert all(result.passed for result in selftest.run_all())
+        assert len(searches) == 8 and max(searches) <= 10
 
     def test_singleton_start_halves_the_passes(self, monkeypatch):
         # From its largest singleton frontier, a search on the family above

@@ -17,6 +17,7 @@ from relaycap.errors import (
 from relaycap.gaussian import (
     PD_EPSILON,
     _stacked_cholesky_log2_det,
+    _stacked_cholesky_pivots,
     conditional_covariance,
     conditional_mi_bits,
     joint_covariance,
@@ -163,6 +164,46 @@ class TestStackedCholesky:
                 _stacked_cholesky_log2_det(stack)
         assert str(got.value) == str(want.value)
         assert got.value.index == 3
+
+
+class TestStackedPivots:
+    """The pivots helper raises as the log-det kernel does, and the
+    kernel's log-dets are its pivots' logs, summed in pivot order."""
+
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 7), count=st.integers(1, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_log_dets_sum_the_pivots_logs(self, seed, n, count):
+        rng = np.random.default_rng(seed)
+        d = 10.0 ** rng.uniform(-2.0, 2.0, size=(count, n))
+        stack = np.array([random_spd(rng, n) * np.outer(row, row) for row in d])
+        pivots = _stacked_cholesky_pivots(stack)
+        assert pivots.shape == (n, count)
+        want = []
+        for column in pivots.T.tolist():
+            total = 0.0
+            for pivot in column:
+                total += math.log2(pivot)
+            want.append(total)
+        assert _stacked_cholesky_log2_det(stack).tolist() == want
+
+    @pytest.mark.parametrize(
+        "stack",
+        [
+            [np.eye(3), np.diag([1.0, 1.0, -1.0]), np.diag([1.0, -2.0, 1.0])],
+            [np.diag([1.0, PD_EPSILON]), np.full((2, 2), math.nan)],
+            [np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]])],
+        ],
+        ids=["late-and-early", "epsilon-then-nan", "indefinite"],
+    )
+    def test_raises_as_the_log_det_kernel(self, stack):
+        with pytest.raises(NotPositiveDefinite) as want:
+            _stacked_cholesky_log2_det(np.array(stack))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotPositiveDefinite) as got:
+                _stacked_cholesky_pivots(np.array(stack))
+        assert str(got.value) == str(want.value)
+        assert got.value.index == want.value.index
 
 
 class TestConditionalMiBits:
