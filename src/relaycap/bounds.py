@@ -42,12 +42,13 @@ strictly increasing, so the best admissible Q sits on the feasibility
 frontier. With every Q_j = x, each subset's margin is concave and
 increasing in u = ln x (a constant minus sum_k ln(1 + a_k e^-u), the a_k
 the eigenvalues of the quantized covariance at Q = 0), and so is their
-minimum: Newton steps in u never pass the frontier from the left, and a
-walk over the last ulps ends where the table turns from rejecting to
-accepting. The answer is exact, with no tolerance. A search starts from
-the left, at the largest of the singleton rows' own frontiers, each a
-closed form: the uniform frontier is the largest of every row's, so
-about four margin passes reach it. ``_uniform_optima`` decides every
+minimum: Newton steps in u never pass the frontier from the left, and
+one window over the last ulps, on the binding row alone, finds where the
+table turns from rejecting to accepting. The answer is exact, with no
+tolerance. A search starts from the left, at the largest of the
+singleton rows' own frontiers, each a closed form: the uniform frontier
+is the largest of every row's, so about two full margin passes and one
+window reach it. ``_uniform_optima`` decides every
 uniform optimum, for one table or many (a sweep's rows, ``verify``'s
 networks), with one stacked margin pass per step.
 Coordinate descent then cycles from that uniform solution and moves each
@@ -900,10 +901,13 @@ def _pass_margins(
     row's three Newton-slope sums, sum lam/(N+x), sum N/(N+x) and
     sum lam x/(N+x)^2, as (2^R - 1, 3, K). The four per-relay terms are
     summed in one ``_subset_sums`` doubling: log1p(N/x) and lam/(N+x),
-    the margin's terms, then the slope's other two. Each relay's terms
-    lie together, so each doubling step is one loop over every term of
-    every column per subset."""
-    terms = np.empty((len(noise), 4) + noise.shape[1:])
+    the margin's terms, then the slope's other two. A doubling step loops
+    over one block per subset, every term of every column, where the
+    terms lie relay by relay; laid out term by term, it loops over one
+    block per term and column, as long as the subsets summed. The first
+    is the faster for a stack of columns, the second for a lone one."""
+    r, k = noise.shape
+    terms = np.empty((r, 4, k)) if k > 1 else np.empty((4, r, k)).swapaxes(0, 1)
     shrink, share, near, source = terms.swapaxes(0, 1)
     total = noise + x
     np.log1p(np.divide(noise, x, out=shrink), out=shrink)
@@ -956,30 +960,32 @@ def _lockstep_search(
     u = ln x on the smallest margin, its slope read from the pass's sums
     at the argmin row, until a step leaves the bracket or
     ``_NEWTON_PASSES`` are made, then a gallop from the last point, 1, 2,
-    4, ... ulps, then halving (62 + 63 passes at most: the bracket is
+    4, ... ulps, then halving (63 + 62 passes at most: the bracket is
     under 2^63 ulps).
 
     The ulp tail takes one window. A column whose Newton proposal lies
     within ``_WINDOW`` ulps of its point (before ``_NEWTON_PASSES``) has
-    its 2 * _WINDOW + 1 consecutive doubles centred on the proposal,
-    clipped into its open bracket, evaluated on the pass's argmin row
+    the 2 * _WINDOW + 1 consecutive doubles centred on the proposal,
+    shifted into its open bracket, evaluated on the pass's argmin row
     alone (``_row_margins``, each margin bit for bit the row's full-pass
-    one). A point that one row rejects is one that the table rejects,
-    whose smallest margin is at most that row's (or NaN), so the largest
-    rejected point becomes the bracket's low end. A bracket that this
-    closes is done: its high end was accepted by a full pass. Otherwise
-    the next full pass evaluates the point just above the low end, where
-    a rejection resumes Newton from the row that rejected it; or, where
-    the row rejected nothing, the point just below the window, and a
-    column whose windows keep rejecting nothing gallops down from them,
-    2, 4, ... ulps below. Every answer is a transition that full passes
-    and row rejections have shown, and under the monotone-verdict premise
-    the same one.
+    one), right after that pass. A point that one row rejects is one that
+    the table rejects, whose smallest margin is at most that row's (or
+    NaN), so the largest rejected point becomes the bracket's low end. A
+    bracket that this closes is done: its high end was accepted by a
+    full pass. Otherwise the next full pass evaluates the point just
+    above the low end, where a rejection resumes Newton from the row that
+    rejected it; or, where the row rejected nothing, the point just below
+    the window, and a column whose windows keep rejecting nothing gallops
+    down from them, 2, 4, ... ulps below (at most halfway to the low
+    end). A point that the row accepts is never taken as accepted. Every
+    answer is a transition that full passes and row rejections have
+    shown, and under the monotone-verdict premise the same one.
 
     Each operation acts on each column alone (sums over relays run left
-    to right; each column's window follows its own proposal): a column's
-    answer and its points are its table's searched alone, and a stacked
-    run lasts as long as its longest search.
+    to right, and each column takes its window when its own proposal
+    comes near): a column's answer and its points are its table's
+    searched alone, and a stacked run lasts as long as its longest
+    search.
     """
     k = len(x)
     cols = np.arange(k)
@@ -1015,30 +1021,30 @@ def _lockstep_search(
                 ulps = np.where(step < width, step, width >> 1)
                 x = np.where(newton, guess, np.where(ok, hi - ulps, lo + ulps))
                 step = np.where(newton, step, 2 * np.minimum(step, 1 << 61))
-            near = np.flatnonzero((np.abs(guess - bits) <= _WINDOW) & (width > 1))
-            if near.size and passes < _NEWTON_PASSES:
-                end, at = lo[near], row[near]
-                start = np.minimum(guess[near] - _WINDOW, hi[near] - window[-1] - 1)
-                start = np.maximum(start, end + 1)
-                points = np.minimum(start[:, None] + window, hi[near, None] - 1)
+            tail = np.flatnonzero((np.abs(guess - bits) <= _WINDOW) & (width > 1))
+            if tail.size and passes < _NEWTON_PASSES:
+                end, top, at = lo[tail], hi[tail] - 1, row[tail]
+                start = np.maximum(np.minimum(guess[tail] - _WINDOW, top - 2 * _WINDOW), end + 1)
+                points = np.minimum(start[:, None] + window, top[:, None])
                 held = _row_margins(
-                    denom_log2[at, near],
-                    noise[:, near],
-                    lam[:, near],
-                    p1[near],
+                    denom_log2[at, tail],
+                    noise[:, tail],
+                    lam[:, tail],
+                    p1[tail],
                     member[at].T,
                     points.view(np.float64),
                 )
-                end = np.maximum(end, np.where(held >= 0.0, end[:, None], points).max(axis=1))
-                lo[near] = end
+                end = np.where(held >= 0.0, end[:, None], points).max(axis=1)
+                lo[tail] = end
                 if (hi - lo).max() == 1:
                     return hi.view(np.float64)
                 # Just past the largest rejected point; or, where the row
-                # rejected nothing, a gallop down from the window.
-                gap, ulps = start - end, step[near]
-                x[near] = np.maximum(end + 1, start - np.where(ulps < gap, ulps, gap >> 1))
-                step[near] = np.where(gap > 0, 2 * np.minimum(ulps, 1 << 61), 1)
-                newton[near] = True
+                # rejected nothing, a gallop down from the window, at most
+                # halfway to the low end.
+                gap, ulps = start - end, step[tail]
+                x[tail] = np.maximum(end + 1, start - np.minimum(ulps, gap >> 1))
+                step[tail] = np.where(gap > 0, 2 * np.minimum(ulps, 1 << 61), 1)
+                newton[tail] = True
             x = x.view(np.float64)
     raise AssertionError("a uniform search overran its pass bound")
 
@@ -1053,7 +1059,16 @@ def _uniform_optima(tables: list[_ConstraintTable]) -> list[np.ndarray | Infeasi
     relay-free table gets the empty Q. The others search by relay count,
     one ``_lockstep_search`` each, their arrays stacked in columns once (a
     lone table is a stack of one). Each Q is exact: the smallest double
-    that its table accepts.
+    that its table accepts, where the table's verdict is monotone in Q
+    (the premise of every search; without it, still a double that the
+    table accepts and whose predecessor it rejects).
+
+    The search's ulp window asks one row, the binding one, about 17
+    consecutive doubles, not the table. That is enough to reject: the
+    table accepts a point only if every row's margin is at least 0, so a
+    point that one row rejects (a margin below 0, or NaN) the table
+    rejects too. A point the row accepts is not taken as accepted: the
+    next full pass checks it.
 
     Each search starts at its largest singleton frontier. Row {i}'s
     margin is nonnegative exactly where (1 + N_i/x)(1 + P1 lam_i/(N_i + x))
@@ -1062,7 +1077,7 @@ def _uniform_optima(tables: list[_ConstraintTable]) -> list[np.ndarray | Infeasi
     rises with x, so the uniform frontier is the largest of all the rows'
     frontiers, and max_i x_i is a lower bound on it in exact arithmetic
     (a rounded root a few ulps past the frontier is an accepted point
-    like any other, which the search walks down from). The start is
+    like any other, which the search's window walks down from). The start is
     clipped to the doubles: a root that overflows starts at the largest
     double (where a table that rejects it ends in one pass with no
     finite Q), and a root of 0 at the smallest. A NaN root (inf over inf)

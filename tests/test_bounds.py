@@ -3342,37 +3342,39 @@ def _window_cases():
 
 @pytest.mark.parametrize("tables", _window_cases())
 def test_window_margins_are_the_full_pass_rows(tables):
-    # At points drawn over every binade, and at both ends of the doubles
-    # (N/Q and N + Q overflow there), each window margin is bit for bit its
-    # row's margin in a full pass at that point, and a full pass's margins
+    # At points drawn over every binade, at both ends of the doubles (N/Q
+    # and N + Q overflow there) and where N/Q overflows for a column's
+    # noisiest relay alone, each row's window margins are bit for bit its
+    # margins in a full pass at those points, and a full pass's margins
     # are _margins_log2's. The slope sums are each row's Python-float sums
     # over its relays, left to right.
     rng = np.random.default_rng(len(tables[0].relays))
     denom, noise, lam, p1 = columns = bounds._columns(tables)
-    k, r = len(tables), len(noise)
-    member = partition_dp._dp_layout(r).member[1:]
+    k = len(tables)
+    member = partition_dp._dp_layout(len(noise)).member[1:]
     points = 2.0 ** rng.uniform(-1070.0, 1020.0, size=(k, 9))
-    points[:, :2] = [5e-324, sys.float_info.max]
-    rows = rng.integers(0, len(denom), size=k)
-    rows[-2] = 0  # the overflowing relay alone: inf at every point
+    points[:, :3] = np.array([[5e-324, sys.float_info.max, 2.0**-1024]])
+    points[:, 2] *= noise.max(axis=0)
     with np.errstate(all="ignore"):
-        window = bounds._row_margins(denom[rows, np.arange(k)], noise, lam, p1, member[rows].T, points)
-        for w in range(points.shape[1]):
-            margins, slopes = bounds._pass_margins(*columns, points[:, w])
-            assert margins.tobytes() == bounds._margins_log2(*columns, points[:, w]).tobytes()
-            assert window[:, w].tobytes() == margins[rows, np.arange(k)].tobytes()
-            for j in range(k):
-                x, relays = points[j, w], np.flatnonzero(member[rows[j]]).tolist()
+        passes = [bounds._pass_margins(*columns, x) for x in points.T]
+        for x, (margins, _) in zip(points.T, passes):
+            assert margins.tobytes() == bounds._margins_log2(*columns, x).tobytes()
+        for row, inside in enumerate(member):
+            relays = np.repeat(inside[:, None], k, axis=1)
+            window = bounds._row_margins(denom[row], noise, lam, p1, relays, points)
+            want = np.array([margins[row] for margins, _ in passes]).T
+            assert window.tobytes() == want.tobytes()
+            for (x, (_, slopes)), j in itertools.product(zip(points.T, passes), range(k)):
                 reach = near = source = 0.0
-                for i in relays:
+                for i in np.flatnonzero(inside).tolist():
                     n, g = float(noise[i, j]), float(lam[i, j])
-                    total = n + x
+                    total = n + x[j]
                     reach += g / total
                     near += n / total
-                    source += g / total * (x / total)
-                want = np.array([reach, near, source])
-                assert slopes[rows[j], :, j].tobytes() == want.tobytes()
-    assert np.isinf(window[-2]).all()
+                    source += g / total * (x[j] / total)
+                assert slopes[row, :, j].tobytes() == np.array([reach, near, source]).tobytes()
+    # The overflowing relay's rows read inf at every point.
+    assert np.isinf(np.array([m[0, -2] for m, _ in passes])).all()
 
 
 class TestLockstepFrontiers:
