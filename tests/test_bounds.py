@@ -3307,7 +3307,11 @@ def _frontier_family(t, seed, quantifier):
     return tables + [*_stub_tables(net), _nan_root_table(net)]
 
 
-@given(t=st.integers(3, 9), seed=st.integers(0, 10_000), quantifier=st.sampled_from(["forall", "exists"]))
+@given(
+    t=st.integers(3, 9),
+    seed=st.integers(0, 10_000),
+    quantifier=st.sampled_from(["forall", "exists"]),
+)
 @settings(max_examples=25, deadline=None)
 def test_uniform_optima_are_the_bit_bisection_frontiers(t, seed, quantifier):
     # Stacked and alone, bit for bit the frontier that plain bisection on
