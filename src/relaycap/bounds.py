@@ -23,7 +23,9 @@ denominator. A block's factor does not depend on the other blocks, so
 each forall minimum comes from an O(3^R) subset DP over the R relays
 (``_ConstraintTable`` states the recurrence and its tie-break), run in
 numpy one popcount layer at a time; every block's factor comes from one
-array of block sums, with one log per block. An exists maximum needs no
+array of block sums, with one log per block. A receiver that decodes
+some block needs a finite floor lambda_1r P1 + N_r: the table refuses
+one that overflows with NotPositiveDefinite. An exists maximum needs no
 DP: it is the sum of the subset's relays' own best factors, each relay
 its own block. ``_constraint_tables`` builds any number of tables, one
 stacked pass per relay count (a sweep's rows, ``verify``'s networks; a
@@ -405,17 +407,27 @@ def min_cut_bound(
     return _min_cut(net, _cut_rates(net, override_guard))
 
 
+def _floor_overflow(r: int) -> NotPositiveDefinite:
+    return NotPositiveDefinite(
+        f"receiver {r}'s source-plus-noise floor lambda_1{r} P1 + N_{r} overflows a double"
+    )
+
+
 def _block_snr_sum(net: NetworkSpec, block: Block, r: int) -> float:
     """Sum over block members of lambda_ir P_i, divided by the receiver's
-    source-interference-plus-noise floor lambda_1r P1 + N_r. The sum runs
-    left to right (builtin sum compensates from Python 3.12 on), as the
-    constraint table's block sums do."""
+    source-interference-plus-noise floor lambda_1r P1 + N_r, which must be
+    finite (NotPositiveDefinite otherwise), so the ratio lies in [0, inf].
+    The sum runs left to right (builtin sum compensates from Python 3.12
+    on), as the constraint table's block sums do."""
     gains, powers, (noise,) = _channel(net, (1,) + tuple(block), (r,))
     (source_gain, *gains), (p1, *powers) = gains[0].tolist(), powers.tolist()
+    floor = source_gain * p1 + float(noise)
+    if floor == math.inf:
+        raise _floor_overflow(r)
     total = 0.0
     for gain, power in zip(gains, powers):
         total += gain * power
-    return total / (source_gain * p1 + float(noise))
+    return total / floor
 
 
 def block_decode_rate(net: NetworkSpec, block: Block | tuple[int, ...], r: int) -> float:
@@ -423,7 +435,9 @@ def block_decode_rate(net: NetworkSpec, block: Block | tuple[int, ...], r: int) 
     block, treating the source signal as interference:
     1/2 log2(1 + sum_{i in block} lambda_ir P_i / (lambda_1r P1 + N_r)).
 
-    An empty block carries nothing and yields 0 bits.
+    An empty block carries nothing and yields 0 bits. A nonempty block's
+    receiver whose floor lambda_1r P1 + N_r overflows a double raises
+    NotPositiveDefinite, naming it.
     """
     block = tuple(map(_node_id, block))
     if not 2 <= _node_id(r) <= net.num_nodes:
@@ -456,63 +470,38 @@ def quantized_covariance_det(
     return 2.0 ** float(_rank_one_log2_dets(gains.T, (noise + q_values)[None], p1)[0])
 
 
-#: Relative width of the window of ratios around a block's extreme whose
-#: receivers can tie with it once the log is taken (``_extreme_blocks``).
-_TIE_WINDOW = 2.0**-30
-
-#: The window's edge moves out by this too, so that it holds every ratio
-#: below this one (2.0**-1000), where a block value may be subnormal,
-#: with an absolute error.
-_TINY_RATIO = 2.0**-1000
-
 def _extreme_blocks(
-    ratios: np.ndarray, ineligible: np.ndarray, forall: bool
+    ratios: np.ndarray,
+    ineligible: np.ndarray,
+    forall: bool,
+    first_eligible: np.ndarray | None = None,
 ) -> tuple[list[int], np.ndarray]:
-    """Each block's receiver column and value log2(1 + ratio): the extreme
-    over its eligible receivers, the smallest column on equal values.
-    ``ratios`` holds K tables' blocks, (K, blocks, receivers), with the
-    blocks in the rows of ``ineligible``; it is overwritten. Each result
-    runs over every table's blocks, table by table.
+    """Each block's receiver column and value log2(1 + ratio): the
+    smallest ratio over its eligible receivers under forall, the largest
+    under exists, the smallest column on equal ratios. ``ratios`` holds K
+    tables' blocks, (K, blocks, receivers), with the blocks in the rows of
+    ``ineligible`` and, under forall, of ``first_eligible`` (each row's
+    first eligible column); it is overwritten. Each result runs over
+    every table's blocks, table by table.
 
-    The pick is made on the ratios, and only then the log is taken, once
-    per block: log2(1 + x) rises with x, and two ratios that lie far
-    apart keep their order once the logs are rounded (see
-    ``_ConstraintTable``). Only a row with another ratio inside the window
-    around its extreme, an exact tie included, takes each of those
-    receivers' logs and picks among them as a scan of every receiver
-    would; a row with a NaN ratio takes every receiver's.
+    The ratios must lie in [0, inf], none NaN, as ``_fill_tables``'s
+    finite floors make them. The pick is made on the ratios, and the log
+    is taken once per block, for the pick alone.
     """
     np.copyto(ratios, np.inf if forall else -np.inf, where=ineligible)
     width = ratios.shape[-1]
     ratios = ratios.reshape(-1, width)
     pick = ratios.argmin(axis=1) if forall else ratios.argmax(axis=1)
     ext = ratios.ravel().take(pick + np.arange(0, ratios.size, width))
-    # Outside the window: a ratio past its edge. A NaN compares false, so
-    # a row with a NaN ratio (an inf sum over an inf floor) counts none.
     if forall:
-        edge = ext * (1.0 + _TIE_WINDOW)
-        edge += _TINY_RATIO
-        far = ratios > edge[:, None]
-    else:
-        edge = ext * (1.0 - _TIE_WINDOW)
-        edge -= _TINY_RATIO
-        far = ratios < edge[:, None]
-    cols = pick.tolist()
+        # A row whose every eligible ratio is +inf (an overflowed block
+        # sum) ties with its ineligible columns: it takes its first
+        # eligible one.
+        overflowed = np.flatnonzero(ext == np.inf)
+        pick[overflowed] = first_eligible.take(overflowed % len(first_eligible))
     # math.log1p, not np.log1p, whose last bit differs on some inputs.
     values = np.fromiter(map(math.log1p, ext.tolist()), float, len(ext)) / _LN2
-    # A row needs its receivers' own logs unless every ratio but its
-    # extreme lies outside the window.
-    if np.count_nonzero(far) == (width - 1) * len(cols):
-        return cols, values
-    extreme = min if forall else max
-    for k in (far.sum(axis=1) != width - 1).nonzero()[0].tolist():
-        row, outside = ratios[k].tolist(), far[k].tolist()
-        eligible = np.flatnonzero(~ineligible[k % len(ineligible)]).tolist()
-        logs = {j: math.log1p(row[j]) / _LN2 for j in eligible if not outside[j]}
-        # min and max keep the first of equal values: the smallest id.
-        cols[k] = extreme(logs, key=logs.__getitem__)
-        values[k] = logs[cols[k]]
-    return cols, values
+    return pick.tolist(), values
 
 
 class _ConstraintTable:
@@ -576,19 +565,16 @@ class _ConstraintTable:
     (``_constraint_tables``, which a lone table calls as a stack of one).
 
     One log per block (under exists, per singleton block). The receiver is
-    picked on the snr, and log2(1 + x) = math.log1p(x) / ln 2 is taken
-    once, for the picked one. The log rises with x, so only rounding can
-    make another receiver tie with the picked one, or beat it. Rounded
-    log1p and the division each err by an ulp or so, a relative 2^-50 of
-    the value at most, so two computed values keep their order when the
-    exact ones differ by more than 2^-49 of the larger. Two ratios x < y
-    with y > x (1 + w) have exact values apart by more than log2(1 + w x /
-    (1 + x)), which exceeds 2^-49 log2(1 + y) for every double once w >
-    2^-39.5 (ln(1 + x) (1 + x) / x stays below 710). The window w = 2^-30
-    leaves a factor of 700 to spare. Every ratio within the window of the
-    extreme, or below ``_TINY_RATIO`` (where a value can be subnormal,
-    with an absolute error), takes its own log, and the first of the
-    extreme values wins, as a scan of every receiver's value would choose.
+    picked on the snr, the first (smallest id) of the extreme ratios, and
+    log2(1 + x) = math.log1p(x) / ln 2 is taken once, for the pick. The
+    log rises with x, so the pick's value is the extreme value; two
+    ratios a few ulps apart can round to one value, and then the extreme
+    ratio, not the smaller id, keeps the block. Every receiver that
+    decodes some block (the destination, and every relay once there are
+    two) must have a finite floor lambda_1r P1 + N_r, or the build raises
+    NotPositiveDefinite, naming it: gains and powers are finite and
+    nonnegative, so every ratio then lies in [0, inf], an overflowed
+    block sum reads +inf, and no ratio is NaN.
 
     The table stores ``denom_log2``, each mask's first block and each
     block's receiver, nothing per row beyond that. ``instance(k)`` follows
@@ -710,11 +696,20 @@ def _fill_tables(run: list[_ConstraintTable], n: int, forall: bool) -> None:
     gains = np.array([g for g, _, _ in arrays])[:, :-1, 1:].transpose(0, 2, 1)
     powers = np.array([p for _, p, _ in arrays])[:, None, :-1]
     noise = np.array([x for _, _, x in arrays])[:, 1:]
-    # inf and NaN, silently, as Python floats give.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # A product or a sum may overflow to inf, silently, as Python floats
+    # give; finite floors at the receivers that decode blocks keep every
+    # ratio in [0, inf], none NaN.
+    with np.errstate(over="ignore"):
         # lambda_ir P_i for the source (column 0) and every relay.
         signal = gains * powers
         floors = signal[..., 0] + noise
+        # The receivers that decode some block lie from column ``start``
+        # on: the destination (column n) once there is a relay, and every
+        # relay once there are two. Receiver column j is node j + 2.
+        start = 0 if n > 1 else 1
+        overflowed = np.isinf(floors[:, start:]).any(axis=0)
+        if overflowed.any():
+            raise _floor_overflow(start + 2 + int(overflowed.argmax()))
         if not forall:
             _sum_singletons(run, layout, signal, floors)
             return
@@ -725,7 +720,9 @@ def _fill_tables(run: list[_ConstraintTable], n: int, forall: bool) -> None:
         # alone: its value is log2(1) = 0.
         sums = _subset_sums(signal[..., 1:].transpose(2, 0, 1))
         np.divide(sums, floors, out=sums)
-        cols, value = _extreme_blocks(sums.transpose(1, 0, 2), layout.ineligible, True)
+        cols, value = _extreme_blocks(
+            sums.transpose(1, 0, 2), layout.ineligible, True, layout.first_eligible
+        )
         size = 1 << n
         denoms, first = _partition_dp(value.reshape(len(run), size))
     for k, table in enumerate(run):

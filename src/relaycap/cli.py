@@ -28,9 +28,9 @@ section.
 
 Exit codes: 0 success, 1 verification failure, 2 config error or a
 network whose SNR is past double precision (a cut that cannot be
-factored), 3 size guard, 4 no feasible quantization. All numbers print
-with 12 significant digits, so identical configs produce byte-identical
-output.
+factored, or a receiver whose source-plus-noise floor overflows), 3 size
+guard, 4 no feasible quantization. All numbers print with 12 significant
+digits, so identical configs produce byte-identical output.
 """
 
 from __future__ import annotations

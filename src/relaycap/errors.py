@@ -10,7 +10,9 @@ class RelaycapError(Exception):
 
 
 class NotPositiveDefinite(RelaycapError):
-    """A factorization pivot fell at or below the positive-definiteness epsilon.
+    """A factorization pivot fell at or below the positive-definiteness
+    epsilon, or another quantity of the network is past double precision
+    (a receiver's source-plus-noise floor that overflows).
 
     When a stack of matrices was factored, ``index`` is the failing
     matrix's position in the stack.

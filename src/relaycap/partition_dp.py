@@ -26,6 +26,7 @@ class _Layout(NamedTuple):
 
     member: np.ndarray
     ineligible: np.ndarray
+    first_eligible: np.ndarray
     tops: tuple[int, ...]
 
 
@@ -37,7 +38,9 @@ def _dp_layout(n: int) -> _Layout:
     mask's ineligible receivers, read-only, as a (2^n, n + 1) mask over
     the receiver columns in id order (relay i column i, the destination
     column n), where the empty mask, no block, has the destination alone,
-    so that its value is 0 and ties with no other receiver; and each
+    so that its value is 0 and ties with no other receiver; each mask's
+    first eligible column, read-only, which a forall block whose every
+    eligible ratio is +inf takes (``bounds._extreme_blocks``); and each
     mask's lowest bit m & -m, its smallest relay, which is its first block
     when every block is one relay. A relay's singleton block is row 2^i."""
     every = np.arange(1 << n)
@@ -45,9 +48,10 @@ def _dp_layout(n: int) -> _Layout:
     ineligible = np.zeros((1 << n, n + 1), dtype=bool)
     ineligible[:, :n] = member
     ineligible[0, :n] = True
-    for frozen in (member, ineligible):
+    first_eligible = ineligible.argmin(axis=1)
+    for frozen in (member, ineligible, first_eligible):
         frozen.flags.writeable = False
-    return _Layout(member, ineligible, tuple((every & -every).tolist()))
+    return _Layout(member, ineligible, first_eligible, tuple((every & -every).tolist()))
 
 
 def _subset_sums(per_relay: np.ndarray) -> np.ndarray:

@@ -14,9 +14,11 @@ table's maximum, the forall table's former loop build (Python lists,
 every instance built up front) against its array build, the exists
 table relay by relay (each relay's public ``block_decode_rate`` at its
 first best receiver, each subset's left-to-right sum) against its array
-build, the scalar subset DP (one mask and one candidate block at a
-time, a strict-< scan) against the DP by popcount layer over stacked
-tables, a column-by-column
+build (each oracle that picks a block's receiver picks it on the snr,
+the first of the extreme ratios, and takes the log of the pick alone),
+the scalar subset DP (one mask and one candidate block at a time, a
+strict-< scan) against the DP by popcount layer over stacked tables, a
+column-by-column
 sum over a 0/1 membership matrix against the table's doubling subset sums,
 the receiver-side covariance formula for a cut rate against the
 whitened-channel form, the cut table's rows one Gram-and-Cholesky cut at
@@ -338,13 +340,15 @@ def random_network(rng: np.random.Generator, num_nodes: int):
 
 def partition_candidates_by_scan(net, quantifier):
     """Every partition of every nonempty relay subset, Bell(R+1) - 1 of
-    them, each block at its extreme receiver (the first one on ties): per
-    subset in canonical order, ``(s, [(partition, assignment, values),
-    ...])`` with the partitions in restricted-growth order and ``values``
-    the blocks' values. forall takes each block's smallest value, exists
-    its largest; a partition's total is the left-to-right sum of its
-    values, and a block's extreme over its receivers gives the extreme
-    total over that partition's assignments.
+    them, each block at its extreme receiver: per subset in canonical
+    order, ``(s, [(partition, assignment, values), ...])`` with the
+    partitions in restricted-growth order and ``values`` the blocks'
+    values. A block's receiver is picked on its snr (``_block_snr_sum``),
+    by a strict comparison that keeps the first receiver on ties: forall
+    takes the smallest snr, exists the largest. Its value is
+    log2(1 + snr) of the pick alone. A partition's total is the
+    left-to-right sum of its values, and a block's extreme over its
+    receivers gives the extreme total over that partition's assignments.
     """
     relays = net.relay_ids
     candidates = relays + (net.destination_id,)
@@ -353,14 +357,14 @@ def partition_candidates_by_scan(net, quantifier):
 
     def best_for_block(block):
         if block not in block_best:
-            val_r = None
+            snr_r = None
             for r in candidates:
                 if r in block:
                     continue
-                v = math.log1p(_block_snr_sum(net, block, r)) / _LN2
-                if val_r is None or better(v, val_r[0]):
-                    val_r = (v, r)
-            block_best[block] = val_r
+                x = _block_snr_sum(net, block, r)
+                if snr_r is None or better(x, snr_r[0]):
+                    snr_r = (x, r)
+            block_best[block] = (math.log1p(snr_r[0]) / _LN2, snr_r[1])
         return block_best[block]
 
     for s in subsets(relays):
@@ -393,20 +397,23 @@ def table_by_partition_scan(net):
 
 def exists_table_by_singletons(net):
     """exists constraint-table rows built relay by relay through the
-    public per-block rate: ``(denom_log2, instances)``. Each relay's value
-    is 2 ``block_decode_rate`` of its singleton block at its first best
-    receiver; each subset's row is the left-to-right sum of its relays'
-    values, and its instance holds every relay alone, each at its best
-    receiver."""
+    public per-block rate: ``(denom_log2, instances)``. Each relay's
+    receiver is the first of its largest singleton snrs
+    (``_block_snr_sum``, a strict comparison), and its value is 2
+    ``block_decode_rate`` of its singleton block at that receiver alone;
+    each subset's row is the left-to-right sum of its relays' values, and
+    its instance holds every relay alone, each at its best receiver."""
     relays = net.relay_ids
     candidates = relays + (net.destination_id,)
     best = {}
     for i in relays:
+        snr_r = None
         for r in candidates:
             if r != i:
-                v = 2.0 * block_decode_rate(net, (i,), r)
-                if i not in best or v > best[i][0]:
-                    best[i] = (v, r)
+                x = _block_snr_sum(net, (i,), r)
+                if snr_r is None or x > snr_r[0]:
+                    snr_r = (x, r)
+        best[i] = (2.0 * block_decode_rate(net, (i,), snr_r[1]), snr_r[1])
     denoms, instances = [], []
     for s in subsets(relays):
         if s:
@@ -425,9 +432,11 @@ def constraint_table_by_loops(net):
     building every row's instance: ``(denom_log2, instances)``.
 
     Block sums grow relay by relay in DP-mask order (the smallest relay
-    has the highest bit), each block value is the smallest over the
-    eligible receivers (the first on ties), and each row follows the DP's
-    first blocks in canonical order, summing their values left to right.
+    has the highest bit). Each block's receiver is the first of its
+    eligible receivers with the smallest snr (a strict comparison), and
+    its value is log2(1 + snr) of that receiver alone. Each row follows
+    the DP's first blocks in canonical order, summing their values left
+    to right.
     """
     relays = net.relay_ids
     n = len(relays)
@@ -438,7 +447,8 @@ def constraint_table_by_loops(net):
     members = [tuple(r for r, b in zip(relays, bit) if m & b) for m in range(full + 1)]
 
     # v(B) and its receiver, in _block_snr_sum's arithmetic: a block's
-    # sum extends the sum without its largest relay (the lowest bit).
+    # sum extends the sum without its largest relay (the lowest bit), and
+    # the receiver is picked on the snr before any log is taken.
     candidates = relays + (net.destination_id,)
     gains = _channel(net, (1,) + relays, candidates)[0]
     noise = np.array([net.nodes[r - 1].noise for r in candidates])
@@ -450,15 +460,15 @@ def constraint_table_by_loops(net):
     for m in range(1, full + 1):
         low = m & -m
         sums.append([a + t for a, t in zip(sums[m ^ low], terms[n - low.bit_length()])])
-        best_v = None
+        best_x = None
         for j, r in enumerate(candidates):
             if j < n and m & bit[j]:
                 continue
-            v = math.log1p(sums[m][j] / floors[j]) / _LN2
-            if best_v is None or v < best_v:
-                best_v, best_r = v, r
-        assert best_v is not None  # the destination is always eligible
-        value.append(best_v)
+            x = sums[m][j] / floors[j]
+            if best_x is None or x < best_x:
+                best_x, best_r = x, r
+        assert best_x is not None  # the destination is always eligible
+        value.append(math.log1p(best_x) / _LN2)
         receiver.append(best_r)
 
     f = [0.0] * (full + 1)  # smallest totals

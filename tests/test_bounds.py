@@ -457,6 +457,57 @@ class TestBlockDecodeRate:
         assert vals[0] < vals[-1]
 
 
+def _overflowed_floor_network(t=4, dest_gain=1.0):
+    """T nodes: source power 1e300, each relay at power 1e300 and noise
+    1e300, destination noise 1e300; gains 1e10 among the source and the
+    relays, ``dest_gain`` to and from the destination. Every relay's floor
+    lambda_1r P1 + N_r overflows a double, and so does the destination's
+    at ``dest_gain`` 1e10; at 1 it is 2e300."""
+    gains = np.full((t, t), 1e10)
+    gains[-1, :] = gains[:, -1] = dest_gain
+    nodes = [rc.source(1, 1e300)] + [rc.relay(j, 1e300, 1e300) for j in range(2, t)]
+    return _net(nodes + [rc.destination(t, 1e300)], gains)
+
+
+class TestOverflowedFloor:
+    """Every receiver that decodes some block, the destination and every
+    relay once there are two, needs a finite floor lambda_1r P1 + N_r; the
+    table and ``block_decode_rate`` refuse one that overflows, naming it."""
+
+    @pytest.mark.parametrize("quantifier", ["forall", "exists"])
+    @pytest.mark.parametrize(
+        "t, dest_gain, receiver", [(4, 1.0, 2), (5, 1.0, 2), (3, 1e10, 3), (4, 1e10, 2)]
+    )
+    def test_table_names_the_first_overflowed_receiver(self, quantifier, t, dest_gain, receiver):
+        net = _overflowed_floor_network(t, dest_gain)
+        message = f"^receiver {receiver}'s source-plus-noise floor lambda_1{receiver} P1 "
+        with pytest.raises(NotPositiveDefinite, match=message):
+            _ConstraintTable(net, quantifier)
+        with pytest.raises(NotPositiveDefinite, match=message):
+            bounds._constraint_tables([_near_tie_forall_network()._arrays, net._arrays], quantifier)
+
+    @pytest.mark.parametrize("quantifier", ["forall", "exists"])
+    def test_relay_free_and_lone_relay_networks_are_not_refused(self, quantifier):
+        # No block has a receiver at T = 2, and at T = 3 the destination
+        # alone decodes: the relay's overflowed floor is never read.
+        free = _overflowed_floor_network(2, 1e10)
+        assert _ConstraintTable(free, quantifier).denom_log2.shape == (0,)
+        lone = _overflowed_floor_network(3)
+        table = _ConstraintTable(lone, quantifier)
+        with np.errstate(over="ignore"):  # the relay's floor -> inf, as in the table
+            denoms, instances = _reference_table(lone, quantifier)
+        assert table.denom_log2.tobytes() == denoms.tobytes()
+        assert table.instances == instances
+        assert denoms.tolist() == [math.log2(1.5)]
+
+    def test_block_decode_rate_names_the_receiver(self):
+        net = _overflowed_floor_network()
+        with pytest.raises(NotPositiveDefinite, match="^receiver 3's source-plus-noise floor"):
+            rc.block_decode_rate(net, (2,), 3)
+        assert rc.block_decode_rate(net, (2,), 4) == pytest.approx(0.5 * math.log2(1.5))
+        assert rc.block_decode_rate(net, (), 3) == 0.0
+
+
 class TestQuantizedCovarianceDet:
     def test_scalar_case(self, single_relay_network):
         q = rc.QuantizationVector.uniform(0.5, (2,))
@@ -2064,19 +2115,71 @@ class TestConstraintTableArrays:
             assert table.denom_log2.tobytes() == denoms.tobytes()
             assert table.instances == instances
 
-    def test_forall_ratios_ulps_apart_keep_the_first_receiver(self):
+    def test_ratios_ulps_apart_pick_the_extreme_ratio(self):
         net = _near_tie_forall_network()
-        # The snrs differ, yet their values tie, so the first receiver wins
-        # although the destination's snr is the smaller.
+        # The snrs differ, yet their values tie: the pick is made on the
+        # snr, so forall keeps the destination, whose snr is the smaller,
+        # and exists receiver 3.
         above, at = (1.0 + 4 * 2.0**-52) * 1e13 / 2.0, 1e13 / 2.0
         assert above > at > 1e12
         assert math.log1p(above) == math.log1p(at)
-        for quantifier in ("forall", "exists"):
+        for quantifier, receiver in (("forall", 4), ("exists", 3)):
             table = _ConstraintTable(net, quantifier)
             denoms, instances = _reference_table(net, quantifier)
             assert table.denom_log2.tobytes() == denoms.tobytes()
             assert table.instances == instances
-            assert table.instance(0).assignment == (3,)
+            assert table.instance(0).assignment == (receiver,)
+
+    def test_forall_block_of_inf_ratios_keeps_its_first_eligible_receiver(self):
+        # Relay 2's own term overflows at every receiver, so block {2} has
+        # every eligible ratio +inf, and so has {2,3} at the destination:
+        # each ties with its ineligible columns and keeps its first
+        # eligible receiver, 3 and 4, as the ratio oracles' strict scans
+        # do. Alone and as the second table of a stack, bit for bit.
+        net = _overflowing_relay_network()
+        other = _near_tie_forall_network()
+        with np.errstate(over="ignore"):  # lambda_ir P_i -> inf, as in the table
+            denoms, instances = constraint_table_by_loops(net)
+            scan = table_by_partition_scan(net)
+        assert instances[0] == enumeration.ConstraintInstance(s=(2,), partition=((2,),), assignment=(3,))
+        assert instances[2] == enumeration.ConstraintInstance(
+            s=(2, 3), partition=((2, 3),), assignment=(4,)
+        )
+        assert scan[0].tobytes() == denoms.tobytes() and scan[1] == instances
+        stack = bounds._constraint_tables([other._arrays, net._arrays], "forall")
+        for table in (_ConstraintTable(net, "forall"), stack[1]):
+            assert table.denom_log2.tobytes() == denoms.tobytes()
+            assert table.instances == instances
+
+    @given(t=st.integers(3, 7), unit=st.booleans(), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_huge_power_stacks_match_the_ratio_oracles_bitwise(self, t, unit, data):
+        # Relay powers up to 1e308 overflow block sums and, at gains 2 and
+        # 4, relays' own terms (rows whose every eligible ratio is +inf),
+        # and put ratios ulps apart; unit gains tie every receiver of a
+        # block, gains from a few levels tie blocks. One to three networks
+        # in one stack.
+        huge = st.floats(1e300, 1e308)
+        power = st.one_of(st.sampled_from([0.0, 1.0, 1e13, 1e308]), huge, st.floats(1.0, 1e308))
+
+        def draw_network():
+            powers = data.draw(st.lists(power, min_size=t - 2, max_size=t - 2))
+            gains = np.ones((t, t))
+            if not unit:
+                levels = st.lists(st.sampled_from([0.5, 2.0, 4.0]), min_size=t * t, max_size=t * t)
+                gains = np.triu(np.reshape(data.draw(levels), (t, t)))
+                gains += np.triu(gains, 1).T
+            nodes = [rc.source(1, 1.0)] + [rc.relay(j, p, 1.0) for j, p in zip(range(2, t), powers)]
+            return _net(nodes + [rc.destination(t, 1.0)], gains)
+
+        nets = [draw_network() for _ in range(data.draw(st.integers(1, 3)))]
+        for quantifier in ("forall", "exists"):
+            tables = bounds._constraint_tables([net._arrays for net in nets], quantifier)
+            for net, table in zip(nets, tables):
+                with np.errstate(over="ignore"):  # lambda_ir P_i -> inf, as in the table
+                    denoms, instances = _reference_table(net, quantifier)
+                assert table.denom_log2.tobytes() == denoms.tobytes()
+                assert table.instances == instances
 
     def test_generic_exists_tables_need_no_dp(self, monkeypatch):
         def refuse(*args):

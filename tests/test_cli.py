@@ -330,6 +330,25 @@ class TestExitCodes:
             "the network's SNR is past double precision\n"
         )
 
+    def test_overflowed_receiver_floor_exits_2(self, tmp_path, capsys):
+        # Source power 1e300 over gain 1e10: relay 2's floor lambda_12 P1 +
+        # N_2 overflows a double. The cut side is whole, so bound exits 0;
+        # cfrate and sweep exit 2 with one line and no warning.
+        doc = _extreme_doc(1e300, [(1e300, 1e300)] * 2, 1e300, 1e10)
+        doc["gains"] = [[0, 1e10, 1e10, 1], [1e10, 0, 1e10, 1], [1e10, 1e10, 0, 1], [1, 1, 1, 0]]
+        doc["sweep"] = {"gammas": [1, 10]}
+        cfg = _write(tmp_path, "floor.json", doc)
+        assert cli.main(["bound", "--config", cfg]) == 0
+        capsys.readouterr()
+        for command in ("cfrate", "sweep"):
+            assert cli.main([command, "--config", cfg]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "numerical error: receiver 2's source-plus-noise floor lambda_12 P1 + N_2 "
+                "overflows a double; the network's SNR is past double precision\n"
+            )
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert cli.main(["bound", "--config", str(tmp_path / "nope.json")]) == 2
         assert "config error:" in capsys.readouterr().err

@@ -79,6 +79,13 @@ gammas [1e308] (the scale error first, exit 2) and [1, 1e308] (the guard,
 exit 3), and run through ``bound`` and ``cfrate`` (exit 3). A small
 network with ``cf.tol`` = -1 runs ``cfrate`` and ``sweep``: trees that
 still read ``cf.tol`` reject it (exit 2), and later trees ignore it.
+The T = 4 near-tie network (relay powers 1e13, gain 2 -> 3 raised by 4
+ulps, so that relay 2's two snrs differ but give one log2) runs ``cfrate
+--top-k 1000`` under both quantifiers: its printed receivers show
+whether a change picks each block's receiver on the snr. A T = 4
+network whose relays' floors lambda_1r P1 + N_r overflow a double
+(source power 1e300, gains 1e10 among nodes 1-3) runs ``bound``,
+``cfrate`` and ``sweep``.
 ``verify`` runs with its defaults, with seeds 1, 2, 5 and 12345 and with
 two large seeds like the benchmark's (3 * 1234567 and 3 * 1234568), with 1
 and 7 network samples and 1 and 7 determinant samples, the edge cases of
@@ -91,7 +98,7 @@ the relay-correlation check stops at its first failing parameter set. Fifteen ru
 argparse: ``--help`` alone and after each command, no argument, an
 unknown command, an unknown flag after each command, ``cfrate`` without
 ``--config``, a bad ``--mode``, a non-integer ``--top-k`` and ``cfrate
---tol 1e-6`` (a flag that later trees no longer have): 518 runs in all. Only the standard library and numpy are used.
+--tol 1e-6`` (a flag that later trees no longer have): 523 runs in all. Only the standard library and numpy are used.
 """
 
 from __future__ import annotations
@@ -439,6 +446,28 @@ def retired_tol() -> tuple[str, dict]:
     return "retired-cf-tol", doc
 
 
+def near_tie() -> tuple[str, dict]:
+    """(name, config) of the T = 4 near-tie network: unit gains and
+    noises, relay powers 1e13, and gain 2 -> 3 raised by 4 ulps, so that
+    relay 2's snr at receiver 3 lies 4 ulps above its snr at the
+    destination and both give one log2."""
+    doc = _doc(1.0, [(1e13, 1.0)] * 2, 1.0, np.ones((4, 4)))
+    doc["gains"][1][2] += 4 * 2.0**-52
+    return "near-tie-T4", doc
+
+
+def floor_overflow() -> tuple[str, dict]:
+    """(name, config) of the T = 4 network whose relays' floors
+    lambda_1r P1 + N_r overflow a double: source power 1e300, relays at
+    power and noise 1e300, destination noise 1e300, gains 1e10 among
+    nodes 1-3 and 1 to and from node 4, swept over gammas [1, 10]."""
+    gains = np.full((4, 4), 1e10)
+    gains[3, :] = gains[:, 3] = 1.0
+    doc = _doc(1e300, [(1e300, 1e300)] * 2, 1e300, gains)
+    doc["sweep"] = {"gammas": [1, 10]}
+    return "floor-overflow-T4", doc
+
+
 def argparse_runs(config: str) -> list[list[str]]:
     """Command lines that argparse answers itself: help, a missing or
     unknown command, an unknown flag on each command, a missing
@@ -474,6 +503,8 @@ def runs(config_dir: str) -> list[tuple[str, list[str]]]:
     plans += [(entry, UNIFORM_TOP_K_COMMANDS) for entry in tie_break_networks()]
     plans.append((wide_sweep(), SWEEP_COMMANDS))
     plans.append((retired_tol(), CF_COMMANDS))
+    plans.append((near_tie(), TOP_K_COMMANDS))
+    plans.append((floor_overflow(), PLAIN_COMMANDS))
     precedence = error_precedence()
     guarded = {name for (name, _), _ in precedence}
     for (name, doc), commands in plans + precedence:
