@@ -23,8 +23,8 @@ denominator. A block's factor does not depend on the other blocks, so
 each forall minimum comes from an O(3^R) subset DP over the R relays
 (``_ConstraintTable`` states the recurrence and its tie-break), run in
 numpy one popcount layer at a time; every block's factor comes from one
-array of block sums, with one log per block. A receiver that decodes
-some block needs a finite floor lambda_1r P1 + N_r: the table refuses
+array of block sums, with one log per block. Once there is a relay,
+every receiver needs a finite floor lambda_1r P1 + N_r: the table refuses
 one that overflows with NotPositiveDefinite. An exists maximum needs no
 DP: it is the sum of the subset's relays' own best factors, each relay
 its own block. ``_constraint_tables`` builds any number of tables, one
@@ -552,12 +552,8 @@ class _ConstraintTable:
     then S's smallest relay with each submask of the rest, of any two the
     one holding the smallest relay at which they differ first. A strict-<
     scan keeps the first of equal totals, and so does ``argmin``, which
-    returns the first minimum. A NaN candidate fails every < comparison,
-    so the scan skips it, unless it comes first, where it sticks: it stays
-    the best, and its total is f(S). So the layer reads every NaN after
-    the first candidate as +inf (never a strict improvement) and leaves
-    the first alone, which ``argmin``, returning the first NaN, then
-    picks; a NaN total can only come from a NaN value or from inf - inf.
+    returns the first minimum. Every value lies in [0, inf], so no total
+    is NaN, and ``argmin`` keeps the first minimum as the strict-< scan does.
     Each row's ``denom_log2`` then follows its first blocks, adding their
     values left to right, in at most R vectorized steps. Tables of one
     relay count stack in rows and every operation acts on each row alone:
@@ -569,12 +565,12 @@ class _ConstraintTable:
     log2(1 + x) = math.log1p(x) / ln 2 is taken once, for the pick. The
     log rises with x, so the pick's value is the extreme value; two
     ratios a few ulps apart can round to one value, and then the extreme
-    ratio, not the smaller id, keeps the block. Every receiver that
-    decodes some block (the destination, and every relay once there are
-    two) must have a finite floor lambda_1r P1 + N_r, or the build raises
-    NotPositiveDefinite, naming it: gains and powers are finite and
-    nonnegative, so every ratio then lies in [0, inf], an overflowed
-    block sum reads +inf, and no ratio is NaN.
+    ratio, not the smaller id, keeps the block. Once there is a relay,
+    every receiver (every relay and the destination) must have a finite
+    floor lambda_1r P1 + N_r, or the build raises NotPositiveDefinite,
+    naming the first: gains and powers are finite and nonnegative, so
+    every ratio then lies in [0, inf], an overflowed block sum reads +inf,
+    and no ratio is NaN.
 
     The table stores ``denom_log2``, each mask's first block and each
     block's receiver, nothing per row beyond that. ``instance(k)`` follows
@@ -697,19 +693,17 @@ def _fill_tables(run: list[_ConstraintTable], n: int, forall: bool) -> None:
     powers = np.array([p for _, p, _ in arrays])[:, None, :-1]
     noise = np.array([x for _, _, x in arrays])[:, 1:]
     # A product or a sum may overflow to inf, silently, as Python floats
-    # give; finite floors at the receivers that decode blocks keep every
-    # ratio in [0, inf], none NaN.
+    # give; finite floors at every receiver keep every ratio in [0, inf],
+    # none NaN, and no relay's singleton root inf / inf (_uniform_optima).
     with np.errstate(over="ignore"):
         # lambda_ir P_i for the source (column 0) and every relay.
         signal = gains * powers
         floors = signal[..., 0] + noise
-        # The receivers that decode some block lie from column ``start``
-        # on: the destination (column n) once there is a relay, and every
-        # relay once there are two. Receiver column j is node j + 2.
-        start = 0 if n > 1 else 1
-        overflowed = np.isinf(floors[:, start:]).any(axis=0)
-        if overflowed.any():
-            raise _floor_overflow(start + 2 + int(overflowed.argmax()))
+        # Once there is a relay, every receiver column, node j + 2 in
+        # column j, must have a finite floor.
+        overflowed = np.isinf(floors).any(axis=0)
+        if n and overflowed.any():
+            raise _floor_overflow(2 + int(overflowed.argmax()))
         if not forall:
             _sum_singletons(run, layout, signal, floors)
             return
@@ -966,8 +960,8 @@ def _lockstep_search(
     shifted into its open bracket, evaluated on the pass's argmin row
     alone (``_row_margins``, each margin bit for bit the row's full-pass
     one), right after that pass. A point that one row rejects is one that
-    the table rejects, whose smallest margin is at most that row's (or
-    NaN), so the largest rejected point becomes the bracket's low end. A
+    the table rejects, whose smallest margin is at most that row's, so
+    the largest rejected point becomes the bracket's low end. A
     bracket that this closes is done: its high end was accepted by a
     full pass. Otherwise the next full pass evaluates the point just
     above the low end, where a rejection resumes Newton from the row that
@@ -1063,9 +1057,9 @@ def _uniform_optima(tables: list[_ConstraintTable]) -> list[np.ndarray | Infeasi
     The search's ulp window asks one row, the binding one, about 17
     consecutive doubles, not the table. That is enough to reject: the
     table accepts a point only if every row's margin is at least 0, so a
-    point that one row rejects (a margin below 0, or NaN) the table
-    rejects too. A point the row accepts is not taken as accepted: the
-    next full pass checks it.
+    point that one row rejects (a margin below 0) the table rejects too.
+    A point the row accepts is not taken as accepted: the next full pass
+    checks it.
 
     Each search starts at its largest singleton frontier. Row {i}'s
     margin is nonnegative exactly where (1 + N_i/x)(1 + P1 lam_i/(N_i + x))
@@ -1077,9 +1071,9 @@ def _uniform_optima(tables: list[_ConstraintTable]) -> list[np.ndarray | Infeasi
     like any other, which the search's window walks down from). The start is
     clipped to the doubles: a root that overflows starts at the largest
     double (where a table that rejects it ends in one pass with no
-    finite Q), and a root of 0 at the smallest. A NaN root (inf over inf)
-    is left out, and a column whose every root is NaN starts at its
-    largest relay noise.
+    finite Q), and a root of 0 at the smallest. No root is NaN: its
+    numerator is the relay's floor, which the table build keeps finite,
+    and its denominator is positive, as every searched denominator is.
     """
     optima: list[np.ndarray | Infeasible] = [np.empty(0)] * len(tables)
     counts: list[int | None] = []
@@ -1094,19 +1088,14 @@ def _uniform_optima(tables: list[_ConstraintTable]) -> list[np.ndarray | Infeasi
             )
     for members in _runs(counts):
         run = [tables[k] for k in members]
-        # N + Q -> inf near the largest double: a relay that hears nothing
-        # of the source, the exact limit. Near the smallest, N/Q -> inf, and
-        # with P1 = 0 the source term can read 0 * inf = NaN: a cost that
-        # _margins_log2 reads as the largest double.
-        with np.errstate(over="ignore", invalid="ignore"):
-            denom, noise, lam, p1 = columns = _columns(run)
-            # Each column's largest singleton frontier (row {i} is row
-            # 2^i - 1); a NaN root, inf over inf, is left out.
-            singles = denom[(1 << np.arange(len(noise))) - 1]
+        denom, noise, lam, p1 = columns = _columns(run)
+        # Each column's largest singleton frontier (row {i} is row
+        # 2^i - 1); a root past the largest double reads inf.
+        singles = denom[(1 << np.arange(len(noise))) - 1]
+        with np.errstate(over="ignore"):
             roots = (noise + p1 * lam) / np.expm1(_LN2 * singles)
-            start = np.clip(np.fmax.reduce(roots), 5e-324, sys.float_info.max)
-            start = np.where(np.isnan(start), noise.max(axis=0), start)
-            found = _lockstep_search(*columns, start)
+        start = np.clip(roots.max(axis=0), 5e-324, sys.float_info.max)
+        found = _lockstep_search(*columns, start)
         for k, table, q in zip(members, run, found.tolist()):
             optima[k] = (
                 np.full(len(table.relays), q)

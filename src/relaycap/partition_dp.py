@@ -119,10 +119,11 @@ _DP_CHUNK = 1 << 16
 def _partition_dp(value: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The forall table's subset DP for K tables stacked in rows: ``value``
     is (K, 2^n), each table's block values indexed by mask, entry 0 (the
-    empty block) 0. Returns each table's rows' smallest totals, summed
-    left to right over their blocks, (K, 2^n - 1), row k for mask k + 1,
-    and each mask's first block, (K, 2^n) (``bounds._ConstraintTable``
-    states the recurrence).
+    empty block) 0, every value in [0, inf], so that no total is NaN.
+    Returns each table's rows' smallest totals, summed left to right over
+    their blocks, (K, 2^n - 1), row k for mask k + 1, and each mask's
+    first block, (K, 2^n) (``bounds._ConstraintTable`` states the
+    recurrence).
     Every operation acts on each table alone, so a table's rows are its
     own DP's, whatever it is stacked with."""
     k_tables, size = value.shape
@@ -139,11 +140,8 @@ def _partition_dp(value: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             # A candidate B of S leaves the rest S ^ B.
             total = value.take(block, axis=1)
             total += f.take(s[:, None] ^ block, axis=1)
-            # The first minimum, as a strict-< scan keeps it; the scan skips
-            # a NaN candidate, unless it comes first, where it sticks. Each
-            # pick becomes a flat index into the chunk's candidates.
-            later = total[..., 1:]
-            np.fmin(later, np.inf, out=later)
+            # The first minimum, as a strict-< scan keeps it. Each pick
+            # becomes a flat index into the chunk's candidates.
             pick = total.argmin(axis=2)
             pick += np.arange(0, block.size, block.shape[1])
             f[:, s] = total.reshape(k_tables, -1)[rows, pick]

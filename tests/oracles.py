@@ -658,8 +658,7 @@ def lockstep_search_by_noise(tables) -> list[float]:
     count, stacked in columns, each started at ``search_start``: each
     table's uniform frontier Q, or inf where no finite Q is feasible."""
     starts = np.array([search_start(table) for table in tables])
-    with np.errstate(over="ignore", invalid="ignore"):  # as in _uniform_optima
-        return _lockstep_search(*_columns(tables), starts).tolist()
+    return _lockstep_search(*_columns(tables), starts).tolist()
 
 
 def frontier_by_bit_bisection(table) -> float:

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import exact
@@ -470,13 +470,13 @@ def _overflowed_floor_network(t=4, dest_gain=1.0):
 
 
 class TestOverflowedFloor:
-    """Every receiver that decodes some block, the destination and every
-    relay once there are two, needs a finite floor lambda_1r P1 + N_r; the
-    table and ``block_decode_rate`` refuse one that overflows, naming it."""
+    """Once there is a relay, every receiver, every relay and the
+    destination, needs a finite floor lambda_1r P1 + N_r; the table and
+    ``block_decode_rate`` refuse one that overflows, naming it."""
 
     @pytest.mark.parametrize("quantifier", ["forall", "exists"])
     @pytest.mark.parametrize(
-        "t, dest_gain, receiver", [(4, 1.0, 2), (5, 1.0, 2), (3, 1e10, 3), (4, 1e10, 2)]
+        "t, dest_gain, receiver", [(4, 1.0, 2), (5, 1.0, 2), (3, 1e10, 2), (4, 1e10, 2)]
     )
     def test_table_names_the_first_overflowed_receiver(self, quantifier, t, dest_gain, receiver):
         net = _overflowed_floor_network(t, dest_gain)
@@ -487,18 +487,21 @@ class TestOverflowedFloor:
             bounds._constraint_tables([_near_tie_forall_network()._arrays, net._arrays], quantifier)
 
     @pytest.mark.parametrize("quantifier", ["forall", "exists"])
-    def test_relay_free_and_lone_relay_networks_are_not_refused(self, quantifier):
-        # No block has a receiver at T = 2, and at T = 3 the destination
-        # alone decodes: the relay's overflowed floor is never read.
+    def test_relay_free_network_is_not_refused(self, quantifier):
+        # No block has a receiver at T = 2: the destination's overflowed
+        # floor is never read, and the bound, 1/2 log2(1 + 1e10), is finite.
         free = _overflowed_floor_network(2, 1e10)
         assert _ConstraintTable(free, quantifier).denom_log2.shape == (0,)
+        assert rc.source_cut_bound(free) == pytest.approx(0.5 * math.log2(1e10))
+
+    @pytest.mark.parametrize("quantifier", ["forall", "exists"])
+    def test_lone_relay_network_is_refused(self, quantifier):
+        # At T = 3 the destination alone decodes, but the relay's floor is
+        # the numerator of its singleton frontier, which the search starts
+        # from: a lone relay's overflowed floor is refused too.
         lone = _overflowed_floor_network(3)
-        table = _ConstraintTable(lone, quantifier)
-        with np.errstate(over="ignore"):  # the relay's floor -> inf, as in the table
-            denoms, instances = _reference_table(lone, quantifier)
-        assert table.denom_log2.tobytes() == denoms.tobytes()
-        assert table.instances == instances
-        assert denoms.tolist() == [math.log2(1.5)]
+        with pytest.raises(NotPositiveDefinite, match="^receiver 2's source-plus-noise floor"):
+            _ConstraintTable(lone, quantifier)
 
     def test_block_decode_rate_names_the_receiver(self):
         net = _overflowed_floor_network()
@@ -1493,17 +1496,15 @@ class TestConstraintTableInternals:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_stacked_dp_matches_the_scalar_scan_bitwise(self, monkeypatch, n, chunk):
         # Every table of a stack gets the scalar strict-< scan's totals and
-        # first blocks, on tied values and with inf, -inf and NaN mixed in;
-        # a small chunk splits every layer into many gathers. The scan
-        # gives the smallest relay the highest bit: it reads each mask
-        # bit-reversed.
+        # first blocks, on tied values and with inf mixed in; a small chunk
+        # splits every layer into many gathers. The scan gives the smallest
+        # relay the highest bit: it reads each mask bit-reversed.
         monkeypatch.setattr(partition_dp, "_DP_CHUNK", chunk)
         rng = np.random.default_rng(400 + n)
         masks = tuple(int(f"{m:0{n}b}"[::-1], 2) for m in range(2**n))
         for k_tables in (1, 3, 13):
             for value in _dp_value_stacks(rng, n, k_tables):
-                with np.errstate(invalid="ignore"):  # inf - inf, as the table build runs it
-                    denoms, first = partition_dp._partition_dp(value)
+                denoms, first = partition_dp._partition_dp(value)
                 assert denoms.shape == (k_tables, 2**n - 1)
                 assert first.shape == (k_tables, 2**n)
                 for row, got_denoms, got_first in zip(value, denoms, first):
@@ -1553,9 +1554,8 @@ class TestConstraintTableInternals:
         # it gets alone.
         monkeypatch.setattr(partition_dp, "_DP_CHUNK", 40)
         value = np.concatenate(list(_dp_value_stacks(np.random.default_rng(412), 12, 2)))
-        with np.errstate(invalid="ignore"):  # inf - inf, as the table build runs it
-            denoms, first = partition_dp._partition_dp(value)
-            alone = [partition_dp._partition_dp(row[None]) for row in value]
+        denoms, first = partition_dp._partition_dp(value)
+        alone = [partition_dp._partition_dp(row[None]) for row in value]
         for k, (want_denoms, want_first) in enumerate(alone):
             assert denoms[k].tobytes() == want_denoms[0].tobytes()
             assert first[k].tobytes() == want_first[0].tobytes()
@@ -1622,14 +1622,14 @@ class TestConstraintTableInternals:
 
 def _dp_value_stacks(rng, n, k_tables):
     """(k_tables, 2^n) block-value stacks indexed by mask, entry 0 (the
-    empty block) 0: spread values, values from a few levels (ties), and
-    tied values with inf, -inf and NaN in about one entry in six."""
+    empty block) 0, every value in [0, inf] as a built table's: spread
+    values, values from a few levels (ties), and tied values with inf (an
+    overflowed block sum) in about one entry in six."""
     size = 1 << n
     spread = 10.0 ** rng.uniform(-3.0, 3.0, size=(k_tables, size))
     tied = rng.choice([0.0, 0.5, 1.0, 1.5, 3.0], size=(k_tables, size))
     special = tied.copy()
-    hit = rng.random(size=special.shape) < 1.0 / 6.0
-    special[hit] = rng.choice([math.inf, -math.inf, math.nan], size=int(hit.sum()))
+    special[rng.random(size=special.shape) < 1.0 / 6.0] = math.inf
     for value in (spread, tied, special):
         value[:, 0] = 0.0
         yield value
@@ -3267,18 +3267,6 @@ def _stub_tables(net):
     return overflow, underflow
 
 
-def _nan_root_table(net):
-    """A forall table of ``net`` whose every singleton root (N_i + P1
-    lam_i) / expm1(ln2 denom_i) reads inf / inf: infinite singleton
-    denominators, 1200-bit others, and P1 lam_i past the doubles."""
-    table = _ConstraintTable(net, "forall")
-    singles = (1 << np.arange(len(table.relays))) - 1
-    table.denom_log2 = np.full_like(table.denom_log2, 1200.0)
-    table.denom_log2[singles] = np.inf
-    table.lam, table.p1 = np.full_like(table.lam, 1e300), 1e10
-    return table
-
-
 def _no_frontier_network():
     """T = 4, unit gains and noises, source power 1, relay powers 1e-310
     and 10: no finite uniform Q at gamma = 1, Q* = 4e10 at gamma = 1e300."""
@@ -3327,9 +3315,8 @@ def _start_cases():
     """Groups of searchable tables of one relay count, each a callable for
     the start oracle below: seeded networks, tied-power and unit-gain
     networks and relays weakened by 1e-8 under both quantifiers, sweeps
-    over gamma = 10^0..10^300, the stubs, a singleton denominator of
-    5e-324, whose root overflows, and a table whose every singleton root
-    is NaN."""
+    over gamma = 10^0..10^300, the stubs, and a singleton denominator of
+    5e-324, whose root overflows."""
     both = ("forall", "exists")
     for t in range(3, 12):
         nets = [random_network(np.random.default_rng(s), t) for s in range(4)]
@@ -3365,9 +3352,9 @@ def _start_cases():
         tiny = _ConstraintTable(net, "forall")
         tiny.denom_log2 = tiny.denom_log2.copy()
         tiny.denom_log2[0] = 5e-324
-        return [*_stub_tables(net), tiny, _nan_root_table(net), _ConstraintTable(net, "forall")]
+        return [*_stub_tables(net), tiny, _ConstraintTable(net, "forall")]
 
-    yield pytest.param(stubs, id="stubs-tiny-singleton-nan-roots")
+    yield pytest.param(stubs, id="stubs-tiny-singleton")
 
 
 @pytest.mark.parametrize("build", _start_cases())
@@ -3392,8 +3379,8 @@ def test_singleton_start_keeps_the_reference_answers(build):
 def _frontier_family(t, seed, quantifier):
     """Tables of t nodes whose searches cover every regime: seeded
     networks, a tied-power and a unit-gain network with drawn powers,
-    relays weakened by 1e-8, a 13-row sweep over gamma = 10^0..10^300,
-    the stubs and a table whose every singleton root is NaN."""
+    relays weakened by 1e-8, a 13-row sweep over gamma = 10^0..10^300
+    and the stubs."""
     rng = np.random.default_rng(seed)
     net = random_network(rng, t)
     powers = 10.0 ** rng.uniform(0.0, 3.0, size=t)
@@ -3407,7 +3394,7 @@ def _frontier_family(t, seed, quantifier):
     tables = [_ConstraintTable(n, quantifier) for n in nets]
     rows = [rc.scaled(net, 10.0 ** (25 * k))._arrays for k in range(13)]
     tables += bounds._constraint_tables(rows, quantifier)
-    return tables + [*_stub_tables(net), _nan_root_table(net)]
+    return tables + [*_stub_tables(net)]
 
 
 @given(
@@ -3433,18 +3420,85 @@ def test_uniform_optima_are_the_bit_bisection_frontiers(t, seed, quantifier):
             assert key[0] is Infeasible
 
 
+@st.composite
+def _magnitude_networks(draw):
+    """T = 3..8 nodes, lone-relay networks included, with every power,
+    noise and gain 10^e for an e drawn from [-300, 300]: receiver floors
+    lambda_1r P1 + N_r and block sums that overflow a double, snrs that
+    underflow, and everything between."""
+    t = draw(st.integers(3, 8))
+
+    def values(size):
+        exponents = draw(st.lists(st.floats(-300.0, 300.0), min_size=size, max_size=size))
+        return [10.0**e for e in exponents]
+
+    powers, noises = values(t - 1), values(t - 1)
+    gains = np.zeros((t, t))
+    gains[~np.eye(t, dtype=bool)] = values(t * (t - 1))
+    nodes = [rc.source(1, powers[0])]
+    nodes += [rc.relay(j, powers[j - 1], noises[j - 2]) for j in range(2, t)]
+    return _net(nodes + [rc.destination(t, noises[-1])], gains)
+
+
+@given(net=_magnitude_networks(), quantifier=st.sampled_from(["forall", "exists"]))
+@example(net=_overflowed_floor_network(3), quantifier="forall")
+@example(net=_overflowed_floor_network(3), quantifier="exists")
+@settings(max_examples=200, deadline=None)
+def test_built_tables_hand_the_dp_and_the_search_no_nan(net, quantifier):
+    # A table build either refuses an overflowed receiver floor, and only
+    # then, or hands the DP values in [0, inf] and the search finite
+    # positive starts from finite singleton-root numerators N_i + P1
+    # lam_i; each search then ends where plain bit bisection does.
+    values, starts = [], []
+    real_dp, real_search = bounds._partition_dp, bounds._lockstep_search
+
+    def dp(value):
+        values.append(value.copy())
+        return real_dp(value)
+
+    def search(*args):
+        starts.append(args[-1].copy())
+        return real_search(*args)
+
+    gains, powers, noise = net._arrays
+    with np.errstate(over="ignore"):
+        overflowed = np.isinf(gains[0, 1:] * powers[0] + noise[1:]).any()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bounds, "_partition_dp", dp)
+        patch.setattr(bounds, "_lockstep_search", search)
+        try:
+            (table,) = bounds._constraint_tables([net._arrays], quantifier)
+        except NotPositiveDefinite:
+            assert overflowed
+            return
+        assert not overflowed
+        (optimum,) = bounds._uniform_optima([table])
+    for value in values:
+        assert (value >= 0.0).all()  # NaN fails every comparison
+    with np.errstate(over="ignore"):
+        assert np.isfinite(table.noise + table.p1 * table.lam).all()
+    searched = bool((table.denom_log2 > 0.0).all())
+    assert len(starts) == searched
+    for start in starts:
+        assert np.isfinite(start).all() and (start > 0.0).all()
+    x = frontier_by_bit_bisection(table) if searched else math.inf
+    if x < math.inf:
+        assert _optimum_key(optimum) == (x,) * len(table.relays)
+    else:
+        assert isinstance(optimum, Infeasible)
+
+
 def _window_cases():
     """Stacks of tables of one relay count for the window's margins:
-    seeded networks under both quantifiers, one with an overflowing relay
-    (every row holding relay 2 reads an inf denominator), and a table whose
-    every singleton root is NaN."""
+    seeded networks under both quantifiers and one with an overflowing
+    relay (every row holding relay 2 reads an inf denominator)."""
     for t in (3, 5, 7, 9):
         nets = [random_network(np.random.default_rng(100 + t + s), t) for s in range(3)]
         tables = [_ConstraintTable(net, q) for net in nets for q in ("forall", "exists")]
         overflow = _ConstraintTable(nets[0], "forall")
         holds_first = (np.arange(1, 1 << (t - 2)) & 1) == 1
         overflow.denom_log2 = np.where(holds_first, np.inf, overflow.denom_log2)
-        yield pytest.param(tables + [overflow, _nan_root_table(nets[1])], id=f"T{t}")
+        yield pytest.param(tables + [overflow], id=f"T{t}")
 
 
 @pytest.mark.parametrize("tables", _window_cases())
@@ -3481,7 +3535,7 @@ def test_window_margins_are_the_full_pass_rows(tables):
                     source += g / total * (x[j] / total)
                 assert slopes[row, :, j].tobytes() == np.array([reach, near, source]).tobytes()
     # The overflowing relay's rows read inf at every point.
-    assert np.isinf(np.array([m[0, -2] for m, _ in passes])).all()
+    assert np.isinf(np.array([m[0, -1] for m, _ in passes])).all()
 
 
 class TestLockstepFrontiers:
@@ -3617,11 +3671,6 @@ class TestLockstepFrontiers:
             assert self._passes(monkeypatch, [stub]) == 1
         feasible_row = _ConstraintTable(rc.scaled(_no_frontier_network(), 1e300), "forall")
         assert self._passes(monkeypatch, [feasible_row]) <= 3
-        # With no root to take, a search starts at its largest relay noise.
-        table = _nan_root_table(random_network(np.random.default_rng(3), 6))
-        calls = self._counting_margins(monkeypatch)
-        bounds._uniform_optima([table])
-        assert calls[0][4].tolist() == [table.noise.max()]
 
     @pytest.mark.parametrize("quantifier", ["forall", "exists"])
     def test_single_analysis_is_a_stack_of_one(self, monkeypatch, quantifier):

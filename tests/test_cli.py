@@ -349,6 +349,35 @@ class TestExitCodes:
                 "overflows a double; the network's SNR is past double precision\n"
             )
 
+    def test_lone_relays_overflowed_floor_exits_2(self, tmp_path, capsys):
+        # T = 3, source power 1e300 over gain 1e10: the lone relay's floor
+        # lambda_12 P1 + N_2 overflows a double, although the destination
+        # alone decodes. S = {2} needs Q >= 2 (N_2 + lambda_12 P1), past
+        # every double, so cfrate and sweep exit 2 with one line under
+        # both modes and quantifiers; the cut side is whole, so bound exits 0.
+        doc = _extreme_doc(1e300, [(1e300, 1e300)], 1e300, 1e10)
+        doc["gains"] = [[0, 1e10, 1], [1e10, 0, 1], [1, 1, 0]]
+        doc["sweep"] = {"gammas": [1, 10]}
+        cfg = _write(tmp_path, "lone-floor.json", doc)
+        assert cli.main(["bound", "--config", cfg]) == 0
+        capsys.readouterr()
+        for argv in (
+            *(
+                ["cfrate", "--mode", mode, "--quantifier", quantifier]
+                for mode in ("uniform", "coordinate")
+                for quantifier in ("forall", "exists")
+            ),
+            ["sweep", "--quantifier", "forall"],
+            ["sweep", "--quantifier", "exists"],
+        ):
+            assert cli.main(argv[:1] + ["--config", cfg] + argv[1:]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "numerical error: receiver 2's source-plus-noise floor lambda_12 P1 + N_2 "
+                "overflows a double; the network's SNR is past double precision\n"
+            )
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert cli.main(["bound", "--config", str(tmp_path / "nope.json")]) == 2
         assert "config error:" in capsys.readouterr().err

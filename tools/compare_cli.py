@@ -85,7 +85,9 @@ ulps, so that relay 2's two snrs differ but give one log2) runs ``cfrate
 whether a change picks each block's receiver on the snr. A T = 4
 network whose relays' floors lambda_1r P1 + N_r overflow a double
 (source power 1e300, gains 1e10 among nodes 1-3) runs ``bound``,
-``cfrate`` and ``sweep``.
+``cfrate`` and ``sweep``. Its T = 3 counterpart, whose lone relay's floor
+overflows while the destination's is finite, runs ``bound``, ``cfrate``
+(uniform and coordinate, forall and exists) and ``sweep``.
 ``verify`` runs with its defaults, with seeds 1, 2, 5 and 12345 and with
 two large seeds like the benchmark's (3 * 1234567 and 3 * 1234568), with 1
 and 7 network samples and 1 and 7 determinant samples, the edge cases of
@@ -98,7 +100,7 @@ the relay-correlation check stops at its first failing parameter set. Fifteen ru
 argparse: ``--help`` alone and after each command, no argument, an
 unknown command, an unknown flag after each command, ``cfrate`` without
 ``--config``, a bad ``--mode``, a non-integer ``--top-k`` and ``cfrate
---tol 1e-6`` (a flag that later trees no longer have): 523 runs in all. Only the standard library and numpy are used.
+--tol 1e-6`` (a flag that later trees no longer have): 529 runs in all. Only the standard library and numpy are used.
 """
 
 from __future__ import annotations
@@ -143,6 +145,8 @@ HUGE_NOISE_COMMANDS = (["cfrate"], ["sweep", "--quantifier", "forall"])
 TOP_K_COMMANDS = NETWORK_COMMANDS[5:7]
 
 WIDE_COMMANDS = NETWORK_COMMANDS[1:3]
+
+LONE_FLOOR_COMMANDS = (["bound"], *NETWORK_COMMANDS[1:5], ["sweep"])
 
 UNIFORM_TOP_K_COMMANDS = tuple(
     ["cfrate", "--mode", "uniform", "--top-k", "1000", "--quantifier", quantifier]
@@ -468,6 +472,19 @@ def floor_overflow() -> tuple[str, dict]:
     return "floor-overflow-T4", doc
 
 
+def lone_floor_overflow() -> tuple[str, dict]:
+    """(name, config) of the T = 3 network whose lone relay's floor
+    lambda_12 P1 + N_2 overflows a double while the destination's is
+    finite: source power 1e300, the relay at power and noise 1e300,
+    destination noise 1e300, gain 1e10 between nodes 1 and 2 and 1 to and
+    from node 3, swept over gammas [1, 10]."""
+    gains = np.full((3, 3), 1e10)
+    gains[2, :] = gains[:, 2] = 1.0
+    doc = _doc(1e300, [(1e300, 1e300)], 1e300, gains)
+    doc["sweep"] = {"gammas": [1, 10]}
+    return "lone-floor-overflow-T3", doc
+
+
 def argparse_runs(config: str) -> list[list[str]]:
     """Command lines that argparse answers itself: help, a missing or
     unknown command, an unknown flag on each command, a missing
@@ -505,6 +522,7 @@ def runs(config_dir: str) -> list[tuple[str, list[str]]]:
     plans.append((retired_tol(), CF_COMMANDS))
     plans.append((near_tie(), TOP_K_COMMANDS))
     plans.append((floor_overflow(), PLAIN_COMMANDS))
+    plans.append((lone_floor_overflow(), LONE_FLOOR_COMMANDS))
     precedence = error_precedence()
     guarded = {name for (name, _), _ in precedence}
     for (name, doc), commands in plans + precedence:
