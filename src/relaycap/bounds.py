@@ -34,10 +34,12 @@ receivers, not the attaining (partition, assignment) instances: it
 builds a subset's instance only when a caller reads it (a rate report's
 binding rows, an infeasibility message, ``cf_feasible``'s
 diagnostics).
-Every feasibility query is one vectorized margin evaluation on the
-denominators, with the determinant in its rank-one closed form; the
-determinant-lemma suite checks that form against ``gaussian``'s
-factorized one, which ``quantized_covariance_det`` calls too.
+One margin pass (``_pass_margins``) answers every feasibility query and
+every full pass of the frontier search: one vectorized evaluation on the
+denominators, with the determinant in its rank-one closed form, which
+alone states how N + Q and N/Q overflow. The determinant-lemma suite
+checks that form against ``gaussian``'s factorized one, which
+``quantized_covariance_det`` calls too.
 
 Rate is strictly decreasing in every Q_j and feasibility margins are
 strictly increasing, so the best admissible Q sits on the feasibility
@@ -514,7 +516,9 @@ class _ConstraintTable:
     ``denom_log2[k]`` is the extreme over the family of
     sum log2(1 + block snr). The per-block factors do not involve Q, so
     they are computed once; a feasibility query for a concrete Q then sums
-    two per-relay terms over every subset (``margins_log2``).
+    four per-relay terms over every subset (``margins_log2``, one column
+    of ``_pass_margins``): the margin's two and the search's two slope
+    terms.
 
     In forall mode the binding family member minimizes the denominator
     product (hardest constraint); in exists mode it maximizes it (easiest
@@ -613,8 +617,10 @@ class _ConstraintTable:
 
     def margins_log2(self, q_values: np.ndarray) -> np.ndarray:
         """Per-subset tightest margins for Q given as values aligned with
-        the sorted relay list."""
-        return _margins_log2(self.denom_log2, self.noise, self.lam, self.p1, q_values)
+        the sorted relay list: ``_pass_margins`` on the table as a stack
+        of one column."""
+        column = (a[:, None] for a in (self.denom_log2, self.noise, self.lam))
+        return _pass_margins(*column, self.p1, np.asarray(q_values)[:, None])[0][:, 0]
 
     def feasible(self, q_values: np.ndarray) -> bool:
         return bool(np.all(self.margins_log2(q_values) >= 0.0))
@@ -628,8 +634,7 @@ class _ConstraintTable:
         """Every subset's binding instance with its margin at Q, in
         canonical subset order."""
         _require_cover(q, self.relays)
-        with np.errstate(over="ignore"):  # N + Q -> inf, as in _uniform_optima
-            margins = self.margins_log2(np.array(q.values))
+        margins = self.margins_log2(np.array(q.values))
         return tuple(
             ConstraintMargin(instance=inst, margin_log2=float(m))
             for inst, m in zip(self.instances, margins)
@@ -744,52 +749,12 @@ def _sum_singletons(
         table.denom_log2 = np.ascontiguousarray(denoms[k])
 
 
-def _margins_log2(
-    denom_log2: np.ndarray,
-    noise: np.ndarray,
-    lam: np.ndarray,
-    p1: float | np.ndarray,
-    q_values: np.ndarray,
-) -> np.ndarray:
-    """Every subset's margin, along axis 0, for one table or for K tables
-    stacked in columns.
-
-    One table: ``denom_log2`` per subset, ``noise``, ``lam`` and
-    ``q_values`` per relay, ``p1`` a number. K tables: ``denom_log2`` is
-    (2^R - 1, K), ``noise`` and ``lam`` are (R, K), and ``p1`` and
-    ``q_values`` are (K,), table k's source power and uniform Q (or Q
-    per relay, (R, K), as ``_feasible`` gives it). Every
-    operation is elementwise, so column k is bit for bit table k's own
-    margins at its Q. The two per-relay terms, log1p(N/Q) and
-    lam/(N + Q), are stacked and summed over every subset in one
-    ``_subset_sums`` doubling, which gives each term its own
-    left-to-right sums. The stack lays the terms out one after the
-    other, so each term's sums are one block of memory, and a doubling
-    over one table is one long loop per term, not a two-entry loop per
-    subset. A row whose denominator is inf (an overflowed block sum)
-    holds at every Q, and reads inf at every Q, even where N/Q overflows
-    too; a NaN denominator reads NaN. A cost that overflows (or
-    reads NaN) counts as the largest double, so any other row reads far
-    below 0 there, rejected.
-    """
-    # log2(prod Q) - log2(det) + denom, rewritten through the rank-one
-    # determinant identity as -sum log1p(N/Q) - log1p(P1 sum lam/(N+Q))
-    # + denom. Differencing the raw log-dets loses the N/Q term once Q
-    # is ~1e16 N (it falls under the ulp), which would misread the
-    # powerless-relay constraint Q >= Q + c as satisfiable; the log1p
-    # form is exact there. The factorized determinant itself is checked
-    # against this identity by the determinant-lemma suite.
-    terms = np.array([np.log1p(noise / q_values), lam / (noise + q_values)])
-    return _cost_margins(denom_log2, p1, *_subset_sums(terms.swapaxes(0, 1))[1:].swapaxes(0, 1))
-
-
 def _cost_margins(
     denom_log2: np.ndarray, p1: float | np.ndarray, shrink: np.ndarray, reach: np.ndarray
 ) -> np.ndarray:
     """The margins from a subset's two sums, sum log1p(N/Q) and
-    sum lam/(N + Q): the one elementwise rule of ``_margins_log2``, the
-    search's full pass (``_pass_margins``) and its window
-    (``_row_margins``)."""
+    sum lam/(N + Q): the one elementwise rule of the full margin pass
+    (``_pass_margins``) and the search's window (``_row_margins``)."""
     cost = (shrink + np.log1p(p1 * reach)) / _LN2
     # A cost past the largest double reads as that double, so an inf
     # denominator keeps its inf where inf - inf would read NaN.
@@ -856,7 +821,7 @@ def _cf_rates(networks: list[tuple[np.ndarray, np.ndarray, np.ndarray]], qs: lis
 
 def _columns(tables: list[_ConstraintTable]) -> list[np.ndarray]:
     """The arrays of tables that share a relay count, stacked in columns
-    as ``_margins_log2`` takes them: denom_log2, noise, lam and p1."""
+    as ``_pass_margins`` takes them: denom_log2, noise, lam and p1."""
     names = ("denom_log2", "noise", "lam", "p1")
     return [np.stack([getattr(t, name) for t in tables], axis=-1) for name in names]
 
@@ -864,12 +829,12 @@ def _columns(tables: list[_ConstraintTable]) -> list[np.ndarray]:
 def _feasible(tables: list[_ConstraintTable], qs: list) -> list[bool]:
     """Whether each table accepts its Q, given as values aligned with its
     sorted relays: ``table.feasible`` of every (table, Q) pair, bit for
-    bit, from one ``_margins_log2`` pass per relay count, with Q per relay
+    bit, from one ``_pass_margins`` pass per relay count, with Q per relay
     in columns (R, K). A relay-free table has no constraint to break."""
     feasible = [True] * len(tables)
     for members in _runs([len(table.relays) or None for table in tables]):
         q = np.array([qs[k] for k in members]).T
-        margins = _margins_log2(*_columns([tables[k] for k in members]), q)
+        margins, _ = _pass_margins(*_columns([tables[k] for k in members]), q)
         for k, ok in zip(members, (margins >= 0.0).all(axis=0).tolist()):
             feasible[k] = ok
     return feasible
@@ -885,28 +850,64 @@ _WINDOW = 8
 
 
 def _pass_margins(
-    denom_log2: np.ndarray, noise: np.ndarray, lam: np.ndarray, p1: np.ndarray, x: np.ndarray
+    denom_log2: np.ndarray,
+    noise: np.ndarray,
+    lam: np.ndarray,
+    p1: float | np.ndarray,
+    x: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One full pass of ``_lockstep_search`` at each column's uniform
-    Q = x: every row's margins, bit for bit ``_margins_log2``'s, and every
-    row's three Newton-slope sums, sum lam/(N+x), sum N/(N+x) and
-    sum lam x/(N+x)^2, as (2^R - 1, 3, K). The four per-relay terms are
-    summed in one ``_subset_sums`` doubling: log1p(N/x) and lam/(N+x),
-    the margin's terms, then the slope's other two. A doubling step loops
-    over one block per subset, every term of every column, where the
-    terms lie relay by relay; laid out term by term, it loops over one
-    block per term and column, as long as the subsets summed. The first
-    is the faster for a stack of columns, the second for a lone one."""
+    """The one full margin pass, for K tables stacked in columns: every
+    subset's margin, along axis 0, (2^R - 1, K), and every row's three
+    Newton-slope sums, sum lam/(N+x), sum N/(N+x) and sum lam x/(N+x)^2,
+    as (2^R - 1, 3, K). ``denom_log2`` is (2^R - 1, K), ``noise`` and
+    ``lam`` are (R, K), ``p1`` is (K,), and ``x`` is each column's
+    uniform Q, (K,), as a search pass gives it, or its Q per relay,
+    (R, K), as ``_feasible`` gives it; a lone table's query
+    (``margins_log2``) is a stack of one column, its arrays' column
+    views with ``p1`` a number. Every operation is elementwise, so
+    column k is bit for bit table k's own pass at its Q.
+
+    The four per-relay terms are summed in one ``_subset_sums``
+    doubling: log1p(N/x) and lam/(N+x), the margin's terms, then the
+    slope's other two. A doubling step loops over one block per subset,
+    every term of every column, where the terms lie relay by relay; laid
+    out term by term, it loops over one block per term and column, as
+    long as the subsets summed. The first is the faster for a stack of
+    columns, the second for a lone one.
+
+    N + x, N/x and P1 sum lam/(N+x) may overflow to inf, silently, as
+    Python floats give, and x = inf reads inf/inf in the last slope term
+    alone, which leaves that sum NaN and every margin as it is. A row
+    whose denominator is inf (an overflowed block sum) holds at every Q,
+    and reads inf at every Q, even where N/x overflows too; a NaN
+    denominator reads NaN. A cost that overflows (or reads NaN) counts as
+    the largest double, so any other row reads far below 0 there,
+    rejected.
+
+    Against the exact margin at the rounded inputs (``tests/exact.py``),
+    each finite margin lies within 4 eps max(1, cost, |denom|) bits: at
+    most 2.3 eps measured over 3,000 seeded networks at T = 3..9, under
+    both quantifiers at relay powers x1 and x1e3, with Q in 10^+-6 and
+    10^+-100. The last subtraction rounds to the ulp of the larger of
+    cost and denom, so the bound scales with both."""
     r, k = noise.shape
     terms = np.empty((r, 4, k)) if k > 1 else np.empty((4, r, k)).swapaxes(0, 1)
     shrink, share, near, source = terms.swapaxes(0, 1)
-    total = noise + x
-    np.log1p(np.divide(noise, x, out=shrink), out=shrink)
-    np.divide(lam, total, out=share)
-    np.divide(noise, total, out=near)
-    np.multiply(share, np.divide(x, total, out=source), out=source)
-    sums = _subset_sums(terms)[1:]
-    return _cost_margins(denom_log2, p1, sums[:, 0], sums[:, 1]), sums[:, 1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = noise + x
+        # log2(prod Q) - log2(det) + denom, rewritten through the rank-one
+        # determinant identity as -sum log1p(N/Q) - log1p(P1 sum lam/(N+Q))
+        # + denom. Differencing the raw log-dets loses the N/Q term once Q
+        # is ~1e16 N (it falls under the ulp), which would misread the
+        # powerless-relay constraint Q >= Q + c as satisfiable; the log1p
+        # form is exact there. The factorized determinant itself is
+        # checked against this identity by the determinant-lemma suite.
+        np.log1p(np.divide(noise, x, out=shrink), out=shrink)
+        np.divide(lam, total, out=share)
+        np.divide(noise, total, out=near)
+        np.multiply(share, np.divide(x, total, out=source), out=source)
+        sums = _subset_sums(terms)[1:]
+        return _cost_margins(denom_log2, p1, sums[:, 0], sums[:, 1]), sums[:, 1:]
 
 
 def _row_margins(
@@ -935,7 +936,7 @@ def _row_margins(
 def _lockstep_search(
     denom_log2: np.ndarray, noise: np.ndarray, lam: np.ndarray, p1: np.ndarray, x: np.ndarray
 ) -> np.ndarray:
-    """For K tables stacked in columns (as ``_margins_log2`` takes them),
+    """For K tables stacked in columns (as ``_pass_margins`` takes them),
     searched from the positive doubles ``x``: each column's smallest Q
     that its table accepts and whose predecessor it rejects, or inf where
     the largest double is rejected. Where the table's verdict is monotone
@@ -984,8 +985,9 @@ def _lockstep_search(
     window = np.arange(2 * _WINDOW + 1)
     lo, hi = np.zeros(k, dtype=np.int64), np.full(k, math.inf).view(np.int64)
     step, newton = np.ones(k, dtype=np.int64), np.ones(k, dtype=bool)
-    # N + x -> inf, N/x -> inf and 0 * inf, silently: _margins_log2's
-    # reading of them, and the step only proposes a point.
+    # 1/P1, the Newton step's quotients and its exp may overflow or read
+    # NaN, silently: the step only proposes a point, clamped to the
+    # doubles. The window reads N + x and N/x as the full pass does.
     with np.errstate(all="ignore"):
         inverse = 1.0 / p1
         for passes in range(1, _NEWTON_PASSES + 126):
@@ -1168,7 +1170,9 @@ def _coordinate_descent(table: _ConstraintTable, start: np.ndarray) -> np.ndarra
     q_values = start.copy()
     for _ in range(DESCENT_MAX_CYCLES):
         before = q_values.copy()
-        with np.errstate(over="ignore"):  # N + Q -> inf, as in _uniform_optima
+        # _coordinate_step's sums, of N/Q, N + Q and P1 lam/(N + Q), may
+        # overflow to inf, silently, as Python floats give.
+        with np.errstate(over="ignore"):
             for k in range(n):
                 q_values[k] = _coordinate_step(table, q_values, k, rows[k])
         if np.array_equal(q_values, before):
@@ -1236,8 +1240,7 @@ def build_rate_report(
     rates = _cut_rates(net, override_guard)
     bound = float(rates[0])  # the source cut
     mc_bits, mc = _min_cut(net, rates)
-    with np.errstate(over="ignore"):  # N + Q -> inf, as in _uniform_optima
-        margins = table.margins_log2(q)
+    margins = table.margins_log2(q)
     tightest = np.argsort(margins, kind="stable")[:top_k]
     binding = tuple(ConstraintMargin(table.instance(k), float(margins[k])) for k in tightest)
     return RateReport(

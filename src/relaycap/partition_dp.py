@@ -65,7 +65,8 @@ def _subset_sums(per_relay: np.ndarray) -> np.ndarray:
     a stacked input gets the sums of that entry alone. The sums take
     ``per_relay``'s memory layout, the subset axis where its relay axis
     lies, so the caller's layout decides how long each doubling's inner
-    loop runs (``bounds._margins_log2`` keeps each term's sums one block)."""
+    loop runs (``bounds._pass_margins`` keeps each term's sums one block
+    for a lone table)."""
     sums = np.empty_like(per_relay, float, shape=(1 << len(per_relay),) + per_relay.shape[1:])
     sums[0] = 0.0  # each later row is written by one doubling
     for i, value in enumerate(per_relay):

@@ -505,8 +505,7 @@ def monotonicity_suite(samples: int = 100, seed: int = 20250812) -> CheckResult:
             return CheckResult(name, False, f"sample {i}: sampled Q not feasible at scale 1")
         for c, (ok, q_c) in zip(scales[1:], held[1:]):
             if not ok:
-                with np.errstate(over="ignore"):  # N + Q -> inf, as in _uniform_optima
-                    margins = table.margins_log2(q_c)
+                margins = table.margins_log2(q_c)
                 row = int(np.argmin(margins))  # the first NaN, else the first smallest
                 return CheckResult(
                     name,

@@ -58,3 +58,15 @@ def log2(x: Fraction) -> float:
     e = x.numerator.bit_length() - x.denominator.bit_length()
     m = x * Fraction(2) ** -e
     return e + math.log1p(float(m - 1)) / _LN2
+
+
+def margin_log2(denom, noises, gains, p1, qs) -> float:
+    """A constraint row's margin at Q, the row's relays' noises N_i,
+    source gains lambda_i and quantization noises Q_i given alone:
+    denom - log2(prod (1 + N_i/Q_i) * (1 + P1 sum lambda_i/(N_i + Q_i))),
+    with the product and the sum exact in Fractions, ``log2`` rounded
+    once and the difference once."""
+    n, q = [Fraction(x) for x in noises], [Fraction(x) for x in qs]
+    shrink = math.prod((1 + a / b for a, b in zip(n, q)), start=Fraction(1))
+    reach = sum((Fraction(g) / (a + b) for g, a, b in zip(gains, n, q)), Fraction(0))
+    return denom - log2(shrink * (1 + Fraction(p1) * reach))

@@ -1601,7 +1601,7 @@ class TestConstraintTableInternals:
         for i in range(20):
             q = 10.0 ** rng.uniform(-30.0, 30.0, size=len(tables))
             q[0] = 1e-300 if i % 2 else 1e300
-            stacked = bounds._margins_log2(denom, noise, lam, p1, q)
+            stacked = bounds._pass_margins(denom, noise, lam, p1, q)[0]
             for k, table in enumerate(tables):
                 want = table.margins_log2(np.full(n, q[k]))
                 assert stacked[:, k].tobytes() == want.tobytes()
@@ -1941,7 +1941,8 @@ class TestConstraintTableArrays:
             for q in (1e-320, 1e-300, 1.0, 1e300, sys.float_info.max):
                 assert table.margins_log2(np.full(2, q))[[0, 2]].tolist() == [math.inf] * 2
             denoms = np.array([math.nan, math.inf, 1.0])
-            got = bounds._margins_log2(denoms, table.noise, table.lam, table.p1, np.full(2, 5e-324))
+            columns = (a[:, None] for a in (denoms, table.noise, table.lam))
+            got = bounds._pass_margins(*columns, table.p1, np.full(1, 5e-324))[0][:, 0]
         assert math.isnan(got[0]) and got[1:].tolist() == [math.inf, 1.0 - sys.float_info.max]
 
     def test_mixed_batch_builds_each_table_as_alone(self, monkeypatch):
@@ -2610,16 +2611,16 @@ class TestStackedChecks:
         # per-relay margin evaluation reads -1 where the smallest Q passes
         # 1e10 (the uniform search, with one Q per column, is left alone):
         # scale 10 breaks sample 5.
-        real = bounds._margins_log2
+        real = bounds._pass_margins
 
         def faulty(denom_log2, noise, lam, p1, q_values):
-            margins = real(denom_log2, noise, lam, p1, q_values)
+            margins, slopes = real(denom_log2, noise, lam, p1, q_values)
             if q_values.ndim != denom_log2.ndim:
-                return margins
-            return np.where(q_values.min(axis=0) > 1e10, -1.0, margins)
+                return margins, slopes
+            return np.where(q_values.min(axis=0) > 1e10, -1.0, margins), slopes
 
         lift = self._pushing(5, lambda _, point: point * (2e9 / point.min()))
-        margins = (bounds, "_margins_log2", lambda: faulty)
+        margins = (bounds, "_pass_margins", lambda: faulty)
         want, got = self._both_paths(monkeypatch, "monotonicity_suite", 20, *lift, margins)
         assert got == want
         assert got.detail.startswith("sample 5: scale 10.0 broke feasibility (S=(")
@@ -2629,18 +2630,18 @@ class TestStackedChecks:
         # As above, but where the smallest Q passes 1e10 every margin reads
         # 0.5 except row 1's, which reads NaN: scale 10 breaks sample 5 at
         # row 1, which min() would skip to name row 0, a row that holds.
-        real = bounds._margins_log2
+        real = bounds._pass_margins
 
         def faulty(denom_log2, noise, lam, p1, q_values):
-            margins = real(denom_log2, noise, lam, p1, q_values)
+            margins, slopes = real(denom_log2, noise, lam, p1, q_values)
             if q_values.ndim != denom_log2.ndim:
-                return margins
+                return margins, slopes
             nan_later = np.full_like(margins, 0.5)
             nan_later[1:2] = math.nan  # a one-relay table has no row 1
-            return np.where(q_values.min(axis=0) > 1e10, nan_later, margins)
+            return np.where(q_values.min(axis=0) > 1e10, nan_later, margins), slopes
 
         lift = self._pushing(5, lambda _, point: point * (2e9 / point.min()))
-        margins = (bounds, "_margins_log2", lambda: faulty)
+        margins = (bounds, "_pass_margins", lambda: faulty)
         want, got = self._both_paths(monkeypatch, "monotonicity_suite", 20, *lift, margins)
         monkeypatch.undo()
         rng = np.random.default_rng(SUITE_SEEDS["monotonicity_suite"])
@@ -3506,9 +3507,8 @@ def test_window_margins_are_the_full_pass_rows(tables):
     # At points drawn over every binade, at both ends of the doubles (N/Q
     # and N + Q overflow there) and where N/Q overflows for a column's
     # noisiest relay alone, each row's window margins are bit for bit its
-    # margins in a full pass at those points, and a full pass's margins
-    # are _margins_log2's. The slope sums are each row's Python-float sums
-    # over its relays, left to right.
+    # margins in a full pass at those points. The slope sums are each
+    # row's Python-float sums over its relays, left to right.
     rng = np.random.default_rng(len(tables[0].relays))
     denom, noise, lam, p1 = columns = bounds._columns(tables)
     k = len(tables)
@@ -3518,8 +3518,6 @@ def test_window_margins_are_the_full_pass_rows(tables):
     points[:, 2] *= noise.max(axis=0)
     with np.errstate(all="ignore"):
         passes = [bounds._pass_margins(*columns, x) for x in points.T]
-        for x, (margins, _) in zip(points.T, passes):
-            assert margins.tobytes() == bounds._margins_log2(*columns, x).tobytes()
         for row, inside in enumerate(member):
             relays = np.repeat(inside[:, None], k, axis=1)
             window = bounds._row_margins(denom[row], noise, lam, p1, relays, points)
@@ -3536,6 +3534,69 @@ def test_window_margins_are_the_full_pass_rows(tables):
                 assert slopes[row, :, j].tobytes() == np.array([reach, near, source]).tobytes()
     # The overflowing relay's rows read inf at every point.
     assert np.isinf(np.array([m[0, -1] for m, _ in passes])).all()
+
+
+@pytest.mark.parametrize("quantifier", ["forall", "exists"])
+def test_margin_queries_warn_of_nothing(quantifier):
+    # The full pass states its own overflow rule: from the smallest double
+    # to the largest, N/Q and N + Q overflow silently in a lone table's
+    # query, and _feasible meets Q = inf silently too. Each table's
+    # margins are its column of one stacked pass, bit for bit.
+    stacks = [
+        [_ConstraintTable(random_network(np.random.default_rng(s), t), quantifier) for s in (3, 4)]
+        for t in range(3, 10)
+    ]
+    stacks[1].append(_ConstraintTable(_overflowing_relay_network(), quantifier))
+    points = (5e-324, 1e-300, 1.0, 1e300, sys.float_info.max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for tables, q in itertools.product(stacks, points):
+            r = len(tables[0].relays)
+            stacked, _ = bounds._pass_margins(*bounds._columns(tables), np.full((r, len(tables)), q))
+            for k, table in enumerate(tables):
+                assert table.margins_log2(np.full(r, q)).tobytes() == stacked[:, k].tobytes()
+                assert table.feasible(np.full(r, q)) == bool((stacked[:, k] >= 0.0).all())
+        tables = [table for stack in stacks for table in stack]
+        for q in points + (math.inf,):
+            verdicts = bounds._feasible(tables, [np.full(len(t.relays), q) for t in tables])
+            assert verdicts == [t.feasible(np.full(len(t.relays), q)) for t in tables]
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    t=st.integers(3, 9),
+    quantifier=st.sampled_from(["forall", "exists"]),
+    uniform=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_full_pass_margins_are_the_exact_margins(seed, t, quantifier, uniform):
+    # Every row of a full pass, for two tables stacked and each alone, at
+    # Q per relay or uniform in 10^+-6, lies within the bound that
+    # _pass_margins states of the exact margin at the rounded inputs:
+    # 4 eps max(1, cost, |denom|) bits.
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, t)
+    tables = [_ConstraintTable(rc.scaled(net, g), quantifier) for g in (1.0, 1e3)]
+    q = 10.0 ** rng.uniform(-6.0, 6.0, size=(t - 2, len(tables)))
+    x = q[0] if uniform else q
+    stacked, _ = bounds._pass_margins(*bounds._columns(tables), x)
+    member = partition_dp._dp_layout(t - 2).member[1:]
+    for k, table in enumerate(tables):
+        alone, _ = bounds._pass_margins(*bounds._columns([table]), x[..., k : k + 1])
+        q_k = np.broadcast_to(x[..., k], t - 2)
+        for row, inside in enumerate(member):
+            denom = float(table.denom_log2[row])
+            relays = np.flatnonzero(inside)
+            want = exact.margin_log2(
+                denom,
+                table.noise[relays].tolist(),
+                table.lam[relays].tolist(),
+                table.p1,
+                q_k[relays].tolist(),
+            )
+            bound = 4.0 * np.finfo(float).eps * max(1.0, denom - want, abs(denom))
+            assert abs(stacked[row, k] - want) <= bound
+            assert abs(alone[row, 0] - want) <= bound
 
 
 class TestLockstepFrontiers:
